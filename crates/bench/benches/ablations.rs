@@ -7,9 +7,9 @@
 use clientmap_cacheprobe::scopescan::scan_domain;
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::{probe, ProbeConfig};
-use clientmap_dns::DomainName;
+use clientmap_dns::{wire, DomainName};
 use clientmap_net::Prefix;
-use clientmap_sim::{Sim, SimTime, Transport};
+use clientmap_sim::{GpdnsSession, Sim, SimTime, Transport};
 use clientmap_world::{World, WorldConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -58,6 +58,10 @@ fn bench_redundancy(c: &mut Criterion) {
         .map(|b| b.supernet(20).unwrap_or(*b))
         .collect();
 
+    let view = sim.view();
+    let template = wire::ProbeQueryTemplate::new(&domain);
+    let mut session = GpdnsSession::new();
+    let mut bufs = probe::ProbeBufs::default();
     let mut g = c.benchmark_group("ablation_redundancy");
     for redundancy in [1u32, 5] {
         let mut cfg = ProbeConfig::test_scale();
@@ -68,7 +72,17 @@ fn bench_redundancy(c: &mut Criterion) {
                 for (i, s) in scopes.iter().enumerate() {
                     let t = SimTime::from_hours(10) + SimTime::from_millis(i as u64 * 25);
                     if matches!(
-                        probe::probe_scope(&mut sim, &b0, &domain, *s, &cfg, t),
+                        probe::probe_scope(
+                            &view,
+                            &mut session,
+                            &b0,
+                            &template,
+                            *s,
+                            &cfg,
+                            t,
+                            None,
+                            &mut bufs
+                        ),
                         clientmap_sim::ProbeOutcome::Hit { .. }
                     ) {
                         hits += 1;
@@ -94,6 +108,10 @@ fn bench_transport(c: &mut Criterion) {
         .map(|b| b.supernet(20).unwrap_or(*b))
         .collect();
 
+    let view = sim.view();
+    let template = wire::ProbeQueryTemplate::new(&domain);
+    let mut session = GpdnsSession::new();
+    let mut bufs = probe::ProbeBufs::default();
     let mut g = c.benchmark_group("ablation_tcp_udp");
     for (label, transport) in [("tcp", Transport::Tcp), ("udp", Transport::Udp)] {
         let mut cfg = ProbeConfig::test_scale();
@@ -105,7 +123,17 @@ fn bench_transport(c: &mut Criterion) {
                     // Paper-rate burst: 50/s → one every 20 ms.
                     let t = SimTime::from_hours(11) + SimTime::from_millis(i as u64 * 20);
                     if !matches!(
-                        probe::probe_scope(&mut sim, &b0, &domain, *s, &cfg, t),
+                        probe::probe_scope(
+                            &view,
+                            &mut session,
+                            &b0,
+                            &template,
+                            *s,
+                            &cfg,
+                            t,
+                            None,
+                            &mut bufs
+                        ),
                         clientmap_sim::ProbeOutcome::Dropped
                     ) {
                         answered += 1;

@@ -1,14 +1,13 @@
-//! Hot-path microbenches for the probe fast lanes: the zero-allocation
-//! scalar loop vs the allocating slow path, the batched serve kernel vs
-//! both, and the borrowed wire views vs full encode/decode. The paired
-//! benches share inputs so the reported deltas are the cost of
-//! allocation + parsing + per-probe routing alone.
+//! Hot-path microbenches for the two probe lanes: the zero-allocation
+//! scalar probe vs the batched serve kernel, and the borrowed wire
+//! views vs full encode/decode. The paired benches share inputs so the
+//! reported deltas are the cost of parsing + per-probe routing alone.
 //!
 //! The batched bench doubles as an allocation regression gate: before
 //! timing, a counted steady-state pass through the kernel must perform
 //! zero heap allocations, or the harness aborts.
 
-use clientmap_cacheprobe::probe::{probe_scope_fast, probe_scope_with, select_domains};
+use clientmap_cacheprobe::probe::{probe_scope, select_domains, ProbeBufs};
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
 use clientmap_dns::{wire, Message, Question};
@@ -50,10 +49,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// End-to-end probe: template render → simulated Google front end →
-/// response classification, on both lanes. Scopes cycle through the
-/// world's routed blocks and timestamps advance monotonically, so the
-/// two lanes see identical query sequences.
+/// End-to-end scalar probe: template render → simulated Google front
+/// end → response classification. Scopes cycle through the world's
+/// routed blocks and timestamps advance monotonically.
 fn bench_probe_hot_path(c: &mut Criterion) {
     let mut sim = Sim::new(World::generate(WorldConfig::tiny(11)));
     let bound = discover(&mut sim, SimTime::ZERO)[0];
@@ -74,14 +72,13 @@ fn bench_probe_hot_path(c: &mut Criterion) {
     let t0 = SimTime::from_hours(8);
 
     let mut session = GpdnsSession::new();
-    let mut query_buf = Vec::with_capacity(128);
-    let mut resp_buf = Vec::with_capacity(512);
+    let mut bufs = ProbeBufs::default();
     let mut i = 0u64;
     c.bench_function("probe_hot_path", |b| {
         b.iter(|| {
             let scope = scopes[i as usize % scopes.len()];
             i += 1;
-            black_box(probe_scope_fast(
+            black_box(probe_scope(
                 &view,
                 &mut session,
                 &bound,
@@ -89,26 +86,8 @@ fn bench_probe_hot_path(c: &mut Criterion) {
                 scope,
                 &cfg,
                 t0 + SimTime::from_millis(i * 10),
-                &mut query_buf,
-                &mut resp_buf,
-            ))
-        })
-    });
-
-    let mut session = GpdnsSession::new();
-    let mut i = 0u64;
-    c.bench_function("probe_slow_path", |b| {
-        b.iter(|| {
-            let scope = scopes[i as usize % scopes.len()];
-            i += 1;
-            black_box(probe_scope_with(
-                &view,
-                &mut session,
-                &bound,
-                &domain,
-                scope,
-                &cfg,
-                t0 + SimTime::from_millis(i * 10),
+                None,
+                &mut bufs,
             ))
         })
     });

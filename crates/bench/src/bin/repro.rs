@@ -8,7 +8,9 @@
 //!
 //! Sections: `headline table1 table2 table3 table4 table5 fig1 fig2
 //! fig3 fig4 fig5 fig6 fig7 collisions ablations metrics all` (default
-//! `all`).
+//! `all`). An unknown section or flag, an unparsable value, or a flag
+//! missing its value is rejected with one line on stderr and exit
+//! status 2 before the pipeline runs.
 //!
 //! `--metrics FILE` writes the run's full telemetry snapshot as JSON.
 //! The snapshot is deterministic: two runs with the same scale and seed
@@ -37,8 +39,53 @@ use clientmap_net::Prefix;
 use clientmap_sim::{Sim, SimTime, Transport};
 use clientmap_world::World;
 
+/// Every section name `repro` prints (plus `bench`, which runs the
+/// timing harness instead of a report).
+const SECTIONS: [&str; 24] = [
+    "all",
+    "bench",
+    "headline",
+    "robustness",
+    "table1",
+    "table2",
+    "table3",
+    "table4",
+    "table5",
+    "fig1",
+    "fig2",
+    "fig3",
+    "fig4",
+    "fig5",
+    "fig6",
+    "fig7",
+    "collisions",
+    "ranking",
+    "baseline",
+    "diurnal",
+    "microsim",
+    "combine",
+    "ablations",
+    "metrics",
+];
+
+/// Rejects bad input with one `repro: …` line and exit status 2 —
+/// before the pipeline runs, so a typo never costs a full run (or,
+/// worse, silently measures a different world).
+fn usage_error(msg: String) -> ! {
+    eprintln!("repro: {msg}");
+    std::process::exit(2)
+}
+
+/// Parses a flag's value, naming the flag in the rejection.
+fn parsed<T: std::str::FromStr>(flag: &str, raw: &str) -> T
+where
+    T::Err: std::fmt::Display,
+{
+    raw.parse()
+        .unwrap_or_else(|e| usage_error(format!("bad {flag} {raw:?}: {e}")))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut scale = "tiny".to_string();
     let mut seed = 2021u64;
     let mut faults = FaultProfile::Off;
@@ -47,48 +94,27 @@ fn main() {
     let mut metrics_path: Option<String> = None;
     let mut json_path: Option<String> = None;
     let mut sections: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                scale = args.get(i + 1).cloned().unwrap_or_default();
-                i += 2;
-            }
-            "--seed" => {
-                seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(2021);
-                i += 2;
-            }
-            "--faults" => {
-                let name = args.get(i + 1).cloned().unwrap_or_default();
-                faults = match name.parse() {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("repro: bad --faults {name:?}: {e}");
-                        std::process::exit(2);
-                    }
-                };
-                i += 2;
-            }
-            "--fault-seed" => {
-                fault_seed = args.get(i + 1).and_then(|s| s.parse().ok()).unwrap_or(0);
-                i += 2;
-            }
-            "--scalar-probing" => {
-                scalar_probing = true;
-                i += 1;
-            }
-            "--metrics" => {
-                metrics_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            "--json" => {
-                json_path = args.get(i + 1).cloned();
-                i += 2;
-            }
-            s => {
-                sections.push(s.to_string());
-                i += 1;
-            }
+    let mut args = std::env::args().skip(1).peekable();
+    while let Some(arg) = args.next() {
+        // A flag's value is the next argument, unless the command line
+        // ends there or another flag follows.
+        let mut value = || {
+            args.next_if(|v| !v.starts_with("--"))
+                .unwrap_or_else(|| usage_error(format!("{arg} needs a value")))
+        };
+        match arg.as_str() {
+            "--scale" => scale = value(),
+            "--seed" => seed = parsed(&arg, &value()),
+            "--faults" => faults = parsed(&arg, &value()),
+            "--fault-seed" => fault_seed = parsed(&arg, &value()),
+            "--metrics" => metrics_path = Some(value()),
+            "--json" => json_path = Some(value()),
+            "--scalar-probing" => scalar_probing = true,
+            s if SECTIONS.contains(&s) => sections.push(arg.clone()),
+            _ => usage_error(format!(
+                "unknown section or flag {arg:?} (sections: {})",
+                SECTIONS.join(" ")
+            )),
         }
     }
     if sections.is_empty() {
@@ -98,7 +124,10 @@ fn main() {
     let mut config = match scale.as_str() {
         "paper" => PipelineConfig::paper_scale(seed),
         "small" => PipelineConfig::small(seed),
-        _ => PipelineConfig::tiny(seed),
+        "tiny" => PipelineConfig::tiny(seed),
+        other => usage_error(format!(
+            "bad --scale {other:?}: expected tiny, small or paper"
+        )),
     };
     config.faults = FaultConfig::profile(faults, fault_seed);
     if scalar_probing {
@@ -981,6 +1010,26 @@ fn ablations_section(out: &PipelineOutput) -> String {
             .copied()
             .collect();
     }
+    // One prober connection for every ablation probe below:
+    // rate-limiter state must persist across calls for UDP throttling
+    // to be observable.
+    let view = sim.view();
+    let template = clientmap_dns::wire::ProbeQueryTemplate::new(&domain);
+    let mut session = clientmap_sim::GpdnsSession::new();
+    let mut bufs = probe::ProbeBufs::default();
+    let mut probe_at = |sc: Prefix, cfg: &ProbeConfig, t: SimTime| {
+        probe::probe_scope(
+            &view,
+            &mut session,
+            &b0,
+            &template,
+            sc,
+            cfg,
+            t,
+            None,
+            &mut bufs,
+        )
+    };
     // Probe each scope at several local times of day (including the
     // diurnal trough, where cache entries are scarce and pool coverage
     // matters most).
@@ -994,7 +1043,7 @@ fn ablations_section(out: &PipelineOutput) -> String {
                 let t = SimTime::from_hours(24 + hour) + SimTime::from_millis(i as u64 * 25);
                 attempts += 1;
                 if matches!(
-                    probe::probe_scope(&mut sim, &b0, &domain, *sc, &cfg, t),
+                    probe_at(*sc, &cfg, t),
                     clientmap_sim::ProbeOutcome::Hit { .. }
                 ) {
                     hit_events += 1;
@@ -1031,10 +1080,7 @@ fn ablations_section(out: &PipelineOutput) -> String {
         let mut answered = 0u32;
         for (i, sc) in scopes.iter().take(200).enumerate() {
             let t = SimTime::from_hours(12) + SimTime::from_millis(i as u64 * 20);
-            if !matches!(
-                probe::probe_scope(&mut sim, &b0, &domain, *sc, &cfg, t),
-                clientmap_sim::ProbeOutcome::Dropped
-            ) {
+            if !matches!(probe_at(*sc, &cfg, t), clientmap_sim::ProbeOutcome::Dropped) {
                 answered += 1;
             }
         }

@@ -1,6 +1,7 @@
-//! Integration tests for `repro --metrics`: the flag writes a JSON
-//! telemetry snapshot, the snapshot satisfies the cross-counter
-//! invariants, and two same-seed runs produce byte-identical files.
+//! Integration tests for the `repro` command line: `--metrics` writes
+//! a JSON telemetry snapshot, the snapshot satisfies the cross-counter
+//! invariants, two same-seed runs produce byte-identical files, and
+//! bad input is rejected before the pipeline runs.
 
 use std::process::Command;
 
@@ -82,4 +83,34 @@ fn metrics_snapshots_byte_identical_across_same_seed_runs() {
     std::fs::remove_file(&pa).ok();
     std::fs::remove_file(&pb).ok();
     assert_eq!(a, b, "same-seed telemetry snapshots diverged");
+}
+
+/// Bad input is rejected up front: one `repro: …` line on stderr,
+/// exit status 2, nothing on stdout — the pipeline never runs.
+#[test]
+fn bad_input_is_rejected_before_the_pipeline_runs() {
+    let cases: [(&[&str], &str); 8] = [
+        (&["--seed", "x", "headline"], "bad --seed \"x\""),
+        (&["--scale", "bogus", "headline"], "bad --scale \"bogus\""),
+        (&["--fault-seed", "x", "headline"], "bad --fault-seed \"x\""),
+        (&["--faults", "nope", "headline"], "bad --faults \"nope\""),
+        (&["headline", "--metrics"], "--metrics needs a value"),
+        (
+            &["--metrics", "--scalar-probing"],
+            "--metrics needs a value",
+        ),
+        (&["bench", "--json"], "--json needs a value"),
+        (&["headlines"], "unknown section or flag \"headlines\""),
+    ];
+    for (args, expect) in cases {
+        let out = repro().args(args).output().expect("repro runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed a report");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("repro: ") && stderr.contains(expect),
+            "{args:?}: {stderr}"
+        );
+    }
 }

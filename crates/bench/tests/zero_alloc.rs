@@ -1,5 +1,5 @@
-//! Proves the probe fast lane performs **zero heap allocations** in
-//! steady state: a counting global allocator tracks every allocation
+//! Proves both probe lanes perform **zero heap allocations** in steady
+//! state: a counting global allocator tracks every allocation
 //! on the test thread, and after one warm-up pass (which sizes the
 //! reusable buffers and creates the session's token bucket) a measured
 //! pass of several hundred probes must allocate nothing.
@@ -7,7 +7,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clientmap_cacheprobe::probe::{probe_scope_fast, select_domains};
+use clientmap_cacheprobe::probe::{probe_scope, select_domains, ProbeBufs};
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
 use clientmap_dns::wire;
@@ -55,7 +55,7 @@ fn allocations() -> u64 {
 }
 
 #[test]
-fn probe_fast_lane_is_allocation_free_after_warmup() {
+fn scalar_probe_is_allocation_free_after_warmup() {
     let mut sim = Sim::new(World::generate(WorldConfig::tiny(17)));
     let bound = discover(&mut sim, SimTime::ZERO)[0];
     let cfg = ProbeConfig::test_scale();
@@ -77,16 +77,15 @@ fn probe_fast_lane_is_allocation_free_after_warmup() {
 
     let mut session = GpdnsSession::new();
     // Response sizes vary by outcome (a hit carries an answer record,
-    // a miss does not); pre-reserving past the largest possible probe
-    // response means buffer growth cannot masquerade as a hot-path
-    // allocation that warm-up merely happened to hide.
-    let mut query_buf: Vec<u8> = Vec::with_capacity(128);
-    let mut resp_buf: Vec<u8> = Vec::with_capacity(512);
+    // a miss does not); `ProbeBufs` pre-reserves past the largest
+    // possible probe response, so buffer growth cannot masquerade as a
+    // hot-path allocation that warm-up merely happened to hide.
+    let mut bufs = ProbeBufs::default();
 
     // Warm-up: creates the session's (prober, PoP, transport) token
     // bucket and touches every lookup table once.
     for (i, &scope) in scopes.iter().enumerate() {
-        probe_scope_fast(
+        probe_scope(
             &view,
             &mut session,
             &bound,
@@ -94,8 +93,8 @@ fn probe_fast_lane_is_allocation_free_after_warmup() {
             scope,
             &cfg,
             t0 + SimTime::from_millis(i as u64 * 10),
-            &mut query_buf,
-            &mut resp_buf,
+            None,
+            &mut bufs,
         );
     }
 
@@ -104,7 +103,7 @@ fn probe_fast_lane_is_allocation_free_after_warmup() {
     for round in 1..=8u64 {
         for (i, &scope) in scopes.iter().enumerate() {
             let t = t0 + SimTime::from_millis(round * 60_000 + i as u64 * 10);
-            probe_scope_fast(
+            probe_scope(
                 &view,
                 &mut session,
                 &bound,
@@ -112,8 +111,8 @@ fn probe_fast_lane_is_allocation_free_after_warmup() {
                 scope,
                 &cfg,
                 t,
-                &mut query_buf,
-                &mut resp_buf,
+                None,
+                &mut bufs,
             );
             outcomes += 1;
         }
@@ -123,7 +122,7 @@ fn probe_fast_lane_is_allocation_free_after_warmup() {
     assert!(outcomes >= 256, "measured pass actually probed");
     assert_eq!(
         allocated, 0,
-        "probe fast lane allocated {allocated} time(s) across {outcomes} probes after warm-up"
+        "scalar probe allocated {allocated} time(s) across {outcomes} probes after warm-up"
     );
 }
 

@@ -17,6 +17,7 @@ use clientmap_sim::{
 };
 use clientmap_store::CalibrationRecord;
 
+use crate::probe::{probe_scope, ProbeBufs};
 use crate::vantage::BoundVantage;
 use crate::ProbeConfig;
 
@@ -122,36 +123,29 @@ pub fn calibrate(
         .fault_plan()
         .enabled()
         .then(|| crate::resilience::FaultCounters::resolve(sim.metrics()));
+    let templates: Vec<wire::ProbeQueryTemplate> =
+        domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let view = sim.view();
     let mut per_pop: Vec<(usize, Vec<f64>, clientmap_sim::GpdnsSession)> =
         clientmap_par::par_map(bound, |_, b| {
             let mut session = clientmap_sim::GpdnsSession::new();
+            let mut bufs = ProbeBufs::default();
             let mut distances: Vec<f64> = Vec::new();
             for (i, prefix) in sample.iter().enumerate() {
                 // Stagger probe times so the rate limiter behaves.
                 let pt = t + SimTime::from_millis(i as u64 * 20);
-                let hit = domains.iter().any(|d| {
-                    let outcome = match &fc {
-                        Some(fc) => crate::probe::probe_scope_resilient_with(
-                            &view,
-                            &mut session,
-                            b,
-                            d,
-                            *prefix,
-                            cfg,
-                            pt,
-                            fc,
-                        ),
-                        None => crate::probe::probe_scope_with(
-                            &view,
-                            &mut session,
-                            b,
-                            d,
-                            *prefix,
-                            cfg,
-                            pt,
-                        ),
-                    };
+                let hit = templates.iter().any(|template| {
+                    let outcome = probe_scope(
+                        &view,
+                        &mut session,
+                        b,
+                        template,
+                        *prefix,
+                        cfg,
+                        pt,
+                        fc.as_ref(),
+                        &mut bufs,
+                    );
                     matches!(outcome, ProbeOutcome::Hit { .. })
                 });
                 if hit {

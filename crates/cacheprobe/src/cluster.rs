@@ -239,7 +239,7 @@ impl ClusteredPlan {
             // stable hashed order; each joins the first existing
             // cluster (creation order) whose representative sits within
             // epsilon, else opens its own.
-            candidates.sort_by(|a, b| (a.0, a.1).cmp(&(b.0, b.1)));
+            candidates.sort_by_key(|c| (c.0, c.1));
             let mut reps: Vec<(RecordKey, ClusterFeatures)> = Vec::new();
             for (_, key, feats, reason) in candidates {
                 let joined = (cfg.cluster_epsilon > 0.0)
@@ -507,9 +507,11 @@ mod tests {
         );
     }
 
-    /// Arbitrary slot state for the planner properties: a scope plus
-    /// optional prior record / confidence tag.
-    fn slot_strategy() -> impl Strategy<Value = (Prefix, Option<(u64, bool)>, Option<(u8, u8)>)> {
+    /// A scope plus optional prior record / confidence tag.
+    type SlotState = (Prefix, Option<(u64, bool)>, Option<(u8, u8)>);
+
+    /// Arbitrary slot state for the planner properties.
+    fn slot_strategy() -> impl Strategy<Value = SlotState> {
         (
             (any::<u32>(), 12u8..=24).prop_map(|(addr, len)| {
                 let mask = u32::MAX << (32 - len);

@@ -9,11 +9,11 @@
 //! any geolocation database. `repro diurnal` validates the inferred
 //! longitudes against ground truth.
 
-use clientmap_dns::DomainName;
+use clientmap_dns::{wire, DomainName};
 use clientmap_net::Prefix;
 use clientmap_sim::{GpdnsSession, ProbeOutcome, Sim, SimTime};
 
-use crate::probe::probe_scope_with;
+use crate::probe::{probe_scope, ProbeBufs};
 use crate::vantage::BoundVantage;
 use crate::ProbeConfig;
 
@@ -94,6 +94,8 @@ pub fn probe_diurnal(
     probes_per_hour: u32,
 ) -> DiurnalProfile {
     let view = sim.view();
+    let template = wire::ProbeQueryTemplate::new(domain);
+    let mut bufs = ProbeBufs::default();
     let mut profile = DiurnalProfile {
         scope,
         attempts: [0; 24],
@@ -109,10 +111,10 @@ pub fn probe_diurnal(
                     + SimTime::from_secs(k * 3600 / u64::from(probes_per_hour).max(1));
                 let idx = (hour % 24) as usize;
                 profile.attempts[idx] += 1;
-                if matches!(
-                    probe_scope_with(&view, session, bound, domain, scope, cfg, t),
-                    ProbeOutcome::Hit { .. }
-                ) {
+                let outcome = probe_scope(
+                    &view, session, bound, &template, scope, cfg, t, None, &mut bufs,
+                );
+                if matches!(outcome, ProbeOutcome::Hit { .. }) {
                     profile.hits[idx] += 1;
                 }
             }

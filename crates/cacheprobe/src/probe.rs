@@ -19,16 +19,16 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use std::time::Instant;
 
-use clientmap_dns::{wire, DomainName, Message, Question};
+use clientmap_dns::{wire, DomainName};
 use clientmap_net::Prefix;
 use clientmap_par::par_map;
 use clientmap_sim::{
-    BatchConn, BatchDomain, GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView,
+    GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport,
 };
 use clientmap_store::{
     CalibrationRecord, ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot,
 };
-use clientmap_telemetry::{Counter, Histogram, MetricsRegistry};
+use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
 
 use crate::calibrate::{calibrate, calibrate_batched, replay_calibration, sample_prefixes};
 use crate::cluster::{synthesize_member_record, ClusteredPlan};
@@ -63,31 +63,21 @@ pub fn merge_outcome(best: ProbeOutcome, next: ProbeOutcome) -> ProbeOutcome {
     }
 }
 
-/// Builds the probe query for a ⟨domain, scope⟩ pair; the ID is patched
-/// per attempt.
-fn encode_probe_query(domain: &DomainName, scope: Prefix) -> Option<Vec<u8>> {
-    let q = Message::query(
-        0,
-        Question {
-            name: domain.clone(),
-            rtype: clientmap_dns::RrType::A,
-            class: clientmap_dns::RrClass::In,
-        },
-    )
-    .with_recursion_desired(false)
-    .with_ecs(scope);
-    wire::encode(&q).ok()
+/// Caller-reused wire buffers for [`probe_scope`]: the rendered query
+/// and the response it drew. Pre-sized past the largest probe exchange,
+/// so steady-state probing never grows them.
+#[derive(Debug)]
+pub struct ProbeBufs {
+    query: Vec<u8>,
+    resp: Vec<u8>,
 }
 
-/// Classifies a response after verifying its transaction ID and echoed
-/// question; anything unverifiable — including error rcodes, which the
-/// plain path does not retry — counts as [`ProbeOutcome::Dropped`].
-/// (The resilient path classifies through
-/// [`observe_response`] directly and counts each failure class.)
-fn classify_checked(query: &[u8], id: u16, resp: Option<&[u8]>) -> ProbeOutcome {
-    match observe_response(query, id, resp) {
-        WireObservation::Ok(outcome) => outcome,
-        _ => ProbeOutcome::Dropped,
+impl Default for ProbeBufs {
+    fn default() -> Self {
+        ProbeBufs {
+            query: Vec::with_capacity(128),
+            resp: Vec::with_capacity(512),
+        }
     }
 }
 
@@ -95,131 +85,19 @@ fn classify_checked(query: &[u8], id: u16, resp: Option<&[u8]>) -> ProbeOutcome 
 /// ⟨PoP, prefix, domain⟩ (covering multiple cache pools), each with a
 /// distinct transaction ID, and returns the best verified outcome.
 /// Hit > HitScopeZero > Miss > Dropped.
+///
+/// This is the one scalar probe — the fault lane of the sweep and the
+/// reference the batched kernel is tested against. Queries render from
+/// a pre-built [`wire::ProbeQueryTemplate`] into caller-reused buffers,
+/// so the steady state performs no heap allocation. With `fc` set
+/// (fault injection on) each redundant query gets bounded retries with
+/// seeded exponential backoff under the per-probe deadline budget, and
+/// a TC-truncated UDP response upgrades the retry to TCP. Without it
+/// each query is a single exchange, and anything unverifiable —
+/// including error rcodes, which the plain lane does not retry —
+/// counts as [`ProbeOutcome::Dropped`].
 #[allow(clippy::too_many_arguments)]
-pub fn probe_scope_with(
-    view: &SimView<'_>,
-    session: &mut GpdnsSession,
-    bound: &BoundVantage,
-    domain: &DomainName,
-    scope: Prefix,
-    cfg: &ProbeConfig,
-    t: SimTime,
-) -> ProbeOutcome {
-    let Some(mut packet) = encode_probe_query(domain, scope) else {
-        return ProbeOutcome::Dropped;
-    };
-    let mut best = ProbeOutcome::Dropped;
-    for r in 0..cfg.redundancy {
-        let rt = t + SimTime::from_millis(u64::from(r));
-        let id = attempt_id(t, scope, r, 0);
-        packet[0..2].copy_from_slice(&id.to_be_bytes());
-        let resp = view.gpdns_query(
-            session,
-            bound.prober_key(),
-            bound.coord(),
-            &packet,
-            cfg.transport,
-            rt,
-        );
-        best = merge_outcome(best, classify_checked(&packet, id, resp.as_deref()));
-        if matches!(best, ProbeOutcome::Hit { .. }) {
-            return best;
-        }
-    }
-    best
-}
-
-/// Fault-aware sibling of [`probe_scope_with`]: each redundant query
-/// gets bounded retries with seeded exponential backoff under the
-/// per-probe deadline budget, and a TC-truncated UDP response upgrades
-/// the retry to TCP. Used by calibration when fault injection is on.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_scope_resilient_with(
-    view: &SimView<'_>,
-    session: &mut GpdnsSession,
-    bound: &BoundVantage,
-    domain: &DomainName,
-    scope: Prefix,
-    cfg: &ProbeConfig,
-    t: SimTime,
-    fc: &FaultCounters,
-) -> ProbeOutcome {
-    let Some(mut packet) = encode_probe_query(domain, scope) else {
-        return ProbeOutcome::Dropped;
-    };
-    let mut best = ProbeOutcome::Dropped;
-    for r in 0..cfg.redundancy {
-        let rt = t + SimTime::from_millis(u64::from(r));
-        let outcome = resilient_attempt(
-            bound.prober_key(),
-            rt,
-            cfg.transport,
-            &cfg.retry,
-            fc,
-            |retry, at, transport| {
-                let id = attempt_id(t, scope, r, retry);
-                packet[0..2].copy_from_slice(&id.to_be_bytes());
-                let resp = view.gpdns_query(
-                    session,
-                    bound.prober_key(),
-                    bound.coord(),
-                    &packet,
-                    transport,
-                    at,
-                );
-                observe_response(&packet, id, resp.as_deref())
-            },
-        );
-        best = merge_outcome(best, outcome);
-        if matches!(best, ProbeOutcome::Hit { .. }) {
-            return best;
-        }
-    }
-    best
-}
-
-/// Convenience wrapper over [`probe_scope_with`] driving the [`Sim`]'s
-/// built-in session (single-threaded callers: examples, ablations).
-/// Rate-limiter state persists across calls, as it must for UDP
-/// throttling to be observable.
 pub fn probe_scope(
-    sim: &mut Sim,
-    bound: &BoundVantage,
-    domain: &DomainName,
-    scope: Prefix,
-    cfg: &ProbeConfig,
-    t: SimTime,
-) -> ProbeOutcome {
-    let Some(mut packet) = encode_probe_query(domain, scope) else {
-        return ProbeOutcome::Dropped;
-    };
-    let mut best = ProbeOutcome::Dropped;
-    for r in 0..cfg.redundancy {
-        let rt = t + SimTime::from_millis(u64::from(r));
-        let id = attempt_id(t, scope, r, 0);
-        packet[0..2].copy_from_slice(&id.to_be_bytes());
-        let resp = sim.gpdns_query(
-            bound.prober_key(),
-            bound.coord(),
-            &packet,
-            cfg.transport,
-            rt,
-        );
-        best = merge_outcome(best, classify_checked(&packet, id, resp.as_deref()));
-        if matches!(best, ProbeOutcome::Hit { .. }) {
-            return best;
-        }
-    }
-    best
-}
-
-/// Zero-allocation variant of [`probe_scope_with`]: the query renders
-/// from a pre-built [`wire::ProbeQueryTemplate`] into a caller-reused
-/// buffer and the response lands in another, so the steady-state
-/// probing loop performs no heap allocation. Sends byte-for-byte the
-/// same queries — and returns the same outcome — as the slow path.
-#[allow(clippy::too_many_arguments)]
-pub fn probe_scope_fast(
     view: &SimView<'_>,
     session: &mut GpdnsSession,
     bound: &BoundVantage,
@@ -227,75 +105,35 @@ pub fn probe_scope_fast(
     scope: Prefix,
     cfg: &ProbeConfig,
     t: SimTime,
-    query_buf: &mut Vec<u8>,
-    resp_buf: &mut Vec<u8>,
+    fc: Option<&FaultCounters>,
+    bufs: &mut ProbeBufs,
 ) -> ProbeOutcome {
     let mut best = ProbeOutcome::Dropped;
     for r in 0..cfg.redundancy {
         let rt = t + SimTime::from_millis(u64::from(r));
-        let id = attempt_id(t, scope, r, 0);
-        template.render(id, scope, query_buf);
-        let got = view.gpdns_query_into(
-            session,
-            bound.prober_key(),
-            bound.coord(),
-            query_buf,
-            cfg.transport,
-            rt,
-            resp_buf,
-        );
-        best = merge_outcome(
-            best,
-            classify_checked(query_buf, id, got.then_some(resp_buf.as_slice())),
-        );
-        if matches!(best, ProbeOutcome::Hit { .. }) {
-            return best;
-        }
-    }
-    best
-}
-
-/// Fault-aware sibling of [`probe_scope_fast`]: retries, backoff,
-/// deadline budget, and the TC → TCP upgrade, all on the
-/// zero-allocation lane. Drives the probing sweep when fault injection
-/// is on.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn probe_scope_resilient_fast(
-    view: &SimView<'_>,
-    session: &mut GpdnsSession,
-    bound: &BoundVantage,
-    template: &wire::ProbeQueryTemplate,
-    scope: Prefix,
-    cfg: &ProbeConfig,
-    t: SimTime,
-    fc: &FaultCounters,
-    query_buf: &mut Vec<u8>,
-    resp_buf: &mut Vec<u8>,
-) -> ProbeOutcome {
-    let mut best = ProbeOutcome::Dropped;
-    for r in 0..cfg.redundancy {
-        let rt = t + SimTime::from_millis(u64::from(r));
-        let outcome = resilient_attempt(
-            bound.prober_key(),
-            rt,
-            cfg.transport,
-            &cfg.retry,
-            fc,
-            |retry, at, transport| {
-                let id = attempt_id(t, scope, r, retry);
-                template.render(id, scope, query_buf);
-                let got = view.gpdns_query_into(
-                    session,
-                    bound.prober_key(),
-                    bound.coord(),
-                    query_buf,
-                    transport,
-                    at,
-                    resp_buf,
-                );
-                observe_response(query_buf, id, got.then_some(resp_buf.as_slice()))
+        let mut send = |retry: u32, at: SimTime, transport: Transport| {
+            let id = attempt_id(t, scope, r, retry);
+            template.render(id, scope, &mut bufs.query);
+            let got = view.gpdns_query_into(
+                session,
+                bound.prober_key(),
+                bound.coord(),
+                &bufs.query,
+                transport,
+                at,
+                &mut bufs.resp,
+            );
+            observe_response(&bufs.query, id, got.then_some(bufs.resp.as_slice()))
+        };
+        let outcome = match fc {
+            Some(fc) => {
+                resilient_attempt(bound.prober_key(), rt, cfg.transport, &cfg.retry, fc, send)
+            }
+            None => match send(0, rt, cfg.transport) {
+                WireObservation::Ok(outcome) => outcome,
+                _ => ProbeOutcome::Dropped,
             },
-        );
+        };
         best = merge_outcome(best, outcome);
         if matches!(best, ProbeOutcome::Hit { .. }) {
             return best;
@@ -363,12 +201,11 @@ impl ProbeMetrics {
     }
 }
 
-/// One work unit for the executor: a single domain's probe stream at
-/// one bound PoP. Units are built in bound-PoP × domain order, and the
-/// reduction consumes them in exactly that order.
-/// One shardable probe work unit: a ⟨PoP, domain⟩ stream and its
-/// assigned scopes. Public so [`crate::plan::ProbePlan`] implementors
-/// can build and split unit lists.
+/// One shardable probe work unit: a single domain's probe stream at
+/// one bound PoP and its assigned scopes. Units are built in bound-PoP
+/// × domain order, and the reduction consumes them in exactly that
+/// order. Public so [`crate::plan::ProbePlan`] implementors can build
+/// and split unit lists.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ProbeUnit {
     /// Index into the bound-vantage list (and its telemetry table).
@@ -383,9 +220,9 @@ pub struct ProbeUnit {
 struct UnitTally {
     /// (query scope, response scope, remaining TTL) per hit.
     hits: Vec<(Prefix, Prefix, u32)>,
-    /// query scope → (attempts, hits, scope0, drops) — the activity
-    /// ranking plus the sweep store's per-scope record fields.
-    counts: HashMap<Prefix, (u64, u64, u64, u64)>,
+    /// query scope → (attempts, scope0, drops) — the sweep store's
+    /// per-scope record fields (hits live in `hits`).
+    counts: HashMap<Prefix, (u64, u64, u64)>,
     attempts: u64,
     probes_sent: u64,
     scope0_hits: u64,
@@ -397,14 +234,94 @@ struct UnitTally {
     session: GpdnsSession,
 }
 
-/// Probes one ⟨PoP, domain⟩ stream for the whole window on the
-/// zero-allocation fast lane.
+impl UnitTally {
+    fn new() -> UnitTally {
+        UnitTally {
+            hits: Vec::new(),
+            counts: HashMap::new(),
+            attempts: 0,
+            probes_sent: 0,
+            scope0_hits: 0,
+            drops: 0,
+            tripped: false,
+            session: GpdnsSession::new(),
+        }
+    }
+
+    /// Books one probe event's outcome against its query scope — the
+    /// per-slot accounting both lanes share.
+    fn record(&mut self, scope: Prefix, outcome: &ProbeOutcome, redundancy: u32) {
+        self.attempts += 1;
+        self.probes_sent += u64::from(redundancy);
+        let count = self.counts.entry(scope).or_insert((0, 0, 0));
+        count.0 += 1;
+        match *outcome {
+            ProbeOutcome::Hit {
+                scope: resp_scope,
+                remaining_ttl,
+            } => self.hits.push((scope, resp_scope, remaining_ttl)),
+            ProbeOutcome::HitScopeZero => {
+                self.scope0_hits += 1;
+                count.1 += 1;
+            }
+            ProbeOutcome::Miss => {}
+            ProbeOutcome::Dropped => {
+                self.drops += 1;
+                count.2 += 1;
+            }
+        }
+    }
+
+    /// Lands the tally on the shared probe counters: one `add(n)` for
+    /// every `inc()` a per-probe flush would perform. The counters are
+    /// commutative atomics, so the registry is byte-identical whichever
+    /// lane — and whichever thread interleaving — produced the tally.
+    fn flush_metrics(&self, metrics: &ProbeMetrics) {
+        let hits = self.hits.len() as u64;
+        metrics.attempts.add(self.attempts);
+        metrics.pop_attempts.add(self.attempts);
+        metrics.probes_sent.add(self.probes_sent);
+        metrics.hit.add(hits);
+        metrics.pop_hits.add(hits);
+        for &(_, _, remaining) in &self.hits {
+            metrics.hit_ttl_secs.record(u64::from(remaining));
+        }
+        metrics.scope0.add(self.scope0_hits);
+        metrics
+            .miss
+            .add(self.attempts - hits - self.scope0_hits - self.drops);
+        metrics.dropped.add(self.drops);
+    }
+}
+
+/// The slots of one ⟨PoP, domain⟩ stream's window, in firing order, as
+/// `(index into the scope list, fire time)`.
 ///
 /// Slot `k` of the stream fires at `t0 + k·slot_secs`; the stream makes
 /// up to nine passes over its scope list and stops at the window edge
-/// (the paper's 120 h at 50 q/s over ~2.4M prefixes ≈ 9 passes). Each
-/// stream is its own connection with its own session, so units are
-/// fully independent — the executor may run them in any order.
+/// (the paper's 120 h at 50 q/s over ~2.4M prefixes ≈ 9 passes). The
+/// first slot always fires; later ones only inside the probing window.
+fn window_slots(
+    cfg: &ProbeConfig,
+    num_scopes: usize,
+    t0: SimTime,
+) -> impl Iterator<Item = (usize, SimTime)> {
+    let window_secs = cfg.duration_hours * 3600.0;
+    let slot_secs = 1.0 / cfg.rate_per_domain;
+    let total_slots = (window_secs * cfg.rate_per_domain) as u64;
+    let loops = (total_slots / num_scopes as u64).clamp(1, 9);
+    (0..loops)
+        .flat_map(move |_pass| 0..num_scopes)
+        .enumerate()
+        .map(move |(slot, li)| (slot, li, slot as f64 * slot_secs))
+        .take_while(move |&(slot, _, offset_secs)| slot == 0 || offset_secs < window_secs)
+        .map(move |(_, li, offset_secs)| (li, t0 + SimTime::from_secs_f64(offset_secs)))
+}
+
+/// Probes one ⟨PoP, domain⟩ stream for the whole window on the scalar
+/// lane ([`probe_scope`]). Each stream is its own connection with its
+/// own session, so units are fully independent — the executor may run
+/// them in any order.
 #[allow(clippy::too_many_arguments)]
 fn probe_unit(
     view: &SimView<'_>,
@@ -416,160 +333,39 @@ fn probe_unit(
     metrics: &ProbeMetrics,
     fc: Option<&FaultCounters>,
 ) -> UnitTally {
-    let mut tally = UnitTally {
-        hits: Vec::new(),
-        counts: HashMap::new(),
-        attempts: 0,
-        probes_sent: 0,
-        scope0_hits: 0,
-        drops: 0,
-        tripped: false,
-        session: GpdnsSession::new(),
-    };
-    let window_secs = cfg.duration_hours * 3600.0;
-    let slot_secs = 1.0 / cfg.rate_per_domain;
-    let total_slots = (window_secs * cfg.rate_per_domain) as u64;
-    let loops = (total_slots / scopes.len() as u64).clamp(1, 9);
-    let mut query_buf = Vec::with_capacity(64);
-    let mut resp_buf = Vec::with_capacity(512);
-    let mut slot = 0u64;
+    let mut tally = UnitTally::new();
+    let mut bufs = ProbeBufs::default();
     let mut consecutive_drops = 0u32;
-    'window: for _pass in 0..loops {
-        for &scope in scopes {
-            // The first slot always fires; later ones only inside the
-            // probing window.
-            let offset_secs = slot as f64 * slot_secs;
-            if slot > 0 && offset_secs >= window_secs {
-                break 'window;
-            }
-            slot += 1;
-            let t = t0 + SimTime::from_secs_f64(offset_secs);
-            tally.attempts += 1;
-            tally.probes_sent += u64::from(cfg.redundancy);
-            metrics.attempts.inc();
-            metrics.pop_attempts.inc();
-            metrics.probes_sent.add(u64::from(cfg.redundancy));
-            let count = tally.counts.entry(scope).or_insert((0, 0, 0, 0));
-            count.0 += 1;
-            let outcome = match fc {
-                Some(fc) => probe_scope_resilient_fast(
-                    view,
-                    &mut tally.session,
-                    bound,
-                    template,
-                    scope,
-                    cfg,
-                    t,
-                    fc,
-                    &mut query_buf,
-                    &mut resp_buf,
-                ),
-                None => probe_scope_fast(
-                    view,
-                    &mut tally.session,
-                    bound,
-                    template,
-                    scope,
-                    cfg,
-                    t,
-                    &mut query_buf,
-                    &mut resp_buf,
-                ),
-            };
-            match outcome {
-                ProbeOutcome::Hit {
-                    scope: resp_scope,
-                    remaining_ttl,
-                } => {
-                    count.1 += 1;
-                    metrics.hit.inc();
-                    metrics.pop_hits.inc();
-                    metrics.hit_ttl_secs.record(u64::from(remaining_ttl));
-                    tally.hits.push((scope, resp_scope, remaining_ttl));
+    for (li, t) in window_slots(cfg, scopes.len(), t0) {
+        let outcome = probe_scope(
+            view,
+            &mut tally.session,
+            bound,
+            template,
+            scopes[li],
+            cfg,
+            t,
+            fc,
+            &mut bufs,
+        );
+        tally.record(scopes[li], &outcome, cfg.redundancy);
+        // Circuit breaker: a PoP that eats everything we send — even
+        // after retries — is almost certainly dark; abandon the stream
+        // rather than burn the window into it.
+        if fc.is_some() {
+            if matches!(outcome, ProbeOutcome::Dropped) {
+                consecutive_drops += 1;
+                if consecutive_drops >= cfg.retry.breaker_threshold {
+                    tally.tripped = true;
+                    break;
                 }
-                ProbeOutcome::HitScopeZero => {
-                    metrics.scope0.inc();
-                    tally.scope0_hits += 1;
-                    count.2 += 1;
-                }
-                ProbeOutcome::Miss => metrics.miss.inc(),
-                ProbeOutcome::Dropped => {
-                    metrics.dropped.inc();
-                    tally.drops += 1;
-                    count.3 += 1;
-                }
-            }
-            // Circuit breaker: a PoP that eats everything we send —
-            // even after retries — is almost certainly dark; abandon
-            // the stream rather than burn the window into it.
-            if fc.is_some() {
-                if matches!(outcome, ProbeOutcome::Dropped) {
-                    consecutive_drops += 1;
-                    if consecutive_drops >= cfg.retry.breaker_threshold {
-                        tally.tripped = true;
-                        break 'window;
-                    }
-                } else {
-                    consecutive_drops = 0;
-                }
+            } else {
+                consecutive_drops = 0;
             }
         }
     }
+    tally.flush_metrics(metrics);
     tally
-}
-
-/// Serves one accumulated batch and folds its outcomes into the tally —
-/// the bulk classifier of the batched lane. Counts follow the scalar
-/// loop exactly (per-slot attempts, per-scope tuple bumps, hits in slot
-/// order); the shared metric counters are left to the caller's
-/// end-of-unit flush. `false` means the batch failed the kernel's
-/// validation pass, which leaves the connection untouched so the caller
-/// can abandon the lane without any global side effects.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    view: &SimView<'_>,
-    conn: &mut BatchConn,
-    dom: &BatchDomain<'_>,
-    lanes: &[ScopeLane],
-    batch: &wire::ProbeBatch,
-    events: &[(u32, SimTime)],
-    scopes: &[Prefix],
-    redundancy: u32,
-    outcomes: &mut Vec<ProbeOutcome>,
-    tally: &mut UnitTally,
-) -> bool {
-    outcomes.clear();
-    if !view.gpdns.serve_batch(
-        conn, dom, view.auth, lanes, batch, events, redundancy, outcomes,
-    ) {
-        return false;
-    }
-    for (&(lane, _), outcome) in events.iter().zip(outcomes.iter()) {
-        let scope = scopes[lane as usize];
-        tally.attempts += 1;
-        tally.probes_sent += u64::from(redundancy);
-        let count = tally.counts.entry(scope).or_insert((0, 0, 0, 0));
-        count.0 += 1;
-        match *outcome {
-            ProbeOutcome::Hit {
-                scope: resp_scope,
-                remaining_ttl,
-            } => {
-                count.1 += 1;
-                tally.hits.push((scope, resp_scope, remaining_ttl));
-            }
-            ProbeOutcome::HitScopeZero => {
-                tally.scope0_hits += 1;
-                count.2 += 1;
-            }
-            ProbeOutcome::Miss => {}
-            ProbeOutcome::Dropped => {
-                tally.drops += 1;
-                count.3 += 1;
-            }
-        }
-    }
-    true
 }
 
 /// Batched sibling of [`probe_unit`]: the same ⟨PoP, domain⟩ stream,
@@ -577,9 +373,7 @@ fn flush_batch(
 /// state, and the per-scope cache lanes hoist out of the per-probe
 /// loop; queries render into one reused [`wire::ProbeBatch`] arena
 /// (`cfg.batch_size` events per serve, `0` = the whole stream at once);
-/// outcomes fold in bulk; and the shared probe counters flush once per
-/// unit — an `add(n)` for every `inc()` the scalar lane performs, so
-/// the registry lands byte-identical.
+/// and outcomes fold in bulk.
 ///
 /// Returns `None` — before any session or registry effect — when the
 /// core refuses a batch connection (fault injection enabled) or a batch
@@ -593,16 +387,7 @@ fn probe_unit_batched(
     t0: SimTime,
     metrics: &ProbeMetrics,
 ) -> Option<UnitTally> {
-    let mut tally = UnitTally {
-        hits: Vec::new(),
-        counts: HashMap::new(),
-        attempts: 0,
-        probes_sent: 0,
-        scope0_hits: 0,
-        drops: 0,
-        tripped: false,
-        session: GpdnsSession::new(),
-    };
+    let mut tally = UnitTally::new();
     let mut conn = view.gpdns.open_batch(
         view.catchments,
         &tally.session,
@@ -616,10 +401,6 @@ fn probe_unit_batched(
         .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
         .collect();
 
-    let window_secs = cfg.duration_hours * 3600.0;
-    let slot_secs = 1.0 / cfg.rate_per_domain;
-    let total_slots = (window_secs * cfg.rate_per_domain) as u64;
-    let loops = (total_slots / scopes.len() as u64).clamp(1, 9);
     let chunk = if cfg.batch_size == 0 {
         usize::MAX
     } else {
@@ -628,73 +409,44 @@ fn probe_unit_batched(
     let mut batch = wire::ProbeBatch::new();
     let mut events: Vec<(u32, SimTime)> = Vec::new();
     let mut outcomes: Vec<ProbeOutcome> = Vec::new();
-    let mut slot = 0u64;
-    'window: for _pass in 0..loops {
-        for (li, &scope) in scopes.iter().enumerate() {
-            // The first slot always fires; later ones only inside the
-            // probing window.
-            let offset_secs = slot as f64 * slot_secs;
-            if slot > 0 && offset_secs >= window_secs {
-                break 'window;
-            }
-            slot += 1;
-            let t = t0 + SimTime::from_secs_f64(offset_secs);
-            batch.push(template, attempt_id(t, scope, 0, 0), scope);
-            events.push((li as u32, t));
-            if events.len() >= chunk {
-                if !flush_batch(
-                    view,
-                    &mut conn,
-                    &dom,
-                    &lanes,
-                    &batch,
-                    &events,
-                    scopes,
-                    cfg.redundancy,
-                    &mut outcomes,
-                    &mut tally,
-                ) {
-                    return None;
-                }
-                batch.clear();
-                events.clear();
-            }
-        }
-    }
-    if !events.is_empty()
-        && !flush_batch(
-            view,
+    // Serves the accumulated batch and books its outcomes exactly as
+    // the scalar loop does (per-slot attempts, per-scope tuple bumps,
+    // hits in slot order). `false` means the batch failed the kernel's
+    // validation pass, which leaves the connection untouched — the lane
+    // can be abandoned without any global side effects.
+    let mut flush = |batch: &mut wire::ProbeBatch, events: &mut Vec<(u32, SimTime)>| {
+        outcomes.clear();
+        let served = view.gpdns.serve_batch(
             &mut conn,
             &dom,
+            view.auth,
             &lanes,
-            &batch,
-            &events,
-            scopes,
+            batch,
+            events,
             cfg.redundancy,
             &mut outcomes,
-            &mut tally,
-        )
-    {
+        );
+        if served {
+            for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
+                tally.record(scopes[lane as usize], outcome, cfg.redundancy);
+            }
+        }
+        batch.clear();
+        events.clear();
+        served
+    };
+    for (li, t) in window_slots(cfg, scopes.len(), t0) {
+        batch.push(template, attempt_id(t, scopes[li], 0, 0), scopes[li]);
+        events.push((li as u32, t));
+        if events.len() >= chunk && !flush(&mut batch, &mut events) {
+            return None;
+        }
+    }
+    if !events.is_empty() && !flush(&mut batch, &mut events) {
         return None;
     }
     view.gpdns.close_batch(conn, &mut tally.session);
-
-    // Bulk telemetry flush: the counters are shared atomics, so one
-    // `add(n)` per unit is indistinguishable from the scalar lane's n
-    // `inc()`s once every unit lands.
-    let hits = tally.hits.len() as u64;
-    let misses = tally.attempts - hits - tally.scope0_hits - tally.drops;
-    metrics.attempts.add(tally.attempts);
-    metrics.pop_attempts.add(tally.attempts);
-    metrics.probes_sent.add(tally.probes_sent);
-    metrics.hit.add(hits);
-    metrics.pop_hits.add(hits);
-    for &(_, _, remaining) in &tally.hits {
-        metrics.hit_ttl_secs.record(u64::from(remaining));
-    }
-    metrics.scope0.add(tally.scope0_hits);
-    metrics.miss.add(misses);
-    metrics.dropped.add(tally.drops);
+    tally.flush_metrics(metrics);
     Some(tally)
 }
 
@@ -804,17 +556,6 @@ pub fn run_technique(sim: &mut Sim, cfg: &ProbeConfig, universe: &[Prefix]) -> C
     run_technique_full(sim, cfg, universe, &mut Vec::new(), None).0
 }
 
-/// [`run_technique`], additionally appending `(stage, wall seconds)`
-/// pairs to `timings` — the side channel `repro bench` reports from.
-pub fn run_technique_timed(
-    sim: &mut Sim,
-    cfg: &ProbeConfig,
-    universe: &[Prefix],
-    timings: &mut Vec<(String, f64)>,
-) -> CacheProbeResult {
-    run_technique_full(sim, cfg, universe, timings, None).0
-}
-
 /// The full technique with warm-start support: runs cold when `prior`
 /// is `None`, otherwise plans an incremental re-sweep against the prior
 /// [`SweepSnapshot`] and probes only what the planner emits (new,
@@ -838,6 +579,46 @@ pub fn run_technique_full(
     execute_sweep(sim, cfg, prep, timings)
 }
 
+/// Registry and resolver-session state at the start of a probing
+/// window. [`Window::close`] writes everything that landed on this
+/// process since — probe counters, fault counters, stream sessions —
+/// into a snapshot's `metrics`/`gpdns` blocks: the sweep's stored,
+/// replayable delta, or the part of a shard's work a remote driver
+/// cannot see unless the delta carries it.
+struct Window {
+    pre: clientmap_telemetry::MetricsSnapshot,
+    gpdns_pre: clientmap_sim::GpdnsStats,
+}
+
+impl Window {
+    fn open(sim: &Sim) -> Window {
+        Window {
+            pre: sim.metrics().snapshot(),
+            gpdns_pre: sim.gpdns_stats(),
+        }
+    }
+
+    fn close(self, sim: &Sim, snapshot: &mut SweepSnapshot) {
+        snapshot.gpdns = sweep::gpdns_delta(self.gpdns_pre, sim.gpdns_stats());
+        snapshot.metrics = sim.metrics().snapshot().delta_from(&self.pre);
+    }
+}
+
+/// What probing any unit of a prepared sweep reads: the bound vantages,
+/// their telemetry handles, the per-domain query templates, the window
+/// start and the sweep's identity. Identical in every process that
+/// prepared the same sweep, and never consumed — the merge lends it to
+/// its rescue dispatch while it owns everything else in the prep.
+struct ProbeCtx {
+    fc: Option<FaultCounters>,
+    bound: Vec<BoundVantage>,
+    templates: Vec<wire::ProbeQueryTemplate>,
+    pop_metrics: Vec<ProbeMetrics>,
+    t0: SimTime,
+    world_seed: u64,
+    config_digest: u64,
+}
+
 /// The sweep's preamble, paused at the start of the probing window:
 /// bound vantages, calibration, scope→PoP assignment, the (warm)
 /// planner's live unit list, and the skipped-record replay set.
@@ -847,13 +628,10 @@ pub fn run_technique_full(
 /// same sweep hold identical prep state. That is the property the
 /// distributed driver/worker split builds on: a worker can probe any
 /// unit shard ([`probe_shard`]) and ship back a delta that the driver
-/// merges ([`merge_shards`]) into output byte-identical to a
-/// single-process [`execute_sweep`].
+/// merges ([`merge_shards`]) — and the single-process [`execute_sweep`]
+/// is that same seam with one local shard.
 pub struct SweepPrep {
-    fc: Option<FaultCounters>,
-    bound: Vec<BoundVantage>,
-    templates: Vec<wire::ProbeQueryTemplate>,
-    pop_metrics: Vec<ProbeMetrics>,
+    ctx: ProbeCtx,
     assigned: HashMap<PopId, Vec<(usize, Prefix)>>,
     units: Vec<ProbeUnit>,
     skipped: Vec<(usize, usize, Prefix, ScopeRecord)>,
@@ -864,12 +642,10 @@ pub struct SweepPrep {
     full_skip_prior: Option<SweepSnapshot>,
     result: CacheProbeResult,
     snapshot: SweepSnapshot,
-    t0: SimTime,
     stage: Instant,
-    /// Registry state at the probing-window start; the sweep's stored
-    /// metrics delta is measured from here.
-    pre: clientmap_telemetry::MetricsSnapshot,
-    gpdns_pre: clientmap_sim::GpdnsStats,
+    /// Opened at the probing-window start; the sweep's stored metrics
+    /// delta is measured from here.
+    window: Window,
 }
 
 impl SweepPrep {
@@ -890,31 +666,31 @@ impl SweepPrep {
 
     /// Seed of the world this sweep measures.
     pub fn world_seed(&self) -> u64 {
-        self.snapshot.world_seed
+        self.ctx.world_seed
     }
 
     /// Digest of the probing-relevant configuration.
     pub fn config_digest(&self) -> u64 {
-        self.snapshot.config_digest
+        self.ctx.config_digest
     }
 
     /// True when the sweep runs under fault injection. Faulted shards
     /// ship per-PoP fault books alongside their deltas so the driver
     /// can quarantine globally and plan the rescue phase.
     pub fn faulted(&self) -> bool {
-        self.fc.is_some()
+        self.ctx.fc.is_some()
     }
 
     /// Bound vantages in this prep — the valid `bound_idx` range for
     /// wire-decoded rescue units.
     pub fn num_bound(&self) -> usize {
-        self.bound.len()
+        self.ctx.bound.len()
     }
 
     /// Selected domains in this prep — the valid `domain` range for
     /// wire-decoded rescue units.
     pub fn num_domains(&self) -> usize {
-        self.templates.len()
+        self.ctx.templates.len()
     }
 }
 
@@ -1111,8 +887,9 @@ pub fn prepare_sweep(
     // classify every assigned ⟨vantage, domain, scope⟩ instance against
     // the prior snapshot (probe again only when new, quarantine-dirty,
     // rescue-worthy, or expired under the rotating freshness budget);
-    // cold runs take the exhaustive pass-through. Both ride the same
-    // `plan_units` seam a future clustered planner plugs into.
+    // cold runs take the exhaustive pass-through; `clustered_probing`
+    // swaps in the clustered planner. All three ride the same
+    // `plan_units` seam.
     let digest = sweep::config_digest(sim, cfg, universe);
     let epoch = prior.map_or(1, |p| p.epoch + 1);
     let mut snapshot = SweepSnapshot::new(seed, digest);
@@ -1208,14 +985,18 @@ pub fn prepare_sweep(
     // replayed records, live probing, and the rescue sweep all land
     // inside it, so absorbing a snapshot's delta reproduces exactly
     // the window a full skip elides.
-    let pre = metrics.snapshot();
-    let gpdns_pre = sim.gpdns_stats();
+    let window = Window::open(sim);
 
     SweepPrep {
-        fc,
-        bound,
-        templates,
-        pop_metrics,
+        ctx: ProbeCtx {
+            fc,
+            bound,
+            templates,
+            pop_metrics,
+            t0,
+            world_seed: seed,
+            config_digest: digest,
+        },
         assigned,
         units,
         skipped,
@@ -1224,289 +1005,88 @@ pub fn prepare_sweep(
         full_skip_prior,
         result,
         snapshot,
-        t0,
         stage,
-        pre,
-        gpdns_pre,
+        window,
     }
 }
 
 /// Runs the probing window (and, under fault injection, the rescue
-/// sweep) for a prepared sweep in this process, then assembles the
-/// sweep's snapshot — the tail of `run_technique_full`.
+/// sweep) for a prepared sweep in this process — the tail of
+/// `run_technique_full`, and literally the fleet seam with one local
+/// shard: the whole unit list probes as shard 0 and finishes through
+/// the merge a fleet driver runs.
+///
+/// The local-delta rule: a shard probed on the merging `Sim` has
+/// already landed its probe counters on this registry and its stream
+/// sessions on this resolver session, so its delta reaches the merge
+/// with empty `metrics`/`gpdns` blocks ([`main_delta`] and
+/// [`rescue_delta`] never fill them; only the public, shipping
+/// [`probe_shard`]/[`probe_rescue_shard`] open a [`Window`]). The
+/// merge's absorb step is then a no-op for it instead of a double
+/// count, and everything else — staging, replay, quarantine, rescue,
+/// snapshot assembly — is the one code path.
 pub fn execute_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
     prep: SweepPrep,
     timings: &mut Vec<(String, f64)>,
 ) -> (CacheProbeResult, SweepSnapshot) {
-    let SweepPrep {
-        fc,
-        bound,
-        templates,
-        pop_metrics,
-        assigned,
-        units,
-        skipped,
-        extrapolated,
-        warm_full_skip,
-        full_skip_prior,
-        mut result,
-        mut snapshot,
-        t0,
-        stage,
-        pre,
-        gpdns_pre,
-    } = prep;
-    let metrics = Arc::clone(sim.metrics());
+    // A warm full skip planned no units: the local shard is empty and
+    // the merge replays the prior snapshot wholesale.
+    let (delta, book) = main_delta(sim, cfg, &prep.ctx, &prep.units, 0);
+    merge_inner(
+        sim,
+        cfg,
+        prep,
+        vec![delta],
+        book,
+        |sim, ctx, units| Ok(vec![rescue_delta(sim, cfg, ctx, &units, 0)]),
+        timings,
+    )
+    .expect("one local shard over the prep's own unit list is a complete, disjoint cover")
+}
 
-    if warm_full_skip {
-        let prior = full_skip_prior.expect("full skip implies a prior snapshot");
-        return finish_full_skip(
-            sim, cfg, &metrics, &bound, result, snapshot, prior, stage, timings,
-        );
+/// Lands one delta's side effects on this process: the telemetry block
+/// into the registry, the resolver counter block into the session.
+fn absorb_effects(sim: &mut Sim, delta: &MetricsDelta, gpdns: [u64; 6]) {
+    sim.metrics().absorb_delta(delta);
+    let mut session = GpdnsSession::new();
+    session.stats = sweep::gpdns_stats_from(gpdns);
+    sim.absorb_session(&session);
+}
+
+/// Replays a record table into the result in record-key order. Probe
+/// counters are not bumped (`None`): they ride in the metrics block of
+/// whatever produced the table — or already landed here, for a local
+/// shard.
+fn replay_table(
+    result: &mut CacheProbeResult,
+    bound: &[BoundVantage],
+    records: &BTreeMap<RecordKey, ScopeRecord>,
+    redundancy: u32,
+) {
+    for (&(bi, d, addr, len), rec) in records {
+        let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
+            continue;
+        };
+        replay_record(result, b.pop, d as usize, scope, rec, redundancy, None);
     }
-
-    // Warm-partial: the skipped share of the window replays with full
-    // client-side telemetry — this run's counters still describe the
-    // whole sweep — and only the planned share probes live.
-    for (bi, d, scope, rec) in &skipped {
-        replay_record(
-            &mut result,
-            bound[*bi].pop,
-            *d,
-            *scope,
-            rec,
-            cfg.redundancy,
-            Some(&pop_metrics[*bi]),
-        );
-    }
-
-    let view = sim.view();
-    let tallies: Vec<UnitTally> = par_map(&units, |_, u| {
-        // Fault-free streams ride the batch kernel when enabled; the
-        // kernel refuses faulted cores, so the resilient scalar lane
-        // keeps fault accounting untouched by construction.
-        if cfg.batched_probing && fc.is_none() {
-            if let Some(tally) = probe_unit_batched(
-                &view,
-                &bound[u.bound_idx],
-                &templates[u.domain],
-                &u.scopes,
-                cfg,
-                t0,
-                &pop_metrics[u.bound_idx],
-            ) {
-                return tally;
-            }
-        }
-        probe_unit(
-            &view,
-            &bound[u.bound_idx],
-            &templates[u.domain],
-            &u.scopes,
-            cfg,
-            t0,
-            &pop_metrics[u.bound_idx],
-            fc.as_ref(),
-        )
-    });
-
-    // Ordered reduction: merge in unit order — a pure function of the
-    // work list, never of the thread interleaving. Per-PoP health
-    // (attempts, lost events, breaker trips) accumulates alongside for
-    // the quarantine decision, and the per-scope sweep records for the
-    // snapshot build alongside in the same deterministic order.
-    let mut fresh: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-    let mut pop_health: HashMap<PopId, (u64, u64, bool)> = HashMap::new();
-    for (u, tally) in units.iter().zip(tallies) {
-        let pop = bound[u.bound_idx].pop;
-        let health = pop_health.entry(pop).or_default();
-        health.0 += tally.attempts;
-        health.1 += tally.drops;
-        health.2 |= tally.tripped;
-        result.probes_sent += tally.probes_sent;
-        result.scope0_hits += tally.scope0_hits;
-        result.drops += tally.drops;
-        for (query_scope, resp_scope, remaining) in tally.hits {
-            result.record_hit(u.domain, pop, query_scope, resp_scope, remaining);
-            fresh
-                .entry(record_key(u.bound_idx, u.domain, query_scope))
-                .or_default()
-                .hit_events
-                .push(HitEvent {
-                    resp_addr: resp_scope.addr(),
-                    resp_len: resp_scope.len(),
-                    remaining_ttl: remaining,
-                });
-        }
-        for (scope, (attempts, hits, scope0, drops)) in tally.counts {
-            let c = result.probe_counts.entry((u.domain, scope)).or_default();
-            c.attempts += attempts;
-            c.hits += hits;
-            c.scope0 += scope0;
-            c.drops += drops;
-            let rec = fresh
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-            rec.attempts += attempts;
-            rec.scope0 += scope0;
-            rec.drops += drops;
-        }
-        sim.absorb_session(&tally.session);
-    }
-    fold_extrapolated(
-        &mut result,
-        &mut fresh,
-        &mut snapshot.confidence,
-        &extrapolated,
-        &bound,
-        &pop_metrics,
-        cfg.redundancy,
-    );
-    timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
-
-    // 6. PoP quarantine + rescue sweep (fault injection only): PoPs
-    //    whose streams tripped the circuit breaker or lost most probes
-    //    are quarantined, and scopes they alone were meant to cover are
-    //    re-probed once at the nearest healthy PoP within a relaxed
-    //    (doubled) service radius. Whatever still has no probe event
-    //    afterwards is reported as lost coverage, not silently absent.
-    if let Some(fc) = &fc {
-        let stage = Instant::now();
-        let quarantined = quarantined_pops(&bound, &pop_health);
-        fc.quarantined_pops.add(quarantined.len() as u64);
-        let rescue_units = plan_rescue_units(sim, cfg, &bound, &assigned, &result, &quarantined);
-        let view = sim.view();
-        let rescue_tallies = run_rescue_tallies(
-            &view,
-            cfg,
-            &bound,
-            &templates,
-            &pop_metrics,
-            t0,
-            fc,
-            &rescue_units,
-        );
-        let mut rescued_scopes = 0u64;
-        for (u, tally) in rescue_units.iter().zip(rescue_tallies) {
-            let pop = bound[u.bound_idx].pop;
-            rescued_scopes += tally.counts.len() as u64;
-            result.probes_sent += tally.probes_sent;
-            result.scope0_hits += tally.scope0_hits;
-            result.drops += tally.drops;
-            for (query_scope, resp_scope, remaining) in tally.hits {
-                result.record_hit(u.domain, pop, query_scope, resp_scope, remaining);
-                fresh
-                    .entry(record_key(u.bound_idx, u.domain, query_scope))
-                    .or_default()
-                    .hit_events
-                    .push(HitEvent {
-                        resp_addr: resp_scope.addr(),
-                        resp_len: resp_scope.len(),
-                        remaining_ttl: remaining,
-                    });
-            }
-            for (scope, (attempts, hits, scope0, drops)) in tally.counts {
-                let c = result.probe_counts.entry((u.domain, scope)).or_default();
-                c.attempts += attempts;
-                c.hits += hits;
-                c.scope0 += scope0;
-                c.drops += drops;
-                let rec = fresh
-                    .entry(record_key(u.bound_idx, u.domain, scope))
-                    .or_default();
-                rec.attempts += attempts;
-                rec.scope0 += scope0;
-                rec.drops += drops;
-            }
-            sim.absorb_session(&tally.session);
-        }
-        fc.rescued.add(rescued_scopes);
-
-        // Partial-result accounting: assigned pairs that never produced
-        // a probe event are coverage the faults cost us.
-        let mut all_assigned: std::collections::HashSet<(usize, Prefix)> =
-            std::collections::HashSet::new();
-        for list in assigned.values() {
-            all_assigned.extend(list.iter().copied());
-        }
-        let unmeasured = all_assigned
-            .iter()
-            .filter(|key| !result.probe_counts.contains_key(key))
-            .count() as u64;
-        result.fault = Some(FaultSummary {
-            profile: sim.fault_plan().profile().as_str().to_string(),
-            observed: fc.observed_total(),
-            retries: fc.retries.get(),
-            recovered: fc.recovered.get(),
-            degraded: fc.degraded.get(),
-            lost: fc.lost.get(),
-            quarantined_pops: quarantined,
-            rescued_scopes,
-            unmeasured_scopes: unmeasured,
-            assigned_scopes: all_assigned.len() as u64,
-        });
-        timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
-    }
-
-    // Snapshot assembly. Warm-skipped scopes carry their prior records
-    // forward (so the next planner still sees them as measured), and
-    // every planned scope that produced no probe event — a
-    // breaker-aborted stream — gets an explicit empty record, the
-    // planner's rescue signal for the next sweep.
-    for (bi, d, scope, rec) in skipped {
-        fresh.entry(record_key(bi, d, scope)).or_insert(rec);
-    }
-    for u in &units {
-        for &scope in &u.scopes {
-            fresh
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-        }
-    }
-    snapshot.records = fresh;
-    snapshot.gpdns = sweep::gpdns_delta(gpdns_pre, sim.gpdns_stats());
-    snapshot.metrics = metrics.snapshot().delta_from(&pre);
-    snapshot.fault = result.fault.as_ref().map(sweep::to_fault_record);
-    (result, snapshot)
 }
 
 /// Nothing to probe: replay the prior sweep wholesale — records into
 /// the result, the stored metrics delta into the registry, the resolver
 /// counter deltas into the session — and carry the snapshot forward
-/// under the new epoch. Shared by [`execute_sweep`] and
-/// [`merge_shards`], whose full-skip windows are the same.
-#[allow(clippy::too_many_arguments)]
+/// under the new epoch.
 fn finish_full_skip(
     sim: &mut Sim,
     cfg: &ProbeConfig,
-    metrics: &MetricsRegistry,
     bound: &[BoundVantage],
     mut result: CacheProbeResult,
     mut snapshot: SweepSnapshot,
     prior: SweepSnapshot,
-    stage: Instant,
-    timings: &mut Vec<(String, f64)>,
 ) -> (CacheProbeResult, SweepSnapshot) {
-    metrics.absorb_delta(&prior.metrics);
-    for (&(bi, d, addr, len), rec) in &prior.records {
-        let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
-            continue;
-        };
-        replay_record(
-            &mut result,
-            b.pop,
-            d as usize,
-            scope,
-            rec,
-            cfg.redundancy,
-            None,
-        );
-    }
-    let mut session = GpdnsSession::new();
-    session.stats = sweep::gpdns_stats_from(prior.gpdns);
-    sim.absorb_session(&session);
+    absorb_effects(sim, &prior.metrics, prior.gpdns);
+    replay_table(&mut result, bound, &prior.records, cfg.redundancy);
     result.fault = prior.fault.as_ref().map(sweep::from_fault_record);
     snapshot.gpdns = prior.gpdns;
     snapshot.fault = prior.fault;
@@ -1516,29 +1096,22 @@ fn finish_full_skip(
     // copied verdict (and its escalation trigger) must survive however
     // many all-replay epochs sit between clustered sweeps.
     snapshot.confidence = prior.confidence;
-    timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
     (result, snapshot)
 }
 
-/// The deterministic quarantine rule, shared by the single-process
-/// sweep and the fleet driver's merged fault books: a PoP is
-/// quarantined when any stream through it tripped the circuit breaker,
-/// or when it lost most of a meaningful probe volume. Evaluated in
-/// `bound` order so duplicate vantages quarantine identically
-/// everywhere.
-fn quarantined_pops(
-    bound: &[BoundVantage],
-    pop_health: &HashMap<PopId, (u64, u64, bool)>,
-) -> Vec<PopId> {
+/// The deterministic quarantine rule over the sweep's canonical fault
+/// book ([`merge_fault_books`]): a PoP is quarantined when any stream
+/// through it tripped the circuit breaker, or when it lost most of a
+/// meaningful probe volume. Evaluated in `bound` order so duplicate
+/// vantages quarantine identically everywhere.
+fn quarantined_pops(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<PopId> {
     bound
         .iter()
         .map(|b| b.pop)
-        .filter(|pop| {
-            pop_health
-                .get(pop)
-                .is_some_and(|&(attempts, lost, tripped)| {
-                    tripped || (attempts >= 20 && lost * 2 > attempts)
-                })
+        .filter(|&pop| {
+            book.iter().any(|h| {
+                h.pop == pop && (h.tripped || (h.attempts >= 20 && h.drops * 2 > h.attempts))
+            })
         })
         .collect()
 }
@@ -1610,41 +1183,6 @@ fn plan_rescue_units(
         .collect()
 }
 
-/// Probes a rescue unit list on the resilient scalar lane. Each unit
-/// gets a one-pass window — its slot budget covers the scope list
-/// exactly once — starting one minute after the main probing window
-/// closes.
-#[allow(clippy::too_many_arguments)]
-fn run_rescue_tallies(
-    view: &SimView<'_>,
-    cfg: &ProbeConfig,
-    bound: &[BoundVantage],
-    templates: &[wire::ProbeQueryTemplate],
-    pop_metrics: &[ProbeMetrics],
-    t0: SimTime,
-    fc: &FaultCounters,
-    units: &[ProbeUnit],
-) -> Vec<UnitTally> {
-    let t_rescue =
-        t0 + SimTime::from_secs_f64(cfg.duration_hours * 3600.0) + SimTime::from_secs(60);
-    par_map(units, |_, u| {
-        // One pass over the unit's scopes: shrink the window so the
-        // slot budget covers the list exactly once.
-        let mut one_pass = cfg.clone();
-        one_pass.duration_hours = (u.scopes.len() as f64 / cfg.rate_per_domain) / 3600.0;
-        probe_unit(
-            view,
-            &bound[u.bound_idx],
-            &templates[u.domain],
-            &u.scopes,
-            &one_pass,
-            t_rescue,
-            &pop_metrics[u.bound_idx],
-            Some(fc),
-        )
-    })
-}
-
 /// One PoP's entry in a shard's fault book — the per-PoP stream
 /// accounting a faulted shard ships back to its driver so quarantine
 /// can be decided globally. Canonical form is one entry per PoP,
@@ -1686,6 +1224,143 @@ pub fn merge_fault_books(books: &[PopHealth]) -> Vec<PopHealth> {
         .collect()
 }
 
+/// The ordered reduction: folds unit tallies, in unit order — a pure
+/// function of the work list, never of the thread interleaving — into
+/// per-scope sweep records, absorbing each stream's resolver session.
+/// Per-PoP health (attempts, lost events, breaker trips) accumulates
+/// alongside as the shard's canonical fault book.
+fn fold_tallies(
+    sim: &mut Sim,
+    ctx: &ProbeCtx,
+    units: &[ProbeUnit],
+    tallies: Vec<UnitTally>,
+) -> (BTreeMap<RecordKey, ScopeRecord>, Vec<PopHealth>) {
+    let mut records: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
+    let mut book = Vec::with_capacity(units.len());
+    for (u, tally) in units.iter().zip(tallies) {
+        book.push(PopHealth {
+            pop: ctx.bound[u.bound_idx].pop,
+            attempts: tally.attempts,
+            drops: tally.drops,
+            tripped: tally.tripped,
+        });
+        for (query_scope, resp_scope, remaining) in tally.hits {
+            records
+                .entry(record_key(u.bound_idx, u.domain, query_scope))
+                .or_default()
+                .hit_events
+                .push(HitEvent {
+                    resp_addr: resp_scope.addr(),
+                    resp_len: resp_scope.len(),
+                    remaining_ttl: remaining,
+                });
+        }
+        for (scope, (attempts, scope0, drops)) in tally.counts {
+            let rec = records
+                .entry(record_key(u.bound_idx, u.domain, scope))
+                .or_default();
+            rec.attempts += attempts;
+            rec.scope0 += scope0;
+            rec.drops += drops;
+        }
+        sim.absorb_session(&tally.session);
+    }
+    (records, merge_fault_books(&book))
+}
+
+/// A shard delta carrying `records`, shard id in `epoch`, with empty
+/// `metrics`/`gpdns` blocks — a [`Window`] fills those for deltas that
+/// leave the process.
+fn shard_delta(
+    ctx: &ProbeCtx,
+    shard_id: u32,
+    records: BTreeMap<RecordKey, ScopeRecord>,
+) -> SweepSnapshot {
+    let mut delta = SweepSnapshot::new(ctx.world_seed, ctx.config_digest);
+    delta.epoch = shard_id;
+    delta.records = records;
+    delta
+}
+
+/// Probes main-window units and reduces them to a delta plus the
+/// shard's fault book (empty when fault-free). Planned scopes with no
+/// probe event — a breaker-aborted stream — still get explicit empty
+/// records: the merge's completeness check (and the next warm planner,
+/// for which they are the rescue signal) must see them as
+/// measured-but-empty, not missing.
+fn main_delta(
+    sim: &mut Sim,
+    cfg: &ProbeConfig,
+    ctx: &ProbeCtx,
+    units: &[ProbeUnit],
+    shard_id: u32,
+) -> (SweepSnapshot, Vec<PopHealth>) {
+    let view = sim.view();
+    let tallies: Vec<UnitTally> = par_map(units, |_, u| {
+        // Fault-free streams ride the batch kernel when enabled; the
+        // kernel refuses faulted cores, so the resilient scalar lane
+        // keeps fault accounting untouched by construction.
+        let (bound, template) = (&ctx.bound[u.bound_idx], &ctx.templates[u.domain]);
+        let metrics = &ctx.pop_metrics[u.bound_idx];
+        if cfg.batched_probing && ctx.fc.is_none() {
+            if let Some(tally) =
+                probe_unit_batched(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics)
+            {
+                return tally;
+            }
+        }
+        let fc = ctx.fc.as_ref();
+        probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
+    });
+    let (mut records, book) = fold_tallies(sim, ctx, units, tallies);
+    for u in units {
+        for &scope in &u.scopes {
+            records
+                .entry(record_key(u.bound_idx, u.domain, scope))
+                .or_default();
+        }
+    }
+    let book = if ctx.fc.is_some() { book } else { Vec::new() };
+    (shard_delta(ctx, shard_id, records), book)
+}
+
+/// Probes rescue units on the resilient scalar lane and reduces them to
+/// a delta. Each unit gets a one-pass window — its slot budget covers
+/// the scope list exactly once — starting one minute after the main
+/// probing window closes. Unlike the main phase, unprobed rescue scopes
+/// get no empty fill: a rescue record means "this scope was re-probed",
+/// and the merge counts them.
+fn rescue_delta(
+    sim: &mut Sim,
+    cfg: &ProbeConfig,
+    ctx: &ProbeCtx,
+    units: &[ProbeUnit],
+    shard_id: u32,
+) -> SweepSnapshot {
+    let fc = ctx
+        .fc
+        .as_ref()
+        .expect("rescue shards only exist under fault injection");
+    let t_rescue =
+        ctx.t0 + SimTime::from_secs_f64(cfg.duration_hours * 3600.0) + SimTime::from_secs(60);
+    let view = sim.view();
+    let tallies: Vec<UnitTally> = par_map(units, |_, u| {
+        let mut one_pass = cfg.clone();
+        one_pass.duration_hours = (u.scopes.len() as f64 / cfg.rate_per_domain) / 3600.0;
+        probe_unit(
+            &view,
+            &ctx.bound[u.bound_idx],
+            &ctx.templates[u.domain],
+            &u.scopes,
+            &one_pass,
+            t_rescue,
+            &ctx.pop_metrics[u.bound_idx],
+            Some(fc),
+        )
+    });
+    shard_delta(ctx, shard_id, fold_tallies(sim, ctx, units, tallies).0)
+}
+
 /// Probes one contiguous shard of a prepared sweep's unit list and
 /// returns the shard's delta as a [`SweepSnapshot`] — the payload a
 /// fleet worker streams back to its driver, riding the snapshot byte
@@ -1706,105 +1381,11 @@ pub fn probe_shard(
     shard: std::ops::Range<usize>,
     shard_id: u32,
 ) -> (SweepSnapshot, Vec<PopHealth>) {
-    let metrics = Arc::clone(sim.metrics());
     let hi = prep.units.len();
     let units = &prep.units[shard.start.min(hi)..shard.end.min(hi)];
-    let pre = metrics.snapshot();
-    let gpdns_pre = sim.gpdns_stats();
-
-    let view = sim.view();
-    let tallies: Vec<UnitTally> = par_map(units, |_, u| {
-        // Fault-free streams ride the batch kernel when enabled; the
-        // kernel refuses faulted cores, so the resilient scalar lane
-        // keeps fault accounting untouched by construction.
-        if cfg.batched_probing && prep.fc.is_none() {
-            if let Some(tally) = probe_unit_batched(
-                &view,
-                &prep.bound[u.bound_idx],
-                &prep.templates[u.domain],
-                &u.scopes,
-                cfg,
-                prep.t0,
-                &prep.pop_metrics[u.bound_idx],
-            ) {
-                return tally;
-            }
-        }
-        probe_unit(
-            &view,
-            &prep.bound[u.bound_idx],
-            &prep.templates[u.domain],
-            &u.scopes,
-            cfg,
-            prep.t0,
-            &prep.pop_metrics[u.bound_idx],
-            prep.fc.as_ref(),
-        )
-    });
-
-    // Shard-local ordered reduction mirroring `execute_sweep`'s merge
-    // loop: per-record state is a pure function of the unit list, so
-    // the driver's merge reproduces the single-process sweep exactly.
-    // Per-PoP health accumulates alongside, exactly as the single-
-    // process reduction accumulates it for the quarantine decision.
-    let mut fresh: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-    let mut pop_health: HashMap<PopId, (u64, u64, bool)> = HashMap::new();
-    for (u, tally) in units.iter().zip(tallies) {
-        let health = pop_health.entry(prep.bound[u.bound_idx].pop).or_default();
-        health.0 += tally.attempts;
-        health.1 += tally.drops;
-        health.2 |= tally.tripped;
-        for (query_scope, resp_scope, remaining) in tally.hits {
-            fresh
-                .entry(record_key(u.bound_idx, u.domain, query_scope))
-                .or_default()
-                .hit_events
-                .push(HitEvent {
-                    resp_addr: resp_scope.addr(),
-                    resp_len: resp_scope.len(),
-                    remaining_ttl: remaining,
-                });
-        }
-        for (scope, (attempts, _hits, scope0, drops)) in tally.counts {
-            let rec = fresh
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-            rec.attempts += attempts;
-            rec.scope0 += scope0;
-            rec.drops += drops;
-        }
-        sim.absorb_session(&tally.session);
-    }
-    // Planned scopes with no probe event still get explicit empty
-    // records: the driver's completeness check (and the next warm
-    // planner) must see them as measured-but-empty, not missing.
-    for u in units {
-        for &scope in &u.scopes {
-            fresh
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-        }
-    }
-
-    let mut delta = SweepSnapshot::new(prep.snapshot.world_seed, prep.snapshot.config_digest);
-    delta.epoch = shard_id;
-    delta.records = fresh;
-    delta.gpdns = sweep::gpdns_delta(gpdns_pre, sim.gpdns_stats());
-    delta.metrics = metrics.snapshot().delta_from(&pre);
-    let book = if prep.fc.is_some() {
-        let raw: Vec<PopHealth> = pop_health
-            .into_iter()
-            .map(|(pop, (attempts, drops, tripped))| PopHealth {
-                pop,
-                attempts,
-                drops,
-                tripped,
-            })
-            .collect();
-        merge_fault_books(&raw)
-    } else {
-        Vec::new()
-    };
+    let window = Window::open(sim);
+    let (mut delta, book) = main_delta(sim, cfg, &prep.ctx, units, shard_id);
+    window.close(sim, &mut delta);
     (delta, book)
 }
 
@@ -1813,10 +1394,7 @@ pub fn probe_shard(
 /// [`probe_shard`], shard id in `epoch`. Rescue units target the
 /// *fallback* vantage of scopes nothing measured, so their record keys
 /// only ever collide with all-zero main-phase records and the driver
-/// can fold rescue deltas additively. Unlike the main phase, unprobed
-/// rescue scopes get no empty fill: the single-process rescue loop
-/// records only what its tallies produced, and the merged snapshot
-/// must match it byte-for-byte.
+/// can fold rescue deltas additively.
 pub fn probe_rescue_shard(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1824,52 +1402,9 @@ pub fn probe_rescue_shard(
     units: &[ProbeUnit],
     shard_id: u32,
 ) -> SweepSnapshot {
-    let fc = prep
-        .fc
-        .as_ref()
-        .expect("rescue shards only exist under fault injection");
-    let metrics = Arc::clone(sim.metrics());
-    let pre = metrics.snapshot();
-    let gpdns_pre = sim.gpdns_stats();
-    let view = sim.view();
-    let tallies = run_rescue_tallies(
-        &view,
-        cfg,
-        &prep.bound,
-        &prep.templates,
-        &prep.pop_metrics,
-        prep.t0,
-        fc,
-        units,
-    );
-    let mut fresh: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-    for (u, tally) in units.iter().zip(tallies) {
-        for (query_scope, resp_scope, remaining) in tally.hits {
-            fresh
-                .entry(record_key(u.bound_idx, u.domain, query_scope))
-                .or_default()
-                .hit_events
-                .push(HitEvent {
-                    resp_addr: resp_scope.addr(),
-                    resp_len: resp_scope.len(),
-                    remaining_ttl: remaining,
-                });
-        }
-        for (scope, (attempts, _hits, scope0, drops)) in tally.counts {
-            let rec = fresh
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-            rec.attempts += attempts;
-            rec.scope0 += scope0;
-            rec.drops += drops;
-        }
-        sim.absorb_session(&tally.session);
-    }
-    let mut delta = SweepSnapshot::new(prep.snapshot.world_seed, prep.snapshot.config_digest);
-    delta.epoch = shard_id;
-    delta.records = fresh;
-    delta.gpdns = sweep::gpdns_delta(gpdns_pre, sim.gpdns_stats());
-    delta.metrics = metrics.snapshot().delta_from(&pre);
+    let window = Window::open(sim);
+    let mut delta = rescue_delta(sim, cfg, &prep.ctx, units, shard_id);
+    window.close(sim, &mut delta);
     delta
 }
 
@@ -1930,27 +1465,86 @@ impl std::fmt::Display for ShardMergeError {
 
 impl std::error::Error for ShardMergeError {}
 
+/// One phase's shard deltas, staged: records moved into one table, each
+/// delta's telemetry and resolver blocks set aside. Staging touches
+/// neither the sim nor the result, so an `Err` anywhere before
+/// [`Staged::commit`] leaves no partial-merge corruption behind.
+struct Staged {
+    records: BTreeMap<RecordKey, ScopeRecord>,
+    effects: Vec<(MetricsDelta, [u64; 6])>,
+}
+
+impl Staged {
+    /// Stages and validates (provenance, disjointness) a phase's
+    /// deltas. Shard order is canonical: sort by shard id so the merge
+    /// is a pure function of the delta *set*, not the arrival order
+    /// over the wire. Records move out of the deltas — the merge owns
+    /// them, and a local sweep must not pay for a second record table.
+    fn stage(ctx: &ProbeCtx, mut deltas: Vec<SweepSnapshot>) -> Result<Staged, ShardMergeError> {
+        deltas.sort_by_key(|d| d.epoch);
+        let mut staged = Staged {
+            records: BTreeMap::new(),
+            effects: Vec::with_capacity(deltas.len()),
+        };
+        for delta in deltas {
+            if delta.world_seed != ctx.world_seed || delta.config_digest != ctx.config_digest {
+                return Err(ShardMergeError::ForeignDelta {
+                    shard: delta.epoch,
+                    world_seed: delta.world_seed,
+                    config_digest: delta.config_digest,
+                });
+            }
+            if staged.records.is_empty() {
+                // First table in: nothing to overlap with, take it whole.
+                staged.records = delta.records;
+            } else {
+                for (key, rec) in delta.records {
+                    if staged.records.insert(key, rec).is_some() {
+                        return Err(ShardMergeError::OverlappingShards { shard: delta.epoch });
+                    }
+                }
+            }
+            staged.effects.push((delta.metrics, delta.gpdns));
+        }
+        Ok(staged)
+    }
+
+    /// Commits the phase: telemetry and resolver blocks absorb
+    /// additively, one session per shard (empty blocks — a local
+    /// shard's — absorb as nothing), and the record table replays into
+    /// the result aggregates in record-key order, the same replay the
+    /// warm-start path already proves byte-identical to a live run.
+    /// Returns the table.
+    fn commit(
+        self,
+        sim: &mut Sim,
+        cfg: &ProbeConfig,
+        ctx: &ProbeCtx,
+        result: &mut CacheProbeResult,
+    ) -> BTreeMap<RecordKey, ScopeRecord> {
+        for (delta, gpdns) in &self.effects {
+            absorb_effects(sim, delta, *gpdns);
+        }
+        replay_table(result, &ctx.bound, &self.records, cfg.redundancy);
+        self.records
+    }
+}
+
 /// Driver-side merge: folds checksummed per-shard deltas into the
 /// prepared sweep, producing the same `(result, snapshot)` pair —
-/// byte-for-byte — as a single-process [`execute_sweep`] at any
-/// (worker, thread) combination.
+/// byte-for-byte — at any (worker, thread) combination, the
+/// single-process [`execute_sweep`] (one local shard) included.
 ///
 /// Deltas are staged and fully validated (provenance, disjointness,
-/// completeness) before anything commits, then folded in shard order:
-/// telemetry and resolver deltas absorb additively, and the merged
-/// record table replays into the result aggregates in record-key
-/// order — the same replay the warm-start path already proves
-/// byte-identical to a live run.
+/// completeness) before anything commits, then folded in shard order.
 ///
 /// Under fault injection the workers' fault books fold into a global
-/// book ([`merge_fault_books`]), the driver takes the same quarantine
-/// decision the single-process sweep would, and — when any scope needs
-/// rescuing — the `rescue` callback dispatches the planned rescue
-/// units back to the fleet (returning one delta per rescue shard,
-/// typically from [`probe_rescue_shard`]). Rescue deltas replay after
-/// the main table, mirroring the single-process phase order, and the
-/// PR 4 conservation laws hold on the merged result exactly as they do
-/// in-process.
+/// book ([`merge_fault_books`]), the driver takes the quarantine
+/// decision from it, and — when any scope needs rescuing — the `rescue`
+/// callback dispatches the planned rescue units back to the fleet
+/// (returning one delta per rescue shard, typically from
+/// [`probe_rescue_shard`]). Rescue deltas replay after the main table,
+/// and the PR 4 conservation laws hold on the merged result.
 pub fn merge_shards(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1960,10 +1554,32 @@ pub fn merge_shards(
     mut rescue: impl FnMut(Vec<ProbeUnit>) -> Result<Vec<SweepSnapshot>, String>,
     timings: &mut Vec<(String, f64)>,
 ) -> Result<(CacheProbeResult, SweepSnapshot), ShardMergeError> {
+    merge_inner(
+        sim,
+        cfg,
+        prep,
+        deltas,
+        books,
+        |_, _, units| rescue(units),
+        timings,
+    )
+}
+
+/// [`merge_shards`] with a rescue callback that is lent the merging
+/// `Sim` and the prep's [`ProbeCtx`] — what a local rescue shard probes
+/// with, and what a by-value `prep` plus an outer `&mut Sim` could not
+/// otherwise reach from inside the merge.
+fn merge_inner(
+    sim: &mut Sim,
+    cfg: &ProbeConfig,
+    prep: SweepPrep,
+    deltas: Vec<SweepSnapshot>,
+    books: Vec<PopHealth>,
+    mut rescue: impl FnMut(&mut Sim, &ProbeCtx, Vec<ProbeUnit>) -> Result<Vec<SweepSnapshot>, String>,
+    timings: &mut Vec<(String, f64)>,
+) -> Result<(CacheProbeResult, SweepSnapshot), ShardMergeError> {
     let SweepPrep {
-        fc,
-        bound,
-        pop_metrics,
+        ctx,
         assigned,
         units,
         skipped,
@@ -1973,40 +1589,17 @@ pub fn merge_shards(
         mut result,
         mut snapshot,
         stage,
-        pre,
-        gpdns_pre,
-        ..
+        window,
     } = prep;
-    let metrics = Arc::clone(sim.metrics());
 
     if warm_full_skip {
         let prior = full_skip_prior.expect("full skip implies a prior snapshot");
-        return Ok(finish_full_skip(
-            sim, cfg, &metrics, &bound, result, snapshot, prior, stage, timings,
-        ));
+        let out = finish_full_skip(sim, cfg, &ctx.bound, result, snapshot, prior);
+        timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
+        return Ok(out);
     }
 
-    // Stage + validate. Shard order is canonical: sort by shard id so
-    // the merge is a pure function of the delta *set*, not the arrival
-    // order over the wire.
-    let mut deltas = deltas;
-    deltas.sort_by_key(|d| d.epoch);
-    let mut fresh: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-    for delta in &deltas {
-        if delta.world_seed != snapshot.world_seed || delta.config_digest != snapshot.config_digest
-        {
-            return Err(ShardMergeError::ForeignDelta {
-                shard: delta.epoch,
-                world_seed: delta.world_seed,
-                config_digest: delta.config_digest,
-            });
-        }
-        for (key, rec) in &delta.records {
-            if fresh.insert(*key, rec.clone()).is_some() {
-                return Err(ShardMergeError::OverlappingShards { shard: delta.epoch });
-            }
-        }
-    }
+    let staged = Staged::stage(&ctx, deltas)?;
     let missing = units
         .iter()
         .flat_map(|u| {
@@ -2014,137 +1607,70 @@ pub fn merge_shards(
                 .iter()
                 .map(move |s| record_key(u.bound_idx, u.domain, *s))
         })
-        .filter(|k| !fresh.contains_key(k))
+        .filter(|k| !staged.records.contains_key(k))
         .count() as u64;
     if missing > 0 {
         return Err(ShardMergeError::MissingScopes { missing });
     }
 
     // Warm-partial: the skipped share of the window replays with full
-    // client-side telemetry on the driver, exactly as `execute_sweep`
-    // does before its own probing loop.
+    // client-side telemetry — this run's counters still describe the
+    // whole sweep — and only the planned share was probed live.
     for (bi, d, scope, rec) in &skipped {
         replay_record(
             &mut result,
-            bound[*bi].pop,
+            ctx.bound[*bi].pop,
             *d,
             *scope,
             rec,
             cfg.redundancy,
-            Some(&pop_metrics[*bi]),
+            Some(&ctx.pop_metrics[*bi]),
         );
     }
-
-    // Commit. Probe-side counters were bumped on the workers and ride
-    // in each delta's metrics block, so records replay with `None`
-    // here (the full-skip pattern); resolver counters absorb as one
-    // session per shard.
-    for delta in &deltas {
-        metrics.absorb_delta(&delta.metrics);
-        let mut session = GpdnsSession::new();
-        session.stats = sweep::gpdns_stats_from(delta.gpdns);
-        sim.absorb_session(&session);
-    }
-    for (&(bi, d, addr, len), rec) in &fresh {
-        let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
-            continue;
-        };
-        replay_record(
-            &mut result,
-            b.pop,
-            d as usize,
-            scope,
-            rec,
-            cfg.redundancy,
-            None,
-        );
-    }
-    // Extrapolation fold, exactly as `execute_sweep` after its own
-    // reduction. Members were never shipped to workers, so their
-    // synthesized replays bump client telemetry here on the driver
-    // (`Some`), keeping the merged counters byte-identical to the
-    // single-process sweep.
+    let mut fresh = staged.commit(sim, cfg, &ctx, &mut result);
+    // Extrapolated members were never probed anywhere, so their
+    // synthesized replays bump client telemetry here (`Some`).
     fold_extrapolated(
         &mut result,
         &mut fresh,
         &mut snapshot.confidence,
         &extrapolated,
-        &bound,
-        &pop_metrics,
+        &ctx.bound,
+        &ctx.pop_metrics,
         cfg.redundancy,
     );
     timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
 
-    // Distributed quarantine + rescue, mirroring `execute_sweep`'s
-    // fault block: the global fault book decides quarantine exactly as
-    // live per-PoP health would, the rescue plan is a pure function of
+    // PoP quarantine + rescue sweep (fault injection only): PoPs whose
+    // streams tripped the circuit breaker or lost most probes are
+    // quarantined, and scopes they alone were meant to cover are
+    // re-probed once at the nearest healthy PoP within a relaxed
+    // (doubled) service radius. The rescue plan is a pure function of
     // the merged result, and rescue deltas replay *after* the main
-    // table — the same phase order as the single-process sweep.
-    if let Some(fc) = &fc {
+    // table. Whatever still has no probe event afterwards is reported
+    // as lost coverage, not silently absent.
+    if let Some(fc) = &ctx.fc {
         let stage = Instant::now();
-        let mut pop_health: HashMap<PopId, (u64, u64, bool)> = HashMap::new();
-        for h in merge_fault_books(&books) {
-            pop_health.insert(h.pop, (h.attempts, h.drops, h.tripped));
-        }
-        let quarantined = quarantined_pops(&bound, &pop_health);
+        let quarantined = quarantined_pops(&ctx.bound, &merge_fault_books(&books));
         fc.quarantined_pops.add(quarantined.len() as u64);
-        let rescue_units = plan_rescue_units(sim, cfg, &bound, &assigned, &result, &quarantined);
-        let mut rescue_deltas = if rescue_units.is_empty() {
+        let rescue_units =
+            plan_rescue_units(sim, cfg, &ctx.bound, &assigned, &result, &quarantined);
+        let rescue_deltas = if rescue_units.is_empty() {
             Vec::new()
         } else {
-            rescue(rescue_units).map_err(ShardMergeError::Rescue)?
+            rescue(sim, &ctx, rescue_units).map_err(ShardMergeError::Rescue)?
         };
-        rescue_deltas.sort_by_key(|d| d.epoch);
-        let mut rescue_fresh: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-        for delta in &rescue_deltas {
-            if delta.world_seed != snapshot.world_seed
-                || delta.config_digest != snapshot.config_digest
-            {
-                return Err(ShardMergeError::ForeignDelta {
-                    shard: delta.epoch,
-                    world_seed: delta.world_seed,
-                    config_digest: delta.config_digest,
-                });
-            }
-            for (key, rec) in &delta.records {
-                if rescue_fresh.insert(*key, rec.clone()).is_some() {
-                    return Err(ShardMergeError::OverlappingShards { shard: delta.epoch });
-                }
-            }
-        }
-        for delta in &rescue_deltas {
-            metrics.absorb_delta(&delta.metrics);
-            let mut session = GpdnsSession::new();
-            session.stats = sweep::gpdns_stats_from(delta.gpdns);
-            sim.absorb_session(&session);
-        }
-        for (&(bi, d, addr, len), rec) in &rescue_fresh {
-            let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
-                continue;
-            };
-            replay_record(
-                &mut result,
-                b.pop,
-                d as usize,
-                scope,
-                rec,
-                cfg.redundancy,
-                None,
-            );
-        }
-        // Every rescue record is one rescued scope: the workers record
-        // exactly the scopes their rescue tallies touched, keyed by a
-        // fallback vantage unique within the rescue plan.
-        let rescued_scopes = rescue_fresh.len() as u64;
+        let rescued = Staged::stage(&ctx, rescue_deltas)?.commit(sim, cfg, &ctx, &mut result);
+        // Every rescue record is one rescued scope: rescue shards record
+        // exactly the scopes their tallies touched, keyed by a fallback
+        // vantage unique within the rescue plan.
+        let rescued_scopes = rescued.len() as u64;
         fc.rescued.add(rescued_scopes);
 
         // Partial-result accounting: assigned pairs that never produced
         // a probe event are coverage the faults cost us.
-        let mut all_assigned: std::collections::HashSet<(usize, Prefix)> =
-            std::collections::HashSet::new();
-        for list in assigned.values() {
-            all_assigned.extend(list.iter().copied());
-        }
+        let all_assigned: std::collections::HashSet<(usize, Prefix)> =
+            assigned.values().flatten().copied().collect();
         let unmeasured = all_assigned
             .iter()
             .filter(|key| !result.probe_counts.contains_key(key))
@@ -2163,12 +1689,11 @@ pub fn merge_shards(
         });
         timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
 
-        // Fold rescue records into the snapshot table additively —
-        // `execute_sweep` accumulates them into the same entries its
-        // main loop built, and rescue keys only ever collide with
-        // all-zero records (a rescued scope was measured nowhere, so
-        // any planned record at its fallback vantage stayed empty).
-        for (key, rec) in rescue_fresh {
+        // Fold rescue records into the snapshot table additively:
+        // rescue keys only ever collide with all-zero records (a
+        // rescued scope was measured nowhere, so any planned record at
+        // its fallback vantage stayed empty).
+        for (key, rec) in rescued {
             let slot = fresh.entry(key).or_default();
             slot.attempts += rec.attempts;
             slot.scope0 += rec.scope0;
@@ -2177,15 +1702,14 @@ pub fn merge_shards(
         }
     }
 
-    // Snapshot assembly, mirroring `execute_sweep`: warm-skipped
-    // scopes carry their prior records forward alongside the merged
-    // fresh table.
+    // Snapshot assembly. Warm-skipped scopes carry their prior records
+    // forward (so the next planner still sees them as measured)
+    // alongside the merged fresh table.
     for (bi, d, scope, rec) in skipped {
         fresh.entry(record_key(bi, d, scope)).or_insert(rec);
     }
     snapshot.records = fresh;
-    snapshot.gpdns = sweep::gpdns_delta(gpdns_pre, sim.gpdns_stats());
-    snapshot.metrics = metrics.snapshot().delta_from(&pre);
+    window.close(sim, &mut snapshot);
     snapshot.fault = result.fault.as_ref().map(sweep::to_fault_record);
     Ok((result, snapshot))
 }
@@ -2668,68 +2192,200 @@ mod tests {
         (Sim::new(world), universe)
     }
 
-    /// The fleet contract in miniature, no sockets: preparing the same
-    /// sweep in three sims (one driver, two workers), probing half the
-    /// unit list in each worker, and merging the deltas on the driver
-    /// must reproduce the single-process run exactly — result
-    /// aggregates, telemetry, and the stored snapshot.
-    #[test]
-    fn sharded_sweep_matches_single_process() {
-        let cfg = fleet_cfg();
-        let (mut sim_ref, universe) = fleet_sim(77);
-        let (res_ref, snap_ref) =
-            run_technique_full(&mut sim_ref, &cfg, &universe, &mut Vec::new(), None);
+    /// One input of the seam table: which sweep to run through both
+    /// executors.
+    struct SeamCase {
+        name: &'static str,
+        faults: Option<(FaultProfile, u64)>,
+        /// Warm-start from a cold sweep's snapshot at this expiry
+        /// budget (`None` = cold sweep).
+        warm_expiry: Option<f64>,
+        clustered: bool,
+        /// The case is only worth its name if the rescue phase runs.
+        expect_rescue: bool,
+    }
 
-        let (mut driver, _) = fleet_sim(77);
-        let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), None);
+    const FAULT_FREE_CASES: [SeamCase; 4] = [
+        SeamCase {
+            name: "cold",
+            faults: None,
+            warm_expiry: None,
+            clustered: false,
+            expect_rescue: false,
+        },
+        SeamCase {
+            name: "warm-partial",
+            faults: None,
+            warm_expiry: Some(0.3),
+            clustered: false,
+            expect_rescue: false,
+        },
+        SeamCase {
+            name: "warm full-skip",
+            faults: None,
+            warm_expiry: Some(0.0),
+            clustered: false,
+            expect_rescue: false,
+        },
+        SeamCase {
+            name: "clustered",
+            faults: None,
+            warm_expiry: Some(1.0),
+            clustered: true,
+            expect_rescue: false,
+        },
+    ];
+
+    const FAULTED_CASES: [SeamCase; 2] = [
+        SeamCase {
+            name: "lossy",
+            faults: Some((FaultProfile::Lossy, 5)),
+            warm_expiry: None,
+            clustered: false,
+            expect_rescue: false,
+        },
+        SeamCase {
+            name: "pop-churn",
+            faults: Some((FaultProfile::PopChurn, 3)),
+            warm_expiry: None,
+            clustered: false,
+            expect_rescue: true,
+        },
+    ];
+
+    /// The seam contract in miniature, no sockets. The reference is
+    /// `execute_sweep` on one `Sim` — the local-shard route. The twin
+    /// is the fleet route driven by hand: the same sweep prepared in
+    /// three sims (one driver, two workers), half the unit list probed
+    /// in each worker, fault books folded and the rescue phase
+    /// dispatched to a surviving worker, deltas merged on the driver.
+    /// Both must agree exactly — result aggregates, fault summary, the
+    /// stored snapshot, resolver counters, and the registry. The
+    /// registry comparison is the double-count guard: a local shard
+    /// whose delta reached the merge with its `metrics`/`gpdns` blocks
+    /// filled would land every probe counter twice.
+    fn check_seam(case: &SeamCase) {
+        let name = case.name;
+        let fresh_sim = || {
+            let world = World::generate(WorldConfig::tiny(101));
+            let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
+            let sim = match case.faults {
+                Some((profile, fault_seed)) => Sim::with_faults(
+                    world,
+                    Arc::new(MetricsRegistry::new()),
+                    &FaultConfig::profile(profile, fault_seed),
+                ),
+                None => Sim::new(world),
+            };
+            (sim, universe)
+        };
+        let prior = case.warm_expiry.map(|_| {
+            let (mut sim, universe) = fresh_sim();
+            run_technique_full(&mut sim, &fleet_cfg(), &universe, &mut Vec::new(), None).1
+        });
+        let prior = prior.as_ref();
+        let mut cfg = fleet_cfg();
+        cfg.expiry_budget = case.warm_expiry.unwrap_or(cfg.expiry_budget);
+        cfg.clustered_probing = case.clustered;
+
+        let (mut sim_ref, universe) = fresh_sim();
+        let (res_ref, snap_ref) =
+            run_technique_full(&mut sim_ref, &cfg, &universe, &mut Vec::new(), prior);
+
+        let (mut driver, _) = fresh_sim();
+        let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), prior);
+        assert_eq!(prep.faulted(), case.faults.is_some(), "{name}");
         let n = prep.num_units();
-        assert!(n >= 2, "need at least two units to shard");
+        assert_eq!(
+            prep.warm_full_skip(),
+            case.warm_expiry == Some(0.0),
+            "{name}"
+        );
+        assert!(
+            n >= 2 || prep.warm_full_skip(),
+            "{name}: need at least two units to shard"
+        );
         let mid = n / 2;
+        let mut workers = Vec::new();
         let mut deltas = Vec::new();
+        let mut books = Vec::new();
         for (id, range) in [(0u32, 0..mid), (1u32, mid..n)] {
-            let (mut worker, w_universe) = fleet_sim(77);
-            let w_prep = prepare_sweep(&mut worker, &cfg, &w_universe, &mut Vec::new(), None);
-            assert_eq!(w_prep.num_units(), n, "worker prep diverged from driver");
-            assert_eq!(w_prep.config_digest(), prep.config_digest());
+            let (mut worker, w_universe) = fresh_sim();
+            let w_prep = prepare_sweep(&mut worker, &cfg, &w_universe, &mut Vec::new(), prior);
+            assert_eq!(w_prep.num_units(), n, "{name}: worker prep diverged");
+            assert_eq!(w_prep.config_digest(), prep.config_digest(), "{name}");
             let (delta, book) = probe_shard(&mut worker, &cfg, &w_prep, range, id);
-            assert!(book.is_empty(), "fault-free shards carry no fault book");
+            assert_eq!(
+                book.is_empty(),
+                case.faults.is_none(),
+                "{name}: only faulted shards carry a fault book"
+            );
             deltas.push(delta);
+            books.extend(book);
+            workers.push((worker, w_prep));
         }
-        // Merge in reverse arrival order on purpose: the merge must be
-        // a function of the delta set, not the wire order.
+        // Merge in reverse arrival order on purpose: neither the delta
+        // set nor the fault-book fold may depend on wire order.
         deltas.reverse();
+        books.reverse();
+        let mut rescue_dispatches = 0;
         let (res, snap) = merge_shards(
             &mut driver,
             &cfg,
             prep,
             deltas,
-            Vec::new(),
-            |_| Ok(Vec::new()),
+            books,
+            |units| {
+                // The whole rescue phase lands on one surviving worker,
+                // exactly as a driver with one live peer would dispatch
+                // it.
+                rescue_dispatches += 1;
+                let (worker, w_prep) = &mut workers[0];
+                Ok(vec![probe_rescue_shard(worker, &cfg, w_prep, &units, 0)])
+            },
             &mut Vec::new(),
         )
-        .expect("merge");
+        .unwrap_or_else(|e| panic!("{name}: merge failed: {e}"));
+        assert_eq!(
+            rescue_dispatches > 0,
+            case.expect_rescue,
+            "{name}: rescue phase"
+        );
 
-        assert_eq!(snap, snap_ref, "merged snapshot diverged");
-        assert_eq!(res.probes_sent, res_ref.probes_sent);
-        assert_eq!(res.scope0_hits, res_ref.scope0_hits);
-        assert_eq!(res.drops, res_ref.drops);
-        assert_eq!(res.hits, res_ref.hits);
-        assert_eq!(res.probe_counts, res_ref.probe_counts);
-        assert_eq!(res.scope_pairs, res_ref.scope_pairs);
+        assert_eq!(snap, snap_ref, "{name}: snapshot diverged");
+        assert_eq!(
+            snap.confidence.is_empty(),
+            !case.clustered,
+            "{name}: only clustered sweeps extrapolate"
+        );
+        assert_eq!(res.fault, res_ref.fault, "{name}: fault summaries diverged");
+        if let Some(f) = &res_ref.fault {
+            assert_eq!(f.observed, f.recovered + f.degraded + f.lost, "{name}");
+        }
+        assert_eq!(res.probes_sent, res_ref.probes_sent, "{name}");
+        assert_eq!(res.scope0_hits, res_ref.scope0_hits, "{name}");
+        assert_eq!(res.drops, res_ref.drops, "{name}");
+        assert_eq!(res.hits, res_ref.hits, "{name}");
+        assert_eq!(res.probe_counts, res_ref.probe_counts, "{name}");
+        assert_eq!(res.scope_pairs, res_ref.scope_pairs, "{name}");
         let pop_sets = |r: &CacheProbeResult| -> BTreeMap<PopId, Vec<Prefix>> {
             r.pop_hit_prefixes
                 .iter()
                 .map(|(pop, set)| (*pop, set.prefixes()))
                 .collect()
         };
-        assert_eq!(pop_sets(&res), pop_sets(&res_ref));
-        assert_eq!(res.fault, res_ref.fault);
+        assert_eq!(pop_sets(&res), pop_sets(&res_ref), "{name}");
         assert_eq!(
             driver.metrics().snapshot().to_json(),
             sim_ref.metrics().snapshot().to_json(),
-            "driver telemetry diverged from the single-process run"
+            "{name}: registry diverged — a double-counted local delta?"
         );
-        assert_eq!(driver.gpdns_stats(), sim_ref.gpdns_stats());
+        assert_eq!(driver.gpdns_stats(), sim_ref.gpdns_stats(), "{name}");
+    }
+
+    #[test]
+    fn sharded_sweep_matches_single_process() {
+        FAULT_FREE_CASES.iter().for_each(check_seam);
     }
 
     /// A duplicated shard delta or a hole in the cover must be rejected
@@ -2802,96 +2458,9 @@ mod tests {
         ));
     }
 
-    /// The lifted fault gate in miniature, no sockets: a faulted sweep
-    /// probed in two worker shards, per-shard fault books folded on the
-    /// driver, and the rescue phase dispatched back to a surviving
-    /// worker must reproduce the single-process faulted run exactly —
-    /// result aggregates, fault summary, telemetry, and snapshot.
     #[test]
     fn faulted_sharded_sweep_matches_single_process() {
-        for (profile, fault_seed) in [(FaultProfile::Lossy, 5), (FaultProfile::PopChurn, 3)] {
-            let cfg = fleet_cfg();
-            let faulted = |seed: u64| {
-                let world = World::generate(WorldConfig::tiny(seed));
-                let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
-                let sim = Sim::with_faults(
-                    world,
-                    Arc::new(MetricsRegistry::new()),
-                    &FaultConfig::profile(profile, fault_seed),
-                );
-                (sim, universe)
-            };
-            let (mut sim_ref, universe) = faulted(101);
-            let (res_ref, snap_ref) =
-                run_technique_full(&mut sim_ref, &cfg, &universe, &mut Vec::new(), None);
-            let summary_ref = res_ref
-                .fault
-                .clone()
-                .expect("faulted run carries a summary");
-            assert_eq!(
-                summary_ref.observed,
-                summary_ref.recovered + summary_ref.degraded + summary_ref.lost,
-                "single-process conservation violated at {profile}"
-            );
-
-            let (mut driver, _) = faulted(101);
-            let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), None);
-            assert!(prep.faulted(), "driver prep must carry the fault plan");
-            let n = prep.num_units();
-            let mid = n / 2;
-            let mut workers = Vec::new();
-            let mut deltas = Vec::new();
-            let mut books = Vec::new();
-            for (id, range) in [(0u32, 0..mid), (1u32, mid..n)] {
-                let (mut worker, w_universe) = faulted(101);
-                let w_prep = prepare_sweep(&mut worker, &cfg, &w_universe, &mut Vec::new(), None);
-                let (delta, book) = probe_shard(&mut worker, &cfg, &w_prep, range, id);
-                deltas.push(delta);
-                books.extend(book);
-                workers.push((worker, w_prep));
-            }
-            // Merge in reverse arrival order on purpose: neither the
-            // delta set nor the fault-book fold may depend on wire
-            // order.
-            deltas.reverse();
-            books.reverse();
-            let (res, snap) = merge_shards(
-                &mut driver,
-                &cfg,
-                prep,
-                deltas,
-                books,
-                |units| {
-                    // The whole rescue phase lands on one surviving
-                    // worker, exactly as a driver with one live peer
-                    // would dispatch it.
-                    let (worker, w_prep) = &mut workers[0];
-                    Ok(vec![probe_rescue_shard(worker, &cfg, w_prep, &units, 0)])
-                },
-                &mut Vec::new(),
-            )
-            .expect("faulted merge");
-
-            assert_eq!(
-                snap, snap_ref,
-                "merged faulted snapshot diverged at {profile}"
-            );
-            assert_eq!(
-                res.fault, res_ref.fault,
-                "fault summaries diverged at {profile}"
-            );
-            assert_eq!(res.probes_sent, res_ref.probes_sent);
-            assert_eq!(res.drops, res_ref.drops);
-            assert_eq!(res.hits, res_ref.hits);
-            assert_eq!(res.probe_counts, res_ref.probe_counts);
-            assert_eq!(res.scope_pairs, res_ref.scope_pairs);
-            assert_eq!(
-                driver.metrics().snapshot().to_json(),
-                sim_ref.metrics().snapshot().to_json(),
-                "driver telemetry diverged from the single-process faulted run at {profile}"
-            );
-            assert_eq!(driver.gpdns_stats(), sim_ref.gpdns_stats());
-        }
+        FAULTED_CASES.iter().for_each(check_seam);
     }
 
     /// Fault-book folding is associative and order-invariant: any
