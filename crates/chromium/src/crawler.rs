@@ -19,7 +19,7 @@ pub struct ResolverActivity {
 }
 
 /// The output of the DNS-logs technique.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct DnsLogsResult {
     /// Per-resolver activity, sorted descending by probe count.
     pub resolvers: Vec<ResolverActivity>,

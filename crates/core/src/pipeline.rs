@@ -297,20 +297,29 @@ impl Pipeline {
         Pipeline::run_warm_timed_with(config, prior, timings, &mut LocalSweep)
     }
 
-    /// Runs `sweeps` successive warm-chained runs on a sim-time
-    /// cadence: sweep 1 starts from `prior` (cold when `None`), and
-    /// each later sweep warm-starts from the snapshot the previous one
-    /// produced, so the planner re-probes only what
-    /// `config.probe.expiry_budget` expires (plus anything new, dirty,
-    /// or in need of rescue). After each sweep the `observer` receives
-    /// the 1-based sweep number and owns the full [`PipelineOutput`] —
-    /// the seam `clientmap serve` uses to diff verdict tables into its
-    /// event log and publish a fresh store generation. An observer
-    /// error aborts the cadence and is returned as-is.
+    /// Runs `sweeps` successive warm-chained sweeps of one sweep
+    /// session on a sim-time cadence: sweep 1 starts from
+    /// `prior` (cold when `None`), and each later sweep warm-starts
+    /// from the snapshot the previous one produced, so the planner
+    /// re-probes only what `config.probe.expiry_budget` expires (plus
+    /// anything new, dirty, or in need of rescue). After each sweep the
+    /// `observer` receives the 1-based sweep number and owns the full
+    /// [`PipelineOutput`] — the seam `clientmap serve` uses to diff
+    /// verdict tables into its event log and publish a fresh store
+    /// generation. An observer error aborts the cadence and is returned
+    /// as-is.
     ///
-    /// The chain is deterministic: the same `(config, prior, sweeps)`
-    /// produces byte-identical snapshots and reports at every step, at
-    /// any thread count.
+    /// **Per session** (computed by sweep 1, replayed into every later
+    /// sweep): the probe universe, the warm-start config digest, and
+    /// the world-static inputs — the DITL capture's crawl result, the
+    /// CDN logs and the APNIC estimates — with the telemetry producing
+    /// them recorded. **Per sweep:** the world and [`Sim`] (Google's
+    /// caches start cold every time), the probing window, the dataset
+    /// bundle, the invariant check and the metrics registry.
+    ///
+    /// The chain is deterministic and equals, byte for byte at every
+    /// step (snapshot, report, metrics JSON), a chain of independent
+    /// [`Pipeline::run_warm`] calls, at any thread count.
     pub fn run_cadence<F>(
         config: PipelineConfig,
         prior: Option<SweepSnapshot>,
@@ -320,9 +329,10 @@ impl Pipeline {
     where
         F: FnMut(u32, PipelineOutput) -> Result<(), PipelineError>,
     {
+        let mut session = SweepSession::new(config);
         let mut prior = prior;
         for sweep_no in 1..=sweeps {
-            let out = Pipeline::run_warm(config.clone(), prior.take())?;
+            let out = session.sweep(prior.take(), &mut Vec::new(), &mut LocalSweep)?;
             prior = Some(out.sweep.clone());
             observer(sweep_no, out)?;
         }
@@ -333,16 +343,99 @@ impl Pipeline {
     /// executor — the seam the distributed fleet driver plugs into.
     /// Every stage outside the sweep (world generation, crawl, CDN
     /// logs, APNIC, analysis, invariants) runs in-process regardless.
+    ///
+    /// This is a sweep session of exactly one sweep (see
+    /// [`Pipeline::run_cadence`]), so nothing is reused: every stage
+    /// runs live and `timings` carries its full wall time, where a
+    /// later sweep of a longer session still pushes `crawl` and
+    /// `analysis` but with the ≈ 0 s its replay took.
     pub fn run_warm_timed_with(
         config: PipelineConfig,
         prior: Option<SweepSnapshot>,
         timings: &mut Vec<(String, f64)>,
         executor: &mut dyn SweepExecutor,
     ) -> Result<PipelineOutput, PipelineError> {
+        SweepSession::new(config).sweep(prior, timings, executor)
+    }
+}
+
+/// The output of a stage that is a pure function of the session's
+/// [`PipelineConfig`], kept with everything its one live run registered
+/// or recorded in a scratch [`MetricsRegistry`].
+#[derive(Debug)]
+struct Recorded<T> {
+    value: T,
+    telemetry: MetricsSnapshot,
+}
+
+impl<T: Clone> Recorded<T> {
+    fn run(stage: impl FnOnce(&MetricsRegistry) -> T) -> Self {
+        let scratch = MetricsRegistry::new();
+        let value = stage(&scratch);
+        Recorded {
+            value,
+            telemetry: scratch.snapshot(),
+        }
+    }
+
+    /// Hands a sweep its copy of the value and leaves `metrics` exactly
+    /// as the live stage would have — zero-valued instruments included
+    /// (a clean capture reports `dnslogs.shape_mismatch: 0`), which is
+    /// why this is `absorb_snapshot` and not a delta.
+    fn replay(&self, metrics: &MetricsRegistry) -> T {
+        metrics.absorb_snapshot(&self.telemetry);
+        self.value.clone()
+    }
+}
+
+/// One immutable [`PipelineConfig`] swept any number of times.
+///
+/// In the paper only cache probing (§3.1) repeats on a cadence; the
+/// DITL capture technique 2 crawls (§3.2) and the validation datasets
+/// (§4) are fixed inputs. The session therefore computes them on its
+/// first sweep — after probing, from that sweep's [`Sim`], where a
+/// one-shot run always has — and replays value and telemetry into every
+/// later sweep. The `RootTraceSet` itself is never retained.
+#[derive(Debug)]
+struct SweepSession {
+    config: PipelineConfig,
+    /// The probe universe: public allocation data (RIR files stand-in).
+    /// Empty until the first sweep generates a world.
+    universe: Vec<Prefix>,
+    /// [`sweep::config_digest`] of `(config, universe)`, once a sweep
+    /// has had a prior to check it against.
+    digest: Option<u64>,
+    dns_logs: Option<Recorded<DnsLogsResult>>,
+    validation: Option<Recorded<(CdnLogs, ApnicDataset)>>,
+}
+
+impl SweepSession {
+    fn new(config: PipelineConfig) -> Self {
+        SweepSession {
+            config,
+            universe: Vec::new(),
+            digest: None,
+            dns_logs: None,
+            validation: None,
+        }
+    }
+
+    /// One sweep: a fresh world, [`Sim`] and registry, the probing
+    /// window through `executor`, the session's static inputs, the
+    /// dataset bundle and the invariant check.
+    fn sweep(
+        &mut self,
+        prior: Option<SweepSnapshot>,
+        timings: &mut Vec<(String, f64)>,
+        executor: &mut dyn SweepExecutor,
+    ) -> Result<PipelineOutput, PipelineError> {
+        let config = &self.config;
         let stage = Instant::now();
         let world = World::generate(config.world.clone());
-        // The probe universe: public allocation data (RIR files stand-in).
-        let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
+        if self.universe.is_empty() {
+            self.universe = world.blocks.iter().map(|b| b.prefix).collect();
+        }
+        let universe = &self.universe;
         if universe.is_empty() {
             return Err(PipelineError::Stage {
                 stage: "world_gen".into(),
@@ -359,7 +452,9 @@ impl Pipeline {
         // snapshot here (rather than silently replaying stale records)
         // is what lets the warm path promise byte-identical output.
         if let Some(prior) = prior.as_ref() {
-            let digest = sweep::config_digest(&sim, &config.probe, &universe);
+            let digest = *self
+                .digest
+                .get_or_insert_with(|| sweep::config_digest(&sim, &config.probe, universe));
             if prior.world_seed != config.world.seed {
                 return Err(PipelineError::Stage {
                     stage: "warm-start".into(),
@@ -388,7 +483,7 @@ impl Pipeline {
             SimTime::ZERO.as_millis(),
         );
         let (cache_probe, sweep) =
-            executor.run_sweep(&mut sim, &config.probe, &universe, timings, prior.as_ref())?;
+            executor.run_sweep(&mut sim, &config.probe, universe, timings, prior.as_ref())?;
         probe_span.stop(
             (SimTime::from_hours(8) + SimTime::from_secs_f64(config.probe.duration_hours * 3600.0))
                 .as_millis(),
@@ -396,29 +491,48 @@ impl Pipeline {
 
         // Technique 2: DNS logs over a DITL capture.
         let stage = Instant::now();
-        let trace_span = ScopedTimer::start(
-            metrics.histogram("pipeline.stage_ms.dns_logs"),
-            SimTime::ZERO.as_millis(),
-        );
-        let traces = sim.capture_root_traces(
-            SimTime::ZERO,
-            config.root_trace_days,
-            config.root_trace_sample_rate,
-        );
-        let dns_logs = crawl_with_metrics(&traces, &config.classifier, &metrics);
-        trace_span.stop(SimTime::from_hours(u64::from(config.root_trace_days) * 24).as_millis());
+        let dns_logs = self
+            .dns_logs
+            .get_or_insert_with(|| {
+                Recorded::run(|metrics| {
+                    let trace_span = ScopedTimer::start(
+                        metrics.histogram("pipeline.stage_ms.dns_logs"),
+                        SimTime::ZERO.as_millis(),
+                    );
+                    let traces = sim.capture_root_traces(
+                        SimTime::ZERO,
+                        config.root_trace_days,
+                        config.root_trace_sample_rate,
+                    );
+                    let dns_logs = crawl_with_metrics(&traces, &config.classifier, metrics);
+                    trace_span.stop(
+                        SimTime::from_hours(u64::from(config.root_trace_days) * 24).as_millis(),
+                    );
+                    dns_logs
+                })
+            })
+            .replay(&metrics);
         timings.push(("crawl".into(), stage.elapsed().as_secs_f64()));
 
         // Validation datasets.
         let stage = Instant::now();
-        let cdn_span = ScopedTimer::start(
-            metrics.histogram("pipeline.stage_ms.cdn_logs"),
-            SimTime::ZERO.as_millis(),
-        );
-        let cdn_logs =
-            sim.collect_cdn_logs(SimTime::ZERO, SimTime::from_hours(config.cdn_window_hours));
-        cdn_span.stop(SimTime::from_hours(config.cdn_window_hours).as_millis());
-        let apnic = ApnicDataset::estimate(sim.world(), &config.apnic);
+        let (cdn_logs, apnic) = self
+            .validation
+            .get_or_insert_with(|| {
+                Recorded::run(|metrics| {
+                    let cdn_span = ScopedTimer::start(
+                        metrics.histogram("pipeline.stage_ms.cdn_logs"),
+                        SimTime::ZERO.as_millis(),
+                    );
+                    let cdn_logs = sim.collect_cdn_logs(
+                        SimTime::ZERO,
+                        SimTime::from_hours(config.cdn_window_hours),
+                    );
+                    cdn_span.stop(SimTime::from_hours(config.cdn_window_hours).as_millis());
+                    (cdn_logs, ApnicDataset::estimate(sim.world(), &config.apnic))
+                })
+            })
+            .replay(&metrics);
 
         let bundle =
             DatasetBundle::build(&cache_probe, &dns_logs, &cdn_logs, &apnic, &sim.world().rib);
@@ -438,7 +552,7 @@ impl Pipeline {
             bundle,
             metrics,
             sweep,
-            config,
+            config: config.clone(),
             sim,
         })
     }
@@ -593,19 +707,211 @@ mod tests {
         .expect("cadence completes");
         let base = cold.sweep.epoch;
         assert_eq!(seen, vec![(1, base + 1), (2, base + 2), (3, base + 3)]);
+    }
 
-        // An observer error aborts the chain immediately.
-        let mut calls = 0;
-        let err = Pipeline::run_cadence(PipelineConfig::tiny(7), None, 3, |_, _| {
-            calls += 1;
-            Err(PipelineError::Stage {
-                stage: "observer".into(),
-                message: "stop".into(),
+    /// The three artifacts every byte-identity suite compares.
+    fn artifacts(out: &PipelineOutput) -> (Vec<u8>, String, String) {
+        (
+            out.sweep.encode(),
+            out.report().render_all(),
+            out.metrics_snapshot().to_json(),
+        )
+    }
+
+    /// `steps` chained, fully independent [`Pipeline::run_warm`] calls
+    /// — the oracle a session's sweeps must equal.
+    fn independent_chain(config: &PipelineConfig, steps: usize) -> Vec<PipelineOutput> {
+        let mut chain: Vec<PipelineOutput> = Vec::new();
+        for _ in 0..steps {
+            let prior = chain.last().map(|o| o.sweep.clone());
+            chain.push(Pipeline::run_warm(config.clone(), prior).expect("oracle run is healthy"));
+        }
+        chain
+    }
+
+    #[test]
+    fn cadence_matches_independent_warm_chain() {
+        use clientmap_faults::{FaultConfig, FaultProfile};
+        let lossy = {
+            let mut c = PipelineConfig::tiny(7);
+            c.faults = FaultConfig::profile(FaultProfile::Lossy, 7);
+            c
+        };
+        let clustered = {
+            let mut c = PipelineConfig::tiny(7);
+            c.probe.clustered_probing = true;
+            c.probe.cluster_epsilon = 0.25;
+            // Later sweeps must re-probe, not only replay.
+            c.probe.expiry_budget = 0.5;
+            c
+        };
+        for (name, config) in [
+            ("default", PipelineConfig::tiny(7)),
+            ("lossy", lossy),
+            ("clustered", clustered),
+        ] {
+            let oracle = independent_chain(&config, 3);
+            let mut step = 0;
+            Pipeline::run_cadence(config, None, 3, |sweep_no, out| {
+                let (snapshot, report, metrics) = artifacts(&out);
+                let (want_snapshot, want_report, want_metrics) = artifacts(&oracle[step]);
+                assert!(
+                    snapshot == want_snapshot,
+                    "{name} sweep {sweep_no}: snapshot"
+                );
+                assert!(report == want_report, "{name} sweep {sweep_no}: report");
+                // Unfiltered: warm-only planner counters and every
+                // replayed instrument included.
+                assert_eq!(metrics, want_metrics, "{name} sweep {sweep_no}: metrics");
+                step += 1;
+                Ok(())
             })
+            .expect("cadence completes");
+            assert_eq!(step, 3);
+        }
+    }
+
+    #[test]
+    fn later_session_sweeps_replay_the_static_inputs() {
+        let mut session = SweepSession::new(PipelineConfig::tiny(7));
+        let mut timings = Vec::new();
+        let first = session
+            .sweep(None, &mut timings, &mut LocalSweep)
+            .expect("sweep 1");
+
+        // Mark what the session retained: a sweep that re-ran the
+        // capture, the crawl, the CDN logs or APNIC would not carry
+        // the marks.
+        session.dns_logs.as_mut().unwrap().value.records_examined = 424_242;
+        let validation = &mut session.validation.as_mut().unwrap().value;
+        validation.0.clients.clear();
+        validation.1.estimates.clear();
+
+        let mut replayed = Vec::new();
+        let second = session
+            .sweep(Some(first.sweep.clone()), &mut replayed, &mut LocalSweep)
+            .expect("sweep 2");
+        assert_eq!(second.dns_logs.records_examined, 424_242);
+        assert_eq!(second.dns_logs.resolvers, first.dns_logs.resolvers);
+        assert!(second.cdn_logs.clients.is_empty());
+        assert!(second.apnic.estimates.is_empty());
+        // Both registries read as a live crawl's, zero-valued counters
+        // included (a tiny capture has no shape mismatches) — the one
+        // thing a delta replay would not reproduce.
+        let live = MetricsRegistry::new();
+        let config = &first.config;
+        let traces = first.sim.capture_root_traces(
+            SimTime::ZERO,
+            config.root_trace_days,
+            config.root_trace_sample_rate,
+        );
+        crawl_with_metrics(&traces, &config.classifier, &live);
+        let live = live.snapshot();
+        assert_eq!(live.counters.get("dnslogs.shape_mismatch"), Some(&0));
+        let (m1, m2) = (first.metrics_snapshot(), second.metrics_snapshot());
+        for (name, value) in &live.counters {
+            assert_eq!(m1.counters.get(name), Some(value), "sweep 1 {name}");
+            assert_eq!(m2.counters.get(name), Some(value), "sweep 2 {name}");
+        }
+        assert_eq!(
+            m2.histogram("pipeline.stage_ms.dns_logs"),
+            m1.histogram("pipeline.stage_ms.dns_logs")
+        );
+        assert_eq!(
+            m2.histogram("pipeline.stage_ms.cdn_logs"),
+            m1.histogram("pipeline.stage_ms.cdn_logs")
+        );
+
+        // The side channel keeps one shape whether a stage ran or was
+        // replayed.
+        let stages = |t: &[(String, f64)]| -> Vec<String> {
+            t.iter()
+                .map(|(stage, _)| stage.clone())
+                .filter(|stage| matches!(stage.as_str(), "world_gen" | "crawl" | "analysis"))
+                .collect()
+        };
+        assert_eq!(stages(&timings), ["world_gen", "crawl", "analysis"]);
+        assert_eq!(stages(&replayed), stages(&timings));
+    }
+
+    /// Fails the probing window on its `fail_on`-th call.
+    struct FlakySweep {
+        calls: u32,
+        fail_on: u32,
+    }
+
+    impl SweepExecutor for FlakySweep {
+        fn run_sweep(
+            &mut self,
+            sim: &mut Sim,
+            cfg: &ProbeConfig,
+            universe: &[Prefix],
+            timings: &mut Vec<(String, f64)>,
+            prior: Option<&SweepSnapshot>,
+        ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError> {
+            self.calls += 1;
+            if self.calls == self.fail_on {
+                return Err(PipelineError::Stage {
+                    stage: "injected-failure".into(),
+                    message: format!("sweep {} failed", self.calls),
+                });
+            }
+            LocalSweep.run_sweep(sim, cfg, universe, timings, prior)
+        }
+    }
+
+    #[test]
+    fn a_failure_mid_cadence_leaves_earlier_sweeps_and_the_session_intact() {
+        let config = PipelineConfig::tiny(7);
+        let oracle = independent_chain(&config, 2);
+
+        // What `clientmap serve` relies on to keep answering degraded:
+        // an observer error on sweep 2 aborts the chain and surfaces
+        // as-is, after sweep 1 was handed over whole and before sweep
+        // 3 is ever started.
+        let mut delivered = Vec::new();
+        let err = Pipeline::run_cadence(config.clone(), None, 3, |sweep_no, out| {
+            if sweep_no == 2 {
+                return Err(PipelineError::Stage {
+                    stage: "injected-failure".into(),
+                    message: "sweep 2 failed by --fail-sweep".into(),
+                });
+            }
+            delivered.push((sweep_no, artifacts(&out)));
+            Ok(())
         })
         .expect_err("observer error propagates");
-        assert_eq!(calls, 1);
-        assert!(matches!(err, PipelineError::Stage { ref stage, .. } if stage == "observer"));
+        assert!(
+            matches!(err, PipelineError::Stage { ref stage, .. } if stage == "injected-failure")
+        );
+        assert_eq!(delivered, vec![(1, artifacts(&oracle[0]))]);
+
+        // A sweep that dies inside the probing window (before the
+        // static inputs of a first sweep exist, or after) poisons
+        // nothing: the session's next sweep equals the oracle's.
+        for fail_on in [1, 2] {
+            let mut session = SweepSession::new(config.clone());
+            let mut executor = FlakySweep { calls: 0, fail_on };
+            let mut prior = None;
+            let mut step = 0;
+            while step < 2 {
+                match session.sweep(prior.clone(), &mut Vec::new(), &mut executor) {
+                    Ok(out) => {
+                        assert_eq!(
+                            artifacts(&out),
+                            artifacts(&oracle[step]),
+                            "fail_on {fail_on}, step {step}"
+                        );
+                        prior = Some(out.sweep);
+                        step += 1;
+                    }
+                    Err(e) => assert!(
+                        matches!(e, PipelineError::Stage { ref stage, .. } if stage == "injected-failure")
+                    ),
+                }
+            }
+            assert_eq!(executor.calls, 3, "two good sweeps around one failure");
+        }
     }
 
     #[test]

@@ -323,7 +323,6 @@ fn run_sweeps(
 
                 let generation = Generation::build(u64::from(sweep_no), log.len(), &out);
                 prev_table = Some(table);
-                last_snapshot = Some(out.sweep.clone());
                 state
                     .generations
                     .publish(generation)
@@ -336,6 +335,9 @@ fn run_sweeps(
                     out.sweep.epoch,
                     log.len()
                 );
+                // The observer's last use of `out`: the cadence already
+                // holds its own copy as the next prior, so move, not clone.
+                last_snapshot = Some(out.sweep);
                 Ok(())
             },
         )

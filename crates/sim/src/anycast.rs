@@ -13,6 +13,7 @@
 //! VM catchment computation.
 
 use clientmap_net::{GeoCoord, SeedMixer};
+use clientmap_world::par::par_map;
 use clientmap_world::World;
 
 use crate::pops::{active_pops, pop_catalog, probeable_pops, PopId};
@@ -79,19 +80,17 @@ impl Catchments {
         let seed = SeedMixer::new(world.config.seed)
             .mix_str("catchments")
             .finish();
-        let by_slash24 = world
-            .slash24s
-            .iter()
-            .map(|s| {
-                route(
-                    seed,
-                    u64::from(s.prefix.addr()),
-                    s.coord,
-                    active_pops(),
-                    CLIENT_SPREAD,
-                )
-            })
-            .collect();
+        // A pure per-/24 map; the ordered reduction keeps the table
+        // identical at any thread count.
+        let by_slash24 = par_map(&world.slash24s, |_, s| {
+            route(
+                seed,
+                u64::from(s.prefix.addr()),
+                s.coord,
+                active_pops(),
+                CLIENT_SPREAD,
+            )
+        });
         Catchments { by_slash24, seed }
     }
 
@@ -164,6 +163,16 @@ mod tests {
         for i in (0..c1.len()).step_by(7) {
             assert_eq!(c1.of_slash24(i), c2.of_slash24(i));
         }
+    }
+
+    #[test]
+    fn catchment_table_is_equal_at_one_and_four_threads() {
+        use clientmap_world::par::with_threads;
+        let w = world();
+        let one = with_threads(1, || Catchments::compute(&w));
+        let four = with_threads(4, || Catchments::compute(&w));
+        assert!(one.len() > 4, "enough /24s for four workers to share");
+        assert_eq!(one.by_slash24, four.by_slash24);
     }
 
     #[test]

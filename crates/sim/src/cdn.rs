@@ -27,7 +27,7 @@ use crate::gpdns::GooglePublicDns;
 use crate::SimTime;
 
 /// One day (or window) of Microsoft-side logs.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct CdnLogs {
     /// HTTP(S) requests per client /24 (**Microsoft clients**).
     pub clients: HashMap<Prefix, u64>,

@@ -484,6 +484,22 @@ impl MetricsRegistry {
             self.histogram(name).absorb(hd);
         }
     }
+
+    /// Folds everything another registry held when `snap` was taken
+    /// into this one. Unlike a delta (which drops instruments that are
+    /// registered but still at zero), this registers every name in
+    /// `snap` first, so absorbing the snapshot of a scratch registry a
+    /// stage ran against leaves this registry — and its JSON — exactly
+    /// as if the stage had run here.
+    pub fn absorb_snapshot(&self, snap: &MetricsSnapshot) {
+        for name in snap.counters.keys() {
+            self.counter(name);
+        }
+        for name in snap.histograms.keys() {
+            self.histogram(name);
+        }
+        self.absorb_delta(&snap.delta_from(&MetricsSnapshot::default()));
+    }
 }
 
 /// Appends `s` as a JSON string literal (metric names are ASCII, but
@@ -651,6 +667,37 @@ mod tests {
         warm.histogram("ttl").record(0);
         warm.absorb_delta(&delta);
         assert_eq!(warm.snapshot().to_json(), cold.snapshot().to_json());
+    }
+
+    #[test]
+    fn a_delta_does_not_carry_zero_valued_instruments() {
+        // The zero-instrument rule: registering an instrument is not a
+        // change, so `delta_from` drops a counter still at zero and a
+        // histogram with no observations — but a snapshot (and its
+        // JSON) lists every *registered* instrument. `absorb_delta`
+        // alone therefore leaves them out; replaying a whole stage
+        // takes `absorb_snapshot`.
+        let live = MetricsRegistry::new();
+        let pre = live.snapshot();
+        live.counter("stage.seen").add(3);
+        live.counter("stage.rejected"); // registered, never incremented
+        live.histogram("stage.empty_ms");
+        let post = live.snapshot();
+        let delta = post.delta_from(&pre);
+        assert_eq!(delta.counters.keys().collect::<Vec<_>>(), ["stage.seen"]);
+        assert!(delta.histograms.is_empty());
+
+        let replayed = MetricsRegistry::new();
+        replayed.absorb_delta(&delta);
+        assert_ne!(replayed.snapshot(), post);
+        assert!(post.to_json().contains("\"stage.rejected\": 0"));
+        assert!(!replayed.snapshot().to_json().contains("stage.rejected"));
+
+        let replayed = MetricsRegistry::new();
+        replayed.counter("elsewhere").inc();
+        live.counter("elsewhere").inc();
+        replayed.absorb_snapshot(&post);
+        assert_eq!(replayed.snapshot().to_json(), live.snapshot().to_json());
     }
 
     #[test]

@@ -44,3 +44,8 @@ pub use types::{
     AsId, AsInfo, PrefixId, ResolverId, ResolverInfo, ResolverKind, ResolverMix, Slash24Info,
 };
 pub use world::World;
+
+/// The workspace's deterministic fan-out, re-exported for crates that
+/// map over a [`World`]'s tables (per-/24 catchments in the simulator)
+/// and must run on the same worker count generation itself used.
+pub use clientmap_par as par;
