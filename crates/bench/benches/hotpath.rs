@@ -3,6 +3,9 @@
 //! views vs full encode/decode. The paired benches share inputs so the
 //! reported deltas are the cost of parsing + per-probe routing alone.
 //!
+//! `generation_answer/*` times the serve query engine per query kind —
+//! the in-repo counterpart of the benchmark's `serve.answer_*` layers.
+//!
 //! The batched bench doubles as an allocation regression gate: before
 //! timing, a counted steady-state pass through the kernel must perform
 //! zero heap allocations, or the harness aborts.
@@ -10,8 +13,10 @@
 use clientmap_cacheprobe::probe::{probe_scope, select_domains, ProbeBufs};
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
+use clientmap_core::{Pipeline, PipelineConfig};
 use clientmap_dns::{wire, Message, Question};
 use clientmap_net::Prefix;
+use clientmap_serve::{Generation, Query};
 use clientmap_sim::{GpdnsSession, ProbeOutcome, ScopeLane, Sim, SimTime};
 use clientmap_world::{World, WorldConfig};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -236,10 +241,33 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
     });
 }
 
+/// The serve query engine, one kernel per query kind whose cost used
+/// to scale with the world: a /8 over the whole tiny world (whole
+/// table pages + every origin), a routed /24 (one tag + one block),
+/// a top-10 ranking and the introspection row.
+fn bench_generation_answer(c: &mut Criterion) {
+    let out = Pipeline::run(PipelineConfig::tiny(11)).expect("tiny run is healthy");
+    let generation = Generation::build(1, 0, &out);
+    let (block, _) = generation.blocks[generation.blocks.len() / 2];
+    let slash24 = Prefix::slash24_of(block.addr());
+    let slash8 = block.supernet(8).expect("routed blocks are longer than /8");
+    for (name, query) in [
+        ("generation_answer/prefix8", Query::Prefix(slash8)),
+        ("generation_answer/prefix24", Query::Prefix(slash24)),
+        ("generation_answer/topk", Query::TopK(10)),
+        ("generation_answer/info", Query::Info),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(generation.answer(black_box(&query))))
+        });
+    }
+}
+
 criterion_group!(
     hotpath,
     bench_probe_hot_path,
     bench_probe_hot_path_batched,
-    bench_wire_roundtrip
+    bench_wire_roundtrip,
+    bench_generation_answer
 );
 criterion_main!(hotpath);

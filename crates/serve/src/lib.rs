@@ -40,6 +40,6 @@ pub use client::{load_trace, parse_trace_line, render_reply, run_trace, ClientEr
 pub use engine::{AsActivity, Generation};
 pub use proto::{
     verdict_name, AsReply, CountryReply, InfoReply, PrefixReply, Query, QueryKind, Reply,
-    QUERY_PROTOCOL_VERSION,
+    MAX_ECDF_POINTS, QUERY_PROTOCOL_VERSION,
 };
 pub use server::{serve, ServeError, ServeOptions, ServeSummary};

@@ -26,6 +26,14 @@ use clientmap_store::{ByteReader, ByteWriter, CodecError, Verdict};
 /// published generation.
 pub const QUERY_PROTOCOL_VERSION: u16 = 2;
 
+/// The most points one [`Query::Ecdf`] may ask for; a larger count is
+/// refused with a typed [`Reply::Err`]. The count comes off the wire
+/// and sizes the reply (16 bytes a point), so it must be bounded
+/// before anything is allocated for it: 4 096 points is a 64 KiB
+/// reply — far inside the frame layer's payload limit, and far more
+/// resolution than a plotted CDF of per-AS fractions can show.
+pub const MAX_ECDF_POINTS: u32 = 4096;
+
 /// Frame kinds of the query protocol. Values 1–15 are client → server
 /// queries, 16–31 server → client replies; the numeric value is the
 /// wire encoding.
@@ -109,7 +117,8 @@ pub enum Query {
     Prefix(Prefix),
     /// Top `k` ASes by active /24s.
     TopK(u32),
-    /// The per-AS active-fraction ECDF sampled at `points` points.
+    /// The per-AS active-fraction ECDF sampled at `points` points
+    /// (at most [`MAX_ECDF_POINTS`]).
     Ecdf(u32),
     /// Finish: reply `Bye`, and let serve return once sweeps end.
     Stop,

@@ -3,9 +3,10 @@
 //!
 //! `serve` owns the sweep store for its lifetime. A dedicated sweep
 //! thread drives [`Pipeline::run_cadence`]; after each sweep it diffs
-//! the new verdict table against the previous one, appends the delta
-//! to the append-only event log ([`clientmap_store::eventlog`]),
-//! builds an immutable [`Generation`], and publishes it into a
+//! the new verdict table against the published generation's, appends
+//! the delta to the append-only event log
+//! ([`clientmap_store::eventlog`]), moves the table into an immutable
+//! [`Generation`], and publishes it into a
 //! [`GenerationCell`] with one atomic store. Query connections never
 //! take a lock: each request clones the `Arc` of whatever generation
 //! is current (or the specific generation it asked for) and answers
@@ -29,7 +30,7 @@ use std::time::Duration;
 use clientmap_core::{Pipeline, PipelineConfig, PipelineError};
 use clientmap_fleet::{read_frame_deadline, write_frame, Frame, FrameError, FrameRead};
 use clientmap_store::{
-    verdict_delta, EventLog, FailureEvent, GenerationCell, SweepEvent, SweepSnapshot, VerdictTable,
+    verdict_delta, EventLog, FailureEvent, GenerationCell, SweepEvent, SweepSnapshot,
 };
 
 use crate::engine::Generation;
@@ -269,7 +270,6 @@ fn run_sweeps(
     state: &ServerState,
 ) -> Result<(EventLog, Option<SweepSnapshot>, bool), ServeError> {
     let mut log: Option<EventLog> = None;
-    let mut prev_table: Option<VerdictTable> = None;
     let mut last_snapshot: Option<SweepSnapshot> = None;
     let mut published: u64 = 0;
 
@@ -302,8 +302,12 @@ fn run_sweeps(
                 }
                 let log = log.as_mut().expect("just created");
 
+                // The table is built once per publish: diffed against
+                // the last published generation's for the log, then
+                // moved into the new generation.
                 let table = out.cache_probe.verdict_table();
-                let changes = verdict_delta(prev_table.as_ref(), &table);
+                let previous = state.generations.current();
+                let changes = verdict_delta(previous.as_deref().map(|g| &g.verdicts), &table);
                 let event = SweepEvent {
                     epoch: out.sweep.epoch,
                     generation: u64::from(sweep_no),
@@ -321,8 +325,8 @@ fn run_sweeps(
                     })?;
                 }
 
-                let generation = Generation::build(u64::from(sweep_no), log.len(), &out);
-                prev_table = Some(table);
+                let generation =
+                    Generation::from_table(u64::from(sweep_no), log.len(), &out, table);
                 state
                     .generations
                     .publish(generation)

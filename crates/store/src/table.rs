@@ -58,6 +58,34 @@ impl Slash24Table {
         self.nonzero
     }
 
+    /// The allocated part of `[first, first + n)`, as tag slices in
+    /// ascending index order: one slice per allocated page the range
+    /// touches, clipped to the range. Indexes the slices leave out
+    /// (never-allocated pages, anything past the /24 space) hold tag
+    /// 0. The cost is O(log pages + pages touched), not O(n).
+    pub fn range_slices(&self, first: u32, n: u64) -> impl Iterator<Item = &[u8]> + '_ {
+        let start = u64::from(first);
+        let end = start.saturating_add(n).min(SLASH24_SPACE as u64);
+        // An empty range has no last index (and `BTreeMap::range`
+        // panics on an inverted one): it walks no pages at all.
+        let keys = (start < end).then(|| (start >> 12) as u32..=((end - 1) >> 12) as u32);
+        keys.into_iter()
+            .flat_map(|keys| self.pages.range(keys))
+            .map(move |(&key, page)| {
+                let base = u64::from(key) << 12;
+                let lo = start.max(base) - base;
+                let hi = end.min(base + PAGE_SLOTS as u64) - base;
+                &page[lo as usize..hi as usize]
+            })
+    }
+
+    /// `(key, tags)` for every allocated page, ascending by key; page
+    /// `key` holds /24 indexes `key << 12 .. (key + 1) << 12` — one
+    /// /12 of address space.
+    pub fn pages(&self) -> impl Iterator<Item = (u32, &[u8])> + '_ {
+        self.pages.iter().map(|(&key, page)| (key, &page[..]))
+    }
+
     /// `(index, tag)` for every non-zero entry, ascending by index —
     /// the canonical iteration order shared with a sorted reference
     /// model.

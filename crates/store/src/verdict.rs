@@ -89,12 +89,53 @@ impl VerdictTable {
         self.table.count_nonzero()
     }
 
+    /// How many of the `n` /24s from index `first` hold each verdict,
+    /// indexed by `Verdict as u8` — what a [`VerdictTable::get`] loop
+    /// over `[first, first + n)` would count (so unallocated space,
+    /// indexes past the /24 space and invalid tags are all
+    /// [`Verdict::Unmeasured`]), at the cost of the allocated pages
+    /// the range touches rather than of `n` lookups.
+    pub fn histogram(&self, first: u32, n: u64) -> [u64; 5] {
+        let mut counts = [0u64; 5];
+        for tags in self.table.range_slices(first, n) {
+            for (total, part) in counts.iter_mut().zip(count_tags(tags)) {
+                *total += u64::from(part);
+            }
+        }
+        counts[0] = n - counts[1..].iter().sum::<u64>();
+        counts
+    }
+
+    /// `(page, histogram)` for every allocated 4 096-entry page (one
+    /// /12 of address space), ascending: the verdict counts of /24
+    /// indexes `page << 12 .. (page + 1) << 12`. Summing whole pages
+    /// answers an aligned range without reading a single tag.
+    pub fn page_histograms(&self) -> impl Iterator<Item = (u32, [u32; 5])> + '_ {
+        self.table.pages().map(|(page, tags)| {
+            let mut counts = count_tags(tags);
+            counts[0] = tags.len() as u32 - counts[1..].iter().sum::<u32>();
+            (page, counts)
+        })
+    }
+
     /// `(index, verdict)` for every measured /24, ascending by index.
     pub fn iter_measured(&self) -> impl Iterator<Item = (u32, Verdict)> + '_ {
         self.table
             .iter_nonzero()
             .map(|(idx, v)| (idx, Verdict::from_u8(v).unwrap_or(Verdict::Unmeasured)))
     }
+}
+
+/// Occurrences of each measured verdict's tag in `tags`. Slot 0 is
+/// left at zero for the caller to fill with the remainder: tag 0 and
+/// tags no verdict encodes both read as [`Verdict::Unmeasured`]. One
+/// pass per verdict, each a byte compare the compiler vectorises.
+fn count_tags(tags: &[u8]) -> [u32; 5] {
+    let mut counts = [0u32; 5];
+    for v in &Verdict::ALL[1..] {
+        counts[*v as usize] = tags.iter().filter(|&&t| t == *v as u8).count() as u32;
+    }
+    counts
 }
 
 #[cfg(test)]
@@ -129,5 +170,88 @@ mod tests {
                 (3, Verdict::Dropped)
             ]
         );
+    }
+
+    /// What `histogram` must equal: one `get` per index.
+    fn histogram_by_get(t: &VerdictTable, first: u32, n: u64) -> [u64; 5] {
+        let mut counts = [0u64; 5];
+        for idx in u64::from(first)..u64::from(first) + n {
+            // Past u32 there is nothing to look up, as past 2^24.
+            let v = u32::try_from(idx).map_or(Verdict::Unmeasured, |idx| t.get(idx));
+            counts[v as usize] += 1;
+        }
+        counts
+    }
+
+    /// Pages the generated tables populate — neighbours (0, 1, 2), a
+    /// lone page behind a gap (7), and the last two of the /24 space.
+    const PAGES: [u32; 6] = [0, 1, 2, 7, 4094, 4095];
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// The range histogram equals a `get` loop for ranges that
+        /// start in populated or empty pages, cross page boundaries and
+        /// gaps, are empty, or end at or beyond 2^24 — over raw tags
+        /// that include values no verdict encodes.
+        #[test]
+        fn histogram_matches_a_get_loop(
+            cells in proptest::collection::vec((0usize..PAGES.len(), 0u32..4096, 0u8..8), 0..200),
+            start_page in 0u32..10,
+            from_the_end in proptest::arbitrary::any::<bool>(),
+            start_slot in 0u32..4096,
+            n in prop_oneof![0u64..3, 0u64..4096, 4096u64..(3 * 4096 + 2)],
+        ) {
+            let mut table = Slash24Table::new();
+            for (page, slot, tag) in &cells {
+                table.set((PAGES[*page] << 12) + slot, *tag);
+            }
+            let t = VerdictTable { table };
+            // `from_the_end` starts in the last three pages, so the
+            // range runs up to, or over, the end of the space.
+            let page = if from_the_end { 4093 + start_page % 3 } else { start_page };
+            let first = (page << 12) + start_slot;
+            prop_assert_eq!(t.histogram(first, n), histogram_by_get(&t, first, n));
+        }
+
+        /// Per-page histograms cover each allocated page exactly, and
+        /// their measured counts add up to `count_measured()`.
+        #[test]
+        fn page_histograms_sum_to_the_measured_count(
+            cells in proptest::collection::vec((0usize..PAGES.len(), 0u32..4096, 1u8..=4), 0..200),
+        ) {
+            let mut t = VerdictTable::new();
+            for (page, slot, tag) in &cells {
+                t.record((PAGES[*page] << 12) + slot, Verdict::from_u8(*tag).unwrap());
+            }
+            let mut measured = 0u64;
+            for (page, counts) in t.page_histograms() {
+                prop_assert_eq!(counts.iter().sum::<u32>(), 4096);
+                prop_assert_eq!(
+                    counts.map(u64::from),
+                    histogram_by_get(&t, page << 12, 4096)
+                );
+                measured += counts[1..].iter().map(|c| u64::from(*c)).sum::<u64>();
+            }
+            prop_assert_eq!(measured, t.count_measured());
+        }
+    }
+
+    #[test]
+    fn histogram_of_the_whole_space_and_of_nothing() {
+        let mut t = VerdictTable::new();
+        t.record(0, Verdict::Hit);
+        t.record(4095, Verdict::Miss);
+        t.record(4096, Verdict::Hit);
+        t.record(0xFF_FFFF, Verdict::Dropped);
+        assert_eq!(t.histogram(0, 1 << 24), [(1 << 24) - 4, 1, 1, 0, 2]);
+        assert_eq!(t.histogram(0xFF_FFFF, 1), [0, 1, 0, 0, 0]);
+        assert_eq!(t.histogram(4095, 2), [0, 0, 1, 0, 1]);
+        assert_eq!(t.histogram(4096, 0), [0; 5]);
+        // Past the space everything is unmeasured, as `get` says.
+        assert_eq!(t.histogram(0xFF_FFFF, 3), [2, 1, 0, 0, 0]);
+        assert_eq!(t.histogram(u32::MAX, 5), [5, 0, 0, 0, 0]);
     }
 }

@@ -7,7 +7,9 @@
 //! drives in-process clients *while* the service is still sweeping,
 //! proving queries are answered concurrently with generation
 //! publication, and a third checks log compaction leaves a replayable
-//! base + tail on disk.
+//! base + tail on disk. A golden transcript pins the reply to every
+//! query kind byte for byte, and a hostile-query test sends the
+//! requests that ask for the most work.
 
 use std::io::{BufRead as _, Read as _};
 use std::path::{Path, PathBuf};
@@ -160,6 +162,110 @@ fn identically_seeded_serve_runs_are_byte_identical() {
     assert_eq!(summary_a, summary_b, "serve summaries diverged");
     assert_eq!(log_a, log_b, "event logs diverged");
     assert_eq!(snap_a, snap_b, "final snapshots diverged");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Every query kind, replayed by the deployed client against a live
+/// service, renders exactly the transcript recorded from the engine
+/// that answered by scanning (`tests/golden/`): prefixes at /0 … /32
+/// over routed, straddling, unrouted and last-/24 space, rankings,
+/// ECDFs, known and unknown names. The query index may change how an
+/// answer is found, never a byte of it.
+#[test]
+fn live_transcript_matches_the_golden_replies() {
+    const GOLDEN_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden");
+    let golden = std::fs::read_to_string(format!("{GOLDEN_DIR}/serve_replies_tiny_2021.txt"))
+        .expect("golden transcript present");
+    let dir = scratch("golden");
+    let serve = Serve::spawn(
+        &dir,
+        &[
+            "--seed",
+            "2021",
+            "--sweeps",
+            "2",
+            "--event-log",
+            "golden.cmel",
+        ],
+    );
+    let out = Command::new(BIN)
+        .args([
+            "query",
+            "--connect",
+            &serve.addr,
+            "--trace",
+            &format!("{GOLDEN_DIR}/serve_trace_tiny_2021.txt"),
+        ])
+        .output()
+        .expect("run query client");
+    assert!(
+        out.status.success(),
+        "query client failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    serve.wait_success();
+    let replies = String::from_utf8(out.stdout).expect("utf8 replies");
+    for (n, (got, want)) in replies.lines().zip(golden.lines()).enumerate() {
+        assert_eq!(got, want, "reply {} drifted from the golden", n + 1);
+    }
+    assert_eq!(
+        replies, golden,
+        "transcript drifted from tests/golden/serve_replies_tiny_2021.txt"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The queries that ask for the most work — the whole address space,
+/// a 4-billion-point ECDF, an unbounded ranking — each get their typed
+/// reply inside the client's frame deadline, and the service answers
+/// `info` afterwards on the same connection and on a fresh one: no
+/// single request can kill it or pin a connection thread.
+#[test]
+fn work_amplifying_queries_get_typed_replies_and_the_service_lives() {
+    let dir = scratch("hostile");
+    let log = dir.join("hostile.cmel");
+    let serve = Serve::spawn(
+        &dir,
+        &["--sweeps", "1", "--event-log", log.to_str().unwrap()],
+    );
+    // The deadline a `clientmap query --io-timeout 10` client runs with.
+    let io = Duration::from_secs(10);
+    let mut c = QueryClient::connect(&serve.addr, io).expect("connect");
+    let Reply::Info(info) = c.request(&Query::WaitGen(1)).expect("wait gen 1") else {
+        panic!("WaitGen must answer with that generation's info");
+    };
+
+    match c
+        .request(&Query::Prefix("0.0.0.0/0".parse().unwrap()))
+        .expect("prefix /0")
+    {
+        Reply::Prefix(p) => {
+            assert_eq!(p.verdicts.iter().sum::<u64>(), 1 << 24);
+            assert_eq!(
+                p.verdicts[1..].iter().sum::<u64>(),
+                info.measured_slash24s,
+                "the whole space holds every measured /24"
+            );
+            assert!(!p.origins.is_empty());
+        }
+        other => panic!("prefix /0 must answer, got {other:?}"),
+    }
+    match c.request(&Query::Ecdf(u32::MAX)).expect("ecdf u32::MAX") {
+        Reply::Err(e) => assert!(e.contains("exceeds the limit"), "unexpected error: {e}"),
+        other => panic!("an over-limit ecdf must be refused, got {other:?}"),
+    }
+    match c.request(&Query::TopK(u32::MAX)).expect("top u32::MAX") {
+        Reply::TopK(rows) => assert_eq!(rows.len() as u32, info.active_ases),
+        other => panic!("top u32::MAX must return the whole ranking, got {other:?}"),
+    }
+
+    // Still alive, on this connection and on a second one.
+    assert!(matches!(c.request(&Query::Info), Ok(Reply::Info(_))));
+    let mut second = QueryClient::connect(&serve.addr, io).expect("second connection");
+    assert!(matches!(second.request(&Query::Info), Ok(Reply::Info(_))));
+
+    assert!(matches!(c.request(&Query::Stop), Ok(Reply::Bye)));
+    serve.wait_success();
     let _ = std::fs::remove_dir_all(&dir);
 }
 
