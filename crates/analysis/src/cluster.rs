@@ -147,7 +147,7 @@ mod tests {
         observed.record(1, Verdict::Hit); // TP
         observed.record(3, Verdict::Hit); // FP (reference says Miss)
         observed.record(4, Verdict::Miss); // no target on either side
-        // idx 2: FN — reference Hit, observed unmeasured.
+                                           // idx 2: FN — reference Hit, observed unmeasured.
         let pr = verdict_precision_recall(&observed, &reference, Verdict::Hit);
         assert_eq!(
             pr,

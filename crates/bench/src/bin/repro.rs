@@ -3,7 +3,6 @@
 //! ```sh
 //! repro [--scale tiny|small|paper] [--seed N] [--faults PROFILE] [--fault-seed N]
 //!       [--scalar-probing] [--metrics FILE] [section…]
-//! repro [--scale …] [--seed N] [--faults …] bench [--json FILE]
 //! ```
 //!
 //! Sections: `headline table1 table2 table3 table4 table5 fig1 fig2
@@ -16,10 +15,6 @@
 //! The snapshot is deterministic: two runs with the same scale and seed
 //! produce byte-identical files.
 //!
-//! `bench` runs the pipeline once and reports per-stage wall times plus
-//! the executor's thread count (set `CLIENTMAP_THREADS` to pin it) as
-//! JSON, to stdout or to `--json FILE`.
-//!
 //! `--faults PROFILE` (`off|light|lossy|pop-churn`) runs the whole
 //! pipeline under the named deterministic fault plan; the report grows
 //! a Robustness section with the partial-result accounting.
@@ -27,7 +22,8 @@
 //! `--scalar-probing` forces the per-probe scalar lane instead of the
 //! default batched kernels. Both lanes are byte-identical in every
 //! report and metric (CI diffs them); the flag exists to prove exactly
-//! that, and to time the lanes against each other.
+//! that. (`repro` states no timings: the repo's one benchmark is
+//! `bash benchmark/run.sh`, see `benchmark/README.md`.)
 
 use clientmap_cacheprobe::scopescan::scan_domain;
 use clientmap_cacheprobe::vantage::discover;
@@ -39,11 +35,9 @@ use clientmap_net::Prefix;
 use clientmap_sim::{Sim, SimTime, Transport};
 use clientmap_world::World;
 
-/// Every section name `repro` prints (plus `bench`, which runs the
-/// timing harness instead of a report).
-const SECTIONS: [&str; 24] = [
+/// Every section name `repro` prints.
+const SECTIONS: [&str; 23] = [
     "all",
-    "bench",
     "headline",
     "robustness",
     "table1",
@@ -92,7 +86,6 @@ fn main() {
     let mut fault_seed = 0u64;
     let mut scalar_probing = false;
     let mut metrics_path: Option<String> = None;
-    let mut json_path: Option<String> = None;
     let mut sections: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(arg) = args.next() {
@@ -108,7 +101,6 @@ fn main() {
             "--faults" => faults = parsed(&arg, &value()),
             "--fault-seed" => fault_seed = parsed(&arg, &value()),
             "--metrics" => metrics_path = Some(value()),
-            "--json" => json_path = Some(value()),
             "--scalar-probing" => scalar_probing = true,
             s if SECTIONS.contains(&s) => sections.push(arg.clone()),
             _ => usage_error(format!(
@@ -121,22 +113,14 @@ fn main() {
         sections.push("all".into());
     }
 
-    let mut config = match scale.as_str() {
-        "paper" => PipelineConfig::paper_scale(seed),
-        "small" => PipelineConfig::small(seed),
-        "tiny" => PipelineConfig::tiny(seed),
-        other => usage_error(format!(
-            "bad --scale {other:?}: expected tiny, small or paper"
-        )),
-    };
+    let mut config = PipelineConfig::from_scale(&scale, seed).unwrap_or_else(|| {
+        usage_error(format!(
+            "bad --scale {scale:?}: expected tiny, small or paper"
+        ))
+    });
     config.faults = FaultConfig::profile(faults, fault_seed);
     if scalar_probing {
         config.probe.batched_probing = false;
-    }
-
-    if sections.iter().any(|s| s == "bench") {
-        bench_run(&scale, seed, config, json_path.as_deref());
-        return;
     }
 
     eprintln!(
@@ -242,383 +226,6 @@ fn main() {
             clientmap_analysis::telemetry::render_summary(&out.metrics_snapshot())
         );
     }
-}
-
-/// `repro bench`: three timed pipeline runs — cold, warm from the
-/// cold run's snapshot (nothing expired: zero probe work replanned),
-/// and warm at a 10% expiry budget — reported as JSON with per-stage
-/// wall seconds, warm-planner accounting, and the executor's worker
-/// count.
-fn bench_run(scale: &str, seed: u64, config: PipelineConfig, json_path: Option<&str>) {
-    let threads = clientmap_par::thread_count();
-    let faults = config.faults;
-    eprintln!(
-        "repro bench: scale={scale} seed={seed} faults={} threads={threads} — cold run…",
-        faults.profile.as_str()
-    );
-    let run = |config: PipelineConfig,
-               prior: Option<clientmap_store::SweepSnapshot>,
-               timings: &mut Vec<(String, f64)>| {
-        let start = std::time::Instant::now();
-        match Pipeline::run_warm_timed(config, prior, timings) {
-            Ok(out) => (out, start.elapsed().as_secs_f64()),
-            Err(e) => {
-                eprintln!("repro bench: pipeline failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-
-    let mut cold_timings: Vec<(String, f64)> = Vec::new();
-    let (cold, cold_secs) = run(config.clone(), None, &mut cold_timings);
-    eprintln!(
-        "repro bench: cold run done in {cold_secs:.1}s ({} probes sent) — warm run…",
-        cold.cache_probe.probes_sent
-    );
-
-    let mut warm_timings: Vec<(String, f64)> = Vec::new();
-    let (warm, warm_secs) = run(config.clone(), Some(cold.sweep.clone()), &mut warm_timings);
-    eprintln!("repro bench: warm run done in {warm_secs:.1}s — warm run at 10% expiry…");
-
-    let mut expiry_config = config.clone();
-    expiry_config.probe.expiry_budget = 0.10;
-    let mut expiry_timings: Vec<(String, f64)> = Vec::new();
-    let (expiry, expiry_secs) = run(expiry_config, Some(cold.sweep.clone()), &mut expiry_timings);
-    eprintln!(
-        "repro bench: 10%-expiry warm run done in {expiry_secs:.1}s — \
-         cold/warm speedup {:.1}x",
-        cold_secs / warm_secs.max(1e-9)
-    );
-
-    let stages_json = |timings: &[(String, f64)]| {
-        let mut s = String::from("    \"stages\": {\n");
-        for (i, (name, secs)) in timings.iter().enumerate() {
-            let comma = if i + 1 < timings.len() { "," } else { "" };
-            s.push_str(&format!("      \"{name}\": {secs:.3}{comma}\n"));
-        }
-        s.push_str("    }\n");
-        s
-    };
-    let planner_json = |out: &PipelineOutput| {
-        let snap = out.metrics_snapshot();
-        let c = |name: &str| snap.counter(&format!("cacheprobe.planner.{name}"));
-        format!(
-            "    \"planner\": {{\n      \"universe\": {},\n      \"planned\": {},\n      \
-             \"skipped_warm\": {},\n      \"units\": {},\n      \"new\": {},\n      \
-             \"expired\": {},\n      \"rescued\": {},\n      \"dirty\": {}\n    }},\n",
-            c("universe"),
-            c("planned"),
-            c("skipped_warm"),
-            c("units"),
-            c("new"),
-            c("expired"),
-            c("rescued"),
-            c("dirty"),
-        )
-    };
-
-    let mut json = String::from("{\n");
-    json.push_str(&format!("  \"scale\": \"{scale}\",\n"));
-    json.push_str(&format!("  \"seed\": {seed},\n"));
-    json.push_str(&format!("  \"faults\": \"{}\",\n", faults.profile.as_str()));
-    json.push_str(&format!("  \"threads\": {threads},\n"));
-
-    json.push_str("  \"cold\": {\n");
-    json.push_str(&format!("    \"total_secs\": {cold_secs:.3},\n"));
-    if let Some(f) = &cold.cache_probe.fault {
-        json.push_str("    \"fault_summary\": {\n");
-        json.push_str(&format!("      \"observed\": {},\n", f.observed));
-        json.push_str(&format!("      \"retries\": {},\n", f.retries));
-        json.push_str(&format!("      \"recovered\": {},\n", f.recovered));
-        json.push_str(&format!("      \"degraded\": {},\n", f.degraded));
-        json.push_str(&format!("      \"lost\": {},\n", f.lost));
-        json.push_str(&format!(
-            "      \"quarantined_pops\": {},\n",
-            f.quarantined_pops.len()
-        ));
-        json.push_str(&format!(
-            "      \"rescued_scopes\": {},\n",
-            f.rescued_scopes
-        ));
-        json.push_str(&format!(
-            "      \"unmeasured_scopes\": {},\n",
-            f.unmeasured_scopes
-        ));
-        json.push_str(&format!(
-            "      \"assigned_scopes\": {}\n",
-            f.assigned_scopes
-        ));
-        json.push_str("    },\n");
-    }
-    json.push_str(&stages_json(&cold_timings));
-    json.push_str("  },\n");
-
-    json.push_str("  \"warm\": {\n");
-    json.push_str(&format!("    \"total_secs\": {warm_secs:.3},\n"));
-    json.push_str(&format!(
-        "    \"speedup_vs_cold\": {:.2},\n",
-        cold_secs / warm_secs.max(1e-9)
-    ));
-    json.push_str(&planner_json(&warm));
-    json.push_str(&stages_json(&warm_timings));
-    json.push_str("  },\n");
-
-    json.push_str("  \"warm_expiry_10pct\": {\n");
-    json.push_str(&format!("    \"total_secs\": {expiry_secs:.3},\n"));
-    json.push_str(&format!(
-        "    \"speedup_vs_cold\": {:.2},\n",
-        cold_secs / expiry_secs.max(1e-9)
-    ));
-    json.push_str(&planner_json(&expiry));
-    json.push_str(&stages_json(&expiry_timings));
-    json.push_str("  },\n");
-    json.push_str(&clustered_sweep_json(
-        config.clone(),
-        &cold,
-        cold_secs,
-        &cold_timings,
-    ));
-    json.push_str(&fleet_fault_overhead_json(scale, config, threads));
-    json.push_str("}\n");
-
-    match json_path {
-        Some(path) => match std::fs::write(path, &json) {
-            Ok(()) => eprintln!("repro bench: wrote {path}"),
-            Err(e) => {
-                eprintln!("repro bench: cannot write {path}: {e}");
-                std::process::exit(1);
-            }
-        },
-        None => print!("{json}"),
-    }
-}
-
-/// The `clustered_sweep` bench entry: the cost and quality of
-/// cluster-based predictive probing.
-///
-/// * **Cost** — a cold clustered run against the cold exhaustive run
-///   `bench_run` already timed: total and probing-stage seconds, plus
-///   the planner's live-probe ratio (representatives + escalations
-///   over the planned universe).
-/// * **Quality** — the warm differential the equivalence suite pins: a
-///   full-expiry warm exhaustive re-sweep versus a full-expiry warm
-///   clustered re-sweep from the *same* cold snapshot, compared on the
-///   /24 `Hit` verdict tables as precision/recall.
-fn clustered_sweep_json(
-    base: PipelineConfig,
-    cold: &PipelineOutput,
-    cold_secs: f64,
-    cold_timings: &[(String, f64)],
-) -> String {
-    use clientmap_analysis::verdict_precision_recall;
-    use clientmap_store::Verdict;
-
-    let stage = |timings: &[(String, f64)], name: &str| {
-        timings
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, s)| s)
-            .unwrap_or(0.0)
-    };
-    let run = |config: PipelineConfig,
-               prior: Option<clientmap_store::SweepSnapshot>,
-               what: &str|
-     -> (PipelineOutput, f64, Vec<(String, f64)>) {
-        let mut timings = Vec::new();
-        let start = std::time::Instant::now();
-        match Pipeline::run_warm_timed(config, prior, &mut timings) {
-            Ok(out) => (out, start.elapsed().as_secs_f64(), timings),
-            Err(e) => {
-                eprintln!("repro bench: {what} failed: {e}");
-                std::process::exit(1);
-            }
-        }
-    };
-
-    let mut clustered_cfg = base.clone();
-    clustered_cfg.probe.clustered_probing = true;
-
-    eprintln!("repro bench: clustered sweep — cold clustered run…");
-    let (cold_clustered, clustered_secs, clustered_timings) =
-        run(clustered_cfg.clone(), None, "cold clustered run");
-    let snap = cold_clustered.metrics_snapshot();
-    let c = |name: &str| snap.counter(&format!("cacheprobe.cluster.{name}"));
-    let universe = c("planned_universe");
-    let reps = c("representatives");
-    let escalated = c("escalated");
-    let live_ratio = (reps + escalated) as f64 / universe.max(1) as f64;
-
-    eprintln!("repro bench: clustered sweep — full-expiry warm differential…");
-    let mut warm_ex_cfg = base;
-    warm_ex_cfg.probe.expiry_budget = 1.0;
-    clustered_cfg.probe.expiry_budget = 1.0;
-    let (warm_ex, _, _) = run(
-        warm_ex_cfg,
-        Some(cold.sweep.clone()),
-        "full-expiry warm exhaustive run",
-    );
-    let (warm_cl, _, _) = run(
-        clustered_cfg,
-        Some(cold.sweep.clone()),
-        "full-expiry warm clustered run",
-    );
-    let pr = verdict_precision_recall(
-        &warm_cl.cache_probe.verdict_table(),
-        &warm_ex.cache_probe.verdict_table(),
-        Verdict::Hit,
-    );
-    eprintln!(
-        "repro bench: clustered sweep done — live-probe ratio {live_ratio:.3}, \
-         warm Hit precision {:.4} recall {:.4}",
-        pr.precision(),
-        pr.recall()
-    );
-
-    format!(
-        "  \"clustered_sweep\": {{\n    \
-         \"cold_exhaustive_secs\": {cold_secs:.3},\n    \
-         \"cold_clustered_secs\": {clustered_secs:.3},\n    \
-         \"sweep_time_ratio\": {:.3},\n    \
-         \"probing_secs_exhaustive\": {:.3},\n    \
-         \"probing_secs_clustered\": {:.3},\n    \
-         \"planned_universe\": {universe},\n    \
-         \"representatives\": {reps},\n    \
-         \"extrapolated\": {},\n    \
-         \"escalated\": {escalated},\n    \
-         \"clusters\": {},\n    \
-         \"live_probe_ratio\": {live_ratio:.4},\n    \
-         \"warm_hit_precision\": {:.4},\n    \
-         \"warm_hit_recall\": {:.4}\n  }},\n",
-        clustered_secs / cold_secs.max(1e-9),
-        stage(cold_timings, "probing"),
-        stage(&clustered_timings, "probing"),
-        c("extrapolated"),
-        c("clusters"),
-        pr.precision(),
-        pr.recall(),
-    )
-}
-
-/// The `fleet_fault_overhead` bench entry: one lossy sweep single-
-/// process versus the same seed on a 2-worker fleet, timing what the
-/// distributed quarantine/rescue protocol costs on top of the local
-/// path. The snapshots must be byte-identical — the overhead is pure
-/// transport and merge, never a different answer. Skipped (with a
-/// reason in the JSON) when the `clientmap` binary is not built next
-/// to `repro`.
-fn fleet_fault_overhead_json(scale: &str, base: PipelineConfig, threads: usize) -> String {
-    use clientmap_fleet::{FleetOptions, FleetSweep};
-
-    const WORKERS: usize = 2;
-    const FAULT_SEED: u64 = 7;
-    let mut config = base;
-    config.faults = FaultConfig::profile(FaultProfile::Lossy, FAULT_SEED);
-
-    eprintln!("repro bench: fleet fault overhead — single-process lossy run…");
-    let mut timings = Vec::new();
-    let start = std::time::Instant::now();
-    let single = match Pipeline::run_warm_timed(config.clone(), None, &mut timings) {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("repro bench: single-process lossy run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let single_secs = start.elapsed().as_secs_f64();
-
-    let (mut children, addrs) = match spawn_fleet_workers(WORKERS, threads) {
-        Ok(pair) => pair,
-        Err(why) => {
-            eprintln!("repro bench: fleet fault overhead skipped: {why}");
-            return format!("  \"fleet_fault_overhead\": {{ \"skipped\": \"{why}\" }}\n");
-        }
-    };
-    eprintln!("repro bench: fleet fault overhead — {WORKERS}-worker lossy run…");
-    let opts = FleetOptions {
-        workers: addrs,
-        num_shards: 0,
-        ..FleetOptions::default()
-    };
-    let mut fleet = FleetSweep::new(opts, scale.to_string());
-    let mut fleet_timings = Vec::new();
-    let start = std::time::Instant::now();
-    let result = Pipeline::run_warm_timed_with(config, None, &mut fleet_timings, &mut fleet);
-    let fleet_secs = start.elapsed().as_secs_f64();
-    for child in &mut children {
-        let _ = child.wait();
-    }
-    let out = match result {
-        Ok(out) => out,
-        Err(e) => {
-            eprintln!("repro bench: 2-worker lossy run failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let identical = out.sweep.encode() == single.sweep.encode();
-    if !identical {
-        eprintln!("repro bench: WARNING: fleet lossy snapshot differs from single-process");
-    }
-    format!(
-        "  \"fleet_fault_overhead\": {{\n    \"profile\": \"lossy\",\n    \
-         \"fault_seed\": {FAULT_SEED},\n    \"workers\": {WORKERS},\n    \
-         \"single_process_secs\": {single_secs:.3},\n    \"fleet_secs\": {fleet_secs:.3},\n    \
-         \"overhead_vs_single\": {:.2},\n    \"identical_snapshots\": {identical}\n  }}\n",
-        fleet_secs / single_secs.max(1e-9)
-    )
-}
-
-/// Spawns `n` one-shot `clientmap worker` processes beside this binary
-/// and collects their announced listen addresses.
-fn spawn_fleet_workers(
-    n: usize,
-    threads: usize,
-) -> Result<(Vec<std::process::Child>, Vec<String>), String> {
-    use std::io::BufRead as _;
-
-    let exe = std::env::current_exe().map_err(|e| e.to_string())?;
-    let clientmap = exe.with_file_name("clientmap");
-    if !clientmap.exists() {
-        return Err(format!("{} is not built", clientmap.display()));
-    }
-    let mut children: Vec<std::process::Child> = Vec::new();
-    let mut addrs = Vec::new();
-    let fail = |children: &mut Vec<std::process::Child>, why: String| {
-        for child in children {
-            let _ = child.kill();
-        }
-        why
-    };
-    for _ in 0..n {
-        let mut child = std::process::Command::new(&clientmap)
-            .args(["worker", "--listen", "127.0.0.1:0", "--once"])
-            .env("CLIENTMAP_THREADS", threads.to_string())
-            .stdout(std::process::Stdio::piped())
-            .stderr(std::process::Stdio::null())
-            .spawn()
-            .map_err(|e| format!("cannot spawn worker: {e}"))?;
-        let stdout = child.stdout.take().expect("worker stdout is piped");
-        let mut line = String::new();
-        if std::io::BufReader::new(stdout)
-            .read_line(&mut line)
-            .is_err()
-            || line.trim().is_empty()
-        {
-            let _ = child.kill();
-            return Err(fail(
-                &mut children,
-                "worker announced no listen address".into(),
-            ));
-        }
-        let addr = line
-            .trim()
-            .rsplit(' ')
-            .next()
-            .unwrap_or_default()
-            .to_string();
-        children.push(child);
-        addrs.push(addr);
-    }
-    Ok((children, addrs))
 }
 
 /// §6 future work, implemented: relative activity ranking from cache

@@ -21,12 +21,6 @@ pub fn tiny_run() -> &'static PipelineOutput {
     OUT.get_or_init(|| Pipeline::run(PipelineConfig::tiny(0xC11E)).expect("tiny run is healthy"))
 }
 
-/// A shared small run for heavier comparisons.
-pub fn small_run() -> &'static PipelineOutput {
-    static OUT: OnceLock<PipelineOutput> = OnceLock::new();
-    OUT.get_or_init(|| Pipeline::run(PipelineConfig::small(0xC11E)).expect("small run is healthy"))
-}
-
 #[cfg(test)]
 mod tests {
     #[test]

@@ -99,7 +99,7 @@ fn bad_input_is_rejected_before_the_pipeline_runs() {
             &["--metrics", "--scalar-probing"],
             "--metrics needs a value",
         ),
-        (&["bench", "--json"], "--json needs a value"),
+        (&["bench"], "unknown section or flag \"bench\""),
         (&["headlines"], "unknown section or flag \"headlines\""),
     ];
     for (args, expect) in cases {

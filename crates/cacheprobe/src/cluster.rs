@@ -232,7 +232,12 @@ impl ClusteredPlan {
                     .mix(u64::from(key.2))
                     .mix(u64::from(key.3))
                     .finish();
-                candidates.push((order, key, ClusterFeatures::of(world, scope, prior_rec), reason));
+                candidates.push((
+                    order,
+                    key,
+                    ClusterFeatures::of(world, scope, prior_rec),
+                    reason,
+                ));
                 stats.planned_universe += 1;
             }
             // Seeded greedy epsilon-clustering: visit candidates in
@@ -352,7 +357,11 @@ mod tests {
 
     fn block_units(n: usize) -> (Vec<ProbeUnit>, Vec<BoundVantage>) {
         let scopes: Vec<Prefix> = world().blocks.iter().map(|b| b.prefix).take(n).collect();
-        assert_eq!(scopes.len(), n, "tiny world has fewer blocks than the test wants");
+        assert_eq!(
+            scopes.len(),
+            n,
+            "tiny world has fewer blocks than the test wants"
+        );
         (
             vec![ProbeUnit {
                 bound_idx: 0,
@@ -408,7 +417,10 @@ mod tests {
         for e in &out.extrapolated {
             assert!(live.contains(&e.rep), "rep of {e:?} is not probed live");
             let member = crate::probe::record_key(e.bound_idx, e.domain, e.scope);
-            assert!(!live.contains(&member), "member {e:?} probed despite extrapolation");
+            assert!(
+                !live.contains(&member),
+                "member {e:?} probed despite extrapolation"
+            );
             assert!((1..=CONFIDENCE_MAX).contains(&e.confidence));
         }
     }
@@ -466,7 +478,11 @@ mod tests {
         assert!(stats.conserved());
         assert_eq!(stats.escalated, 2);
         let out = plan_units(&plan, units, Some(&prior), &bound);
-        let live: Vec<Prefix> = out.live_units.iter().flat_map(|u| u.scopes.clone()).collect();
+        let live: Vec<Prefix> = out
+            .live_units
+            .iter()
+            .flat_map(|u| u.scopes.clone())
+            .collect();
         assert!(live.contains(&scopes[0]), "flipped tag must re-probe");
         assert!(live.contains(&scopes[1]), "weak tag must re-probe");
     }

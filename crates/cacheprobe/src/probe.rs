@@ -654,11 +654,6 @@ impl SweepPrep {
         self.units.len()
     }
 
-    /// Scopes in unit `idx` (labels shard work; empty when out of range).
-    pub fn unit_len(&self, idx: usize) -> usize {
-        self.units.get(idx).map_or(0, |u| u.scopes.len())
-    }
-
     /// True when a warm plan skipped everything — nothing to shard.
     pub fn warm_full_skip(&self) -> bool {
         self.warm_full_skip

@@ -82,6 +82,19 @@ impl PipelineConfig {
             ..PipelineConfig::tiny(seed)
         }
     }
+
+    /// The preset a `--scale` name selects (`tiny`, `small`, `paper`),
+    /// or `None` for any other name — the one mapping the CLIs and the
+    /// fleet job handshake share, so a typo is refused everywhere
+    /// instead of silently measuring the tiny world.
+    pub fn from_scale(name: &str, seed: u64) -> Option<Self> {
+        match name {
+            "tiny" => Some(PipelineConfig::tiny(seed)),
+            "small" => Some(PipelineConfig::small(seed)),
+            "paper" => Some(PipelineConfig::paper_scale(seed)),
+            _ => None,
+        }
+    }
 }
 
 /// Everything an end-to-end run produces.
@@ -567,6 +580,19 @@ mod tests {
     fn output() -> &'static PipelineOutput {
         static OUT: std::sync::OnceLock<PipelineOutput> = std::sync::OnceLock::new();
         OUT.get_or_init(|| Pipeline::run(PipelineConfig::tiny(7)).expect("tiny run is healthy"))
+    }
+
+    #[test]
+    fn from_scale_maps_exactly_the_three_presets() {
+        let same = |a: &PipelineConfig, b: &PipelineConfig| format!("{a:?}") == format!("{b:?}");
+        let preset = |name| PipelineConfig::from_scale(name, 9).expect("known scale");
+        assert!(same(&preset("tiny"), &PipelineConfig::tiny(9)));
+        assert!(same(&preset("small"), &PipelineConfig::small(9)));
+        assert!(same(&preset("paper"), &PipelineConfig::paper_scale(9)));
+        assert!(!same(&preset("tiny"), &preset("small")));
+        for bad in ["papr", "Tiny", "paper_scale", "", " tiny"] {
+            assert!(PipelineConfig::from_scale(bad, 9).is_none(), "{bad:?}");
+        }
     }
 
     #[test]

@@ -401,7 +401,8 @@ impl<'a> Report<'a> {
     /// sweep. `None` on non-clustered runs, keeping their rendered
     /// reports byte-identical to the pre-clustering pipeline. (The
     /// full clustered-vs-exhaustive precision/recall needs a reference
-    /// run and lives in the differential suite and `repro bench`.)
+    /// run and lives in the differential suite,
+    /// `tests/cluster_equivalence.rs`.)
     pub fn cluster_ablation(&self) -> Option<String> {
         let snap = self.out.metrics_snapshot();
         if !snap
@@ -422,7 +423,10 @@ impl<'a> Report<'a> {
         let mut t = TextTable::new(["measure", "value"]);
         t.row(["slots planned for live probing", &fmt_count(universe)]);
         t.row(["  probed as representatives", &fmt_count(reps)]);
-        t.row(["  extrapolated from a representative", &fmt_count(extrapolated)]);
+        t.row([
+            "  extrapolated from a representative",
+            &fmt_count(extrapolated),
+        ]);
         t.row(["  escalated to live probing", &fmt_count(escalated)]);
         t.row(["clusters", &fmt_count(clusters)]);
         t.row([

@@ -136,14 +136,13 @@ impl JobSpec {
     }
 
     /// The pipeline configuration this job describes — the same
-    /// mapping the CLI's `--scale`/`--seed` flags use, with the
-    /// probing knobs and fault plan overridden from the spec.
-    pub fn config(&self) -> PipelineConfig {
-        let mut config = match self.scale.as_str() {
-            "paper" => PipelineConfig::paper_scale(self.seed),
-            "small" => PipelineConfig::small(self.seed),
-            _ => PipelineConfig::tiny(self.seed),
-        };
+    /// mapping the CLI's `--scale`/`--seed` flags use
+    /// ([`PipelineConfig::from_scale`]), with the probing knobs and
+    /// fault plan overridden from the spec. `None` for a scale name
+    /// that is not a preset: the worker refuses the job rather than
+    /// agreeing with its driver on the wrong world.
+    pub fn config(&self) -> Option<PipelineConfig> {
+        let mut config = PipelineConfig::from_scale(&self.scale, self.seed)?;
         config.faults = self.faults;
         config.probe.duration_hours = self.duration_hours;
         config.probe.expiry_budget = self.expiry_budget;
@@ -152,7 +151,7 @@ impl JobSpec {
         config.probe.clustered_probing = self.clustered_probing;
         config.probe.cluster_epsilon = self.cluster_epsilon;
         config.probe.cluster_escalate_below = self.cluster_escalate_below;
-        config
+        Some(config)
     }
 
     /// Decodes the job's prior snapshot, if any.

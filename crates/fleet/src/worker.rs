@@ -62,7 +62,12 @@ struct JobState {
 }
 
 fn build_job(spec: &JobSpec) -> Result<JobState, String> {
-    let config = spec.config();
+    let config = spec.config().ok_or_else(|| {
+        format!(
+            "unknown scale {:?} (expected tiny, small or paper)",
+            spec.scale
+        )
+    })?;
     let world = World::generate(config.world.clone());
     let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
     if universe.is_empty() {
@@ -296,4 +301,37 @@ pub fn run_worker(opts: &WorkerOptions) -> std::io::Result<()> {
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use clientmap_faults::FaultConfig;
+
+    /// A scale typo survives the wire intact (the layout does not know
+    /// the preset names) and is refused by the job builder — before
+    /// any world is generated — with a reason naming it.
+    #[test]
+    fn job_with_an_unknown_scale_is_refused_by_name() {
+        let spec = JobSpec {
+            scale: "papr".into(),
+            seed: 7,
+            duration_hours: 2.0,
+            expiry_budget: 0.0,
+            batched_probing: true,
+            batch_size: 64,
+            clustered_probing: false,
+            cluster_epsilon: 0.25,
+            cluster_escalate_below: 0.5,
+            num_shards: 4,
+            config_digest: 0,
+            faults: FaultConfig::default(),
+            prior: None,
+        };
+        let decoded = JobSpec::decode(&spec.encode()).expect("spec round trip");
+        assert_eq!(decoded, spec);
+        assert!(decoded.config().is_none());
+        let reason = build_job(&decoded).err().expect("job must be refused");
+        assert!(reason.contains("unknown scale \"papr\""), "{reason}");
+    }
 }

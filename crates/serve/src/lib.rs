@@ -29,13 +29,11 @@
 
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod client;
 pub mod engine;
 pub mod proto;
 pub mod server;
 
-pub use bench::{query_storm, storm_query, StormOptions, StormPoint};
 pub use client::{load_trace, parse_trace_line, render_reply, run_trace, ClientError, QueryClient};
 pub use engine::{AsActivity, Generation};
 pub use proto::{

@@ -63,7 +63,7 @@ pub struct ServeOptions {
     /// degraded mode (see [`run_sweeps`]).
     pub fail_sweep: Option<u32>,
     /// Told the bound address right after binding — how an in-process
-    /// harness (`serve-bench`, tests) finds a port-0 listener without
+    /// harness (the benchmark, tests) finds a port-0 listener without
     /// scraping stdout.
     pub ready: Option<std::sync::mpsc::Sender<std::net::SocketAddr>>,
 }

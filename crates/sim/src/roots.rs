@@ -88,11 +88,6 @@ impl RootTraceSet {
     pub fn public_traces(&self) -> impl Iterator<Item = &RootTrace> {
         self.traces.iter().filter(|t| t.public)
     }
-
-    /// Total records across public traces.
-    pub fn public_records(&self) -> usize {
-        self.public_traces().map(|t| t.records.len()).sum()
-    }
 }
 
 /// Generates a fresh random Chromium-style label of 7–15 lowercase

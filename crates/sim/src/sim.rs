@@ -54,33 +54,10 @@ pub struct SimView<'a> {
 }
 
 impl<'a> SimView<'a> {
-    /// Sends one wire-format query through a caller-owned session.
-    #[allow(clippy::too_many_arguments)]
-    pub fn gpdns_query(
-        &self,
-        session: &mut GpdnsSession,
-        prober: u64,
-        coord: GeoCoord,
-        packet: &[u8],
-        transport: Transport,
-        t: SimTime,
-    ) -> Option<Vec<u8>> {
-        self.gpdns.handle_query(
-            session,
-            self.world,
-            self.catchments,
-            self.auth,
-            prober,
-            coord,
-            packet,
-            transport,
-            t,
-        )
-    }
-
-    /// [`SimView::gpdns_query`] writing the response into a
-    /// caller-reused buffer — the zero-allocation probe call. Returns
-    /// whether a response was produced (`false` = dropped).
+    /// Sends one wire-format query through a caller-owned session,
+    /// writing the response into a caller-reused buffer — the
+    /// zero-allocation probe call. Returns whether a response was
+    /// produced (`false` = dropped).
     #[allow(clippy::too_many_arguments)]
     pub fn gpdns_query_into(
         &self,

@@ -13,8 +13,6 @@ pub const SLASH24_SPACE: usize = 1 << 24;
 const PAGE_SLOTS: usize = 4096;
 /// 64-bit words per page.
 const PAGE_WORDS: usize = PAGE_SLOTS / 64;
-/// Number of pages covering the whole space.
-const PAGES: usize = SLASH24_SPACE / PAGE_SLOTS;
 
 /// A bitset over every /24 in the IPv4 space (index = `addr >> 8`).
 ///
@@ -177,11 +175,6 @@ impl Slash24Bitset {
                 BitIter { word }.map(move |bit| base + (w as u32) * 64 + bit)
             })
         })
-    }
-
-    /// Upper bound on resident pages (diagnostics only).
-    pub fn pages_allocated(&self) -> usize {
-        self.pages.len().min(PAGES)
     }
 }
 

@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 
-use clientmap_geo::{CountryCode, GeoDb, Metro};
+use clientmap_geo::{GeoDb, Metro};
 use clientmap_net::{Asn, Prefix, Rib};
 
 use crate::types::{AsId, AsInfo, BlockInfo, ResolverId, ResolverInfo, Slash24Info};
@@ -154,15 +154,6 @@ impl World {
     /// All routed /24s with any clients.
     pub fn active_slash24s(&self) -> impl Iterator<Item = &Slash24Info> {
         self.slash24s.iter().filter(|s| s.is_active())
-    }
-
-    /// Per-country human user totals.
-    pub fn users_by_country(&self) -> HashMap<CountryCode, f64> {
-        let mut out: HashMap<CountryCode, f64> = HashMap::new();
-        for a in &self.ases {
-            *out.entry(a.country).or_insert(0.0) += a.users;
-        }
-        out
     }
 
     /// The Google Public DNS resolver entry.

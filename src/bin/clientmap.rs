@@ -12,12 +12,8 @@
 //! clientmap worker  [--listen ADDR] [--once] [--fail-after N]
 //! clientmap driver  --workers a:p,b:p,... [--shards N] [--connect-timeout S]
 //!                   [run flags except --faults]
-//! clientmap fleet-bench [--scale ...] [--seed N] [--threads-per-worker N]
-//!                   [--workers-list 1,2,4] [--duration-hours F] [--json FILE]
 //! clientmap serve   [--listen ADDR] [--sweeps N] [--event-log FILE]
 //!                   [--compact-every N] [run flags]
-//! clientmap serve-bench [--sweeps N] [--storm-queries N]
-//!                   [--connections-list 1,2,4] [--json FILE] [run flags]
 //! ```
 //!
 //! `run` executes the full pipeline and prints the headline numbers;
@@ -38,8 +34,7 @@
 //! prepares the sweep, deals contiguous unit shards to its workers,
 //! and merges their checksummed deltas in shard order, so driver
 //! output is **byte-identical** to `run` at any ⟨worker, thread⟩
-//! combination. `fleet-bench` spawns a local fleet at several sizes
-//! and writes the scaling curve as JSON.
+//! combination.
 //!
 //! `serve` keeps the sweep store resident: it chains `--sweeps` warm
 //! re-sweeps, appends each sweep's verdict delta to an append-only
@@ -47,23 +42,26 @@
 //! generation per sweep, and answers per-AS / per-country / per-prefix
 //! activity queries, top-K rankings, ECDFs, and generation
 //! introspection over TCP while sweeping. `query --connect` is the
-//! matching client (one query per argument line, or a `--trace` file);
-//! `serve-bench` runs an in-process service and storms it with a
-//! seeded synthetic query mix, writing the queries/sec curve as JSON.
+//! matching client (one query per argument line, or a `--trace` file).
+//!
+//! An unknown subcommand or flag, a stray positional word, a flag
+//! missing its value, an unparsable value or a broken subcommand
+//! constraint is rejected with one `clientmap <cmd>: …` line, the
+//! usage text and exit status 2 before any pipeline runs. The binary
+//! states no timings: the repo's one benchmark is `bash
+//! benchmark/run.sh` (see `benchmark/README.md`).
 
-use std::io::{BufRead as _, Write as _};
+use std::io::Write as _;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use clientmap::core::{Pipeline, PipelineConfig, PipelineError, PipelineOutput};
 use clientmap::datasets::export;
 use clientmap::faults::{FaultConfig, FaultProfile};
 use clientmap::fleet::{run_worker, FleetOptions, FleetSweep, WorkerOptions};
 use clientmap::net::Prefix;
-use clientmap::serve::{
-    query_storm, run_trace, serve, Query, QueryClient, ServeOptions, StormOptions,
-};
+use clientmap::serve::{run_trace, serve, ServeOptions};
 use clientmap::store::{AsBitsets, Slash24Bitset, SweepSnapshot};
 
 /// One typed reason the command line could not be used. Every parse
@@ -71,12 +69,13 @@ use clientmap::store::{AsBitsets, Slash24Bitset, SweepSnapshot};
 /// subcommand rolls its own `eprintln!`/`exit` pair.
 #[derive(Debug)]
 enum CliError {
-    /// A flag was given without its value.
+    /// A flag was given without its value (the command line ended, or
+    /// another `--flag` followed).
     MissingValue(&'static str, &'static str),
     /// A flag's value did not parse.
     BadValue(&'static str, String, &'static str),
-    /// A subcommand-level constraint failed (missing required flag,
-    /// forbidden combination).
+    /// An unknown subcommand or flag, or a subcommand-level constraint
+    /// that failed (missing required flag, stray positional word).
     Invalid(String),
 }
 
@@ -95,8 +94,8 @@ impl std::fmt::Display for CliError {
 }
 
 /// The flags shared by every pipeline-running subcommand (`run`,
-/// `driver`, `serve`, `fleet-bench`, `serve-bench`, `export`, `query`,
-/// `stats`): which world, which probing knobs, which outputs.
+/// `driver`, `serve`, `export`, `query`, `stats`): which world, which
+/// probing knobs, which outputs.
 struct CommonOpts {
     scale: String,
     seed: u64,
@@ -115,11 +114,8 @@ struct CommonOpts {
 impl CommonOpts {
     /// The pipeline configuration these flags describe.
     fn config(&self) -> PipelineConfig {
-        let mut config = match self.scale.as_str() {
-            "paper" => PipelineConfig::paper_scale(self.seed),
-            "small" => PipelineConfig::small(self.seed),
-            _ => PipelineConfig::tiny(self.seed),
-        };
+        let mut config = PipelineConfig::from_scale(&self.scale, self.seed)
+            .expect("parse_args admits only the preset scale names");
         config.faults = FaultConfig::profile(self.faults, self.fault_seed);
         config.probe.expiry_budget = self.expiry_budget;
         if let Some(hours) = self.duration_hours {
@@ -147,23 +143,28 @@ struct Args {
     connect_timeout_secs: u64,
     io_timeout_secs: u64,
     fail_sweep: Option<u32>,
-    threads_per_worker: usize,
-    workers_list: Vec<usize>,
-    json: Option<PathBuf>,
     sweeps: u32,
     event_log: Option<PathBuf>,
     compact_every: u32,
     connect: Option<String>,
     trace: Option<String>,
-    storm_queries: u64,
-    connections_list: Vec<u32>,
     positional: Vec<String>,
 }
 
-/// The one flag parser every subcommand shares. Unknown tokens land in
-/// `positional` (prefix/query words); every malformed value is a typed
+/// The subcommands; [`main`] has one arm for each.
+const SUBCOMMANDS: [&str; 7] = [
+    "run", "export", "query", "stats", "worker", "driver", "serve",
+];
+
+/// The one flag parser every subcommand shares. Words that are not
+/// flags land in `positional` (prefix/query words, `query` only — see
+/// [`check_subcommand_constraints`]); an unknown subcommand or
+/// `--flag`, a missing value and a malformed value are each a typed
 /// [`CliError`].
-fn parse_args(argv: &[String]) -> Result<Args, CliError> {
+fn parse_args(cmd: &str, argv: &[String]) -> Result<Args, CliError> {
+    if !SUBCOMMANDS.contains(&cmd) {
+        return Err(CliError::Invalid("unknown subcommand".into()));
+    }
     let mut args = Args {
         common: CommonOpts {
             scale: "tiny".into(),
@@ -188,20 +189,16 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         connect_timeout_secs: 10,
         io_timeout_secs: 600,
         fail_sweep: None,
-        threads_per_worker: 1,
-        workers_list: vec![1, 2, 4],
-        json: None,
         sweeps: 3,
         event_log: None,
         compact_every: 0,
         connect: None,
         trace: None,
-        storm_queries: 2_000,
-        connections_list: vec![1, 2, 4, 8],
         positional: Vec::new(),
     };
 
-    /// `argv[i + 1]` as the raw value of `flag`, or the typed error.
+    /// `argv[i + 1]` as the raw value of `flag`, or the typed error
+    /// when the command line ends there or another flag follows.
     fn raw<'a>(
         argv: &'a [String],
         i: usize,
@@ -210,6 +207,7 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
     ) -> Result<&'a str, CliError> {
         argv.get(i + 1)
             .map(String::as_str)
+            .filter(|v| !v.starts_with("--"))
             .ok_or(CliError::MissingValue(flag, hint))
     }
 
@@ -225,31 +223,21 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
             .map_err(|_| CliError::BadValue(flag, s.to_string(), hint))
     }
 
-    /// A comma-separated list parsed as `Vec<T>` (empty = error).
-    fn list<T: FromStr>(
-        argv: &[String],
-        i: usize,
-        flag: &'static str,
-        hint: &'static str,
-    ) -> Result<Vec<T>, CliError> {
-        let s = raw(argv, i, flag, hint)?;
-        let parsed: Vec<T> = s
-            .split(',')
-            .filter(|w| !w.is_empty())
-            .map(str::parse)
-            .collect::<Result<_, _>>()
-            .map_err(|_| CliError::BadValue(flag, s.to_string(), hint))?;
-        if parsed.is_empty() {
-            return Err(CliError::BadValue(flag, s.to_string(), hint));
-        }
-        Ok(parsed)
-    }
-
     let mut i = 0;
     while i < argv.len() {
         let mut consumed = 2;
         match argv[i].as_str() {
-            "--scale" => args.common.scale = raw(argv, i, "--scale", "tiny")?.to_string(),
+            "--scale" => {
+                let s = raw(argv, i, "--scale", "tiny")?;
+                if PipelineConfig::from_scale(s, 0).is_none() {
+                    return Err(CliError::BadValue(
+                        "--scale",
+                        s.to_string(),
+                        "tiny|small|paper",
+                    ));
+                }
+                args.common.scale = s.to_string();
+            }
             "--seed" => args.common.seed = val(argv, i, "--seed", "2021")?,
             "--faults" => args.common.faults = val(argv, i, "--faults", "lossy")?,
             "--fault-seed" => args.common.fault_seed = val(argv, i, "--fault-seed", "7")?,
@@ -288,7 +276,18 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 consumed = 1;
             }
             "--fail-after" => args.fail_after = Some(val(argv, i, "--fail-after", "2")?),
-            "--workers" => args.workers = list(argv, i, "--workers", "host:port,host:port")?,
+            "--workers" => {
+                let hint = "host:port,host:port";
+                let s = raw(argv, i, "--workers", hint)?;
+                args.workers = s
+                    .split(',')
+                    .filter(|w| !w.is_empty())
+                    .map(str::to_string)
+                    .collect();
+                if args.workers.is_empty() {
+                    return Err(CliError::BadValue("--workers", s.to_string(), hint));
+                }
+            }
             "--shards" => args.shards = val(argv, i, "--shards", "8")?,
             "--connect-timeout" => {
                 args.connect_timeout_secs = val(argv, i, "--connect-timeout", "10")?
@@ -297,11 +296,6 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 args.io_timeout_secs = val::<u64>(argv, i, "--io-timeout", "600")?.max(1)
             }
             "--fail-sweep" => args.fail_sweep = Some(val(argv, i, "--fail-sweep", "2")?),
-            "--threads-per-worker" => {
-                args.threads_per_worker = val::<usize>(argv, i, "--threads-per-worker", "2")?.max(1)
-            }
-            "--workers-list" => args.workers_list = list(argv, i, "--workers-list", "1,2,4")?,
-            "--json" => args.json = Some(PathBuf::from(raw(argv, i, "--json", "FILE")?)),
             "--sweeps" => args.sweeps = val(argv, i, "--sweeps", "3")?,
             "--event-log" => {
                 args.event_log = Some(PathBuf::from(raw(argv, i, "--event-log", "FILE")?))
@@ -311,9 +305,8 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
                 args.connect = Some(raw(argv, i, "--connect", "127.0.0.1:7900")?.to_string())
             }
             "--trace" => args.trace = Some(raw(argv, i, "--trace", "FILE")?.to_string()),
-            "--storm-queries" => args.storm_queries = val(argv, i, "--storm-queries", "2000")?,
-            "--connections-list" => {
-                args.connections_list = list(argv, i, "--connections-list", "1,2,4,8")?
+            flag if flag.starts_with("--") => {
+                return Err(CliError::Invalid(format!("unknown flag {flag:?}")));
             }
             other => {
                 args.positional.push(other.to_string());
@@ -322,6 +315,7 @@ fn parse_args(argv: &[String]) -> Result<Args, CliError> {
         }
         i += consumed;
     }
+    check_subcommand_constraints(cmd, &args)?;
     Ok(args)
 }
 
@@ -352,31 +346,26 @@ fn run_or_exit(config: PipelineConfig, prior: Option<SweepSnapshot>) -> Pipeline
     }
 }
 
-/// The `run` subcommand's stdout, shared verbatim by `driver` (and the
-/// fleet-bench identity check) so a fleet run is byte-identical to a
-/// single-process run — fleet progress goes to stderr only.
-fn run_report_string(out: &PipelineOutput, warm: bool) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    writeln!(s, "{}", out.report().headlines()).expect("string write");
+/// The `run` subcommand's stdout, shared verbatim by `driver` so a
+/// fleet run is byte-identical to a single-process run — fleet
+/// progress goes to stderr only.
+fn print_run_report(out: &PipelineOutput, warm: bool) {
+    println!("{}", out.report().headlines());
     if let Some(robustness) = out.report().robustness() {
-        writeln!(s, "{robustness}").expect("string write");
+        println!("{robustness}");
     }
     if let Some(ablation) = out.report().cluster_ablation() {
-        writeln!(s, "{ablation}").expect("string write");
+        println!("{ablation}");
     }
-    writeln!(
-        s,
+    println!(
         "active space: {} /24s across {} hit scopes; {} resolvers with Chromium activity",
         out.cache_probe.active_set().num_slash24s(),
         out.cache_probe.hit_prefixes().len(),
         out.dns_logs.resolvers.len(),
-    )
-    .expect("string write");
+    );
     if warm {
         let snap = out.metrics_snapshot();
-        writeln!(
-            s,
+        println!(
             "warm start: {} of {} slots replayed from snapshot, {} probed live \
              ({} new, {} expired, {} rescue, {} quarantine-dirty)",
             snap.counter("cacheprobe.planner.skipped_warm"),
@@ -386,14 +375,8 @@ fn run_report_string(out: &PipelineOutput, warm: bool) -> String {
             snap.counter("cacheprobe.planner.expired"),
             snap.counter("cacheprobe.planner.rescued"),
             snap.counter("cacheprobe.planner.dirty"),
-        )
-        .expect("string write");
+        );
     }
-    s
-}
-
-fn print_run_report(out: &PipelineOutput, warm: bool) {
-    print!("{}", run_report_string(out, warm));
 }
 
 /// The `run`/`driver` output files: optional warm-start snapshot and
@@ -417,193 +400,6 @@ fn write_run_outputs(out: &PipelineOutput, common: &CommonOpts) {
             eprintln!("cannot write {}: {e}", path.display());
             std::process::exit(1);
         }
-    }
-}
-
-/// Spawns a local `clientmap worker --once` child pinned to `threads`
-/// probing threads, and parses the bound address off its first stdout
-/// line (`clientmap worker listening on {addr}`).
-fn spawn_local_worker(threads: usize) -> (std::process::Child, String) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate own binary: {e}");
-        std::process::exit(1);
-    });
-    let mut child = match std::process::Command::new(exe)
-        .args(["worker", "--listen", "127.0.0.1:0", "--once"])
-        .env("CLIENTMAP_THREADS", threads.to_string())
-        .stdout(std::process::Stdio::piped())
-        .stderr(std::process::Stdio::null())
-        .spawn()
-    {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("cannot spawn worker: {e}");
-            std::process::exit(1);
-        }
-    };
-    let stdout = child.stdout.take().expect("worker stdout is piped");
-    let mut line = String::new();
-    let got = std::io::BufReader::new(stdout).read_line(&mut line);
-    if got.is_err() || line.trim().is_empty() {
-        eprintln!("worker did not announce a listen address");
-        let _ = child.kill();
-        std::process::exit(1);
-    }
-    let addr = line
-        .trim()
-        .rsplit(' ')
-        .next()
-        .unwrap_or_default()
-        .to_string();
-    (child, addr)
-}
-
-/// `fleet-bench`: a cold single-process baseline and a warm re-sweep,
-/// then the same cold sweep fanned over each fleet size in
-/// `--workers-list` — every process pinned to `--threads-per-worker`
-/// probing threads so the curve isolates the fleet dimension. Verifies
-/// every fleet report is byte-identical to the baseline and writes the
-/// scaling curve as JSON (stdout, or `--json FILE`).
-fn fleet_bench(args: &Args) {
-    let tpw = args.threads_per_worker;
-    fn stage_secs(timings: &[(String, f64)], name: &str) -> f64 {
-        timings
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|&(_, s)| s)
-            .unwrap_or(0.0)
-    }
-
-    eprintln!("fleet-bench: single-process cold baseline ({tpw} threads)");
-    let mut cold_timings = Vec::new();
-    let t0 = Instant::now();
-    let baseline = clientmap::par::with_threads(tpw, || {
-        Pipeline::run_warm_timed(args.common.config(), None, &mut cold_timings)
-    });
-    let baseline = match baseline {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("baseline failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let cold_total = t0.elapsed().as_secs_f64();
-    let cold_probing = stage_secs(&cold_timings, "probing");
-    let report_ref = run_report_string(&baseline, false);
-
-    eprintln!("fleet-bench: single-process warm re-sweep");
-    let mut warm_timings = Vec::new();
-    let t0 = Instant::now();
-    let warm = clientmap::par::with_threads(tpw, || {
-        Pipeline::run_warm_timed(
-            args.common.config(),
-            Some(baseline.sweep.clone()),
-            &mut warm_timings,
-        )
-    });
-    if let Err(e) = warm {
-        eprintln!("warm re-sweep failed: {e}");
-        std::process::exit(1);
-    }
-    let warm_total = t0.elapsed().as_secs_f64();
-    let warm_probing = stage_secs(&warm_timings, "probing");
-
-    let mut identical = true;
-    let mut rows = Vec::new();
-    for &w in &args.workers_list {
-        eprintln!("fleet-bench: cold sweep over {w} worker(s) x {tpw} thread(s)");
-        let mut children = Vec::new();
-        let mut addrs = Vec::new();
-        for _ in 0..w {
-            let (child, addr) = spawn_local_worker(tpw);
-            children.push(child);
-            addrs.push(addr);
-        }
-        let shards = if args.shards == 0 {
-            4 * w as u32
-        } else {
-            args.shards
-        };
-        let opts = FleetOptions {
-            workers: addrs,
-            num_shards: args.shards,
-            connect_timeout: Duration::from_secs(args.connect_timeout_secs),
-            io_timeout: Duration::from_secs(args.io_timeout_secs),
-        };
-        let mut fleet = FleetSweep::new(opts, args.common.scale.clone());
-        let mut timings = Vec::new();
-        let t0 = Instant::now();
-        let out = clientmap::par::with_threads(tpw, || {
-            Pipeline::run_warm_timed_with(args.common.config(), None, &mut timings, &mut fleet)
-        });
-        let out = match out {
-            Ok(out) => out,
-            Err(e) => {
-                eprintln!("fleet run with {w} workers failed: {e}");
-                for mut child in children {
-                    let _ = child.kill();
-                }
-                std::process::exit(1);
-            }
-        };
-        let total = t0.elapsed().as_secs_f64();
-        for mut child in children {
-            let _ = child.wait();
-        }
-        if run_report_string(&out, false) != report_ref {
-            identical = false;
-            eprintln!("fleet-bench: report MISMATCH at {w} workers");
-        }
-        rows.push((w, shards, total, stage_secs(&timings, "probing")));
-    }
-
-    use std::fmt::Write as _;
-    let cfg = args.common.config();
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let mut json = String::new();
-    json.push_str("{\n");
-    writeln!(json, "  \"scale\": \"{}\",", args.common.scale).expect("string write");
-    writeln!(json, "  \"seed\": {},", args.common.seed).expect("string write");
-    writeln!(json, "  \"faults\": \"{}\",", args.common.faults.as_str()).expect("string write");
-    writeln!(json, "  \"host_cores\": {cores},").expect("string write");
-    writeln!(json, "  \"threads_per_worker\": {tpw},").expect("string write");
-    writeln!(json, "  \"duration_hours\": {},", cfg.probe.duration_hours).expect("string write");
-    writeln!(
-        json,
-        "  \"single_process\": {{\n    \"cold\": {{ \"total_secs\": {cold_total:.3}, \
-         \"probing_secs\": {cold_probing:.3} }},\n    \"warm\": {{ \"total_secs\": \
-         {warm_total:.3}, \"probing_secs\": {warm_probing:.3}, \"speedup_vs_cold\": {:.2} }}\n  }},",
-        cold_total / warm_total.max(1e-9)
-    )
-    .expect("string write");
-    writeln!(json, "  \"fleet_cold\": [").expect("string write");
-    let base_total = rows.first().map(|&(_, _, t, _)| t).unwrap_or(0.0);
-    for (i, &(w, shards, total, probing)) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"workers\": {w}, \"shards\": {shards}, \"total_secs\": {total:.3}, \
-             \"probing_secs\": {probing:.3}, \"speedup_vs_1_worker\": {:.2} }}{comma}",
-            base_total / total.max(1e-9)
-        )
-        .expect("string write");
-    }
-    writeln!(json, "  ],").expect("string write");
-    writeln!(json, "  \"identical_reports\": {identical},").expect("string write");
-    let monotone = rows.windows(2).all(|w| w[1].2 < w[0].2);
-    writeln!(json, "  \"monotonic_decreasing\": {monotone},").expect("string write");
-    let note = if cores == 1 {
-        "single-core host: workers time-slice one CPU and each duplicates world prep, \
-         so the fleet curve measures overhead, not scaling"
-    } else {
-        "threads pinned per process so the curve isolates the worker dimension"
-    };
-    writeln!(json, "  \"note\": \"{note}\"").expect("string write");
-    json.push_str("}\n");
-
-    write_json_output(&json, args.json.as_deref(), "fleet-bench");
-    if !identical {
-        std::process::exit(1);
     }
 }
 
@@ -649,131 +445,6 @@ fn cmd_serve(args: &Args) {
     }
 }
 
-/// `serve-bench`: an in-process service stormed with a seeded query
-/// mix; writes the queries/sec curve as JSON.
-fn cmd_serve_bench(args: &Args) {
-    let log_path =
-        std::env::temp_dir().join(format!("clientmap-serve-bench-{}.cmel", std::process::id()));
-    let _ = std::fs::remove_file(&log_path);
-    let (ready_tx, ready_rx) = std::sync::mpsc::channel();
-    let opts = ServeOptions {
-        addr: "127.0.0.1:0".into(),
-        config: args.common.config(),
-        sweeps: args.sweeps.max(1),
-        prior: None,
-        log_path: log_path.clone(),
-        compact_every: args.compact_every,
-        snapshot_out: None,
-        io_timeout: Duration::from_secs(args.io_timeout_secs),
-        fail_sweep: None,
-        ready: Some(ready_tx),
-    };
-    let sweeps = opts.sweeps;
-    let server = std::thread::spawn(move || serve(opts));
-    let Ok(addr) = ready_rx.recv() else {
-        eprintln!("serve-bench: service never bound");
-        std::process::exit(1);
-    };
-    let addr = addr.to_string();
-
-    // Storm only once every generation is published, so each curve
-    // point queries the same (final) generation.
-    let mut control = match QueryClient::connect(&addr, Duration::from_secs(args.io_timeout_secs)) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve-bench: cannot connect: {e}");
-            std::process::exit(1);
-        }
-    };
-    if let Err(e) = control.request(&Query::WaitGen(u64::from(sweeps))) {
-        eprintln!("serve-bench: waiting for final generation failed: {e}");
-        std::process::exit(1);
-    }
-
-    let storm = StormOptions {
-        addr: addr.clone(),
-        seed: args.common.seed,
-        queries: args.storm_queries,
-        connections: args.connections_list.clone(),
-    };
-    let t0 = Instant::now();
-    let curve = match query_storm(&storm) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("serve-bench: query storm failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let storm_secs = t0.elapsed().as_secs_f64();
-    let _ = control.request(&Query::Stop);
-    let summary = match server.join().expect("serve thread") {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("serve-bench: service failed: {e}");
-            std::process::exit(1);
-        }
-    };
-    let _ = std::fs::remove_file(&log_path);
-
-    use std::fmt::Write as _;
-    let mut json = String::new();
-    json.push_str("{\n");
-    writeln!(json, "  \"scale\": \"{}\",", args.common.scale).expect("string write");
-    writeln!(json, "  \"seed\": {},", args.common.seed).expect("string write");
-    writeln!(json, "  \"sweeps\": {},", summary.sweeps).expect("string write");
-    writeln!(json, "  \"final_epoch\": {},", summary.final_epoch).expect("string write");
-    writeln!(json, "  \"event_log_bytes\": {},", summary.log_len).expect("string write");
-    writeln!(json, "  \"event_log_records\": {},", summary.log_records).expect("string write");
-    writeln!(
-        json,
-        "  \"storm_queries_per_point\": {},",
-        args.storm_queries
-    )
-    .expect("string write");
-    writeln!(json, "  \"storm_total_secs\": {storm_secs:.3},").expect("string write");
-    writeln!(
-        json,
-        "  \"queries_answered\": {},",
-        summary.queries_answered
-    )
-    .expect("string write");
-    writeln!(json, "  \"qps_curve\": [").expect("string write");
-    for (i, p) in curve.iter().enumerate() {
-        let comma = if i + 1 < curve.len() { "," } else { "" };
-        writeln!(
-            json,
-            "    {{ \"connections\": {}, \"queries\": {}, \"wall_secs\": {:.4}, \
-             \"qps\": {:.1} }}{comma}",
-            p.connections, p.queries, p.wall_secs, p.qps
-        )
-        .expect("string write");
-    }
-    writeln!(json, "  ],").expect("string write");
-    writeln!(
-        json,
-        "  \"note\": \"seeded query mix over immutable generations; responses are \
-         byte-deterministic, only the wall clock varies\""
-    )
-    .expect("string write");
-    json.push_str("}\n");
-
-    write_json_output(&json, args.json.as_deref(), "serve-bench");
-}
-
-/// Writes bench JSON to `path` (or stdout when `None`).
-fn write_json_output(json: &str, path: Option<&std::path::Path>, what: &str) {
-    match path {
-        Some(path) => {
-            if let Err(e) = std::fs::write(path, json) {
-                eprintln!("cannot write {}: {e}", path.display());
-                std::process::exit(1);
-            }
-            eprintln!("{what}: wrote {}", path.display());
-        }
-        None => print!("{json}"),
-    }
-}
-
 /// `query --connect`: the remote client against a running serve.
 fn cmd_query_remote(args: &Args, addr: &str) {
     let trace = match &args.trace {
@@ -784,11 +455,7 @@ fn cmd_query_remote(args: &Args, addr: &str) {
                 std::process::exit(1);
             }
         },
-        None if !args.positional.is_empty() => args.positional.join(" "),
-        None => {
-            eprintln!("query --connect needs a --trace FILE or an inline query, e.g. `top 5`");
-            std::process::exit(2);
-        }
+        None => args.positional.join(" "),
     };
     let mut stdout = std::io::stdout().lock();
     if let Err(e) = run_trace(
@@ -804,7 +471,7 @@ fn cmd_query_remote(args: &Args, addr: &str) {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: clientmap <run|export|query|stats|worker|driver|fleet-bench|serve|serve-bench> \
+        "usage: clientmap <{}> \
          [--scale tiny|small|paper] [--seed N] \
          [--faults off|light|lossy|pop-churn] [--fault-seed N] [--out DIR] \
          [--snapshot-in FILE] [--snapshot-out FILE] [--expiry-budget F] \
@@ -813,34 +480,26 @@ fn usage() -> ! {
          \x20      clientmap worker [--listen ADDR] [--once] [--fail-after N] [--io-timeout S]\n\
          \x20      clientmap driver --workers host:port[,host:port...] [--shards N] \
          [--connect-timeout S] [--io-timeout S] [run flags]\n\
-         \x20      clientmap fleet-bench [--threads-per-worker N] [--workers-list 1,2,4] \
-         [--json FILE]\n\
          \x20      clientmap serve [--listen ADDR] [--sweeps N] [--event-log FILE] \
          [--compact-every N] [--fail-sweep N] [--io-timeout S] [run flags]\n\
-         \x20      clientmap query --connect ADDR [--trace FILE | QUERY...] [--io-timeout S]\n\
-         \x20      clientmap serve-bench [--sweeps N] [--storm-queries N] \
-         [--connections-list 1,2,4] [--json FILE]"
+         \x20      clientmap query --connect ADDR [--trace FILE | QUERY...] [--io-timeout S]",
+        SUBCOMMANDS.join("|")
     );
     std::process::exit(2);
 }
 
 fn main() {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.is_empty() {
+    let Some((cmd, rest)) = argv.split_first() else {
         usage();
-    }
-    let cmd = argv[0].clone();
-    let args = match parse_args(&argv[1..]) {
+    };
+    let args = match parse_args(cmd, rest) {
         Ok(args) => args,
         Err(e) => {
             eprintln!("clientmap {cmd}: {e}");
             usage();
         }
     };
-    if let Err(e) = check_subcommand_constraints(&cmd, &args) {
-        eprintln!("clientmap {cmd}: {e}");
-        usage();
-    }
 
     match cmd.as_str() {
         "run" => {
@@ -896,20 +555,11 @@ fn main() {
             print_run_report(&out, warm);
             write_run_outputs(&out, &args.common);
         }
-        "fleet-bench" => {
-            fleet_bench(&args);
-        }
         "serve" => {
             cmd_serve(&args);
         }
-        "serve-bench" => {
-            cmd_serve_bench(&args);
-        }
         "export" => {
-            let Some(dir) = args.out.clone() else {
-                eprintln!("export requires --out DIR");
-                std::process::exit(2);
-            };
+            let dir = args.out.clone().expect("export has --out (checked)");
             if let Err(e) = std::fs::create_dir_all(&dir) {
                 eprintln!("cannot create {}: {e}", dir.display());
                 std::process::exit(1);
@@ -953,10 +603,7 @@ fn main() {
                 cmd_query_remote(&args, &addr);
                 return;
             }
-            let Some(prefix_s) = args.positional.first() else {
-                eprintln!("query requires a PREFIX argument (or --connect ADDR), e.g. 1.2.3.0/24");
-                std::process::exit(2);
-            };
+            let prefix_s = &args.positional[0];
             let prefix: Prefix = match prefix_s.parse() {
                 Ok(p) => p,
                 Err(e) => {
@@ -984,7 +631,8 @@ fn main() {
             println!("{prefix} ({asn}): {verdict}");
         }
         "stats" => {
-            let world = clientmap::world::World::generate(args.common.config().world);
+            let out = run_or_exit(args.common.config(), None);
+            let world = out.sim.world();
             println!(
                 "world: {} ASes, {} routed /24s, {:.1}M users, {} resolvers, {} blocks",
                 world.ases.len(),
@@ -1002,9 +650,8 @@ fn main() {
             }
             // Per-AS activity: one AND+popcount per AS between its
             // announced space and the technique's active /24 set.
-            let out = run_or_exit(args.common.config(), None);
             let active = Slash24Bitset::from_prefixes(&out.cache_probe.active_set().prefixes());
-            let mut per_as = AsBitsets::from_rib(&out.sim.world().rib).active_slash24s(&active);
+            let mut per_as = AsBitsets::from_rib(&world.rib).active_slash24s(&active);
             per_as.sort_by_key(|(asn, n)| (std::cmp::Reverse(*n), asn.0));
             println!(
                 "client activity (cache probing): {} active /24s across {} ASes; top networks:",
@@ -1015,23 +662,30 @@ fn main() {
                 println!("  {asn:<10} {n} active /24s");
             }
         }
-        _ => usage(),
+        _ => unreachable!("parse_args admits only SUBCOMMANDS"),
     }
 }
 
-/// The subcommand-level constraints that used to be scattered inline
-/// `eprintln!`/`exit` pairs — one typed path, checked before any work.
+/// The subcommand-level constraints — required flags, and who may
+/// take positional words — on one typed path, checked before any work.
 fn check_subcommand_constraints(cmd: &str, args: &Args) -> Result<(), CliError> {
-    match cmd {
+    let words = !args.positional.is_empty();
+    let problem = match cmd {
+        "query" if args.connect.is_none() && !words => {
+            Some("query requires a PREFIX argument (or --connect ADDR), e.g. 1.2.3.0/24".into())
+        }
+        "query" if !words && args.trace.is_none() => {
+            Some("query --connect needs a --trace FILE or an inline query, e.g. `top 5`".into())
+        }
+        "query" => None,
+        "export" if args.out.is_none() => Some("export requires --out DIR".into()),
         "driver" if args.workers.is_empty() => {
-            return Err(CliError::Invalid(
-                "driver requires --workers host:port[,host:port...]".into(),
-            ));
+            Some("driver requires --workers host:port[,host:port...]".into())
         }
-        "serve" | "serve-bench" if args.sweeps == 0 => {
-            return Err(CliError::Invalid(format!("{cmd} needs --sweeps >= 1")));
-        }
-        _ => {}
-    }
-    Ok(())
+        "serve" if args.sweeps == 0 => Some("serve needs --sweeps >= 1".into()),
+        _ => args.positional.first().map(|word| {
+            format!("unexpected argument {word:?} (only `query` takes positional words)")
+        }),
+    };
+    problem.map_or(Ok(()), |msg| Err(CliError::Invalid(msg)))
 }

@@ -126,3 +126,54 @@ fn no_args_prints_usage() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("usage:"), "{stderr}");
 }
+
+/// Bad input is rejected up front: exit status 2, exactly one
+/// `clientmap <cmd>: …` line naming the problem, then the usage text;
+/// stdout stays empty — no pipeline runs, so a typo can neither cost a
+/// run nor silently measure a different world. The two retired bench
+/// subcommands get the same treatment as any unknown one.
+#[test]
+fn bad_invocations_are_rejected_before_any_pipeline_runs() {
+    let cases: [(&[&str], &str); 11] = [
+        (&["stats", "--scale", "papr"], "bad --scale \"papr\""),
+        (&["run", "--sed", "7"], "unknown flag \"--sed\""),
+        (
+            &["run", "--clustered-probin"],
+            "unknown flag \"--clustered-probin\"",
+        ),
+        (&["run", "stray-word"], "unexpected argument \"stray-word\""),
+        (&["run", "--metrics", "--seed"], "--metrics needs a value"),
+        (&["export", "--scale", "tiny"], "export requires --out DIR"),
+        (&["driver", "--seed", "7"], "driver requires --workers"),
+        (&["serve", "--sweeps", "0"], "serve needs --sweeps >= 1"),
+        (&["fleet-bench"], "unknown subcommand"),
+        (
+            &["serve-bench", "--sweeps", "2", "--json", "out.json"],
+            "unknown subcommand",
+        ),
+        (
+            &["query", "--connect", "127.0.0.1:1"],
+            "needs a --trace FILE",
+        ),
+    ];
+    for (args, expect) in cases {
+        let out = clientmap().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{args:?} printed to stdout");
+        let mut lines = stderr.lines();
+        let first = lines.next().unwrap_or_default();
+        assert!(
+            first.starts_with(&format!("clientmap {}: ", args[0])) && first.contains(expect),
+            "{args:?}: {stderr}"
+        );
+        assert!(
+            lines.next().is_some_and(|l| l.starts_with("usage: ")),
+            "{args:?}: the usage text must follow the rejection line: {stderr}"
+        );
+        assert!(
+            lines.all(|l| !l.starts_with("clientmap ")),
+            "{args:?}: more than one rejection line: {stderr}"
+        );
+    }
+}

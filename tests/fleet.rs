@@ -11,8 +11,8 @@ use std::time::Duration;
 
 mod common;
 use common::{
-    assert_fleet_matches, read_bytes, reference_run, run_cli, scratch, without_snapshot_line, Worker,
-    BIN,
+    assert_fleet_matches, read_bytes, reference_run, run_cli, scratch, without_snapshot_line,
+    Worker, BIN,
 };
 
 #[test]
