@@ -117,7 +117,7 @@ pub fn feature_distance(a: &ClusterFeatures, b: &ClusterFeatures) -> f64 {
 }
 
 /// Confidence tag for a member joined at feature distance `d`: linear
-/// in closeness, clamped into `1..=255` (0 is the table's "untagged").
+/// in closeness, clamped into `1..=255` (0 is not a storable tag).
 fn confidence_of(d: f64) -> u8 {
     1 + ((1.0 - d).clamp(0.0, 1.0) * f64::from(CONFIDENCE_MAX - 1)).round() as u8
 }

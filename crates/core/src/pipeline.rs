@@ -268,7 +268,7 @@ impl Pipeline {
     /// back as [`PipelineError::InvariantViolations`] rather than
     /// shipping silently miscounted telemetry.
     pub fn run(config: PipelineConfig) -> Result<PipelineOutput, PipelineError> {
-        Pipeline::run_timed(config, &mut Vec::new())
+        Pipeline::run_warm_timed(config, None, &mut Vec::new())
     }
 
     /// [`Pipeline::run`] warm-started from a prior run's
@@ -286,22 +286,13 @@ impl Pipeline {
         Pipeline::run_warm_timed(config, prior, &mut Vec::new())
     }
 
-    /// [`Pipeline::run`], additionally appending `(stage, wall seconds)`
-    /// pairs to `timings`: `world_gen`, the cache-probe substages
-    /// (`vantage_discovery`, `scope_scan`, `calibration`, `probing`,
-    /// and `rescue` under faults), `crawl`, and `analysis`. Wall clocks
-    /// stay in this side channel — the telemetry registry only ever
-    /// sees sim-time spans, so metrics snapshots remain
+    /// [`Pipeline::run_warm`], additionally appending `(stage, wall
+    /// seconds)` pairs to `timings`: `world_gen`, the cache-probe
+    /// substages (`vantage_discovery`, `scope_scan`, `calibration`,
+    /// `probing`, and `rescue` under faults), `crawl`, and `analysis`.
+    /// Wall clocks stay in this side channel — the telemetry registry
+    /// only ever sees sim-time spans, so metrics snapshots remain
     /// byte-reproducible.
-    pub fn run_timed(
-        config: PipelineConfig,
-        timings: &mut Vec<(String, f64)>,
-    ) -> Result<PipelineOutput, PipelineError> {
-        Pipeline::run_warm_timed(config, None, timings)
-    }
-
-    /// [`Pipeline::run_warm`] with the [`Pipeline::run_timed`] timing
-    /// side channel.
     pub fn run_warm_timed(
         config: PipelineConfig,
         prior: Option<SweepSnapshot>,

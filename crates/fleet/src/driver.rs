@@ -19,9 +19,9 @@
 //! bytes.
 
 use std::collections::VecDeque;
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 use clientmap_cacheprobe::resilience::backoff_delay_ms;
@@ -36,7 +36,8 @@ use clientmap_store::{checksum, SweepSnapshot};
 
 use crate::frame::{read_frame, write_frame, Frame, FrameError, FrameKind};
 use crate::proto::{
-    decode_rescue_result, decode_shard_result, encode_rescue_request, shard_range, JobAck, JobSpec,
+    decode_rescue_result, decode_shard_result, encode_rescue_request, encode_shard_request,
+    shard_range, JobAck, JobSpec,
 };
 use crate::shutdown;
 
@@ -153,26 +154,9 @@ impl SweepExecutor for FleetSweep {
             prior: prior.map(SweepSnapshot::encode),
         };
 
-        let total = shards as usize;
         let num_workers = self.opts.workers.len();
-        let shared = Shared {
-            main_total: total,
-            cond: Condvar::new(),
-            state: Mutex::new(State {
-                queue: (0..shards).map(Task::Shard).collect(),
-                deltas: vec![None; total],
-                books: Vec::new(),
-                main_done: 0,
-                rescue_units: Arc::new(Vec::new()),
-                rescue_shards: 0,
-                rescue_deltas: Vec::new(),
-                rescue_done: 0,
-                rescue_pending: 0,
-                shutdown: false,
-                alive: num_workers,
-                losses: Vec::new(),
-            }),
-        };
+        let shared = Shared::default();
+        shared.state.lock().expect("state lock").alive = num_workers;
         let opts = &self.opts;
         let num_units = n as u64;
 
@@ -184,34 +168,27 @@ impl SweepExecutor for FleetSweep {
                     let res = serve_worker(addr, opts, spec, num_units, shared);
                     let mut st = shared.state.lock().expect("state lock");
                     st.alive -= 1;
-                    if let Err(loss) = res {
-                        eprintln!("driver: worker {addr} lost: {}", loss.message);
-                        st.losses.push(loss);
+                    if let Err(failure) = res {
+                        eprintln!("driver: worker {addr} lost: {}", failure.message);
+                        st.losses.push((addr.clone(), failure));
                     }
                     drop(st);
                     shared.cond.notify_all();
                 });
             }
-            let merged = wait_main_phase(&shared).and_then(|()| {
-                let (deltas, books) = {
-                    let mut st = shared.state.lock().expect("state lock");
-                    let deltas = st
-                        .deltas
-                        .iter_mut()
-                        .map(|slot| slot.take().expect("all shards complete"))
-                        .collect();
-                    (deltas, std::mem::take(&mut st.books))
+            let main = run_phase(&shared, PhaseKind::Main, shards, Vec::new());
+            let merged = main.and_then(|deltas| {
+                let books = std::mem::take(&mut shared.state.lock().expect("state lock").books);
+                // The merge calls back only with units to rescue. They
+                // are split over the configured worker count, not the
+                // live one, so a mid-run crash cannot change the split
+                // (which never changes the merged bytes anyway: rescue
+                // record keys are disjoint across units).
+                let rescue = |units: Vec<ProbeUnit>| {
+                    let shards = (num_workers as u32).min(units.len() as u32);
+                    run_phase(&shared, PhaseKind::Rescue, shards, units).map_err(|e| e.to_string())
                 };
-                merge_shards(
-                    sim,
-                    cfg,
-                    prep,
-                    deltas,
-                    books,
-                    |units| run_rescue(&shared, num_workers, units),
-                    timings,
-                )
-                .map_err(merge_err)
+                merge_shards(sim, cfg, prep, deltas, books, rescue, timings).map_err(merge_err)
             });
             // Merge done (or failed): release every worker thread so
             // the scope can join them.
@@ -225,10 +202,10 @@ impl SweepExecutor for FleetSweep {
         let losses = shared.state.into_inner().expect("state lock").losses;
         match out {
             Err(PipelineError::Fleet { .. })
-                if !losses.is_empty() && losses.iter().all(|l| l.timed_out) =>
+                if !losses.is_empty() && losses.iter().all(|(_, f)| f.timed_out) =>
             {
                 Err(PipelineError::Timeout {
-                    peer: losses.last().expect("non-empty losses").addr.clone(),
+                    peer: losses.last().expect("non-empty losses").0.clone(),
                     seconds: self.opts.io_timeout.as_secs(),
                 })
             }
@@ -237,150 +214,130 @@ impl SweepExecutor for FleetSweep {
     }
 }
 
-/// A unit of fleet work: a main-phase shard or a rescue-phase shard.
-#[derive(Debug, Clone, Copy)]
-enum Task {
-    Shard(u32),
-    Rescue(u32),
+/// The sweep's two dispatch rounds: every sweep runs the main one; a
+/// faulted sweep whose merge quarantined PoPs runs the rescue one after
+/// it, over the same connections.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum PhaseKind {
+    Main,
+    Rescue,
 }
 
-/// Why a worker connection ended in failure.
-struct Loss {
-    addr: String,
+impl PhaseKind {
+    /// What a unit of this phase's work is called, in every progress
+    /// line, re-queue line and failure message.
+    fn label(self) -> &'static str {
+        match self {
+            PhaseKind::Main => "shard",
+            PhaseKind::Rescue => "rescue shard",
+        }
+    }
+}
+
+/// A unit of fleet work: one shard of one phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Task {
+    phase: PhaseKind,
+    shard: u32,
+}
+
+/// The phase now collecting results: one delta slot per shard, and the
+/// driver-planned units a rescue phase's shards partition (a main
+/// phase has none: workers cut main shards from their own prep).
+#[derive(Default)]
+struct Phase {
+    slots: Vec<Option<SweepSnapshot>>,
+    units: Arc<Vec<ProbeUnit>>,
+}
+
+/// Why an exchange — and with it the worker's connection — failed.
+#[derive(Debug, PartialEq)]
+struct Failure {
     message: String,
-    /// Whether the loss was a socket-deadline expiry (drives the
-    /// all-timeouts → [`PipelineError::Timeout`] upgrade).
+    /// Whether it was a socket-deadline expiry (drives the all-timeouts
+    /// → [`PipelineError::Timeout`] upgrade).
     timed_out: bool,
 }
 
-/// Cross-thread dispatch state, guarded by one mutex: the task queue,
-/// both phases' result slots, and fleet liveness.
-struct State {
-    queue: VecDeque<Task>,
-    deltas: Vec<Option<SweepSnapshot>>,
-    books: Vec<PopHealth>,
-    main_done: usize,
-    rescue_units: Arc<Vec<ProbeUnit>>,
-    rescue_shards: u32,
-    rescue_deltas: Vec<Option<SweepSnapshot>>,
-    rescue_done: usize,
-    rescue_pending: usize,
-    shutdown: bool,
-    alive: usize,
-    losses: Vec<Loss>,
+/// Anything but a transport error is a plain message.
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        let timed_out = false;
+        Failure { message, timed_out }
+    }
 }
 
+/// Cross-thread dispatch state, guarded by one mutex: the task queue,
+/// the current phase's result slots, and fleet liveness.
+#[derive(Default)]
+struct State {
+    queue: VecDeque<Task>,
+    phase: Phase,
+    books: Vec<PopHealth>,
+    shutdown: bool,
+    alive: usize,
+    /// Lost workers: address, and what ended the connection.
+    losses: Vec<(String, Failure)>,
+}
+
+#[derive(Default)]
 struct Shared {
-    main_total: usize,
     state: Mutex<State>,
     cond: Condvar,
 }
 
-/// Blocks until every main-phase shard delta is in, or the fleet is
-/// out of workers.
-fn wait_main_phase(shared: &Shared) -> Result<(), PipelineError> {
-    let total = shared.main_total;
-    let mut st = shared.state.lock().expect("state lock");
-    loop {
-        if st.main_done >= total {
-            return Ok(());
-        }
-        if st.alive == 0 {
-            if shutdown::requested() {
-                return Err(PipelineError::Interrupted {
-                    completed: st.main_done,
-                    total,
-                });
-            }
-            return Err(fleet_error(&st.losses, st.main_done, total));
-        }
-        st = shared
-            .cond
-            .wait_timeout(st, Duration::from_millis(50))
-            .expect("state lock")
-            .0;
+impl Shared {
+    /// One bounded wait on the condvar (bounded because a SIGINT
+    /// notifies nobody and must still be noticed).
+    fn wait<'a>(&self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        let tick = Duration::from_millis(50);
+        self.cond.wait_timeout(st, tick).expect("state lock").0
     }
 }
 
-fn fleet_error(losses: &[Loss], done: usize, total: usize) -> PipelineError {
-    let worker = losses
-        .last()
-        .map(|l| l.addr.clone())
-        .unwrap_or_else(|| "fleet".into());
-    let message = if losses.is_empty() {
-        format!("{done}/{total} shards completed and no workers remain")
-    } else {
-        describe_losses(losses)
-    };
-    PipelineError::Fleet { worker, message }
-}
-
-fn describe_losses(losses: &[Loss]) -> String {
-    losses
-        .iter()
-        .map(|l| format!("{}: {}", l.addr, l.message))
-        .collect::<Vec<_>>()
-        .join("; ")
-}
-
-/// The merge's rescue callback: partitions the planned rescue units
-/// over the configured worker count (deterministically — the split
-/// never changes the merged bytes, because rescue record keys are
-/// disjoint across units), enqueues the rescue shards, and blocks
-/// until the surviving workers return every delta.
-fn run_rescue(
+/// Runs one phase from the merging thread: queues its `shards` tasks
+/// (a rescue phase's shards partition `units`), then blocks until the
+/// connection threads have filed every delta — returned in shard order
+/// — or the fleet is out of workers.
+fn run_phase(
     shared: &Shared,
-    num_workers: usize,
+    kind: PhaseKind,
+    shards: u32,
     units: Vec<ProbeUnit>,
-) -> Result<Vec<SweepSnapshot>, String> {
-    let shards = (num_workers as u32).min(units.len() as u32).max(1);
-    {
-        let mut st = shared.state.lock().expect("state lock");
-        if st.alive == 0 {
-            return Err(format!(
-                "no workers remain for the rescue phase ({})",
-                describe_losses(&st.losses)
-            ));
-        }
-        let units = Arc::new(units);
-        st.rescue_deltas = vec![None; shards as usize];
-        st.rescue_done = 0;
-        let mut queued = 0;
-        for s in 0..shards {
-            if !shard_range(units.len(), shards, s).is_empty() {
-                st.queue.push_back(Task::Rescue(s));
-                queued += 1;
-            }
-        }
-        st.rescue_units = units;
-        st.rescue_shards = shards;
-        st.rescue_pending = queued;
-    }
-    shared.cond.notify_all();
-
+) -> Result<Vec<SweepSnapshot>, PipelineError> {
+    let total = shards as usize;
     let mut st = shared.state.lock().expect("state lock");
+    let (slots, units) = (vec![None; total], Arc::new(units));
+    st.phase = Phase { slots, units };
+    let tasks = (0..shards).map(|shard| Task { phase: kind, shard });
+    st.queue.extend(tasks);
+    shared.cond.notify_all();
     loop {
-        if st.rescue_done >= st.rescue_pending {
-            return Ok(st
-                .rescue_deltas
-                .iter_mut()
-                .filter_map(Option::take)
-                .collect());
+        let completed = st.phase.slots.iter().flatten().count();
+        if completed == total {
+            return Ok(st.phase.slots.drain(..).flatten().collect());
         }
-        if shutdown::requested() {
-            return Err("interrupted during the rescue phase".into());
+        if st.alive == 0 && shutdown::requested() {
+            return Err(PipelineError::Interrupted { completed, total });
         }
         if st.alive == 0 {
-            return Err(format!(
-                "every worker was lost during the rescue phase ({})",
-                describe_losses(&st.losses)
-            ));
+            let worker = st
+                .losses
+                .last()
+                .map_or("fleet", |(addr, _)| addr)
+                .to_string();
+            let reasons = st
+                .losses
+                .iter()
+                .map(|(addr, f)| format!("{addr}: {}", f.message));
+            let mut message = reasons.collect::<Vec<_>>().join("; ");
+            if message.is_empty() {
+                let label = kind.label();
+                message = format!("{completed}/{total} {label}s completed and no workers remain");
+            }
+            return Err(PipelineError::Fleet { worker, message });
         }
-        st = shared
-            .cond
-            .wait_timeout(st, Duration::from_millis(50))
-            .expect("state lock")
-            .0;
+        st = shared.wait(st);
     }
 }
 
@@ -396,11 +353,7 @@ fn next_task(shared: &Shared) -> Option<Task> {
         if let Some(task) = st.queue.pop_front() {
             return Some(task);
         }
-        st = shared
-            .cond
-            .wait_timeout(st, Duration::from_millis(50))
-            .expect("state lock")
-            .0;
+        st = shared.wait(st);
     }
 }
 
@@ -414,107 +367,26 @@ fn serve_worker(
     spec: &JobSpec,
     num_units: u64,
     shared: &Shared,
-) -> Result<(), Loss> {
-    let loss = |message: String, timed_out: bool| Loss {
-        addr: addr.to_string(),
-        message,
-        timed_out,
-    };
-    let stream = connect_with_retry(addr, opts.connect_timeout).map_err(|e| loss(e, false))?;
+) -> Result<(), Failure> {
+    let stream = connect_with_retry(addr, opts.connect_timeout)?;
     stream.set_read_timeout(Some(opts.io_timeout)).ok();
     stream.set_write_timeout(Some(opts.io_timeout)).ok();
-    let mut reader = BufReader::new(stream.try_clone().map_err(|e| loss(e.to_string(), false))?);
-    let mut writer = stream;
+    let clone = stream.try_clone().map_err(|e| e.to_string())?;
+    let (mut reader, mut writer) = (BufReader::new(clone), stream);
 
-    write_frame(&mut writer, &Frame::new(FrameKind::Job, spec.encode())).map_err(|e| {
-        let e = FrameError::from(e);
-        let timed_out = matches!(e, FrameError::TimedOut);
-        loss(format!("sending job: {e}"), timed_out)
-    })?;
-    let reply = read_frame(&mut reader).map_err(|e| {
-        let timed_out = matches!(e, FrameError::TimedOut);
-        loss(format!("awaiting job ack: {e}"), timed_out)
-    })?;
-    match reply.kind {
-        FrameKind::JobAck => {
-            let ack = JobAck::decode(&reply.payload)
-                .map_err(|e| loss(format!("bad job ack: {e}"), false))?;
-            if ack.num_units != num_units || ack.config_digest != spec.config_digest {
-                return Err(loss(
-                    format!(
-                        "worker prep diverged: {} units / digest {:#x} vs driver {} / {:#x}",
-                        ack.num_units, ack.config_digest, num_units, spec.config_digest
-                    ),
-                    false,
-                ));
-            }
-        }
-        FrameKind::JobErr => {
-            return Err(loss(
-                format!("job refused: {}", String::from_utf8_lossy(&reply.payload)),
-                false,
-            ));
-        }
-        other => return Err(loss(format!("unexpected {other:?} reply to job"), false)),
+    let job = Frame::new(FrameKind::Job, spec.encode());
+    let ack = exchange(&mut reader, &mut writer, "job", &job, FrameKind::JobAck)?;
+    let ack = JobAck::decode(&ack).map_err(|e| format!("bad job ack: {e}"))?;
+    if ack.num_units != num_units || ack.config_digest != spec.config_digest {
+        let message = format!(
+            "worker prep diverged: {} units / digest {:#x} vs driver {} / {:#x}",
+            ack.num_units, ack.config_digest, num_units, spec.config_digest
+        );
+        return Err(message.into());
     }
 
     while let Some(task) = next_task(shared) {
-        match task {
-            Task::Shard(shard) => match request_shard(&mut reader, &mut writer, shard) {
-                Ok((delta, book)) => {
-                    let mut st = shared.state.lock().expect("state lock");
-                    st.deltas[shard as usize] = Some(delta);
-                    st.books.extend(book);
-                    st.main_done += 1;
-                    let done = st.main_done;
-                    drop(st);
-                    shared.cond.notify_all();
-                    eprintln!(
-                        "driver: shard {shard} done on {addr} ({done}/{})",
-                        shared.main_total
-                    );
-                }
-                Err((message, timed_out)) => {
-                    // Put the in-flight shard back first, so survivors
-                    // can pick it up the moment this thread reports
-                    // the loss.
-                    let mut st = shared.state.lock().expect("state lock");
-                    st.queue.push_front(Task::Shard(shard));
-                    drop(st);
-                    shared.cond.notify_all();
-                    eprintln!("driver: re-queued shard {shard} after losing {addr}");
-                    return Err(loss(message, timed_out));
-                }
-            },
-            Task::Rescue(shard) => {
-                let (units, range) = {
-                    let st = shared.state.lock().expect("state lock");
-                    let units = Arc::clone(&st.rescue_units);
-                    let range = shard_range(units.len(), st.rescue_shards, shard);
-                    (units, range)
-                };
-                match request_rescue(&mut reader, &mut writer, shard, &units[range]) {
-                    Ok(delta) => {
-                        let mut st = shared.state.lock().expect("state lock");
-                        st.rescue_deltas[shard as usize] = Some(delta);
-                        st.rescue_done += 1;
-                        let done = st.rescue_done;
-                        let pending = st.rescue_pending;
-                        drop(st);
-                        shared.cond.notify_all();
-                        eprintln!("driver: rescue shard {shard} done on {addr} ({done}/{pending})");
-                    }
-                    Err((message, timed_out)) => {
-                        let mut st = shared.state.lock().expect("state lock");
-                        st.queue.push_front(Task::Rescue(shard));
-                        drop(st);
-                        shared.cond.notify_all();
-                        eprintln!("driver: re-queued rescue shard {shard} after losing {addr}");
-                        return Err(loss(message, timed_out));
-                    }
-                }
-            }
-        }
+        run_task(&mut reader, &mut writer, task, shared, addr)?;
     }
 
     // Clean exit (sweep complete or interrupt drained): tell the
@@ -525,84 +397,103 @@ fn serve_worker(
     Ok(())
 }
 
-fn wire_err(ctx: &str, e: FrameError) -> (String, bool) {
-    let timed_out = matches!(e, FrameError::TimedOut);
-    (format!("{ctx}: {e}"), timed_out)
-}
-
-fn request_shard(
-    reader: &mut impl std::io::Read,
-    writer: &mut impl std::io::Write,
-    shard: u32,
-) -> Result<(SweepSnapshot, Vec<PopHealth>), (String, bool)> {
-    write_frame(
-        writer,
-        &Frame::new(FrameKind::ShardRequest, shard.to_le_bytes().to_vec()),
-    )
-    .map_err(|e| wire_err("sending shard request", e.into()))?;
-    let frame: Frame = read_frame(reader).map_err(|e| wire_err("awaiting shard result", e))?;
-    match frame.kind {
-        FrameKind::ShardResult => {
-            let (id, delta, book) = decode_shard_result(&frame.payload)
-                .map_err(|e| (format!("bad shard result: {e}"), false))?;
-            if id != shard {
-                return Err((format!("shard id mismatch: asked {shard}, got {id}"), false));
-            }
-            Ok((delta, book))
+/// The one request/reply round trip every conversation with a worker
+/// is made of (the job handshake, and each shard of either phase):
+/// sends `request`, reads one frame back, and returns its payload if it
+/// is of the `expected` kind. A `JobErr` reply (the worker's refusal,
+/// with its reason), any other kind, and a transport failure each
+/// become a [`Failure`] naming `what` was being asked.
+fn exchange(
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+    what: &str,
+    request: &Frame,
+    expected: FrameKind,
+) -> Result<Vec<u8>, Failure> {
+    let wire = |doing: &str, e: FrameError| Failure {
+        message: format!("{doing} {what}: {e}"),
+        timed_out: matches!(e, FrameError::TimedOut),
+    };
+    write_frame(writer, request).map_err(|e| wire("sending", e.into()))?;
+    let reply: Frame = read_frame(reader).map_err(|e| wire("awaiting the reply to", e))?;
+    match reply.kind {
+        kind if kind == expected => Ok(reply.payload),
+        FrameKind::JobErr => {
+            let reason = String::from_utf8_lossy(&reply.payload);
+            Err(format!("{what} refused: {reason}").into())
         }
-        FrameKind::JobErr => Err((
-            format!(
-                "shard request refused: {}",
-                String::from_utf8_lossy(&frame.payload)
-            ),
-            false,
-        )),
-        other => Err((
-            format!("unexpected {other:?} reply to shard request"),
-            false,
-        )),
+        other => Err(format!("unexpected {other:?} reply to {what}").into()),
     }
 }
 
-fn request_rescue(
-    reader: &mut impl std::io::Read,
-    writer: &mut impl std::io::Write,
-    shard: u32,
-    units: &[ProbeUnit],
-) -> Result<SweepSnapshot, (String, bool)> {
-    write_frame(
-        writer,
-        &Frame::new(
-            FrameKind::RescueRequest,
-            encode_rescue_request(shard, units),
-        ),
-    )
-    .map_err(|e| wire_err("sending rescue request", e.into()))?;
-    let frame: Frame = read_frame(reader).map_err(|e| wire_err("awaiting rescue result", e))?;
-    match frame.kind {
-        FrameKind::RescueResult => {
-            let (id, delta) = decode_rescue_result(&frame.payload)
-                .map_err(|e| (format!("bad rescue result: {e}"), false))?;
-            if id != shard {
-                return Err((
-                    format!("rescue shard id mismatch: asked {shard}, got {id}"),
-                    false,
-                ));
-            }
-            Ok(delta)
+/// Asks the worker for one shard; returns its `(delta, fault book)`
+/// once the reply is known to answer what was asked.
+fn request_task(
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+    Task { phase, shard }: Task,
+    shared: &Shared,
+) -> Result<(SweepSnapshot, Vec<PopHealth>), Failure> {
+    let label = phase.label();
+    let what = format!("{label} request");
+    let (id, delta, book) = match phase {
+        PhaseKind::Main => {
+            let request = Frame::new(FrameKind::ShardRequest, encode_shard_request(shard));
+            let reply = exchange(reader, writer, &what, &request, FrameKind::ShardResult)?;
+            decode_shard_result(&reply)
         }
-        FrameKind::JobErr => Err((
-            format!(
-                "rescue refused: {}",
-                String::from_utf8_lossy(&frame.payload)
-            ),
-            false,
-        )),
-        other => Err((
-            format!("unexpected {other:?} reply to rescue request"),
-            false,
-        )),
+        PhaseKind::Rescue => {
+            let st = shared.state.lock().expect("state lock");
+            let (units, shards) = (Arc::clone(&st.phase.units), st.phase.slots.len() as u32);
+            drop(st);
+            let request =
+                encode_rescue_request(shard, &units[shard_range(units.len(), shards, shard)]);
+            let request = Frame::new(FrameKind::RescueRequest, request);
+            let reply = exchange(reader, writer, &what, &request, FrameKind::RescueResult)?;
+            decode_rescue_result(&reply).map(|(id, delta)| (id, delta, Vec::new()))
+        }
     }
+    .map_err(|e| format!("bad {label} result: {e}"))?;
+    if id != shard {
+        return Err(format!("{label} id mismatch: asked {shard}, got {id}").into());
+    }
+    Ok((delta, book))
+}
+
+/// Runs one task over a worker connection and files its delta (and, in
+/// the main phase, the shard's fault book) in the current phase. On any
+/// failure the task is back at the *front* of the queue before the
+/// error returns, so survivors can pick it up the moment the caller
+/// reports the worker lost.
+fn run_task(
+    reader: &mut impl Read,
+    writer: &mut impl Write,
+    task: Task,
+    shared: &Shared,
+    addr: &str,
+) -> Result<(), Failure> {
+    let result = request_task(reader, writer, task, shared);
+    let (label, shard) = (task.phase.label(), task.shard);
+    let mut st = shared.state.lock().expect("state lock");
+    let filed = result.map(|(delta, book)| {
+        st.phase.slots[shard as usize] = Some(delta);
+        st.books.extend(book);
+        let done = st.phase.slots.iter().flatten().count();
+        format!(
+            "{label} {shard} done on {addr} ({done}/{})",
+            st.phase.slots.len()
+        )
+    });
+    if filed.is_err() {
+        st.queue.push_front(task);
+    }
+    drop(st);
+    shared.cond.notify_all();
+    match &filed {
+        Ok(line) => eprintln!("driver: {line}"),
+        Err(_) => eprintln!("driver: re-queued {label} {shard} after losing {addr}"),
+    }
+    filed.map(drop)
 }
 
 /// Connects within `budget`, sleeping between attempts under the same
@@ -642,3 +533,6 @@ fn connect_with_retry(addr: &str, budget: Duration) -> Result<TcpStream, String>
         std::thread::sleep(Duration::from_millis(delay));
     }
 }
+
+#[cfg(test)]
+mod tests;

@@ -8,12 +8,15 @@
 //! └───────┴──────┴─────────┴────────────┴────────────┘
 //! ```
 //!
-//! The trailing checksum is `clientmap_store::codec::checksum` over
-//! `kind ‖ len ‖ payload` — the same seeded splitmix64 fold the
-//! snapshot codec uses — so truncations, reorderings, and bit flips on
-//! the wire are all rejected before a payload is interpreted. Frames
-//! larger than [`MAX_FRAME_PAYLOAD`] are refused *before* any payload
-//! allocation, so a corrupt length prefix cannot balloon memory.
+//! A frame is the magic followed by one record envelope of the store's
+//! codec (`clientmap_store::seal_record` / `open_record`, checksum over
+//! `kind ‖ len ‖ payload`) — the same envelope the `CMEL` event log
+//! repeats in a file — so truncations, reorderings, and bit flips on
+//! the wire are all rejected before a payload is interpreted. This
+//! module adds what a *stream* needs: the magic, one header loop that
+//! tells a clean hang-up and an idle deadline from a stall mid-frame,
+//! and the refusal of a length prefix above [`MAX_FRAME_PAYLOAD`]
+//! *before* anything is allocated for it.
 //!
 //! The framing is generic over its kind byte via [`WireKind`]: the
 //! fleet protocol's [`FrameKind`] is the default, and other `CMFR`
@@ -23,7 +26,7 @@
 
 use std::io::{Read, Write};
 
-use clientmap_store::checksum;
+use clientmap_store::{open_record, seal_record, ByteReader, ENVELOPE_HEAD, ENVELOPE_OVERHEAD};
 
 /// Frame magic: the first four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"CMFR";
@@ -34,7 +37,7 @@ pub const MAX_FRAME_PAYLOAD: usize = 1 << 28;
 
 /// A frame-kind vocabulary: one byte on the wire, one enum in code.
 /// Implementors get the whole `CMFR` framing stack
-/// ([`write_frame`]/[`read_frame`]/[`read_frame_opt`]) for free.
+/// ([`write_frame`]/[`read_frame`]/[`read_frame_deadline`]) for free.
 pub trait WireKind: Copy {
     /// The wire encoding of this kind.
     fn to_byte(self) -> u8;
@@ -114,9 +117,9 @@ impl<K: WireKind> Frame<K> {
 pub enum FrameError {
     /// The underlying stream failed.
     Io(std::io::Error),
-    /// The stream ended mid-frame (a clean EOF *between* frames is
-    /// reported as `Io` with `UnexpectedEof` by `read_frame_opt`'s
-    /// `None` instead).
+    /// The stream ended mid-frame — or, for [`read_frame`], which
+    /// expects a frame, before one began ([`read_frame_deadline`]
+    /// reports a clean EOF *between* frames as [`FrameRead::Eof`]).
     ShortRead,
     /// The first four bytes were not the frame magic.
     BadMagic([u8; 4]),
@@ -172,53 +175,25 @@ impl From<std::io::Error> for FrameError {
     }
 }
 
-/// The bytes the checksum covers: kind, length prefix, payload.
-fn body_checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut body = Vec::with_capacity(5 + payload.len());
-    body.push(kind);
-    body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(payload);
-    checksum(&body)
-}
-
 /// Writes one frame to `w` (buffered by the caller's stream; a frame
 /// is a single `write_all`).
 pub fn write_frame<K: WireKind>(w: &mut impl Write, frame: &Frame<K>) -> std::io::Result<()> {
-    let kind = frame.kind.to_byte();
-    let mut buf = Vec::with_capacity(17 + frame.payload.len());
+    let mut buf = Vec::with_capacity(MAGIC.len() + ENVELOPE_OVERHEAD + frame.payload.len());
     buf.extend_from_slice(&MAGIC);
-    buf.push(kind);
-    buf.extend_from_slice(&(frame.payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&frame.payload);
-    buf.extend_from_slice(&body_checksum(kind, &frame.payload).to_le_bytes());
+    seal_record(&mut buf, frame.kind.to_byte(), &frame.payload);
     w.write_all(&buf)?;
     w.flush()
 }
 
 /// Reads one frame from `r`, validating magic, kind, size, and
-/// checksum.
+/// checksum — for a caller owed an answer: a peer that hangs up instead
+/// is a `ShortRead`, one silent past the socket deadline a `TimedOut`.
 pub fn read_frame<K: WireKind>(r: &mut impl Read) -> Result<Frame<K>, FrameError> {
-    let mut header = [0u8; 9];
-    r.read_exact(&mut header)?;
-    read_frame_after_header(r, header)
-}
-
-/// Reads one frame, returning `Ok(None)` on a clean EOF at a frame
-/// boundary — how a server distinguishes "peer hung up" from a
-/// corrupt stream.
-pub fn read_frame_opt<K: WireKind>(r: &mut impl Read) -> Result<Option<Frame<K>>, FrameError> {
-    let mut header = [0u8; 9];
-    let mut got = 0;
-    while got < header.len() {
-        match r.read(&mut header[got..]) {
-            Ok(0) if got == 0 => return Ok(None),
-            Ok(0) => return Err(FrameError::ShortRead),
-            Ok(n) => got += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
+    match read_frame_deadline(r)? {
+        FrameRead::Frame(frame) => Ok(frame),
+        FrameRead::Eof => Err(FrameError::ShortRead),
+        FrameRead::Idle => Err(FrameError::TimedOut),
     }
-    read_frame_after_header(r, header).map(Some)
 }
 
 /// What a deadline-aware read produced.
@@ -241,7 +216,8 @@ pub enum FrameRead<K = FrameKind> {
 /// frame header started arriving means the peer stalled mid-frame and
 /// is reported as [`FrameError::TimedOut`].
 pub fn read_frame_deadline<K: WireKind>(r: &mut impl Read) -> Result<FrameRead<K>, FrameError> {
-    let mut header = [0u8; 9];
+    // magic ‖ kind ‖ len: everything needed to size the rest.
+    let mut header = [0u8; MAGIC.len() + ENVELOPE_HEAD];
     let mut got = 0;
     while got < header.len() {
         match r.read(&mut header[got..]) {
@@ -253,31 +229,28 @@ pub fn read_frame_deadline<K: WireKind>(r: &mut impl Read) -> Result<FrameRead<K
             Err(e) => return Err(e.into()),
         }
     }
-    read_frame_after_header(r, header).map(FrameRead::Frame)
-}
-
-fn read_frame_after_header<K: WireKind>(
-    r: &mut impl Read,
-    header: [u8; 9],
-) -> Result<Frame<K>, FrameError> {
-    let magic: [u8; 4] = header[..4].try_into().expect("4-byte magic");
+    let (magic, head) = header.split_at(MAGIC.len());
     if magic != MAGIC {
+        let magic = magic.try_into().expect("4-byte magic");
         return Err(FrameError::BadMagic(magic));
     }
-    let kind_byte = header[4];
+    let mut fields = ByteReader::unsealed(head);
+    let kind_byte = fields.u8().expect("kind byte in the header");
     let kind = K::from_byte(kind_byte).ok_or(FrameError::UnknownKind(kind_byte))?;
-    let len = u32::from_le_bytes(header[5..9].try_into().expect("4-byte len")) as usize;
+    let len = fields.u32().expect("length prefix in the header") as usize;
     if len > MAX_FRAME_PAYLOAD {
         return Err(FrameError::Oversized(len));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    let mut sum = [0u8; 8];
-    r.read_exact(&mut sum)?;
-    if u64::from_le_bytes(sum) != body_checksum(kind_byte, &payload) {
-        return Err(FrameError::BadChecksum);
-    }
-    Ok(Frame { kind, payload })
+    // The whole envelope: the head already read, then payload ‖ sum off
+    // the stream. Sized to its own length prefix, it can only fail to
+    // open on its checksum — taken in place, then the envelope is shed.
+    let mut record = vec![0u8; ENVELOPE_OVERHEAD + len];
+    record[..ENVELOPE_HEAD].copy_from_slice(head);
+    r.read_exact(&mut record[ENVELOPE_HEAD..])?;
+    open_record(&record).map_err(|_| FrameError::BadChecksum)?;
+    record.truncate(ENVELOPE_HEAD + len);
+    record.drain(..ENVELOPE_HEAD);
+    Ok(FrameRead::Frame(Frame::new(kind, record)))
 }
 
 #[cfg(test)]
@@ -305,14 +278,13 @@ mod tests {
     }
 
     #[test]
-    fn clean_eof_is_none_midframe_is_error() {
-        assert!(read_frame_opt::<FrameKind>(&mut [].as_slice())
-            .unwrap()
-            .is_none());
+    fn clean_eof_is_eof_midframe_is_error() {
+        let eof = read_frame_deadline::<FrameKind>(&mut [].as_slice());
+        assert!(matches!(eof, Ok(FrameRead::Eof)));
         let mut buf = Vec::new();
         write_frame(&mut buf, &Frame::new(FrameKind::Job, vec![9; 100])).unwrap();
         for cut in [1, 5, 9, 30, buf.len() - 1] {
-            let err = read_frame_opt::<FrameKind>(&mut &buf[..cut]).unwrap_err();
+            let err = read_frame_deadline::<FrameKind>(&mut &buf[..cut]).unwrap_err();
             assert!(
                 matches!(err, FrameError::ShortRead),
                 "cut at {cut}: {err:?}"

@@ -43,12 +43,12 @@ pub mod worker;
 
 pub use driver::{FleetOptions, FleetSweep};
 pub use frame::{
-    read_frame, read_frame_deadline, read_frame_opt, write_frame, Frame, FrameError, FrameKind,
-    FrameRead, WireKind, MAX_FRAME_PAYLOAD,
+    read_frame, read_frame_deadline, write_frame, Frame, FrameError, FrameKind, FrameRead,
+    WireKind, MAX_FRAME_PAYLOAD,
 };
 pub use proto::{
-    decode_fault_book, decode_rescue_request, decode_rescue_result, decode_shard_result,
-    encode_fault_book, encode_rescue_request, encode_rescue_result, encode_shard_result,
-    shard_range, JobAck, JobSpec, PROTOCOL_VERSION,
+    decode_fault_book, decode_rescue_request, decode_rescue_result, decode_shard_request,
+    decode_shard_result, encode_fault_book, encode_rescue_request, encode_rescue_result,
+    encode_shard_request, encode_shard_result, shard_range, JobAck, JobSpec, PROTOCOL_VERSION,
 };
 pub use worker::{run_worker, WorkerOptions};

@@ -11,7 +11,6 @@
 use clientmap_cacheprobe::{PopHealth, ProbeUnit};
 use clientmap_core::PipelineConfig;
 use clientmap_faults::{FaultConfig, FaultProfile};
-use clientmap_net::Prefix;
 use clientmap_store::{ByteReader, ByteWriter, CodecError, SweepSnapshot};
 
 /// Bumped whenever the frame layout or payload encodings change; a
@@ -66,22 +65,18 @@ impl JobSpec {
         w.u64(self.seed);
         w.u64(self.duration_hours.to_bits());
         w.u64(self.expiry_budget.to_bits());
-        w.u8(u8::from(self.batched_probing));
+        w.flag(self.batched_probing);
         w.u64(self.batch_size);
-        w.u8(u8::from(self.clustered_probing));
+        w.flag(self.clustered_probing);
         w.u64(self.cluster_epsilon.to_bits());
         w.u64(self.cluster_escalate_below.to_bits());
         w.u32(self.num_shards);
         w.u64(self.config_digest);
         w.str(self.faults.profile.as_str());
         w.u64(self.faults.fault_seed);
-        match &self.prior {
-            None => w.u8(0),
-            Some(bytes) => {
-                w.u8(1);
-                w.u32(bytes.len() as u32);
-                w.bytes(bytes);
-            }
+        w.flag(self.prior.is_some());
+        if let Some(bytes) = &self.prior {
+            w.blob(bytes);
         }
         w.finish()
     }
@@ -98,24 +93,26 @@ impl JobSpec {
         let seed = r.u64()?;
         let duration_hours = f64::from_bits(r.u64()?);
         let expiry_budget = f64::from_bits(r.u64()?);
-        let batched_probing = r.u8()? != 0;
+        let batched_probing = r.flag("job batched-probing flag")?;
         let batch_size = r.u64()?;
-        let clustered_probing = r.u8()? != 0;
+        let clustered_probing = r.flag("job clustered-probing flag")?;
         let cluster_epsilon = f64::from_bits(r.u64()?);
         let cluster_escalate_below = f64::from_bits(r.u64()?);
         let num_shards = r.u32()?;
         let config_digest = r.u64()?;
-        let profile: FaultProfile = r
-            .str()?
+        // By its canonical name only: the CLI's aliases (`none`,
+        // `popchurn`) would decode, then re-encode to different bytes.
+        let name = r.str()?;
+        let profile = name
             .parse()
-            .map_err(|_| CodecError::Malformed("unknown fault profile"))?;
+            .ok()
+            .filter(|p: &FaultProfile| p.as_str() == name)
+            .ok_or(CodecError::Malformed("unknown fault profile"))?;
         let faults = FaultConfig::profile(profile, r.u64()?);
-        let prior = match r.u8()? {
-            0 => None,
-            _ => {
-                let len = r.u32()? as usize;
-                Some(r.raw(len)?.to_vec())
-            }
+        let prior = if r.flag("job prior flag")? {
+            Some(r.blob()?.to_vec())
+        } else {
+            None
         };
         r.expect_done()?;
         Ok(JobSpec {
@@ -181,7 +178,7 @@ impl JobAck {
         w.u64(self.num_units);
         w.u64(self.config_digest);
         w.u64(self.world_seed);
-        w.u8(u8::from(self.warm_full_skip));
+        w.flag(self.warm_full_skip);
         w.finish()
     }
 
@@ -192,7 +189,7 @@ impl JobAck {
             num_units: r.u64()?,
             config_digest: r.u64()?,
             world_seed: r.u64()?,
-            warm_full_skip: r.u8()? != 0,
+            warm_full_skip: r.flag("job ack warm-full-skip flag")?,
         };
         r.expect_done()?;
         Ok(ack)
@@ -226,7 +223,7 @@ pub fn encode_fault_book(book: &[PopHealth]) -> Vec<u8> {
         w.u32(h.pop as u32);
         w.u64(h.attempts);
         w.u64(h.drops);
-        w.u8(u8::from(h.tripped));
+        w.flag(h.tripped);
     }
     w.finish()
 }
@@ -234,30 +231,44 @@ pub fn encode_fault_book(book: &[PopHealth]) -> Vec<u8> {
 /// Decodes a checksummed fault book.
 pub fn decode_fault_book(bytes: &[u8]) -> Result<Vec<PopHealth>, CodecError> {
     let mut r = ByteReader::verified(bytes)?;
-    let n = r.u32()? as usize;
-    let mut book = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        book.push(PopHealth {
+    let book = r.seq(|r| {
+        Ok(PopHealth {
             pop: r.u32()? as usize,
             attempts: r.u64()?,
             drops: r.u64()?,
-            tripped: r.u8()? != 0,
-        });
-    }
+            tripped: r.flag("fault book tripped flag")?,
+        })
+    })?;
     r.expect_done()?;
     Ok(book)
 }
 
+/// Encodes a ShardRequest payload: the shard id, four bytes. Unsealed
+/// — the frame's own checksum is all the integrity four bytes need.
+pub fn encode_shard_request(shard: u32) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.u32(shard);
+    w.into_unsealed()
+}
+
+/// Decodes a ShardRequest payload back into the shard id.
+pub fn decode_shard_request(payload: &[u8]) -> Result<u32, CodecError> {
+    let mut r = ByteReader::unsealed(payload);
+    let shard = r.u32()?;
+    r.expect_done()?;
+    Ok(shard)
+}
+
 /// Encodes a ShardResult payload: shard id, the shard's fault book
 /// (length-prefixed), then the delta snapshot's own checksummed
-/// encoding.
+/// encoding. The payload itself is unsealed: both parts carry their
+/// own checksum.
 pub fn encode_shard_result(shard: u32, delta: &SweepSnapshot, book: &[PopHealth]) -> Vec<u8> {
-    let mut out = shard.to_le_bytes().to_vec();
-    let book = encode_fault_book(book);
-    out.extend_from_slice(&(book.len() as u32).to_le_bytes());
-    out.extend_from_slice(&book);
-    out.extend_from_slice(&delta.encode());
-    out
+    let mut w = ByteWriter::new();
+    w.u32(shard);
+    w.blob(&encode_fault_book(book));
+    w.bytes(&delta.encode());
+    w.into_unsealed()
 }
 
 /// Decodes a ShardResult payload back into `(shard id, delta, fault
@@ -265,19 +276,12 @@ pub fn encode_shard_result(shard: u32, delta: &SweepSnapshot, book: &[PopHealth]
 pub fn decode_shard_result(
     payload: &[u8],
 ) -> Result<(u32, SweepSnapshot, Vec<PopHealth>), CodecError> {
-    if payload.len() < 8 {
-        return Err(CodecError::Truncated);
-    }
-    let shard = u32::from_le_bytes(payload[..4].try_into().expect("4-byte shard id"));
-    let book_len = u32::from_le_bytes(payload[4..8].try_into().expect("4-byte book len")) as usize;
-    let rest = &payload[8..];
-    if rest.len() < book_len {
-        return Err(CodecError::Truncated);
-    }
-    let (book, delta) = rest.split_at(book_len);
+    let mut r = ByteReader::unsealed(payload);
+    let shard = r.u32()?;
+    let book = r.blob()?;
     Ok((
         shard,
-        SweepSnapshot::decode(delta)?,
+        SweepSnapshot::decode(r.rest())?,
         decode_fault_book(book)?,
     ))
 }
@@ -294,8 +298,7 @@ pub fn encode_rescue_request(shard: u32, units: &[ProbeUnit]) -> Vec<u8> {
         w.u32(u.domain as u32);
         w.u32(u.scopes.len() as u32);
         for s in &u.scopes {
-            w.u32(s.addr());
-            w.u8(s.len());
+            w.prefix(*s);
         }
     }
     w.finish()
@@ -307,24 +310,13 @@ pub fn encode_rescue_request(shard: u32, units: &[ProbeUnit]) -> Vec<u8> {
 pub fn decode_rescue_request(bytes: &[u8]) -> Result<(u32, Vec<ProbeUnit>), CodecError> {
     let mut r = ByteReader::verified(bytes)?;
     let shard = r.u32()?;
-    let n = r.u32()? as usize;
-    let mut units = Vec::with_capacity(n.min(4096));
-    for _ in 0..n {
-        let bound_idx = r.u32()? as usize;
-        let domain = r.u32()? as usize;
-        let k = r.u32()? as usize;
-        let mut scopes = Vec::with_capacity(k.min(65536));
-        for _ in 0..k {
-            let addr = r.u32()?;
-            let len = r.u8()?;
-            scopes.push(Prefix::new(addr, len).map_err(|_| CodecError::Malformed("bad prefix"))?);
-        }
-        units.push(ProbeUnit {
-            bound_idx,
-            domain,
-            scopes,
-        });
-    }
+    let units = r.seq(|r| {
+        Ok(ProbeUnit {
+            bound_idx: r.u32()? as usize,
+            domain: r.u32()? as usize,
+            scopes: r.seq(|r| r.prefix("bad prefix"))?,
+        })
+    })?;
     r.expect_done()?;
     Ok((shard, units))
 }
@@ -333,19 +325,17 @@ pub fn decode_rescue_request(bytes: &[u8]) -> Result<(u32, Vec<ProbeUnit>), Code
 /// snapshot's own checksummed encoding (no fault book — the rescue
 /// phase runs after quarantine is already decided).
 pub fn encode_rescue_result(shard: u32, delta: &SweepSnapshot) -> Vec<u8> {
-    let mut out = shard.to_le_bytes().to_vec();
-    out.extend_from_slice(&delta.encode());
-    out
+    let mut w = ByteWriter::new();
+    w.u32(shard);
+    w.bytes(&delta.encode());
+    w.into_unsealed()
 }
 
 /// Decodes a RescueResult payload back into `(shard id, delta)`.
 pub fn decode_rescue_result(payload: &[u8]) -> Result<(u32, SweepSnapshot), CodecError> {
-    if payload.len() < 4 {
-        return Err(CodecError::Truncated);
-    }
-    let (id, rest) = payload.split_at(4);
-    let shard = u32::from_le_bytes(id.try_into().expect("4-byte shard id"));
-    Ok((shard, SweepSnapshot::decode(rest)?))
+    let mut r = ByteReader::unsealed(payload);
+    let shard = r.u32()?;
+    Ok((shard, SweepSnapshot::decode(r.rest())?))
 }
 
 #[cfg(test)]

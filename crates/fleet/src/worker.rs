@@ -22,7 +22,8 @@ use clientmap_world::World;
 
 use crate::frame::{read_frame_deadline, write_frame, Frame, FrameKind, FrameRead};
 use crate::proto::{
-    decode_rescue_request, encode_rescue_result, encode_shard_result, shard_range, JobAck, JobSpec,
+    decode_rescue_request, decode_shard_request, encode_rescue_result, encode_shard_result,
+    shard_range, JobAck, JobSpec,
 };
 
 /// How a worker process runs.
@@ -32,9 +33,9 @@ pub struct WorkerOptions {
     pub listen: String,
     /// Exit after serving one driver connection (tests, benches).
     pub once: bool,
-    /// Deterministic crash injection: serve this many shard requests,
-    /// then exit the process without replying to the next one — the
-    /// chaos lever for the driver's re-queue path.
+    /// Deterministic crash injection: serve this many shard requests
+    /// (of either phase), then exit the process without replying to
+    /// the next one — the chaos lever for the driver's re-queue path.
     pub fail_after: Option<u32>,
     /// Per-frame socket deadline. A driver that goes silent *between*
     /// frames is fine (it may be merging, or waiting on other
@@ -104,6 +105,91 @@ fn build_job(spec: &JobSpec) -> Result<JobState, String> {
     })
 }
 
+/// Accepts a job: rebuilds the sweep it describes and acknowledges
+/// with this worker's own unit count and digest.
+fn accept_job(payload: &[u8], peer: &str) -> Result<(JobState, Frame), String> {
+    let spec = JobSpec::decode(payload).map_err(|e| format!("bad job payload: {e}"))?;
+    let state = build_job(&spec)?;
+    let ack = JobAck {
+        num_units: state.prep.num_units() as u64,
+        config_digest: state.prep.config_digest(),
+        world_seed: state.prep.world_seed(),
+        warm_full_skip: state.prep.warm_full_skip(),
+    };
+    eprintln!(
+        "worker: job from {peer} accepted ({} units, {} shards)",
+        ack.num_units, state.num_shards
+    );
+    Ok((state, Frame::new(FrameKind::JobAck, ack.encode())))
+}
+
+/// Answers a `ShardRequest` or a `RescueRequest`: validates it against
+/// the prepared job, probes, and returns the result frame — or the
+/// reason the request is refused. `served` counts requests answered on
+/// this connection; the `--fail-after` chaos lever fires here, after
+/// validation and before probing, leaving the driver with an in-flight
+/// shard of whichever phase to re-queue.
+fn answer_request(
+    request: &Frame,
+    job: Option<&mut JobState>,
+    served: &mut u32,
+    opts: &WorkerOptions,
+) -> Result<Frame, String> {
+    let rescue = request.kind == FrameKind::RescueRequest;
+    let label = if rescue { "rescue shard" } else { "shard" };
+    let state = job.ok_or_else(|| format!("{label} request before job"))?;
+    let (shard, rescue_units) = if rescue {
+        if !state.prep.faulted() {
+            return Err("rescue request on a fault-free job".into());
+        }
+        let (shard, units) = decode_rescue_request(&request.payload)
+            .map_err(|e| format!("bad rescue request: {e}"))?;
+        // Wire-decoded indices must land inside this prep — anything
+        // else is a driver/worker skew, refused before it can index
+        // out of bounds.
+        let (bounds, domains) = (state.prep.num_bound(), state.prep.num_domains());
+        if units
+            .iter()
+            .any(|u| u.bound_idx >= bounds || u.domain >= domains)
+        {
+            return Err("rescue unit outside prepared sweep".into());
+        }
+        (shard, Some(units))
+    } else {
+        let shard = decode_shard_request(&request.payload)
+            .map_err(|e| format!("bad shard request: {e}"))?;
+        (shard, None)
+    };
+    if opts.fail_after.is_some_and(|n| *served >= n) {
+        eprintln!("worker: injected crash before {label} {shard}");
+        std::process::exit(17);
+    }
+    *served += 1;
+    let (sim, probe) = (&mut state.sim, &state.config.probe);
+    Ok(match rescue_units {
+        None => {
+            let range = shard_range(state.prep.num_units(), state.num_shards, shard);
+            eprintln!(
+                "worker: probing shard {shard} (units {}..{})",
+                range.start, range.end
+            );
+            let (delta, book) = probe_shard(sim, probe, &state.prep, range, shard);
+            Frame::new(
+                FrameKind::ShardResult,
+                encode_shard_result(shard, &delta, &book),
+            )
+        }
+        Some(units) => {
+            eprintln!(
+                "worker: probing rescue shard {shard} ({} units)",
+                units.len()
+            );
+            let delta = probe_rescue_shard(sim, probe, &state.prep, &units, shard);
+            Frame::new(FrameKind::RescueResult, encode_rescue_result(shard, &delta))
+        }
+    })
+}
+
 fn serve_connection(stream: TcpStream, opts: &WorkerOptions) -> std::io::Result<()> {
     let peer = stream
         .peer_addr()
@@ -127,146 +213,13 @@ fn serve_connection(stream: TcpStream, opts: &WorkerOptions) -> std::io::Result<
             Ok(FrameRead::Idle) => continue,
             Err(e) => return Err(std::io::Error::other(e.to_string())),
         };
-        match frame.kind {
-            FrameKind::Job => {
-                let reply = JobSpec::decode(&frame.payload)
-                    .map_err(|e| format!("bad job payload: {e}"))
-                    .and_then(|spec| build_job(&spec));
-                match reply {
-                    Ok(state) => {
-                        let ack = JobAck {
-                            num_units: state.prep.num_units() as u64,
-                            config_digest: state.prep.config_digest(),
-                            world_seed: state.prep.world_seed(),
-                            warm_full_skip: state.prep.warm_full_skip(),
-                        };
-                        eprintln!(
-                            "worker: job from {peer} accepted ({} units, {} shards)",
-                            state.prep.num_units(),
-                            state.num_shards
-                        );
-                        job = Some(state);
-                        write_frame(&mut writer, &Frame::new(FrameKind::JobAck, ack.encode()))?;
-                    }
-                    Err(reason) => {
-                        eprintln!("worker: job from {peer} refused: {reason}");
-                        write_frame(
-                            &mut writer,
-                            &Frame::new(FrameKind::JobErr, reason.into_bytes()),
-                        )?;
-                    }
-                }
-            }
-            FrameKind::ShardRequest => {
-                let Some(state) = job.as_mut() else {
-                    write_frame(
-                        &mut writer,
-                        &Frame::new(FrameKind::JobErr, b"shard request before job".to_vec()),
-                    )?;
-                    continue;
-                };
-                if frame.payload.len() != 4 {
-                    write_frame(
-                        &mut writer,
-                        &Frame::new(FrameKind::JobErr, b"bad shard request payload".to_vec()),
-                    )?;
-                    continue;
-                }
-                let shard =
-                    u32::from_le_bytes(frame.payload[..4].try_into().expect("4-byte shard id"));
-                if opts.fail_after.is_some_and(|n| served >= n) {
-                    // Chaos lever: die mid-request, leaving the driver
-                    // with an in-flight shard to re-queue.
-                    eprintln!("worker: injected crash before shard {shard}");
-                    std::process::exit(17);
-                }
-                served += 1;
-                let range = shard_range(state.prep.num_units(), state.num_shards, shard);
-                eprintln!(
-                    "worker: probing shard {shard} (units {}..{})",
-                    range.start, range.end
-                );
-                let (delta, book) = probe_shard(
-                    &mut state.sim,
-                    &state.config.probe,
-                    &state.prep,
-                    range,
-                    shard,
-                );
-                write_frame(
-                    &mut writer,
-                    &Frame::new(
-                        FrameKind::ShardResult,
-                        encode_shard_result(shard, &delta, &book),
-                    ),
-                )?;
-            }
-            FrameKind::RescueRequest => {
-                let Some(state) = job.as_mut() else {
-                    write_frame(
-                        &mut writer,
-                        &Frame::new(FrameKind::JobErr, b"rescue request before job".to_vec()),
-                    )?;
-                    continue;
-                };
-                if !state.prep.faulted() {
-                    write_frame(
-                        &mut writer,
-                        &Frame::new(
-                            FrameKind::JobErr,
-                            b"rescue request on a fault-free job".to_vec(),
-                        ),
-                    )?;
-                    continue;
-                }
-                let (shard, units) = match decode_rescue_request(&frame.payload) {
-                    Ok(ok) => ok,
-                    Err(e) => {
-                        write_frame(
-                            &mut writer,
-                            &Frame::new(
-                                FrameKind::JobErr,
-                                format!("bad rescue request: {e}").into_bytes(),
-                            ),
-                        )?;
-                        continue;
-                    }
-                };
-                // Wire-decoded indices must land inside this prep —
-                // anything else is a driver/worker skew, refused before
-                // it can index out of bounds.
-                if units.iter().any(|u| {
-                    u.bound_idx >= state.prep.num_bound() || u.domain >= state.prep.num_domains()
-                }) {
-                    write_frame(
-                        &mut writer,
-                        &Frame::new(
-                            FrameKind::JobErr,
-                            b"rescue unit outside prepared sweep".to_vec(),
-                        ),
-                    )?;
-                    continue;
-                }
-                if opts.fail_after.is_some_and(|n| served >= n) {
-                    eprintln!("worker: injected crash before rescue shard {shard}");
-                    std::process::exit(17);
-                }
-                served += 1;
-                eprintln!(
-                    "worker: probing rescue shard {shard} ({} units)",
-                    units.len()
-                );
-                let delta = probe_rescue_shard(
-                    &mut state.sim,
-                    &state.config.probe,
-                    &state.prep,
-                    &units,
-                    shard,
-                );
-                write_frame(
-                    &mut writer,
-                    &Frame::new(FrameKind::RescueResult, encode_rescue_result(shard, &delta)),
-                )?;
+        let reply = match frame.kind {
+            FrameKind::Job => accept_job(&frame.payload, &peer).map(|(state, ack)| {
+                job = Some(state);
+                ack
+            }),
+            FrameKind::ShardRequest | FrameKind::RescueRequest => {
+                answer_request(&frame, job.as_mut(), &mut served, opts)
             }
             FrameKind::Shutdown => {
                 write_frame(&mut writer, &Frame::new(FrameKind::Bye, Vec::new()))?;
@@ -277,7 +230,14 @@ fn serve_connection(stream: TcpStream, opts: &WorkerOptions) -> std::io::Result<
                     "unexpected frame {other:?} from driver"
                 )));
             }
-        }
+        };
+        // Every refusal, of a job or of a request, is a `JobErr` frame
+        // carrying the reason; the connection stays up.
+        let reply = reply.unwrap_or_else(|reason| {
+            eprintln!("worker: {:?} from {peer} refused: {reason}", frame.kind);
+            Frame::new(FrameKind::JobErr, reason.into_bytes())
+        });
+        write_frame(&mut writer, &reply)?;
     }
 }
 
@@ -333,5 +293,19 @@ mod tests {
         assert!(decoded.config().is_none());
         let reason = build_job(&decoded).err().expect("job must be refused");
         assert!(reason.contains("unknown scale \"papr\""), "{reason}");
+    }
+
+    /// The one refusal that needs no prepared sweep to reach: a request
+    /// of either phase before any job, refused naming the phase.
+    #[test]
+    fn requests_before_a_job_are_refused_naming_the_phase() {
+        for (kind, want) in [
+            (FrameKind::ShardRequest, "shard request before job"),
+            (FrameKind::RescueRequest, "rescue shard request before job"),
+        ] {
+            let request = Frame::new(kind, Vec::new());
+            let got = answer_request(&request, None, &mut 0, &WorkerOptions::default());
+            assert_eq!(got.err().as_deref(), Some(want));
+        }
     }
 }

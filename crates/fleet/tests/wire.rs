@@ -15,6 +15,7 @@ use clientmap_fleet::{
     FrameError, FrameKind, JobAck, JobSpec, MAX_FRAME_PAYLOAD,
 };
 use clientmap_net::Prefix;
+use clientmap_store::CodecError;
 use proptest::prelude::*;
 
 fn encode_frame(frame: &Frame) -> Vec<u8> {
@@ -79,8 +80,164 @@ fn unit_strategy() -> impl Strategy<Value = ProbeUnit> {
         })
 }
 
+/// Re-seals a checksummed payload whose body was edited, so that only
+/// a field check — never the checksum — can object to the edit.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = clientmap_store::checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+/// `clean` with one body byte (`pos_frac` of the way through)
+/// overwritten by `value`, re-sealed.
+fn overwrite(clean: &[u8], pos_frac: f64, value: u8) -> Vec<u8> {
+    let mut bytes = clean.to_vec();
+    let pos = ((bytes.len() - 9) as f64 * pos_frac) as usize;
+    bytes[pos] = value;
+    reseal(bytes)
+}
+
+fn spec_with(
+    profile: FaultProfile,
+    batched_probing: bool,
+    clustered_probing: bool,
+    prior: Option<Vec<u8>>,
+) -> JobSpec {
+    JobSpec {
+        scale: "tiny".into(),
+        seed: 7,
+        duration_hours: 4.0,
+        expiry_budget: 0.25,
+        batched_probing,
+        batch_size: 64,
+        clustered_probing,
+        cluster_epsilon: 0.25,
+        cluster_escalate_below: 0.5,
+        num_shards: 8,
+        config_digest: 0xDEAD_BEEF,
+        faults: FaultConfig::profile(profile, 3),
+        prior,
+    }
+}
+
+/// The satellite bug of the wire-layer PR: a flag byte the encoder
+/// never writes (2..=255, checksum recomputed) used to decode as
+/// `true`/`Some`, giving a value that no longer re-encodes to the bytes
+/// that were accepted. Every flag on the fleet wire is now strict.
+#[test]
+fn flag_bytes_other_than_0_and_1_are_malformed() {
+    /// The flag's offset: where two encodings that differ only in that
+    /// flag first differ.
+    fn flag_at(a: &[u8], b: &[u8]) -> usize {
+        let at = a.iter().zip(b).position(|(x, y)| x != y);
+        at.expect("the two encodings differ")
+    }
+    fn assert_strict<T: std::fmt::Debug>(
+        what: &str,
+        clean: &[u8],
+        at: usize,
+        decode: impl Fn(&[u8]) -> Result<T, CodecError>,
+    ) {
+        assert!(clean[at] <= 1, "{what}: byte {at} is not a flag");
+        for value in 2..=255u8 {
+            let mut bad = clean.to_vec();
+            bad[at] = value;
+            match decode(&reseal(bad)) {
+                Err(CodecError::Malformed(_)) => {}
+                other => panic!("{what} = {value}: expected Malformed, got {other:?}"),
+            }
+        }
+    }
+
+    let prior = Some(vec![9; 4]);
+    let clean = spec_with(FaultProfile::Lossy, false, false, prior.clone()).encode();
+    for (what, other) in [
+        (
+            "job batched-probing flag",
+            spec_with(FaultProfile::Lossy, true, false, prior.clone()),
+        ),
+        (
+            "job clustered-probing flag",
+            spec_with(FaultProfile::Lossy, false, true, prior.clone()),
+        ),
+        (
+            "job prior flag",
+            spec_with(FaultProfile::Lossy, false, false, None),
+        ),
+    ] {
+        assert_strict(
+            what,
+            &clean,
+            flag_at(&clean, &other.encode()),
+            JobSpec::decode,
+        );
+    }
+
+    let ack = |warm_full_skip| JobAck {
+        num_units: 1234,
+        config_digest: 0xDEAD_BEEF,
+        world_seed: 7,
+        warm_full_skip,
+    };
+    let clean = ack(false).encode();
+    let at = flag_at(&clean, &ack(true).encode());
+    assert_strict("job ack warm-full-skip flag", &clean, at, JobAck::decode);
+
+    let health = |pop, tripped| PopHealth {
+        pop,
+        attempts: 40,
+        drops: 21,
+        tripped,
+    };
+    let clean = encode_fault_book(&[health(3, false), health(9, true)]);
+    for (what, other) in [
+        ("first tripped flag", [health(3, true), health(9, true)]),
+        ("second tripped flag", [health(3, false), health(9, false)]),
+    ] {
+        let at = flag_at(&clean, &encode_fault_book(&other));
+        assert_strict(what, &clean, at, decode_fault_book);
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever decodes, re-encodes to the bytes that were accepted:
+    /// overwrite any one body byte of a valid payload (checksum
+    /// recomputed) and the decoder either refuses the result or hands
+    /// back a value whose encoding is exactly those bytes. A decoder
+    /// that normalises on the way in — a flag byte of 2 read as `true`,
+    /// a profile alias, host bits masked off a prefix — fails this.
+    #[test]
+    fn whatever_decodes_reencodes_to_the_same_bytes(
+        profile in profile_strategy(),
+        flags in (any::<bool>(), any::<bool>(), any::<bool>()),
+        prior in proptest::option::of(proptest::collection::vec(any::<u8>(), 0..32)),
+        book in book_strategy(),
+        shard in any::<u32>(),
+        units in proptest::collection::vec(unit_strategy(), 0..4),
+        pos_frac in 0.0..1.0f64,
+        value in any::<u8>(),
+    ) {
+        let bytes = overwrite(&spec_with(profile, flags.0, flags.1, prior).encode(), pos_frac, value);
+        if let Ok(spec) = JobSpec::decode(&bytes) {
+            prop_assert_eq!(spec.encode(), bytes);
+        }
+        let ack = JobAck { num_units: 9, config_digest: 8, world_seed: 7, warm_full_skip: flags.2 };
+        let bytes = overwrite(&ack.encode(), pos_frac, value);
+        if let Ok(ack) = JobAck::decode(&bytes) {
+            prop_assert_eq!(ack.encode(), bytes);
+        }
+        let bytes = overwrite(&encode_fault_book(&book), pos_frac, value);
+        if let Ok(book) = decode_fault_book(&bytes) {
+            prop_assert_eq!(encode_fault_book(&book), bytes);
+        }
+        let bytes = overwrite(&encode_rescue_request(shard, &units), pos_frac, value);
+        if let Ok((shard, units)) = decode_rescue_request(&bytes) {
+            prop_assert_eq!(encode_rescue_request(shard, &units), bytes);
+        }
+    }
 
     /// Any frame survives an encode/decode round trip, and back-to-back
     /// frames on one stream decode in order.

@@ -147,10 +147,7 @@ impl Query {
             Query::WaitGen(seq) => w.u64(*seq),
             Query::As(asn) => w.u32(asn.0),
             Query::Country(cc) => w.bytes(cc.as_str().as_bytes()),
-            Query::Prefix(p) => {
-                w.u32(p.addr());
-                w.u8(p.len());
-            }
+            Query::Prefix(p) => w.prefix(*p),
             Query::TopK(k) => w.u32(*k),
             Query::Ecdf(points) => w.u32(*points),
         }
@@ -165,20 +162,8 @@ impl Query {
             QueryKind::Stop => Query::Stop,
             QueryKind::WaitGen => Query::WaitGen(r.u64()?),
             QueryKind::As => Query::As(Asn(r.u32()?)),
-            QueryKind::Country => {
-                let raw = r.raw(2)?;
-                let s = std::str::from_utf8(raw)
-                    .map_err(|_| CodecError::Malformed("country code not ASCII"))?;
-                Query::Country(
-                    s.parse()
-                        .map_err(|_| CodecError::Malformed("country code"))?,
-                )
-            }
-            QueryKind::Prefix => {
-                let addr = r.u32()?;
-                let len = r.u8()?;
-                Query::Prefix(Prefix::new(addr, len).map_err(|_| CodecError::Malformed("prefix"))?)
-            }
+            QueryKind::Country => Query::Country(decode_country(&mut r)?),
+            QueryKind::Prefix => Query::Prefix(r.prefix("prefix")?),
             QueryKind::TopK => Query::TopK(r.u32()?),
             QueryKind::Ecdf => Query::Ecdf(r.u32()?),
             _ => return Err(CodecError::Malformed("reply kind used as a query")),
@@ -307,7 +292,7 @@ impl Reply {
                 w.u64(i.measured_slash24s);
                 w.u32(i.active_ases);
                 w.u32(i.countries);
-                w.u8(u8::from(i.degraded));
+                w.flag(i.degraded);
             }
             Reply::As(a) => {
                 w.u32(a.asn.0);
@@ -325,8 +310,7 @@ impl Reply {
                 w.u64(c.active_slash24s);
             }
             Reply::Prefix(p) => {
-                w.u32(p.prefix.addr());
-                w.u8(p.prefix.len());
+                w.prefix(p.prefix);
                 w.u32(p.origins.len() as u32);
                 for asn in &p.origins {
                     w.u32(asn.0);
@@ -370,7 +354,7 @@ impl Reply {
                 measured_slash24s: r.u64()?,
                 active_ases: r.u32()?,
                 countries: r.u32()?,
-                degraded: r.u8()? != 0,
+                degraded: r.flag("info degraded flag")?,
             }),
             QueryKind::RespAs => {
                 let asn = Asn(r.u32()?);
@@ -396,14 +380,8 @@ impl Reply {
                 active_slash24s: r.u64()?,
             }),
             QueryKind::RespPrefix => {
-                let addr = r.u32()?;
-                let len = r.u8()?;
-                let prefix = Prefix::new(addr, len).map_err(|_| CodecError::Malformed("prefix"))?;
-                let n = r.u32()? as usize;
-                let mut origins = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    origins.push(Asn(r.u32()?));
-                }
+                let prefix = r.prefix("prefix")?;
+                let origins = r.seq(|r| Ok(Asn(r.u32()?)))?;
                 let mut verdicts = [0u64; 5];
                 for v in verdicts.iter_mut() {
                     *v = r.u64()?;
@@ -414,21 +392,9 @@ impl Reply {
                     verdicts,
                 })
             }
-            QueryKind::RespTopK => {
-                let n = r.u32()? as usize;
-                let mut rows = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    rows.push((Asn(r.u32()?), r.u64()?, r.u64()?));
-                }
-                Reply::TopK(rows)
-            }
+            QueryKind::RespTopK => Reply::TopK(r.seq(|r| Ok((Asn(r.u32()?), r.u64()?, r.u64()?)))?),
             QueryKind::RespEcdf => {
-                let n = r.u32()? as usize;
-                let mut points = Vec::with_capacity(n.min(1 << 16));
-                for _ in 0..n {
-                    points.push((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?)));
-                }
-                Reply::Ecdf(points)
+                Reply::Ecdf(r.seq(|r| Ok((f64::from_bits(r.u64()?), f64::from_bits(r.u64()?))))?)
             }
             QueryKind::RespBye => Reply::Bye,
             QueryKind::RespErr => Reply::Err(r.str()?),
@@ -439,11 +405,15 @@ impl Reply {
     }
 }
 
+/// Reads a country code as the encoder writes it: two upper-case ASCII
+/// letters. (Parsing alone would also take lower case, and hand back a
+/// value that re-encodes to different bytes.)
 fn decode_country(r: &mut ByteReader<'_>) -> Result<CountryCode, CodecError> {
     let raw = r.raw(2)?;
     std::str::from_utf8(raw)
         .ok()
         .and_then(|s| s.parse().ok())
+        .filter(|cc: &CountryCode| cc.as_str().as_bytes() == raw)
         .ok_or(CodecError::Malformed("country code"))
 }
 

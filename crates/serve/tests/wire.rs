@@ -13,7 +13,10 @@ use std::io::Cursor;
 use clientmap_fleet::{read_frame, write_frame, Frame, FrameError, MAX_FRAME_PAYLOAD};
 use clientmap_geo::CountryCode;
 use clientmap_net::{Asn, Prefix};
-use clientmap_serve::{Query, QueryKind, Reply};
+use clientmap_serve::{
+    AsReply, CountryReply, InfoReply, PrefixReply, Query, QueryKind, Reply, QUERY_PROTOCOL_VERSION,
+};
+use clientmap_store::CodecError;
 use proptest::prelude::*;
 
 fn encode_frame(frame: &Frame<QueryKind>) -> Vec<u8> {
@@ -59,8 +62,125 @@ fn query_strategy() -> impl Strategy<Value = Query> {
     ]
 }
 
+/// Re-seals a checksummed payload whose body was edited, so that only
+/// a field check — never the checksum — can object to the edit.
+fn reseal(mut bytes: Vec<u8>) -> Vec<u8> {
+    let body = bytes.len() - 8;
+    let sum = clientmap_store::checksum(&bytes[..body]);
+    bytes[body..].copy_from_slice(&sum.to_le_bytes());
+    bytes
+}
+
+fn info(degraded: bool) -> Reply {
+    Reply::Info(InfoReply {
+        protocol: QUERY_PROTOCOL_VERSION,
+        generation: 2,
+        epoch: 5,
+        log_offset: 1234,
+        world_seed: 7,
+        config_digest: 0xDEAD,
+        measured_slash24s: 99,
+        active_ases: 12,
+        countries: 3,
+        degraded,
+    })
+}
+
+/// A reply of every variant, built from the query strategy's values.
+fn reply_strategy() -> impl Strategy<Value = Reply> {
+    let rows = proptest::collection::vec((any::<u32>(), any::<u64>(), any::<u64>()), 0..6);
+    let verdicts = proptest::collection::vec(any::<u64>(), 5);
+    (query_strategy(), any::<bool>(), verdicts, rows).prop_map(
+        |(query, degraded, verdicts, rows)| {
+            let verdicts: [u64; 5] = verdicts.try_into().expect("five counts");
+            match query {
+                Query::Info | Query::WaitGen(_) => info(degraded),
+                Query::As(asn) => Reply::As(AsReply {
+                    asn,
+                    country: CountryCode::new(b'D', b'E'),
+                    announced_slash24s: verdicts[0],
+                    active_slash24s: verdicts[4],
+                    verdicts,
+                }),
+                Query::Country(country) => Reply::Country(CountryReply {
+                    country,
+                    ases: 4,
+                    announced_slash24s: verdicts[0],
+                    active_slash24s: verdicts[4],
+                }),
+                Query::Prefix(prefix) => Reply::Prefix(PrefixReply {
+                    prefix,
+                    origins: rows.iter().map(|row| Asn(row.0)).collect(),
+                    verdicts,
+                }),
+                Query::TopK(_) => {
+                    Reply::TopK(rows.into_iter().map(|(a, x, y)| (Asn(a), x, y)).collect())
+                }
+                Query::Ecdf(_) => Reply::Ecdf(
+                    rows.iter()
+                        .map(|row| (f64::from_bits(row.1), f64::from_bits(row.2)))
+                        .collect(),
+                ),
+                Query::Stop if degraded => Reply::Bye,
+                Query::Stop => Reply::Err(format!("unknown AS {}", verdicts[0])),
+            }
+        },
+    )
+}
+
+/// The satellite bug of the wire-layer PR, on the query wire: a
+/// `degraded` byte the encoder never writes (2..=255, checksum
+/// recomputed) used to decode as `true`.
+#[test]
+fn an_info_flag_byte_other_than_0_and_1_is_malformed() {
+    let clean = info(false).encode();
+    let other = info(true).encode();
+    let at = clean.iter().zip(&other).position(|(a, b)| a != b);
+    let at = at.expect("the two encodings differ");
+    for value in 2..=255u8 {
+        let mut bad = clean.clone();
+        bad[at] = value;
+        match Reply::decode(QueryKind::RespInfo, &reseal(bad)) {
+            Err(CodecError::Malformed(_)) => {}
+            other => panic!("degraded = {value}: expected Malformed, got {other:?}"),
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Whatever decodes, re-encodes to the bytes that were accepted:
+    /// overwrite any one body byte of a valid query or reply payload
+    /// (checksum recomputed) and the decoder either refuses the result
+    /// or hands back a value whose encoding is exactly those bytes. A
+    /// decoder that normalises on the way in — a flag byte of 2 read as
+    /// `true`, a lower-case country code, host bits masked off a prefix
+    /// — fails this.
+    #[test]
+    fn whatever_decodes_reencodes_to_the_same_bytes(
+        query in query_strategy(),
+        reply in reply_strategy(),
+        pos_frac in 0.0..1.0f64,
+        value in any::<u8>(),
+    ) {
+        let overwrite = |clean: Vec<u8>| {
+            let mut bytes = clean;
+            if bytes.len() > 8 {
+                let pos = ((bytes.len() - 9) as f64 * pos_frac) as usize;
+                bytes[pos] = value;
+            }
+            reseal(bytes)
+        };
+        let bytes = overwrite(query.encode());
+        if let Ok(got) = Query::decode(query.kind(), &bytes) {
+            prop_assert_eq!(got.encode(), bytes);
+        }
+        let bytes = overwrite(reply.encode());
+        if let Ok(got) = Reply::decode(reply.kind(), &bytes) {
+            prop_assert_eq!(got.encode(), bytes);
+        }
+    }
 
     /// Any query-kind frame survives an encode/decode round trip, and
     /// back-to-back frames on one stream decode in order.

@@ -7,11 +7,10 @@
 //! feature space (the confidence tag), and what verdict the member held
 //! in the prior sweep — the reference the *next* planner checks to
 //! detect verdict flips and escalate the member back to live probing.
-//! [`ConfidenceTable`] is the dense per-/24 projection of those tags,
-//! the [`crate::VerdictTable`] sibling analysis and reporting read.
+//! The records live in the snapshot's confidence section
+//! ([`crate::SweepSnapshot::confidence`]), keyed by the member slot.
 
 use crate::snapshot::RecordKey;
-use crate::{slash24_index, Slash24Table};
 
 /// Top of the confidence scale: a verdict copied across zero feature
 /// distance.
@@ -23,107 +22,10 @@ pub struct ConfidenceRecord {
     /// The representative slot whose record this slot copies.
     pub rep: RecordKey,
     /// Planner confidence in the copy, `1..=255` — a stored record
-    /// always carries *some* confidence; 0 is reserved for "untagged"
-    /// in the dense table.
+    /// always carries *some* confidence; 0 is not storable.
     pub confidence: u8,
     /// Verdict rank this slot held in the prior sweep (0 = unmeasured).
     /// The next planner compares it against the extrapolated record to
     /// detect flips.
     pub prior_verdict: u8,
-}
-
-/// Dense per-/24 confidence tags over the whole IPv4 space; 0 means
-/// "directly measured / untagged". Tagging merges by **minimum**
-/// nonzero confidence — the weakest extrapolation touching a /24 wins,
-/// the conservative dual of [`crate::VerdictTable`]'s max-rank merge —
-/// so the table is insertion-order independent like every other
-/// structure the deterministic reduction feeds.
-#[derive(Debug, Clone, Default)]
-pub struct ConfidenceTable {
-    table: Slash24Table,
-}
-
-impl ConfidenceTable {
-    /// An all-untagged table.
-    pub fn new() -> ConfidenceTable {
-        ConfidenceTable::default()
-    }
-
-    /// The confidence tag at /24 index `idx` (0 = untagged).
-    pub fn get(&self, idx: u32) -> u8 {
-        self.table.get(idx)
-    }
-
-    /// Tags /24 index `idx` with `confidence` (clamped up to 1),
-    /// keeping the minimum of all nonzero tags seen.
-    pub fn tag(&mut self, idx: u32, confidence: u8) {
-        let confidence = confidence.max(1);
-        let prev = self.table.get(idx);
-        if prev == 0 || confidence < prev {
-            self.table.set(idx, confidence);
-        }
-    }
-
-    /// Tags every /24 covered by the scope `(addr, len)`; scopes longer
-    /// than a /24 tag the /24 containing them.
-    pub fn tag_scope(&mut self, addr: u32, len: u8, confidence: u8) {
-        let base = slash24_index(addr);
-        if len >= 24 {
-            self.tag(base, confidence);
-            return;
-        }
-        let span = 1u32 << (24 - len);
-        let start = base & !(span - 1);
-        for idx in start..start + span {
-            self.tag(idx, confidence);
-        }
-    }
-
-    /// Number of tagged /24s.
-    pub fn count_tagged(&self) -> u64 {
-        self.table.count_nonzero()
-    }
-
-    /// `(index, confidence)` for every tagged /24, ascending by index.
-    pub fn iter_tagged(&self) -> impl Iterator<Item = (u32, u8)> + '_ {
-        self.table.iter_nonzero()
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn tag_keeps_the_minimum_nonzero_confidence() {
-        let mut t = ConfidenceTable::new();
-        assert_eq!(t.get(42), 0);
-        t.tag(42, 200);
-        assert_eq!(t.get(42), 200);
-        t.tag(42, 250); // weaker evidence never raises the tag
-        assert_eq!(t.get(42), 200);
-        t.tag(42, 90);
-        assert_eq!(t.get(42), 90);
-        t.tag(7, 0); // clamped to 1, never silently untagged
-        assert_eq!(t.get(7), 1);
-        assert_eq!(t.count_tagged(), 2);
-    }
-
-    #[test]
-    fn tag_scope_expands_to_every_covered_slash24() {
-        let mut t = ConfidenceTable::new();
-        t.tag_scope(0x0A000000, 22, 128); // 10.0.0.0/22 → four /24s
-        assert_eq!(
-            t.iter_tagged().collect::<Vec<_>>(),
-            vec![
-                (0x0A0000, 128),
-                (0x0A0001, 128),
-                (0x0A0002, 128),
-                (0x0A0003, 128)
-            ]
-        );
-        t.tag_scope(0x0A000280, 26, 30); // inside 10.0.2.0/24
-        assert_eq!(t.get(0x0A0002), 30);
-        assert_eq!(t.count_tagged(), 4);
-    }
 }

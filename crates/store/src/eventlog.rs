@@ -11,19 +11,18 @@
 //! │ magic    │ version │ world_seed    │ config_digest u64 │ records ...  │
 //! │ CMEL     │ u16 LE  │ u64 LE        │ LE                │              │
 //! └──────────┴─────────┴───────────────┴───────────────────┴──────────────┘
-//! record := ┌──────┬─────────┬────────────┬────────────┐
-//!           │ kind │ len u32 │ payload    │ sum u64 LE │
-//!           │ u8   │ LE      │ len bytes  │ splitmix64 │
-//!           └──────┴─────────┴────────────┴────────────┘
 //! ```
 //!
-//! Records ride the same framing/checksum discipline as the fleet's
-//! `CMFR` wire frames: the trailing checksum is [`checksum`] over
-//! `kind ‖ len ‖ payload`, and a length prefix above
-//! [`MAX_EVENT_PAYLOAD`] is refused *before* any allocation. Appends
-//! are a single `write_all` + flush, so a crash can only ever tear the
-//! *tail* record; [`EventLog::open`] scans the file, truncates a torn
-//! or corrupt tail back to the last intact record boundary, and never
+//! A record is the codec's record envelope
+//! ([`seal_record`](crate::codec::seal_record): `kind ‖ len ‖ payload ‖
+//! sum`) — byte for byte what follows the magic in one of the fleet's
+//! `CMFR` frames — and every read of one, the recovery scan and the
+//! offset-indexed read alike, goes through
+//! [`open_record`](crate::codec::open_record), which only ever compares
+//! the length prefix against bytes already in hand. Appends are a
+//! single `write_all` + flush, so a crash can only ever tear the *tail*
+//! record; [`EventLog::open`] scans the file, truncates a torn or
+//! corrupt tail back to the last intact record boundary, and never
 //! half-applies anything.
 //!
 //! Compaction reuses the [`SweepSnapshot`] codec as the compacted
@@ -36,7 +35,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::codec::{checksum, ByteReader, ByteWriter, CodecError};
+use crate::codec::{open_record, seal_record, ByteReader, ByteWriter, CodecError};
 use crate::snapshot::SweepSnapshot;
 use crate::verdict::{Verdict, VerdictTable};
 
@@ -109,10 +108,8 @@ impl SweepEvent {
         let epoch = r.u32()?;
         let generation = r.u64()?;
         let measured_slash24s = r.u64()?;
-        let n = r.u32()? as usize;
-        let mut changes = Vec::with_capacity(n.min(1 << 20));
         let mut last: Option<u32> = None;
-        for _ in 0..n {
+        let changes = r.seq(|r| {
             let index = r.u32()?;
             if last.is_some_and(|p| p >= index) {
                 return Err(CodecError::Malformed("event changes out of order"));
@@ -122,8 +119,8 @@ impl SweepEvent {
                 .ok_or(CodecError::Malformed("bad `from` verdict in event"))?;
             let to = Verdict::from_u8(r.u8()?)
                 .ok_or(CodecError::Malformed("bad `to` verdict in event"))?;
-            changes.push(VerdictChange { index, from, to });
-        }
+            Ok(VerdictChange { index, from, to })
+        })?;
         r.expect_done()?;
         Ok(SweepEvent {
             epoch,
@@ -317,15 +314,6 @@ pub struct EventLog {
     config_digest: u64,
 }
 
-/// The bytes a record checksum covers: kind, length prefix, payload.
-fn record_checksum(kind: u8, payload: &[u8]) -> u64 {
-    let mut body = Vec::with_capacity(5 + payload.len());
-    body.push(kind);
-    body.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    body.extend_from_slice(payload);
-    checksum(&body)
-}
-
 impl EventLog {
     /// Creates (truncating) a fresh log for the given world identity.
     pub fn create(
@@ -340,12 +328,12 @@ impl EventLog {
             .create(true)
             .truncate(true)
             .open(&path)?;
-        let mut header = Vec::with_capacity(EVENTLOG_HEADER_LEN as usize);
-        header.extend_from_slice(&EVENTLOG_MAGIC);
-        header.extend_from_slice(&EVENTLOG_VERSION.to_le_bytes());
-        header.extend_from_slice(&world_seed.to_le_bytes());
-        header.extend_from_slice(&config_digest.to_le_bytes());
-        file.write_all(&header)?;
+        let mut header = ByteWriter::new();
+        header.bytes(&EVENTLOG_MAGIC);
+        header.u16(EVENTLOG_VERSION);
+        header.u64(world_seed);
+        header.u64(config_digest);
+        file.write_all(&header.into_unsealed())?;
         file.flush()?;
         Ok(EventLog {
             path,
@@ -367,27 +355,30 @@ impl EventLog {
         let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
         let mut bytes = Vec::new();
         file.read_to_end(&mut bytes)?;
-        if bytes.len() < EVENTLOG_HEADER_LEN as usize {
-            return Err(EventLogError::BadMagic(
-                [bytes.first(), bytes.get(1), bytes.get(2), bytes.get(3)]
-                    .map(|b| b.copied().unwrap_or(0)),
-            ));
-        }
-        let magic: [u8; 4] = bytes[..4].try_into().expect("4-byte magic");
-        if magic != EVENTLOG_MAGIC {
-            return Err(EventLogError::BadMagic(magic));
-        }
-        let version = u16::from_le_bytes(bytes[4..6].try_into().expect("2-byte version"));
-        if version != EVENTLOG_VERSION {
-            return Err(EventLogError::BadVersion(version));
-        }
-        let world_seed = u64::from_le_bytes(bytes[6..14].try_into().expect("8-byte seed"));
-        let config_digest = u64::from_le_bytes(bytes[14..22].try_into().expect("8-byte digest"));
+        let mut head = ByteReader::unsealed(&bytes);
+        let header =
+            (|| Ok::<_, CodecError>((head.raw(4)?, head.u16()?, head.u64()?, head.u64()?)))();
+        let (world_seed, config_digest) = match header {
+            Ok((magic, EVENTLOG_VERSION, seed, digest)) if magic == EVENTLOG_MAGIC => {
+                (seed, digest)
+            }
+            Ok((magic, version, ..)) if magic == EVENTLOG_MAGIC => {
+                return Err(EventLogError::BadVersion(version));
+            }
+            // Wrong magic, or too short to hold a header at all.
+            _ => {
+                let magic = [0, 1, 2, 3].map(|i| bytes.get(i).copied().unwrap_or(0));
+                return Err(EventLogError::BadMagic(magic));
+            }
+        };
 
-        // Scan forward; `good` is always a record boundary.
+        // Scan forward; `good` is always a record boundary, and the
+        // first thing that does not open as a record starts the dead
+        // tail. (A record that opens but whose *payload* fails to decode
+        // is a format bug surfaced on read, not a recovery matter.)
         let mut offsets = Vec::new();
         let mut good = EVENTLOG_HEADER_LEN as usize;
-        while let Some(consumed) = scan_record(&bytes[good..]) {
+        while let Ok((_, _, consumed)) = open_event_record(&bytes[good..]) {
             offsets.push(good as u64);
             good += consumed;
         }
@@ -451,14 +442,11 @@ impl EventLog {
         PathBuf::from(name)
     }
 
-    /// Appends one raw record (kind + payload) as a single framed,
-    /// checksummed write and flushes. Returns the record's byte offset.
+    /// Appends one raw record (kind + payload) as a single sealed
+    /// write and flushes. Returns the record's byte offset.
     fn append_record(&mut self, kind: u8, payload: &[u8]) -> std::io::Result<u64> {
-        let mut buf = Vec::with_capacity(13 + payload.len());
-        buf.push(kind);
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(payload);
-        buf.extend_from_slice(&record_checksum(kind, payload).to_le_bytes());
+        let mut buf = Vec::new();
+        seal_record(&mut buf, kind, payload);
         let offset = self.len;
         self.file.write_all(&buf)?;
         self.file.flush()?;
@@ -481,30 +469,25 @@ impl EventLog {
 
     /// Reads the record at `offset` (which must be one of
     /// [`EventLog::offsets`] — i.e. an intact record boundary),
-    /// whatever its kind.
+    /// whatever its kind. The read is sized by the validated index
+    /// (a record ends where the next begins, or where the log does),
+    /// never by a length prefix read back off the disk.
     pub fn read_record_at(&mut self, offset: u64) -> Result<EventRecord, EventLogError> {
-        if !self.offsets.contains(&offset) {
-            return Err(EventLogError::BadOffset(offset));
-        }
+        let i = self
+            .offsets
+            .binary_search(&offset)
+            .map_err(|_| EventLogError::BadOffset(offset))?;
+        let end = self.offsets.get(i + 1).copied().unwrap_or(self.len);
+        let mut buf = vec![0u8; (end - offset) as usize];
         self.file.seek(SeekFrom::Start(offset))?;
-        let mut head = [0u8; 5];
-        self.file.read_exact(&mut head)?;
-        let kind = head[0];
-        let len = u32::from_le_bytes(head[1..5].try_into().expect("4-byte len")) as usize;
-        if !matches!(kind, RECORD_SWEEP | RECORD_FAILURE) || len > MAX_EVENT_PAYLOAD {
-            return Err(EventLogError::BadOffset(offset));
-        }
-        let mut payload = vec![0u8; len];
-        self.file.read_exact(&mut payload)?;
-        let mut sum = [0u8; 8];
-        self.file.read_exact(&mut sum)?;
+        let read = self.file.read_exact(&mut buf);
+        // Back to the append position before anything can return.
         self.file.seek(SeekFrom::End(0))?;
-        if u64::from_le_bytes(sum) != record_checksum(kind, &payload) {
-            return Err(EventLogError::Codec(CodecError::BadChecksum));
-        }
+        read?;
+        let (kind, payload, _) = open_event_record(&buf)?;
         Ok(match kind {
-            RECORD_SWEEP => EventRecord::Sweep(SweepEvent::decode(&payload)?),
-            _ => EventRecord::Failure(FailureEvent::decode(&payload)?),
+            RECORD_SWEEP => EventRecord::Sweep(SweepEvent::decode(payload)?),
+            _ => EventRecord::Failure(FailureEvent::decode(payload)?),
         })
     }
 
@@ -570,29 +553,18 @@ impl EventLog {
     }
 }
 
-/// Validates one record at the head of `bytes`; returns the bytes it
-/// consumes, or `None` when the record is torn, corrupt, oversized, or
-/// of unknown kind — all treated as the start of a dead tail.
-fn scan_record(bytes: &[u8]) -> Option<usize> {
-    if bytes.len() < 5 {
-        return None;
-    }
-    let kind = bytes[0];
+/// Opens the event record at the head of `bytes` — the one parser the
+/// recovery scan and [`EventLog::read_record_at`] share: the codec's
+/// envelope plus this log's own rules (known kind, bounded payload).
+fn open_event_record(bytes: &[u8]) -> Result<(u8, &[u8], usize), CodecError> {
+    let (kind, payload, consumed) = open_record(bytes)?;
     if !matches!(kind, RECORD_SWEEP | RECORD_FAILURE) {
-        return None;
+        return Err(CodecError::Malformed("unknown event record kind"));
     }
-    let len = u32::from_le_bytes(bytes[1..5].try_into().expect("4-byte len")) as usize;
-    if len > MAX_EVENT_PAYLOAD || bytes.len() < 5 + len + 8 {
-        return None;
+    if payload.len() > MAX_EVENT_PAYLOAD {
+        return Err(CodecError::Malformed("event record over the payload limit"));
     }
-    let payload = &bytes[5..5 + len];
-    let sum = u64::from_le_bytes(bytes[5 + len..5 + len + 8].try_into().expect("8-byte sum"));
-    if sum != record_checksum(kind, payload) {
-        return None;
-    }
-    // The frame is intact; a payload that then fails to decode is a
-    // format bug we surface on read, not a recovery matter.
-    Some(5 + len + 8)
+    Ok((kind, payload, consumed))
 }
 
 #[cfg(test)]

@@ -61,8 +61,11 @@ mod table;
 mod verdict;
 
 pub use bitset::{AsBitsets, Slash24Bitset, SLASH24_SPACE};
-pub use codec::{checksum, ByteReader, ByteWriter, CodecError};
-pub use confidence::{ConfidenceRecord, ConfidenceTable, CONFIDENCE_MAX};
+pub use codec::{
+    checksum, open_record, seal_record, ByteReader, ByteWriter, CodecError, ENVELOPE_HEAD,
+    ENVELOPE_OVERHEAD,
+};
+pub use confidence::{ConfidenceRecord, CONFIDENCE_MAX};
 pub use eventlog::{
     verdict_delta, EventLog, EventLogError, EventRecord, FailureEvent, Recovery, SweepEvent,
     VerdictChange, EVENTLOG_MAGIC, EVENTLOG_VERSION,

@@ -1,5 +1,12 @@
 //! The serialized state of one probing sweep — everything a later run
 //! needs to warm-start instead of re-probing the world.
+//!
+//! One layout: [`SweepSnapshot::encode`] writes [`SNAPSHOT_VERSION`]
+//! and [`SweepSnapshot::decode`] reads exactly that (see the constant
+//! for the versioning policy). Counts and flags follow the codec's two
+//! rules ([`ByteReader::count`], [`ByteReader::flag`]); the field checks
+//! that are the snapshot's own each name their field in a
+//! [`CodecError::Malformed`].
 
 use std::collections::BTreeMap;
 
@@ -11,17 +18,16 @@ use crate::confidence::ConfidenceRecord;
 /// File magic: "CMSS" — ClientMap Sweep Snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CMSS";
 
-/// Current format version. Policy: the version bumps on **any** layout
-/// change; decoders accept exactly the versions they were built for
-/// and reject everything else up front (a warm start from a stale
-/// snapshot must fail loudly, never half-load).
+/// The format version. Policy: the version bumps on **any** layout
+/// change, and a decoder accepts exactly the version it was built for
+/// — the one [`SweepSnapshot::encode`] writes — rejecting everything
+/// else up front (a warm start from a stale snapshot must fail loudly,
+/// never half-load).
 ///
-/// Version 2 appends the per-PoP calibration section after the scope
-/// records. Version 3 appends the extrapolation-confidence section
-/// after calibration. Older snapshots (no calibration and/or no
-/// confidence section) still decode — a v1 warm start re-calibrates
-/// live, and a v1/v2 warm start simply carries no confidence tags, so
-/// the clustered planner has nothing to escalate from.
+/// History: version 2 appended the per-PoP calibration section after
+/// the scope records, version 3 the extrapolation-confidence section
+/// after calibration. No build writes versions 1 or 2 any more, so
+/// none reads them.
 pub const SNAPSHOT_VERSION: u16 = 3;
 
 /// Cache pools per PoP — fixed by the resolver model; the calibration
@@ -165,8 +171,7 @@ pub struct SweepSnapshot {
     /// Per-scope probe records, ordered by key.
     pub records: BTreeMap<RecordKey, ScopeRecord>,
     /// Per-PoP calibration captures, ordered by PoP id. Empty when the
-    /// recorded sweep could not capture calibration (faulted run, or a
-    /// version-1 snapshot).
+    /// recorded sweep could not capture calibration (a faulted run).
     pub calibration: Vec<CalibrationRecord>,
     /// Size of the calibration prefix sample the captures were measured
     /// against.
@@ -174,7 +179,7 @@ pub struct SweepSnapshot {
     /// Extrapolation provenance, keyed by the **member** slot: which
     /// representative each extrapolated record was copied from, with
     /// what confidence, against what prior verdict. Empty for
-    /// exhaustive sweeps (and for snapshots older than version 3).
+    /// exhaustive sweeps.
     pub confidence: BTreeMap<RecordKey, ConfidenceRecord>,
 }
 
@@ -209,24 +214,21 @@ impl SweepSnapshot {
         for v in self.gpdns {
             w.u64(v);
         }
-        match &self.fault {
-            None => w.u8(0),
-            Some(f) => {
-                w.u8(1);
-                w.str(&f.profile);
-                w.u64(f.observed);
-                w.u64(f.retries);
-                w.u64(f.recovered);
-                w.u64(f.degraded);
-                w.u64(f.lost);
-                w.u32(f.quarantined_pops.len() as u32);
-                for pop in &f.quarantined_pops {
-                    w.u64(*pop);
-                }
-                w.u64(f.rescued_scopes);
-                w.u64(f.unmeasured_scopes);
-                w.u64(f.assigned_scopes);
+        w.flag(self.fault.is_some());
+        if let Some(f) = &self.fault {
+            w.str(&f.profile);
+            w.u64(f.observed);
+            w.u64(f.retries);
+            w.u64(f.recovered);
+            w.u64(f.degraded);
+            w.u64(f.lost);
+            w.u32(f.quarantined_pops.len() as u32);
+            for pop in &f.quarantined_pops {
+                w.u64(*pop);
             }
+            w.u64(f.rescued_scopes);
+            w.u64(f.unmeasured_scopes);
+            w.u64(f.assigned_scopes);
         }
         w.u32(self.metrics.counters.len() as u32);
         for (name, inc) in &self.metrics.counters {
@@ -247,11 +249,8 @@ impl SweepSnapshot {
             }
         }
         w.u32(self.records.len() as u32);
-        for ((bound, domain, addr, len), rec) in &self.records {
-            w.u16(*bound);
-            w.u16(*domain);
-            w.u32(*addr);
-            w.u8(*len);
+        for (key, rec) in &self.records {
+            write_key(&mut w, *key);
             w.u64(rec.attempts);
             w.u64(rec.scope0);
             w.u64(rec.drops);
@@ -262,17 +261,13 @@ impl SweepSnapshot {
                 w.u32(e.remaining_ttl);
             }
         }
-        // Version-2 calibration section.
         w.u64(self.calibration_sample);
         w.u32(self.calibration.len() as u32);
         for c in &self.calibration {
             w.u64(c.pop);
-            match c.radius_km {
-                None => w.u8(0),
-                Some(r) => {
-                    w.u8(1);
-                    w.u64(r.to_bits());
-                }
+            w.flag(c.radius_km.is_some());
+            if let Some(r) = c.radius_km {
+                w.u64(r.to_bits());
             }
             w.u32(c.hit_distances_km.len() as u32);
             for d in &c.hit_distances_km {
@@ -286,17 +281,10 @@ impl SweepSnapshot {
                 w.u64(c.pool_misses[pool]);
             }
         }
-        // Version-3 confidence section.
         w.u32(self.confidence.len() as u32);
-        for ((bound, domain, addr, len), c) in &self.confidence {
-            w.u16(*bound);
-            w.u16(*domain);
-            w.u32(*addr);
-            w.u8(*len);
-            w.u16(c.rep.0);
-            w.u16(c.rep.1);
-            w.u32(c.rep.2);
-            w.u8(c.rep.3);
+        for (key, c) in &self.confidence {
+            write_key(&mut w, *key);
+            write_key(&mut w, c.rep);
             w.u8(c.confidence);
             w.u8(c.prior_verdict);
         }
@@ -307,21 +295,16 @@ impl SweepSnapshot {
     /// checksum are checked before any field is interpreted, and the
     /// payload must parse to exhaustion.
     pub fn decode(bytes: &[u8]) -> Result<SweepSnapshot, CodecError> {
-        if bytes.len() < 6 || bytes[..4] != SNAPSHOT_MAGIC {
+        let mut head = ByteReader::unsealed(bytes);
+        if head.raw(SNAPSHOT_MAGIC.len()) != Ok(&SNAPSHOT_MAGIC[..]) {
             return Err(CodecError::BadMagic);
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if !(1..=SNAPSHOT_VERSION).contains(&version) {
+        let version = head.u16().map_err(|_| CodecError::BadMagic)?;
+        if version != SNAPSHOT_VERSION {
             return Err(CodecError::BadVersion(version));
         }
         let mut r = ByteReader::verified(bytes)?;
-        // Re-consume the already-validated header through the cursor.
-        for expected in SNAPSHOT_MAGIC {
-            if r.u8()? != expected {
-                return Err(CodecError::BadMagic);
-            }
-        }
-        let _version = r.u16()?;
+        r.raw(SNAPSHOT_MAGIC.len() + 2)?; // the header validated above
         let epoch = r.u32()?;
         let world_seed = r.u64()?;
         let config_digest = r.u64()?;
@@ -329,200 +312,124 @@ impl SweepSnapshot {
         for slot in &mut gpdns {
             *slot = r.u64()?;
         }
-        let fault = match r.u8()? {
-            0 => None,
-            1 => {
-                let profile = r.str()?;
-                let observed = r.u64()?;
-                let retries = r.u64()?;
-                let recovered = r.u64()?;
-                let degraded = r.u64()?;
-                let lost = r.u64()?;
-                let n = r.u32()? as usize;
-                let mut quarantined_pops = Vec::with_capacity(n.min(4096));
-                for _ in 0..n {
-                    quarantined_pops.push(r.u64()?);
-                }
-                Some(FaultRecord {
-                    profile,
-                    observed,
-                    retries,
-                    recovered,
-                    degraded,
-                    lost,
-                    quarantined_pops,
-                    rescued_scopes: r.u64()?,
-                    unmeasured_scopes: r.u64()?,
-                    assigned_scopes: r.u64()?,
-                })
-            }
-            _ => return Err(CodecError::Malformed("fault flag")),
+        let fault = if r.flag("fault flag")? {
+            Some(FaultRecord {
+                profile: r.str()?,
+                observed: r.u64()?,
+                retries: r.u64()?,
+                recovered: r.u64()?,
+                degraded: r.u64()?,
+                lost: r.u64()?,
+                quarantined_pops: r.seq(|r| r.u64())?,
+                rescued_scopes: r.u64()?,
+                unmeasured_scopes: r.u64()?,
+                assigned_scopes: r.u64()?,
+            })
+        } else {
+            None
         };
         let mut metrics = MetricsDelta::default();
-        let n_counters = r.u32()? as usize;
-        for _ in 0..n_counters {
+        for _ in 0..r.count()? {
             let name = r.str()?;
-            let inc = r.u64()?;
-            metrics.counters.insert(name, inc);
+            metrics.counters.insert(name, r.u64()?);
         }
-        let n_hists = r.u32()? as usize;
-        for _ in 0..n_hists {
+        for _ in 0..r.count()? {
             let name = r.str()?;
-            let count = r.u64()?;
-            let sum = r.u64()?;
-            let min = r.u64()?;
-            let max = r.u64()?;
-            let n_buckets = r.u32()? as usize;
-            let mut buckets = Vec::with_capacity(n_buckets.min(65));
-            for _ in 0..n_buckets {
-                let le = r.u64()?;
-                let c = r.u64()?;
-                buckets.push((le, c));
-            }
-            metrics.histograms.insert(
-                name,
-                HistogramDelta {
-                    count,
-                    sum,
-                    min,
-                    max,
-                    buckets,
-                },
-            );
+            let delta = HistogramDelta {
+                count: r.u64()?,
+                sum: r.u64()?,
+                min: r.u64()?,
+                max: r.u64()?,
+                buckets: r.seq(|r| Ok((r.u64()?, r.u64()?)))?,
+            };
+            metrics.histograms.insert(name, delta);
         }
-        let n_records = r.u32()? as usize;
         let mut records = BTreeMap::new();
-        for _ in 0..n_records {
-            let bound = r.u16()?;
-            let domain = r.u16()?;
-            let addr = r.u32()?;
-            let len = r.u8()?;
-            if len > 32 {
-                return Err(CodecError::Malformed("scope length"));
-            }
-            let attempts = r.u64()?;
-            let scope0 = r.u64()?;
-            let drops = r.u64()?;
-            let n_events = r.u32()? as usize;
-            let mut hit_events = Vec::with_capacity(n_events.min(65536));
-            for _ in 0..n_events {
-                hit_events.push(HitEvent {
-                    resp_addr: r.u32()?,
-                    resp_len: r.u8()?,
-                    remaining_ttl: r.u32()?,
-                });
-            }
+        for _ in 0..r.count()? {
+            let key = read_key(&mut r, "scope length")?;
             let rec = ScopeRecord {
-                attempts,
-                scope0,
-                drops,
-                hit_events,
+                attempts: r.u64()?,
+                scope0: r.u64()?,
+                drops: r.u64()?,
+                hit_events: r.seq(|r| {
+                    Ok(HitEvent {
+                        resp_addr: r.u32()?,
+                        resp_len: r.u8()?,
+                        remaining_ttl: r.u32()?,
+                    })
+                })?,
             };
             if rec.hits() + rec.scope0 + rec.drops > rec.attempts {
                 return Err(CodecError::Malformed("record outcome counts"));
             }
-            records.insert((bound, domain, addr, len), rec);
+            records.insert(key, rec);
         }
-        // Version 1 ends here; version 2 carries the calibration
-        // section. A v1 warm start simply re-calibrates live.
-        let mut calibration = Vec::new();
-        let mut calibration_sample = 0u64;
-        if version >= 2 {
-            calibration_sample = r.u64()?;
-            let n_cal = r.u32()? as usize;
-            calibration.reserve(n_cal.min(4096));
-            let mut last_pop = None;
-            for _ in 0..n_cal {
-                let pop = r.u64()?;
-                if last_pop.is_some_and(|prev| prev >= pop) {
-                    return Err(CodecError::Malformed("calibration pop order"));
-                }
-                last_pop = Some(pop);
-                let radius_km = match r.u8()? {
-                    0 => None,
-                    1 => {
-                        let radius = f64::from_bits(r.u64()?);
-                        if !radius.is_finite() || radius < 0.0 {
-                            return Err(CodecError::Malformed("calibration radius value"));
-                        }
-                        Some(radius)
-                    }
-                    _ => return Err(CodecError::Malformed("calibration radius flag")),
-                };
-                let n_distances = r.u32()? as usize;
-                let mut hit_distances_km = Vec::with_capacity(n_distances.min(65536));
-                for _ in 0..n_distances {
-                    let d = f64::from_bits(r.u64()?);
-                    if !d.is_finite() || d < 0.0 {
-                        return Err(CodecError::Malformed("calibration hit distance"));
-                    }
-                    hit_distances_km.push(d);
-                }
-                let queries = r.u64()?;
-                let rate_limited = r.u64()?;
-                let mut pool_hits = [0u64; CALIBRATION_POOLS];
-                let mut pool_scope0 = [0u64; CALIBRATION_POOLS];
-                let mut pool_misses = [0u64; CALIBRATION_POOLS];
-                for pool in 0..CALIBRATION_POOLS {
-                    pool_hits[pool] = r.u64()?;
-                    pool_scope0[pool] = r.u64()?;
-                    pool_misses[pool] = r.u64()?;
-                }
-                let served: u64 = pool_hits.iter().sum::<u64>()
-                    + pool_scope0.iter().sum::<u64>()
-                    + pool_misses.iter().sum::<u64>();
-                if served + rate_limited > queries {
-                    return Err(CodecError::Malformed("calibration outcome counts"));
-                }
-                calibration.push(CalibrationRecord {
-                    pop,
-                    radius_km,
-                    hit_distances_km,
-                    queries,
-                    rate_limited,
-                    pool_hits,
-                    pool_scope0,
-                    pool_misses,
-                });
+        let calibration_sample = r.u64()?;
+        let mut last_pop = None;
+        let calibration = r.seq(|r| {
+            let pop = r.u64()?;
+            if last_pop.is_some_and(|prev| prev >= pop) {
+                return Err(CodecError::Malformed("calibration pop order"));
             }
-        }
-        // Versions 1-2 end here; version 3 carries the confidence
-        // section. Older snapshots warm-start with no extrapolation
-        // provenance to escalate from.
+            last_pop = Some(pop);
+            let radius_km = if r.flag("calibration radius flag")? {
+                Some(distance_km(r, "calibration radius value")?)
+            } else {
+                None
+            };
+            let hit_distances_km = r.seq(|r| distance_km(r, "calibration hit distance"))?;
+            let queries = r.u64()?;
+            let rate_limited = r.u64()?;
+            let mut pool_hits = [0u64; CALIBRATION_POOLS];
+            let mut pool_scope0 = [0u64; CALIBRATION_POOLS];
+            let mut pool_misses = [0u64; CALIBRATION_POOLS];
+            for pool in 0..CALIBRATION_POOLS {
+                pool_hits[pool] = r.u64()?;
+                pool_scope0[pool] = r.u64()?;
+                pool_misses[pool] = r.u64()?;
+            }
+            let served: u64 = pool_hits.iter().sum::<u64>()
+                + pool_scope0.iter().sum::<u64>()
+                + pool_misses.iter().sum::<u64>();
+            if served + rate_limited > queries {
+                return Err(CodecError::Malformed("calibration outcome counts"));
+            }
+            Ok(CalibrationRecord {
+                pop,
+                radius_km,
+                hit_distances_km,
+                queries,
+                rate_limited,
+                pool_hits,
+                pool_scope0,
+                pool_misses,
+            })
+        })?;
         let mut confidence = BTreeMap::new();
-        if version >= 3 {
-            let n_conf = r.u32()? as usize;
-            let mut last_key: Option<RecordKey> = None;
-            for _ in 0..n_conf {
-                let key = (r.u16()?, r.u16()?, r.u32()?, r.u8()?);
-                if key.3 > 32 {
-                    return Err(CodecError::Malformed("confidence member scope length"));
-                }
-                if last_key.is_some_and(|prev| prev >= key) {
-                    return Err(CodecError::Malformed("confidence key order"));
-                }
-                last_key = Some(key);
-                let rep = (r.u16()?, r.u16()?, r.u32()?, r.u8()?);
-                if rep.3 > 32 {
-                    return Err(CodecError::Malformed("confidence rep scope length"));
-                }
-                let conf = r.u8()?;
-                if conf == 0 {
-                    return Err(CodecError::Malformed("confidence value"));
-                }
-                let prior_verdict = r.u8()?;
-                if prior_verdict > 4 {
-                    return Err(CodecError::Malformed("confidence prior verdict"));
-                }
-                confidence.insert(
-                    key,
-                    ConfidenceRecord {
-                        rep,
-                        confidence: conf,
-                        prior_verdict,
-                    },
-                );
+        let mut last_key: Option<RecordKey> = None;
+        for _ in 0..r.count()? {
+            let key = read_key(&mut r, "confidence member scope length")?;
+            if last_key.is_some_and(|prev| prev >= key) {
+                return Err(CodecError::Malformed("confidence key order"));
             }
+            last_key = Some(key);
+            let rep = read_key(&mut r, "confidence rep scope length")?;
+            let conf = r.u8()?;
+            if conf == 0 {
+                return Err(CodecError::Malformed("confidence value"));
+            }
+            let prior_verdict = r.u8()?;
+            if prior_verdict > 4 {
+                return Err(CodecError::Malformed("confidence prior verdict"));
+            }
+            confidence.insert(
+                key,
+                ConfidenceRecord {
+                    rep,
+                    confidence: conf,
+                    prior_verdict,
+                },
+            );
         }
         r.expect_done()?;
         Ok(SweepSnapshot {
@@ -538,6 +445,33 @@ impl SweepSnapshot {
             confidence,
         })
     }
+}
+
+fn write_key(w: &mut ByteWriter, (bound, domain, addr, len): RecordKey) {
+    w.u16(bound);
+    w.u16(domain);
+    w.u32(addr);
+    w.u8(len);
+}
+
+/// Reads one [`RecordKey`]; a scope length past /32 is
+/// `Malformed(what)`.
+fn read_key(r: &mut ByteReader<'_>, what: &'static str) -> Result<RecordKey, CodecError> {
+    let key = (r.u16()?, r.u16()?, r.u32()?, r.u8()?);
+    if key.3 > 32 {
+        return Err(CodecError::Malformed(what));
+    }
+    Ok(key)
+}
+
+/// Reads one calibration distance: a finite, non-negative `f64`, or
+/// `Malformed(what)`.
+fn distance_km(r: &mut ByteReader<'_>, what: &'static str) -> Result<f64, CodecError> {
+    let km = f64::from_bits(r.u64()?);
+    if !km.is_finite() || km < 0.0 {
+        return Err(CodecError::Malformed(what));
+    }
+    Ok(km)
 }
 
 #[cfg(test)]
@@ -629,91 +563,7 @@ mod tests {
         s
     }
 
-    /// Re-encodes a snapshot in the version-1 layout (no calibration
-    /// section) — the bytes a pre-calibration-persistence build wrote.
-    fn encode_v1(s: &SweepSnapshot) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.bytes(&SNAPSHOT_MAGIC);
-        w.u16(1);
-        w.u32(s.epoch);
-        w.u64(s.world_seed);
-        w.u64(s.config_digest);
-        for v in s.gpdns {
-            w.u64(v);
-        }
-        match &s.fault {
-            None => w.u8(0),
-            Some(f) => {
-                w.u8(1);
-                w.str(&f.profile);
-                w.u64(f.observed);
-                w.u64(f.retries);
-                w.u64(f.recovered);
-                w.u64(f.degraded);
-                w.u64(f.lost);
-                w.u32(f.quarantined_pops.len() as u32);
-                for pop in &f.quarantined_pops {
-                    w.u64(*pop);
-                }
-                w.u64(f.rescued_scopes);
-                w.u64(f.unmeasured_scopes);
-                w.u64(f.assigned_scopes);
-            }
-        }
-        w.u32(s.metrics.counters.len() as u32);
-        for (name, inc) in &s.metrics.counters {
-            w.str(name);
-            w.u64(*inc);
-        }
-        w.u32(s.metrics.histograms.len() as u32);
-        for (name, h) in &s.metrics.histograms {
-            w.str(name);
-            w.u64(h.count);
-            w.u64(h.sum);
-            w.u64(h.min);
-            w.u64(h.max);
-            w.u32(h.buckets.len() as u32);
-            for (le, c) in &h.buckets {
-                w.u64(*le);
-                w.u64(*c);
-            }
-        }
-        w.u32(s.records.len() as u32);
-        for ((bound, domain, addr, len), rec) in &s.records {
-            w.u16(*bound);
-            w.u16(*domain);
-            w.u32(*addr);
-            w.u8(*len);
-            w.u64(rec.attempts);
-            w.u64(rec.scope0);
-            w.u64(rec.drops);
-            w.u32(rec.hit_events.len() as u32);
-            for e in &rec.hit_events {
-                w.u32(e.resp_addr);
-                w.u8(e.resp_len);
-                w.u32(e.remaining_ttl);
-            }
-        }
-        w.finish()
-    }
-
-    /// Re-encodes a snapshot in the version-2 layout (calibration
-    /// section, no confidence section) — the bytes a
-    /// pre-clustered-probing build wrote.
-    fn encode_v2(s: &SweepSnapshot) -> Vec<u8> {
-        let current = s.encode();
-        // v2 is the current layout minus the trailing confidence
-        // section (count + fixed-width entries) and with the version
-        // stamped 2; rebuild from scratch so the checksum is right.
-        let mut w = ByteWriter::new();
-        w.bytes(&SNAPSHOT_MAGIC);
-        w.u16(2);
-        let body_end = current.len() - 8 - 4 - 20 * s.confidence.len();
-        w.bytes(&current[6..body_end]);
-        w.finish()
-    }
-
-    /// A hand-built v2 snapshot whose single calibration record is
+    /// A hand-built snapshot whose single calibration record is
     /// produced by `write_record` — for field-level corruption tests
     /// that must survive the checksum.
     fn craft_with_calibration(write_record: impl Fn(&mut ByteWriter)) -> Vec<u8> {
@@ -737,7 +587,7 @@ mod tests {
         w.finish()
     }
 
-    /// A hand-built v3 snapshot whose single confidence record is
+    /// A hand-built snapshot whose single confidence record is
     /// produced by `write_record` — for field-level corruption tests
     /// that must survive the checksum.
     fn craft_with_confidence(write_record: impl Fn(&mut ByteWriter)) -> Vec<u8> {
@@ -786,6 +636,17 @@ mod tests {
             SweepSnapshot::decode(&bad).err(),
             Some(CodecError::BadVersion(SNAPSHOT_VERSION + 1))
         );
+        // Nothing writes the two older layouts any more, so nothing
+        // reads them: stamped 1 or 2, the same bytes are refused on the
+        // version alone.
+        for old in [1, 2] {
+            let mut bad = bytes.clone();
+            bad[4] = old as u8;
+            assert_eq!(
+                SweepSnapshot::decode(&bad).err(),
+                Some(CodecError::BadVersion(old))
+            );
+        }
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;
@@ -799,55 +660,6 @@ mod tests {
         let s = SweepSnapshot::new(7, 9);
         assert_eq!(SweepSnapshot::decode(&s.encode()).unwrap(), s);
         assert!(s.quarantined_pops().is_empty());
-    }
-
-    #[test]
-    fn v1_snapshots_still_load_without_calibration() {
-        let s = sample();
-        let v1 = encode_v1(&s);
-        let back = SweepSnapshot::decode(&v1).expect("v1 layout must keep decoding");
-        // Everything a v1 snapshot carried survives…
-        assert_eq!(back.records, s.records);
-        assert_eq!(back.metrics, s.metrics);
-        assert_eq!(back.fault, s.fault);
-        assert_eq!(back.gpdns, s.gpdns);
-        assert_eq!(
-            (back.epoch, back.world_seed, back.config_digest),
-            (s.epoch, s.world_seed, s.config_digest)
-        );
-        // …and the calibration section reads back empty: the warm run
-        // re-calibrates live.
-        assert!(back.calibration.is_empty());
-        assert_eq!(back.calibration_sample, 0);
-        // Re-encoding a v1-decoded snapshot writes the current version.
-        let bytes = back.encode();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), SNAPSHOT_VERSION);
-        assert_eq!(SweepSnapshot::decode(&bytes).unwrap(), back);
-    }
-
-    #[test]
-    fn v2_snapshots_still_load_with_empty_confidence() {
-        let s = sample();
-        let v2 = encode_v2(&s);
-        assert_eq!(u16::from_le_bytes([v2[4], v2[5]]), 2);
-        let back = SweepSnapshot::decode(&v2).expect("v2 layout must keep decoding");
-        // Everything a v2 snapshot carried survives…
-        assert_eq!(back.records, s.records);
-        assert_eq!(back.metrics, s.metrics);
-        assert_eq!(back.fault, s.fault);
-        assert_eq!(back.calibration, s.calibration);
-        assert_eq!(back.calibration_sample, s.calibration_sample);
-        assert_eq!(
-            (back.epoch, back.world_seed, back.config_digest),
-            (s.epoch, s.world_seed, s.config_digest)
-        );
-        // …and the confidence section reads back empty: the clustered
-        // planner simply has no prior tags to escalate from.
-        assert!(back.confidence.is_empty());
-        // Re-encoding a v2-decoded snapshot writes the current version.
-        let bytes = back.encode();
-        assert_eq!(u16::from_le_bytes([bytes[4], bytes[5]]), SNAPSHOT_VERSION);
-        assert_eq!(SweepSnapshot::decode(&bytes).unwrap(), back);
     }
 
     /// A well-formed confidence record for the crafted-buffer tests.

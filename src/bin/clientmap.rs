@@ -7,13 +7,14 @@
 //!                   [--cluster-epsilon F] [--cluster-escalate-below F]
 //! clientmap export  [--scale ...] [--seed N] --out DIR
 //! clientmap query   PREFIX [--scale ...] [--seed N]
-//! clientmap query   --connect ADDR [--trace FILE | QUERY...]
+//! clientmap query   --connect ADDR [--trace FILE | QUERY...] [--io-timeout S]
 //! clientmap stats   [--scale ...] [--seed N]
-//! clientmap worker  [--listen ADDR] [--once] [--fail-after N]
+//! clientmap worker  [--listen ADDR] [--once] [--fail-after N] [--io-timeout S]
 //! clientmap driver  --workers a:p,b:p,... [--shards N] [--connect-timeout S]
-//!                   [run flags except --faults]
+//!                   [--io-timeout S] [run flags]
 //! clientmap serve   [--listen ADDR] [--sweeps N] [--event-log FILE]
-//!                   [--compact-every N] [run flags]
+//!                   [--compact-every N] [--fail-sweep N] [--io-timeout S]
+//!                   [run flags]
 //! ```
 //!
 //! `run` executes the full pipeline and prints the headline numbers;
@@ -34,7 +35,9 @@
 //! prepares the sweep, deals contiguous unit shards to its workers,
 //! and merges their checksummed deltas in shard order, so driver
 //! output is **byte-identical** to `run` at any ⟨worker, thread⟩
-//! combination.
+//! combination — `--faults` included: the driver takes the quarantine
+//! decision from the workers' merged fault books and deals the rescue
+//! units back out as a second round of shards.
 //!
 //! `serve` keeps the sweep store resident: it chains `--sweeps` warm
 //! re-sweeps, appends each sweep's verdict delta to an append-only

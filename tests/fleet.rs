@@ -283,3 +283,104 @@ fn sigint_drains_in_flight_shards_and_exits_130() {
     worker.wait_success();
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `--seed 7 --faults pop-churn --fault-seed 3` quarantines two PoPs
+/// and rescues 79 scopes on the tiny world (`lossy --fault-seed 7`
+/// quarantines none), so these are the flags under which
+/// `RescueRequest`/`RescueResult` actually cross a socket.
+const RESCUE_FLAGS: [&str; 4] = ["--faults", "pop-churn", "--fault-seed", "3"];
+
+/// The value column of the report's rescue line.
+fn rescued_scopes(stdout: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("scopes rescued at fallback PoPs"))
+        .expect("report has a rescue line")
+        .trim()
+        .parse()
+        .expect("rescue count")
+}
+
+/// The rescue shards the driver reported done, and the phase total the
+/// last of those lines states (`… rescue shard 1 done on ADDR (2/2)`).
+fn rescue_shards_done(stderr: &str) -> (usize, usize) {
+    let done: Vec<&str> = stderr
+        .lines()
+        .filter(|l| l.contains("rescue shard") && l.contains(" done on "))
+        .collect();
+    let total = done.last().map_or(0, |l| {
+        let (_, tail) = l.rsplit_once('/').expect("(done/total) suffix");
+        tail.trim_end_matches(')').parse().expect("phase total")
+    });
+    (done.len(), total)
+}
+
+/// The rescue exchange over real TCP: a pop-churn sweep whose
+/// quarantine forces a rescue phase, through 2- and 3-worker fleets,
+/// is byte-identical to the single-process run, and the driver saw
+/// every rescue shard come back.
+#[test]
+fn pop_churn_fleet_dispatches_rescue_shards_and_matches_single_process() {
+    let dir = scratch("rescue");
+    let reference = reference_run(&dir, &RESCUE_FLAGS);
+    assert!(
+        rescued_scopes(&reference.0) > 0,
+        "reference run rescued nothing — the rescue phase would not run:\n{}",
+        reference.0
+    );
+
+    for (num_workers, threads) in [(2usize, 2usize), (3, 1)] {
+        let workers: Vec<Worker> = (0..num_workers)
+            .map(|_| Worker::spawn(threads, &[]))
+            .collect();
+        let refs: Vec<&Worker> = workers.iter().collect();
+        let tag = format!("rescue-w{num_workers}t{threads}");
+        let stderr = assert_fleet_matches(&dir, &tag, &refs, &RESCUE_FLAGS, &reference);
+        let (done, total) = rescue_shards_done(&stderr);
+        assert!(
+            total > 0,
+            "no rescue shard was dispatched ({tag}):\n{stderr}"
+        );
+        assert_eq!(done, total, "rescue shards left undone ({tag}):\n{stderr}");
+        for w in workers {
+            w.wait_success();
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The same rescue fleet with one worker on `--fail-after 2`: wherever
+/// the crash lands — a main shard, a rescue shard, or not at all — the
+/// driver exits 0 with the single-process bytes.
+#[test]
+fn pop_churn_fleet_survives_a_worker_crash_in_either_phase() {
+    let dir = scratch("rescue-chaos");
+    let reference = reference_run(&dir, &RESCUE_FLAGS);
+
+    let good = Worker::spawn(2, &[]);
+    let mut bad = Worker::spawn(2, &["--fail-after", "2"]);
+    let stderr = assert_fleet_matches(
+        &dir,
+        "rescue-chaos",
+        &[&good, &bad],
+        &RESCUE_FLAGS,
+        &reference,
+    );
+    let (done, total) = rescue_shards_done(&stderr);
+    assert!(total > 0, "no rescue shard was dispatched:\n{stderr}");
+    assert_eq!(done, total, "rescue shards left undone:\n{stderr}");
+
+    good.wait_success();
+    let crash = bad.child.wait().expect("reap the chaos worker");
+    assert!(
+        crash.success() || crash.code() == Some(17),
+        "the chaos worker either finished or died by injection, got {crash}"
+    );
+    if crash.code() == Some(17) {
+        assert!(
+            stderr.contains("re-queued"),
+            "a crashed worker's in-flight shard must be re-queued:\n{stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
