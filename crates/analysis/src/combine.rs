@@ -90,11 +90,7 @@ pub fn combine_region_as(
         let Some(asn) = rib.origin_of_prefix(scope) else {
             continue;
         };
-        let Some(country) = geodb
-            .lookup(scope)
-            .or_else(|| geodb.lookup_addr(scope.addr()))
-            .map(|e| e.country)
-        else {
+        let Some(country) = geodb.locate(scope).map(|e| e.country) else {
             continue;
         };
         let cell = cells

@@ -127,7 +127,6 @@ fn main() {
         "repro: scale={scale} seed={seed} faults={} — running pipeline…",
         faults.as_str()
     );
-    let start = std::time::Instant::now();
     let out = match Pipeline::run(config) {
         Ok(out) => out,
         Err(e) => {
@@ -135,10 +134,7 @@ fn main() {
             std::process::exit(1);
         }
     };
-    eprintln!(
-        "repro: pipeline done in {:.1}s",
-        start.elapsed().as_secs_f64()
-    );
+    eprintln!("repro: pipeline done");
 
     if let Some(path) = &metrics_path {
         let snap = out.metrics_snapshot();
@@ -446,11 +442,7 @@ fn diurnal_section(out: &PipelineOutput) -> String {
             4,
         );
         let world = sim.world();
-        let truth_lon = world
-            .geodb
-            .lookup(scope)
-            .or_else(|| world.geodb.lookup_addr(scope.addr()))
-            .map(|e| e.coord.lon);
+        let truth_lon = world.geodb.locate(scope).map(|e| e.coord.lon);
         match (profile.inferred_longitude(16.0), truth_lon) {
             (Some(lon), Some(truth)) => {
                 let err_hours = hour_distance(lon / 15.0, truth / 15.0);
@@ -528,7 +520,7 @@ fn collisions_section() -> String {
     s
 }
 
-/// Quality side of the ablations (the criterion benches measure cost).
+/// The ablations, by what each design choice buys in probes and recall.
 fn ablations_section(out: &PipelineOutput) -> String {
     let mut s = String::from(
         "Ablations (design choices, §3.1.1)\n------------------------------------------------------------\n",
@@ -588,8 +580,7 @@ fn ablations_section(out: &PipelineOutput) -> String {
     let geodb = &sim.world().geodb;
     let near_pop = |s: &Prefix| {
         geodb
-            .lookup(*s)
-            .or_else(|| geodb.lookup_addr(s.addr()))
+            .locate(*s)
             .map(|e| e.coord.distance_km(&pop_coord) <= radius + e.error_radius_km)
             .unwrap_or(false)
     };

@@ -1,7 +1,8 @@
 //! Integration tests for the `repro` command line: `--metrics` writes
 //! a JSON telemetry snapshot, the snapshot satisfies the cross-counter
-//! invariants, two same-seed runs produce byte-identical files, and
-//! bad input is rejected before the pipeline runs.
+//! invariants, two same-seed runs produce byte-identical files, the
+//! progress lines state no timing, and bad input is rejected before
+//! the pipeline runs.
 
 use std::process::Command;
 
@@ -22,10 +23,13 @@ fn run_with_metrics(path: &std::path::Path) -> String {
         ])
         .output()
         .expect("repro runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "stderr: {stderr}");
+    // `repro` states no timings (the one benchmark is `benchmark/`):
+    // its progress lines carry no duration.
     assert!(
-        out.status.success(),
-        "stderr: {}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("repro: pipeline done\n") && !stderr.contains("done in"),
+        "stderr: {stderr}"
     );
     std::fs::read_to_string(path).expect("metrics file written")
 }

@@ -86,7 +86,7 @@ pub fn sample_prefixes(
         if !seen.insert(p) {
             continue;
         }
-        let entry = geodb.lookup(p).or_else(|| geodb.lookup_addr(p.addr()));
+        let entry = geodb.locate(p);
         if entry
             .map(|e| e.error_radius_km < max_error_km)
             .unwrap_or(false)
@@ -150,10 +150,7 @@ pub fn calibrate(
                 });
                 if hit {
                     let geodb = &view.world.geodb;
-                    let geo = geodb
-                        .lookup(*prefix)
-                        .or_else(|| geodb.lookup_addr(prefix.addr()))
-                        .map(|e| e.coord);
+                    let geo = geodb.locate(*prefix).map(|e| e.coord);
                     if let Some(coord) = geo {
                         distances.push(coord.distance_km(&pops[b.pop].coord));
                     }
@@ -278,10 +275,7 @@ pub(crate) fn calibrate_batched(
                 }
                 if hit {
                     let geodb = &view.world.geodb;
-                    let geo = geodb
-                        .lookup(*prefix)
-                        .or_else(|| geodb.lookup_addr(prefix.addr()))
-                        .map(|e| e.coord);
+                    let geo = geodb.locate(*prefix).map(|e| e.coord);
                     if let Some(coord) = geo {
                         distances.push(coord.distance_km(&pops[b.pop].coord));
                     }
@@ -403,10 +397,7 @@ mod tests {
                 "{p} outside universe"
             );
             let geodb = &sim.world().geodb;
-            let e = geodb
-                .lookup(*p)
-                .or_else(|| geodb.lookup_addr(p.addr()))
-                .unwrap();
+            let e = geodb.locate(*p).unwrap();
             assert!(e.error_radius_km < 200.0);
         }
         // No duplicates.

@@ -283,10 +283,6 @@ impl ClusteredPlan {
 }
 
 impl ProbePlan for ClusteredPlan {
-    fn name(&self) -> &'static str {
-        "clustered"
-    }
-
     fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision {
         self.decisions
             .get(&record_key(slot.bound_idx, slot.domain, slot.scope))

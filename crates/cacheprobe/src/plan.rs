@@ -67,9 +67,6 @@ pub enum PlanDecision {
 /// processes (the fleet handshake depends on both sides planning
 /// identically).
 pub trait ProbePlan {
-    /// The planner's name (telemetry and report labels).
-    fn name(&self) -> &'static str;
-
     /// What to do with `slot`.
     fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision;
 
@@ -94,10 +91,6 @@ pub trait ProbePlan {
 pub struct ExhaustivePlan;
 
 impl ProbePlan for ExhaustivePlan {
-    fn name(&self) -> &'static str {
-        "exhaustive"
-    }
-
     fn decide(&self, _slot: &PlanSlot<'_>) -> PlanDecision {
         PlanDecision::Probe(PlanReason::New)
     }
@@ -121,10 +114,6 @@ pub struct WarmStartPlan {
 }
 
 impl ProbePlan for WarmStartPlan {
-    fn name(&self) -> &'static str {
-        "warm-start"
-    }
-
     fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision {
         match classify(
             slot.prior.map(|r| {

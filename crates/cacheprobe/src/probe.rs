@@ -818,10 +818,7 @@ pub fn prepare_sweep(
         for scope in &plan.scopes {
             let geo = {
                 let geodb = &sim.world().geodb;
-                geodb
-                    .lookup(*scope)
-                    .or_else(|| geodb.lookup_addr(scope.addr()))
-                    .map(|e| (e.coord, e.error_radius_km))
+                geodb.locate(*scope).map(|e| (e.coord, e.error_radius_km))
             };
             let Some((coord, err_km)) = geo else { continue };
             for b in &bound {
@@ -1147,10 +1144,7 @@ fn plan_rescue_units(
     for (d, scope) in &need {
         let geo = {
             let geodb = &sim.world().geodb;
-            geodb
-                .lookup(*scope)
-                .or_else(|| geodb.lookup_addr(scope.addr()))
-                .map(|e| (e.coord, e.error_radius_km))
+            geodb.locate(*scope).map(|e| (e.coord, e.error_radius_km))
         };
         let Some((coord, err_km)) = geo else { continue };
         let mut fallback: Option<(f64, usize)> = None;

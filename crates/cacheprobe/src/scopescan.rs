@@ -42,16 +42,6 @@ impl ScopeScan {
     pub fn for_domain(&self, domain: &DomainName) -> Option<&DomainScopes> {
         self.domains.iter().find(|d| &d.domain == domain)
     }
-
-    /// Total scopes across domains.
-    pub fn total_scopes(&self) -> usize {
-        self.domains.iter().map(|d| d.scopes.len()).sum()
-    }
-
-    /// Total authoritative queries spent.
-    pub fn total_queries(&self) -> u64 {
-        self.domains.iter().map(|d| d.queries_spent).sum()
-    }
 }
 
 /// Scope dedup over the full /24 space: a dense [`Slash24Table`] tags
@@ -144,13 +134,6 @@ pub fn scan(sim: &Sim, domains: &[DomainName], universe: &[Prefix], t: SimTime) 
     }
 }
 
-/// The /24 probing cost a scan avoided: universe /24 count minus the
-/// number of learned scopes (per domain).
-pub fn probes_saved(universe: &[Prefix], plan: &DomainScopes) -> i64 {
-    let total: u64 = universe.iter().map(|b| b.num_slash24s()).sum();
-    total as i64 - plan.scopes.len() as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,7 +160,7 @@ mod tests {
         );
         // The scan spends far fewer queries than one per /24 would.
         assert!(plan.queries_spent < total_24s, "no skipping happened");
-        assert!(probes_saved(&universe, &plan) > 0);
+        assert!((plan.scopes.len() as u64) < total_24s, "no probes saved");
     }
 
     #[test]
@@ -229,8 +212,9 @@ mod tests {
         ];
         let s = scan(&sim, &domains, &universe, SimTime::ZERO);
         assert_eq!(s.domains.len(), 2);
-        assert!(s.total_scopes() > 0);
-        assert!(s.total_queries() > 0);
+        for d in &s.domains {
+            assert!(!d.scopes.is_empty() && d.queries_spent > 0, "{d:?}");
+        }
         assert!(s.for_domain(&domains[0]).is_some());
         assert!(s.for_domain(&"missing.example".parse().unwrap()).is_none());
     }

@@ -1567,88 +1567,3 @@ mod fast_lane_tests {
         }
     }
 }
-
-// ---------------------------------------------------------------------------
-// DNS-over-TCP framing (RFC 1035 §4.2.2)
-// ---------------------------------------------------------------------------
-
-/// Encodes a message with the two-octet length prefix used on TCP —
-/// the transport the paper's prober uses to dodge the UDP rate limit.
-pub fn encode_tcp(msg: &Message) -> Result<Vec<u8>, WireError> {
-    let body = encode(msg)?;
-    if body.len() > u16::MAX as usize {
-        return Err(WireError::EncodeTooLong);
-    }
-    let mut out = Vec::with_capacity(body.len() + 2);
-    out.extend_from_slice(&(body.len() as u16).to_be_bytes());
-    out.extend_from_slice(&body);
-    Ok(out)
-}
-
-/// Decodes one length-prefixed message from a TCP stream buffer.
-///
-/// Returns the message and the number of bytes consumed, or
-/// `Ok(None)` if the buffer does not yet hold a complete frame
-/// (stream reassembly), or an error for malformed contents.
-pub fn decode_tcp(stream: &[u8]) -> Result<Option<(Message, usize)>, WireError> {
-    if stream.len() < 2 {
-        return Ok(None);
-    }
-    let len = u16::from_be_bytes([stream[0], stream[1]]) as usize;
-    if stream.len() < 2 + len {
-        return Ok(None);
-    }
-    let msg = decode(&stream[2..2 + len])?;
-    Ok(Some((msg, 2 + len)))
-}
-
-#[cfg(test)]
-mod tcp_tests {
-    use super::*;
-    use crate::Question;
-
-    fn probe() -> Message {
-        Message::query(7, Question::a("www.google.com").unwrap())
-            .with_recursion_desired(false)
-            .with_ecs("203.0.113.0/24".parse().unwrap())
-    }
-
-    #[test]
-    fn tcp_roundtrip() {
-        let m = probe();
-        let framed = encode_tcp(&m).unwrap();
-        let (back, used) = decode_tcp(&framed).unwrap().unwrap();
-        assert_eq!(back, m);
-        assert_eq!(used, framed.len());
-    }
-
-    #[test]
-    fn tcp_partial_frames_wait() {
-        let framed = encode_tcp(&probe()).unwrap();
-        assert!(decode_tcp(&framed[..1]).unwrap().is_none());
-        assert!(decode_tcp(&framed[..framed.len() - 1]).unwrap().is_none());
-        assert!(decode_tcp(&[]).unwrap().is_none());
-    }
-
-    #[test]
-    fn tcp_stream_with_two_messages() {
-        let m1 = probe();
-        let mut m2 = probe();
-        m2.id = 9;
-        let mut stream = encode_tcp(&m1).unwrap();
-        stream.extend(encode_tcp(&m2).unwrap());
-        let (got1, used1) = decode_tcp(&stream).unwrap().unwrap();
-        assert_eq!(got1.id, 7);
-        let (got2, used2) = decode_tcp(&stream[used1..]).unwrap().unwrap();
-        assert_eq!(got2.id, 9);
-        assert_eq!(used1 + used2, stream.len());
-    }
-
-    #[test]
-    fn tcp_bad_contents_error() {
-        // Complete frame with garbage inside.
-        let mut stream = vec![0, 3];
-        stream.extend_from_slice(&[1, 2, 3]);
-        assert!(decode_tcp(&stream).is_err());
-    }
-}

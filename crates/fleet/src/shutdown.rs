@@ -12,19 +12,9 @@ use std::sync::atomic::{AtomicBool, Ordering};
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
-/// Whether a shutdown has been requested (by signal or [`trigger`]).
+/// Whether a shutdown has been requested (SIGINT).
 pub fn requested() -> bool {
     SHUTDOWN.load(Ordering::Relaxed)
-}
-
-/// Requests a shutdown programmatically (tests, or non-unix builds).
-pub fn trigger() {
-    SHUTDOWN.store(true, Ordering::Relaxed);
-}
-
-/// Resets the flag — test isolation only.
-pub fn reset() {
-    SHUTDOWN.store(false, Ordering::Relaxed);
 }
 
 #[cfg(unix)]
@@ -46,19 +36,5 @@ pub fn install_sigint_handler() {
         unsafe {
             signal(SIGINT, on_sigint as *const () as usize);
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn trigger_flips_the_flag() {
-        reset();
-        assert!(!requested());
-        trigger();
-        assert!(requested());
-        reset();
     }
 }

@@ -148,6 +148,14 @@ impl GeoDb {
         self.trie.longest_match_addr(addr).map(|(_, e)| e)
     }
 
+    /// Where a measured scope is: the entry covering `prefix`, else —
+    /// for a scope coarser than every entry under it — the entry
+    /// covering its network address.
+    pub fn locate(&self, prefix: Prefix) -> Option<&GeoEntry> {
+        self.lookup(prefix)
+            .or_else(|| self.lookup_addr(prefix.addr()))
+    }
+
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.trie.len()
@@ -266,6 +274,26 @@ mod tests {
         assert_eq!(db.lookup(p("10.2.2.0/24")).unwrap().country, us());
         assert!(db.lookup(p("11.0.0.0/24")).is_none());
         assert!(db.lookup_addr(0x0A010203).is_some());
+    }
+
+    #[test]
+    fn locate_prefers_a_covering_entry_then_falls_back_to_the_address() {
+        let mut b = GeoDbBuilder::new();
+        let origin = GeoCoord::new(0.0, 0.0).unwrap();
+        let br = "BR".parse().unwrap();
+        b.add(p("10.0.0.0/8"), origin, us(), PrefixKind::Eyeball);
+        b.add(p("10.1.0.0/24"), origin, br, PrefixKind::Eyeball);
+        b.add(p("20.0.0.0/16"), origin, br, PrefixKind::Eyeball);
+        let mut rng = StdRng::seed_from_u64(2);
+        let db = b.build(&GeoAccuracyModel::default(), &mut rng);
+        // A covering entry wins, even where the network address alone
+        // would match something more specific.
+        assert_eq!(db.lookup_addr(p("10.1.0.0/16").addr()).unwrap().country, br);
+        assert_eq!(db.locate(p("10.1.0.0/16")).unwrap().country, us());
+        // No covering entry: the address decides.
+        assert!(db.lookup(p("20.0.0.0/8")).is_none());
+        assert_eq!(db.locate(p("20.0.0.0/8")).unwrap().country, br);
+        assert!(db.locate(p("30.0.0.0/8")).is_none());
     }
 
     #[test]

@@ -163,8 +163,17 @@ impl ServerState {
 /// Runs the service to completion: binds `opts.addr`, announces
 /// `clientmap serve listening on <addr>` on stdout, sweeps
 /// `opts.sweeps` times while answering queries, and returns once the
-/// sweeps are done and a client has asked it to stop.
+/// sweeps are done and a client has asked it to stop. An existing
+/// event log is refused before any of that: a harness told "ready"
+/// is never talking to a service about to return an error.
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, ServeError> {
+    if opts.log_path.exists() {
+        return Err(ServeError::Log(format!(
+            "event log {} already exists; serve writes a fresh log per run",
+            opts.log_path.display()
+        )));
+    }
+
     let listener = TcpListener::bind(&opts.addr)?;
     listener.set_nonblocking(true)?;
     let local = listener.local_addr()?;
@@ -183,13 +192,6 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, ServeError> {
         degraded: AtomicBool::new(false),
         queries: std::sync::atomic::AtomicU64::new(0),
     });
-
-    if opts.log_path.exists() {
-        return Err(ServeError::Log(format!(
-            "event log {} already exists; serve writes a fresh log per run",
-            opts.log_path.display()
-        )));
-    }
 
     let mut sweep_result: Result<(EventLog, Option<SweepSnapshot>, bool), ServeError> =
         Err(ServeError::Log("sweep thread never ran".into()));

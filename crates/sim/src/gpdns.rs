@@ -393,12 +393,6 @@ impl GooglePublicDns {
         &self.faults
     }
 
-    /// Whether fault injection is active — probers switch to the
-    /// resilient (retrying, accounting) query path when it is.
-    pub fn faults_enabled(&self) -> bool {
-        self.faults.enabled()
-    }
-
     /// Consults the plan for one admitted query and counts the
     /// injection. Both serve lanes call this at the same logical point
     /// (after admission, before the pool-sequence draw) with the same
@@ -2081,7 +2075,7 @@ mod tests {
             GpdnsMetrics::register(&m),
         )
         .with_faults(Arc::clone(&plan), Some(FaultMetrics::register(&m)));
-        assert!(gpdns.faults_enabled());
+        assert!(gpdns.fault_plan().enabled());
 
         let busy = world
             .slash24s

@@ -97,21 +97,6 @@ impl<'w> ActivityModel<'w> {
             * self.diurnal(s.coord, t_secs)
     }
 
-    /// Mean DNS queries per second from `s` across *all* catalog
-    /// domains, to the given resolver population.
-    pub fn dns_rate_all_domains(
-        &self,
-        s: &Slash24Info,
-        choice: ResolverChoice,
-        t_secs: f64,
-    ) -> f64 {
-        // Popularity weights sum to 1, so this is the total query rate.
-        let clients = s.users + s.machines;
-        clients * self.cfg().dns_queries_per_user_per_day / DAY_SECS
-            * self.resolver_share(s, choice)
-            * self.diurnal(s.coord, t_secs)
-    }
-
     /// Mean HTTP(S) requests per second from `s` to the Microsoft CDN.
     pub fn cdn_rate(&self, s: &Slash24Info, t_secs: f64) -> f64 {
         // Machines hit CDNs disproportionately (crawlers, mirrors).
@@ -208,25 +193,6 @@ mod tests {
             + act.dns_rate(s, google, ResolverChoice::Google, t)
             + act.dns_rate(s, google, ResolverChoice::OtherPublic, t);
         assert!((total - parts).abs() < 1e-12);
-    }
-
-    #[test]
-    fn all_domains_rate_is_popularity_sum() {
-        let w = crate::World::generate(WorldConfig::tiny(5));
-        let act = w.activity();
-        let s = w.active_slash24s().next().unwrap();
-        let t = 0.0;
-        let sum: f64 = w
-            .domains
-            .specs()
-            .iter()
-            .map(|d| act.dns_rate(s, d, ResolverChoice::All, t))
-            .sum();
-        let total = act.dns_rate_all_domains(s, ResolverChoice::All, t);
-        assert!(
-            (sum - total).abs() < 1e-9 * total.max(1e-12),
-            "{sum} vs {total}"
-        );
     }
 
     #[test]

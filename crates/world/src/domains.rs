@@ -12,7 +12,6 @@
 //! too-short TTL).
 
 use clientmap_dns::DomainName;
-use rand::Rng;
 
 /// Who operates a domain's authoritative servers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -191,18 +190,6 @@ impl DomainCatalog {
             .find(|s| s.provider == Provider::Microsoft && s.supports_ecs && s.ttl_secs > 60)
             .expect("catalog contains the validation domain")
     }
-
-    /// Samples a domain according to query popularity.
-    pub fn sample_by_popularity<R: Rng>(&self, rng: &mut R) -> &DomainSpec {
-        let mut x = rng.gen_range(0.0..1.0);
-        for s in &self.specs {
-            x -= s.popularity_weight;
-            if x <= 0.0 {
-                return s;
-            }
-        }
-        self.specs.last().expect("catalog non-empty")
-    }
 }
 
 impl Default for DomainCatalog {
@@ -280,24 +267,5 @@ mod tests {
         assert_eq!(ms.ttl_secs, 300);
         assert!(ms.supports_ecs);
         assert_eq!(ms.provider, Provider::Microsoft);
-    }
-
-    #[test]
-    fn sampling_prefers_popular() {
-        use rand::rngs::StdRng;
-        use rand::SeedableRng;
-        let cat = DomainCatalog::standard();
-        let mut rng = StdRng::seed_from_u64(1);
-        let mut google = 0;
-        let mut wiki = 0;
-        for _ in 0..10_000 {
-            let s = cat.sample_by_popularity(&mut rng);
-            if s.name.to_string() == "www.google.com" {
-                google += 1;
-            } else if s.name.to_string() == "www.wikipedia.org" {
-                wiki += 1;
-            }
-        }
-        assert!(google > wiki * 2, "google {google}, wiki {wiki}");
     }
 }

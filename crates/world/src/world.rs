@@ -156,14 +156,6 @@ impl World {
         self.slash24s.iter().filter(|s| s.is_active())
     }
 
-    /// The Google Public DNS resolver entry.
-    pub fn google_resolver(&self) -> &ResolverInfo {
-        let id = self.ases[self.google_as]
-            .local_resolver
-            .expect("generator installs the Google resolver");
-        &self.resolvers[id]
-    }
-
     /// Total routed /24 count (should be near the config target).
     pub fn routed_slash24s(&self) -> u64 {
         self.slash24s.len() as u64
@@ -293,7 +285,8 @@ mod tests {
     #[test]
     fn special_ases_present() {
         let w = tiny();
-        assert_eq!(w.google_resolver().kind, ResolverKind::GooglePublic);
+        let google = w.ases[w.google_as].local_resolver.expect("installed");
+        assert_eq!(w.resolvers[google].kind, ResolverKind::GooglePublic);
         assert!(w.ases[w.microsoft_as].machines > 0.0);
         assert_eq!(
             w.other_public_resolvers.len(),

@@ -19,7 +19,7 @@ use std::time::Duration;
 use clientmap::serve::{Query, QueryClient, Reply};
 
 mod common;
-use common::{announced_addr, read_bytes, scratch, BIN};
+use common::{announced_addr, read_bytes, run_cli, scratch, BIN};
 
 /// Frame deadline generous enough for CI, far below a hung test.
 const IO: Duration = Duration::from_secs(60);
@@ -497,5 +497,61 @@ fn query_client_reports_a_mid_handshake_drop() {
     assert!(
         stderr.starts_with("query failed:"),
         "untyped error: {stderr}"
+    );
+}
+
+/// An existing event log is refused *before* the service binds,
+/// announces itself or signals readiness: `serve` returns a typed
+/// `ServeError::Log` naming the path, the `ready` channel never carries
+/// an address, and the deployed binary prints nothing on stdout.
+#[test]
+fn existing_event_log_is_refused_before_the_service_announces_itself() {
+    use clientmap::serve::{serve, ServeError, ServeOptions};
+
+    let dir = scratch("serve-refusal");
+    let log_path = dir.join("taken.cmel");
+    std::fs::write(&log_path, b"someone else's history").expect("pre-create log");
+
+    let (ready, addr) = std::sync::mpsc::channel();
+    let result = serve(ServeOptions {
+        addr: "127.0.0.1:0".into(),
+        config: clientmap::PipelineConfig::tiny(7),
+        sweeps: 1,
+        prior: None,
+        log_path: log_path.clone(),
+        compact_every: 0,
+        snapshot_out: None,
+        io_timeout: IO,
+        fail_sweep: None,
+        ready: Some(ready),
+    });
+    match result {
+        Err(ServeError::Log(msg)) => assert!(
+            msg.contains(&log_path.display().to_string()),
+            "refusal does not name the path: {msg}"
+        ),
+        other => panic!("expected a log refusal, got {other:?}"),
+    }
+    assert!(
+        addr.try_recv().is_err(),
+        "a refusing service signalled ready"
+    );
+
+    let log_arg = log_path.to_str().expect("utf-8 path");
+    let out = run_cli(
+        &["serve", "--listen", "127.0.0.1:0", "--event-log", log_arg],
+        &[],
+    );
+    assert!(!out.status.success(), "a refusal must be an error exit");
+    assert!(out.stdout.is_empty(), "a refusing service announced itself");
+    assert!(
+        out.stderr.starts_with("serve failed:") && out.stderr.contains("taken.cmel"),
+        "untyped refusal: {}",
+        out.stderr
+    );
+    assert_eq!(
+        read_bytes(&log_path),
+        b"someone else's history",
+        "the refused log was touched"
     );
 }
