@@ -79,10 +79,6 @@ pub struct ProbeConfig {
     /// sweep config digest — flipping it never invalidates a snapshot.
     /// Faulted streams always take the scalar resilient lane.
     pub batched_probing: bool,
-    /// Probes per [`clientmap_dns::wire::ProbeBatch`] on the batched
-    /// lane; `0` batches a whole unit pass at once. Also
-    /// digest-excluded: chunking changes execution, never results.
-    pub batch_size: usize,
     /// Cluster-based predictive probing: greedily epsilon-cluster the
     /// planned slots on cheap features, probe one representative per
     /// cluster live, and extrapolate its record to the members under a
@@ -120,7 +116,6 @@ impl Default for ProbeConfig {
             retry: RetryPolicy::default(),
             expiry_budget: 0.0,
             batched_probing: true,
-            batch_size: 0,
             clustered_probing: false,
             cluster_epsilon: 0.25,
             cluster_escalate_below: 0.5,
@@ -157,7 +152,6 @@ mod tests {
         assert_eq!(c.calibration_max_error_km, 200.0);
         assert_eq!(c.radius_percentile, 0.90);
         assert!(c.batched_probing);
-        assert_eq!(c.batch_size, 0);
         assert!(!c.clustered_probing);
         assert_eq!(c.cluster_epsilon, 0.25);
         assert_eq!(c.cluster_escalate_below, 0.5);

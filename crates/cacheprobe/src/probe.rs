@@ -371,13 +371,12 @@ fn probe_unit(
 /// Batched sibling of [`probe_unit`]: the same ⟨PoP, domain⟩ stream,
 /// served through the simulator's batch kernel. Routing, admission
 /// state, and the per-scope cache lanes hoist out of the per-probe
-/// loop; queries render into one reused [`wire::ProbeBatch`] arena
-/// (`cfg.batch_size` events per serve, `0` = the whole stream at once);
-/// and outcomes fold in bulk.
+/// loop; the whole stream renders into one [`wire::ProbeBatch`] arena
+/// and is served at once; and outcomes fold in bulk.
 ///
 /// Returns `None` — before any session or registry effect — when the
-/// core refuses a batch connection (fault injection enabled) or a batch
-/// fails validation; the caller falls back to the scalar lane.
+/// core refuses a batch connection (fault injection enabled) or the
+/// batch fails validation; the caller falls back to the scalar lane.
 fn probe_unit_batched(
     view: &SimView<'_>,
     bound: &BoundVantage,
@@ -401,49 +400,32 @@ fn probe_unit_batched(
         .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
         .collect();
 
-    let chunk = if cfg.batch_size == 0 {
-        usize::MAX
-    } else {
-        cfg.batch_size
-    };
     let mut batch = wire::ProbeBatch::new();
     let mut events: Vec<(u32, SimTime)> = Vec::new();
-    let mut outcomes: Vec<ProbeOutcome> = Vec::new();
-    // Serves the accumulated batch and books its outcomes exactly as
-    // the scalar loop does (per-slot attempts, per-scope tuple bumps,
-    // hits in slot order). `false` means the batch failed the kernel's
-    // validation pass, which leaves the connection untouched — the lane
-    // can be abandoned without any global side effects.
-    let mut flush = |batch: &mut wire::ProbeBatch, events: &mut Vec<(u32, SimTime)>| {
-        outcomes.clear();
-        let served = view.gpdns.serve_batch(
-            &mut conn,
-            &dom,
-            view.auth,
-            &lanes,
-            batch,
-            events,
-            cfg.redundancy,
-            &mut outcomes,
-        );
-        if served {
-            for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
-                tally.record(scopes[lane as usize], outcome, cfg.redundancy);
-            }
-        }
-        batch.clear();
-        events.clear();
-        served
-    };
     for (li, t) in window_slots(cfg, scopes.len(), t0) {
         batch.push(template, attempt_id(t, scopes[li], 0, 0), scopes[li]);
         events.push((li as u32, t));
-        if events.len() >= chunk && !flush(&mut batch, &mut events) {
-            return None;
-        }
     }
-    if !events.is_empty() && !flush(&mut batch, &mut events) {
+    // A batch that fails the kernel's validation pass leaves the
+    // connection untouched — the lane can be abandoned without any
+    // global side effects.
+    let mut outcomes: Vec<ProbeOutcome> = Vec::new();
+    if !view.gpdns.serve_batch(
+        &mut conn,
+        &dom,
+        view.auth,
+        &lanes,
+        &batch,
+        &events,
+        cfg.redundancy,
+        &mut outcomes,
+    ) {
         return None;
+    }
+    // Booked exactly as the scalar loop does (per-slot attempts,
+    // per-scope tuple bumps, hits in slot order).
+    for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
+        tally.record(scopes[lane as usize], outcome, cfg.redundancy);
     }
     view.gpdns.close_batch(conn, &mut tally.session);
     tally.flush_metrics(metrics);
@@ -1079,7 +1061,7 @@ fn finish_full_skip(
 ) -> (CacheProbeResult, SweepSnapshot) {
     absorb_effects(sim, &prior.metrics, prior.gpdns);
     replay_table(&mut result, bound, &prior.records, cfg.redundancy);
-    result.fault = prior.fault.as_ref().map(sweep::from_fault_record);
+    result.fault = prior.fault.clone();
     snapshot.gpdns = prior.gpdns;
     snapshot.fault = prior.fault;
     snapshot.metrics = prior.metrics;
@@ -1671,7 +1653,7 @@ fn merge_inner(
             recovered: fc.recovered.get(),
             degraded: fc.degraded.get(),
             lost: fc.lost.get(),
-            quarantined_pops: quarantined,
+            quarantined_pops: quarantined.iter().map(|&pop| pop as u64).collect(),
             rescued_scopes,
             unmeasured_scopes: unmeasured,
             assigned_scopes: all_assigned.len() as u64,
@@ -1699,7 +1681,7 @@ fn merge_inner(
     }
     snapshot.records = fresh;
     window.close(sim, &mut snapshot);
-    snapshot.fault = result.fault.as_ref().map(sweep::to_fault_record);
+    snapshot.fault = result.fault.clone();
     Ok((result, snapshot))
 }
 

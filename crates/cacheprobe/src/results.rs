@@ -60,61 +60,10 @@ pub struct AsBounds {
     pub announced_24s: u64,
 }
 
-/// Partial-result accounting for a fault-injected run: what the
-/// resilience layer observed, recovered, and had to give up on.
-/// `None` on [`CacheProbeResult::fault`] when fault injection is off,
-/// keeping fault-free reports byte-identical to the pre-fault pipeline.
-///
-/// Conservation: `observed == recovered + degraded + lost`.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct FaultSummary {
-    /// The fault profile the run was injected with (`light`, `lossy`,
-    /// `pop-churn`).
-    pub profile: String,
-    /// Failed wire exchanges observed by the prober, all classes.
-    pub observed: u64,
-    /// Retry sends beyond each probe's first query (not counted in
-    /// [`CacheProbeResult::probes_sent`]).
-    pub retries: u64,
-    /// Observed failures on probes that a retry recovered unchanged.
-    pub recovered: u64,
-    /// Observed failures on probes recovered only by the TC-forced
-    /// upgrade from UDP to TCP.
-    pub degraded: u64,
-    /// Observed failures on probes that exhausted retries or deadline.
-    pub lost: u64,
-    /// PoPs quarantined by the circuit breaker, in PoP order.
-    pub quarantined_pops: Vec<PopId>,
-    /// Scopes re-probed at a fallback PoP after quarantine.
-    pub rescued_scopes: u64,
-    /// Assigned ⟨domain, scope⟩ pairs that never produced a probe
-    /// event — coverage the faults cost us.
-    pub unmeasured_scopes: u64,
-    /// Total distinct assigned ⟨domain, scope⟩ pairs (denominator for
-    /// the unmeasured share).
-    pub assigned_scopes: u64,
-}
-
-impl FaultSummary {
-    /// Share of probe events that needed at least one retry-class send,
-    /// as retries over first-try sends, in `[0, 1]`.
-    pub fn retried_fraction(&self, probes_sent: u64) -> f64 {
-        if probes_sent + self.retries == 0 {
-            0.0
-        } else {
-            self.retries as f64 / (probes_sent + self.retries) as f64
-        }
-    }
-
-    /// Share of assigned scopes left unmeasured, in `[0, 1]`.
-    pub fn unmeasured_fraction(&self) -> f64 {
-        if self.assigned_scopes == 0 {
-            0.0
-        } else {
-            self.unmeasured_scopes as f64 / self.assigned_scopes as f64
-        }
-    }
-}
+/// Partial-result accounting for a fault-injected run — one type
+/// with the record the snapshot stores. `None` on
+/// [`CacheProbeResult::fault`] when fault injection is off.
+pub use clientmap_store::FaultRecord as FaultSummary;
 
 /// The full output of [`crate::run_technique`].
 #[derive(Debug)]

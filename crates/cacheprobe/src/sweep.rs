@@ -1,8 +1,6 @@
 //! Warm-start sweep support: the config digest that scopes a
-//! [`SweepSnapshot`](clientmap_store::SweepSnapshot)'s validity, the
-//! stable expiry hash the re-sweep planner draws from, and the
-//! conversions between this crate's [`FaultSummary`] and the store's
-//! serializable `FaultRecord`.
+//! [`SweepSnapshot`](clientmap_store::SweepSnapshot)'s validity, and the
+//! stable expiry hash the re-sweep planner draws from.
 //!
 //! A snapshot may only warm-start a run whose world seed **and** config
 //! digest both match — any probing-relevant dial (rate, window,
@@ -10,9 +8,9 @@
 //! PoP cap, fault plan) or a different probe universe invalidates it.
 //! The deliberate exceptions are [`ProbeConfig::expiry_budget`] —
 //! re-sweeping the same world under a different freshness budget is the
-//! point of warm starts — the batched-lane knobs
-//! ([`ProbeConfig::batched_probing`], [`ProbeConfig::batch_size`]),
-//! whose scalar/batched equivalence the differential suite proves, and
+//! point of warm starts — the batched-lane switch
+//! ([`ProbeConfig::batched_probing`]), whose scalar/batched
+//! equivalence the differential suite proves, and
 //! the clustered-planner knobs ([`ProbeConfig::clustered_probing`],
 //! [`ProbeConfig::cluster_epsilon`],
 //! [`ProbeConfig::cluster_escalate_below`]) — the precision/recall
@@ -20,10 +18,8 @@
 //! and vice versa, which a digest-included knob would forbid.
 
 use clientmap_net::{Prefix, SeedMixer};
-use clientmap_sim::{GpdnsStats, PopId, Sim, Transport};
-use clientmap_store::FaultRecord;
+use clientmap_sim::{GpdnsStats, Sim, Transport};
 
-use crate::results::FaultSummary;
 use crate::ProbeConfig;
 
 /// Digest of every probing-relevant configuration field plus the probe
@@ -77,42 +73,6 @@ pub fn expiry_hash(world_seed: u64, domain: usize, scope: Prefix) -> u64 {
         .finish()
 }
 
-/// [`FaultSummary`] → storable [`FaultRecord`].
-pub fn to_fault_record(summary: &FaultSummary) -> FaultRecord {
-    FaultRecord {
-        profile: summary.profile.clone(),
-        observed: summary.observed,
-        retries: summary.retries,
-        recovered: summary.recovered,
-        degraded: summary.degraded,
-        lost: summary.lost,
-        quarantined_pops: summary.quarantined_pops.iter().map(|&p| p as u64).collect(),
-        rescued_scopes: summary.rescued_scopes,
-        unmeasured_scopes: summary.unmeasured_scopes,
-        assigned_scopes: summary.assigned_scopes,
-    }
-}
-
-/// Stored [`FaultRecord`] → this crate's [`FaultSummary`].
-pub fn from_fault_record(record: &FaultRecord) -> FaultSummary {
-    FaultSummary {
-        profile: record.profile.clone(),
-        observed: record.observed,
-        retries: record.retries,
-        recovered: record.recovered,
-        degraded: record.degraded,
-        lost: record.lost,
-        quarantined_pops: record
-            .quarantined_pops
-            .iter()
-            .map(|&p| p as PopId)
-            .collect(),
-        rescued_scopes: record.rescued_scopes,
-        unmeasured_scopes: record.unmeasured_scopes,
-        assigned_scopes: record.assigned_scopes,
-    }
-}
-
 /// Flattens resolver session counters into the snapshot's fixed-order
 /// array: queries, rate-limited, scoped hits, scope0 hits, misses,
 /// recursive.
@@ -150,7 +110,6 @@ pub fn gpdns_stats_from(array: [u64; 6]) -> GpdnsStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clientmap_sim::PopId;
     use clientmap_world::{World, WorldConfig};
 
     fn tiny_sim(seed: u64) -> (Sim, Vec<Prefix>) {
@@ -185,15 +144,12 @@ mod tests {
         budgeted.expiry_budget = 0.1;
         assert_eq!(base, config_digest(&sim, &budgeted, &universe));
 
-        // Neither are the batched-lane knobs: the differential suite
+        // Neither is the batched-lane switch: the differential suite
         // proves scalar and batched sweeps byte-identical, so flipping
-        // them must not invalidate a snapshot.
+        // it must not invalidate a snapshot.
         let mut scalar = cfg.clone();
         scalar.batched_probing = !scalar.batched_probing;
         assert_eq!(base, config_digest(&sim, &scalar, &universe));
-        let mut chunked = cfg.clone();
-        chunked.batch_size = 7;
-        assert_eq!(base, config_digest(&sim, &chunked, &universe));
 
         // Nor the clustered-planner knobs: exhaustive and clustered
         // sweeps must be able to warm-start each other (the ablation's
@@ -217,23 +173,6 @@ mod tests {
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(7, 1, scope));
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(7, 0, other));
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(8, 0, scope));
-    }
-
-    #[test]
-    fn fault_record_round_trips() {
-        let summary = FaultSummary {
-            profile: "pop-churn".into(),
-            observed: 11,
-            retries: 14,
-            recovered: 9,
-            degraded: 1,
-            lost: 1,
-            quarantined_pops: vec![4 as PopId, 17],
-            rescued_scopes: 3,
-            unmeasured_scopes: 2,
-            assigned_scopes: 40,
-        };
-        assert_eq!(from_fault_record(&to_fault_record(&summary)), summary);
     }
 
     #[test]

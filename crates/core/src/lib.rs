@@ -14,8 +14,9 @@
 //! ```
 //!
 //! The crate deliberately keeps a thin surface: [`PipelineConfig`]
-//! (all dials), [`Pipeline::run`] (the orchestration, returning
-//! [`PipelineError`] instead of panicking), and
+//! (all dials), [`SweepSession`] (the orchestration: one config swept
+//! any number of times, returning [`PipelineError`] instead of
+//! panicking; [`Pipeline::run`] is a session of one sweep), and
 //! [`PipelineOutput`]/[`Report`] (results + rendering). Each stage is
 //! individually usable through the underlying crates.
 
@@ -27,5 +28,6 @@ mod report;
 
 pub use pipeline::{
     LocalSweep, Pipeline, PipelineConfig, PipelineError, PipelineOutput, SweepExecutor,
+    SweepSession,
 };
 pub use report::Report;

@@ -301,65 +301,22 @@ impl Pipeline {
         Pipeline::run_warm_timed_with(config, prior, timings, &mut LocalSweep)
     }
 
-    /// Runs `sweeps` successive warm-chained sweeps of one sweep
-    /// session on a sim-time cadence: sweep 1 starts from
-    /// `prior` (cold when `None`), and each later sweep warm-starts
-    /// from the snapshot the previous one produced, so the planner
-    /// re-probes only what `config.probe.expiry_budget` expires (plus
-    /// anything new, dirty, or in need of rescue). After each sweep the
-    /// `observer` receives the 1-based sweep number and owns the full
-    /// [`PipelineOutput`] — the seam `clientmap serve` uses to diff
-    /// verdict tables into its event log and publish a fresh store
-    /// generation. An observer error aborts the cadence and is returned
-    /// as-is.
-    ///
-    /// **Per session** (computed by sweep 1, replayed into every later
-    /// sweep): the probe universe, the warm-start config digest, and
-    /// the world-static inputs — the DITL capture's crawl result, the
-    /// CDN logs and the APNIC estimates — with the telemetry producing
-    /// them recorded. **Per sweep:** the world and [`Sim`] (Google's
-    /// caches start cold every time), the probing window, the dataset
-    /// bundle, the invariant check and the metrics registry.
-    ///
-    /// The chain is deterministic and equals, byte for byte at every
-    /// step (snapshot, report, metrics JSON), a chain of independent
-    /// [`Pipeline::run_warm`] calls, at any thread count.
-    pub fn run_cadence<F>(
-        config: PipelineConfig,
-        prior: Option<SweepSnapshot>,
-        sweeps: u32,
-        mut observer: F,
-    ) -> Result<(), PipelineError>
-    where
-        F: FnMut(u32, PipelineOutput) -> Result<(), PipelineError>,
-    {
-        let mut session = SweepSession::new(config);
-        let mut prior = prior;
-        for sweep_no in 1..=sweeps {
-            let out = session.sweep(prior.take(), &mut Vec::new(), &mut LocalSweep)?;
-            prior = Some(out.sweep.clone());
-            observer(sweep_no, out)?;
-        }
-        Ok(())
-    }
-
     /// [`Pipeline::run_warm_timed`] with a pluggable probing-window
     /// executor — the seam the distributed fleet driver plugs into.
     /// Every stage outside the sweep (world generation, crawl, CDN
     /// logs, APNIC, analysis, invariants) runs in-process regardless.
     ///
-    /// This is a sweep session of exactly one sweep (see
-    /// [`Pipeline::run_cadence`]), so nothing is reused: every stage
-    /// runs live and `timings` carries its full wall time, where a
-    /// later sweep of a longer session still pushes `crawl` and
-    /// `analysis` but with the ≈ 0 s its replay took.
+    /// This is a [`SweepSession`] of exactly one sweep, so nothing is
+    /// reused: every stage runs live and `timings` carries its full
+    /// wall time, where a later sweep of a longer session still pushes
+    /// `crawl` and `analysis` but with the ≈ 0 s its replay took.
     pub fn run_warm_timed_with(
         config: PipelineConfig,
         prior: Option<SweepSnapshot>,
         timings: &mut Vec<(String, f64)>,
         executor: &mut dyn SweepExecutor,
     ) -> Result<PipelineOutput, PipelineError> {
-        SweepSession::new(config).sweep(prior, timings, executor)
+        SweepSession::new(config).sweep_with(prior.as_ref(), timings, executor)
     }
 }
 
@@ -392,16 +349,43 @@ impl<T: Clone> Recorded<T> {
     }
 }
 
-/// One immutable [`PipelineConfig`] swept any number of times.
+/// One immutable [`PipelineConfig`] swept any number of times — the
+/// one way to run a sweep. [`Pipeline::run`] and its siblings are a
+/// session of a single sweep; a resident service keeps one session and
+/// chains its sweeps in a plain loop, each warm-started from the
+/// snapshot of the one before:
+///
+/// ```no_run
+/// use clientmap_core::{PipelineConfig, SweepSession};
+///
+/// let mut session = SweepSession::new(PipelineConfig::tiny(42));
+/// let mut last = None;
+/// for _ in 0..3 {
+///     let out = session.sweep(last.as_ref()).expect("healthy sweep");
+///     println!("{}", out.report().headlines());
+///     last = Some(out.sweep);
+/// }
+/// ```
 ///
 /// In the paper only cache probing (§3.1) repeats on a cadence; the
 /// DITL capture technique 2 crawls (§3.2) and the validation datasets
-/// (§4) are fixed inputs. The session therefore computes them on its
-/// first sweep — after probing, from that sweep's [`Sim`], where a
-/// one-shot run always has — and replays value and telemetry into every
-/// later sweep. The `RootTraceSet` itself is never retained.
+/// (§4) are fixed inputs. **Per session** (computed by the first sweep
+/// — after probing, from that sweep's [`Sim`], where a one-shot run
+/// always has — and replayed, value and telemetry, into every later
+/// one): the probe universe, the warm-start config digest, the DITL
+/// capture's crawl result, the CDN logs and the APNIC estimates. The
+/// `RootTraceSet` itself is never retained. **Per sweep:** the world
+/// and [`Sim`] (Google's caches start cold every time), the probing
+/// window, the dataset bundle, the invariant check and the metrics
+/// registry.
+///
+/// The chain is deterministic and equals, byte for byte at every step
+/// (snapshot, report, metrics JSON), a chain of independent
+/// [`Pipeline::run_warm`] calls, at any thread count. A sweep that
+/// fails leaves the session as it was: the next sweep equals the one
+/// an unfailed chain would have run.
 #[derive(Debug)]
-struct SweepSession {
+pub struct SweepSession {
     config: PipelineConfig,
     /// The probe universe: public allocation data (RIR files stand-in).
     /// Empty until the first sweep generates a world.
@@ -414,7 +398,8 @@ struct SweepSession {
 }
 
 impl SweepSession {
-    fn new(config: PipelineConfig) -> Self {
+    /// A session over `config`. Nothing runs until the first sweep.
+    pub fn new(config: PipelineConfig) -> Self {
         SweepSession {
             config,
             universe: Vec::new(),
@@ -424,17 +409,24 @@ impl SweepSession {
         }
     }
 
-    /// One sweep: a fresh world, [`Sim`] and registry, the probing
-    /// window through `executor`, the session's static inputs, the
-    /// dataset bundle and the invariant check.
-    fn sweep(
-        &mut self,
-        prior: Option<SweepSnapshot>,
-        timings: &mut Vec<(String, f64)>,
-        executor: &mut dyn SweepExecutor,
-    ) -> Result<PipelineOutput, PipelineError> {
+    /// The configuration every sweep of this session runs under.
+    pub fn config(&self) -> &PipelineConfig {
+        &self.config
+    }
+
+    /// The probe universe of the session's world (empty before the
+    /// first [`Self::open`] or sweep).
+    pub fn universe(&self) -> &[Prefix] {
+        &self.universe
+    }
+
+    /// Opens the session's world for one sweep: generates it, derives
+    /// the probe universe (refusing an empty one), builds a cold
+    /// [`Sim`] over a fresh registry under the session's fault plan,
+    /// and checks that `prior` may warm-start it. Every sweep begins
+    /// here, and so does a fleet worker rebuilding a driver's job.
+    pub fn open(&mut self, prior: Option<&SweepSnapshot>) -> Result<Sim, PipelineError> {
         let config = &self.config;
-        let stage = Instant::now();
         let world = World::generate(config.world.clone());
         if self.universe.is_empty() {
             self.universe = world.blocks.iter().map(|b| b.prefix).collect();
@@ -446,16 +438,13 @@ impl SweepSession {
                 message: "generated world has no announced blocks to probe".into(),
             });
         }
-        let metrics = Arc::new(MetricsRegistry::new());
-        let mut sim = Sim::with_faults(world, Arc::clone(&metrics), &config.faults);
-        metrics.counter("pipeline.runs").inc();
-        timings.push(("world_gen".into(), stage.elapsed().as_secs_f64()));
+        let sim = Sim::with_faults(world, Arc::new(MetricsRegistry::new()), &config.faults);
 
         // Warm-start validity: a snapshot only speaks for runs over the
         // same world and probing configuration. Refusing a mismatched
         // snapshot here (rather than silently replaying stale records)
         // is what lets the warm path promise byte-identical output.
-        if let Some(prior) = prior.as_ref() {
+        if let Some(prior) = prior {
             let digest = *self
                 .digest
                 .get_or_insert_with(|| sweep::config_digest(&sim, &config.probe, universe));
@@ -479,6 +468,38 @@ impl SweepSession {
                 });
             }
         }
+        Ok(sim)
+    }
+
+    /// One sweep, in-process: cold when `prior` is `None`, otherwise
+    /// warm-started from it with [`Pipeline::run_warm`]'s semantics
+    /// (the planner re-probes only what is new, expired under
+    /// `probe.expiry_budget`, dirty, or in need of rescue).
+    pub fn sweep(
+        &mut self,
+        prior: Option<&SweepSnapshot>,
+    ) -> Result<PipelineOutput, PipelineError> {
+        self.sweep_with(prior, &mut Vec::new(), &mut LocalSweep)
+    }
+
+    /// [`Self::sweep`] with the wall-clock side channel of
+    /// [`Pipeline::run_warm_timed`] and the probing-window executor of
+    /// [`Pipeline::run_warm_timed_with`]: the session's world
+    /// ([`Self::open`]), the probing window through `executor`, the
+    /// session's static inputs, the dataset bundle and the invariant
+    /// check.
+    pub fn sweep_with(
+        &mut self,
+        prior: Option<&SweepSnapshot>,
+        timings: &mut Vec<(String, f64)>,
+        executor: &mut dyn SweepExecutor,
+    ) -> Result<PipelineOutput, PipelineError> {
+        let stage = Instant::now();
+        let mut sim = self.open(prior)?;
+        let metrics = Arc::clone(sim.metrics());
+        metrics.counter("pipeline.runs").inc();
+        timings.push(("world_gen".into(), stage.elapsed().as_secs_f64()));
+        let (config, universe) = (&self.config, &self.universe);
 
         // Technique 1: cache probing (discovery at t=0, calibration at
         // t=6 h, the probing window starting at t=8 h).
@@ -487,7 +508,7 @@ impl SweepSession {
             SimTime::ZERO.as_millis(),
         );
         let (cache_probe, sweep) =
-            executor.run_sweep(&mut sim, &config.probe, universe, timings, prior.as_ref())?;
+            executor.run_sweep(&mut sim, &config.probe, universe, timings, prior)?;
         probe_span.stop(
             (SimTime::from_hours(8) + SimTime::from_secs_f64(config.probe.duration_hours * 3600.0))
                 .as_millis(),
@@ -707,23 +728,17 @@ mod tests {
     }
 
     #[test]
-    fn cadence_chains_warm_sweeps_in_order() {
+    fn session_chains_warm_sweeps_in_order() {
         let cold = output();
-        let mut seen = Vec::new();
-        Pipeline::run_cadence(
-            PipelineConfig::tiny(7),
-            Some(cold.sweep.clone()),
-            3,
-            |sweep_no, out| {
-                seen.push((sweep_no, out.sweep.epoch));
-                // Every chained sweep replays the same stable world.
-                assert_eq!(out.report().render_all(), cold.report().render_all());
-                Ok(())
-            },
-        )
-        .expect("cadence completes");
-        let base = cold.sweep.epoch;
-        assert_eq!(seen, vec![(1, base + 1), (2, base + 2), (3, base + 3)]);
+        let mut session = SweepSession::new(PipelineConfig::tiny(7));
+        let mut last = cold.sweep.clone();
+        for step in 1..=3 {
+            let out = session.sweep(Some(&last)).expect("sweep is healthy");
+            assert_eq!(out.sweep.epoch, cold.sweep.epoch + step);
+            // Every chained sweep replays the same stable world.
+            assert_eq!(out.report().render_all(), cold.report().render_all());
+            last = out.sweep;
+        }
     }
 
     /// The three artifacts every byte-identity suite compares.
@@ -768,10 +783,12 @@ mod tests {
             ("clustered", clustered),
         ] {
             let oracle = independent_chain(&config, 3);
-            let mut step = 0;
-            Pipeline::run_cadence(config, None, 3, |sweep_no, out| {
+            let mut session = SweepSession::new(config);
+            let mut last: Option<SweepSnapshot> = None;
+            for (want, sweep_no) in oracle.iter().zip(1..) {
+                let out = session.sweep(last.as_ref()).expect("sweep is healthy");
                 let (snapshot, report, metrics) = artifacts(&out);
-                let (want_snapshot, want_report, want_metrics) = artifacts(&oracle[step]);
+                let (want_snapshot, want_report, want_metrics) = artifacts(want);
                 assert!(
                     snapshot == want_snapshot,
                     "{name} sweep {sweep_no}: snapshot"
@@ -780,11 +797,8 @@ mod tests {
                 // Unfiltered: warm-only planner counters and every
                 // replayed instrument included.
                 assert_eq!(metrics, want_metrics, "{name} sweep {sweep_no}: metrics");
-                step += 1;
-                Ok(())
-            })
-            .expect("cadence completes");
-            assert_eq!(step, 3);
+                last = Some(out.sweep);
+            }
         }
     }
 
@@ -793,7 +807,7 @@ mod tests {
         let mut session = SweepSession::new(PipelineConfig::tiny(7));
         let mut timings = Vec::new();
         let first = session
-            .sweep(None, &mut timings, &mut LocalSweep)
+            .sweep_with(None, &mut timings, &mut LocalSweep)
             .expect("sweep 1");
 
         // Mark what the session retained: a sweep that re-ran the
@@ -806,7 +820,7 @@ mod tests {
 
         let mut replayed = Vec::new();
         let second = session
-            .sweep(Some(first.sweep.clone()), &mut replayed, &mut LocalSweep)
+            .sweep_with(Some(&first.sweep), &mut replayed, &mut LocalSweep)
             .expect("sweep 2");
         assert_eq!(second.dns_logs.records_examined, 424_242);
         assert_eq!(second.dns_logs.resolvers, first.dns_logs.resolvers);
@@ -882,37 +896,19 @@ mod tests {
         let config = PipelineConfig::tiny(7);
         let oracle = independent_chain(&config, 2);
 
-        // What `clientmap serve` relies on to keep answering degraded:
-        // an observer error on sweep 2 aborts the chain and surfaces
-        // as-is, after sweep 1 was handed over whole and before sweep
-        // 3 is ever started.
-        let mut delivered = Vec::new();
-        let err = Pipeline::run_cadence(config.clone(), None, 3, |sweep_no, out| {
-            if sweep_no == 2 {
-                return Err(PipelineError::Stage {
-                    stage: "injected-failure".into(),
-                    message: "sweep 2 failed by --fail-sweep".into(),
-                });
-            }
-            delivered.push((sweep_no, artifacts(&out)));
-            Ok(())
-        })
-        .expect_err("observer error propagates");
-        assert!(
-            matches!(err, PipelineError::Stage { ref stage, .. } if stage == "injected-failure")
-        );
-        assert_eq!(delivered, vec![(1, artifacts(&oracle[0]))]);
-
-        // A sweep that dies inside the probing window (before the
-        // static inputs of a first sweep exist, or after) poisons
-        // nothing: the session's next sweep equals the oracle's.
+        // What `clientmap serve` relies on to keep answering degraded,
+        // and what a restarted chain will rely on: a sweep that dies
+        // inside the probing window (before the static inputs of a
+        // first sweep exist, or after) poisons nothing. The sweeps
+        // before it were handed over whole, and the session's next
+        // sweep equals the oracle's.
         for fail_on in [1, 2] {
             let mut session = SweepSession::new(config.clone());
             let mut executor = FlakySweep { calls: 0, fail_on };
             let mut prior = None;
             let mut step = 0;
             while step < 2 {
-                match session.sweep(prior.clone(), &mut Vec::new(), &mut executor) {
+                match session.sweep_with(prior.as_ref(), &mut Vec::new(), &mut executor) {
                     Ok(out) => {
                         assert_eq!(
                             artifacts(&out),

@@ -36,7 +36,8 @@ pub struct JobSpec {
     pub expiry_budget: f64,
     /// Whether the batched probe kernels are enabled.
     pub batched_probing: bool,
-    /// Batch arena size for the batched kernels.
+    /// A slot the layout keeps from when the batched lane could be
+    /// chunked: drivers write `0`, workers ignore it.
     pub batch_size: u64,
     /// Whether the clustered predictive planner is enabled.
     pub clustered_probing: bool,
@@ -144,7 +145,6 @@ impl JobSpec {
         config.probe.duration_hours = self.duration_hours;
         config.probe.expiry_budget = self.expiry_budget;
         config.probe.batched_probing = self.batched_probing;
-        config.probe.batch_size = self.batch_size as usize;
         config.probe.clustered_probing = self.clustered_probing;
         config.probe.cluster_epsilon = self.cluster_epsilon;
         config.probe.cluster_escalate_below = self.cluster_escalate_below;

@@ -10,15 +10,11 @@
 
 use std::io::Write as _;
 use std::net::{TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 
 use clientmap_cacheprobe::{prepare_sweep, probe_rescue_shard, probe_shard, SweepPrep};
-use clientmap_core::PipelineConfig;
-use clientmap_net::Prefix;
+use clientmap_core::SweepSession;
 use clientmap_sim::Sim;
-use clientmap_telemetry::MetricsRegistry;
-use clientmap_world::World;
 
 use crate::frame::{read_frame_deadline, write_frame, Frame, FrameKind, FrameRead};
 use crate::proto::{
@@ -56,12 +52,17 @@ impl Default for WorkerOptions {
 
 /// A prepared job: the worker-side sweep, paused before probing.
 struct JobState {
-    config: PipelineConfig,
+    session: SweepSession,
     sim: Sim,
     prep: SweepPrep,
     num_shards: u32,
 }
 
+/// Rebuilds the driver's sweep up to the probing window: the job's
+/// world opened the way every sweep opens it ([`SweepSession::open`] —
+/// so a prior from another world or probing configuration is refused
+/// with the message `clientmap run --snapshot-in` prints), then the
+/// same preparation the driver ran.
 fn build_job(spec: &JobSpec) -> Result<JobState, String> {
     let config = spec.config().ok_or_else(|| {
         format!(
@@ -69,20 +70,15 @@ fn build_job(spec: &JobSpec) -> Result<JobState, String> {
             spec.scale
         )
     })?;
-    let world = World::generate(config.world.clone());
-    let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
-    if universe.is_empty() {
-        return Err("generated world has no announced blocks to probe".into());
-    }
-    let metrics = Arc::new(MetricsRegistry::new());
-    let mut sim = Sim::with_faults(world, Arc::clone(&metrics), &config.faults);
     let prior = spec
         .prior_snapshot()
         .map_err(|e| format!("prior snapshot unusable: {e}"))?;
+    let mut session = SweepSession::new(config);
+    let mut sim = session.open(prior.as_ref()).map_err(|e| e.to_string())?;
     let prep = prepare_sweep(
         &mut sim,
-        &config.probe,
-        &universe,
+        &session.config().probe,
+        session.universe(),
         &mut Vec::new(),
         prior.as_ref(),
     );
@@ -98,7 +94,7 @@ fn build_job(spec: &JobSpec) -> Result<JobState, String> {
         return Err("job with zero shards".into());
     }
     Ok(JobState {
-        config,
+        session,
         sim,
         prep,
         num_shards: spec.num_shards,
@@ -165,7 +161,7 @@ fn answer_request(
         std::process::exit(17);
     }
     *served += 1;
-    let (sim, probe) = (&mut state.sim, &state.config.probe);
+    let (sim, probe) = (&mut state.sim, &state.session.config().probe);
     Ok(match rescue_units {
         None => {
             let range = shard_range(state.prep.num_units(), state.num_shards, shard);
@@ -267,6 +263,25 @@ pub fn run_worker(opts: &WorkerOptions) -> std::io::Result<()> {
 mod tests {
     use super::*;
     use clientmap_faults::FaultConfig;
+    use clientmap_store::SweepSnapshot;
+
+    fn tiny_job() -> JobSpec {
+        JobSpec {
+            scale: "tiny".into(),
+            seed: 7,
+            duration_hours: 2.0,
+            expiry_budget: 0.0,
+            batched_probing: true,
+            batch_size: 0,
+            clustered_probing: false,
+            cluster_epsilon: 0.25,
+            cluster_escalate_below: 0.5,
+            num_shards: 4,
+            config_digest: 0,
+            faults: FaultConfig::default(),
+            prior: None,
+        }
+    }
 
     /// A scale typo survives the wire intact (the layout does not know
     /// the preset names) and is refused by the job builder — before
@@ -275,24 +290,31 @@ mod tests {
     fn job_with_an_unknown_scale_is_refused_by_name() {
         let spec = JobSpec {
             scale: "papr".into(),
-            seed: 7,
-            duration_hours: 2.0,
-            expiry_budget: 0.0,
-            batched_probing: true,
-            batch_size: 64,
-            clustered_probing: false,
-            cluster_epsilon: 0.25,
-            cluster_escalate_below: 0.5,
-            num_shards: 4,
-            config_digest: 0,
-            faults: FaultConfig::default(),
-            prior: None,
+            ..tiny_job()
         };
         let decoded = JobSpec::decode(&spec.encode()).expect("spec round trip");
         assert_eq!(decoded, spec);
         assert!(decoded.config().is_none());
         let reason = build_job(&decoded).err().expect("job must be refused");
         assert!(reason.contains("unknown scale \"papr\""), "{reason}");
+    }
+
+    /// The worker opens its world where every sweep does, so a prior
+    /// from another world seed is refused — in the words `clientmap run
+    /// --snapshot-in` uses — instead of being prepared against. (The
+    /// handshake's own check compares only the two config digests.)
+    #[test]
+    fn job_with_a_prior_from_another_world_is_refused_as_a_warm_start_error() {
+        let spec = JobSpec {
+            prior: Some(SweepSnapshot::new(8, 0).encode()),
+            ..tiny_job()
+        };
+        let reason = build_job(&spec).err().expect("job must be refused");
+        assert_eq!(
+            reason,
+            "pipeline stage warm-start failed: \
+             snapshot is from world seed 8 but this run uses seed 7"
+        );
     }
 
     /// The one refusal that needs no prepared sweep to reach: a request

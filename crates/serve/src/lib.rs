@@ -6,7 +6,8 @@
 //!
 //! Three moving parts:
 //!
-//! - **The sweep thread** drives `Pipeline::run_cadence`: each sweep
+//! - **The sweep thread** holds one `clientmap_core::SweepSession`
+//!   and sweeps it in a plain loop: each sweep
 //!   warm-starts from its predecessor's snapshot, so only expired,
 //!   new, dirty, or rescue-worthy scopes are re-probed. After each
 //!   sweep the verdict-table *delta* is appended to an append-only,
@@ -40,4 +41,4 @@ pub use proto::{
     verdict_name, AsReply, CountryReply, InfoReply, PrefixReply, Query, QueryKind, Reply,
     MAX_ECDF_POINTS, QUERY_PROTOCOL_VERSION,
 };
-pub use server::{serve, ServeError, ServeOptions, ServeSummary};
+pub use server::{serve, ServeError, ServeOptions, ServeSummary, MAX_SWEEPS};

@@ -2,9 +2,10 @@
 //! lock-free query answering on the rest.
 //!
 //! `serve` owns the sweep store for its lifetime. A dedicated sweep
-//! thread drives [`Pipeline::run_cadence`]; after each sweep it diffs
-//! the new verdict table against the published generation's, appends
-//! the delta to the append-only event log
+//! thread holds one [`SweepSession`] and sweeps it in a plain loop
+//! (`run_sweeps`); after each sweep it diffs the new verdict table
+//! against the published generation's, appends the delta to the
+//! append-only event log
 //! ([`clientmap_store::eventlog`]), moves the table into an immutable
 //! [`Generation`], and publishes it into a
 //! [`GenerationCell`] with one atomic store. Query connections never
@@ -27,7 +28,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-use clientmap_core::{Pipeline, PipelineConfig, PipelineError};
+use clientmap_core::{PipelineConfig, PipelineError, SweepSession};
 use clientmap_fleet::{read_frame_deadline, write_frame, Frame, FrameError, FrameRead};
 use clientmap_store::{
     verdict_delta, EventLog, FailureEvent, GenerationCell, SweepEvent, SweepSnapshot,
@@ -36,6 +37,12 @@ use clientmap_store::{
 use crate::engine::Generation;
 use crate::proto::{Query, QueryKind, Reply};
 
+/// The most sweeps one service lifetime can be asked for: every
+/// generation gets its slot in the [`GenerationCell`] before the first
+/// sweep runs (16 bytes each, all touched), and stays addressable
+/// until the service exits.
+pub const MAX_SWEEPS: u32 = 65_536;
+
 /// Everything `clientmap serve` needs to run.
 #[derive(Debug, Clone)]
 pub struct ServeOptions {
@@ -43,7 +50,8 @@ pub struct ServeOptions {
     pub addr: String,
     /// The pipeline configuration every sweep runs under.
     pub config: PipelineConfig,
-    /// Warm-chained sweeps to run before the service idles.
+    /// Warm-chained sweeps to run before the service idles (at most
+    /// [`MAX_SWEEPS`]).
     pub sweeps: u32,
     /// Snapshot to warm-start sweep 1 from (`None` = cold).
     pub prior: Option<SweepSnapshot>,
@@ -60,7 +68,7 @@ pub struct ServeOptions {
     pub io_timeout: Duration,
     /// Chaos lever: fail sweep N with a typed `PipelineError` instead
     /// of running it — the injected death that drives the service into
-    /// degraded mode (see [`run_sweeps`]).
+    /// degraded mode.
     pub fail_sweep: Option<u32>,
     /// Told the bound address right after binding — how an in-process
     /// harness (the benchmark, tests) finds a port-0 listener without
@@ -97,6 +105,8 @@ pub enum ServeError {
     Pipeline(PipelineError),
     /// The event log refused an append or compaction.
     Log(String),
+    /// More sweeps were asked for than [`MAX_SWEEPS`].
+    TooManySweeps(u32),
 }
 
 impl std::fmt::Display for ServeError {
@@ -105,6 +115,12 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "serve i/o error: {e}"),
             ServeError::Pipeline(e) => write!(f, "serve sweep failed: {e}"),
             ServeError::Log(e) => write!(f, "serve event log failed: {e}"),
+            ServeError::TooManySweeps(n) => {
+                write!(
+                    f,
+                    "{n} sweeps asked for, at most {MAX_SWEEPS} fit one service"
+                )
+            }
         }
     }
 }
@@ -164,9 +180,13 @@ impl ServerState {
 /// `clientmap serve listening on <addr>` on stdout, sweeps
 /// `opts.sweeps` times while answering queries, and returns once the
 /// sweeps are done and a client has asked it to stop. An existing
-/// event log is refused before any of that: a harness told "ready"
-/// is never talking to a service about to return an error.
+/// event log or a sweep count above [`MAX_SWEEPS`] is refused before
+/// any of that: a harness told "ready" is never talking to a service
+/// about to return an error.
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, ServeError> {
+    if opts.sweeps > MAX_SWEEPS {
+        return Err(ServeError::TooManySweeps(opts.sweeps));
+    }
     if opts.log_path.exists() {
         return Err(ServeError::Log(format!(
             "event log {} already exists; serve writes a fresh log per run",
@@ -259,127 +279,118 @@ pub fn serve(opts: ServeOptions) -> Result<ServeSummary, ServeError> {
     })
 }
 
-/// The sweep cadence: run, diff, append, publish — once per sweep.
+/// The sweep cadence: one [`SweepSession`], swept `opts.sweeps` times —
+/// sweep, diff, append, publish — each sweep warm-started from the
+/// snapshot of the one before (sweep 1 from `opts.prior`).
 ///
 /// The chain is supervised. A sweep that fails (`PipelineError`) or
 /// panics *after* at least one generation was published does not kill
 /// the service: the failure is appended to the event log as a typed
 /// [`FailureEvent`] and the call returns `Ok` with the degraded flag
 /// set, leaving every published generation answerable. Only a chain
-/// that dies before its first generation is a hard [`ServeError`].
+/// that dies before its first generation is a hard [`ServeError`], and
+/// so is a log that refuses an append or a compaction.
 fn run_sweeps(
     opts: &ServeOptions,
     state: &ServerState,
 ) -> Result<(EventLog, Option<SweepSnapshot>, bool), ServeError> {
+    let log_err = |e: std::io::Error| ServeError::Log(e.to_string());
+    let mut session = SweepSession::new(opts.config.clone());
+    // The newest snapshot of the chain: the prior, then each published
+    // sweep's own.
+    let mut last = opts.prior.clone();
     let mut log: Option<EventLog> = None;
-    let mut last_snapshot: Option<SweepSnapshot> = None;
-    let mut published: u64 = 0;
 
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        Pipeline::run_cadence(
-            opts.config.clone(),
-            opts.prior.clone(),
-            opts.sweeps,
-            |sweep_no, out| {
-                if opts.fail_sweep == Some(sweep_no) {
-                    return Err(PipelineError::Stage {
-                        stage: "injected-failure".into(),
-                        message: format!("sweep {sweep_no} failed by --fail-sweep"),
-                    });
-                }
-                // The log is created lazily on sweep 1: its header pins
-                // the (world seed, config digest) pair, which only the
-                // first finished sweep can vouch for.
-                if log.is_none() {
-                    let created = EventLog::create(
-                        &opts.log_path,
-                        out.sweep.world_seed,
-                        out.sweep.config_digest,
-                    )
-                    .map_err(|e| PipelineError::Stage {
-                        stage: "serve-eventlog".into(),
-                        message: e.to_string(),
-                    })?;
-                    log = Some(created);
-                }
-                let log = log.as_mut().expect("just created");
-
-                // The table is built once per publish: diffed against
-                // the last published generation's for the log, then
-                // moved into the new generation.
-                let table = out.cache_probe.verdict_table();
-                let previous = state.generations.current();
-                let changes = verdict_delta(previous.as_deref().map(|g| &g.verdicts), &table);
-                let event = SweepEvent {
-                    epoch: out.sweep.epoch,
-                    generation: u64::from(sweep_no),
-                    measured_slash24s: table.count_measured(),
-                    changes,
+    for sweep_no in 1..=opts.sweeps {
+        let swept = if opts.fail_sweep == Some(sweep_no) {
+            Err(PipelineError::Stage {
+                stage: "injected-failure".into(),
+                message: format!("sweep {sweep_no} failed by --fail-sweep"),
+            })
+        } else {
+            // A panicking sweep is the same failure as a returned
+            // error: typed, logged, survivable.
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                session.sweep(last.as_ref())
+            }))
+            .unwrap_or_else(|payload| {
+                Err(PipelineError::Stage {
+                    stage: "sweep-panic".into(),
+                    message: panic_message(payload),
+                })
+            })
+        };
+        let out = match swept {
+            Ok(out) => out,
+            Err(e) => {
+                // Before the first generation there is nothing to keep
+                // serving. After it: record the death in the log and
+                // keep serving, degraded.
+                let Some(mut log) = log else {
+                    return Err(ServeError::Pipeline(e));
                 };
-                log.append(&event).map_err(|e| PipelineError::Stage {
-                    stage: "serve-eventlog".into(),
-                    message: e.to_string(),
-                })?;
-                if opts.compact_every > 0 && sweep_no % opts.compact_every == 0 {
-                    log.compact(&out.sweep).map_err(|e| PipelineError::Stage {
-                        stage: "serve-compaction".into(),
-                        message: e.to_string(),
-                    })?;
-                }
-
-                let generation =
-                    Generation::from_table(u64::from(sweep_no), log.len(), &out, table);
-                state
-                    .generations
-                    .publish(generation)
-                    .expect("generation capacity = sweep count");
-                published = u64::from(sweep_no);
-                state.notify();
-                eprintln!(
-                    "serve: sweep {sweep_no}/{} published (epoch {}, log {} bytes)",
-                    opts.sweeps,
-                    out.sweep.epoch,
-                    log.len()
-                );
-                // The observer's last use of `out`: the cadence already
-                // holds its own copy as the next prior, so move, not clone.
-                last_snapshot = Some(out.sweep);
-                Ok(())
-            },
-        )
-    }));
-    let result = match result {
-        Ok(r) => r,
-        // A panicking sweep is the same failure as a returned error:
-        // typed, logged, survivable.
-        Err(payload) => Err(PipelineError::Stage {
-            stage: "sweep-panic".into(),
-            message: panic_message(payload),
-        }),
-    };
-    match result {
-        Ok(()) => match log {
-            Some(log) => Ok((log, last_snapshot, false)),
-            None => Err(ServeError::Log("no sweeps ran (sweeps = 0)".into())),
-        },
-        Err(e) => match log {
-            // At least one generation is published: record the death
-            // in the log and keep serving, degraded.
-            Some(mut log) => {
                 let failure = FailureEvent {
-                    generation: published + 1,
+                    generation: u64::from(sweep_no),
                     message: e.to_string(),
                 };
-                log.append_failure(&failure)
-                    .map_err(|io| ServeError::Log(io.to_string()))?;
+                log.append_failure(&failure).map_err(log_err)?;
                 eprintln!(
-                    "serve: sweep {} failed ({e}); serving degraded from generation {published}",
-                    published + 1
+                    "serve: sweep {sweep_no} failed ({e}); serving degraded from generation {}",
+                    sweep_no - 1
                 );
-                Ok((log, last_snapshot, true))
+                return Ok((log, last, true));
             }
-            None => Err(ServeError::Pipeline(e)),
-        },
+        };
+
+        // The log is created on sweep 1: its header pins the (world
+        // seed, config digest) pair, which only a finished sweep can
+        // vouch for.
+        let log = match &mut log {
+            Some(log) => log,
+            None => log.insert(
+                EventLog::create(
+                    &opts.log_path,
+                    out.sweep.world_seed,
+                    out.sweep.config_digest,
+                )
+                .map_err(log_err)?,
+            ),
+        };
+
+        // The table is built once per publish: diffed against the last
+        // published generation's for the log, then moved into the new
+        // generation.
+        let table = out.cache_probe.verdict_table();
+        let previous = state.generations.current();
+        let changes = verdict_delta(previous.as_deref().map(|g| &g.verdicts), &table);
+        let event = SweepEvent {
+            epoch: out.sweep.epoch,
+            generation: u64::from(sweep_no),
+            measured_slash24s: table.count_measured(),
+            changes,
+        };
+        log.append(&event).map_err(log_err)?;
+        if opts.compact_every > 0 && sweep_no % opts.compact_every == 0 {
+            log.compact(&out.sweep).map_err(log_err)?;
+        }
+
+        let generation = Generation::from_table(u64::from(sweep_no), log.len(), &out, table);
+        state
+            .generations
+            .publish(generation)
+            .expect("generation capacity = sweep count");
+        state.notify();
+        eprintln!(
+            "serve: sweep {sweep_no}/{} published (epoch {}, log {} bytes)",
+            opts.sweeps,
+            out.sweep.epoch,
+            log.len()
+        );
+        last = Some(out.sweep);
+    }
+    match log {
+        Some(log) => Ok((log, last, false)),
+        None => Err(ServeError::Log("no sweeps ran (sweeps = 0)".into())),
     }
 }
 
@@ -459,5 +470,38 @@ fn handle_connection(
         }
         state.queries.fetch_add(1, Ordering::SeqCst);
         write_frame(&mut writer, &Frame::new(reply.kind(), reply.encode()))?;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `--sweeps` sizes an allocation made before the first sweep: a
+    /// count above the cap is a typed refusal raised before the service
+    /// binds or signals readiness, not 64 GiB of generation slots.
+    #[test]
+    fn a_sweep_count_above_the_cap_is_refused_before_the_service_announces_itself() {
+        let (ready, addr) = std::sync::mpsc::channel();
+        let result = serve(ServeOptions {
+            addr: "127.0.0.1:0".into(),
+            config: PipelineConfig::tiny(7),
+            sweeps: MAX_SWEEPS + 1,
+            prior: None,
+            log_path: std::env::temp_dir().join("clientmap-serve-never-created.cmel"),
+            compact_every: 0,
+            snapshot_out: None,
+            io_timeout: Duration::from_secs(1),
+            fail_sweep: None,
+            ready: Some(ready),
+        });
+        match result {
+            Err(ServeError::TooManySweeps(n)) => assert_eq!(n, MAX_SWEEPS + 1),
+            other => panic!("expected the sweep-count refusal, got {other:?}"),
+        }
+        assert!(
+            addr.try_recv().is_err(),
+            "a refusing service signalled ready"
+        );
     }
 }

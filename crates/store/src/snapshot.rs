@@ -83,32 +83,64 @@ impl ScopeRecord {
     }
 }
 
-/// Fault accounting carried in a snapshot — the storable mirror of
-/// `cacheprobe`'s `FaultSummary` (this crate sits below `cacheprobe`,
-/// so it keeps its own struct).
+/// Partial-result accounting for a fault-injected sweep: what the
+/// resilience layer observed, recovered, and had to give up on. The
+/// prober fills it in, the report reads it (as
+/// `clientmap_cacheprobe::FaultSummary`, the same type), and the
+/// snapshot carries it to the next warm run. Absent when fault
+/// injection is off, keeping fault-free reports and snapshots
+/// byte-identical to the pre-fault pipeline.
+///
+/// Conservation: `observed == recovered + degraded + lost`.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FaultRecord {
-    /// Fault profile name (`light`, `lossy`, `pop-churn`).
+    /// The fault profile the run was injected with (`light`, `lossy`,
+    /// `pop-churn`).
     pub profile: String,
-    /// Failures observed client-side.
+    /// Failed wire exchanges observed by the prober, all classes.
     pub observed: u64,
-    /// Retry sends beyond first queries.
+    /// Retry sends beyond each probe's first query (not counted in
+    /// the result's `probes_sent`).
     pub retries: u64,
-    /// Failures recovered by retry.
+    /// Observed failures on probes that a retry recovered unchanged.
     pub recovered: u64,
-    /// Failures recovered only via TCP upgrade.
+    /// Observed failures on probes recovered only by the TC-forced
+    /// upgrade from UDP to TCP.
     pub degraded: u64,
-    /// Failures never recovered.
+    /// Observed failures on probes that exhausted retries or deadline.
     pub lost: u64,
-    /// PoP ids quarantined by the circuit breaker — the planner's
-    /// dirty set for the next warm run.
+    /// PoP ids quarantined by the circuit breaker, in PoP order — the
+    /// planner's dirty set for the next warm run.
     pub quarantined_pops: Vec<u64>,
-    /// Scopes re-probed at fallback PoPs.
+    /// Scopes re-probed at a fallback PoP after quarantine.
     pub rescued_scopes: u64,
-    /// Assigned scopes that stayed unmeasured.
+    /// Assigned ⟨domain, scope⟩ pairs that never produced a probe
+    /// event — coverage the faults cost us.
     pub unmeasured_scopes: u64,
-    /// Total assigned ⟨domain, scope⟩ pairs.
+    /// Total distinct assigned ⟨domain, scope⟩ pairs (denominator for
+    /// the unmeasured share).
     pub assigned_scopes: u64,
+}
+
+impl FaultRecord {
+    /// Share of probe events that needed at least one retry-class send,
+    /// as retries over first-try sends, in `[0, 1]`.
+    pub fn retried_fraction(&self, probes_sent: u64) -> f64 {
+        if probes_sent + self.retries == 0 {
+            0.0
+        } else {
+            self.retries as f64 / (probes_sent + self.retries) as f64
+        }
+    }
+
+    /// Share of assigned scopes left unmeasured, in `[0, 1]`.
+    pub fn unmeasured_fraction(&self) -> f64 {
+        if self.assigned_scopes == 0 {
+            0.0
+        } else {
+            self.unmeasured_scopes as f64 / self.assigned_scopes as f64
+        }
+    }
 }
 
 /// One PoP's calibration capture: the measured service radius, the raw

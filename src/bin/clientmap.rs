@@ -64,7 +64,7 @@ use clientmap::datasets::export;
 use clientmap::faults::{FaultConfig, FaultProfile};
 use clientmap::fleet::{run_worker, FleetOptions, FleetSweep, WorkerOptions};
 use clientmap::net::Prefix;
-use clientmap::serve::{run_trace, serve, ServeOptions};
+use clientmap::serve::{run_trace, serve, ServeOptions, MAX_SWEEPS};
 use clientmap::store::{AsBitsets, Slash24Bitset, SweepSnapshot};
 
 /// One typed reason the command line could not be used. Every parse
@@ -686,6 +686,9 @@ fn check_subcommand_constraints(cmd: &str, args: &Args) -> Result<(), CliError> 
             Some("driver requires --workers host:port[,host:port...]".into())
         }
         "serve" if args.sweeps == 0 => Some("serve needs --sweeps >= 1".into()),
+        "serve" if args.sweeps > MAX_SWEEPS => {
+            Some(format!("serve takes at most --sweeps {MAX_SWEEPS}"))
+        }
         _ => args.positional.first().map(|word| {
             format!("unexpected argument {word:?} (only `query` takes positional words)")
         }),

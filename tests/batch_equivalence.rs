@@ -3,18 +3,16 @@
 //! pure execution strategy. Every observable — reports, probe counts,
 //! telemetry snapshots, sweep records, fault books — must land byte-
 //! identical to the scalar oracle (`batched_probing = false`), across
-//! seeds, batch sizes, thread counts, and fault profiles. This suite is
-//! what lets the batch knobs stay out of the sweep config digest.
+//! seeds, thread counts, and fault profiles. This suite is what lets
+//! the lane switch stay out of the sweep config digest.
 
 use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput};
 use clientmap::faults::{FaultConfig, FaultProfile};
-use proptest::prelude::*;
 
-/// A tiny pipeline config with the batch knobs dialed explicitly.
-fn config(seed: u64, batched: bool, batch_size: usize) -> PipelineConfig {
+/// A tiny pipeline config with the probe lane chosen explicitly.
+fn config(seed: u64, batched: bool) -> PipelineConfig {
     let mut c = PipelineConfig::tiny(seed);
     c.probe.batched_probing = batched;
-    c.probe.batch_size = batch_size;
     c
 }
 
@@ -83,7 +81,7 @@ fn assert_outputs_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
 /// every read-only comparison below.
 fn shared() -> &'static (PipelineOutput, PipelineOutput) {
     static RUNS: std::sync::OnceLock<(PipelineOutput, PipelineOutput)> = std::sync::OnceLock::new();
-    RUNS.get_or_init(|| (run(config(2021, true, 0)), run(config(2021, false, 0))))
+    RUNS.get_or_init(|| (run(config(2021, true)), run(config(2021, false))))
 }
 
 #[test]
@@ -103,8 +101,8 @@ fn batched_lane_matches_the_scalar_oracle_end_to_end() {
     );
 
     // A second world, so agreement is not a fixed-point accident.
-    let batched2 = run(config(3, true, 0));
-    let scalar2 = run(config(3, false, 0));
+    let batched2 = run(config(3, true));
+    let scalar2 = run(config(3, false));
     assert_outputs_match(&batched2, &scalar2, "seed 3");
     assert_ne!(
         batched.cache_probe.probes_sent, batched2.cache_probe.probes_sent,
@@ -113,28 +111,10 @@ fn batched_lane_matches_the_scalar_oracle_end_to_end() {
 }
 
 #[test]
-fn every_batch_size_lands_the_same_bytes() {
-    let (full, _) = shared();
-    for size in [1usize, 7, 64] {
-        let chunked = run(config(2021, true, size));
-        assert_outputs_match(&chunked, full, &format!("batch_size {size}"));
-        // All-batched runs agree on the calibration records too.
-        assert_eq!(
-            chunked.sweep.calibration, full.sweep.calibration,
-            "batch_size {size}: calibration records diverged"
-        );
-        assert_eq!(
-            chunked.sweep.calibration_sample,
-            full.sweep.calibration_sample
-        );
-    }
-}
-
-#[test]
 fn equivalence_holds_at_one_and_four_threads() {
     for threads in [1usize, 4] {
-        let batched = clientmap::par::with_threads(threads, || run(config(2021, true, 0)));
-        let scalar = clientmap::par::with_threads(threads, || run(config(2021, false, 0)));
+        let batched = clientmap::par::with_threads(threads, || run(config(2021, true)));
+        let scalar = clientmap::par::with_threads(threads, || run(config(2021, false)));
         assert_outputs_match(&batched, &scalar, &format!("{threads} threads"));
         // And the batched lane itself is thread-count independent,
         // snapshot bytes included.
@@ -151,9 +131,9 @@ fn equivalence_holds_at_one_and_four_threads() {
 #[test]
 fn faulted_runs_take_the_scalar_lane_with_identical_accounting() {
     for profile in [FaultProfile::Light, FaultProfile::Lossy] {
-        let mut on = config(2021, true, 0);
+        let mut on = config(2021, true);
         on.faults = FaultConfig::profile(profile, 5);
-        let mut off = config(2021, false, 0);
+        let mut off = config(2021, false);
         off.faults = FaultConfig::profile(profile, 5);
         let a = run(on);
         let b = run(off);
@@ -178,9 +158,9 @@ fn warm_restart_from_a_scalar_snapshot_matches_the_scalar_warm_run() {
     // restart over it must live-calibrate and still land on the scalar
     // warm run's bytes.
     let (_, scalar_cold) = shared();
-    let warm_batched = Pipeline::run_warm(config(2021, true, 0), Some(scalar_cold.sweep.clone()))
+    let warm_batched = Pipeline::run_warm(config(2021, true), Some(scalar_cold.sweep.clone()))
         .expect("batched warm run completes");
-    let warm_scalar = Pipeline::run_warm(config(2021, false, 0), Some(scalar_cold.sweep.clone()))
+    let warm_scalar = Pipeline::run_warm(config(2021, false), Some(scalar_cold.sweep.clone()))
         .expect("scalar warm run completes");
     assert_outputs_match(&warm_batched, &warm_scalar, "warm over scalar snapshot");
     // The batched warm run starts the calibration-record chain.
@@ -190,7 +170,7 @@ fn warm_restart_from_a_scalar_snapshot_matches_the_scalar_warm_run() {
 #[test]
 fn warm_restart_replays_the_stored_calibration() {
     let (batched_cold, _) = shared();
-    let warm = Pipeline::run_warm(config(2021, true, 0), Some(batched_cold.sweep.clone()))
+    let warm = Pipeline::run_warm(config(2021, true), Some(batched_cold.sweep.clone()))
         .expect("warm run completes");
     // No quarantine, so every PoP replays: the records ride forward
     // unchanged and the replayed pass reproduces the cold bytes.
@@ -211,21 +191,4 @@ fn warm_restart_replays_the_stored_calibration() {
         warm.report().render_all(),
         batched_cold.report().render_all()
     );
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(3))]
-
-    /// Any chunking of the probe stream — including sizes that leave
-    /// ragged final batches — reproduces the full-unit arena's bytes.
-    #[test]
-    fn random_batch_sizes_are_equivalent(size in 1usize..=128) {
-        let chunked = run(config(2021, true, size));
-        let (full, _) = shared();
-        prop_assert_eq!(chunked.cache_probe.probes_sent, full.cache_probe.probes_sent);
-        prop_assert_eq!(&chunked.cache_probe.probe_counts, &full.cache_probe.probe_counts);
-        prop_assert_eq!(chunked.report().render_all(), full.report().render_all());
-        prop_assert_eq!(chunked.metrics_snapshot().to_json(), full.metrics_snapshot().to_json());
-        prop_assert_eq!(chunked.sweep.encode(), full.sweep.encode());
-    }
 }

@@ -134,7 +134,7 @@ fn no_args_prints_usage() {
 /// subcommands get the same treatment as any unknown one.
 #[test]
 fn bad_invocations_are_rejected_before_any_pipeline_runs() {
-    let cases: [(&[&str], &str); 11] = [
+    let cases: [(&[&str], &str); 12] = [
         (&["stats", "--scale", "papr"], "bad --scale \"papr\""),
         (&["run", "--sed", "7"], "unknown flag \"--sed\""),
         (
@@ -146,6 +146,12 @@ fn bad_invocations_are_rejected_before_any_pipeline_runs() {
         (&["export", "--scale", "tiny"], "export requires --out DIR"),
         (&["driver", "--seed", "7"], "driver requires --workers"),
         (&["serve", "--sweeps", "0"], "serve needs --sweeps >= 1"),
+        // One above the cap: a generation slot is allocated per sweep
+        // before the first one runs.
+        (
+            &["serve", "--sweeps", "65537"],
+            "serve takes at most --sweeps 65536",
+        ),
         (&["fleet-bench"], "unknown subcommand"),
         (
             &["serve-bench", "--sweeps", "2", "--json", "out.json"],
