@@ -104,7 +104,7 @@ pub fn sample_prefixes(
 /// independent VMs); results merge in PoP order, so the radii are
 /// identical at any thread count.
 pub fn calibrate(
-    sim: &mut Sim,
+    sim: &Sim,
     bound: &[BoundVantage],
     domains: &[DomainName],
     sample: &[Prefix],
@@ -126,42 +126,40 @@ pub fn calibrate(
     let templates: Vec<wire::ProbeQueryTemplate> =
         domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let view = sim.view();
-    let mut per_pop: Vec<(usize, Vec<f64>, clientmap_sim::GpdnsSession)> =
-        clientmap_par::par_map(bound, |_, b| {
-            let mut session = clientmap_sim::GpdnsSession::new();
-            let mut bufs = ProbeBufs::default();
-            let mut distances: Vec<f64> = Vec::new();
-            for (i, prefix) in sample.iter().enumerate() {
-                // Stagger probe times so the rate limiter behaves.
-                let pt = t + SimTime::from_millis(i as u64 * 20);
-                let hit = templates.iter().any(|template| {
-                    let outcome = probe_scope(
-                        &view,
-                        &mut session,
-                        b,
-                        template,
-                        *prefix,
-                        cfg,
-                        pt,
-                        fc.as_ref(),
-                        &mut bufs,
-                    );
-                    matches!(outcome, ProbeOutcome::Hit { .. })
-                });
-                if hit {
-                    let geodb = &view.world.geodb;
-                    let geo = geodb.locate(*prefix).map(|e| e.coord);
-                    if let Some(coord) = geo {
-                        distances.push(coord.distance_km(&pops[b.pop].coord));
-                    }
+    let mut per_pop: Vec<(usize, Vec<f64>)> = clientmap_par::par_map(bound, |_, b| {
+        let mut session = GpdnsSession::new();
+        let mut bufs = ProbeBufs::default();
+        let mut distances: Vec<f64> = Vec::new();
+        for (i, prefix) in sample.iter().enumerate() {
+            // Stagger probe times so the rate limiter behaves.
+            let pt = t + SimTime::from_millis(i as u64 * 20);
+            let hit = templates.iter().any(|template| {
+                let outcome = probe_scope(
+                    &view,
+                    &mut session,
+                    b,
+                    template,
+                    *prefix,
+                    cfg,
+                    pt,
+                    fc.as_ref(),
+                    &mut bufs,
+                );
+                matches!(outcome, ProbeOutcome::Hit { .. })
+            });
+            if hit {
+                let geodb = &view.world.geodb;
+                let geo = geodb.locate(*prefix).map(|e| e.coord);
+                if let Some(coord) = geo {
+                    distances.push(coord.distance_km(&pops[b.pop].coord));
                 }
             }
-            (b.pop, distances, session)
-        });
+        }
+        (b.pop, distances)
+    });
 
-    per_pop.sort_by_key(|(pop, _, _)| *pop);
-    for (pop, mut distances, session) in per_pop {
-        sim.absorb_session(&session);
+    per_pop.sort_by_key(|(pop, _)| *pop);
+    for (pop, mut distances) in per_pop {
         if let Some(r) = percentile_radius(&mut distances, cfg.radius_percentile) {
             radii.radius_km.insert(pop, r);
         }
@@ -196,12 +194,12 @@ fn percentile_radius(distances: &mut [f64], percentile: f64) -> Option<f64> {
 /// connection, hoists routing and per-domain scope tables out of the
 /// probe loop, and serves every sample probe through the batch kernel —
 /// capturing the per-PoP [`CalibrationRecord`]s a later warm sweep can
-/// replay. Byte-identical to the scalar lane in radii, session stats,
-/// and resolver telemetry. Returns `None` under fault injection (the
+/// replay. Byte-identical to the scalar lane in radii and resolver
+/// telemetry. Returns `None` under fault injection (the
 /// core refuses batch connections), where the scalar resilient lane
 /// must run instead.
 pub(crate) fn calibrate_batched(
-    sim: &mut Sim,
+    sim: &Sim,
     bound: &[BoundVantage],
     domains: &[DomainName],
     sample: &[Prefix],
@@ -215,75 +213,74 @@ pub(crate) fn calibrate_batched(
     let templates: Vec<wire::ProbeQueryTemplate> =
         domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let view = sim.view();
-    let mut per_pop: Vec<(PopId, Vec<f64>, GpdnsSession, BatchStats)> =
-        clientmap_par::par_map(bound, |_, b| {
-            let mut session = GpdnsSession::new();
-            let mut conn = view
-                .gpdns
-                .open_batch(
-                    view.catchments,
-                    &session,
-                    b.prober_key(),
-                    b.coord(),
-                    cfg.transport,
-                )
-                .expect("fault-free cores always open batch connections");
-            let doms: Vec<_> = templates
-                .iter()
-                .map(|tm| {
-                    view.gpdns
-                        .batch_domain(&conn, tm.qname_wire())
-                        .expect("selected domains are probeable")
-                })
-                .collect();
-            let mut batch = wire::ProbeBatch::new();
-            let mut out: Vec<ProbeOutcome> = Vec::with_capacity(1);
-            let mut distances: Vec<f64> = Vec::new();
-            for (i, prefix) in sample.iter().enumerate() {
-                // Stagger probe times so the rate limiter behaves.
-                let pt = t + SimTime::from_millis(i as u64 * 20);
-                // Same short-circuit as the scalar lane: stop at the
-                // first domain whose caches hold the prefix. The
-                // outcome gates the next serve, so probes go one event
-                // at a time — the win here is the hoisted connection
-                // and scope-table state, not arena size.
-                let mut hit = false;
-                for (d, dom) in doms.iter().enumerate() {
-                    let lane = view.gpdns.scope_lane(view.auth, dom, *prefix);
-                    batch.clear();
-                    batch.push(
-                        &templates[d],
-                        crate::resilience::attempt_id(pt, *prefix, 0, 0),
-                        *prefix,
-                    );
-                    out.clear();
-                    let ok = view.gpdns.serve_batch(
-                        &mut conn,
-                        dom,
-                        view.auth,
-                        std::slice::from_ref(&lane),
-                        &batch,
-                        &[(0, pt)],
-                        cfg.redundancy,
-                        &mut out,
-                    );
-                    debug_assert!(ok, "template-rendered batches always validate");
-                    if ok && matches!(out.first(), Some(ProbeOutcome::Hit { .. })) {
-                        hit = true;
-                        break;
-                    }
-                }
-                if hit {
-                    let geodb = &view.world.geodb;
-                    let geo = geodb.locate(*prefix).map(|e| e.coord);
-                    if let Some(coord) = geo {
-                        distances.push(coord.distance_km(&pops[b.pop].coord));
-                    }
+    let mut per_pop: Vec<(PopId, Vec<f64>, BatchStats)> = clientmap_par::par_map(bound, |_, b| {
+        let mut session = GpdnsSession::new();
+        let mut conn = view
+            .gpdns
+            .open_batch(
+                view.catchments,
+                &session,
+                b.prober_key(),
+                b.coord(),
+                cfg.transport,
+            )
+            .expect("fault-free cores always open batch connections");
+        let doms: Vec<_> = templates
+            .iter()
+            .map(|tm| {
+                view.gpdns
+                    .batch_domain(&conn, tm.qname_wire())
+                    .expect("selected domains are probeable")
+            })
+            .collect();
+        let mut batch = wire::ProbeBatch::new();
+        let mut out: Vec<ProbeOutcome> = Vec::with_capacity(1);
+        let mut distances: Vec<f64> = Vec::new();
+        for (i, prefix) in sample.iter().enumerate() {
+            // Stagger probe times so the rate limiter behaves.
+            let pt = t + SimTime::from_millis(i as u64 * 20);
+            // Same short-circuit as the scalar lane: stop at the
+            // first domain whose caches hold the prefix. The
+            // outcome gates the next serve, so probes go one event
+            // at a time — the win here is the hoisted connection
+            // and scope-table state, not arena size.
+            let mut hit = false;
+            for (d, dom) in doms.iter().enumerate() {
+                let lane = view.gpdns.scope_lane(view.auth, dom, *prefix);
+                batch.clear();
+                batch.push(
+                    &templates[d],
+                    crate::resilience::attempt_id(pt, *prefix, 0, 0),
+                    *prefix,
+                );
+                out.clear();
+                let ok = view.gpdns.serve_batch(
+                    &mut conn,
+                    dom,
+                    view.auth,
+                    std::slice::from_ref(&lane),
+                    &batch,
+                    &[(0, pt)],
+                    cfg.redundancy,
+                    &mut out,
+                );
+                debug_assert!(ok, "template-rendered batches always validate");
+                if ok && matches!(out.first(), Some(ProbeOutcome::Hit { .. })) {
+                    hit = true;
+                    break;
                 }
             }
-            let stats = view.gpdns.close_batch(conn, &mut session);
-            (b.pop, distances, session, stats)
-        });
+            if hit {
+                let geodb = &view.world.geodb;
+                let geo = geodb.locate(*prefix).map(|e| e.coord);
+                if let Some(coord) = geo {
+                    distances.push(coord.distance_km(&pops[b.pop].coord));
+                }
+            }
+        }
+        let stats = view.gpdns.close_batch(conn, &mut session);
+        (b.pop, distances, stats)
+    });
 
     per_pop.sort_by_key(|(pop, ..)| *pop);
     let mut outcome = CalibrationOutcome {
@@ -293,8 +290,7 @@ pub(crate) fn calibrate_batched(
         },
         records: Vec::with_capacity(per_pop.len()),
     };
-    for (pop, mut distances, session, stats) in per_pop {
-        sim.absorb_session(&session);
+    for (pop, mut distances, stats) in per_pop {
         let radius = percentile_radius(&mut distances, cfg.radius_percentile);
         if let Some(r) = radius {
             outcome.radii.radius_km.insert(pop, r);
@@ -335,11 +331,11 @@ pub(crate) fn calibrate_batched(
 
 /// Replays stored [`CalibrationRecord`]s as if their probes had run
 /// this sweep: rebuilds the [`ServiceRadii`] and re-applies each PoP's
-/// captured resolver tallies to the session counters and the metrics
-/// registry — leaving both exactly where a live calibration pass would
-/// have left them, without serving a single probe.
+/// captured resolver tallies to the metrics registry — leaving it
+/// exactly where a live calibration pass would have, without serving a
+/// single probe.
 pub(crate) fn replay_calibration(
-    sim: &mut Sim,
+    sim: &Sim,
     records: &[CalibrationRecord],
     sample_size: u64,
     transport: Transport,
@@ -348,29 +344,23 @@ pub(crate) fn replay_calibration(
         sample_size: sample_size as usize,
         ..ServiceRadii::default()
     };
-    let mut session = GpdnsSession::new();
-    {
-        let view = sim.view();
-        for rec in records {
-            let stats = BatchStats {
-                queries: rec.queries,
-                rate_limited: rec.rate_limited,
-                pool_hits: rec.pool_hits,
-                pool_scope0: rec.pool_scope0,
-                pool_misses: rec.pool_misses,
-            };
-            view.gpdns
-                .replay_batch_stats(&mut session, &stats, transport);
-            let pop = rec.pop as PopId;
-            if let Some(r) = rec.radius_km {
-                radii.radius_km.insert(pop, r);
-            }
-            radii
-                .hit_distances_km
-                .insert(pop, rec.hit_distances_km.clone());
+    for rec in records {
+        let stats = BatchStats {
+            queries: rec.queries,
+            rate_limited: rec.rate_limited,
+            pool_hits: rec.pool_hits,
+            pool_scope0: rec.pool_scope0,
+            pool_misses: rec.pool_misses,
+        };
+        sim.gpdns().replay_batch_stats(&stats, transport);
+        let pop = rec.pop as PopId;
+        if let Some(r) = rec.radius_km {
+            radii.radius_km.insert(pop, r);
         }
+        radii
+            .hit_distances_km
+            .insert(pop, rec.hit_distances_km.clone());
     }
-    sim.absorb_session(&session);
     radii
 }
 
@@ -431,14 +421,7 @@ mod tests {
             .collect();
         let cfg = ProbeConfig::test_scale();
         let sample = sample_prefixes(&sim, &universe, 400, 200.0, 7);
-        let radii = calibrate(
-            &mut sim,
-            bound,
-            &domains,
-            &sample,
-            &cfg,
-            SimTime::from_hours(6),
-        );
+        let radii = calibrate(&sim, bound, &domains, &sample, &cfg, SimTime::from_hours(6));
         assert_eq!(radii.sample_size, sample.len());
         let mut calibrated = 0;
         for b in bound {

@@ -2,36 +2,6 @@
 
 use clientmap_sim::Transport;
 
-/// Client-side retry / backoff / circuit-breaker policy for resilient
-/// probing. Only consulted when fault injection is enabled — fault-free
-/// runs take the plain single-send path, byte-identical to the
-/// pre-fault pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Retries per probe query beyond the first send.
-    pub max_retries: u32,
-    /// First backoff step in milliseconds; retry `k` waits
-    /// `backoff_base_ms << (k-1)` plus seeded jitter in `[0, step)`.
-    pub backoff_base_ms: u64,
-    /// Total extra-delay budget per probe, ms; a retry whose cumulative
-    /// backoff would exceed it is abandoned and the probe counted lost.
-    pub deadline_ms: u64,
-    /// Consecutive lost probes at one PoP that trip its circuit
-    /// breaker, quarantining the PoP for the rest of the sweep.
-    pub breaker_threshold: u32,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_retries: 3,
-            backoff_base_ms: 40,
-            deadline_ms: 400,
-            breaker_threshold: 25,
-        }
-    }
-}
-
 /// All dials of the cache-probing measurement, with the paper's values
 /// as defaults (scaled variants for tests).
 #[derive(Debug, Clone)]
@@ -64,8 +34,6 @@ pub struct ProbeConfig {
     /// Cap on the number of PoPs probed (ablation: a single vantage
     /// point vs the full geo-distributed deployment). `None` = all.
     pub max_pops: Option<usize>,
-    /// Retry / backoff / breaker policy under fault injection.
-    pub retry: RetryPolicy,
     /// Warm re-sweep freshness budget: the fraction of previously
     /// measured scopes whose records lapse per epoch (0 disables
     /// expiry). Deliberately **excluded** from the sweep config digest —
@@ -113,7 +81,6 @@ impl Default for ProbeConfig {
             radius_percentile: 0.90,
             fallback_radius_km: 2_000.0,
             max_pops: None,
-            retry: RetryPolicy::default(),
             expiry_budget: 0.0,
             batched_probing: true,
             clustered_probing: false,

@@ -47,7 +47,7 @@ pub mod vantage;
 mod config;
 
 pub use cluster::{feature_distance, verdict_rank, ClusterFeatures, ClusterStats, ClusteredPlan};
-pub use config::{ProbeConfig, RetryPolicy};
+pub use config::ProbeConfig;
 pub use plan::{
     plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanDecision, PlanOutcome, PlanSlot, ProbePlan,
     WarmStartPlan,

@@ -37,6 +37,7 @@ use crate::plan::{
 };
 use crate::resilience::{
     attempt_id, observe_response, resilient_attempt, FaultCounters, WireObservation,
+    BREAKER_THRESHOLD,
 };
 use crate::results::{CacheProbeResult, FaultSummary};
 use crate::scopescan::scan;
@@ -126,9 +127,7 @@ pub fn probe_scope(
             observe_response(&bufs.query, id, got.then_some(bufs.resp.as_slice()))
         };
         let outcome = match fc {
-            Some(fc) => {
-                resilient_attempt(bound.prober_key(), rt, cfg.transport, &cfg.retry, fc, send)
-            }
+            Some(fc) => resilient_attempt(bound.prober_key(), rt, cfg.transport, fc, send),
             None => match send(0, rt, cfg.transport) {
                 WireObservation::Ok(outcome) => outcome,
                 _ => ProbeOutcome::Dropped,
@@ -227,11 +226,10 @@ struct UnitTally {
     probes_sent: u64,
     scope0_hits: u64,
     drops: u64,
-    /// The unit's circuit breaker tripped: `breaker_threshold`
+    /// The unit's circuit breaker tripped: [`BREAKER_THRESHOLD`]
     /// consecutive probes were lost and the rest of the stream was
     /// abandoned (fault injection only).
     tripped: bool,
-    session: GpdnsSession,
 }
 
 impl UnitTally {
@@ -244,7 +242,6 @@ impl UnitTally {
             scope0_hits: 0,
             drops: 0,
             tripped: false,
-            session: GpdnsSession::new(),
         }
     }
 
@@ -301,6 +298,7 @@ impl UnitTally {
 /// up to nine passes over its scope list and stops at the window edge
 /// (the paper's 120 h at 50 q/s over ~2.4M prefixes ≈ 9 passes). The
 /// first slot always fires; later ones only inside the probing window.
+/// An empty scope list has no slots.
 fn window_slots(
     cfg: &ProbeConfig,
     num_scopes: usize,
@@ -309,7 +307,9 @@ fn window_slots(
     let window_secs = cfg.duration_hours * 3600.0;
     let slot_secs = 1.0 / cfg.rate_per_domain;
     let total_slots = (window_secs * cfg.rate_per_domain) as u64;
-    let loops = (total_slots / num_scopes as u64).clamp(1, 9);
+    let loops = total_slots
+        .checked_div(num_scopes as u64)
+        .map_or(0, |passes| passes.clamp(1, 9));
     (0..loops)
         .flat_map(move |_pass| 0..num_scopes)
         .enumerate()
@@ -334,12 +334,13 @@ fn probe_unit(
     fc: Option<&FaultCounters>,
 ) -> UnitTally {
     let mut tally = UnitTally::new();
+    let mut session = GpdnsSession::new();
     let mut bufs = ProbeBufs::default();
     let mut consecutive_drops = 0u32;
     for (li, t) in window_slots(cfg, scopes.len(), t0) {
         let outcome = probe_scope(
             view,
-            &mut tally.session,
+            &mut session,
             bound,
             template,
             scopes[li],
@@ -355,7 +356,7 @@ fn probe_unit(
         if fc.is_some() {
             if matches!(outcome, ProbeOutcome::Dropped) {
                 consecutive_drops += 1;
-                if consecutive_drops >= cfg.retry.breaker_threshold {
+                if consecutive_drops >= BREAKER_THRESHOLD {
                     tally.tripped = true;
                     break;
                 }
@@ -387,9 +388,10 @@ fn probe_unit_batched(
     metrics: &ProbeMetrics,
 ) -> Option<UnitTally> {
     let mut tally = UnitTally::new();
+    let mut session = GpdnsSession::new();
     let mut conn = view.gpdns.open_batch(
         view.catchments,
-        &tally.session,
+        &session,
         bound.prober_key(),
         bound.coord(),
         cfg.transport,
@@ -427,7 +429,7 @@ fn probe_unit_batched(
     for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
         tally.record(scopes[lane as usize], outcome, cfg.redundancy);
     }
-    view.gpdns.close_batch(conn, &mut tally.session);
+    view.gpdns.close_batch(conn, &mut session);
     tally.flush_metrics(metrics);
     Some(tally)
 }
@@ -561,27 +563,24 @@ pub fn run_technique_full(
     execute_sweep(sim, cfg, prep, timings)
 }
 
-/// Registry and resolver-session state at the start of a probing
-/// window. [`Window::close`] writes everything that landed on this
-/// process since — probe counters, fault counters, stream sessions —
-/// into a snapshot's `metrics`/`gpdns` blocks: the sweep's stored,
-/// replayable delta, or the part of a shard's work a remote driver
-/// cannot see unless the delta carries it.
+/// Registry state at the start of a probing window. [`Window::close`]
+/// writes everything that landed on this process since — probe
+/// counters, fault counters, the resolver's `gpdns.*` ledger — into a
+/// snapshot's `metrics` block: the sweep's stored, replayable delta, or
+/// the part of a shard's work a remote driver cannot see unless the
+/// delta carries it.
 struct Window {
     pre: clientmap_telemetry::MetricsSnapshot,
-    gpdns_pre: clientmap_sim::GpdnsStats,
 }
 
 impl Window {
     fn open(sim: &Sim) -> Window {
         Window {
             pre: sim.metrics().snapshot(),
-            gpdns_pre: sim.gpdns_stats(),
         }
     }
 
     fn close(self, sim: &Sim, snapshot: &mut SweepSnapshot) {
-        snapshot.gpdns = sweep::gpdns_delta(self.gpdns_pre, sim.gpdns_stats());
         snapshot.metrics = sim.metrics().snapshot().delta_from(&self.pre);
     }
 }
@@ -696,7 +695,7 @@ pub fn prepare_sweep(
     // 1. Vantage discovery (optionally capped for ablations). Under
     //    fault injection each VM retries its myaddr exchange.
     let stage = Instant::now();
-    let mut bound = discover_with(sim, SimTime::ZERO, &cfg.retry, fc.as_ref());
+    let mut bound = discover_with(sim, SimTime::ZERO, fc.as_ref());
     if let Some(cap) = cfg.max_pops {
         bound.truncate(cap);
     }
@@ -991,14 +990,13 @@ pub fn prepare_sweep(
 /// the merge a fleet driver runs.
 ///
 /// The local-delta rule: a shard probed on the merging `Sim` has
-/// already landed its probe counters on this registry and its stream
-/// sessions on this resolver session, so its delta reaches the merge
-/// with empty `metrics`/`gpdns` blocks ([`main_delta`] and
-/// [`rescue_delta`] never fill them; only the public, shipping
-/// [`probe_shard`]/[`probe_rescue_shard`] open a [`Window`]). The
-/// merge's absorb step is then a no-op for it instead of a double
-/// count, and everything else — staging, replay, quarantine, rescue,
-/// snapshot assembly — is the one code path.
+/// already landed its probe and resolver counters on this registry, so
+/// its delta reaches the merge with an empty `metrics` block
+/// ([`main_delta`] and [`rescue_delta`] never fill it; only the
+/// public, shipping [`probe_shard`]/[`probe_rescue_shard`] open a
+/// [`Window`]). The merge's absorb step is then a no-op for it instead
+/// of a double count, and everything else — staging, replay,
+/// quarantine, rescue, snapshot assembly — is the one code path.
 pub fn execute_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1020,15 +1018,6 @@ pub fn execute_sweep(
     .expect("one local shard over the prep's own unit list is a complete, disjoint cover")
 }
 
-/// Lands one delta's side effects on this process: the telemetry block
-/// into the registry, the resolver counter block into the session.
-fn absorb_effects(sim: &mut Sim, delta: &MetricsDelta, gpdns: [u64; 6]) {
-    sim.metrics().absorb_delta(delta);
-    let mut session = GpdnsSession::new();
-    session.stats = sweep::gpdns_stats_from(gpdns);
-    sim.absorb_session(&session);
-}
-
 /// Replays a record table into the result in record-key order. Probe
 /// counters are not bumped (`None`): they ride in the metrics block of
 /// whatever produced the table — or already landed here, for a local
@@ -1048,9 +1037,8 @@ fn replay_table(
 }
 
 /// Nothing to probe: replay the prior sweep wholesale — records into
-/// the result, the stored metrics delta into the registry, the resolver
-/// counter deltas into the session — and carry the snapshot forward
-/// under the new epoch.
+/// the result, the stored metrics delta into the registry — and carry
+/// the snapshot forward under the new epoch.
 fn finish_full_skip(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1059,10 +1047,9 @@ fn finish_full_skip(
     mut snapshot: SweepSnapshot,
     prior: SweepSnapshot,
 ) -> (CacheProbeResult, SweepSnapshot) {
-    absorb_effects(sim, &prior.metrics, prior.gpdns);
+    sim.metrics().absorb_delta(&prior.metrics);
     replay_table(&mut result, bound, &prior.records, cfg.redundancy);
     result.fault = prior.fault.clone();
-    snapshot.gpdns = prior.gpdns;
     snapshot.fault = prior.fault;
     snapshot.metrics = prior.metrics;
     snapshot.records = prior.records;
@@ -1197,11 +1184,10 @@ pub fn merge_fault_books(books: &[PopHealth]) -> Vec<PopHealth> {
 
 /// The ordered reduction: folds unit tallies, in unit order — a pure
 /// function of the work list, never of the thread interleaving — into
-/// per-scope sweep records, absorbing each stream's resolver session.
-/// Per-PoP health (attempts, lost events, breaker trips) accumulates
-/// alongside as the shard's canonical fault book.
+/// per-scope sweep records. Per-PoP health (attempts, lost events,
+/// breaker trips) accumulates alongside as the shard's canonical fault
+/// book.
 fn fold_tallies(
-    sim: &mut Sim,
     ctx: &ProbeCtx,
     units: &[ProbeUnit],
     tallies: Vec<UnitTally>,
@@ -1234,14 +1220,13 @@ fn fold_tallies(
             rec.scope0 += scope0;
             rec.drops += drops;
         }
-        sim.absorb_session(&tally.session);
     }
     (records, merge_fault_books(&book))
 }
 
-/// A shard delta carrying `records`, shard id in `epoch`, with empty
-/// `metrics`/`gpdns` blocks — a [`Window`] fills those for deltas that
-/// leave the process.
+/// A shard delta carrying `records`, shard id in `epoch`, with an
+/// empty `metrics` block — a [`Window`] fills it for deltas that leave
+/// the process.
 fn shard_delta(
     ctx: &ProbeCtx,
     shard_id: u32,
@@ -1283,7 +1268,7 @@ fn main_delta(
         let fc = ctx.fc.as_ref();
         probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
     });
-    let (mut records, book) = fold_tallies(sim, ctx, units, tallies);
+    let (mut records, book) = fold_tallies(ctx, units, tallies);
     for u in units {
         for &scope in &u.scopes {
             records
@@ -1329,7 +1314,7 @@ fn rescue_delta(
             Some(fc),
         )
     });
-    shard_delta(ctx, shard_id, fold_tallies(sim, ctx, units, tallies).0)
+    shard_delta(ctx, shard_id, fold_tallies(ctx, units, tallies).0)
 }
 
 /// Probes one contiguous shard of a prepared sweep's unit list and
@@ -1437,12 +1422,12 @@ impl std::fmt::Display for ShardMergeError {
 impl std::error::Error for ShardMergeError {}
 
 /// One phase's shard deltas, staged: records moved into one table, each
-/// delta's telemetry and resolver blocks set aside. Staging touches
+/// delta's telemetry block set aside. Staging touches
 /// neither the sim nor the result, so an `Err` anywhere before
 /// [`Staged::commit`] leaves no partial-merge corruption behind.
 struct Staged {
     records: BTreeMap<RecordKey, ScopeRecord>,
-    effects: Vec<(MetricsDelta, [u64; 6])>,
+    effects: Vec<MetricsDelta>,
 }
 
 impl Staged {
@@ -1475,17 +1460,17 @@ impl Staged {
                     }
                 }
             }
-            staged.effects.push((delta.metrics, delta.gpdns));
+            staged.effects.push(delta.metrics);
         }
         Ok(staged)
     }
 
-    /// Commits the phase: telemetry and resolver blocks absorb
-    /// additively, one session per shard (empty blocks — a local
-    /// shard's — absorb as nothing), and the record table replays into
-    /// the result aggregates in record-key order, the same replay the
-    /// warm-start path already proves byte-identical to a live run.
-    /// Returns the table.
+    /// Commits the phase: telemetry blocks absorb additively into the
+    /// registry (an empty block — a local shard's — absorbs as
+    /// nothing), and the record table replays into the result
+    /// aggregates in record-key order, the same replay the warm-start
+    /// path already proves byte-identical to a live run. Returns the
+    /// table.
     fn commit(
         self,
         sim: &mut Sim,
@@ -1493,8 +1478,8 @@ impl Staged {
         ctx: &ProbeCtx,
         result: &mut CacheProbeResult,
     ) -> BTreeMap<RecordKey, ScopeRecord> {
-        for (delta, gpdns) in &self.effects {
-            absorb_effects(sim, delta, *gpdns);
+        for delta in &self.effects {
+            sim.metrics().absorb_delta(delta);
         }
         replay_table(result, &ctx.bound, &self.records, cfg.redundancy);
         self.records
@@ -1872,6 +1857,19 @@ mod tests {
         }
     }
 
+    /// A caller-built rescue unit may carry no scopes
+    /// ([`probe_rescue_shard`] is public): its stream has no slots to
+    /// fire, rather than a slot budget divided by zero.
+    #[test]
+    fn an_empty_scope_list_has_no_window_slots() {
+        let cfg = ProbeConfig::test_scale();
+        assert_eq!(window_slots(&cfg, 0, SimTime::ZERO).count(), 0);
+        assert_eq!(
+            window_slots(&cfg, 1, SimTime::ZERO).next(),
+            Some((0, SimTime::ZERO))
+        );
+    }
+
     fn outcome_strategy() -> impl proptest::strategy::Strategy<Value = ProbeOutcome> {
         use proptest::prelude::*;
         prop_oneof![
@@ -1974,18 +1972,16 @@ mod tests {
         assert_eq!(warm.scope_pairs, cold.scope_pairs);
         assert_eq!(warm.pop_hit_prefixes.len(), cold.pop_hit_prefixes.len());
 
-        // So is the telemetry, modulo the warm-only planner family.
+        // So is the telemetry — the resolver's `gpdns.*` ledger
+        // included — modulo the warm-only planner family.
         assert_eq!(
             without_planner_lines(&warm_sim.metrics().snapshot().to_json()),
             without_planner_lines(&cold_sim.metrics().snapshot().to_json())
         );
-        // And the resolver's session counters.
-        assert_eq!(warm_sim.gpdns_stats(), cold_sim.gpdns_stats());
 
         // The carried snapshot is the prior one under the next epoch.
         assert_eq!(snap2.epoch, 2);
         assert_eq!(snap2.records, snap.records);
-        assert_eq!(snap2.gpdns, snap.gpdns);
         assert_eq!(snap2.metrics, snap.metrics);
     }
 
@@ -2231,10 +2227,10 @@ mod tests {
     /// in each worker, fault books folded and the rescue phase
     /// dispatched to a surviving worker, deltas merged on the driver.
     /// Both must agree exactly — result aggregates, fault summary, the
-    /// stored snapshot, resolver counters, and the registry. The
-    /// registry comparison is the double-count guard: a local shard
-    /// whose delta reached the merge with its `metrics`/`gpdns` blocks
-    /// filled would land every probe counter twice.
+    /// stored snapshot, and the registry (resolver ledger included).
+    /// The registry comparison is the double-count guard: a local shard
+    /// whose delta reached the merge with its `metrics` block filled
+    /// would land every probe counter twice.
     fn check_seam(case: &SeamCase) {
         let name = case.name;
         let fresh_sim = || {
@@ -2351,7 +2347,6 @@ mod tests {
             sim_ref.metrics().snapshot().to_json(),
             "{name}: registry diverged — a double-counted local delta?"
         );
-        assert_eq!(driver.gpdns_stats(), sim_ref.gpdns_stats(), "{name}");
     }
 
     #[test]

@@ -25,7 +25,17 @@ use clientmap_net::{Prefix, SeedMixer};
 use clientmap_sim::{GooglePublicDns, ProbeOutcome, SimTime, Transport};
 use clientmap_telemetry::{Counter, MetricsRegistry};
 
-use crate::config::RetryPolicy;
+/// Retries per probe query beyond the first send.
+pub const MAX_RETRIES: u32 = 3;
+/// First backoff step in milliseconds; retry `k` waits
+/// `BACKOFF_BASE_MS << (k-1)` plus seeded jitter in `[0, step)`.
+pub const BACKOFF_BASE_MS: u64 = 40;
+/// Total extra-delay budget per probe, ms; a retry whose cumulative
+/// backoff would exceed it is abandoned and the probe counted lost.
+pub const DEADLINE_MS: u64 = 400;
+/// Consecutive lost probes in one stream that trip its circuit
+/// breaker, quarantining the PoP for the rest of the sweep.
+pub const BREAKER_THRESHOLD: u32 = 25;
 
 /// What one wire exchange looked like from the prober's side, after
 /// verifying the transaction ID and the echoed question.
@@ -197,7 +207,6 @@ pub(crate) fn resilient_attempt<F>(
     prober: u64,
     base_t: SimTime,
     transport0: Transport,
-    policy: &RetryPolicy,
     fc: &FaultCounters,
     mut send: F,
 ) -> ProbeOutcome
@@ -208,10 +217,10 @@ where
     let mut delay = 0u64;
     let mut failures = 0u64;
     let mut upgraded = false;
-    for retry in 0..=policy.max_retries {
+    for retry in 0..=MAX_RETRIES {
         if retry > 0 {
-            delay += backoff_delay_ms(prober, base_t.as_millis(), retry, policy.backoff_base_ms);
-            if delay > policy.deadline_ms {
+            delay += backoff_delay_ms(prober, base_t.as_millis(), retry, BACKOFF_BASE_MS);
+            if delay > DEADLINE_MS {
                 break;
             }
             fc.retries.inc();
@@ -361,31 +370,22 @@ mod tests {
     fn resilient_attempt_settles_every_failure_exactly_once() {
         let m = MetricsRegistry::new();
         let fc = FaultCounters::resolve(&m);
-        let policy = RetryPolicy::default();
         // Fails twice, then succeeds: 2 observed, 2 recovered.
         let mut calls = 0;
-        let out = resilient_attempt(
-            1,
-            SimTime::from_secs(10),
-            Transport::Tcp,
-            &policy,
-            &fc,
-            |_, _, _| {
-                calls += 1;
-                if calls < 3 {
-                    WireObservation::Dropped
-                } else {
-                    WireObservation::Ok(ProbeOutcome::Miss)
-                }
-            },
-        );
+        let out = resilient_attempt(1, SimTime::from_secs(10), Transport::Tcp, &fc, |_, _, _| {
+            calls += 1;
+            if calls < 3 {
+                WireObservation::Dropped
+            } else {
+                WireObservation::Ok(ProbeOutcome::Miss)
+            }
+        });
         assert_eq!(out, ProbeOutcome::Miss);
         // Truncated then success over TCP: 1 observed, 1 degraded.
         let out = resilient_attempt(
             1,
             SimTime::from_secs(20),
             Transport::Udp,
-            &policy,
             &fc,
             |retry, _, transport| {
                 if retry == 0 {
@@ -399,14 +399,9 @@ mod tests {
         );
         assert_eq!(out, ProbeOutcome::HitScopeZero);
         // Never succeeds: every failure lost.
-        let out = resilient_attempt(
-            1,
-            SimTime::from_secs(30),
-            Transport::Tcp,
-            &policy,
-            &fc,
-            |_, _, _| WireObservation::ServFail,
-        );
+        let out = resilient_attempt(1, SimTime::from_secs(30), Transport::Tcp, &fc, |_, _, _| {
+            WireObservation::ServFail
+        });
         assert_eq!(out, ProbeOutcome::Dropped);
         assert_eq!(
             fc.observed_total(),

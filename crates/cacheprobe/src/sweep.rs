@@ -4,8 +4,8 @@
 //!
 //! A snapshot may only warm-start a run whose world seed **and** config
 //! digest both match — any probing-relevant dial (rate, window,
-//! redundancy, transport, domain selection, calibration, retry policy,
-//! PoP cap, fault plan) or a different probe universe invalidates it.
+//! redundancy, transport, domain selection, calibration, PoP cap, fault
+//! plan) or a different probe universe invalidates it.
 //! The deliberate exceptions are [`ProbeConfig::expiry_budget`] —
 //! re-sweeping the same world under a different freshness budget is the
 //! point of warm starts — the batched-lane switch
@@ -18,8 +18,9 @@
 //! and vice versa, which a digest-included knob would forbid.
 
 use clientmap_net::{Prefix, SeedMixer};
-use clientmap_sim::{GpdnsStats, Sim, Transport};
+use clientmap_sim::{Sim, Transport};
 
+use crate::resilience::{BACKOFF_BASE_MS, BREAKER_THRESHOLD, DEADLINE_MS, MAX_RETRIES};
 use crate::ProbeConfig;
 
 /// Digest of every probing-relevant configuration field plus the probe
@@ -43,10 +44,12 @@ pub fn config_digest(sim: &Sim, cfg: &ProbeConfig, universe: &[Prefix]) -> u64 {
         .mix(cfg.radius_percentile.to_bits())
         .mix(cfg.fallback_radius_km.to_bits())
         .mix(cfg.max_pops.map_or(u64::MAX, |cap| cap as u64))
-        .mix(u64::from(cfg.retry.max_retries))
-        .mix(cfg.retry.backoff_base_ms)
-        .mix(cfg.retry.deadline_ms)
-        .mix(u64::from(cfg.retry.breaker_threshold))
+        // The retry constants: part of what a snapshot's records mean
+        // under faults, so a build that changes one invalidates them.
+        .mix(u64::from(MAX_RETRIES))
+        .mix(BACKOFF_BASE_MS)
+        .mix(DEADLINE_MS)
+        .mix(u64::from(BREAKER_THRESHOLD))
         .mix_str(plan.profile().as_str());
     if plan.enabled() {
         // Off-profile plans carry whatever seed they were built with;
@@ -71,40 +74,6 @@ pub fn expiry_hash(world_seed: u64, domain: usize, scope: Prefix) -> u64 {
         .mix(u64::from(scope.addr()))
         .mix(u64::from(scope.len()))
         .finish()
-}
-
-/// Flattens resolver session counters into the snapshot's fixed-order
-/// array: queries, rate-limited, scoped hits, scope0 hits, misses,
-/// recursive.
-pub fn gpdns_array(stats: GpdnsStats) -> [u64; 6] {
-    [
-        stats.queries,
-        stats.rate_limited,
-        stats.scoped_hits,
-        stats.scope0_hits,
-        stats.misses,
-        stats.recursive,
-    ]
-}
-
-/// The per-field increment between two session counter states.
-pub fn gpdns_delta(pre: GpdnsStats, post: GpdnsStats) -> [u64; 6] {
-    let pre = gpdns_array(pre);
-    let post = gpdns_array(post);
-    std::array::from_fn(|i| post[i] - pre[i])
-}
-
-/// Rebuilds session counters from the snapshot array (the inverse of
-/// [`gpdns_array`]), for replaying a skipped probing window.
-pub fn gpdns_stats_from(array: [u64; 6]) -> GpdnsStats {
-    GpdnsStats {
-        queries: array[0],
-        rate_limited: array[1],
-        scoped_hits: array[2],
-        scope0_hits: array[3],
-        misses: array[4],
-        recursive: array[5],
-    }
 }
 
 #[cfg(test)]
@@ -173,28 +142,5 @@ mod tests {
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(7, 1, scope));
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(7, 0, other));
         assert_ne!(expiry_hash(7, 0, scope), expiry_hash(8, 0, scope));
-    }
-
-    #[test]
-    fn gpdns_helpers_invert() {
-        let pre = GpdnsStats {
-            queries: 10,
-            rate_limited: 1,
-            scoped_hits: 4,
-            scope0_hits: 1,
-            misses: 4,
-            recursive: 0,
-        };
-        let post = GpdnsStats {
-            queries: 25,
-            rate_limited: 1,
-            scoped_hits: 11,
-            scope0_hits: 2,
-            misses: 11,
-            recursive: 0,
-        };
-        let delta = gpdns_delta(pre, post);
-        assert_eq!(delta, [15, 0, 7, 1, 7, 0]);
-        assert_eq!(gpdns_array(gpdns_stats_from(delta)), delta);
     }
 }

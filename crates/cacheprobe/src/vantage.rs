@@ -8,8 +8,9 @@
 use clientmap_net::GeoCoord;
 use clientmap_sim::{PopId, Sim, SimTime};
 
-use crate::config::RetryPolicy;
-use crate::resilience::{backoff_delay_ms, FaultCounters};
+use crate::resilience::{
+    backoff_delay_ms, FaultCounters, BACKOFF_BASE_MS, DEADLINE_MS, MAX_RETRIES,
+};
 
 /// Cloud provider of a vantage point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -106,32 +107,27 @@ impl BoundVantage {
 /// distinct PoP (first VM to reach it wins, as the paper keeps one VM
 /// per covered PoP).
 pub fn discover(sim: &mut Sim, t: SimTime) -> Vec<BoundVantage> {
-    discover_with(sim, t, &RetryPolicy::default(), None)
+    discover_with(sim, t, None)
 }
 
 /// [`discover`] with bounded retries per vantage point. Under fault
 /// injection a discovery exchange can be lost or answered with an
 /// error, and an undiscovered vantage silently shrinks PoP coverage —
 /// so each VM retries its `o-o.myaddr` dance with seeded backoff up to
-/// the policy's budget. With `fc = None` (fault-free) this is the
+/// the retry budget. With `fc = None` (fault-free) this is the
 /// single-attempt path, byte-identical to the pre-fault [`discover`].
-pub fn discover_with(
-    sim: &mut Sim,
-    t: SimTime,
-    policy: &RetryPolicy,
-    fc: Option<&FaultCounters>,
-) -> Vec<BoundVantage> {
+pub fn discover_with(sim: &mut Sim, t: SimTime, fc: Option<&FaultCounters>) -> Vec<BoundVantage> {
     let mut bound: Vec<BoundVantage> = Vec::new();
     for (i, vp) in VANTAGE_POINTS.iter().enumerate() {
         let key = i as u64 + 1;
         let mut delay = 0u64;
         let mut failures = 0u64;
         let mut pop = None;
-        for retry in 0..=policy.max_retries {
+        for retry in 0..=MAX_RETRIES {
             if retry > 0 {
                 let Some(fc) = fc else { break };
-                delay += backoff_delay_ms(key, t.as_millis(), retry, policy.backoff_base_ms);
-                if delay > policy.deadline_ms {
+                delay += backoff_delay_ms(key, t.as_millis(), retry, BACKOFF_BASE_MS);
+                if delay > DEADLINE_MS {
                     break;
                 }
                 fc.retries.inc();

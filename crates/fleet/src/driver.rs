@@ -144,7 +144,6 @@ impl SweepExecutor for FleetSweep {
             duration_hours: cfg.duration_hours,
             expiry_budget: cfg.expiry_budget,
             batched_probing: cfg.batched_probing,
-            batch_size: 0,
             clustered_probing: cfg.clustered_probing,
             cluster_epsilon: cfg.cluster_epsilon,
             cluster_escalate_below: cfg.cluster_escalate_below,

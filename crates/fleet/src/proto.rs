@@ -20,7 +20,9 @@ use clientmap_store::{ByteReader, ByteWriter, CodecError, SweepSnapshot};
 /// Version 3 added the clustered-planner knobs to the job spec —
 /// driver and workers must cluster identically or the shard handshake
 /// would pass while the planned unit lists silently diverged.
-pub const PROTOCOL_VERSION: u32 = 3;
+/// Version 4 dropped the job spec's dead `batch_size` slot and carries
+/// version-4 snapshots (no resolver block) as priors and shard deltas.
+pub const PROTOCOL_VERSION: u32 = 4;
 
 /// driver → worker: everything needed to rebuild the sweep and its
 /// prep deterministically.
@@ -36,9 +38,6 @@ pub struct JobSpec {
     pub expiry_budget: f64,
     /// Whether the batched probe kernels are enabled.
     pub batched_probing: bool,
-    /// A slot the layout keeps from when the batched lane could be
-    /// chunked: drivers write `0`, workers ignore it.
-    pub batch_size: u64,
     /// Whether the clustered predictive planner is enabled.
     pub clustered_probing: bool,
     /// Greedy clustering radius in feature-distance units.
@@ -67,7 +66,6 @@ impl JobSpec {
         w.u64(self.duration_hours.to_bits());
         w.u64(self.expiry_budget.to_bits());
         w.flag(self.batched_probing);
-        w.u64(self.batch_size);
         w.flag(self.clustered_probing);
         w.u64(self.cluster_epsilon.to_bits());
         w.u64(self.cluster_escalate_below.to_bits());
@@ -95,7 +93,6 @@ impl JobSpec {
         let duration_hours = f64::from_bits(r.u64()?);
         let expiry_budget = f64::from_bits(r.u64()?);
         let batched_probing = r.flag("job batched-probing flag")?;
-        let batch_size = r.u64()?;
         let clustered_probing = r.flag("job clustered-probing flag")?;
         let cluster_epsilon = f64::from_bits(r.u64()?);
         let cluster_escalate_below = f64::from_bits(r.u64()?);
@@ -122,7 +119,6 @@ impl JobSpec {
             duration_hours,
             expiry_budget,
             batched_probing,
-            batch_size,
             clustered_probing,
             cluster_epsilon,
             cluster_escalate_below,

@@ -150,6 +150,11 @@ fn answer_request(
         {
             return Err("rescue unit outside prepared sweep".into());
         }
+        // The planner never emits one: a scope list is what a rescue
+        // unit is for.
+        if units.iter().any(|u| u.scopes.is_empty()) {
+            return Err("rescue unit with no scopes".into());
+        }
         (shard, Some(units))
     } else {
         let shard = decode_shard_request(&request.payload)
@@ -262,7 +267,9 @@ pub fn run_worker(opts: &WorkerOptions) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clientmap_faults::FaultConfig;
+    use crate::proto::encode_rescue_request;
+    use clientmap_cacheprobe::ProbeUnit;
+    use clientmap_faults::{FaultConfig, FaultProfile};
     use clientmap_store::SweepSnapshot;
 
     fn tiny_job() -> JobSpec {
@@ -272,7 +279,6 @@ mod tests {
             duration_hours: 2.0,
             expiry_budget: 0.0,
             batched_probing: true,
-            batch_size: 0,
             clustered_probing: false,
             cluster_epsilon: 0.25,
             cluster_escalate_below: 0.5,
@@ -315,6 +321,50 @@ mod tests {
             "pipeline stage warm-start failed: \
              snapshot is from world seed 8 but this run uses seed 7"
         );
+    }
+
+    /// A rescue unit with an empty scope list is refused like any other
+    /// skew — by name, nothing probed, the connection still up. (Its
+    /// stream's slot budget would be divided by zero scopes.)
+    #[test]
+    fn rescue_unit_with_no_scopes_is_refused() {
+        let spec = JobSpec {
+            faults: FaultConfig::profile(FaultProfile::Lossy, 5),
+            ..tiny_job()
+        };
+        // The state `build_job` leaves behind, minus its digest
+        // handshake (the spec carries no driver's digest here).
+        let mut session = SweepSession::new(spec.config().expect("tiny is a preset"));
+        let mut sim = session.open(None).expect("world opens");
+        let prep = prepare_sweep(
+            &mut sim,
+            &session.config().probe,
+            session.universe(),
+            &mut Vec::new(),
+            None,
+        );
+        let mut state = JobState {
+            session,
+            sim,
+            prep,
+            num_shards: spec.num_shards,
+        };
+
+        let unit = ProbeUnit {
+            bound_idx: 0,
+            domain: 0,
+            scopes: Vec::new(),
+        };
+        let request = Frame::new(FrameKind::RescueRequest, encode_rescue_request(0, &[unit]));
+        let mut served = 0;
+        let got = answer_request(
+            &request,
+            Some(&mut state),
+            &mut served,
+            &WorkerOptions::default(),
+        );
+        assert_eq!(got.err().as_deref(), Some("rescue unit with no scopes"));
+        assert_eq!(served, 0);
     }
 
     /// The one refusal that needs no prepared sweep to reach: a request

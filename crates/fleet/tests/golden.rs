@@ -54,7 +54,6 @@ fn job(prior: Option<Vec<u8>>) -> JobSpec {
         duration_hours: 4.0,
         expiry_budget: 0.25,
         batched_probing: true,
-        batch_size: 64,
         clustered_probing: false,
         cluster_epsilon: 0.25,
         cluster_escalate_below: 0.5,
@@ -69,7 +68,6 @@ fn job(prior: Option<Vec<u8>>) -> JobSpec {
 fn delta() -> SweepSnapshot {
     let mut delta = SweepSnapshot::new(42, 0xFEED);
     delta.epoch = 7;
-    delta.gpdns = [1, 2, 3, 4, 5, 6];
     delta.records.insert(
         (1, 0, 0x0A00_0000, 24),
         ScopeRecord {

@@ -110,7 +110,6 @@ fn spec_with(
         duration_hours: 4.0,
         expiry_budget: 0.25,
         batched_probing,
-        batch_size: 64,
         clustered_probing,
         cluster_epsilon: 0.25,
         cluster_escalate_below: 0.5,
@@ -326,7 +325,6 @@ proptest! {
         duration in 0.0..100.0f64,
         budget in 0.0..1.0f64,
         batched in any::<bool>(),
-        batch_size in 1u64..10_000,
         clustered in any::<bool>(),
         epsilon in 0.0..1.0f64,
         escalate in 0.0..1.0f64,
@@ -345,7 +343,6 @@ proptest! {
             duration_hours: duration,
             expiry_budget: budget,
             batched_probing: batched,
-            batch_size,
             clustered_probing: clustered,
             cluster_epsilon: epsilon,
             cluster_escalate_below: escalate,
@@ -451,7 +448,6 @@ fn shard_and_rescue_results_roundtrip() {
 
     let mut delta = SweepSnapshot::new(42, 0xFEED);
     delta.epoch = 7;
-    delta.gpdns = [1, 2, 3, 4, 5, 6];
     let book = vec![
         PopHealth {
             pop: 3,
@@ -551,7 +547,6 @@ fn job_spec_rejects_truncation_and_checksum_damage() {
         duration_hours: 4.0,
         expiry_budget: 0.0,
         batched_probing: true,
-        batch_size: 64,
         clustered_probing: false,
         cluster_epsilon: 0.25,
         cluster_escalate_below: 0.5,
@@ -565,4 +560,31 @@ fn job_spec_rejects_truncation_and_checksum_damage() {
     let mut bad = clean.clone();
     bad[10] ^= 1;
     assert!(JobSpec::decode(&bad).is_err());
+}
+
+/// A job from a protocol-3 driver — the layout with the `batch_size`
+/// slot, sealed with a valid checksum — is refused on its version,
+/// never read as a version-4 spec with shifted fields.
+#[test]
+fn a_protocol_3_job_is_refused_on_its_version() {
+    let mut w = clientmap_store::ByteWriter::new();
+    w.u32(3); // protocol version
+    w.str("tiny");
+    w.u64(7); // seed
+    w.u64(4.0f64.to_bits()); // duration hours
+    w.u64(0.0f64.to_bits()); // expiry budget
+    w.flag(true); // batched probing
+    w.u64(0); // the slot version 4 dropped
+    w.flag(false); // clustered probing
+    w.u64(0.25f64.to_bits()); // cluster epsilon
+    w.u64(0.5f64.to_bits()); // escalation floor
+    w.u32(8); // shards
+    w.u64(0xDEAD_BEEF); // config digest
+    w.str("off");
+    w.u64(0); // fault seed
+    w.flag(false); // no prior
+    assert_eq!(
+        JobSpec::decode(&w.finish()).err(),
+        Some(CodecError::BadVersion(3))
+    );
 }

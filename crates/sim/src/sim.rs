@@ -146,17 +146,6 @@ impl Sim {
         }
     }
 
-    /// The built-in session's counters (queries sent through
-    /// [`Sim::gpdns_query`]).
-    pub fn gpdns_stats(&self) -> crate::GpdnsStats {
-        self.session.stats
-    }
-
-    /// Merges a worker session's counters into the built-in session.
-    pub fn absorb_session(&mut self, other: &GpdnsSession) {
-        self.session.absorb(other);
-    }
-
     /// The underlying world (ground truth; techniques must not peek —
     /// only the validation/analysis layer does).
     pub fn world(&self) -> &World {

@@ -26,9 +26,11 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CMSS";
 ///
 /// History: version 2 appended the per-PoP calibration section after
 /// the scope records, version 3 the extrapolation-confidence section
-/// after calibration. No build writes versions 1 or 2 any more, so
-/// none reads them.
-pub const SNAPSHOT_VERSION: u16 = 3;
+/// after calibration. Version 4 removed the 48-byte `u64 ×6 gpdns`
+/// block that followed the config digest — six sums of the `gpdns.*`
+/// counters the `metrics` block already carries. No build writes
+/// versions 1 to 3 any more, so none reads them.
+pub const SNAPSHOT_VERSION: u16 = 4;
 
 /// Cache pools per PoP — fixed by the resolver model; the calibration
 /// record stores one counter per pool.
@@ -171,13 +173,12 @@ pub struct CalibrationRecord {
 
 /// A versioned, checksummed, byte-stable record of one sweep.
 ///
-/// Holds four things: (1) per-scope [`ScopeRecord`]s keyed by
+/// Holds three things: (1) per-scope [`ScopeRecord`]s keyed by
 /// [`RecordKey`] — enough to replay the sweep's results exactly;
-/// (2) the [`MetricsDelta`] of the probing window, so a warm run that
-/// skips probing can absorb the skipped telemetry; (3) the resolver
-/// session counter deltas (`gpdns`) for the same reason; (4) the
-/// fault accounting, whose quarantine list seeds the next planner's
-/// dirty set. `world_seed` + `config_digest` scope validity: a warm
+/// (2) the [`MetricsDelta`] of the probing window — prober, fault and
+/// resolver (`gpdns.*`) counters alike — so a warm run that skips
+/// probing can absorb the skipped telemetry; (3) the fault accounting,
+/// whose quarantine list seeds the next planner's dirty set. `world_seed` + `config_digest` scope validity: a warm
 /// start under any other world or probing config is rejected.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepSnapshot {
@@ -191,10 +192,6 @@ pub struct SweepSnapshot {
     /// excluded — re-sweeping the same world under a different
     /// freshness budget is the point of warm starts.
     pub config_digest: u64,
-    /// Probing-window deltas of the six resolver session counters
-    /// (queries, rate-limited, scoped hits, scope0 hits, misses,
-    /// recursive), in that order.
-    pub gpdns: [u64; 6],
     /// Fault accounting, when the sweep ran under fault injection.
     pub fault: Option<FaultRecord>,
     /// Telemetry recorded inside the probing window (probing + rescue
@@ -243,9 +240,6 @@ impl SweepSnapshot {
         w.u32(self.epoch);
         w.u64(self.world_seed);
         w.u64(self.config_digest);
-        for v in self.gpdns {
-            w.u64(v);
-        }
         w.flag(self.fault.is_some());
         if let Some(f) = &self.fault {
             w.str(&f.profile);
@@ -340,10 +334,6 @@ impl SweepSnapshot {
         let epoch = r.u32()?;
         let world_seed = r.u64()?;
         let config_digest = r.u64()?;
-        let mut gpdns = [0u64; 6];
-        for slot in &mut gpdns {
-            *slot = r.u64()?;
-        }
         let fault = if r.flag("fault flag")? {
             Some(FaultRecord {
                 profile: r.str()?,
@@ -468,7 +458,6 @@ impl SweepSnapshot {
             epoch,
             world_seed,
             config_digest,
-            gpdns,
             fault,
             metrics,
             records,
@@ -514,7 +503,6 @@ mod tests {
     fn sample() -> SweepSnapshot {
         let mut s = SweepSnapshot::new(2021, 0xD16E57);
         s.epoch = 3;
-        s.gpdns = [100, 1, 40, 2, 57, 0];
         s.fault = Some(FaultRecord {
             profile: "lossy".into(),
             observed: 11,
@@ -605,9 +593,6 @@ mod tests {
         w.u32(1); // epoch
         w.u64(7); // world seed
         w.u64(9); // config digest
-        for _ in 0..6 {
-            w.u64(0); // gpdns counters
-        }
         w.u8(0); // no fault record
         w.u32(0); // no metric counters
         w.u32(0); // no histograms
@@ -629,9 +614,6 @@ mod tests {
         w.u32(1); // epoch
         w.u64(7); // world seed
         w.u64(9); // config digest
-        for _ in 0..6 {
-            w.u64(0); // gpdns counters
-        }
         w.u8(0); // no fault record
         w.u32(0); // no metric counters
         w.u32(0); // no histograms
@@ -668,10 +650,10 @@ mod tests {
             SweepSnapshot::decode(&bad).err(),
             Some(CodecError::BadVersion(SNAPSHOT_VERSION + 1))
         );
-        // Nothing writes the two older layouts any more, so nothing
-        // reads them: stamped 1 or 2, the same bytes are refused on the
-        // version alone.
-        for old in [1, 2] {
+        // Nothing writes the three older layouts any more, so nothing
+        // reads them: stamped 1, 2 or 3, the same bytes are refused on
+        // the version alone.
+        for old in [1, 2, 3] {
             let mut bad = bytes.clone();
             bad[4] = old as u8;
             assert_eq!(
@@ -679,6 +661,28 @@ mod tests {
                 Some(CodecError::BadVersion(old))
             );
         }
+        // And so is a genuine version-3 image — the 48-byte resolver
+        // block after the digest, checksum valid — never half-read.
+        let mut v3 = ByteWriter::new();
+        v3.bytes(&SNAPSHOT_MAGIC);
+        v3.u16(3);
+        v3.u32(1); // epoch
+        v3.u64(7); // world seed
+        v3.u64(9); // config digest
+        for _ in 0..6 {
+            v3.u64(0); // the removed gpdns block
+        }
+        v3.u8(0); // no fault record
+        for _ in 0..3 {
+            v3.u32(0); // no counters, histograms, scope records
+        }
+        v3.u64(0); // calibration sample
+        v3.u32(0); // no calibration records
+        v3.u32(0); // no confidence records
+        assert_eq!(
+            SweepSnapshot::decode(&v3.finish()).err(),
+            Some(CodecError::BadVersion(3))
+        );
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
         bad[mid] ^= 0x40;

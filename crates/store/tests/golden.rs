@@ -38,7 +38,6 @@ fn golden(name: &str) -> Vec<u8> {
 fn snapshot() -> SweepSnapshot {
     let mut s = SweepSnapshot::new(2021, 0x00D1_6E57);
     s.epoch = 3;
-    s.gpdns = [100, 1, 40, 2, 57, 0];
     s.fault = Some(FaultRecord {
         profile: "pop-churn".into(),
         observed: 11,

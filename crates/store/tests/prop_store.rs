@@ -125,7 +125,6 @@ fn snapshot_strategy() -> impl Strategy<Value = SweepSnapshot> {
             proptest::arbitrary::any::<u64>(),
             proptest::arbitrary::any::<u64>(),
         ),
-        proptest::collection::vec(proptest::arbitrary::any::<u64>(), 6),
         proptest::option::of((0u64..100, proptest::collection::vec(0u64..64, 0..4))),
         proptest::collection::vec(
             (0u16..8, 0u16..5, prefix_strategy(), record_strategy()),
@@ -133,45 +132,42 @@ fn snapshot_strategy() -> impl Strategy<Value = SweepSnapshot> {
         ),
         proptest::collection::vec((0u64..1 << 40, 1u64..1 << 20), 0..6),
     )
-        .prop_map(
-            |((epoch, world_seed, digest), gpdns, fault, records, counters)| {
-                let mut snap = SweepSnapshot::new(world_seed, digest);
-                snap.epoch = epoch;
-                snap.gpdns = gpdns.try_into().unwrap();
-                snap.fault = fault.map(|(observed, quarantined_pops)| FaultRecord {
-                    profile: "lossy".into(),
-                    observed,
-                    retries: observed / 2,
-                    recovered: observed / 3,
-                    degraded: observed / 7,
-                    lost: observed - observed / 3 - observed / 7,
-                    quarantined_pops,
-                    rescued_scopes: 3,
-                    unmeasured_scopes: 2,
-                    assigned_scopes: observed + 5,
-                });
-                for (bound, domain, scope, record) in records {
-                    snap.records
-                        .insert((bound, domain, scope.addr(), scope.len()), record);
-                }
-                for (i, (sum, count)) in counters.iter().enumerate() {
-                    snap.metrics
-                        .counters
-                        .insert(format!("cacheprobe.c{i}"), *count);
-                    snap.metrics.histograms.insert(
-                        format!("cacheprobe.h{i}"),
-                        HistogramDelta {
-                            count: *count,
-                            sum: *sum,
-                            min: sum % 97,
-                            max: sum % 97 + count,
-                            buckets: vec![(127, *count)],
-                        },
-                    );
-                }
-                snap
-            },
-        )
+        .prop_map(|((epoch, world_seed, digest), fault, records, counters)| {
+            let mut snap = SweepSnapshot::new(world_seed, digest);
+            snap.epoch = epoch;
+            snap.fault = fault.map(|(observed, quarantined_pops)| FaultRecord {
+                profile: "lossy".into(),
+                observed,
+                retries: observed / 2,
+                recovered: observed / 3,
+                degraded: observed / 7,
+                lost: observed - observed / 3 - observed / 7,
+                quarantined_pops,
+                rescued_scopes: 3,
+                unmeasured_scopes: 2,
+                assigned_scopes: observed + 5,
+            });
+            for (bound, domain, scope, record) in records {
+                snap.records
+                    .insert((bound, domain, scope.addr(), scope.len()), record);
+            }
+            for (i, (sum, count)) in counters.iter().enumerate() {
+                snap.metrics
+                    .counters
+                    .insert(format!("cacheprobe.c{i}"), *count);
+                snap.metrics.histograms.insert(
+                    format!("cacheprobe.h{i}"),
+                    HistogramDelta {
+                        count: *count,
+                        sum: *sum,
+                        min: sum % 97,
+                        max: sum % 97 + count,
+                        buckets: vec![(127, *count)],
+                    },
+                );
+            }
+            snap
+        })
 }
 
 proptest! {

@@ -158,7 +158,7 @@ fn probing_is_non_recursive_and_clean() {
     let o = output();
     // Probes must never have triggered recursive resolution.
     assert_eq!(
-        o.sim.gpdns_stats().recursive,
+        o.metrics_snapshot().counter("gpdns.recursive"),
         0,
         "a probe polluted the cache path"
     );
