@@ -573,10 +573,7 @@ fn ablations_section(out: &PipelineOutput) -> String {
         .and_then(|(pop, _)| bound.iter().find(|b| b.pop == *pop))
         .unwrap_or(&bound[0]);
     let pop_coord = clientmap_sim::pop_catalog()[b0.pop].coord;
-    let radius = out
-        .cache_probe
-        .service_radii
-        .radius(b0.pop, out.config.probe.fallback_radius_km);
+    let radius = out.cache_probe.service_radii.radius(b0.pop);
     let geodb = &sim.world().geodb;
     let near_pop = |s: &Prefix| {
         geodb

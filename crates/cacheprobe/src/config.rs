@@ -2,12 +2,13 @@
 
 use clientmap_sim::Transport;
 
-/// All dials of the cache-probing measurement, with the paper's values
-/// as defaults (scaled variants for tests).
+/// The dials of the cache-probing measurement, with the paper's values
+/// as defaults (scaled variants for tests). Values the paper fixes and
+/// nothing varies — the probe rate, the domain selection, the
+/// calibration filter, percentile and fallback radius — are constants
+/// next to their readers.
 #[derive(Debug, Clone)]
 pub struct ProbeConfig {
-    /// Queries per second per domain per PoP (paper: 50).
-    pub rate_per_domain: f64,
     /// Measurement window in hours (paper: 120).
     pub duration_hours: f64,
     /// Redundant queries per ⟨PoP, prefix, domain⟩ to cover the
@@ -15,22 +16,9 @@ pub struct ProbeConfig {
     pub redundancy: u32,
     /// Transport (paper: TCP, to dodge the UDP rate limit).
     pub transport: Transport,
-    /// How many probeable domains to take from the popularity filter
-    /// (paper: 4 from Alexa + the Microsoft validation domain).
-    pub num_alexa_domains: usize,
-    /// Include the Microsoft CDN validation domain.
-    pub include_microsoft_domain: bool,
     /// Random prefixes used for service-radius calibration
     /// (paper: 78,637).
     pub calibration_sample: usize,
-    /// MaxMind error-radius filter for the calibration sample, km
-    /// (paper: 200).
-    pub calibration_max_error_km: f64,
-    /// Percentile of hit distances defining the service radius
-    /// (paper: 90th).
-    pub radius_percentile: f64,
-    /// Fallback service radius when a PoP sees no calibration hits, km.
-    pub fallback_radius_km: f64,
     /// Cap on the number of PoPs probed (ablation: a single vantage
     /// point vs the full geo-distributed deployment). `None` = all.
     pub max_pops: Option<usize>,
@@ -70,16 +58,10 @@ pub struct ProbeConfig {
 impl Default for ProbeConfig {
     fn default() -> Self {
         ProbeConfig {
-            rate_per_domain: 50.0,
             duration_hours: 120.0,
             redundancy: 5,
             transport: Transport::Tcp,
-            num_alexa_domains: 4,
-            include_microsoft_domain: true,
             calibration_sample: 78_637,
-            calibration_max_error_km: 200.0,
-            radius_percentile: 0.90,
-            fallback_radius_km: 2_000.0,
             max_pops: None,
             expiry_budget: 0.0,
             batched_probing: true,
@@ -95,7 +77,6 @@ impl ProbeConfig {
     /// calibration sample, but the same structure.
     pub fn test_scale() -> Self {
         ProbeConfig {
-            rate_per_domain: 50.0,
             duration_hours: 12.0,
             calibration_sample: 800,
             ..ProbeConfig::default()
@@ -110,14 +91,10 @@ mod tests {
     #[test]
     fn defaults_match_paper() {
         let c = ProbeConfig::default();
-        assert_eq!(c.rate_per_domain, 50.0);
         assert_eq!(c.duration_hours, 120.0);
         assert_eq!(c.redundancy, 5);
         assert_eq!(c.transport, Transport::Tcp);
-        assert_eq!(c.num_alexa_domains, 4);
         assert_eq!(c.calibration_sample, 78_637);
-        assert_eq!(c.calibration_max_error_km, 200.0);
-        assert_eq!(c.radius_percentile, 0.90);
         assert!(c.batched_probing);
         assert!(!c.clustered_probing);
         assert_eq!(c.cluster_epsilon, 0.25);

@@ -25,12 +25,10 @@ use clientmap_par::par_map;
 use clientmap_sim::{
     GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport,
 };
-use clientmap_store::{
-    CalibrationRecord, ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot,
-};
+use clientmap_store::{ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot};
 use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
 
-use crate::calibrate::{calibrate, calibrate_batched, replay_calibration, sample_prefixes};
+use crate::calibrate::{calibrate, sample_prefixes, ServiceRadii};
 use crate::cluster::{synthesize_member_record, ClusteredPlan};
 use crate::plan::{
     plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, WarmStartPlan,
@@ -141,21 +139,24 @@ pub fn probe_scope(
     best
 }
 
-/// Selects the probing domains: the `num_alexa_domains` most popular
+/// Popular domains probed (paper: the top 4 ECS+TTL-qualified Alexa
+/// domains).
+pub(crate) const NUM_ALEXA_DOMAINS: usize = 4;
+
+/// Selects the probing domains: the `NUM_ALEXA_DOMAINS` (4) most popular
 /// ECS+TTL-qualified catalog domains, plus the Microsoft validation
-/// domain if configured.
-pub fn select_domains(sim: &Sim, cfg: &ProbeConfig) -> Vec<DomainName> {
+/// domain (paper: always probed, to validate against the CDN's logs).
+/// The selection is fixed by the paper, so no field of `_cfg` moves it.
+pub fn select_domains(sim: &Sim, _cfg: &ProbeConfig) -> Vec<DomainName> {
     let catalog = &sim.world().domains;
     let mut domains: Vec<DomainName> = catalog
-        .top_probeable(cfg.num_alexa_domains)
+        .top_probeable(NUM_ALEXA_DOMAINS)
         .iter()
         .map(|s| s.name.clone())
         .collect();
-    if cfg.include_microsoft_domain {
-        let ms = catalog.microsoft_cdn().name.clone();
-        if !domains.contains(&ms) {
-            domains.push(ms);
-        }
+    let ms = catalog.microsoft_cdn().name.clone();
+    if !domains.contains(&ms) {
+        domains.push(ms);
     }
     domains
 }
@@ -291,6 +292,9 @@ impl UnitTally {
     }
 }
 
+/// Queries per second per domain per PoP (paper: 50).
+pub(crate) const RATE_PER_DOMAIN: f64 = 50.0;
+
 /// The slots of one ⟨PoP, domain⟩ stream's window, in firing order, as
 /// `(index into the scope list, fire time)`.
 ///
@@ -305,8 +309,8 @@ fn window_slots(
     t0: SimTime,
 ) -> impl Iterator<Item = (usize, SimTime)> {
     let window_secs = cfg.duration_hours * 3600.0;
-    let slot_secs = 1.0 / cfg.rate_per_domain;
-    let total_slots = (window_secs * cfg.rate_per_domain) as u64;
+    let slot_secs = 1.0 / RATE_PER_DOMAIN;
+    let total_slots = (window_secs * RATE_PER_DOMAIN) as u64;
     let loops = total_slots
         .checked_div(num_scopes as u64)
         .map_or(0, |passes| passes.clamp(1, 9));
@@ -375,9 +379,8 @@ fn probe_unit(
 /// loop; the whole stream renders into one [`wire::ProbeBatch`] arena
 /// and is served at once; and outcomes fold in bulk.
 ///
-/// Returns `None` — before any session or registry effect — when the
-/// core refuses a batch connection (fault injection enabled) or the
-/// batch fails validation; the caller falls back to the scalar lane.
+/// Fault-free cores only: the caller ([`main_delta`]) sends faulted
+/// streams down the scalar resilient lane.
 fn probe_unit_batched(
     view: &SimView<'_>,
     bound: &BoundVantage,
@@ -386,17 +389,23 @@ fn probe_unit_batched(
     cfg: &ProbeConfig,
     t0: SimTime,
     metrics: &ProbeMetrics,
-) -> Option<UnitTally> {
+) -> UnitTally {
     let mut tally = UnitTally::new();
     let mut session = GpdnsSession::new();
-    let mut conn = view.gpdns.open_batch(
-        view.catchments,
-        &session,
-        bound.prober_key(),
-        bound.coord(),
-        cfg.transport,
-    )?;
-    let dom = view.gpdns.batch_domain(&conn, template.qname_wire())?;
+    let mut conn = view
+        .gpdns
+        .open_batch(
+            view.catchments,
+            &session,
+            bound.prober_key(),
+            bound.coord(),
+            cfg.transport,
+        )
+        .expect("fault-free cores always open batch connections");
+    let dom = view
+        .gpdns
+        .batch_domain(&conn, template.qname_wire())
+        .expect("selected domains are probeable");
     let lanes: Vec<ScopeLane> = scopes
         .iter()
         .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
@@ -408,11 +417,8 @@ fn probe_unit_batched(
         batch.push(template, attempt_id(t, scopes[li], 0, 0), scopes[li]);
         events.push((li as u32, t));
     }
-    // A batch that fails the kernel's validation pass leaves the
-    // connection untouched — the lane can be abandoned without any
-    // global side effects.
     let mut outcomes: Vec<ProbeOutcome> = Vec::new();
-    if !view.gpdns.serve_batch(
+    let ok = view.gpdns.serve_batch(
         &mut conn,
         &dom,
         view.auth,
@@ -421,9 +427,8 @@ fn probe_unit_batched(
         &events,
         cfg.redundancy,
         &mut outcomes,
-    ) {
-        return None;
-    }
+    );
+    assert!(ok, "a batch rendered from its own lanes always validates");
     // Booked exactly as the scalar loop does (per-slot attempts,
     // per-scope tuple bumps, hits in slot order).
     for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
@@ -431,7 +436,7 @@ fn probe_unit_batched(
     }
     view.gpdns.close_batch(conn, &mut session);
     tally.flush_metrics(metrics);
-    Some(tally)
+    tally
 }
 
 /// The snapshot key of one ⟨vantage, domain, scope⟩ stream slot.
@@ -563,12 +568,12 @@ pub fn run_technique_full(
     execute_sweep(sim, cfg, prep, timings)
 }
 
-/// Registry state at the start of a probing window. [`Window::close`]
-/// writes everything that landed on this process since — probe
-/// counters, fault counters, the resolver's `gpdns.*` ledger — into a
-/// snapshot's `metrics` block: the sweep's stored, replayable delta, or
-/// the part of a shard's work a remote driver cannot see unless the
-/// delta carries it.
+/// Registry state at the start of a stage. [`Window::close`] returns
+/// everything that landed on this process since — probe counters, fault
+/// counters, the resolver's `gpdns.*` ledger — as a replayable delta:
+/// the calibration stage's, the sweep's probing window, or the part of
+/// a shard's work a remote driver cannot see unless the delta carries
+/// it.
 struct Window {
     pre: clientmap_telemetry::MetricsSnapshot,
 }
@@ -580,8 +585,8 @@ impl Window {
         }
     }
 
-    fn close(self, sim: &Sim, snapshot: &mut SweepSnapshot) {
-        snapshot.metrics = sim.metrics().snapshot().delta_from(&self.pre);
+    fn close(self, sim: &Sim) -> MetricsDelta {
+        sim.metrics().snapshot().delta_from(&self.pre)
     }
 }
 
@@ -708,87 +713,38 @@ pub fn prepare_sweep(
     timings.push(("scope_scan".into(), stage.elapsed().as_secs_f64()));
 
     // 3. Service-radius calibration (start a few hours in, so caches
-    //    reflect steady-state client activity). Fault-free batched runs
-    //    capture per-PoP calibration records for the snapshot, and a
-    //    warm re-sweep replays the prior run's records for every clean
-    //    PoP — re-sampling and re-probing only PoPs the prior sweep
-    //    quarantined (or never calibrated).
+    //    reflect steady-state client activity), as one stage whose
+    //    registry delta is measured. A fault-free warm re-sweep whose
+    //    prior calibrated exactly these PoPs replays it — radii from the
+    //    records, resolver counters from the stored delta — without
+    //    drawing the sample; anything else calibrates every bound PoP
+    //    live.
     let stage = Instant::now();
-    let t_cal = SimTime::from_hours(6);
-    let use_batched_cal = cfg.batched_probing && !sim.fault_plan().enabled();
-    let mut calibration_records: Vec<CalibrationRecord> = Vec::new();
-    let mut calibration_sample: u64 = 0;
-    let draw_sample = |sim: &Sim| {
-        sample_prefixes(
-            sim,
-            universe,
-            cfg.calibration_sample,
-            cfg.calibration_max_error_km,
-            seed ^ 0xCA11,
-        )
-    };
-    let radii = 'cal: {
-        if use_batched_cal {
-            if let Some(prior) = prior.filter(|p| !p.calibration.is_empty()) {
-                // A prior record covers its PoP unless that PoP was
-                // quarantined last sweep (its radius is then suspect).
-                let covered: std::collections::HashSet<u64> = prior
-                    .calibration
-                    .iter()
-                    .map(|r| r.pop)
-                    .filter(|p| !prior.quarantined_pops().contains(p))
-                    .collect();
-                let dirty: Vec<BoundVantage> = bound
-                    .iter()
-                    .filter(|b| !covered.contains(&(b.pop as u64)))
-                    .cloned()
-                    .collect();
-                let replayed: Vec<CalibrationRecord> = prior
-                    .calibration
-                    .iter()
-                    .filter(|r| {
-                        covered.contains(&r.pop) && bound.iter().any(|b| b.pop as u64 == r.pop)
-                    })
-                    .cloned()
-                    .collect();
-                if dirty.is_empty() {
-                    // Every bound PoP replays: skip the sample draw
-                    // entirely — its size rides along in the snapshot.
-                    calibration_sample = prior.calibration_sample;
-                    calibration_records = replayed;
-                    break 'cal replay_calibration(
-                        sim,
-                        &calibration_records,
-                        calibration_sample,
-                        cfg.transport,
-                    );
-                }
-                let sample = draw_sample(sim);
-                if let Some(live) = calibrate_batched(sim, &dirty, &domains, &sample, cfg, t_cal) {
-                    let mut radii =
-                        replay_calibration(sim, &replayed, sample.len() as u64, cfg.transport);
-                    radii.radius_km.extend(live.radii.radius_km);
-                    radii.hit_distances_km.extend(live.radii.hit_distances_km);
-                    calibration_records = replayed;
-                    calibration_records.extend(live.records);
-                    calibration_records.sort_by_key(|r| r.pop);
-                    calibration_sample = sample.len() as u64;
-                    break 'cal radii;
-                }
-            }
-            let sample = draw_sample(sim);
-            if let Some(out) = calibrate_batched(sim, &bound, &domains, &sample, cfg, t_cal) {
-                calibration_records = out.records;
-                calibration_sample = sample.len() as u64;
-                break 'cal out.radii;
-            }
+    let cal_window = Window::open(sim);
+    let mut bound_pops: Vec<u64> = bound.iter().map(|b| b.pop as u64).collect();
+    bound_pops.sort_unstable();
+    bound_pops.dedup();
+    let replay = prior.filter(|_| fc.is_none()).filter(|p| {
+        p.calibration
+            .iter()
+            .map(|r| r.pop)
+            .eq(bound_pops.iter().copied())
+    });
+    let radii = match replay {
+        Some(prior) => {
+            sim.metrics().absorb_delta(&prior.calibration_metrics);
+            ServiceRadii::from_records(&prior.calibration)
         }
-        // Scalar lane: faulted runs (which must ride the resilient
-        // path) and `batched_probing = false`. No records are captured,
-        // so the next warm sweep calibrates live again.
-        let sample = draw_sample(sim);
-        calibrate(sim, &bound, &domains, &sample, cfg, t_cal)
+        None => {
+            let sample = sample_prefixes(sim, universe, cfg.calibration_sample, seed ^ 0xCA11);
+            calibrate(sim, &bound, &domains, &sample, cfg, SimTime::from_hours(6))
+        }
     };
+    // Only fault-free sweeps capture calibration: a faulted pass must
+    // not seed the next sweep's radii.
+    let captured = fc
+        .is_none()
+        .then(|| (radii.records(), cal_window.close(sim)));
     timings.push(("calibration".into(), stage.elapsed().as_secs_f64()));
 
     // 4. Scope → PoP assignment by service radius (MaxMind location +
@@ -803,7 +759,7 @@ pub fn prepare_sweep(
             };
             let Some((coord, err_km)) = geo else { continue };
             for b in &bound {
-                let radius = radii.radius(b.pop, cfg.fallback_radius_km);
+                let radius = radii.radius(b.pop);
                 if coord.distance_km(&pops[b.pop].coord) <= radius + err_km {
                     assigned.entry(b.pop).or_default().push((d, *scope));
                 }
@@ -870,8 +826,10 @@ pub fn prepare_sweep(
     // This sweep's calibration (captured live or replayed forward)
     // persists with the snapshot, so the next warm run can skip the
     // sample draw and the probing behind it.
-    snapshot.calibration = calibration_records;
-    snapshot.calibration_sample = calibration_sample;
+    if let Some((records, metrics)) = captured {
+        snapshot.calibration = records;
+        snapshot.calibration_metrics = metrics;
+    }
     let warm_plan = WarmStartPlan {
         world_seed: seed,
         epoch,
@@ -1085,7 +1043,6 @@ fn quarantined_pops(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<PopId> {
 /// single-process sweep plan byte-identical rescues.
 fn plan_rescue_units(
     sim: &Sim,
-    cfg: &ProbeConfig,
     bound: &[BoundVantage],
     assigned: &HashMap<PopId, Vec<(usize, Prefix)>>,
     result: &CacheProbeResult,
@@ -1122,7 +1079,7 @@ fn plan_rescue_units(
                 continue;
             }
             let dist = coord.distance_km(&pops[b.pop].coord);
-            let radius = result.service_radii.radius(b.pop, cfg.fallback_radius_km);
+            let radius = result.service_radii.radius(b.pop);
             if dist <= 2.0 * radius + err_km && fallback.is_none_or(|(best, _)| dist < best) {
                 fallback = Some((dist, bi));
             }
@@ -1253,20 +1210,17 @@ fn main_delta(
 ) -> (SweepSnapshot, Vec<PopHealth>) {
     let view = sim.view();
     let tallies: Vec<UnitTally> = par_map(units, |_, u| {
-        // Fault-free streams ride the batch kernel when enabled; the
-        // kernel refuses faulted cores, so the resilient scalar lane
-        // keeps fault accounting untouched by construction.
+        // Fault-free streams ride the batch kernel when enabled;
+        // faulted ones take the resilient scalar lane, which keeps fault
+        // accounting untouched by construction.
         let (bound, template) = (&ctx.bound[u.bound_idx], &ctx.templates[u.domain]);
         let metrics = &ctx.pop_metrics[u.bound_idx];
-        if cfg.batched_probing && ctx.fc.is_none() {
-            if let Some(tally) =
-                probe_unit_batched(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics)
-            {
-                return tally;
-            }
-        }
         let fc = ctx.fc.as_ref();
-        probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
+        if cfg.batched_probing && fc.is_none() {
+            probe_unit_batched(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics)
+        } else {
+            probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
+        }
     });
     let (mut records, book) = fold_tallies(ctx, units, tallies);
     for u in units {
@@ -1302,7 +1256,7 @@ fn rescue_delta(
     let view = sim.view();
     let tallies: Vec<UnitTally> = par_map(units, |_, u| {
         let mut one_pass = cfg.clone();
-        one_pass.duration_hours = (u.scopes.len() as f64 / cfg.rate_per_domain) / 3600.0;
+        one_pass.duration_hours = (u.scopes.len() as f64 / RATE_PER_DOMAIN) / 3600.0;
         probe_unit(
             &view,
             &ctx.bound[u.bound_idx],
@@ -1341,7 +1295,7 @@ pub fn probe_shard(
     let units = &prep.units[shard.start.min(hi)..shard.end.min(hi)];
     let window = Window::open(sim);
     let (mut delta, book) = main_delta(sim, cfg, &prep.ctx, units, shard_id);
-    window.close(sim, &mut delta);
+    delta.metrics = window.close(sim);
     (delta, book)
 }
 
@@ -1360,7 +1314,7 @@ pub fn probe_rescue_shard(
 ) -> SweepSnapshot {
     let window = Window::open(sim);
     let mut delta = rescue_delta(sim, cfg, &prep.ctx, units, shard_id);
-    window.close(sim, &mut delta);
+    delta.metrics = window.close(sim);
     delta
 }
 
@@ -1609,8 +1563,7 @@ fn merge_inner(
         let stage = Instant::now();
         let quarantined = quarantined_pops(&ctx.bound, &merge_fault_books(&books));
         fc.quarantined_pops.add(quarantined.len() as u64);
-        let rescue_units =
-            plan_rescue_units(sim, cfg, &ctx.bound, &assigned, &result, &quarantined);
+        let rescue_units = plan_rescue_units(sim, &ctx.bound, &assigned, &result, &quarantined);
         let rescue_deltas = if rescue_units.is_empty() {
             Vec::new()
         } else {
@@ -1665,7 +1618,7 @@ fn merge_inner(
         fresh.entry(record_key(bi, d, scope)).or_insert(rec);
     }
     snapshot.records = fresh;
-    window.close(sim, &mut snapshot);
+    snapshot.metrics = window.close(sim);
     snapshot.fault = result.fault.clone();
     Ok((result, snapshot))
 }

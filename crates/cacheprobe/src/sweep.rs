@@ -3,9 +3,11 @@
 //! stable expiry hash the re-sweep planner draws from.
 //!
 //! A snapshot may only warm-start a run whose world seed **and** config
-//! digest both match — any probing-relevant dial (rate, window,
-//! redundancy, transport, domain selection, calibration, PoP cap, fault
-//! plan) or a different probe universe invalidates it.
+//! digest both match — any probing-relevant dial (window, redundancy,
+//! transport, calibration sample, PoP cap, fault plan), a build that
+//! changes one of the paper constants mixed in beside them (rate,
+//! domain selection, calibration filter, percentile, fallback radius,
+//! retry policy), or a different probe universe invalidates it.
 //! The deliberate exceptions are [`ProbeConfig::expiry_budget`] —
 //! re-sweeping the same world under a different freshness budget is the
 //! point of warm starts — the batched-lane switch
@@ -20,6 +22,8 @@
 use clientmap_net::{Prefix, SeedMixer};
 use clientmap_sim::{Sim, Transport};
 
+use crate::calibrate::{CALIBRATION_MAX_ERROR_KM, FALLBACK_RADIUS_KM, RADIUS_PERCENTILE};
+use crate::probe::{NUM_ALEXA_DOMAINS, RATE_PER_DOMAIN};
 use crate::resilience::{BACKOFF_BASE_MS, BREAKER_THRESHOLD, DEADLINE_MS, MAX_RETRIES};
 use crate::ProbeConfig;
 
@@ -30,19 +34,23 @@ pub fn config_digest(sim: &Sim, cfg: &ProbeConfig, universe: &[Prefix]) -> u64 {
     let plan = sim.fault_plan();
     let mut mixer = SeedMixer::new(sim.world().config.seed)
         .mix_str("sweep-config")
-        .mix(cfg.rate_per_domain.to_bits())
+        .mix(RATE_PER_DOMAIN.to_bits())
         .mix(cfg.duration_hours.to_bits())
         .mix(u64::from(cfg.redundancy))
         .mix(match cfg.transport {
             Transport::Udp => 0,
             Transport::Tcp => 1,
         })
-        .mix(cfg.num_alexa_domains as u64)
-        .mix(u64::from(cfg.include_microsoft_domain))
+        // The paper constants stay in the mix at fixed positions:
+        // moving or dropping one would change every digest and strand
+        // every stored snapshot and log. `1`: the Microsoft validation
+        // domain is always selected.
+        .mix(NUM_ALEXA_DOMAINS as u64)
+        .mix(1)
         .mix(cfg.calibration_sample as u64)
-        .mix(cfg.calibration_max_error_km.to_bits())
-        .mix(cfg.radius_percentile.to_bits())
-        .mix(cfg.fallback_radius_km.to_bits())
+        .mix(CALIBRATION_MAX_ERROR_KM.to_bits())
+        .mix(RADIUS_PERCENTILE.to_bits())
+        .mix(FALLBACK_RADIUS_KM.to_bits())
         .mix(cfg.max_pops.map_or(u64::MAX, |cap| cap as u64))
         // The retry constants: part of what a snapshot's records mean
         // under faults, so a build that changes one invalidates them.

@@ -22,7 +22,11 @@ use clientmap_store::{ByteReader, ByteWriter, CodecError, SweepSnapshot};
 /// would pass while the planned unit lists silently diverged.
 /// Version 4 dropped the job spec's dead `batch_size` slot and carries
 /// version-4 snapshots (no resolver block) as priors and shard deltas.
-pub const PROTOCOL_VERSION: u32 = 4;
+/// Version 5 carries version-5 snapshots (calibration as per-PoP radii
+/// plus the stage's metrics delta): every warm job and every shard or
+/// rescue result embeds one, so a mixed-version fleet is refused at the
+/// handshake rather than after a worker has probed a shard.
+pub const PROTOCOL_VERSION: u32 = 5;
 
 /// driver → worker: everything needed to rebuild the sweep and its
 /// prep deterministically.

@@ -562,19 +562,18 @@ fn job_spec_rejects_truncation_and_checksum_damage() {
     assert!(JobSpec::decode(&bad).is_err());
 }
 
-/// A job from a protocol-3 driver — the layout with the `batch_size`
-/// slot, sealed with a valid checksum — is refused on its version,
-/// never read as a version-4 spec with shifted fields.
+/// A job from a protocol-4 driver — the same spec layout, sealed with a
+/// valid checksum — is refused on its version: its prior and its
+/// workers' results would be version-4 snapshots.
 #[test]
-fn a_protocol_3_job_is_refused_on_its_version() {
+fn a_protocol_4_job_is_refused_on_its_version() {
     let mut w = clientmap_store::ByteWriter::new();
-    w.u32(3); // protocol version
+    w.u32(4); // protocol version
     w.str("tiny");
     w.u64(7); // seed
     w.u64(4.0f64.to_bits()); // duration hours
     w.u64(0.0f64.to_bits()); // expiry budget
     w.flag(true); // batched probing
-    w.u64(0); // the slot version 4 dropped
     w.flag(false); // clustered probing
     w.u64(0.25f64.to_bits()); // cluster epsilon
     w.u64(0.5f64.to_bits()); // escalation floor
@@ -585,6 +584,6 @@ fn a_protocol_3_job_is_refused_on_its_version() {
     w.flag(false); // no prior
     assert_eq!(
         JobSpec::decode(&w.finish()).err(),
-        Some(CodecError::BadVersion(3))
+        Some(CodecError::BadVersion(4))
     );
 }

@@ -50,7 +50,7 @@ pub struct ServeOptions {
     pub addr: String,
     /// The pipeline configuration every sweep runs under.
     pub config: PipelineConfig,
-    /// Warm-chained sweeps to run before the service idles (at most
+    /// Warm-chained sweeps to run before the service idles (1 to
     /// [`MAX_SWEEPS`]).
     pub sweeps: u32,
     /// Snapshot to warm-start sweep 1 from (`None` = cold).
@@ -103,10 +103,13 @@ pub enum ServeError {
     /// A sweep failed; the service shut down without a partial
     /// generation.
     Pipeline(PipelineError),
-    /// The event log refused an append or compaction.
+    /// The event log exists already, or refused an append or
+    /// compaction.
     Log(String),
-    /// More sweeps were asked for than [`MAX_SWEEPS`].
-    TooManySweeps(u32),
+    /// The sweep count is outside `1..=`[`MAX_SWEEPS`]: a service with
+    /// no sweep would never publish a generation, and every sweep gets
+    /// its generation slot before the first one runs.
+    SweepCount(u32),
 }
 
 impl std::fmt::Display for ServeError {
@@ -115,11 +118,8 @@ impl std::fmt::Display for ServeError {
             ServeError::Io(e) => write!(f, "serve i/o error: {e}"),
             ServeError::Pipeline(e) => write!(f, "serve sweep failed: {e}"),
             ServeError::Log(e) => write!(f, "serve event log failed: {e}"),
-            ServeError::TooManySweeps(n) => {
-                write!(
-                    f,
-                    "{n} sweeps asked for, at most {MAX_SWEEPS} fit one service"
-                )
+            ServeError::SweepCount(n) => {
+                write!(f, "{n} sweeps asked for, a service runs 1 to {MAX_SWEEPS}")
             }
         }
     }
@@ -180,12 +180,12 @@ impl ServerState {
 /// `clientmap serve listening on <addr>` on stdout, sweeps
 /// `opts.sweeps` times while answering queries, and returns once the
 /// sweeps are done and a client has asked it to stop. An existing
-/// event log or a sweep count above [`MAX_SWEEPS`] is refused before
-/// any of that: a harness told "ready" is never talking to a service
-/// about to return an error.
+/// event log or a sweep count outside `1..=`[`MAX_SWEEPS`] is refused
+/// before any of that: a harness told "ready" is never talking to a
+/// service about to return an error.
 pub fn serve(opts: ServeOptions) -> Result<ServeSummary, ServeError> {
-    if opts.sweeps > MAX_SWEEPS {
-        return Err(ServeError::TooManySweeps(opts.sweeps));
+    if !(1..=MAX_SWEEPS).contains(&opts.sweeps) {
+        return Err(ServeError::SweepCount(opts.sweeps));
     }
     if opts.log_path.exists() {
         return Err(ServeError::Log(format!(
@@ -388,10 +388,8 @@ fn run_sweeps(
         );
         last = Some(out.sweep);
     }
-    match log {
-        Some(log) => Ok((log, last, false)),
-        None => Err(ServeError::Log("no sweeps ran (sweeps = 0)".into())),
-    }
+    let log = log.expect("serve refuses a sweep count of 0, so sweep 1 created the log");
+    Ok((log, last, false))
 }
 
 /// Best-effort text of a panic payload — `&str` and `String` cover
@@ -477,31 +475,35 @@ fn handle_connection(
 mod tests {
     use super::*;
 
-    /// `--sweeps` sizes an allocation made before the first sweep: a
-    /// count above the cap is a typed refusal raised before the service
-    /// binds or signals readiness, not 64 GiB of generation slots.
+    /// `--sweeps` sizes an allocation made before the first sweep, and
+    /// a service with no sweep never publishes: a count above the cap
+    /// or of zero is a typed refusal raised before the service binds or
+    /// signals readiness — not 64 GiB of generation slots, and not a
+    /// listener announced only to fail.
     #[test]
     fn a_sweep_count_above_the_cap_is_refused_before_the_service_announces_itself() {
-        let (ready, addr) = std::sync::mpsc::channel();
-        let result = serve(ServeOptions {
-            addr: "127.0.0.1:0".into(),
-            config: PipelineConfig::tiny(7),
-            sweeps: MAX_SWEEPS + 1,
-            prior: None,
-            log_path: std::env::temp_dir().join("clientmap-serve-never-created.cmel"),
-            compact_every: 0,
-            snapshot_out: None,
-            io_timeout: Duration::from_secs(1),
-            fail_sweep: None,
-            ready: Some(ready),
-        });
-        match result {
-            Err(ServeError::TooManySweeps(n)) => assert_eq!(n, MAX_SWEEPS + 1),
-            other => panic!("expected the sweep-count refusal, got {other:?}"),
+        for sweeps in [MAX_SWEEPS + 1, 0] {
+            let (ready, addr) = std::sync::mpsc::channel();
+            let result = serve(ServeOptions {
+                addr: "127.0.0.1:0".into(),
+                config: PipelineConfig::tiny(7),
+                sweeps,
+                prior: None,
+                log_path: std::env::temp_dir().join("clientmap-serve-never-created.cmel"),
+                compact_every: 0,
+                snapshot_out: None,
+                io_timeout: Duration::from_secs(1),
+                fail_sweep: None,
+                ready: Some(ready),
+            });
+            match result {
+                Err(ServeError::SweepCount(n)) => assert_eq!(n, sweeps),
+                other => panic!("expected the sweep-count refusal for {sweeps}, got {other:?}"),
+            }
+            assert!(
+                addr.try_recv().is_err(),
+                "a service refusing {sweeps} sweeps signalled ready"
+            );
         }
-        assert!(
-            addr.try_recv().is_err(),
-            "a refusing service signalled ready"
-        );
     }
 }

@@ -958,33 +958,19 @@ impl GooglePublicDns {
 // ---------------------------------------------------------------------------
 
 /// Counter deltas accumulated by one [`BatchConn`], flushed wholesale
-/// at [`GooglePublicDns::close_batch`]. Returned to the caller so warm
-/// starts can replay a batch's exact telemetry without re-serving it.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BatchStats {
+/// into the registry at [`GooglePublicDns::close_batch`].
+#[derive(Debug, Clone, Copy, Default)]
+struct BatchStats {
     /// Queries that reached the PoP (one per redundant attempt).
-    pub queries: u64,
+    queries: u64,
     /// Queries dropped by the rate limiter.
-    pub rate_limited: u64,
+    rate_limited: u64,
     /// Scoped cache hits, per pool.
-    pub pool_hits: [u64; POOLS_PER_POP],
+    pool_hits: [u64; POOLS_PER_POP],
     /// Scope-0 cache hits, per pool.
-    pub pool_scope0: [u64; POOLS_PER_POP],
+    pool_scope0: [u64; POOLS_PER_POP],
     /// Cache misses, per pool.
-    pub pool_misses: [u64; POOLS_PER_POP],
-}
-
-impl BatchStats {
-    /// Folds another batch's counters into this one.
-    pub fn absorb(&mut self, other: &BatchStats) {
-        self.queries += other.queries;
-        self.rate_limited += other.rate_limited;
-        for p in 0..POOLS_PER_POP {
-            self.pool_hits[p] += other.pool_hits[p];
-            self.pool_scope0[p] += other.pool_scope0[p];
-            self.pool_misses[p] += other.pool_misses[p];
-        }
-    }
+    pool_misses: [u64; POOLS_PER_POP],
 }
 
 /// One batched probing connection: the per-(prober, PoP, transport)
@@ -1086,8 +1072,7 @@ impl GooglePublicDns {
     /// Returns `None` when fault injection is active: faulted exchanges
     /// need per-query injection decisions, retries, and fault
     /// accounting, so probers must stay on the scalar resilient lane —
-    /// falling back here keeps fault behaviour identical by
-    /// construction.
+    /// refusing here keeps fault behaviour identical by construction.
     pub fn open_batch(
         &self,
         catchments: &Catchments,
@@ -1113,8 +1098,8 @@ impl GooglePublicDns {
 
     /// Resolves one probed domain (by uncompressed QNAME wire bytes)
     /// against the connection's PoP. `None` means Google keeps no
-    /// ECS-scoped entries for the name — the caller falls back to the
-    /// scalar lane, which models that case.
+    /// ECS-scoped entries for the name — a case only the scalar lane
+    /// models, and one the prober's domain selection never produces.
     pub fn batch_domain(&self, conn: &BatchConn, qname_wire: &[u8]) -> Option<BatchDomain<'_>> {
         let slot = self
             .domain_wires
@@ -1179,9 +1164,8 @@ impl GooglePublicDns {
     /// with `(lane index, event time)`. Every packet is validated
     /// (pure, before any state moves) to be a probe-shaped query for
     /// `dom`'s name carrying its lane's scope; any mismatch returns
-    /// `false` with the connection untouched, so the caller can replay
-    /// the same packets through the scalar lane without double
-    /// counting.
+    /// `false` with the connection untouched. A batch rendered from
+    /// the lanes' own template and scopes always validates.
     #[allow(clippy::too_many_arguments)]
     pub fn serve_batch(
         &self,
@@ -1313,9 +1297,10 @@ impl GooglePublicDns {
     }
 
     /// Closes a batched connection: writes the bucket and sequence back
-    /// into the session and flushes the shared telemetry in one atomic
-    /// add per counter. Returns the batch's counter deltas.
-    pub fn close_batch(&self, conn: BatchConn, session: &mut GpdnsSession) -> BatchStats {
+    /// into the session and flushes the batch's resolver counters into
+    /// the registry in one atomic add per counter — the registry is the
+    /// only place a batch's telemetry lands.
+    pub fn close_batch(&self, conn: BatchConn, session: &mut GpdnsSession) {
         let s = conn.stats;
         if let Some(b) = conn.bucket {
             session
@@ -1323,16 +1308,10 @@ impl GooglePublicDns {
                 .insert((conn.prober, conn.pop, conn.transport), b);
         }
         session.seq = conn.seq;
-        self.replay_batch_stats(&s, conn.transport);
-        s
-    }
-
-    /// Re-applies a previously captured batch's telemetry to the shared
-    /// counters without serving anything — the warm path's calibration
-    /// replay.
-    pub fn replay_batch_stats(&self, s: &BatchStats, transport: Transport) {
-        self.metrics.queries(transport).add(s.queries);
-        self.metrics.rate_limited(transport).add(s.rate_limited);
+        self.metrics.queries(conn.transport).add(s.queries);
+        self.metrics
+            .rate_limited(conn.transport)
+            .add(s.rate_limited);
         for p in 0..POOLS_PER_POP {
             self.metrics.pool_hits[p].add(s.pool_hits[p]);
             self.metrics.pool_scope0[p].add(s.pool_scope0[p]);
@@ -1890,7 +1869,7 @@ mod tests {
                 redundancy,
                 &mut batch_outcomes,
             ));
-            let stats = gp_batch.close_batch(conn, &mut batch_session);
+            gp_batch.close_batch(conn, &mut batch_session);
 
             assert_eq!(
                 batch_outcomes, scalar_outcomes,
@@ -1899,29 +1878,17 @@ mod tests {
             // The ledger is identical counter for counter.
             let ledger = reg_batch.snapshot();
             assert_eq!(ledger, reg_scalar.snapshot(), "{transport:?} ledger drift");
-            // The returned capture is what the close flushed: each
-            // transport's counters saw this one connection only.
-            let name = match transport {
-                Transport::Tcp => "tcp",
-                Transport::Udp => "udp",
-            };
-            assert_eq!(
-                stats.queries,
-                ledger.counter(&format!("gpdns.queries.{name}"))
-            );
-            assert_eq!(
-                stats.rate_limited,
-                ledger.counter(&format!("gpdns.rate_limited.{name}"))
-            );
+            // TCP runs first, so its cache exits are this connection's
+            // alone; only UDP can be rate limited.
             if transport == Transport::Tcp {
                 assert!(
-                    stats.pool_hits.iter().sum::<u64>() > 0
-                        && stats.pool_misses.iter().sum::<u64>() > 0,
-                    "test did not exercise both hit and miss paths: {stats:?}"
+                    ledger.sum_counters("gpdns.cache.hit.") > 0
+                        && ledger.sum_counters("gpdns.cache.miss.") > 0,
+                    "test did not exercise both hit and miss paths"
                 );
             } else {
                 assert!(
-                    stats.rate_limited > 0,
+                    ledger.counter("gpdns.rate_limited.udp") > 0,
                     "UDP stream never hit the rate limit"
                 );
             }
@@ -1983,8 +1950,7 @@ mod tests {
         let events = [(0u32, SimTime::from_secs(3600))];
         assert!(!gpdns.serve_batch(&mut conn, &dom, &auth, &lanes, &arena, &events, 5, &mut out));
         assert!(out.is_empty());
-        let stats = gpdns.close_batch(conn, &mut batch_session);
-        assert_eq!(stats, BatchStats::default());
+        gpdns.close_batch(conn, &mut batch_session);
         assert_eq!(
             reg.snapshot().to_json(),
             before,

@@ -18,8 +18,9 @@
 //!
 //! * **[`SweepSnapshot`]** — a versioned, checksummed, byte-stable
 //!   serialization of everything one probing sweep learned: per-scope
-//!   probe records, the telemetry delta of the probing window, fault
-//!   accounting, and the config digest that scopes its validity. A
+//!   probe records, the telemetry delta of the probing window, the
+//!   per-PoP service radii with the calibration stage's own delta,
+//!   fault accounting, and the config digest that scopes its validity. A
 //!   later run loads the snapshot to **warm-start**: the
 //!   [`planner`] diffs it against the current work list and emits
 //!   probe units only for scopes that are new, expired under the

@@ -28,13 +28,13 @@ pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CMSS";
 /// the scope records, version 3 the extrapolation-confidence section
 /// after calibration. Version 4 removed the 48-byte `u64 ×6 gpdns`
 /// block that followed the config digest — six sums of the `gpdns.*`
-/// counters the `metrics` block already carries. No build writes
-/// versions 1 to 3 any more, so none reads them.
-pub const SNAPSHOT_VERSION: u16 = 4;
-
-/// Cache pools per PoP — fixed by the resolver model; the calibration
-/// record stores one counter per pool.
-const CALIBRATION_POOLS: usize = 4;
+/// counters the `metrics` block already carries. Version 5 re-laid the
+/// calibration section: the `u64` sample size and each record's 14
+/// `u64` resolver tallies went, and the calibration stage's
+/// [`MetricsDelta`] follows the record list in the `metrics` block's
+/// encoding. No build writes versions 1 to 4 any more, so none reads
+/// them.
+pub const SNAPSHOT_VERSION: u16 = 5;
 
 /// Key of one per-scope probe record:
 /// `(bound-vantage index, domain index, scope address, scope length)`.
@@ -145,10 +145,10 @@ impl FaultRecord {
     }
 }
 
-/// One PoP's calibration capture: the measured service radius, the raw
-/// hit distances behind it, and the exact resolver-side counter deltas
-/// the calibration queries produced — everything a warm run needs to
-/// replay calibration for a clean PoP without re-probing it.
+/// One PoP's calibration result: the measured service radius and the
+/// hit distances behind it — what the sweep's `ServiceRadii` holds for
+/// the PoP. The resolver counts the calibration queries produced are
+/// not per PoP: they ride the snapshot's `calibration_metrics`.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CalibrationRecord {
     /// The calibrated PoP id.
@@ -156,30 +156,23 @@ pub struct CalibrationRecord {
     /// The radius estimate (percentile of hit distances), if any hit
     /// landed.
     pub radius_km: Option<f64>,
-    /// Geodesic distances of every calibration hit, in observation
-    /// order.
+    /// Geodesic distances of every calibration hit, ascending.
     pub hit_distances_km: Vec<f64>,
-    /// Resolver queries this PoP's calibration stream sent.
-    pub queries: u64,
-    /// Queries dropped by the rate limiter.
-    pub rate_limited: u64,
-    /// Scoped cache hits, per pool.
-    pub pool_hits: [u64; CALIBRATION_POOLS],
-    /// Scope-0 cache hits, per pool.
-    pub pool_scope0: [u64; CALIBRATION_POOLS],
-    /// Cache misses, per pool.
-    pub pool_misses: [u64; CALIBRATION_POOLS],
 }
 
 /// A versioned, checksummed, byte-stable record of one sweep.
 ///
-/// Holds three things: (1) per-scope [`ScopeRecord`]s keyed by
+/// Holds four things: (1) per-scope [`ScopeRecord`]s keyed by
 /// [`RecordKey`] — enough to replay the sweep's results exactly;
 /// (2) the [`MetricsDelta`] of the probing window — prober, fault and
 /// resolver (`gpdns.*`) counters alike — so a warm run that skips
-/// probing can absorb the skipped telemetry; (3) the fault accounting,
-/// whose quarantine list seeds the next planner's dirty set. `world_seed` + `config_digest` scope validity: a warm
-/// start under any other world or probing config is rejected.
+/// probing can absorb the skipped telemetry; (3) the calibration
+/// stage's per-PoP results and its own [`MetricsDelta`], so a warm run
+/// can skip calibration the same way; (4) the fault accounting, whose
+/// quarantine list seeds the next planner's dirty set. Whatever crosses
+/// a warm start carries its resolver counts inside a `MetricsDelta`.
+/// `world_seed` + `config_digest` scope validity: a warm start under
+/// any other world or probing config is rejected.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct SweepSnapshot {
     /// Sweep generation: 1 for a cold sweep, prior + 1 for each warm
@@ -199,12 +192,12 @@ pub struct SweepSnapshot {
     pub metrics: MetricsDelta,
     /// Per-scope probe records, ordered by key.
     pub records: BTreeMap<RecordKey, ScopeRecord>,
-    /// Per-PoP calibration captures, ordered by PoP id. Empty when the
-    /// recorded sweep could not capture calibration (a faulted run).
+    /// Per-PoP calibration results, one per bound PoP, ordered by PoP
+    /// id. Empty when the recorded sweep ran under fault injection.
     pub calibration: Vec<CalibrationRecord>,
-    /// Size of the calibration prefix sample the captures were measured
-    /// against.
-    pub calibration_sample: u64,
+    /// Telemetry recorded by the calibration stage, as a replayable
+    /// delta. Empty whenever `calibration` is.
+    pub calibration_metrics: MetricsDelta,
     /// Extrapolation provenance, keyed by the **member** slot: which
     /// representative each extrapolated record was copied from, with
     /// what confidence, against what prior verdict. Empty for
@@ -256,24 +249,7 @@ impl SweepSnapshot {
             w.u64(f.unmeasured_scopes);
             w.u64(f.assigned_scopes);
         }
-        w.u32(self.metrics.counters.len() as u32);
-        for (name, inc) in &self.metrics.counters {
-            w.str(name);
-            w.u64(*inc);
-        }
-        w.u32(self.metrics.histograms.len() as u32);
-        for (name, h) in &self.metrics.histograms {
-            w.str(name);
-            w.u64(h.count);
-            w.u64(h.sum);
-            w.u64(h.min);
-            w.u64(h.max);
-            w.u32(h.buckets.len() as u32);
-            for (le, c) in &h.buckets {
-                w.u64(*le);
-                w.u64(*c);
-            }
-        }
+        write_metrics(&mut w, &self.metrics);
         w.u32(self.records.len() as u32);
         for (key, rec) in &self.records {
             write_key(&mut w, *key);
@@ -287,7 +263,6 @@ impl SweepSnapshot {
                 w.u32(e.remaining_ttl);
             }
         }
-        w.u64(self.calibration_sample);
         w.u32(self.calibration.len() as u32);
         for c in &self.calibration {
             w.u64(c.pop);
@@ -299,14 +274,8 @@ impl SweepSnapshot {
             for d in &c.hit_distances_km {
                 w.u64(d.to_bits());
             }
-            w.u64(c.queries);
-            w.u64(c.rate_limited);
-            for pool in 0..CALIBRATION_POOLS {
-                w.u64(c.pool_hits[pool]);
-                w.u64(c.pool_scope0[pool]);
-                w.u64(c.pool_misses[pool]);
-            }
         }
+        write_metrics(&mut w, &self.calibration_metrics);
         w.u32(self.confidence.len() as u32);
         for (key, c) in &self.confidence {
             write_key(&mut w, *key);
@@ -350,22 +319,7 @@ impl SweepSnapshot {
         } else {
             None
         };
-        let mut metrics = MetricsDelta::default();
-        for _ in 0..r.count()? {
-            let name = r.str()?;
-            metrics.counters.insert(name, r.u64()?);
-        }
-        for _ in 0..r.count()? {
-            let name = r.str()?;
-            let delta = HistogramDelta {
-                count: r.u64()?,
-                sum: r.u64()?,
-                min: r.u64()?,
-                max: r.u64()?,
-                buckets: r.seq(|r| Ok((r.u64()?, r.u64()?)))?,
-            };
-            metrics.histograms.insert(name, delta);
-        }
+        let metrics = read_metrics(&mut r)?;
         let mut records = BTreeMap::new();
         for _ in 0..r.count()? {
             let key = read_key(&mut r, "scope length")?;
@@ -386,7 +340,6 @@ impl SweepSnapshot {
             }
             records.insert(key, rec);
         }
-        let calibration_sample = r.u64()?;
         let mut last_pop = None;
         let calibration = r.seq(|r| {
             let pop = r.u64()?;
@@ -400,33 +353,13 @@ impl SweepSnapshot {
                 None
             };
             let hit_distances_km = r.seq(|r| distance_km(r, "calibration hit distance"))?;
-            let queries = r.u64()?;
-            let rate_limited = r.u64()?;
-            let mut pool_hits = [0u64; CALIBRATION_POOLS];
-            let mut pool_scope0 = [0u64; CALIBRATION_POOLS];
-            let mut pool_misses = [0u64; CALIBRATION_POOLS];
-            for pool in 0..CALIBRATION_POOLS {
-                pool_hits[pool] = r.u64()?;
-                pool_scope0[pool] = r.u64()?;
-                pool_misses[pool] = r.u64()?;
-            }
-            let served: u64 = pool_hits.iter().sum::<u64>()
-                + pool_scope0.iter().sum::<u64>()
-                + pool_misses.iter().sum::<u64>();
-            if served + rate_limited > queries {
-                return Err(CodecError::Malformed("calibration outcome counts"));
-            }
             Ok(CalibrationRecord {
                 pop,
                 radius_km,
                 hit_distances_km,
-                queries,
-                rate_limited,
-                pool_hits,
-                pool_scope0,
-                pool_misses,
             })
         })?;
+        let calibration_metrics = read_metrics(&mut r)?;
         let mut confidence = BTreeMap::new();
         let mut last_key: Option<RecordKey> = None;
         for _ in 0..r.count()? {
@@ -462,10 +395,56 @@ impl SweepSnapshot {
             metrics,
             records,
             calibration,
-            calibration_sample,
+            calibration_metrics,
             confidence,
         })
     }
+}
+
+/// Writes a [`MetricsDelta`]: `u32`-counted counters (name, increment),
+/// then `u32`-counted histograms (name, count, sum, min, max, counted
+/// buckets) — the layout of both the probing-window and the calibration
+/// block.
+fn write_metrics(w: &mut ByteWriter, d: &MetricsDelta) {
+    w.u32(d.counters.len() as u32);
+    for (name, inc) in &d.counters {
+        w.str(name);
+        w.u64(*inc);
+    }
+    w.u32(d.histograms.len() as u32);
+    for (name, h) in &d.histograms {
+        w.str(name);
+        w.u64(h.count);
+        w.u64(h.sum);
+        w.u64(h.min);
+        w.u64(h.max);
+        w.u32(h.buckets.len() as u32);
+        for (le, c) in &h.buckets {
+            w.u64(*le);
+            w.u64(*c);
+        }
+    }
+}
+
+/// Reads what [`write_metrics`] writes.
+fn read_metrics(r: &mut ByteReader<'_>) -> Result<MetricsDelta, CodecError> {
+    let mut d = MetricsDelta::default();
+    for _ in 0..r.count()? {
+        let name = r.str()?;
+        d.counters.insert(name, r.u64()?);
+    }
+    for _ in 0..r.count()? {
+        let name = r.str()?;
+        let delta = HistogramDelta {
+            count: r.u64()?,
+            sum: r.u64()?,
+            min: r.u64()?,
+            max: r.u64()?,
+            buckets: r.seq(|r| Ok((r.u64()?, r.u64()?)))?,
+        };
+        d.histograms.insert(name, delta);
+    }
+    Ok(d)
 }
 
 fn write_key(w: &mut ByteWriter, (bound, domain, addr, len): RecordKey) {
@@ -557,29 +536,24 @@ mod tests {
                 prior_verdict: 0,
             },
         );
-        s.calibration_sample = 800;
         s.calibration = vec![
             CalibrationRecord {
                 pop: 2,
                 radius_km: Some(1450.5),
                 hit_distances_km: vec![10.0, 1450.5, 2200.25],
-                queries: 40,
-                rate_limited: 0,
-                pool_hits: [1, 0, 2, 0],
-                pool_scope0: [0, 1, 0, 0],
-                pool_misses: [9, 9, 9, 9],
             },
             CalibrationRecord {
                 pop: 9,
                 radius_km: None,
                 hit_distances_km: Vec::new(),
-                queries: 12,
-                rate_limited: 2,
-                pool_hits: [0; 4],
-                pool_scope0: [0; 4],
-                pool_misses: [3, 3, 2, 2],
             },
         ];
+        s.calibration_metrics
+            .counters
+            .insert("gpdns.queries.tcp".into(), 52);
+        s.calibration_metrics
+            .counters
+            .insert("gpdns.cache.miss.pool0".into(), 12);
         s
     }
 
@@ -597,9 +571,10 @@ mod tests {
         w.u32(0); // no metric counters
         w.u32(0); // no histograms
         w.u32(0); // no scope records
-        w.u64(800); // calibration sample
         w.u32(1); // one calibration record
         write_record(&mut w);
+        w.u32(0); // no calibration counters
+        w.u32(0); // no calibration histograms
         w.u32(0); // no confidence records
         w.finish()
     }
@@ -618,8 +593,9 @@ mod tests {
         w.u32(0); // no metric counters
         w.u32(0); // no histograms
         w.u32(0); // no scope records
-        w.u64(0); // calibration sample
         w.u32(0); // no calibration records
+        w.u32(0); // no calibration counters
+        w.u32(0); // no calibration histograms
         w.u32(1); // one confidence record
         write_record(&mut w);
         w.finish()
@@ -650,10 +626,10 @@ mod tests {
             SweepSnapshot::decode(&bad).err(),
             Some(CodecError::BadVersion(SNAPSHOT_VERSION + 1))
         );
-        // Nothing writes the three older layouts any more, so nothing
-        // reads them: stamped 1, 2 or 3, the same bytes are refused on
-        // the version alone.
-        for old in [1, 2, 3] {
+        // Nothing writes the four older layouts any more, so nothing
+        // reads them: stamped 1 to 4, the same bytes are refused on the
+        // version alone.
+        for old in [1, 2, 3, 4] {
             let mut bad = bytes.clone();
             bad[4] = old as u8;
             assert_eq!(
@@ -661,27 +637,31 @@ mod tests {
                 Some(CodecError::BadVersion(old))
             );
         }
-        // And so is a genuine version-3 image — the 48-byte resolver
-        // block after the digest, checksum valid — never half-read.
-        let mut v3 = ByteWriter::new();
-        v3.bytes(&SNAPSHOT_MAGIC);
-        v3.u16(3);
-        v3.u32(1); // epoch
-        v3.u64(7); // world seed
-        v3.u64(9); // config digest
-        for _ in 0..6 {
-            v3.u64(0); // the removed gpdns block
-        }
-        v3.u8(0); // no fault record
+        // And so is a genuine version-4 image — a calibration record
+        // with its sample size and 14 resolver tallies, checksum valid
+        // — never half-read.
+        let mut v4 = ByteWriter::new();
+        v4.bytes(&SNAPSHOT_MAGIC);
+        v4.u16(4);
+        v4.u32(1); // epoch
+        v4.u64(7); // world seed
+        v4.u64(9); // config digest
+        v4.u8(0); // no fault record
         for _ in 0..3 {
-            v3.u32(0); // no counters, histograms, scope records
+            v4.u32(0); // no counters, histograms, scope records
         }
-        v3.u64(0); // calibration sample
-        v3.u32(0); // no calibration records
-        v3.u32(0); // no confidence records
+        v4.u64(800); // calibration sample
+        v4.u32(1); // one calibration record
+        v4.u64(3); // pop
+        v4.u8(0); // no radius
+        v4.u32(0); // no hit distances
+        for _ in 0..14 {
+            v4.u64(0); // the removed per-PoP resolver tallies
+        }
+        v4.u32(0); // no confidence records
         assert_eq!(
-            SweepSnapshot::decode(&v3.finish()).err(),
-            Some(CodecError::BadVersion(3))
+            SweepSnapshot::decode(&v4.finish()).err(),
+            Some(CodecError::BadVersion(4))
         );
         let mut bad = bytes.clone();
         let mid = bad.len() / 2;
@@ -833,13 +813,6 @@ mod tests {
         w.u64(1000.0f64.to_bits());
         w.u32(1); // one hit distance
         w.u64(1000.0f64.to_bits());
-        w.u64(10); // queries
-        w.u64(1); // rate limited
-        for _ in 0..4 {
-            w.u64(1); // pool hits
-            w.u64(0); // pool scope0
-            w.u64(1); // pool misses
-        }
     }
 
     #[test]
@@ -850,7 +823,8 @@ mod tests {
         assert_eq!(s.calibration.len(), 1);
         assert_eq!(s.calibration[0].pop, 3);
         assert_eq!(s.calibration[0].radius_km, Some(1000.0));
-        assert_eq!(s.calibration_sample, 800);
+        assert_eq!(s.calibration[0].hit_distances_km, vec![1000.0]);
+        assert!(s.calibration_metrics.is_empty());
 
         // Radius flag outside {0, 1}.
         let bad = craft_with_calibration(|w| {
@@ -884,24 +858,33 @@ mod tests {
             SweepSnapshot::decode(&bad).err(),
             Some(CodecError::Malformed("calibration hit distance"))
         );
+    }
 
-        // Outcome counts exceeding the query count.
-        let bad = craft_with_calibration(|w| {
-            w.u64(3);
-            w.u8(0);
-            w.u32(0);
-            w.u64(1); // queries
-            w.u64(0); // rate limited
-            for _ in 0..4 {
-                w.u64(1);
-                w.u64(1);
-                w.u64(1);
-            }
-        });
-        assert_eq!(
-            SweepSnapshot::decode(&bad).err(),
-            Some(CodecError::Malformed("calibration outcome counts"))
+    /// The calibration stage's delta round-trips in the `metrics`
+    /// block's encoding, histograms included, independently of the
+    /// probing window's.
+    #[test]
+    fn calibration_metrics_round_trip_beside_the_window_delta() {
+        let mut s = sample();
+        s.calibration_metrics.histograms.insert(
+            "gpdns.latency_ms".into(),
+            HistogramDelta {
+                count: 3,
+                sum: 21,
+                min: 2,
+                max: 15,
+                buckets: vec![(3, 1), (7, 1), (15, 1)],
+            },
         );
+        let back = SweepSnapshot::decode(&s.encode()).unwrap();
+        assert_eq!(back.calibration_metrics, s.calibration_metrics);
+        assert_eq!(back.metrics, s.metrics);
+        assert_ne!(back.calibration_metrics, back.metrics);
+        // An empty calibration section is three zero counts (records,
+        // counters, histograms), then the empty confidence count.
+        let empty = SweepSnapshot::new(7, 9).encode();
+        let tail = &empty[empty.len() - 8 - 16..empty.len() - 8];
+        assert_eq!(tail, &[0u8; 16][..]);
     }
 
     #[test]

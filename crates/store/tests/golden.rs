@@ -33,8 +33,8 @@ fn golden(name: &str) -> Vec<u8> {
 
 /// A snapshot with every section populated: a fault record, one
 /// counter and one histogram, two scope records with hit events, one
-/// calibration record with and one without a radius, one confidence
-/// record.
+/// calibration record with and one without a radius, the calibration
+/// stage's resolver counters, one confidence record.
 fn snapshot() -> SweepSnapshot {
     let mut s = SweepSnapshot::new(2021, 0x00D1_6E57);
     s.epoch = 3;
@@ -94,29 +94,31 @@ fn snapshot() -> SweepSnapshot {
             ],
         },
     );
-    s.calibration_sample = 800;
     s.calibration = vec![
         CalibrationRecord {
             pop: 2,
             radius_km: Some(1450.5),
             hit_distances_km: vec![10.0, 1450.5, 2200.25],
-            queries: 40,
-            rate_limited: 0,
-            pool_hits: [1, 0, 2, 0],
-            pool_scope0: [0, 1, 0, 0],
-            pool_misses: [9, 9, 9, 9],
         },
         CalibrationRecord {
             pop: 9,
             radius_km: None,
             hit_distances_km: Vec::new(),
-            queries: 12,
-            rate_limited: 2,
-            pool_hits: [0; 4],
-            pool_scope0: [0; 4],
-            pool_misses: [3, 3, 2, 2],
         },
     ];
+    for (name, inc) in [
+        ("gpdns.cache.hit.pool0", 1),
+        ("gpdns.cache.hit.pool2", 2),
+        ("gpdns.cache.miss.pool0", 12),
+        ("gpdns.cache.miss.pool1", 12),
+        ("gpdns.cache.miss.pool2", 11),
+        ("gpdns.cache.miss.pool3", 11),
+        ("gpdns.cache.scope0.pool1", 1),
+        ("gpdns.queries.tcp", 52),
+        ("gpdns.rate_limited.tcp", 2),
+    ] {
+        s.calibration_metrics.counters.insert(name.into(), inc);
+    }
     s.confidence.insert(
         (0, 1, 0x0A00_0100, 24),
         ConfidenceRecord {

@@ -20,9 +20,8 @@ fn run(c: PipelineConfig) -> PipelineOutput {
     Pipeline::run(c).expect("pipeline run completes")
 }
 
-/// Everything the two lanes must agree on, byte for byte. The one
-/// *intended* divergence — `sweep.calibration`, which only the batched
-/// lane captures — is asserted separately where it matters.
+/// Everything the two lanes must agree on, byte for byte — the stored
+/// snapshot whole, calibration included.
 fn assert_outputs_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
     assert_eq!(
         a.cache_probe.probes_sent, b.cache_probe.probes_sent,
@@ -49,17 +48,9 @@ fn assert_outputs_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
         b.cache_probe.active_set().num_slash24s(),
         "{ctx}: active-set size diverged"
     );
-    assert_eq!(
-        a.sweep.records, b.sweep.records,
-        "{ctx}: sweep records diverged"
-    );
-    assert_eq!(
-        a.sweep.metrics, b.sweep.metrics,
-        "{ctx}: metric deltas (resolver ledger included) diverged"
-    );
-    assert_eq!(
-        a.sweep.fault, b.sweep.fault,
-        "{ctx}: stored fault record diverged"
+    assert!(
+        a.sweep.encode() == b.sweep.encode(),
+        "{ctx}: snapshot bytes (records, metric deltas, calibration, fault record) diverged"
     );
     assert_eq!(
         a.report().render_all(),
@@ -84,16 +75,17 @@ fn shared() -> &'static (PipelineOutput, PipelineOutput) {
 fn batched_lane_matches_the_scalar_oracle_end_to_end() {
     let (batched, scalar) = shared();
     assert_outputs_match(batched, scalar, "seed 2021");
-    // The one intended divergence: only the batched lane captures
-    // per-PoP calibration records for the next warm sweep.
+    // Both lanes capture the same calibration for the next warm sweep:
+    // per-PoP radii and the stage's resolver counters.
     assert!(
         !batched.sweep.calibration.is_empty(),
         "batched sweep must persist calibration records"
     );
-    assert!(batched.sweep.calibration_sample > 0);
-    assert!(
-        scalar.sweep.calibration.is_empty(),
-        "scalar sweeps do not capture calibration"
+    assert!(!batched.sweep.calibration_metrics.is_empty());
+    assert_eq!(batched.sweep.calibration, scalar.sweep.calibration);
+    assert_eq!(
+        batched.sweep.calibration_metrics,
+        scalar.sweep.calibration_metrics
     );
 
     // A second world, so agreement is not a fixed-point accident.
@@ -140,27 +132,34 @@ fn faulted_runs_take_the_scalar_lane_with_identical_accounting() {
         // the next warm sweep's radii).
         let fa = a.cache_probe.fault.as_ref().expect("fault summary");
         assert!(fa.observed > 0, "{ctx}: no faults observed");
-        assert!(
-            a.sweep.calibration.is_empty(),
-            "{ctx}: faulted run captured calibration"
-        );
-        assert!(b.sweep.calibration.is_empty());
+        for sweep in [&a.sweep, &b.sweep] {
+            assert!(
+                sweep.calibration.is_empty() && sweep.calibration_metrics.is_empty(),
+                "{ctx}: faulted run captured calibration"
+            );
+        }
     }
 }
 
 #[test]
 fn warm_restart_from_a_scalar_snapshot_matches_the_scalar_warm_run() {
-    // A scalar cold sweep leaves no calibration records; a batched warm
-    // restart over it must live-calibrate and still land on the scalar
-    // warm run's bytes.
+    // Capture is lane-independent: a batched warm restart replays the
+    // scalar cold sweep's calibration and lands on the scalar warm
+    // run's bytes.
     let (_, scalar_cold) = shared();
     let warm_batched = Pipeline::run_warm(config(2021, true), Some(scalar_cold.sweep.clone()))
         .expect("batched warm run completes");
     let warm_scalar = Pipeline::run_warm(config(2021, false), Some(scalar_cold.sweep.clone()))
         .expect("scalar warm run completes");
     assert_outputs_match(&warm_batched, &warm_scalar, "warm over scalar snapshot");
-    // The batched warm run starts the calibration-record chain.
-    assert!(!warm_batched.sweep.calibration.is_empty());
+    assert_eq!(
+        warm_batched.sweep.calibration,
+        scalar_cold.sweep.calibration
+    );
+    assert_eq!(
+        warm_batched.sweep.calibration_metrics,
+        scalar_cold.sweep.calibration_metrics
+    );
 }
 
 #[test]
@@ -168,23 +167,62 @@ fn warm_restart_replays_the_stored_calibration() {
     let (batched_cold, _) = shared();
     let warm = Pipeline::run_warm(config(2021, true), Some(batched_cold.sweep.clone()))
         .expect("warm run completes");
-    // No quarantine, so every PoP replays: the records ride forward
-    // unchanged and the replayed pass reproduces the cold bytes.
+    // The records cover every bound PoP, so calibration replays whole:
+    // the records and the stage delta ride forward unchanged and the
+    // replayed pass reproduces the cold bytes.
     assert_eq!(warm.sweep.calibration, batched_cold.sweep.calibration);
     assert_eq!(
-        warm.sweep.calibration_sample,
-        batched_cold.sweep.calibration_sample
+        warm.sweep.calibration_metrics,
+        batched_cold.sweep.calibration_metrics
     );
     assert_eq!(
         warm.cache_probe.service_radii.radius_km, batched_cold.cache_probe.service_radii.radius_km,
         "replayed radii diverged from the calibrated ones"
     );
     assert_eq!(
-        warm.cache_probe.service_radii.sample_size,
-        batched_cold.cache_probe.service_radii.sample_size
+        warm.report().render_all(),
+        batched_cold.report().render_all()
+    );
+}
+
+/// Replay is all or nothing: a prior whose records miss one bound PoP
+/// recalibrates every PoP live. The surviving records and the stored
+/// stage delta are tampered with, so any of them leaking into the warm
+/// run would move its radii or its registry off the cold run's.
+#[test]
+fn a_prior_missing_one_pop_recalibrates_every_pop_live() {
+    let (batched_cold, _) = shared();
+    let mut prior = batched_cold.sweep.clone();
+    assert!(
+        prior.calibration.len() >= 2,
+        "need PoPs left to tamper with"
+    );
+    prior.calibration.remove(prior.calibration.len() / 2);
+    for rec in &mut prior.calibration {
+        rec.radius_km = Some(1.0);
+    }
+    prior
+        .calibration_metrics
+        .counters
+        .insert("gpdns.queries.tcp".into(), 1);
+    let warm = Pipeline::run_warm(config(2021, true), Some(prior)).expect("warm run completes");
+    assert_eq!(warm.sweep.calibration, batched_cold.sweep.calibration);
+    assert_eq!(
+        warm.sweep.calibration_metrics,
+        batched_cold.sweep.calibration_metrics
     );
     assert_eq!(
         warm.report().render_all(),
         batched_cold.report().render_all()
+    );
+    let without_planner_lines = |json: String| -> Vec<String> {
+        json.lines()
+            .filter(|l| !l.contains("cacheprobe.planner."))
+            .map(str::to_owned)
+            .collect()
+    };
+    assert_eq!(
+        without_planner_lines(warm.metrics_snapshot().to_json()),
+        without_planner_lines(batched_cold.metrics_snapshot().to_json())
     );
 }
