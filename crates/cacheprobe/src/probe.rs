@@ -5,9 +5,11 @@
 //! is an independent connection with its own session state — so the
 //! runner fans the streams out as work units over
 //! [`clientmap_par::par_map`], sharing the immutable simulation core.
-//! Results merge in work-unit order (bound-PoP order × domain order),
-//! an ordered reduction that makes the output — reports and telemetry
-//! snapshots alike — byte-identical at any thread count.
+//! Unit tallies reduce in work-unit order (bound-PoP order × domain
+//! order) into the sweep's record table, and the result is one fold of
+//! the finished table. That ordered reduction makes the output —
+//! reports and telemetry snapshots alike — byte-identical at any thread
+//! count.
 //!
 //! The per-probe inner loop runs on the zero-allocation fast lane:
 //! queries render from a pre-built [`wire::ProbeQueryTemplate`] into a
@@ -15,7 +17,7 @@
 //! resolved once per unit, so steady-state probing never touches the
 //! allocator or the registry lock.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -225,7 +227,7 @@ struct UnitTally {
     counts: HashMap<Prefix, (u64, u64, u64)>,
     attempts: u64,
     probes_sent: u64,
-    scope0_hits: u64,
+    scope0: u64,
     drops: u64,
     /// The unit's circuit breaker tripped: [`BREAKER_THRESHOLD`]
     /// consecutive probes were lost and the rest of the stream was
@@ -240,7 +242,7 @@ impl UnitTally {
             counts: HashMap::new(),
             attempts: 0,
             probes_sent: 0,
-            scope0_hits: 0,
+            scope0: 0,
             drops: 0,
             tripped: false,
         }
@@ -259,7 +261,7 @@ impl UnitTally {
                 remaining_ttl,
             } => self.hits.push((scope, resp_scope, remaining_ttl)),
             ProbeOutcome::HitScopeZero => {
-                self.scope0_hits += 1;
+                self.scope0 += 1;
                 count.1 += 1;
             }
             ProbeOutcome::Miss => {}
@@ -284,10 +286,10 @@ impl UnitTally {
         for &(_, _, remaining) in &self.hits {
             metrics.hit_ttl_secs.record(u64::from(remaining));
         }
-        metrics.scope0.add(self.scope0_hits);
+        metrics.scope0.add(self.scope0);
         metrics
             .miss
-            .add(self.attempts - hits - self.scope0_hits - self.drops);
+            .add(self.attempts - hits - self.scope0 - self.drops);
         metrics.dropped.add(self.drops);
     }
 }
@@ -445,11 +447,7 @@ pub(crate) fn record_key(bound_idx: usize, domain: usize, scope: Prefix) -> Reco
 }
 
 /// Replays one stored [`ScopeRecord`] into the result (probe counts,
-/// hit families, headline totals) as if its probes had run this sweep.
-/// With `metrics` set, the client-side probe counters are bumped too —
-/// the warm-partial path, where the skipped share of the window must
-/// still land in this run's telemetry. (The full-skip path passes
-/// `None` and absorbs the snapshot's whole metrics delta instead.)
+/// hit families, headline totals) — the step of [`replay_table`]'s fold.
 fn replay_record(
     result: &mut CacheProbeResult,
     pop: PopId,
@@ -457,28 +455,42 @@ fn replay_record(
     scope: Prefix,
     rec: &ScopeRecord,
     redundancy: u32,
-    metrics: Option<&ProbeMetrics>,
 ) {
     if rec.attempts == 0 {
-        // Assigned but never reached last sweep — nothing to replay
-        // (and nothing was counted, so nothing to re-count).
+        // Assigned but never reached — nothing measured.
         return;
     }
     result.probes_sent += rec.attempts * u64::from(redundancy);
-    result.scope0_hits += rec.scope0;
-    result.drops += rec.drops;
     let c = result.probe_counts.entry((domain, scope)).or_default();
     c.attempts += rec.attempts;
     c.hits += rec.hits();
     c.scope0 += rec.scope0;
     c.drops += rec.drops;
     for e in &rec.hit_events {
-        let Ok(resp) = Prefix::new(e.resp_addr, e.resp_len) else {
-            continue;
-        };
+        let resp = Prefix::new(e.resp_addr, e.resp_len)
+            .expect("hit scopes are at most /32: probed as prefixes, refused past /32 on decode");
         result.record_hit(domain, pop, scope, resp, e.remaining_ttl);
     }
-    if let Some(m) = metrics {
+}
+
+/// Books the records this sweep's table holds without having probed
+/// them — warm-skipped carries and extrapolated members (read back from
+/// `table`) — on the client probe counters as if their probes had run,
+/// so this run's telemetry still describes the whole sweep.
+fn book_unprobed(
+    pop_metrics: &[ProbeMetrics],
+    skipped: &[(usize, usize, Prefix, ScopeRecord)],
+    extrapolated: &[ExtrapolatedSlot],
+    table: &BTreeMap<RecordKey, ScopeRecord>,
+    redundancy: u32,
+) {
+    let carried = skipped.iter().map(|(bi, _, _, rec)| (*bi, rec));
+    let members = extrapolated.iter().map(|e| {
+        let key = record_key(e.bound_idx, e.domain, e.scope);
+        (e.bound_idx, &table[&key])
+    });
+    for (bi, rec) in carried.chain(members) {
+        let m = &pop_metrics[bi];
         m.attempts.add(rec.attempts);
         m.pop_attempts.add(rec.attempts);
         m.probes_sent.add(rec.attempts * u64::from(redundancy));
@@ -493,37 +505,22 @@ fn replay_record(
     }
 }
 
-/// Folds a clustered plan's extrapolated slots into the sweep: each
-/// member inherits a synthesized copy of its representative's fresh
-/// record (replayed through the normal record path so headline totals
-/// and client telemetry include it) plus a [`ConfidenceRecord`] in the
-/// snapshot's provenance column. Runs after the ordered reduction, so
-/// visiting `extrapolated` in plan order keeps the fold byte-identical
-/// at any thread or shard count. A representative whose stream never
-/// produced a probe event copies as an empty record — the next
-/// planner's escalation signal, exactly like a breaker-aborted live
-/// slot.
+/// Folds a clustered plan's extrapolated slots into the record table:
+/// each member inherits a synthesized copy of its representative's
+/// fresh record plus a [`ConfidenceRecord`] in the snapshot's
+/// provenance column. Runs after the ordered reduction, so visiting
+/// `extrapolated` in plan order keeps the fold byte-identical at any
+/// thread or shard count. A representative whose stream never produced
+/// a probe event copies as an empty record — the next planner's
+/// escalation signal, exactly like a breaker-aborted live slot.
 fn fold_extrapolated(
-    result: &mut CacheProbeResult,
     fresh: &mut BTreeMap<RecordKey, ScopeRecord>,
     confidence: &mut BTreeMap<RecordKey, ConfidenceRecord>,
     extrapolated: &[ExtrapolatedSlot],
-    bound: &[BoundVantage],
-    pop_metrics: &[ProbeMetrics],
-    redundancy: u32,
 ) {
     for e in extrapolated {
         let rep_rec = fresh.get(&e.rep).cloned().unwrap_or_default();
         let synth = synthesize_member_record(&rep_rec, e.scope);
-        replay_record(
-            result,
-            bound[e.bound_idx].pop,
-            e.domain,
-            e.scope,
-            &synth,
-            redundancy,
-            Some(&pop_metrics[e.bound_idx]),
-        );
         let key = record_key(e.bound_idx, e.domain, e.scope);
         confidence.insert(
             key,
@@ -607,7 +604,8 @@ struct ProbeCtx {
 
 /// The sweep's preamble, paused at the start of the probing window:
 /// bound vantages, calibration, scope→PoP assignment, the (warm)
-/// planner's live unit list, and the skipped-record replay set.
+/// planner's live unit list, the skipped records it carries forward,
+/// and the result shell the finished record table folds onto.
 ///
 /// Everything in here is a pure function of ⟨world seed, probing
 /// config, universe, prior snapshot⟩, so two processes that prepare the
@@ -622,11 +620,12 @@ pub struct SweepPrep {
     units: Vec<ProbeUnit>,
     skipped: Vec<(usize, usize, Prefix, ScopeRecord)>,
     extrapolated: Vec<ExtrapolatedSlot>,
-    warm_full_skip: bool,
     /// The prior snapshot, kept whole when the planner emitted zero
-    /// probe work — the full-skip finish replays it wholesale.
+    /// probe work — the full-skip finish carries it forward wholesale.
     full_skip_prior: Option<SweepSnapshot>,
-    result: CacheProbeResult,
+    /// Domains, bound vantages, radii, scope scan and assignment sizes;
+    /// every aggregate is left for [`replay_table`].
+    shell: CacheProbeResult,
     snapshot: SweepSnapshot,
     stage: Instant,
     /// Opened at the probing-window start; the sweep's stored metrics
@@ -642,7 +641,7 @@ impl SweepPrep {
 
     /// True when a warm plan skipped everything — nothing to shard.
     pub fn warm_full_skip(&self) -> bool {
-        self.warm_full_skip
+        self.full_skip_prior.is_some()
     }
 
     /// Seed of the world this sweep measures.
@@ -780,7 +779,7 @@ pub fn prepare_sweep(
         .counter("cacheprobe.domains_selected")
         .add(domains.len() as u64);
     let assignment_sizes = metrics.histogram("cacheprobe.assignment_size");
-    let mut result = CacheProbeResult::new(domains.clone(), bound.clone(), radii, scan_result);
+    let mut shell = CacheProbeResult::new(domains.clone(), bound.clone(), radii, scan_result);
 
     // Telemetry handles (one table per bound PoP) and query templates
     // (one per domain), resolved/rendered once — nothing in the fan-out
@@ -798,7 +797,7 @@ pub fn prepare_sweep(
         for (d, scope) in &list {
             per_domain[*d].push(*scope);
         }
-        result.assigned_per_pop.insert(b.pop, list.len());
+        shell.assigned_per_pop.insert(b.pop, list.len());
         assignment_sizes.record(list.len() as u64);
         pop_metrics[bi].assigned.add(list.len() as u64);
         for (d, scopes) in per_domain.into_iter().enumerate() {
@@ -904,18 +903,15 @@ pub fn prepare_sweep(
             .add(cs.clusters);
     }
 
-    let full_skip_prior = if warm_full_skip {
-        Some(prior.expect("full skip implies a prior snapshot").clone())
-    } else {
-        None
-    };
+    let full_skip_prior =
+        warm_full_skip.then(|| prior.expect("full skip implies a prior snapshot").clone());
 
     // The probing-window telemetry delta starts here. The preamble
     // (discovery through assignment) and the planner counters sit
     // outside the window — a warm run re-records them live — while
-    // replayed records, live probing, and the rescue sweep all land
-    // inside it, so absorbing a snapshot's delta reproduces exactly
-    // the window a full skip elides.
+    // carried and extrapolated records, live probing, and the rescue
+    // sweep all land inside it, so absorbing a snapshot's delta
+    // reproduces exactly the window a full skip elides.
     let window = Window::open(sim);
 
     SweepPrep {
@@ -932,9 +928,8 @@ pub fn prepare_sweep(
         units,
         skipped,
         extrapolated,
-        warm_full_skip,
         full_skip_prior,
-        result,
+        shell,
         snapshot,
         stage,
         window,
@@ -953,8 +948,8 @@ pub fn prepare_sweep(
 /// ([`main_delta`] and [`rescue_delta`] never fill it; only the
 /// public, shipping [`probe_shard`]/[`probe_rescue_shard`] open a
 /// [`Window`]). The merge's absorb step is then a no-op for it instead
-/// of a double count, and everything else — staging, replay,
-/// quarantine, rescue, snapshot assembly — is the one code path.
+/// of a double count, and everything else — staging, quarantine,
+/// rescue, table assembly, the fold — is the one code path.
 pub fn execute_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -962,7 +957,7 @@ pub fn execute_sweep(
     timings: &mut Vec<(String, f64)>,
 ) -> (CacheProbeResult, SweepSnapshot) {
     // A warm full skip planned no units: the local shard is empty and
-    // the merge replays the prior snapshot wholesale.
+    // the merge carries the prior snapshot forward wholesale.
     let (delta, book) = main_delta(sim, cfg, &prep.ctx, &prep.units, 0);
     merge_inner(
         sim,
@@ -976,38 +971,32 @@ pub fn execute_sweep(
     .expect("one local shard over the prep's own unit list is a complete, disjoint cover")
 }
 
-/// Replays a record table into the result in record-key order. Probe
-/// counters are not bumped (`None`): they ride in the metrics block of
-/// whatever produced the table — or already landed here, for a local
-/// shard.
+/// The one fold: replays the finished snapshot's record table into the
+/// result shell in record-key order, and takes its fault accounting.
+/// Every route ends here, so the result is a function of the snapshot.
+/// Probe counters are not bumped: they landed live, ride a shard
+/// delta's metrics block, or were booked by [`book_unprobed`].
 fn replay_table(
-    result: &mut CacheProbeResult,
+    mut result: CacheProbeResult,
     bound: &[BoundVantage],
-    records: &BTreeMap<RecordKey, ScopeRecord>,
+    snapshot: &SweepSnapshot,
     redundancy: u32,
-) {
-    for (&(bi, d, addr, len), rec) in records {
+) -> CacheProbeResult {
+    for (&(bi, d, addr, len), rec) in &snapshot.records {
         let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
             continue;
         };
-        replay_record(result, b.pop, d as usize, scope, rec, redundancy, None);
+        replay_record(&mut result, b.pop, d as usize, scope, rec, redundancy);
     }
+    result.fault = snapshot.fault.clone();
+    result
 }
 
-/// Nothing to probe: replay the prior sweep wholesale — records into
-/// the result, the stored metrics delta into the registry — and carry
-/// the snapshot forward under the new epoch.
-fn finish_full_skip(
-    sim: &mut Sim,
-    cfg: &ProbeConfig,
-    bound: &[BoundVantage],
-    mut result: CacheProbeResult,
-    mut snapshot: SweepSnapshot,
-    prior: SweepSnapshot,
-) -> (CacheProbeResult, SweepSnapshot) {
+/// Nothing to probe: carry the prior sweep forward wholesale under the
+/// new epoch — its records, fault accounting and confidence tags into
+/// the snapshot, its stored metrics delta into the registry.
+fn finish_full_skip(sim: &Sim, snapshot: &mut SweepSnapshot, prior: SweepSnapshot) {
     sim.metrics().absorb_delta(&prior.metrics);
-    replay_table(&mut result, bound, &prior.records, cfg.redundancy);
-    result.fault = prior.fault.clone();
     snapshot.fault = prior.fault;
     snapshot.metrics = prior.metrics;
     snapshot.records = prior.records;
@@ -1015,7 +1004,17 @@ fn finish_full_skip(
     // copied verdict (and its escalation trigger) must survive however
     // many all-replay epochs sit between clustered sweeps.
     snapshot.confidence = prior.confidence;
-    (result, snapshot)
+}
+
+/// The ⟨domain, scope⟩ pairs a record table measured: those with a
+/// record that saw at least one probe event, at any vantage.
+fn measured_pairs(
+    records: &BTreeMap<RecordKey, ScopeRecord>,
+) -> impl Iterator<Item = (usize, Prefix)> + '_ {
+    records
+        .iter()
+        .filter(|(_, rec)| rec.attempts > 0)
+        .filter_map(|(&(_, d, addr, len), _)| Some((d as usize, Prefix::new(addr, len).ok()?)))
 }
 
 /// The deterministic quarantine rule over the sweep's canonical fault
@@ -1039,25 +1038,26 @@ fn quarantined_pops(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<PopId> {
 /// quarantined PoP and never measured anywhere are re-probed once at
 /// the nearest healthy bound PoP whose doubled service radius (plus
 /// the scope's geolocation error) still covers them. A pure function
-/// of the probe result and the quarantine set, so the driver and a
-/// single-process sweep plan byte-identical rescues.
+/// of the record table's measured set and the quarantine set, so the
+/// driver and a single-process sweep plan byte-identical rescues.
 fn plan_rescue_units(
     sim: &Sim,
     bound: &[BoundVantage],
     assigned: &HashMap<PopId, Vec<(usize, Prefix)>>,
-    result: &CacheProbeResult,
+    radii: &ServiceRadii,
+    measured: &HashSet<(usize, Prefix)>,
     quarantined: &[PopId],
 ) -> Vec<ProbeUnit> {
     let pops = clientmap_sim::pop_catalog();
-    let q_set: std::collections::HashSet<PopId> = quarantined.iter().copied().collect();
+    let q_set: HashSet<PopId> = quarantined.iter().copied().collect();
 
     // Scopes needing rescue: assigned to at least one quarantined
     // PoP and never measured anywhere.
     let mut need: Vec<(usize, Prefix)> = Vec::new();
-    let mut seen = std::collections::HashSet::new();
+    let mut seen = HashSet::new();
     for pop in quarantined {
         for key in assigned.get(pop).into_iter().flatten() {
-            if !result.probe_counts.contains_key(key) && seen.insert(*key) {
+            if !measured.contains(key) && seen.insert(*key) {
                 need.push(*key);
             }
         }
@@ -1079,7 +1079,7 @@ fn plan_rescue_units(
                 continue;
             }
             let dist = coord.distance_km(&pops[b.pop].coord);
-            let radius = result.service_radii.radius(b.pop);
+            let radius = radii.radius(b.pop);
             if dist <= 2.0 * radius + err_km && fallback.is_none_or(|(best, _)| dist < best) {
                 fallback = Some((dist, bi));
             }
@@ -1376,9 +1376,9 @@ impl std::fmt::Display for ShardMergeError {
 impl std::error::Error for ShardMergeError {}
 
 /// One phase's shard deltas, staged: records moved into one table, each
-/// delta's telemetry block set aside. Staging touches
-/// neither the sim nor the result, so an `Err` anywhere before
-/// [`Staged::commit`] leaves no partial-merge corruption behind.
+/// delta's telemetry block set aside. Staging touches neither the sim
+/// nor the snapshot, so an `Err` anywhere before [`Staged::commit`]
+/// leaves no partial-merge corruption behind.
 struct Staged {
     records: BTreeMap<RecordKey, ScopeRecord>,
     effects: Vec<MetricsDelta>,
@@ -1421,21 +1421,11 @@ impl Staged {
 
     /// Commits the phase: telemetry blocks absorb additively into the
     /// registry (an empty block — a local shard's — absorbs as
-    /// nothing), and the record table replays into the result
-    /// aggregates in record-key order, the same replay the warm-start
-    /// path already proves byte-identical to a live run. Returns the
-    /// table.
-    fn commit(
-        self,
-        sim: &mut Sim,
-        cfg: &ProbeConfig,
-        ctx: &ProbeCtx,
-        result: &mut CacheProbeResult,
-    ) -> BTreeMap<RecordKey, ScopeRecord> {
+    /// nothing). Returns the record table.
+    fn commit(self, sim: &Sim) -> BTreeMap<RecordKey, ScopeRecord> {
         for delta in &self.effects {
             sim.metrics().absorb_delta(delta);
         }
-        replay_table(result, &ctx.bound, &self.records, cfg.redundancy);
         self.records
     }
 }
@@ -1446,15 +1436,18 @@ impl Staged {
 /// single-process [`execute_sweep`] (one local shard) included.
 ///
 /// Deltas are staged and fully validated (provenance, disjointness,
-/// completeness) before anything commits, then folded in shard order.
+/// completeness) before anything commits. The merge then assembles the
+/// sweep's record table and folds the result from it once
+/// ([`replay_table`]).
 ///
 /// Under fault injection the workers' fault books fold into a global
 /// book ([`merge_fault_books`]), the driver takes the quarantine
 /// decision from it, and — when any scope needs rescuing — the `rescue`
 /// callback dispatches the planned rescue units back to the fleet
 /// (returning one delta per rescue shard, typically from
-/// [`probe_rescue_shard`]). Rescue deltas replay after the main table,
-/// and the PR 4 conservation laws hold on the merged result.
+/// [`probe_rescue_shard`]). Rescue records merge into the table after
+/// the main ones, and the fault-accounting conservation laws hold on
+/// the result.
 pub fn merge_shards(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1494,132 +1487,118 @@ fn merge_inner(
         units,
         skipped,
         extrapolated,
-        warm_full_skip,
         full_skip_prior,
-        mut result,
+        shell,
         mut snapshot,
         stage,
         window,
     } = prep;
 
-    if warm_full_skip {
-        let prior = full_skip_prior.expect("full skip implies a prior snapshot");
-        let out = finish_full_skip(sim, cfg, &ctx.bound, result, snapshot, prior);
+    if let Some(prior) = full_skip_prior {
+        finish_full_skip(sim, &mut snapshot, prior);
         timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
-        return Ok(out);
-    }
-
-    let staged = Staged::stage(&ctx, deltas)?;
-    let missing = units
-        .iter()
-        .flat_map(|u| {
-            u.scopes
-                .iter()
-                .map(move |s| record_key(u.bound_idx, u.domain, *s))
-        })
-        .filter(|k| !staged.records.contains_key(k))
-        .count() as u64;
-    if missing > 0 {
-        return Err(ShardMergeError::MissingScopes { missing });
-    }
-
-    // Warm-partial: the skipped share of the window replays with full
-    // client-side telemetry — this run's counters still describe the
-    // whole sweep — and only the planned share was probed live.
-    for (bi, d, scope, rec) in &skipped {
-        replay_record(
-            &mut result,
-            ctx.bound[*bi].pop,
-            *d,
-            *scope,
-            rec,
-            cfg.redundancy,
-            Some(&ctx.pop_metrics[*bi]),
-        );
-    }
-    let mut fresh = staged.commit(sim, cfg, &ctx, &mut result);
-    // Extrapolated members were never probed anywhere, so their
-    // synthesized replays bump client telemetry here (`Some`).
-    fold_extrapolated(
-        &mut result,
-        &mut fresh,
-        &mut snapshot.confidence,
-        &extrapolated,
-        &ctx.bound,
-        &ctx.pop_metrics,
-        cfg.redundancy,
-    );
-    timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
-
-    // PoP quarantine + rescue sweep (fault injection only): PoPs whose
-    // streams tripped the circuit breaker or lost most probes are
-    // quarantined, and scopes they alone were meant to cover are
-    // re-probed once at the nearest healthy PoP within a relaxed
-    // (doubled) service radius. The rescue plan is a pure function of
-    // the merged result, and rescue deltas replay *after* the main
-    // table. Whatever still has no probe event afterwards is reported
-    // as lost coverage, not silently absent.
-    if let Some(fc) = &ctx.fc {
-        let stage = Instant::now();
-        let quarantined = quarantined_pops(&ctx.bound, &merge_fault_books(&books));
-        fc.quarantined_pops.add(quarantined.len() as u64);
-        let rescue_units = plan_rescue_units(sim, &ctx.bound, &assigned, &result, &quarantined);
-        let rescue_deltas = if rescue_units.is_empty() {
-            Vec::new()
-        } else {
-            rescue(sim, &ctx, rescue_units).map_err(ShardMergeError::Rescue)?
-        };
-        let rescued = Staged::stage(&ctx, rescue_deltas)?.commit(sim, cfg, &ctx, &mut result);
-        // Every rescue record is one rescued scope: rescue shards record
-        // exactly the scopes their tallies touched, keyed by a fallback
-        // vantage unique within the rescue plan.
-        let rescued_scopes = rescued.len() as u64;
-        fc.rescued.add(rescued_scopes);
-
-        // Partial-result accounting: assigned pairs that never produced
-        // a probe event are coverage the faults cost us.
-        let all_assigned: std::collections::HashSet<(usize, Prefix)> =
-            assigned.values().flatten().copied().collect();
-        let unmeasured = all_assigned
+    } else {
+        let staged = Staged::stage(&ctx, deltas)?;
+        let missing = units
             .iter()
-            .filter(|key| !result.probe_counts.contains_key(key))
+            .flat_map(|u| {
+                u.scopes
+                    .iter()
+                    .map(move |s| record_key(u.bound_idx, u.domain, *s))
+            })
+            .filter(|k| !staged.records.contains_key(k))
             .count() as u64;
-        result.fault = Some(FaultSummary {
-            profile: sim.fault_plan().profile().as_str().to_string(),
-            observed: fc.observed_total(),
-            retries: fc.retries.get(),
-            recovered: fc.recovered.get(),
-            degraded: fc.degraded.get(),
-            lost: fc.lost.get(),
-            quarantined_pops: quarantined.iter().map(|&pop| pop as u64).collect(),
-            rescued_scopes,
-            unmeasured_scopes: unmeasured,
-            assigned_scopes: all_assigned.len() as u64,
-        });
-        timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
-
-        // Fold rescue records into the snapshot table additively:
-        // rescue keys only ever collide with all-zero records (a
-        // rescued scope was measured nowhere, so any planned record at
-        // its fallback vantage stayed empty).
-        for (key, rec) in rescued {
-            let slot = fresh.entry(key).or_default();
-            slot.attempts += rec.attempts;
-            slot.scope0 += rec.scope0;
-            slot.drops += rec.drops;
-            slot.hit_events.extend(rec.hit_events);
+        if missing > 0 {
+            return Err(ShardMergeError::MissingScopes { missing });
         }
+
+        // The record table: the live records, the extrapolated members
+        // synthesized from them, then the warm-skipped carries (so the
+        // next planner still sees them as measured) wherever neither
+        // claimed the slot.
+        let mut table = staged.commit(sim);
+        fold_extrapolated(&mut table, &mut snapshot.confidence, &extrapolated);
+        book_unprobed(
+            &ctx.pop_metrics,
+            &skipped,
+            &extrapolated,
+            &table,
+            cfg.redundancy,
+        );
+        for (bi, d, scope, rec) in skipped {
+            table.entry(record_key(bi, d, scope)).or_insert(rec);
+        }
+        timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
+
+        // PoP quarantine + rescue sweep (fault injection only): PoPs
+        // whose streams tripped the circuit breaker or lost most probes
+        // are quarantined, and scopes they alone were meant to cover are
+        // re-probed once at the nearest healthy PoP within a relaxed
+        // (doubled) service radius. The rescue plan is a pure function
+        // of the table's measured set, and rescue records merge into the
+        // table *after* it is planned. Whatever still has no probe event
+        // afterwards is reported as lost coverage, not silently absent.
+        if let Some(fc) = &ctx.fc {
+            let stage = Instant::now();
+            let quarantined = quarantined_pops(&ctx.bound, &merge_fault_books(&books));
+            fc.quarantined_pops.add(quarantined.len() as u64);
+            let mut measured: HashSet<(usize, Prefix)> = measured_pairs(&table).collect();
+            let rescue_units = plan_rescue_units(
+                sim,
+                &ctx.bound,
+                &assigned,
+                &shell.service_radii,
+                &measured,
+                &quarantined,
+            );
+            let rescue_deltas = if rescue_units.is_empty() {
+                Vec::new()
+            } else {
+                rescue(sim, &ctx, rescue_units).map_err(ShardMergeError::Rescue)?
+            };
+            let rescued = Staged::stage(&ctx, rescue_deltas)?.commit(sim);
+            // Every rescue record is one rescued scope: rescue shards
+            // record exactly the scopes their tallies touched, keyed by a
+            // fallback vantage unique within the rescue plan.
+            let rescued_scopes = rescued.len() as u64;
+            fc.rescued.add(rescued_scopes);
+            measured.extend(measured_pairs(&rescued));
+
+            // Partial-result accounting: assigned pairs that never
+            // produced a probe event are coverage the faults cost us.
+            let all_assigned: HashSet<(usize, Prefix)> =
+                assigned.values().flatten().copied().collect();
+            let unmeasured = all_assigned.difference(&measured).count() as u64;
+            snapshot.fault = Some(FaultSummary {
+                profile: sim.fault_plan().profile().as_str().to_string(),
+                observed: fc.observed_total(),
+                retries: fc.retries.get(),
+                recovered: fc.recovered.get(),
+                degraded: fc.degraded.get(),
+                lost: fc.lost.get(),
+                quarantined_pops: quarantined.iter().map(|&pop| pop as u64).collect(),
+                rescued_scopes,
+                unmeasured_scopes: unmeasured,
+                assigned_scopes: all_assigned.len() as u64,
+            });
+
+            // Rescue records merge additively: rescue keys only ever
+            // collide with all-zero records (a rescued scope was measured
+            // nowhere, so any record at its fallback vantage is empty).
+            for (key, rec) in rescued {
+                let slot = table.entry(key).or_default();
+                slot.attempts += rec.attempts;
+                slot.scope0 += rec.scope0;
+                slot.drops += rec.drops;
+                slot.hit_events.extend(rec.hit_events);
+            }
+            timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
+        }
+        snapshot.records = table;
+        snapshot.metrics = window.close(sim);
     }
 
-    // Snapshot assembly. Warm-skipped scopes carry their prior records
-    // forward (so the next planner still sees them as measured)
-    // alongside the merged fresh table.
-    for (bi, d, scope, rec) in skipped {
-        fresh.entry(record_key(bi, d, scope)).or_insert(rec);
-    }
-    snapshot.records = fresh;
-    snapshot.metrics = window.close(sim);
-    snapshot.fault = result.fault.clone();
+    let result = replay_table(shell, &ctx.bound, &snapshot, cfg.redundancy);
     Ok((result, snapshot))
 }
 
@@ -1713,7 +1692,6 @@ mod tests {
         let (sim_b, b) = run_tiny(105);
         assert_eq!(a.probes_sent, b.probes_sent);
         assert_eq!(a.active_set().num_slash24s(), b.active_set().num_slash24s());
-        assert_eq!(a.scope0_hits, b.scope0_hits);
         assert_eq!(a.hits.len(), b.hits.len());
         // The telemetry snapshot — every counter and histogram in the
         // registry, gpdns and probe side alike — must also agree
@@ -1735,8 +1713,6 @@ mod tests {
         for threads in [2usize, 8] {
             let (sim_n, r_n) = clientmap_par::with_threads(threads, || run_tiny(107));
             assert_eq!(r_1.probes_sent, r_n.probes_sent, "{threads} threads");
-            assert_eq!(r_1.scope0_hits, r_n.scope0_hits, "{threads} threads");
-            assert_eq!(r_1.drops, r_n.drops, "{threads} threads");
             assert_eq!(r_1.hits, r_n.hits, "{threads} threads");
             assert_eq!(r_1.probe_counts, r_n.probe_counts, "{threads} threads");
             assert_eq!(r_1.scope_pairs, r_n.scope_pairs, "{threads} threads");
@@ -1771,11 +1747,16 @@ mod tests {
                 + snap.counter("cacheprobe.outcome.dropped"),
             attempts
         );
+        // The fold's per-scope counts sum back to the outcome counters.
+        let counts = result.probe_counts.values();
         assert_eq!(
             snap.counter("cacheprobe.outcome.scope0"),
-            result.scope0_hits
+            counts.clone().map(|c| c.scope0).sum::<u64>()
         );
-        assert_eq!(snap.counter("cacheprobe.outcome.dropped"), result.drops);
+        assert_eq!(
+            snap.counter("cacheprobe.outcome.dropped"),
+            counts.map(|c| c.drops).sum::<u64>()
+        );
         // `result.hits` aggregates by (domain, scope); sum the per-key
         // event counts to compare against the per-event counter.
         let hit_events: u64 = result.hits.values().map(|h| h.hits).sum();
@@ -1918,8 +1899,6 @@ mod tests {
 
         // The replayed result is identical to the cold one.
         assert_eq!(warm.probes_sent, cold.probes_sent);
-        assert_eq!(warm.scope0_hits, cold.scope0_hits);
-        assert_eq!(warm.drops, cold.drops);
         assert_eq!(warm.hits, cold.hits);
         assert_eq!(warm.probe_counts, cold.probe_counts);
         assert_eq!(warm.scope_pairs, cold.scope_pairs);
@@ -2056,7 +2035,6 @@ mod tests {
         let (sim_4, r_4) =
             clientmap_par::with_threads(4, || run_tiny_faulted(107, FaultProfile::Lossy, 9));
         assert_eq!(r_1.probes_sent, r_4.probes_sent);
-        assert_eq!(r_1.drops, r_4.drops);
         assert_eq!(r_1.hits, r_4.hits);
         assert_eq!(r_1.probe_counts, r_4.probe_counts);
         assert_eq!(r_1.fault, r_4.fault, "fault summaries must agree");
@@ -2283,8 +2261,6 @@ mod tests {
             assert_eq!(f.observed, f.recovered + f.degraded + f.lost, "{name}");
         }
         assert_eq!(res.probes_sent, res_ref.probes_sent, "{name}");
-        assert_eq!(res.scope0_hits, res_ref.scope0_hits, "{name}");
-        assert_eq!(res.drops, res_ref.drops, "{name}");
         assert_eq!(res.hits, res_ref.hits, "{name}");
         assert_eq!(res.probe_counts, res_ref.probe_counts, "{name}");
         assert_eq!(res.scope_pairs, res_ref.scope_pairs, "{name}");

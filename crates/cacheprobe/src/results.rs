@@ -66,6 +66,13 @@ pub struct AsBounds {
 pub use clientmap_store::FaultRecord as FaultSummary;
 
 /// The full output of [`crate::run_technique`].
+///
+/// Its aggregates — `hits`, `pop_hit_prefixes`, `scope_pairs`,
+/// `probe_counts`, `probes_sent` — are one fold of the sweep snapshot's
+/// `records`, and `fault` is the snapshot's own. Counters live in the
+/// telemetry registry (`cacheprobe.outcome.*` and the rest), the one
+/// counter ledger; `probes_sent` is the single copy kept as a field,
+/// because the benchmark harness (`benchmark/`) reads it.
 #[derive(Debug)]
 pub struct CacheProbeResult {
     /// Probing domains, index-aligned with hit records.
@@ -89,10 +96,6 @@ pub struct CacheProbeResult {
     pub assigned_per_pop: HashMap<PopId, usize>,
     /// Probe queries sent (including redundancy).
     pub probes_sent: u64,
-    /// Hits with return scope 0 (discarded per the methodology).
-    pub scope0_hits: u64,
-    /// Rate-limited / dropped queries.
-    pub drops: u64,
     /// Partial-result accounting under fault injection (`None` when
     /// faults are off).
     pub fault: Option<FaultSummary>,
@@ -117,8 +120,6 @@ impl CacheProbeResult {
             probe_counts: HashMap::new(),
             assigned_per_pop: HashMap::new(),
             probes_sent: 0,
-            scope0_hits: 0,
-            drops: 0,
             fault: None,
         }
     }

@@ -335,10 +335,13 @@ impl SweepSnapshot {
                     })
                 })?,
             };
+            if rec.hit_events.iter().any(|e| e.resp_len > 32) {
+                return Err(CodecError::Malformed("hit response length"));
+            }
             if rec.hits() + rec.scope0 + rec.drops > rec.attempts {
                 return Err(CodecError::Malformed("record outcome counts"));
             }
-            records.insert(key, rec);
+            insert_ascending(&mut records, key, rec, "record key order")?;
         }
         let mut last_pop = None;
         let calibration = r.seq(|r| {
@@ -361,13 +364,8 @@ impl SweepSnapshot {
         })?;
         let calibration_metrics = read_metrics(&mut r)?;
         let mut confidence = BTreeMap::new();
-        let mut last_key: Option<RecordKey> = None;
         for _ in 0..r.count()? {
             let key = read_key(&mut r, "confidence member scope length")?;
-            if last_key.is_some_and(|prev| prev >= key) {
-                return Err(CodecError::Malformed("confidence key order"));
-            }
-            last_key = Some(key);
             let rep = read_key(&mut r, "confidence rep scope length")?;
             let conf = r.u8()?;
             if conf == 0 {
@@ -377,14 +375,12 @@ impl SweepSnapshot {
             if prior_verdict > 4 {
                 return Err(CodecError::Malformed("confidence prior verdict"));
             }
-            confidence.insert(
-                key,
-                ConfidenceRecord {
-                    rep,
-                    confidence: conf,
-                    prior_verdict,
-                },
-            );
+            let rec = ConfidenceRecord {
+                rep,
+                confidence: conf,
+                prior_verdict,
+            };
+            insert_ascending(&mut confidence, key, rec, "confidence key order")?;
         }
         r.expect_done()?;
         Ok(SweepSnapshot {
@@ -426,12 +422,13 @@ fn write_metrics(w: &mut ByteWriter, d: &MetricsDelta) {
     }
 }
 
-/// Reads what [`write_metrics`] writes.
+/// Reads what [`write_metrics`] writes. Names come strictly ascending
+/// within each block, as every encoder writes them.
 fn read_metrics(r: &mut ByteReader<'_>) -> Result<MetricsDelta, CodecError> {
     let mut d = MetricsDelta::default();
     for _ in 0..r.count()? {
         let name = r.str()?;
-        d.counters.insert(name, r.u64()?);
+        insert_ascending(&mut d.counters, name, r.u64()?, "metrics name order")?;
     }
     for _ in 0..r.count()? {
         let name = r.str()?;
@@ -442,9 +439,26 @@ fn read_metrics(r: &mut ByteReader<'_>) -> Result<MetricsDelta, CodecError> {
             max: r.u64()?,
             buckets: r.seq(|r| Ok((r.u64()?, r.u64()?)))?,
         };
-        d.histograms.insert(name, delta);
+        insert_ascending(&mut d.histograms, name, delta, "metrics name order")?;
     }
     Ok(d)
+}
+
+/// Appends a decoded entry to an ordered section, refusing as
+/// `Malformed(what)` a key not strictly above the last one: a repeated
+/// or out-of-order key would otherwise collapse or reorder silently and
+/// re-encode to bytes other than the ones accepted.
+fn insert_ascending<K: Ord, V>(
+    map: &mut BTreeMap<K, V>,
+    key: K,
+    value: V,
+    what: &'static str,
+) -> Result<(), CodecError> {
+    if map.last_key_value().is_some_and(|(last, _)| *last >= key) {
+        return Err(CodecError::Malformed(what));
+    }
+    map.insert(key, value);
+    Ok(())
 }
 
 fn write_key(w: &mut ByteWriter, (bound, domain, addr, len): RecordKey) {
@@ -671,6 +685,100 @@ mod tests {
         assert!(SweepSnapshot::decode(b"CM").is_err());
     }
 
+    /// A hit's response scope is a prefix, so a stored length past /32
+    /// is refused like a record key's — it could never replay as a hit,
+    /// yet it would count as one.
+    #[test]
+    fn hit_response_lengths_past_32_are_refused() {
+        for len in [33, 64, 255] {
+            let mut s = sample();
+            let rec = s.records.values_mut().next().unwrap();
+            rec.hit_events[0].resp_len = len;
+            assert_eq!(
+                SweepSnapshot::decode(&s.encode()).err(),
+                Some(CodecError::Malformed("hit response length")),
+                "/{len}"
+            );
+        }
+    }
+
+    /// Re-seals `bytes` after an in-place edit, so only the field checks
+    /// can object.
+    fn reseal(bytes: &mut [u8]) {
+        let n = bytes.len();
+        let sum = checksum(&bytes[..n - 8]);
+        bytes[n - 8..].copy_from_slice(&sum.to_le_bytes());
+    }
+
+    /// `bytes` with the first occurrence of `from` overwritten by the
+    /// same-length `to`, resealed.
+    fn rewritten(mut bytes: Vec<u8>, from: &[u8], to: &[u8]) -> Vec<u8> {
+        assert_eq!(from.len(), to.len());
+        let at = bytes
+            .windows(from.len())
+            .position(|w| w == from)
+            .expect("pattern present");
+        bytes[at..at + to.len()].copy_from_slice(to);
+        reseal(&mut bytes);
+        bytes
+    }
+
+    fn key_bytes(key: RecordKey) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        write_key(&mut w, key);
+        w.into_unsealed()
+    }
+
+    #[test]
+    fn scope_records_must_come_in_strict_key_order() {
+        let bytes = sample().encode();
+        let (first, second) = ((0, 1, 0x0A000000, 24), (2, 0, 0xC0000200, 20));
+        // The second record's key repeats the first's: decoding must not
+        // collapse the two into one record.
+        let repeated = rewritten(bytes.clone(), &key_bytes(second), &key_bytes(first));
+        assert_eq!(
+            SweepSnapshot::decode(&repeated).err(),
+            Some(CodecError::Malformed("record key order"))
+        );
+        // The first record's key sorts after the second's: decoding must
+        // not reorder them.
+        let descending = rewritten(bytes, &key_bytes(first), &key_bytes((5, 1, 0x0A000000, 24)));
+        assert_eq!(
+            SweepSnapshot::decode(&descending).err(),
+            Some(CodecError::Malformed("record key order"))
+        );
+    }
+
+    #[test]
+    fn metrics_names_must_come_in_strict_order() {
+        // Calibration counters out of order
+        // (`gpdns.cache.miss.pool0` < `gpdns.queries.tcp` as encoded).
+        let descending = rewritten(
+            sample().encode(),
+            b"gpdns.queries.tcp",
+            b"gpdns.aaaaaaaaaaa",
+        );
+        assert_eq!(
+            SweepSnapshot::decode(&descending).err(),
+            Some(CodecError::Malformed("metrics name order"))
+        );
+        // A window histogram name repeated.
+        let mut s = sample();
+        let h = s.metrics.histograms.values().next().unwrap().clone();
+        s.metrics
+            .histograms
+            .insert("cacheprobe.hit.remaining_ttl_zzzz".into(), h);
+        let repeated = rewritten(
+            s.encode(),
+            b"cacheprobe.hit.remaining_ttl_zzzz",
+            b"cacheprobe.hit.remaining_ttl_secs",
+        );
+        assert_eq!(
+            SweepSnapshot::decode(&repeated).err(),
+            Some(CodecError::Malformed("metrics name order"))
+        );
+    }
+
     #[test]
     fn empty_snapshot_round_trips() {
         let s = SweepSnapshot::new(7, 9);
@@ -756,8 +864,7 @@ mod tests {
         // checksum) and re-seal so only the field check can object.
         let n = bad.len();
         bad[n - 9] = 9;
-        let sum = checksum(&bad[..n - 8]);
-        bad[n - 8..].copy_from_slice(&sum.to_le_bytes());
+        reseal(&mut bad);
         assert_eq!(
             SweepSnapshot::decode(&bad).err(),
             Some(CodecError::Malformed("confidence prior verdict"))

@@ -1,14 +1,16 @@
 //! Property tests for the dense store: random insert/query/merge
 //! sequences checked against plain-map reference models (same
-//! verdicts, same iteration order), and snapshot round-trip +
-//! corruption-rejection laws. The shim proptest runner derives its RNG
-//! seed from each test's name, so every run replays the same cases.
+//! verdicts, same iteration order), and snapshot round-trip,
+//! corruption-rejection and canonical-decoding laws. The shim proptest
+//! runner derives its RNG seed from each test's name, so every run
+//! replays the same cases.
 
 use std::collections::{BTreeMap, BTreeSet};
 
 use clientmap_net::Prefix;
 use clientmap_store::{
-    FaultRecord, HitEvent, ScopeRecord, Slash24Bitset, SweepSnapshot, Verdict, VerdictTable,
+    checksum, FaultRecord, HitEvent, ScopeRecord, Slash24Bitset, SweepSnapshot, Verdict,
+    VerdictTable,
 };
 use clientmap_telemetry::HistogramDelta;
 use proptest::prelude::*;
@@ -200,5 +202,35 @@ proptest! {
             pos,
             bit
         );
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Whatever decodes re-encodes to the bytes that were accepted: with
+    /// any one payload byte set to any value and the checksum resealed,
+    /// the image either fails to decode or is canonical — no repeated
+    /// key collapses, no out-of-order entry is silently re-sorted.
+    #[test]
+    fn resealed_mutations_decode_canonically_or_not_at_all(
+        snap in snapshot_strategy(),
+        at in proptest::arbitrary::any::<u64>(),
+        value in proptest::arbitrary::any::<u8>(),
+    ) {
+        let mut bytes = snap.encode();
+        let payload = bytes.len() - 8;
+        let pos = (at % payload as u64) as usize;
+        bytes[pos] = value;
+        let sum = checksum(&bytes[..payload]);
+        bytes[payload..].copy_from_slice(&sum.to_le_bytes());
+        if let Ok(back) = SweepSnapshot::decode(&bytes) {
+            prop_assert!(
+                back.encode() == bytes,
+                "byte {} set to {:#04x} decoded to a snapshot that re-encodes differently",
+                pos,
+                value
+            );
+        }
     }
 }

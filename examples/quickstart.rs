@@ -20,14 +20,15 @@ fn main() {
     println!("{}", report.headlines());
     println!("{}", report.table3());
 
+    let metrics = out.metrics_snapshot();
     println!(
         "cache probing: {} probes, {} active /24s across {} hit scopes \
          ({} scope-0 hits discarded, {} drops)",
         out.cache_probe.probes_sent,
         out.cache_probe.active_set().num_slash24s(),
         out.cache_probe.hit_prefixes().len(),
-        out.cache_probe.scope0_hits,
-        out.cache_probe.drops,
+        metrics.counter("cacheprobe.outcome.scope0"),
+        metrics.counter("cacheprobe.outcome.dropped"),
     );
     println!(
         "DNS logs: {} resolvers with Chromium activity ({} noise records rejected)",

@@ -156,14 +156,19 @@ fn ms_clients_volume_in_probed_prefixes_high() {
 #[test]
 fn probing_is_non_recursive_and_clean() {
     let o = output();
+    let metrics = o.metrics_snapshot();
     // Probes must never have triggered recursive resolution.
     assert_eq!(
-        o.metrics_snapshot().counter("gpdns.recursive"),
+        metrics.counter("gpdns.recursive"),
         0,
         "a probe polluted the cache path"
     );
     // TCP probing at paper rates suffers no drops.
-    assert_eq!(o.cache_probe.drops, 0, "TCP probes were rate-limited");
+    assert_eq!(
+        metrics.counter("cacheprobe.outcome.dropped"),
+        0,
+        "TCP probes were rate-limited"
+    );
 }
 
 #[test]
