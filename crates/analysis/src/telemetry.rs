@@ -1,9 +1,10 @@
 //! Human-readable rendering of a run's telemetry snapshot.
 //!
-//! The raw snapshot (``repro --metrics out.json``) is exhaustive but
-//! flat; [`render_summary`] groups it into the story of a run — query
-//! funnel at the Google front end, probe outcome mix, DNS-logs funnel,
-//! dataset sizes — in the same fixed-width style as the paper tables.
+//! The raw snapshot (``clientmap repro --metrics out.json``) is
+//! exhaustive but flat; [`render_summary`] groups it into the story of
+//! a run — query funnel at the Google front end, probe outcome mix,
+//! DNS-logs funnel, dataset sizes — in the same fixed-width style as
+//! the paper tables.
 
 use clientmap_telemetry::MetricsSnapshot;
 

@@ -54,6 +54,6 @@ pub use plan::{
 };
 pub use probe::{
     execute_sweep, merge_fault_books, merge_shards, prepare_sweep, probe_rescue_shard, probe_shard,
-    run_technique, run_technique_full, PopHealth, ProbeUnit, ShardMergeError, SweepPrep,
+    PopHealth, ProbeUnit, ShardMergeError, SweepPrep,
 };
 pub use results::{CacheProbeResult, FaultSummary, ProbeCount};

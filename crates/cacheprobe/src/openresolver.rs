@@ -82,7 +82,8 @@ pub fn run_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_technique, ProbeConfig};
+    use crate::probe::sweep_in_process;
+    use crate::ProbeConfig;
     use clientmap_net::Prefix;
     use clientmap_world::{World, WorldConfig};
 
@@ -129,7 +130,7 @@ mod tests {
         let mut cfg = ProbeConfig::test_scale();
         cfg.duration_hours = 2.0;
         cfg.calibration_sample = 200;
-        let ecs = run_technique(&mut sim, &cfg, &universe);
+        let ecs = sweep_in_process(&mut sim, &cfg, &universe, None).0;
         let domains = paper_domains(&sim);
         let baseline = run_baseline(&sim, &domains, 5, 600, SimTime::from_hours(10));
         let ecs_ases = ecs.active_ases(&sim.world().rib).len();

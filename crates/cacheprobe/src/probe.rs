@@ -534,35 +534,18 @@ fn fold_extrapolated(
     }
 }
 
-/// Runs the full cache-probing technique.
-///
-/// `universe` is the public probe universe (RIR allocations /
-/// Routeviews blocks). Returns everything downstream analysis needs.
-pub fn run_technique(sim: &mut Sim, cfg: &ProbeConfig, universe: &[Prefix]) -> CacheProbeResult {
-    run_technique_full(sim, cfg, universe, &mut Vec::new(), None).0
-}
-
-/// The full technique with warm-start support: runs cold when `prior`
-/// is `None`, otherwise plans an incremental re-sweep against the prior
-/// [`SweepSnapshot`] and probes only what the planner emits (new,
-/// dirty, rescue, or expired scopes), replaying the rest from the
-/// snapshot. Returns the result **and** this sweep's own snapshot.
-///
-/// Discovery, domain selection, the scope pre-scan, calibration, and
-/// PoP assignment always run live — they are cheap relative to the
-/// probing window and pin the key spaces (vantage and domain indexes)
-/// the snapshot's records are keyed by. The caller is responsible for
-/// validating `prior` against the current world seed and config digest
-/// (the pipeline layer does); this function trusts its key space.
-pub fn run_technique_full(
+/// One whole in-process sweep for this crate's tests:
+/// [`prepare_sweep`] + [`execute_sweep`], cold when `prior` is `None`.
+#[cfg(test)]
+pub(crate) fn sweep_in_process(
     sim: &mut Sim,
     cfg: &ProbeConfig,
     universe: &[Prefix],
-    timings: &mut Vec<(String, f64)>,
     prior: Option<&SweepSnapshot>,
 ) -> (CacheProbeResult, SweepSnapshot) {
-    let prep = prepare_sweep(sim, cfg, universe, timings, prior);
-    execute_sweep(sim, cfg, prep, timings)
+    let mut timings = Vec::new();
+    let prep = prepare_sweep(sim, cfg, universe, &mut timings, prior);
+    execute_sweep(sim, cfg, prep, &mut timings)
 }
 
 /// Registry state at the start of a stage. [`Window::close`] returns
@@ -677,8 +660,14 @@ impl SweepPrep {
 /// Runs discovery, domain selection, the scope pre-scan, calibration,
 /// PoP assignment, unit building, and warm planning — everything up to
 /// (but not including) the probing window — and returns the paused
-/// [`SweepPrep`]. `run_technique_full` is exactly
-/// [`prepare_sweep`] + [`execute_sweep`].
+/// [`SweepPrep`]. A whole in-process sweep is [`prepare_sweep`] +
+/// [`execute_sweep`] (`clientmap_core::LocalSweep`).
+///
+/// With a `prior`, the planner probes only what is new, dirty, in need
+/// of rescue or expired, and the rest is replayed from the snapshot.
+/// The caller validates `prior` against the current world seed and
+/// config digest (the pipeline layer does); this function trusts its
+/// key space.
 pub fn prepare_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -937,8 +926,8 @@ pub fn prepare_sweep(
 }
 
 /// Runs the probing window (and, under fault injection, the rescue
-/// sweep) for a prepared sweep in this process — the tail of
-/// `run_technique_full`, and literally the fleet seam with one local
+/// sweep) for a prepared sweep in this process — the tail of an
+/// in-process sweep, and literally the fleet seam with one local
 /// shard: the whole unit list probes as shard 0 and finishes through
 /// the merge a fleet driver runs.
 ///
@@ -1614,7 +1603,7 @@ mod tests {
         let mut cfg = ProbeConfig::test_scale();
         cfg.duration_hours = 2.0; // ≈ one pass over each list
         cfg.calibration_sample = 250;
-        let result = run_technique(&mut sim, &cfg, &universe);
+        let result = sweep_in_process(&mut sim, &cfg, &universe, None).0;
         (sim, result)
     }
 
@@ -1867,7 +1856,7 @@ mod tests {
         let mut cfg = ProbeConfig::test_scale();
         cfg.duration_hours = 2.0;
         cfg.calibration_sample = 250;
-        let (result, snap) = run_technique_full(&mut sim, &cfg, &universe, &mut Vec::new(), prior);
+        let (result, snap) = sweep_in_process(&mut sim, &cfg, &universe, prior);
         (sim, result, snap)
     }
 
@@ -1927,8 +1916,7 @@ mod tests {
         cfg.duration_hours = 2.0;
         cfg.calibration_sample = 250;
         cfg.expiry_budget = 0.1;
-        let (result, snap2) =
-            run_technique_full(&mut sim, &cfg, &universe, &mut Vec::new(), Some(&snap));
+        let (result, snap2) = sweep_in_process(&mut sim, &cfg, &universe, Some(&snap));
         let m = sim.metrics().snapshot();
         let universe_count = m.counter("cacheprobe.planner.universe");
         let planned = m.counter("cacheprobe.planner.planned");
@@ -1974,7 +1962,7 @@ mod tests {
         let mut cfg = ProbeConfig::test_scale();
         cfg.duration_hours = 2.0;
         cfg.calibration_sample = 250;
-        let result = run_technique(&mut sim, &cfg, &universe);
+        let result = sweep_in_process(&mut sim, &cfg, &universe, None).0;
         (sim, result)
     }
 
@@ -2179,7 +2167,7 @@ mod tests {
         };
         let prior = case.warm_expiry.map(|_| {
             let (mut sim, universe) = fresh_sim();
-            run_technique_full(&mut sim, &fleet_cfg(), &universe, &mut Vec::new(), None).1
+            sweep_in_process(&mut sim, &fleet_cfg(), &universe, None).1
         });
         let prior = prior.as_ref();
         let mut cfg = fleet_cfg();
@@ -2187,8 +2175,7 @@ mod tests {
         cfg.clustered_probing = case.clustered;
 
         let (mut sim_ref, universe) = fresh_sim();
-        let (res_ref, snap_ref) =
-            run_technique_full(&mut sim_ref, &cfg, &universe, &mut Vec::new(), prior);
+        let (res_ref, snap_ref) = sweep_in_process(&mut sim_ref, &cfg, &universe, prior);
 
         let (mut driver, _) = fresh_sim();
         let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), prior);

@@ -65,7 +65,7 @@ pub struct AsBounds {
 /// [`CacheProbeResult::fault`] when fault injection is off.
 pub use clientmap_store::FaultRecord as FaultSummary;
 
-/// The full output of [`crate::run_technique`].
+/// The full output of a cache-probing sweep ([`crate::execute_sweep`]).
 ///
 /// Its aggregates — `hits`, `pop_hit_prefixes`, `scope_pairs`,
 /// `probe_counts`, `probes_sent` — are one fold of the sweep snapshot's

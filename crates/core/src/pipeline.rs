@@ -3,7 +3,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use clientmap_cacheprobe::{run_technique_full, sweep, CacheProbeResult, ProbeConfig};
+use clientmap_cacheprobe::{execute_sweep, prepare_sweep, sweep, CacheProbeResult, ProbeConfig};
 use clientmap_chromium::{crawl_with_metrics, ChromiumClassifier, DnsLogsResult};
 use clientmap_datasets::{ApnicConfig, ApnicDataset, DatasetBundle};
 use clientmap_faults::FaultConfig;
@@ -216,15 +216,14 @@ impl std::fmt::Display for PipelineError {
 impl std::error::Error for PipelineError {}
 
 /// How the pipeline runs its probing window. The default
-/// ([`LocalSweep`]) executes everything in-process via
-/// [`run_technique_full`]; the fleet driver substitutes an executor
-/// that prepares the sweep locally, shards the unit list over TCP
-/// workers, and merges their deltas — the contract being that any
-/// executor returns the same `(result, snapshot)` bytes the local one
-/// would.
+/// ([`LocalSweep`]) executes everything in-process; the fleet driver
+/// substitutes an executor that prepares the sweep locally, shards the
+/// unit list over TCP workers, and merges their deltas — the contract
+/// being that any executor returns the same `(result, snapshot)` bytes
+/// the local one would.
 pub trait SweepExecutor {
-    /// Runs the sweep stage: everything `run_technique_full` does,
-    /// with the same warm-start semantics.
+    /// Runs the sweep stage: the cache-probing technique, cold when
+    /// `prior` is `None`, otherwise warm-started from it.
     fn run_sweep(
         &mut self,
         sim: &mut Sim,
@@ -235,7 +234,7 @@ pub trait SweepExecutor {
     ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError>;
 }
 
-/// The in-process executor: [`run_technique_full`], verbatim.
+/// The in-process executor: [`prepare_sweep`] + [`execute_sweep`].
 #[derive(Debug, Default)]
 pub struct LocalSweep;
 
@@ -248,7 +247,8 @@ impl SweepExecutor for LocalSweep {
         timings: &mut Vec<(String, f64)>,
         prior: Option<&SweepSnapshot>,
     ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError> {
-        Ok(run_technique_full(sim, cfg, universe, timings, prior))
+        let prep = prepare_sweep(sim, cfg, universe, timings, prior);
+        Ok(execute_sweep(sim, cfg, prep, timings))
     }
 }
 
@@ -271,22 +271,8 @@ impl Pipeline {
         Pipeline::run_warm_timed(config, None, &mut Vec::new())
     }
 
-    /// [`Pipeline::run`] warm-started from a prior run's
-    /// [`SweepSnapshot`]. The snapshot must come from the same world
-    /// seed and probing configuration (checked via the snapshot's
-    /// config digest); the planner then re-probes only scopes that are
-    /// new, expired under `probe.expiry_budget`, in need of rescue, or
-    /// dirtied by fault quarantine — everything else is replayed from
-    /// the snapshot, keeping the output byte-identical to a cold run
-    /// when nothing changed.
-    pub fn run_warm(
-        config: PipelineConfig,
-        prior: Option<SweepSnapshot>,
-    ) -> Result<PipelineOutput, PipelineError> {
-        Pipeline::run_warm_timed(config, prior, &mut Vec::new())
-    }
-
-    /// [`Pipeline::run_warm`], additionally appending `(stage, wall
+    /// [`Pipeline::run`] warm-started from `prior` (see
+    /// [`SweepSession::sweep`]), additionally appending `(stage, wall
     /// seconds)` pairs to `timings`: `world_gen`, the cache-probe
     /// substages (`vantage_discovery`, `scope_scan`, `calibration`,
     /// `probing`, and `rescue` under faults), `crawl`, and `analysis`.
@@ -380,8 +366,8 @@ impl<T: Clone> Recorded<T> {
 /// registry.
 ///
 /// The chain is deterministic and equals, byte for byte at every step
-/// (snapshot, report, metrics JSON), a chain of independent
-/// [`Pipeline::run_warm`] calls, at any thread count. A sweep that
+/// (snapshot, report, metrics JSON), a chain of one-sweep sessions, each
+/// warm-started from the one before, at any thread count. A sweep that
 /// fails leaves the session as it was: the next sweep equals the one
 /// an unfailed chain would have run.
 #[derive(Debug)]
@@ -472,9 +458,13 @@ impl SweepSession {
     }
 
     /// One sweep, in-process: cold when `prior` is `None`, otherwise
-    /// warm-started from it with [`Pipeline::run_warm`]'s semantics
-    /// (the planner re-probes only what is new, expired under
-    /// `probe.expiry_budget`, dirty, or in need of rescue).
+    /// warm-started from it. The snapshot must come from the same world
+    /// seed and probing configuration (checked via its config digest,
+    /// see [`Self::open`]); the planner then re-probes only scopes that
+    /// are new, expired under `probe.expiry_budget`, in need of rescue,
+    /// or dirtied by fault quarantine — everything else is replayed
+    /// from the snapshot, keeping the output byte-identical to a cold
+    /// run when nothing changed.
     pub fn sweep(
         &mut self,
         prior: Option<&SweepSnapshot>,
@@ -700,8 +690,9 @@ mod tests {
         // Round-trip through the serialized form — the warm path the
         // CLI takes (`--snapshot-out` then `--snapshot-in`).
         let snap = SweepSnapshot::decode(&cold.sweep.encode()).expect("snapshot round-trips");
-        let warm =
-            Pipeline::run_warm(PipelineConfig::tiny(7), Some(snap)).expect("warm run is healthy");
+        let warm = SweepSession::new(PipelineConfig::tiny(7))
+            .sweep(Some(&snap))
+            .expect("warm run is healthy");
 
         // Nothing changed, so the planner must emit zero probe work …
         let ws = warm.metrics_snapshot();
@@ -750,13 +741,14 @@ mod tests {
         )
     }
 
-    /// `steps` chained, fully independent [`Pipeline::run_warm`] calls
-    /// — the oracle a session's sweeps must equal.
+    /// `steps` chained, fully independent sweeps, each in a fresh
+    /// session of its own — the oracle a session's sweeps must equal.
     fn independent_chain(config: &PipelineConfig, steps: usize) -> Vec<PipelineOutput> {
         let mut chain: Vec<PipelineOutput> = Vec::new();
         for _ in 0..steps {
-            let prior = chain.last().map(|o| o.sweep.clone());
-            chain.push(Pipeline::run_warm(config.clone(), prior).expect("oracle run is healthy"));
+            let prior = chain.last().map(|o| &o.sweep);
+            let out = SweepSession::new(config.clone()).sweep(prior);
+            chain.push(out.expect("oracle run is healthy"));
         }
         chain
     }
@@ -931,14 +923,16 @@ mod tests {
     fn warm_run_rejects_foreign_snapshots() {
         let snap = output().sweep.clone();
         // A different world seed is refused outright …
-        let err = Pipeline::run_warm(PipelineConfig::tiny(8), Some(snap.clone()))
+        let err = SweepSession::new(PipelineConfig::tiny(8))
+            .sweep(Some(&snap))
             .expect_err("seed mismatch must be rejected");
         assert!(matches!(err, PipelineError::Stage { ref stage, .. } if stage == "warm-start"));
 
         // … and so is the same world under a changed probing config.
         let mut config = PipelineConfig::tiny(7);
         config.probe.redundancy += 1;
-        let err = Pipeline::run_warm(config, Some(snap))
+        let err = SweepSession::new(config)
+            .sweep(Some(&snap))
             .expect_err("config digest mismatch must be rejected");
         assert!(matches!(err, PipelineError::Stage { ref stage, .. } if stage == "warm-start"));
     }

@@ -12,10 +12,7 @@
 //! cargo run --release --example geolocation_trust [seed]
 //! ```
 
-use clientmap::Prefix;
-use clientmap::Sim;
-use clientmap::{run_technique, ProbeConfig};
-use clientmap::{World, WorldConfig};
+use clientmap::{PipelineConfig, SweepSession};
 
 fn main() {
     let seed = std::env::args()
@@ -24,18 +21,16 @@ fn main() {
         .unwrap_or(11u64);
 
     eprintln!("building world and running cache probing (seed {seed})…");
-    let world = World::generate(WorldConfig::tiny(seed));
-    let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
-    let mut sim = Sim::new(world);
-    let mut cfg = ProbeConfig::test_scale();
-    cfg.duration_hours = 2.0;
-    cfg.calibration_sample = 300;
-    let result = run_technique(&mut sim, &cfg, &universe);
-    let active = result.active_set();
+    let mut config = PipelineConfig::tiny(seed);
+    config.probe.calibration_sample = 300;
+    let out = SweepSession::new(config)
+        .sweep(None)
+        .expect("healthy sweep");
+    let active = out.cache_probe.active_set();
 
     // Score geo-DB placement error against ground truth, split by the
     // *public* activity verdict.
-    let world = sim.world();
+    let world = out.sim.world();
     let mut err_active: Vec<f64> = Vec::new();
     let mut err_rest: Vec<f64> = Vec::new();
     for s in &world.slash24s {

@@ -10,10 +10,8 @@
 //! cargo run --release --example outage_triage [seed]
 //! ```
 
-use clientmap::Sim;
-use clientmap::{run_technique, ProbeConfig};
+use clientmap::{PipelineConfig, SweepSession};
 use clientmap::{Prefix, SeedMixer};
-use clientmap::{World, WorldConfig};
 
 fn main() {
     let seed = std::env::args()
@@ -22,17 +20,15 @@ fn main() {
         .unwrap_or(7u64);
 
     eprintln!("building world and running cache probing (seed {seed})…");
-    let world = World::generate(WorldConfig::tiny(seed));
-    let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
-    let mut sim = Sim::new(world);
-    let mut cfg = ProbeConfig::test_scale();
-    cfg.duration_hours = 2.0;
-    cfg.calibration_sample = 300;
-    let result = run_technique(&mut sim, &cfg, &universe);
-    let active = result.active_set();
+    let mut config = PipelineConfig::tiny(seed);
+    config.probe.calibration_sample = 300;
+    let out = SweepSession::new(config)
+        .sweep(None)
+        .expect("healthy sweep");
+    let active = out.cache_probe.active_set();
 
     // A deterministic "outage": 12 random routed blocks go dark.
-    let world = sim.world();
+    let world = out.sim.world();
     let mut rng = SeedMixer::new(seed).mix_str("outage").finish();
     let routed: Vec<Prefix> = world
         .blocks

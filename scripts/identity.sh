@@ -13,8 +13,8 @@
 # degraded.
 # `scalar` compares against `repro`'s artifacts, `fleet` and `serve`
 # against `run`'s; each writes what it needs if it is missing.
-# Builds `clientmap` and `repro` from the checkout this script lives
-# in, into ${CARGO_TARGET_DIR:-target}.
+# Builds `clientmap` from the checkout this script lives in, into
+# ${CARGO_TARGET_DIR:-target}.
 set -euo pipefail
 
 [ $# -ge 1 ] || { echo "usage: $0 OUTDIR [SECTION ...]" >&2; exit 2; }
@@ -31,7 +31,7 @@ done
 
 cd "$(dirname "$0")/.."
 ROOT=$PWD
-cargo build --release -p clientmap -p clientmap-bench
+cargo build --release -p clientmap
 BIN=$(cd "${CARGO_TARGET_DIR:-target}/release" && pwd)
 
 # stderr of every process lands here: shown on failure, never compared.
@@ -56,14 +56,14 @@ listening() {
   sed -n 's/.*listening on //p' "$1" | head -n 1
 }
 
-# `repro all` on one lane, at 1 and 4 threads: CLIENTMAP_THREADS is a
-# pure performance dial, fault plan included.
+# `clientmap repro all` on one lane, at 1 and 4 threads:
+# CLIENTMAP_THREADS is a pure performance dial, fault plan included.
 repro_lane() { # repro_lane LANE FLAGS...
   local lane=$1 d=$OUT/repro t
   shift
   mkdir -p "$d"
   for t in 1 4; do
-    CLIENTMAP_THREADS=$t "$BIN/repro" --scale tiny --seed 2021 "$@" \
+    CLIENTMAP_THREADS=$t "$BIN/clientmap" repro --scale tiny --seed 2021 "$@" \
       --metrics "$d/t$t.$lane.json" all > "$d/t$t.$lane.txt" 2> "$LOGS/repro.t$t.$lane"
   done
   same "$d/t1.$lane.txt" "$d/t4.$lane.txt"

@@ -25,8 +25,12 @@
 // The curated surface. Start here.
 // ---------------------------------------------------------------------
 
-/// The end-to-end measurement pipeline and its reports.
-pub use clientmap_core::{Pipeline, PipelineConfig, PipelineError, PipelineOutput, Report};
+/// The end-to-end measurement pipeline and its reports. A
+/// [`SweepSession`] is the one way to run a sweep, cold or warm-started
+/// from a [`SweepSnapshot`].
+pub use clientmap_core::{
+    Pipeline, PipelineConfig, PipelineError, PipelineOutput, Report, SweepSession,
+};
 
 /// The warm-start snapshot a sweep leaves behind (and consumes).
 pub use clientmap_store::SweepSnapshot;
@@ -43,8 +47,8 @@ pub use clientmap_net::{splitmix64, Asn, Prefix, SeedMixer};
 /// Two-letter country codes (ISO 3166-1 alpha-2 shaped).
 pub use clientmap_geo::CountryCode;
 
-/// The paper's primary technique, runnable standalone.
-pub use clientmap_cacheprobe::{run_technique, ProbeConfig};
+/// The dials of the paper's primary technique (`PipelineConfig::probe`).
+pub use clientmap_cacheprobe::ProbeConfig;
 
 /// The Chromium-resolver side channel, runnable standalone.
 pub use clientmap_chromium::{crawl, ChromiumClassifier};

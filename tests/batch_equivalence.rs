@@ -6,7 +6,7 @@
 //! seeds, thread counts, and fault profiles. This suite is what lets
 //! the lane switch stay out of the sweep config digest.
 
-use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput};
+use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput, SweepSession};
 use clientmap::faults::{FaultConfig, FaultProfile};
 
 /// A tiny pipeline config with the probe lane chosen explicitly.
@@ -139,9 +139,11 @@ fn warm_restart_from_a_scalar_snapshot_matches_the_scalar_warm_run() {
     // scalar cold sweep's calibration and lands on the scalar warm
     // run's bytes.
     let (_, scalar_cold) = shared();
-    let warm_batched = Pipeline::run_warm(config(2021, true), Some(scalar_cold.sweep.clone()))
+    let warm_batched = SweepSession::new(config(2021, true))
+        .sweep(Some(&scalar_cold.sweep))
         .expect("batched warm run completes");
-    let warm_scalar = Pipeline::run_warm(config(2021, false), Some(scalar_cold.sweep.clone()))
+    let warm_scalar = SweepSession::new(config(2021, false))
+        .sweep(Some(&scalar_cold.sweep))
         .expect("scalar warm run completes");
     assert_outputs_match(&warm_batched, &warm_scalar, "warm over scalar snapshot");
     assert_eq!(
@@ -157,7 +159,8 @@ fn warm_restart_from_a_scalar_snapshot_matches_the_scalar_warm_run() {
 #[test]
 fn warm_restart_replays_the_stored_calibration() {
     let (batched_cold, _) = shared();
-    let warm = Pipeline::run_warm(config(2021, true), Some(batched_cold.sweep.clone()))
+    let warm = SweepSession::new(config(2021, true))
+        .sweep(Some(&batched_cold.sweep))
         .expect("warm run completes");
     // The records cover every bound PoP, so calibration replays whole:
     // the records and the stage delta ride forward unchanged and the
@@ -197,7 +200,9 @@ fn a_prior_missing_one_pop_recalibrates_every_pop_live() {
         .calibration_metrics
         .counters
         .insert("gpdns.queries.tcp".into(), 1);
-    let warm = Pipeline::run_warm(config(2021, true), Some(prior)).expect("warm run completes");
+    let warm = SweepSession::new(config(2021, true))
+        .sweep(Some(&prior))
+        .expect("warm run completes");
     assert_eq!(warm.sweep.calibration, batched_cold.sweep.calibration);
     assert_eq!(
         warm.sweep.calibration_metrics,

@@ -5,7 +5,7 @@
 //! counts — while the resilient prober keeps the campaign alive and
 //! accounts for what it could not measure.
 
-use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput};
+use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput, SweepSession};
 use clientmap::faults::{FaultConfig, FaultProfile};
 use clientmap::store::SweepSnapshot;
 
@@ -162,7 +162,7 @@ fn warm_restart_is_byte_identical_at_any_thread_count() {
     for threads in [1usize, 4, 8] {
         let prior = SweepSnapshot::decode(&snapshot_bytes).expect("snapshot round-trips");
         let warm = clientmap::par::with_threads(threads, || {
-            Pipeline::run_warm(config(FaultProfile::Off, 0), Some(prior))
+            SweepSession::new(config(FaultProfile::Off, 0)).sweep(Some(&prior))
         })
         .unwrap_or_else(|e| panic!("{threads}-thread warm run failed: {e}"));
         // Nothing expired ⇒ the planner replays everything…
@@ -214,7 +214,9 @@ fn pop_churn_quarantine_dirties_the_next_warm_sweep() {
     // Warm restart under the same weather: everything a quarantined
     // vantage measured is dirty and gets re-probed live; reaching Ok
     // means the planner conservation laws reconciled too.
-    let warm = Pipeline::run_warm(c, Some(cold.sweep.clone())).expect("warm run completes");
+    let warm = SweepSession::new(c)
+        .sweep(Some(&cold.sweep))
+        .expect("warm run completes");
     let snap = warm.metrics_snapshot();
     assert!(
         snap.counter("cacheprobe.planner.dirty") > 0,
@@ -234,7 +236,8 @@ fn lossy_warm_restart_replans_only_the_stale_slice() {
     let cold = lossy();
     // Same config, nothing expired: only rescue/dirty signals replan,
     // and the run still passes every invariant (checked inside run).
-    let warm = Pipeline::run_warm(config(FaultProfile::Lossy, 5), Some(cold.sweep.clone()))
+    let warm = SweepSession::new(config(FaultProfile::Lossy, 5))
+        .sweep(Some(&cold.sweep))
         .expect("lossy warm run completes");
     let snap = warm.metrics_snapshot();
     let universe = snap.counter("cacheprobe.planner.universe");

@@ -131,10 +131,11 @@ fn no_args_prints_usage() {
 /// `clientmap <cmd>: …` line naming the problem, then the usage text;
 /// stdout stays empty — no pipeline runs, so a typo can neither cost a
 /// run nor silently measure a different world. The two retired bench
-/// subcommands get the same treatment as any unknown one.
+/// subcommands get the same treatment as any unknown one, and a flag
+/// the subcommand would ignore is refused rather than dropped.
 #[test]
 fn bad_invocations_are_rejected_before_any_pipeline_runs() {
-    let cases: [(&[&str], &str); 12] = [
+    let cases: [(&[&str], &str); 28] = [
         (&["stats", "--scale", "papr"], "bad --scale \"papr\""),
         (&["run", "--sed", "7"], "unknown flag \"--sed\""),
         (
@@ -161,6 +162,64 @@ fn bad_invocations_are_rejected_before_any_pipeline_runs() {
             &["query", "--connect", "127.0.0.1:1"],
             "needs a --trace FILE",
         ),
+        // Flags the subcommand never reads.
+        (
+            &["stats", "--metrics", "m.json"],
+            "--metrics is not a stats flag",
+        ),
+        (
+            &["export", "--out", "d", "--snapshot-out", "s"],
+            "--snapshot-out is not a export flag",
+        ),
+        (
+            &["serve", "--metrics", "m.json"],
+            "--metrics is not a serve flag",
+        ),
+        (&["run", "--listen", "x"], "--listen is not a run flag"),
+        (
+            &["run", "--scalar-probing"],
+            "--scalar-probing is not a run flag",
+        ),
+        (
+            &["repro", "--snapshot-in", "f"],
+            "--snapshot-in is not a repro flag",
+        ),
+        (&["worker", "--seed", "7"], "--seed is not a worker flag"),
+        (
+            &[
+                "query",
+                "--connect",
+                "127.0.0.1:1",
+                "--scale",
+                "tiny",
+                "top 5",
+            ],
+            "--scale is not a query --connect flag",
+        ),
+        // `repro`'s sections are positional words checked like flags.
+        (&["repro", "--seed", "x", "headline"], "bad --seed \"x\""),
+        (
+            &["repro", "--scale", "bogus", "headline"],
+            "bad --scale \"bogus\"",
+        ),
+        (
+            &["repro", "--fault-seed", "x", "headline"],
+            "bad --fault-seed \"x\"",
+        ),
+        (
+            &["repro", "--faults", "nope", "headline"],
+            "bad --faults \"nope\"",
+        ),
+        (
+            &["repro", "headline", "--metrics"],
+            "--metrics needs a value",
+        ),
+        (
+            &["repro", "--metrics", "--scalar-probing"],
+            "--metrics needs a value",
+        ),
+        (&["repro", "bench"], "unknown section \"bench\""),
+        (&["repro", "headlines"], "unknown section \"headlines\""),
     ];
     for (args, expect) in cases {
         let out = clientmap().args(args).output().expect("binary runs");

@@ -22,7 +22,7 @@ mod common;
 use common::{assert_fleet_matches, reference_run, scratch, Worker};
 
 use clientmap::analysis::verdict_precision_recall;
-use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput};
+use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput, SweepSession};
 use clientmap::store::Verdict;
 
 /// The warm-differential floors: clustered `Hit` verdicts against the
@@ -43,7 +43,9 @@ fn warm_from(
     if let Some(eps) = epsilon {
         config.probe.cluster_epsilon = eps;
     }
-    Pipeline::run_warm(config, Some(prior.sweep.clone())).expect("warm run")
+    SweepSession::new(config)
+        .sweep(Some(&prior.sweep))
+        .expect("warm run")
 }
 
 fn cold_run(seed: u64) -> PipelineOutput {

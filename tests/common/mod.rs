@@ -1,16 +1,17 @@
 //! The shared subprocess harness for the end-to-end suites.
 //!
 //! Every integration test that drives the real `clientmap` binary —
-//! the fleet suite, the serve suite, the CLI smoke tests, and the
-//! cluster-equivalence suite — needs the same few moves: a scratch
-//! directory keyed to the test process, spawning workers and reading
-//! their announcement lines, running the CLI and capturing its output,
-//! and diffing a run's ⟨stdout, metrics, snapshot⟩ triple against a
-//! single-process reference byte for byte. Those helpers live here
-//! once; each suite declares `mod common;` and takes what it needs.
+//! the fleet suite, the serve suite, the CLI smoke tests, the
+//! `repro --metrics` suite and the cluster-equivalence suite — needs
+//! the same few moves: a scratch directory keyed to the test process,
+//! spawning workers and reading their announcement lines, running the
+//! CLI and capturing its output, and diffing a run's ⟨stdout, metrics,
+//! snapshot⟩ triple against a single-process reference byte for byte.
+//! Those helpers live here once; each suite declares `mod common;` and
+//! takes what it needs.
 //!
 //! Not every suite uses every helper, so the module is `dead_code`-
-//! tolerant — the cost of one shared harness over four private copies.
+//! tolerant — the cost of one shared harness over five private copies.
 
 #![allow(dead_code)]
 

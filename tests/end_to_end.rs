@@ -173,8 +173,8 @@ fn probing_is_non_recursive_and_clean() {
 
 #[test]
 fn headline_matches_golden_output() {
-    // The exact text `repro --scale tiny --seed 2021 headline` prints,
-    // pinned under tests/golden/. Compared modulo whitespace so
+    // The exact text `clientmap repro --scale tiny --seed 2021 headline`
+    // prints, pinned under tests/golden/. Compared modulo whitespace so
     // reflowing or re-aligning the report is not a behaviour change —
     // but any number moving is.
     let golden = std::fs::read_to_string(concat!(
@@ -188,7 +188,7 @@ fn headline_matches_golden_output() {
         norm(&rendered),
         norm(&golden),
         "headline output drifted from tests/golden/headline_tiny_2021.txt;\n\
-         regenerate with: cargo run --release -p clientmap-bench --bin repro -- \
+         regenerate with: cargo run --release --bin clientmap -- repro \
          --scale tiny --seed 2021 headline > tests/golden/headline_tiny_2021.txt"
     );
 }
