@@ -22,7 +22,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use clientmap_dns::{wire, DomainName};
-use clientmap_net::Prefix;
+use clientmap_net::{GeoCoord, Prefix};
 use clientmap_par::par_map;
 use clientmap_sim::{
     GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport,
@@ -610,6 +610,7 @@ pub struct SweepPrep {
     /// every aggregate is left for [`replay_table`].
     shell: CacheProbeResult,
     snapshot: SweepSnapshot,
+    /// When the probing window opened: the `probing` stage's start.
     stage: Instant,
     /// Opened at the probing-window start; the sweep's stored metrics
     /// delta is measured from here.
@@ -736,28 +737,39 @@ pub fn prepare_sweep(
     timings.push(("calibration".into(), stage.elapsed().as_secs_f64()));
 
     // 4. Scope → PoP assignment by service radius (MaxMind location +
-    //    error radius possibly within the radius).
+    //    error radius possibly within the radius). The haversine decides;
+    //    a pair whose latitude gap alone puts it more than 1 km beyond
+    //    reach skips it (the gap never exceeds the distance).
     let pops = clientmap_sim::pop_catalog();
-    let mut assigned: HashMap<PopId, Vec<(usize, Prefix)>> = HashMap::new();
+    let reach: Vec<(PopId, GeoCoord, f64)> = bound
+        .iter()
+        .map(|b| (b.pop, pops[b.pop].coord, radii.radius(b.pop)))
+        .collect();
+    let mut per_pop: Vec<Vec<(usize, Prefix)>> = vec![Vec::new(); pops.len()];
+    let geodb = &sim.world().geodb;
     for (d, plan) in scan_result.domains.iter().enumerate() {
         for scope in &plan.scopes {
-            let geo = {
-                let geodb = &sim.world().geodb;
-                geodb.locate(*scope).map(|e| (e.coord, e.error_radius_km))
+            let Some(geo) = geodb.locate(*scope) else {
+                continue;
             };
-            let Some((coord, err_km)) = geo else { continue };
-            for b in &bound {
-                let radius = radii.radius(b.pop);
-                if coord.distance_km(&pops[b.pop].coord) <= radius + err_km {
-                    assigned.entry(b.pop).or_default().push((d, *scope));
+            for &(pop, pop_coord, radius) in &reach {
+                let reach_km = radius + geo.error_radius_km;
+                if geo.coord.meridian_gap_km(&pop_coord) <= reach_km + 1.0
+                    && geo.coord.distance_km(&pop_coord) <= reach_km
+                {
+                    per_pop[pop].push((d, *scope));
                 }
             }
         }
     }
+    let assigned: HashMap<PopId, Vec<(usize, Prefix)>> = per_pop
+        .into_iter()
+        .enumerate()
+        .filter(|(_, list)| !list.is_empty())
+        .collect();
 
     // 5. The probing loops: one work unit per ⟨PoP, domain⟩ stream,
     //    fanned out over the deterministic executor.
-    let stage = Instant::now();
     let t0 = SimTime::from_hours(8);
     let metrics = Arc::clone(sim.metrics());
     metrics.counter("cacheprobe.runs").inc();
@@ -900,7 +912,10 @@ pub fn prepare_sweep(
     // outside the window — a warm run re-records them live — while
     // carried and extrapolated records, live probing, and the rescue
     // sweep all land inside it, so absorbing a snapshot's delta
-    // reproduces exactly the window a full skip elides.
+    // reproduces exactly the window a full skip elides. The `probing`
+    // wall-clock stage starts with it, so no planner time is counted
+    // there as well as in the preamble.
+    let stage = Instant::now();
     let window = Window::open(sim);
 
     SweepPrep {

@@ -9,7 +9,7 @@ use clientmap_datasets::{ApnicConfig, ApnicDataset, DatasetBundle};
 use clientmap_faults::FaultConfig;
 use clientmap_net::Prefix;
 use clientmap_sim::cdn::CdnLogs;
-use clientmap_sim::{Sim, SimTime};
+use clientmap_sim::{Sim, SimTime, Substrate};
 use clientmap_store::SweepSnapshot;
 use clientmap_telemetry::{MetricsRegistry, MetricsSnapshot, ScopedTimer};
 use clientmap_world::{World, WorldConfig};
@@ -355,15 +355,18 @@ impl<T: Clone> Recorded<T> {
 ///
 /// In the paper only cache probing (§3.1) repeats on a cadence; the
 /// DITL capture technique 2 crawls (§3.2) and the validation datasets
-/// (§4) are fixed inputs. **Per session** (computed by the first sweep
-/// — after probing, from that sweep's [`Sim`], where a one-shot run
-/// always has — and replayed, value and telemetry, into every later
-/// one): the probe universe, the warm-start config digest, the DITL
-/// capture's crawl result, the CDN logs and the APNIC estimates. The
-/// `RootTraceSet` itself is never retained. **Per sweep:** the world
-/// and [`Sim`] (Google's caches start cold every time), the probing
-/// window, the dataset bundle, the invariant check and the metrics
-/// registry.
+/// (§4) are fixed inputs. **Per session**, built by the first sweep's
+/// [`Self::open`] and shared by every later one: the world and the
+/// [`Substrate`] derived from it (catchments, authoritatives, Google's
+/// load tables, the probe universe). Also per session, computed by the
+/// first sweep — after probing, from that sweep's [`Sim`], where a
+/// one-shot run always has — and replayed, value and telemetry, into
+/// every later one: the warm-start config digest, the DITL capture's
+/// crawl result, the CDN logs and the APNIC estimates. The
+/// `RootTraceSet` itself is never retained. **Per sweep:** a cold
+/// [`Sim`] over the substrate (its metrics registry, resolver counters,
+/// fault plan and session — Google's caches start cold every time), the
+/// probing window, the dataset bundle and the invariant check.
 ///
 /// The chain is deterministic and equals, byte for byte at every step
 /// (snapshot, report, metrics JSON), a chain of one-sweep sessions, each
@@ -373,9 +376,9 @@ impl<T: Clone> Recorded<T> {
 #[derive(Debug)]
 pub struct SweepSession {
     config: PipelineConfig,
-    /// The probe universe: public allocation data (RIR files stand-in).
-    /// Empty until the first sweep generates a world.
-    universe: Vec<Prefix>,
+    /// The world and everything derived from it, built by the first
+    /// [`Self::open`].
+    substrate: Option<Arc<Substrate>>,
     /// [`sweep::config_digest`] of `(config, universe)`, once a sweep
     /// has had a prior to check it against.
     digest: Option<u64>,
@@ -388,7 +391,7 @@ impl SweepSession {
     pub fn new(config: PipelineConfig) -> Self {
         SweepSession {
             config,
-            universe: Vec::new(),
+            substrate: None,
             digest: None,
             dns_logs: None,
             validation: None,
@@ -403,28 +406,32 @@ impl SweepSession {
     /// The probe universe of the session's world (empty before the
     /// first [`Self::open`] or sweep).
     pub fn universe(&self) -> &[Prefix] {
-        &self.universe
+        self.substrate.as_deref().map_or(&[], Substrate::universe)
     }
 
-    /// Opens the session's world for one sweep: generates it, derives
-    /// the probe universe (refusing an empty one), builds a cold
-    /// [`Sim`] over a fresh registry under the session's fault plan,
-    /// and checks that `prior` may warm-start it. Every sweep begins
-    /// here, and so does a fleet worker rebuilding a driver's job.
+    /// Opens the session's world for one sweep: generates it and builds
+    /// its [`Substrate`] on the first call, refuses an empty probe
+    /// universe, builds a cold [`Sim`] over the substrate with a fresh
+    /// registry under the session's fault plan, and checks that `prior`
+    /// may warm-start it. Every sweep begins here, and so does a fleet
+    /// worker rebuilding a driver's job.
     pub fn open(&mut self, prior: Option<&SweepSnapshot>) -> Result<Sim, PipelineError> {
         let config = &self.config;
-        let world = World::generate(config.world.clone());
-        if self.universe.is_empty() {
-            self.universe = world.blocks.iter().map(|b| b.prefix).collect();
-        }
-        let universe = &self.universe;
+        let substrate = self.substrate.get_or_insert_with(|| {
+            Arc::new(Substrate::build(World::generate(config.world.clone())))
+        });
+        let universe = substrate.universe();
         if universe.is_empty() {
             return Err(PipelineError::Stage {
                 stage: "world_gen".into(),
                 message: "generated world has no announced blocks to probe".into(),
             });
         }
-        let sim = Sim::with_faults(world, Arc::new(MetricsRegistry::new()), &config.faults);
+        let sim = Sim::over(
+            Arc::clone(substrate),
+            Arc::new(MetricsRegistry::new()),
+            &config.faults,
+        );
 
         // Warm-start validity: a snapshot only speaks for runs over the
         // same world and probing configuration. Refusing a mismatched
@@ -489,7 +496,7 @@ impl SweepSession {
         let metrics = Arc::clone(sim.metrics());
         metrics.counter("pipeline.runs").inc();
         timings.push(("world_gen".into(), stage.elapsed().as_secs_f64()));
-        let (config, universe) = (&self.config, &self.universe);
+        let (config, universe) = (&self.config, self.universe());
 
         // Technique 1: cache probing (discovery at t=0, calibration at
         // t=6 h, the probing window starting at t=8 h).
@@ -855,6 +862,41 @@ mod tests {
         };
         assert_eq!(stages(&timings), ["world_gen", "crawl", "analysis"]);
         assert_eq!(stages(&replayed), stages(&timings));
+    }
+
+    #[test]
+    fn a_session_builds_its_world_once() {
+        let mut session = SweepSession::new(PipelineConfig::tiny(7));
+        let a = session.sweep(None).expect("sweep 1");
+        let b = session.sweep(Some(&a.sweep)).expect("sweep 2");
+        assert!(std::ptr::eq(a.sim.world(), b.sim.world()));
+        assert!(std::ptr::eq(
+            session.universe(),
+            b.sim.substrate().universe()
+        ));
+        // Each one-shot run is a session of its own, with its own world.
+        let c = Pipeline::run(PipelineConfig::tiny(7)).expect("one-shot run");
+        assert!(!std::ptr::eq(c.sim.world(), output().sim.world()));
+    }
+
+    #[test]
+    fn stage_timings_fit_inside_the_sweep_wall_time() {
+        let mut timings = Vec::new();
+        let wall = Instant::now();
+        let warm = SweepSession::new(PipelineConfig::tiny(7))
+            .sweep_with(Some(&output().sweep), &mut timings, &mut LocalSweep)
+            .expect("warm sweep");
+        let wall = wall.elapsed().as_secs_f64();
+        assert_eq!(
+            warm.metrics_snapshot()
+                .counter("cacheprobe.planner.planned"),
+            0
+        );
+        let stages: f64 = timings.iter().map(|(_, s)| s).sum();
+        assert!(
+            stages <= wall,
+            "stages sum to {stages} s inside a {wall} s sweep: {timings:?}"
+        );
     }
 
     /// Fails the probing window on its `fail_on`-th call.

@@ -48,6 +48,20 @@ impl GeoCoord {
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
+    /// The distance along a meridian between the two latitudes, km: a
+    /// lower bound on [`GeoCoord::distance_km`] (no great circle between
+    /// the points is shorter) at the cost of a subtraction.
+    ///
+    /// ```
+    /// use clientmap_net::GeoCoord;
+    /// let nyc = GeoCoord::new(40.7128, -74.0060).unwrap();
+    /// let lon = GeoCoord::new(51.5074, -0.1278).unwrap();
+    /// assert!(nyc.meridian_gap_km(&lon) <= nyc.distance_km(&lon));
+    /// ```
+    pub fn meridian_gap_km(&self, other: &GeoCoord) -> f64 {
+        (self.lat - other.lat).abs() * (EARTH_RADIUS_KM * std::f64::consts::PI / 180.0)
+    }
+
     /// The destination reached by travelling `distance_km` along the
     /// initial `bearing_deg` (clockwise from north). Used to scatter
     /// synthetic prefixes around population centres.

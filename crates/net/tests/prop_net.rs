@@ -2,7 +2,7 @@
 
 use std::collections::BTreeMap;
 
-use clientmap_net::{Asn, Prefix, PrefixSet, PrefixTrie, Rib};
+use clientmap_net::{Asn, GeoCoord, Prefix, PrefixSet, PrefixTrie, Rib};
 use proptest::prelude::*;
 
 /// Arbitrary canonical prefix.
@@ -182,5 +182,26 @@ proptest! {
                 .sum();
             prop_assert_eq!(rib.announced_slash24s(asn), expect);
         }
+    }
+
+    /// The meridian gap is a safe prefilter for a reach test: wherever
+    /// it exceeds the reach by more than 1 km, so does the great-circle
+    /// distance — a pair it skips could never have passed.
+    #[test]
+    fn meridian_gap_prefilter_never_skips_a_pair_in_reach(
+        lat1 in -90.0f64..=90.0,
+        lon1 in -180.0f64..=180.0,
+        lat2 in -90.0f64..=90.0,
+        lon2 in -180.0f64..=180.0,
+        reach in 0.0f64..=20_040.0,
+    ) {
+        let a = GeoCoord::new(lat1, lon1).unwrap();
+        let b = GeoCoord::new(lat2, lon2).unwrap();
+        let gap = a.meridian_gap_km(&b);
+        if gap > reach + 1.0 {
+            prop_assert!(a.distance_km(&b) > reach, "gap {gap} km, reach {reach} km");
+        }
+        // The bound itself, without the margin's help.
+        prop_assert!(gap <= a.distance_km(&b) + 1e-6);
     }
 }

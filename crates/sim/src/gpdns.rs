@@ -212,9 +212,28 @@ impl GpdnsMetrics {
     }
 }
 
-/// The simulated Google Public DNS service (immutable after build).
+/// The simulated Google Public DNS service (immutable after build): the
+/// shared load tables, plus the counters and fault plan of the run
+/// that queries them.
 #[derive(Debug)]
 pub struct GooglePublicDns {
+    /// Built once per world and shared by every run over it.
+    tables: Arc<GpdnsTables>,
+    /// Shared atomic telemetry (hit/miss per pool, drops by transport).
+    metrics: GpdnsMetrics,
+    /// Fault-injection plan consulted on every admitted query (the
+    /// inert [`FaultPlan::off`] by default, which short-circuits).
+    faults: Arc<FaultPlan>,
+    /// Injection counters — `None` when the plan is off, so fault-free
+    /// metrics snapshots stay byte-identical to the pre-fault service.
+    fault_metrics: Option<FaultMetrics>,
+}
+
+/// What Google Public DNS knows about a world: per-(PoP, domain, scope)
+/// client load and the per-domain query keys — a pure function of the
+/// world, its catchments and its authoritatives.
+#[derive(Debug)]
+pub(crate) struct GpdnsTables {
     seed: u64,
     /// ECS-capable domains (index = domain slot used in hashing).
     ecs_domains: Vec<DomainName>,
@@ -233,14 +252,6 @@ pub struct GooglePublicDns {
     diurnal_amplitude: f64,
     /// Base address for per-PoP egress (the Google /16).
     egress_base: u32,
-    /// Shared atomic telemetry (hit/miss per pool, drops by transport).
-    metrics: GpdnsMetrics,
-    /// Fault-injection plan consulted on every admitted query (the
-    /// inert [`FaultPlan::off`] by default, which short-circuits).
-    faults: Arc<FaultPlan>,
-    /// Injection counters — `None` when the plan is off, so fault-free
-    /// metrics snapshots stay byte-identical to the pre-fault service.
-    fault_metrics: Option<FaultMetrics>,
 }
 
 /// What an injected [`QueryFault`] looks like on the wire.
@@ -267,23 +278,10 @@ fn qname_wire(name: &DomainName) -> Vec<u8> {
     v
 }
 
-impl GooglePublicDns {
-    /// Builds the service with counters on a private registry (for
-    /// standalone use; [`crate::Sim`] uses
-    /// [`GooglePublicDns::build_with_metrics`]).
-    pub fn build(world: &World, catchments: &Catchments, auth: &Authoritatives) -> Self {
-        Self::build_with_metrics(world, catchments, auth, GpdnsMetrics::detached())
-    }
-
-    /// Builds the service: aggregates every active /24's Google-bound
-    /// query rate into per-(PoP, domain, scope) loads. Service-side
-    /// telemetry lands on the supplied counter family.
-    pub fn build_with_metrics(
-        world: &World,
-        catchments: &Catchments,
-        auth: &Authoritatives,
-        metrics: GpdnsMetrics,
-    ) -> Self {
+impl GpdnsTables {
+    /// Aggregates every active /24's Google-bound query rate into
+    /// per-(PoP, domain, scope) loads.
+    pub(crate) fn build(world: &World, catchments: &Catchments, auth: &Authoritatives) -> Self {
         let seed = SeedMixer::new(world.config.seed).mix_str("gpdns").finish();
         let npops = pop_catalog().len();
         let specs: Vec<&clientmap_world::DomainSpec> = world
@@ -336,7 +334,7 @@ impl GooglePublicDns {
             }
         }
 
-        GooglePublicDns {
+        GpdnsTables {
             seed,
             ecs_domains,
             domain_wires,
@@ -348,6 +346,38 @@ impl GooglePublicDns {
             egress_base: world.blocks[world.ases[world.google_as].blocks[0]]
                 .prefix
                 .addr(),
+        }
+    }
+}
+
+impl GooglePublicDns {
+    /// Builds the service with counters on a private registry (for
+    /// standalone use; [`crate::Sim`] uses
+    /// [`GooglePublicDns::build_with_metrics`]).
+    pub fn build(world: &World, catchments: &Catchments, auth: &Authoritatives) -> Self {
+        Self::build_with_metrics(world, catchments, auth, GpdnsMetrics::detached())
+    }
+
+    /// Builds the service: aggregates every active /24's Google-bound
+    /// query rate into per-(PoP, domain, scope) loads. Service-side
+    /// telemetry lands on the supplied counter family.
+    pub fn build_with_metrics(
+        world: &World,
+        catchments: &Catchments,
+        auth: &Authoritatives,
+        metrics: GpdnsMetrics,
+    ) -> Self {
+        Self::over(
+            Arc::new(GpdnsTables::build(world, catchments, auth)),
+            metrics,
+        )
+    }
+
+    /// The fault-free service over already-built tables, counting on
+    /// `metrics`.
+    pub(crate) fn over(tables: Arc<GpdnsTables>, metrics: GpdnsMetrics) -> Self {
+        GooglePublicDns {
+            tables,
             metrics,
             faults: Arc::new(FaultPlan::off()),
             fault_metrics: None,
@@ -404,13 +434,13 @@ impl GooglePublicDns {
     /// The egress address authoritatives/roots see for queries issued
     /// by this PoP's resolver fleet.
     pub fn egress_addr(&self, pop: PopId) -> u32 {
-        self.egress_base | 0x0100 | (pop as u32)
+        self.tables.egress_base | 0x0100 | (pop as u32)
     }
 
     /// The PoP owning an egress address, if it is one.
     pub fn pop_of_egress(&self, addr: u32) -> Option<PopId> {
         let npops = pop_catalog().len();
-        if addr & 0xFFFF_0000 == self.egress_base && addr & 0xFF00 == 0x0100 {
+        if addr & 0xFFFF_0000 == self.tables.egress_base && addr & 0xFF00 == 0x0100 {
             let pop = (addr & 0xFF) as usize;
             (pop < npops).then_some(pop)
         } else {
@@ -420,7 +450,7 @@ impl GooglePublicDns {
 
     /// Domain slot for a name, if Google keeps ECS-scoped entries for it.
     fn domain_slot(&self, name: &DomainName) -> Option<usize> {
-        self.ecs_domains.iter().position(|d| d == name)
+        self.tables.ecs_domains.iter().position(|d| d == name)
     }
 
     /// Token-bucket admission control (state lives in the session).
@@ -465,17 +495,17 @@ impl GooglePublicDns {
         load: &ScopeLoad,
         t: SimTime,
     ) -> bool {
-        let ttl = f64::from(self.ttls[slot]);
+        let ttl = f64::from(self.tables.ttls[slot]);
         let window = (t.as_secs_f64() / ttl) as u64;
         let diurnal = clientmap_world::activity::diurnal_multiplier(
             t.as_secs_f64(),
             load.lon(),
-            self.diurnal_amplitude,
+            self.tables.diurnal_amplitude,
         );
         let lambda_pool = load.rate * diurnal / POOLS_PER_POP as f64;
         let horizon = ttl.min(t.as_secs_f64().max(0.0));
         let p_live = 1.0 - (-lambda_pool * horizon).exp();
-        let h = SeedMixer::new(self.seed)
+        let h = SeedMixer::new(self.tables.seed)
             .mix_str("live")
             .mix(pop as u64)
             .mix(pool as u64)
@@ -489,7 +519,7 @@ impl GooglePublicDns {
 
     /// Remaining TTL for a hit entry (age uniform within the window).
     fn remaining_ttl(&self, slot: usize, h_entropy: u64, t: SimTime) -> u32 {
-        let ttl = f64::from(self.ttls[slot]);
+        let ttl = f64::from(self.tables.ttls[slot]);
         let age = unit(SeedMixer::new(h_entropy).mix(99).finish()) * ttl.min(t.as_secs_f64());
         (ttl - age).max(1.0) as u32
     }
@@ -595,7 +625,7 @@ impl GooglePublicDns {
         // deterministic per prober regardless of what other probers do
         // in parallel.
         session.seq += 1;
-        let pool_h = SeedMixer::new(self.seed)
+        let pool_h = SeedMixer::new(self.tables.seed)
             .mix_str("pool")
             .mix(prober)
             .mix(t.as_millis())
@@ -617,15 +647,15 @@ impl GooglePublicDns {
 
         // 1. Scoped entry.
         if let Some(scope) = candidate.filter(|s| !s.is_default()) {
-            if let Some(load) = self.scoped[pop][slot].get(&scope).copied() {
+            if let Some(load) = self.tables.scoped[pop][slot].get(&scope).copied() {
                 if self.entry_live(pop, pool, slot, scope, &load, t) {
                     self.metrics.pool_hits[pool].inc();
-                    let h = SeedMixer::new(self.seed)
+                    let h = SeedMixer::new(self.tables.seed)
                         .mix_str("ttl")
                         .mix(pop as u64)
                         .mix(pool as u64)
                         .mix(u64::from(scope.addr()))
-                        .mix(t.as_millis() / (u64::from(self.ttls[slot]) * 1000))
+                        .mix(t.as_millis() / (u64::from(self.tables.ttls[slot]) * 1000))
                         .finish();
                     let remaining = self.remaining_ttl(slot, h, t);
                     // The scope attached to the cached answer reflects the
@@ -644,13 +674,13 @@ impl GooglePublicDns {
         }
 
         // 2. Scope-0 entry (cached for everyone).
-        let gload = self.global[pop][slot];
+        let gload = self.tables.global[pop][slot];
         if gload.rate > 0.0 && self.entry_live(pop, pool, slot, Prefix::DEFAULT, &gload, t) {
             self.metrics.pool_scope0[pool].inc();
             let resp = Message::response_for(&query)
                 .with_answers(vec![Record::a(
                     q.name.clone(),
-                    self.ttls[slot].max(1),
+                    self.tables.ttls[slot].max(1),
                     0x60F0_0000 | slot as u32,
                 )])
                 .with_response_ecs(source, 0);
@@ -730,6 +760,7 @@ impl GooglePublicDns {
             return None;
         }
         let slot = self
+            .tables
             .domain_wires
             .iter()
             .position(|w| w[..] == *view.qname_wire)?;
@@ -758,7 +789,7 @@ impl GooglePublicDns {
 
         // Pool draw — same mix, same seq advance as the slow path.
         session.seq += 1;
-        let pool_h = SeedMixer::new(self.seed)
+        let pool_h = SeedMixer::new(self.tables.seed)
             .mix_str("pool")
             .mix(prober)
             .mix(t.as_millis())
@@ -767,20 +798,20 @@ impl GooglePublicDns {
             .finish();
         let pool = (pool_h % POOLS_PER_POP as u64) as usize;
 
-        let key = &self.scope_keys[slot];
+        let key = &self.tables.scope_keys[slot];
         let candidate = auth.base_scope_keyed(key, source.addr());
 
         // 1. Scoped entry.
         if let Some(scope) = candidate.filter(|s| !s.is_default()) {
-            if let Some(load) = self.scoped[pop][slot].get(&scope).copied() {
+            if let Some(load) = self.tables.scoped[pop][slot].get(&scope).copied() {
                 if self.entry_live(pop, pool, slot, scope, &load, t) {
                     self.metrics.pool_hits[pool].inc();
-                    let h = SeedMixer::new(self.seed)
+                    let h = SeedMixer::new(self.tables.seed)
                         .mix_str("ttl")
                         .mix(pop as u64)
                         .mix(pool as u64)
                         .mix(u64::from(scope.addr()))
-                        .mix(t.as_millis() / (u64::from(self.ttls[slot]) * 1000))
+                        .mix(t.as_millis() / (u64::from(self.tables.ttls[slot]) * 1000))
                         .finish();
                     let remaining = self.remaining_ttl(slot, h, t);
                     let resp_scope = auth
@@ -800,14 +831,14 @@ impl GooglePublicDns {
         }
 
         // 2. Scope-0 entry.
-        let gload = self.global[pop][slot];
+        let gload = self.tables.global[pop][slot];
         if gload.rate > 0.0 && self.entry_live(pop, pool, slot, Prefix::DEFAULT, &gload, t) {
             self.metrics.pool_scope0[pool].inc();
             wire::write_probe_response(
                 out,
                 view.id,
                 question_wire,
-                Some((self.ttls[slot].max(1), 0x60F0_0000 | slot as u32)),
+                Some((self.tables.ttls[slot].max(1), 0x60F0_0000 | slot as u32)),
                 source,
                 0,
             );
@@ -916,7 +947,7 @@ impl GooglePublicDns {
     /// validator can drive event-level arrivals from the same inputs.
     pub fn scope_load(&self, pop: PopId, domain: &DomainName, scope: Prefix) -> Option<(f64, f64)> {
         let slot = self.domain_slot(domain)?;
-        self.scoped[pop][slot]
+        self.tables.scoped[pop][slot]
             .get(&scope)
             .map(|l| (l.rate, l.lon()))
     }
@@ -924,7 +955,7 @@ impl GooglePublicDns {
     /// The record TTL Google caches for a domain, if ECS-cached.
     pub fn domain_ttl(&self, domain: &DomainName) -> Option<u32> {
         let slot = self.domain_slot(domain)?;
-        Some(self.ttls[slot])
+        Some(self.tables.ttls[slot])
     }
 
     /// All scopes with load at a PoP for a domain, heaviest first.
@@ -932,7 +963,7 @@ impl GooglePublicDns {
         let Some(slot) = self.domain_slot(domain) else {
             return Vec::new();
         };
-        let mut v: Vec<(Prefix, f64)> = self.scoped[pop][slot]
+        let mut v: Vec<(Prefix, f64)> = self.tables.scoped[pop][slot]
             .iter()
             .map(|(p, l)| (*p, l.rate))
             .collect();
@@ -943,12 +974,12 @@ impl GooglePublicDns {
     /// Total Google-bound load (qps at diurnal mean) at a PoP, across
     /// ECS domains — used to verify the unreachable-PoP share (~5%).
     pub fn pop_load(&self, pop: PopId) -> f64 {
-        let scoped: f64 = self.scoped[pop]
+        let scoped: f64 = self.tables.scoped[pop]
             .iter()
             .flat_map(|m| m.values())
             .map(|l| l.rate)
             .sum();
-        let global: f64 = self.global[pop].iter().map(|l| l.rate).sum();
+        let global: f64 = self.tables.global[pop].iter().map(|l| l.rate).sum();
         scoped + global
     }
 }
@@ -1102,20 +1133,21 @@ impl GooglePublicDns {
     /// models, and one the prober's domain selection never produces.
     pub fn batch_domain(&self, conn: &BatchConn, qname_wire: &[u8]) -> Option<BatchDomain<'_>> {
         let slot = self
+            .tables
             .domain_wires
             .iter()
             .position(|w| w[..] == *qname_wire)?;
-        let scoped = &self.scoped[conn.pop][slot];
+        let scoped = &self.tables.scoped[conn.pop][slot];
         let mut prefilter = Slash24Bitset::new();
         for scope in scoped.keys() {
             prefilter.insert(scope.addr() >> 8);
         }
-        let (lo, _) = self.scope_keys[slot].scope_len_range();
+        let (lo, _) = self.tables.scope_keys[slot].scope_len_range();
         Some(BatchDomain {
             slot,
-            key: self.scope_keys[slot],
+            key: self.tables.scope_keys[slot],
             scoped,
-            global: self.global[conn.pop][slot],
+            global: self.tables.global[conn.pop][slot],
             prefilter,
             anc_clear: 24u8.saturating_sub(lo.min(24)),
         })
@@ -1193,7 +1225,7 @@ impl GooglePublicDns {
                 || view.recursion_desired()
                 || view.rtype != RrType::A.to_u16()
                 || view.qclass != clientmap_dns::RrClass::In.to_u16()
-                || view.qname_wire != &self.domain_wires[dom.slot][..]
+                || view.qname_wire != &self.tables.domain_wires[dom.slot][..]
                 || view.ecs.map_or(Prefix::DEFAULT, |e| e.source) != lane.scope
             {
                 return false;
@@ -1237,7 +1269,7 @@ impl GooglePublicDns {
                 continue; // Dropped: never upgrades `best`.
             }
             conn.seq += 1;
-            let pool_h = SeedMixer::new(self.seed)
+            let pool_h = SeedMixer::new(self.tables.seed)
                 .mix_str("pool")
                 .mix(conn.prober)
                 .mix(rt.as_millis())
@@ -1250,12 +1282,12 @@ impl GooglePublicDns {
             if let Some((cand, load)) = &lane.hit_path {
                 if self.entry_live(conn.pop, pool, dom.slot, *cand, load, rt) {
                     conn.stats.pool_hits[pool] += 1;
-                    let h = SeedMixer::new(self.seed)
+                    let h = SeedMixer::new(self.tables.seed)
                         .mix_str("ttl")
                         .mix(conn.pop as u64)
                         .mix(pool as u64)
                         .mix(u64::from(cand.addr()))
-                        .mix(rt.as_millis() / (u64::from(self.ttls[dom.slot]) * 1000))
+                        .mix(rt.as_millis() / (u64::from(self.tables.ttls[dom.slot]) * 1000))
                         .finish();
                     let remaining = self.remaining_ttl(dom.slot, h, rt);
                     let resp_scope = auth

@@ -56,5 +56,5 @@ pub use gpdns::{
     Transport, POOLS_PER_POP,
 };
 pub use pops::{pop_catalog, PopId, PopSite, PopStatus};
-pub use sim::{Sim, SimView};
+pub use sim::{Sim, SimView, Substrate};
 pub use time::SimTime;

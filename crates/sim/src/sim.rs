@@ -11,7 +11,9 @@ use clientmap_world::World;
 use crate::anycast::Catchments;
 use crate::authoritative::Authoritatives;
 use crate::cdn::{collect_logs, CdnLogs};
-use crate::gpdns::{GooglePublicDns, GpdnsMetrics, GpdnsSession, Transport, MYADDR_NAME};
+use crate::gpdns::{
+    GooglePublicDns, GpdnsMetrics, GpdnsSession, GpdnsTables, Transport, MYADDR_NAME,
+};
 use crate::pops::{pop_catalog, PopId};
 use crate::resolvers::{ResolverSnooping, SnoopOutcome};
 use crate::roots::{capture_traces, RootTraceSet};
@@ -20,22 +22,66 @@ use crate::SimTime;
 /// The assembled simulation: one [`World`] plus every service the
 /// measurement techniques interact with.
 ///
+/// Two parts: the immutable [`Substrate`] (the world and everything
+/// derived from it), shared behind an `Arc` by every `Sim` over the same
+/// world, and the state of one run over it — the metrics registry, the
+/// resolver's counters and fault plan, and the prober's session.
+///
 /// ```
 /// use clientmap_sim::Sim;
 /// use clientmap_world::{World, WorldConfig};
 ///
 /// let sim = Sim::new(World::generate(WorldConfig::tiny(1)));
 /// assert!(sim.world().routed_slash24s() > 1000);
+/// // A second, cold run over the same world shares its substrate.
+/// let again = sim.fresh();
+/// assert!(std::ptr::eq(sim.world(), again.world()));
 /// ```
 #[derive(Debug)]
 pub struct Sim {
+    substrate: Arc<Substrate>,
+    gpdns: GooglePublicDns,
+    session: GpdnsSession,
+    metrics: Arc<MetricsRegistry>,
+}
+
+/// Everything in a [`Sim`] that is a pure function of its [`World`]:
+/// the world, anycast catchments, the authoritative layer, Google's
+/// per-PoP load tables, resolver snooping and the probe universe. Built
+/// once ([`Substrate::build`]) and shared by every run over the world.
+#[derive(Debug)]
+pub struct Substrate {
     world: World,
     catchments: Catchments,
     auth: Authoritatives,
-    gpdns: GooglePublicDns,
-    session: GpdnsSession,
+    gpdns: Arc<GpdnsTables>,
     snooping: ResolverSnooping,
-    metrics: Arc<MetricsRegistry>,
+    universe: Vec<Prefix>,
+}
+
+impl Substrate {
+    /// Derives every service table from `world`.
+    pub fn build(world: World) -> Substrate {
+        let catchments = Catchments::compute(&world);
+        let auth = Authoritatives::new(world.config.seed, world.rib.clone());
+        let gpdns = Arc::new(GpdnsTables::build(&world, &catchments, &auth));
+        let snooping = ResolverSnooping::new(world.config.seed);
+        let universe = world.blocks.iter().map(|b| b.prefix).collect();
+        Substrate {
+            world,
+            catchments,
+            auth,
+            gpdns,
+            snooping,
+            universe,
+        }
+    }
+
+    /// The probe universe: every announced block — public allocation
+    /// data (the RIR files stand-in).
+    pub fn universe(&self) -> &[Prefix] {
+        &self.universe
+    }
 }
 
 /// A read-only view over the simulation shared by concurrent probers;
@@ -102,28 +148,49 @@ impl Sim {
     /// is exactly the fault-free simulation: no fault counters are
     /// registered and every injection point short-circuits.
     pub fn with_faults(world: World, metrics: Arc<MetricsRegistry>, faults: &FaultConfig) -> Sim {
+        Sim::over(Arc::new(Substrate::build(world)), metrics, faults)
+    }
+
+    /// [`Sim::with_faults`] over an already-built substrate: a cold run
+    /// (fresh session, counters on `metrics`) that derives nothing from
+    /// the world again.
+    pub fn over(
+        substrate: Arc<Substrate>,
+        metrics: Arc<MetricsRegistry>,
+        faults: &FaultConfig,
+    ) -> Sim {
+        let world = &substrate.world;
         world.register_metrics(&metrics);
         let plan = Arc::new(FaultPlan::new(world.config.seed, faults));
         let fault_metrics = plan.enabled().then(|| FaultMetrics::register(&metrics));
-        let catchments = Catchments::compute(&world);
-        let auth = Authoritatives::new(world.config.seed, world.rib.clone());
-        let gpdns = GooglePublicDns::build_with_metrics(
-            &world,
-            &catchments,
-            &auth,
+        let gpdns = GooglePublicDns::over(
+            Arc::clone(&substrate.gpdns),
             GpdnsMetrics::register(&metrics),
         )
         .with_faults(plan, fault_metrics);
-        let snooping = ResolverSnooping::new(world.config.seed);
         Sim {
-            world,
-            catchments,
-            auth,
+            substrate,
             gpdns,
             session: GpdnsSession::new(),
-            snooping,
             metrics,
         }
+    }
+
+    /// A cold, fault-free simulation over this one's substrate, on a
+    /// fresh registry — [`Sim::new`] of the same world, without deriving
+    /// it again.
+    pub fn fresh(&self) -> Sim {
+        Sim::over(
+            Arc::clone(&self.substrate),
+            Arc::new(MetricsRegistry::new()),
+            &FaultConfig::default(),
+        )
+    }
+
+    /// The immutable part of this simulation, shared with every other
+    /// run over the same world.
+    pub fn substrate(&self) -> &Substrate {
+        &self.substrate
     }
 
     /// The fault plan threaded through the services.
@@ -139,9 +206,9 @@ impl Sim {
     /// A shareable read-only view for concurrent probers.
     pub fn view(&self) -> SimView<'_> {
         SimView {
-            world: &self.world,
-            catchments: &self.catchments,
-            auth: &self.auth,
+            world: &self.substrate.world,
+            catchments: &self.substrate.catchments,
+            auth: &self.substrate.auth,
             gpdns: &self.gpdns,
         }
     }
@@ -149,17 +216,17 @@ impl Sim {
     /// The underlying world (ground truth; techniques must not peek —
     /// only the validation/analysis layer does).
     pub fn world(&self) -> &World {
-        &self.world
+        &self.substrate.world
     }
 
     /// Anycast catchments.
     pub fn catchments(&self) -> &Catchments {
-        &self.catchments
+        &self.substrate.catchments
     }
 
     /// The authoritative layer.
     pub fn authoritatives(&self) -> &Authoritatives {
-        &self.auth
+        &self.substrate.auth
     }
 
     /// The Google Public DNS service (read-only view).
@@ -180,9 +247,9 @@ impl Sim {
     ) -> Option<Vec<u8>> {
         self.gpdns.handle_query(
             &mut self.session,
-            &self.world,
-            &self.catchments,
-            &self.auth,
+            &self.substrate.world,
+            &self.substrate.catchments,
+            &self.substrate.auth,
             prober,
             coord,
             packet,
@@ -215,25 +282,21 @@ impl Sim {
         ecs: Prefix,
         t: SimTime,
     ) -> Option<ScopedAnswer> {
-        self.auth.answer(&self.world.domains, name, Some(ecs), t)
+        let sub = &self.substrate;
+        sub.auth.answer(&sub.world.domains, name, Some(ecs), t)
     }
 
     /// Collects a window of Microsoft CDN + Traffic Manager logs.
     pub fn collect_cdn_logs(&self, t0: SimTime, t1: SimTime) -> CdnLogs {
-        collect_logs(
-            &self.world,
-            &self.catchments,
-            &self.auth,
-            &self.gpdns,
-            t0,
-            t1,
-        )
+        let sub = &self.substrate;
+        collect_logs(&sub.world, &sub.catchments, &sub.auth, &self.gpdns, t0, t1)
     }
 
     /// Whether a resolver (by id) answers off-net queries — what an
     /// Internet-wide port-53 scan discovers.
     pub fn resolver_is_open(&self, resolver_id: usize) -> bool {
-        self.snooping.is_open(&self.world, resolver_id)
+        let sub = &self.substrate;
+        sub.snooping.is_open(&sub.world, resolver_id)
     }
 
     /// One cache-snoop query against a recursive resolver (the §3.1
@@ -244,15 +307,16 @@ impl Sim {
         domain: &DomainName,
         t: SimTime,
     ) -> Option<SnoopOutcome> {
-        let spec = self.world.domains.get(domain)?;
-        Some(self.snooping.snoop(&self.world, resolver_id, spec, t))
+        let sub = &self.substrate;
+        let spec = sub.world.domains.get(domain)?;
+        Some(sub.snooping.snoop(&sub.world, resolver_id, spec, t))
     }
 
     /// Captures a DITL-style root-trace window.
     pub fn capture_root_traces(&self, start: SimTime, days: u32, sample_rate: f64) -> RootTraceSet {
         capture_traces(
-            &self.world,
-            &self.catchments,
+            &self.substrate.world,
+            &self.substrate.catchments,
             &self.gpdns,
             start,
             days,

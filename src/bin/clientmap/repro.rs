@@ -23,8 +23,7 @@ use clientmap_chromium::collisions;
 use clientmap_core::PipelineOutput;
 use clientmap_faults::FaultConfig;
 use clientmap_net::Prefix;
-use clientmap_sim::{Sim, SimTime, Transport};
-use clientmap_world::World;
+use clientmap_sim::{SimTime, Transport};
 
 use super::{run_or_exit, write_run_outputs, Args};
 
@@ -260,7 +259,7 @@ fn combine_section(out: &PipelineOutput) -> String {
 /// faithfulness claim, demonstrated).
 fn microsim_section(out: &PipelineOutput) -> String {
     use clientmap_sim::microsim::validate_liveness_model;
-    let sim = Sim::new(World::generate(out.config.world.clone()));
+    let sim = out.sim.fresh();
     let domain: clientmap_dns::DomainName = "www.google.com".parse().unwrap();
     let pop = clientmap_sim::pop_catalog()
         .iter()
@@ -316,7 +315,7 @@ fn diurnal_section(out: &PipelineOutput) -> String {
     let mut s = String::from(
         "Time-of-day analysis (§2 use case)\n------------------------------------------------------------\n",
     );
-    let mut sim = Sim::new(World::generate(out.config.world.clone()));
+    let mut sim = out.sim.fresh();
     let bound = discover(&mut sim, SimTime::ZERO);
     let domain: clientmap_dns::DomainName = "www.google.com".parse().unwrap();
     let cfg = out.config.probe.clone();
@@ -398,7 +397,7 @@ fn diurnal_section(out: &PipelineOutput) -> String {
 /// the Google-ECS technique.
 fn baseline_section(out: &PipelineOutput) -> String {
     use clientmap_cacheprobe::openresolver::run_baseline;
-    let sim = Sim::new(World::generate(out.config.world.clone()));
+    let sim = out.sim.fresh();
     let domains: Vec<clientmap_dns::DomainName> = sim
         .world()
         .domains
@@ -453,14 +452,14 @@ fn ablations_section(out: &PipelineOutput) -> String {
         "Ablations (design choices, §3.1.1)\n------------------------------------------------------------\n",
     );
 
-    // Fresh small sim so probing state is untouched by the main run.
-    let world = World::generate(out.config.world.clone());
-    let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
-    let mut sim = Sim::new(world);
+    // A fresh sim over the run's world, so probing state is untouched
+    // by the main run.
+    let mut sim = out.sim.fresh();
+    let universe = out.sim.substrate().universe();
 
     // 1. Scope-reduction: authoritative queries spent.
     let domain: clientmap_dns::DomainName = "www.google.com".parse().unwrap();
-    let plan = scan_domain(&sim, &domain, &universe, SimTime::ZERO);
+    let plan = scan_domain(&sim, &domain, universe, SimTime::ZERO);
     let naive: u64 = universe.iter().map(|b| b.num_slash24s()).sum();
     s.push_str(&format!(
         "scope pre-scan: {} authoritative queries vs {} naive per-/24 \
