@@ -25,17 +25,16 @@
 //! `clientmap-core`'s invariant layer:
 //! `representatives + extrapolated + escalated == planned_universe`.
 
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 
 use clientmap_net::{Prefix, SeedMixer};
 use clientmap_store::{
-    HitEvent, PlanReason, RecordKey, ScopeRecord, SweepSnapshot, CONFIDENCE_MAX,
+    ConfidenceRecord, HitEvent, PlanReason, RecordKey, ScopeRecord, CONFIDENCE_MAX,
 };
 use clientmap_world::World;
 
-use crate::plan::{ExhaustivePlan, PlanDecision, PlanSlot, ProbePlan, WarmStartPlan};
+use crate::plan::{PlanDecision, ProbePlan, WarmStartPlan};
 use crate::probe::{record_key, ProbeUnit};
-use crate::vantage::BoundVantage;
 use crate::ProbeConfig;
 
 /// Verdict rank of a stored record, mirroring the derivation
@@ -91,7 +90,33 @@ impl ClusterFeatures {
             prior_verdict: prior.map_or(0, verdict_rank),
         }
     }
+
+    /// The features whose mismatch alone costs at least [`JOIN_GAP`]:
+    /// origin AS and prior verdict.
+    pub fn join_key(&self) -> (Option<usize>, u8) {
+        (self.as_id, self.prior_verdict)
+    }
 }
+
+/// Weight of the origin-AS term of [`feature_distance`].
+pub const AS_WEIGHT: f64 = 0.40;
+/// Weight of the AS-category term of [`feature_distance`].
+pub const CATEGORY_WEIGHT: f64 = 0.15;
+/// Weight of the home-metro term of [`feature_distance`].
+pub const METRO_WEIGHT: f64 = 0.15;
+/// Weight of the scope-length term of [`feature_distance`], reached at
+/// a length gap of 32.
+pub const LEN_WEIGHT: f64 = 0.10;
+/// Weight of the prior-verdict term of [`feature_distance`].
+pub const VERDICT_WEIGHT: f64 = 0.30;
+
+/// The least [`feature_distance`] between two candidates that differ in
+/// origin AS or prior verdict, whatever their other features: every
+/// term is non-negative, so either mismatch alone puts them this far
+/// apart. Below it, a candidate can only join a representative of its
+/// own [`ClusterFeatures::join_key`] — what makes the planner's keyed
+/// join exact.
+pub const JOIN_GAP: f64 = AS_WEIGHT.min(VERDICT_WEIGHT);
 
 /// Weighted feature distance in `[0, 1.1]`. The AS and prior-verdict
 /// terms dominate by design: at the default epsilon (0.25) a cluster
@@ -101,17 +126,17 @@ impl ClusterFeatures {
 pub fn feature_distance(a: &ClusterFeatures, b: &ClusterFeatures) -> f64 {
     let mut d = 0.0;
     if a.as_id != b.as_id {
-        d += 0.40;
+        d += AS_WEIGHT;
     }
     if a.category != b.category {
-        d += 0.15;
+        d += CATEGORY_WEIGHT;
     }
     if a.metro != b.metro {
-        d += 0.15;
+        d += METRO_WEIGHT;
     }
-    d += 0.10 * f64::from(a.scope_len.abs_diff(b.scope_len)) / 32.0;
+    d += LEN_WEIGHT * f64::from(a.scope_len.abs_diff(b.scope_len)) / 32.0;
     if a.prior_verdict != b.prior_verdict {
-        d += 0.30;
+        d += VERDICT_WEIGHT;
     }
     d
 }
@@ -147,150 +172,152 @@ impl ClusterStats {
     }
 }
 
-/// The cluster-based predictive plan. Built once per sweep by a
-/// deterministic greedy pass over the assigned units; [`ProbePlan`]
-/// decisions are then pure map lookups, so the plan composes with
-/// `plan_units` exactly like the exhaustive and warm-start planners.
+/// The cluster-based predictive plan. Decides a ⟨vantage, domain⟩
+/// unit at a time inside `plan_units`' one ordered walk: escalation,
+/// the inner warm (or exhaustive) rule, then the seeded greedy join,
+/// accumulating [`ClusterStats`] as it goes.
 #[derive(Debug)]
-pub struct ClusteredPlan {
-    decisions: BTreeMap<RecordKey, PlanDecision>,
+pub struct ClusteredPlan<'w> {
+    world: &'w World,
+    world_seed: u64,
+    epsilon: f64,
+    escalate_below: f64,
+    /// The warm rule for warm sweeps; `None` plans cold (every slot a
+    /// candidate).
+    inner_warm: Option<WarmStartPlan>,
     stats: ClusterStats,
+    /// Scratch reused across units: the unit's candidates, and its
+    /// representatives so far.
+    candidates: Vec<Candidate>,
+    reps: RepIndex,
 }
 
-impl ClusteredPlan {
-    /// Plans a clustered sweep over `units`. Cold runs (`prior` =
+/// One cluster candidate of the unit being planned.
+#[derive(Debug)]
+struct Candidate {
+    /// Seeded stable visit order.
+    order: u64,
+    key: RecordKey,
+    /// Index of the slot in its unit (and in the decision list).
+    slot: usize,
+    feats: ClusterFeatures,
+}
+
+impl<'w> ClusteredPlan<'w> {
+    /// A clustered plan for one sweep. Cold runs (`inner_warm` =
     /// `None`) cluster everything; warm runs cluster only the slots the
     /// warm-start plan would re-probe, escalate low-confidence or
     /// verdict-flipped prior extrapolations, and replay the rest.
-    pub fn build(
-        world: &World,
+    pub fn new(
+        world: &'w World,
         cfg: &ProbeConfig,
         world_seed: u64,
-        epoch: u32,
-        units: &[ProbeUnit],
-        prior: Option<&SweepSnapshot>,
-        bound: &[BoundVantage],
-    ) -> ClusteredPlan {
-        let inner_warm = prior.map(|_| WarmStartPlan {
+        inner_warm: Option<WarmStartPlan>,
+    ) -> ClusteredPlan<'w> {
+        ClusteredPlan {
+            world,
             world_seed,
-            epoch,
-            expiry_budget: cfg.expiry_budget,
-        });
-        let mut decisions = BTreeMap::new();
-        let mut stats = ClusterStats::default();
-        for u in units {
-            let dirty = prior.is_some_and(|p| {
-                p.quarantined_pops()
-                    .contains(&(bound[u.bound_idx].pop as u64))
-            });
-            // Collect this unit's cluster candidates (records are keyed
-            // per ⟨vantage, domain⟩, so copies never cross units).
-            let mut candidates: Vec<(u64, RecordKey, ClusterFeatures, PlanReason)> = Vec::new();
-            for &scope in &u.scopes {
-                let key = record_key(u.bound_idx, u.domain, scope);
-                let prior_rec = prior.and_then(|p| p.records.get(&key));
-                // Escalation: a slot whose record was extrapolated last
-                // sweep is probed live — inner plan regardless — when
-                // the copy was weak or its verdict flipped away from
-                // what the slot last held.
-                if let Some(tag) = prior.and_then(|p| p.confidence.get(&key)) {
-                    let flipped = tag.prior_verdict != 0
-                        && prior_rec.map_or(0, verdict_rank) != tag.prior_verdict;
-                    let weak = f64::from(tag.confidence) / f64::from(CONFIDENCE_MAX)
-                        < cfg.cluster_escalate_below;
-                    if flipped || weak {
-                        decisions.insert(key, PlanDecision::Probe(PlanReason::Dirty));
-                        stats.planned_universe += 1;
-                        stats.escalated += 1;
-                        continue;
-                    }
-                }
-                let slot = PlanSlot {
-                    bound_idx: u.bound_idx,
-                    domain: u.domain,
-                    scope,
-                    prior: prior_rec,
-                    dirty,
-                };
-                let reason = match inner_warm
-                    .as_ref()
-                    .map_or_else(|| ExhaustivePlan.decide(&slot), |w| w.decide(&slot))
-                {
-                    PlanDecision::Probe(reason) => reason,
-                    PlanDecision::Replay => {
-                        decisions.insert(key, PlanDecision::Replay);
-                        continue;
-                    }
-                    PlanDecision::Extrapolate { .. } => {
-                        unreachable!("inner plans never extrapolate")
-                    }
-                };
-                let order = SeedMixer::new(world_seed)
-                    .mix_str("cluster-order")
-                    .mix(key.0 as u64)
-                    .mix(key.1 as u64)
-                    .mix(u64::from(key.2))
-                    .mix(u64::from(key.3))
-                    .finish();
-                candidates.push((
-                    order,
-                    key,
-                    ClusterFeatures::of(world, scope, prior_rec),
-                    reason,
-                ));
-                stats.planned_universe += 1;
-            }
-            // Seeded greedy epsilon-clustering: visit candidates in
-            // stable hashed order; each joins the first existing
-            // cluster (creation order) whose representative sits within
-            // epsilon, else opens its own.
-            candidates.sort_by_key(|c| (c.0, c.1));
-            let mut reps: Vec<(RecordKey, ClusterFeatures)> = Vec::new();
-            for (_, key, feats, reason) in candidates {
-                let joined = (cfg.cluster_epsilon > 0.0)
-                    .then(|| {
-                        reps.iter().find_map(|(rep_key, rep_feats)| {
-                            let d = feature_distance(&feats, rep_feats);
-                            (d <= cfg.cluster_epsilon).then_some((*rep_key, d))
-                        })
-                    })
-                    .flatten();
-                match joined {
-                    Some((rep, d)) => {
-                        let confidence = confidence_of(d);
-                        if f64::from(confidence) / f64::from(CONFIDENCE_MAX)
-                            < cfg.cluster_escalate_below
-                        {
-                            // Too far to trust the copy: probe it live.
-                            decisions.insert(key, PlanDecision::Probe(reason));
-                            stats.escalated += 1;
-                        } else {
-                            decisions.insert(key, PlanDecision::Extrapolate { rep, confidence });
-                            stats.extrapolated += 1;
-                        }
-                    }
-                    None => {
-                        reps.push((key, feats));
-                        decisions.insert(key, PlanDecision::Probe(reason));
-                        stats.representatives += 1;
-                        stats.clusters += 1;
-                    }
-                }
-            }
+            epsilon: cfg.cluster_epsilon,
+            escalate_below: cfg.cluster_escalate_below,
+            inner_warm,
+            stats: ClusterStats::default(),
+            candidates: Vec::new(),
+            reps: RepIndex::default(),
         }
-        ClusteredPlan { decisions, stats }
+    }
+
+    /// Whether a copy at this confidence is too weak to trust.
+    fn weak(&self, confidence: u8) -> bool {
+        f64::from(confidence) / f64::from(CONFIDENCE_MAX) < self.escalate_below
     }
 }
 
-impl ProbePlan for ClusteredPlan {
-    fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision {
-        self.decisions
-            .get(&record_key(slot.bound_idx, slot.domain, slot.scope))
-            .copied()
-            // A slot the build pass never saw (impossible through
-            // `prepare_sweep`, which plans the same unit list) is
-            // probed live — the conservative answer.
-            .unwrap_or(PlanDecision::Probe(PlanReason::New))
+impl ProbePlan for ClusteredPlan<'_> {
+    fn decide_unit(
+        &mut self,
+        unit: &ProbeUnit,
+        priors: &[Option<&ScopeRecord>],
+        tags: &[Option<&ConfidenceRecord>],
+        dirty: bool,
+        decisions: &mut Vec<PlanDecision>,
+    ) {
+        // Collect this unit's cluster candidates (records are keyed
+        // per ⟨vantage, domain⟩, so copies never cross units). Each
+        // candidate's decision starts as a live probe and the join
+        // below rewrites it.
+        self.candidates.clear();
+        for (slot, ((&scope, &prior_rec), &tag)) in
+            unit.scopes.iter().zip(priors).zip(tags).enumerate()
+        {
+            let key = record_key(unit.bound_idx, unit.domain, scope);
+            // Escalation: a slot whose record was extrapolated last
+            // sweep is probed live — inner plan regardless — when the
+            // copy was weak or its verdict flipped away from what the
+            // slot last held.
+            if let Some(tag) = tag {
+                let flipped = tag.prior_verdict != 0
+                    && prior_rec.map_or(0, verdict_rank) != tag.prior_verdict;
+                if flipped || self.weak(tag.confidence) {
+                    decisions.push(PlanDecision::Probe(PlanReason::Dirty));
+                    self.stats.planned_universe += 1;
+                    self.stats.escalated += 1;
+                    continue;
+                }
+            }
+            let decision = self
+                .inner_warm
+                .map_or(PlanDecision::Probe(PlanReason::New), |w| {
+                    w.decide(unit.domain, scope, prior_rec, dirty)
+                });
+            decisions.push(decision);
+            match decision {
+                PlanDecision::Probe(_) => {}
+                PlanDecision::Replay => continue,
+                PlanDecision::Extrapolate { .. } => unreachable!("inner plans never extrapolate"),
+            }
+            let order = SeedMixer::new(self.world_seed)
+                .mix_str("cluster-order")
+                .mix(key.0 as u64)
+                .mix(key.1 as u64)
+                .mix(u64::from(key.2))
+                .mix(u64::from(key.3))
+                .finish();
+            self.candidates.push(Candidate {
+                order,
+                key,
+                slot,
+                feats: ClusterFeatures::of(self.world, scope, prior_rec),
+            });
+            self.stats.planned_universe += 1;
+        }
+        // Seeded greedy epsilon-clustering: visit candidates in stable
+        // hashed order; each joins the first existing cluster
+        // (creation order) whose representative sits within epsilon,
+        // else opens its own.
+        self.candidates.sort_by_key(|c| (c.order, c.key));
+        self.reps.clear();
+        for c in &self.candidates {
+            let joined = (self.epsilon > 0.0)
+                .then(|| self.reps.join(&c.feats, self.epsilon))
+                .flatten();
+            match joined {
+                Some((rep, d)) => {
+                    let confidence = confidence_of(d);
+                    if self.weak(confidence) {
+                        // Too far to trust the copy: probe it live.
+                        self.stats.escalated += 1;
+                    } else {
+                        decisions[c.slot] = PlanDecision::Extrapolate { rep, confidence };
+                        self.stats.extrapolated += 1;
+                    }
+                }
+                None => {
+                    self.reps.push(c.key, c.feats);
+                    self.stats.representatives += 1;
+                    self.stats.clusters += 1;
+                }
+            }
+        }
     }
 
     fn records_stats(&self) -> bool {
@@ -299,6 +326,55 @@ impl ProbePlan for ClusteredPlan {
 
     fn cluster_stats(&self) -> Option<ClusterStats> {
         Some(self.stats)
+    }
+}
+
+/// One unit's cluster representatives in creation order, indexed by
+/// [`ClusterFeatures::join_key`].
+///
+/// The greedy join asks for the first representative in creation order
+/// within epsilon. Below [`JOIN_GAP`] only representatives of the
+/// candidate's own join key can be that close, so the join scans that
+/// key's list alone — in creation order and with the full distance,
+/// since the length term can still put a same-key pair out of reach.
+/// At wider epsilons it scans every representative, the plain greedy
+/// rule. Either way it answers exactly what a creation-order scan over
+/// all representatives does.
+#[derive(Debug, Default)]
+struct RepIndex {
+    reps: Vec<(RecordKey, ClusterFeatures)>,
+    by_key: HashMap<(Option<usize>, u8), Vec<usize>>,
+}
+
+impl RepIndex {
+    fn clear(&mut self) {
+        self.reps.clear();
+        self.by_key.clear();
+    }
+
+    fn push(&mut self, key: RecordKey, feats: ClusterFeatures) {
+        self.by_key
+            .entry(feats.join_key())
+            .or_default()
+            .push(self.reps.len());
+        self.reps.push((key, feats));
+    }
+
+    /// The first representative in creation order within `epsilon` of
+    /// `feats`, with its distance.
+    fn join(&self, feats: &ClusterFeatures, epsilon: f64) -> Option<(RecordKey, f64)> {
+        let within = |(key, rep): &(RecordKey, ClusterFeatures)| {
+            let d = feature_distance(feats, rep);
+            (d <= epsilon).then_some((*key, d))
+        };
+        if epsilon < JOIN_GAP {
+            self.by_key
+                .get(&feats.join_key())?
+                .iter()
+                .find_map(|&i| within(&self.reps[i]))
+        } else {
+            self.reps.iter().find_map(within)
+        }
     }
 }
 
@@ -327,9 +403,10 @@ pub fn synthesize_member_record(rep: &ScopeRecord, member: Prefix) -> ScopeRecor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::plan_units;
+    use crate::plan::{plan_units, ExhaustivePlan, PlanOutcome};
     use crate::probe::ProbeUnit;
-    use clientmap_store::ConfidenceRecord;
+    use crate::vantage::BoundVantage;
+    use clientmap_store::SweepSnapshot;
     use clientmap_world::WorldConfig;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -351,13 +428,35 @@ mod tests {
         }
     }
 
+    /// Plans `units` clustered, the way `prepare_sweep` does: warm when
+    /// there is a prior, cold otherwise.
+    fn plan(
+        c: &ProbeConfig,
+        seed: u64,
+        epoch: u32,
+        units: &[ProbeUnit],
+        prior: Option<&SweepSnapshot>,
+        bound: &[BoundVantage],
+    ) -> (ClusterStats, PlanOutcome) {
+        let inner = prior.map(|_| WarmStartPlan {
+            world_seed: seed,
+            epoch,
+            expiry_budget: c.expiry_budget,
+        });
+        let mut plan = ClusteredPlan::new(world(), c, seed, inner);
+        assert!(!plan.records_stats());
+        let out = plan_units(&mut plan, units.to_vec(), prior, bound);
+        (plan.cluster_stats().unwrap(), out)
+    }
+
     fn block_units(n: usize) -> (Vec<ProbeUnit>, Vec<BoundVantage>) {
-        let scopes: Vec<Prefix> = world().blocks.iter().map(|b| b.prefix).take(n).collect();
+        let mut scopes: Vec<Prefix> = world().blocks.iter().map(|b| b.prefix).take(n).collect();
         assert_eq!(
             scopes.len(),
             n,
             "tiny world has fewer blocks than the test wants"
         );
+        scopes.sort();
         (
             vec![ProbeUnit {
                 bound_idx: 0,
@@ -368,28 +467,36 @@ mod tests {
         )
     }
 
+    /// The slots `out` probes live.
+    fn live_keys(out: &PlanOutcome) -> std::collections::BTreeSet<RecordKey> {
+        out.live_units
+            .iter()
+            .flat_map(|u| {
+                u.scopes
+                    .iter()
+                    .map(move |s| record_key(u.bound_idx, u.domain, *s))
+            })
+            .collect()
+    }
+
     #[test]
     fn epsilon_zero_degenerates_to_the_exhaustive_plan() {
         let (units, bound) = block_units(40);
-        let plan = ClusteredPlan::build(world(), &cfg(0.0, 0.5), 7, 1, &units, None, &bound);
-        let stats = plan.cluster_stats().unwrap();
+        let (stats, out) = plan(&cfg(0.0, 0.5), 7, 1, &units, None, &bound);
         assert_eq!(stats.planned_universe, 40);
         assert_eq!(stats.representatives, 40);
         assert_eq!(stats.extrapolated, 0);
         assert_eq!(stats.escalated, 0);
         assert!(stats.conserved());
-        let out = plan_units(&plan, units.clone(), None, &bound);
-        let exhaustive = plan_units(&ExhaustivePlan, units, None, &bound);
+        let exhaustive = plan_units(&mut ExhaustivePlan, units, None, &bound);
         assert_eq!(out.live_units, exhaustive.live_units);
         assert!(out.extrapolated.is_empty());
-        assert!(!plan.records_stats());
     }
 
     #[test]
     fn default_epsilon_merges_lookalike_scopes() {
         let (units, bound) = block_units(40);
-        let plan = ClusteredPlan::build(world(), &cfg(0.25, 0.5), 7, 1, &units, None, &bound);
-        let stats = plan.cluster_stats().unwrap();
+        let (stats, out) = plan(&cfg(0.25, 0.5), 7, 1, &units, None, &bound);
         assert!(stats.conserved());
         assert!(
             stats.extrapolated > 0,
@@ -399,20 +506,11 @@ mod tests {
         assert_eq!(stats.representatives, stats.clusters);
         // Every extrapolated member points at a slot the plan probes
         // live, and the member's own slot is not probed.
-        let out = plan_units(&plan, units, None, &bound);
-        let live: std::collections::BTreeSet<RecordKey> = out
-            .live_units
-            .iter()
-            .flat_map(|u| {
-                u.scopes
-                    .iter()
-                    .map(move |s| crate::probe::record_key(u.bound_idx, u.domain, *s))
-            })
-            .collect();
+        let live = live_keys(&out);
         assert_eq!(out.extrapolated.len() as u64, stats.extrapolated);
         for e in &out.extrapolated {
             assert!(live.contains(&e.rep), "rep of {e:?} is not probed live");
-            let member = crate::probe::record_key(e.bound_idx, e.domain, e.scope);
+            let member = record_key(e.bound_idx, e.domain, e.scope);
             assert!(
                 !live.contains(&member),
                 "member {e:?} probed despite extrapolation"
@@ -428,7 +526,7 @@ mod tests {
         let mut prior = SweepSnapshot::new(7, 1);
         prior.epoch = 1;
         for &s in &scopes {
-            let key = crate::probe::record_key(0, 0, s);
+            let key = record_key(0, 0, s);
             prior.records.insert(
                 key,
                 ScopeRecord {
@@ -437,10 +535,7 @@ mod tests {
                 },
             );
         }
-        let keys: Vec<RecordKey> = scopes
-            .iter()
-            .map(|&s| crate::probe::record_key(0, 0, s))
-            .collect();
+        let keys: Vec<RecordKey> = scopes.iter().map(|&s| record_key(0, 0, s)).collect();
         // keys[0]: verdict flip — tagged as Hit(4) last sweep, but the
         // stored record now ranks Miss(2). keys[1]: weak confidence.
         // keys[2]: strong, consistent tag — no escalation.
@@ -468,12 +563,9 @@ mod tests {
                 prior_verdict: 2,
             },
         );
-        let plan =
-            ClusteredPlan::build(world(), &cfg(0.25, 0.5), 7, 2, &units, Some(&prior), &bound);
-        let stats = plan.cluster_stats().unwrap();
+        let (stats, out) = plan(&cfg(0.25, 0.5), 7, 2, &units, Some(&prior), &bound);
         assert!(stats.conserved());
         assert_eq!(stats.escalated, 2);
-        let out = plan_units(&plan, units, Some(&prior), &bound);
         let live: Vec<Prefix> = out
             .live_units
             .iter()
@@ -519,6 +611,70 @@ mod tests {
         );
     }
 
+    /// The join oracle: the first representative in creation order
+    /// within `epsilon`, found by scanning all of them.
+    fn join_by_scan(
+        reps: &[(RecordKey, ClusterFeatures)],
+        feats: &ClusterFeatures,
+        epsilon: f64,
+    ) -> Option<(RecordKey, f64)> {
+        reps.iter().find_map(|(key, rep)| {
+            let d = feature_distance(feats, rep);
+            (d <= epsilon).then_some((*key, d))
+        })
+    }
+
+    fn feats(as_id: usize, scope_len: u8, prior_verdict: u8) -> ClusterFeatures {
+        ClusterFeatures {
+            as_id: Some(as_id),
+            category: 0,
+            metro: 0,
+            scope_len,
+            prior_verdict,
+        }
+    }
+
+    #[test]
+    fn the_weights_leave_a_gap_between_join_keys() {
+        assert_eq!(JOIN_GAP, 0.30);
+        // The most alike pair that differs in a join-key feature.
+        let a = feats(1, 24, 2);
+        assert!(feature_distance(&a, &feats(2, 24, 2)) >= JOIN_GAP);
+        assert!(feature_distance(&a, &feats(1, 24, 3)) >= JOIN_GAP);
+    }
+
+    #[test]
+    fn the_keyed_join_scans_past_a_same_key_head_out_of_reach() {
+        // Two same-key representatives: the head is 12 lengths away
+        // (0.0375 > 0.02), the second an exact match.
+        let mut index = RepIndex::default();
+        index.push((0, 0, 1, 12), feats(1, 12, 2));
+        index.push((0, 0, 2, 24), feats(1, 24, 2));
+        let candidate = feats(1, 24, 2);
+        assert_eq!(index.join(&candidate, 0.02), Some(((0, 0, 2, 24), 0.0)));
+        // Wide enough for the head, it wins by creation order.
+        assert_eq!(index.join(&candidate, 0.05).unwrap().0, (0, 0, 1, 12));
+    }
+
+    fn features_strategy() -> impl Strategy<Value = ClusterFeatures> {
+        (
+            proptest::option::of(0usize..3),
+            0u8..3,
+            0usize..3,
+            8u8..=32,
+            0u8..=4,
+        )
+            .prop_map(|(as_id, category, metro, scope_len, prior_verdict)| {
+                ClusterFeatures {
+                    as_id,
+                    category,
+                    metro,
+                    scope_len,
+                    prior_verdict,
+                }
+            })
+    }
+
     /// A scope plus optional prior record / confidence tag.
     type SlotState = (Prefix, Option<(u64, bool)>, Option<(u8, u8)>);
 
@@ -532,6 +688,33 @@ mod tests {
             proptest::option::of((0u64..6, any::<bool>())),
             proptest::option::of((1u8..=255, 0u8..=4)),
         )
+    }
+
+    proptest::proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The keyed join picks exactly what a creation-order scan over
+        /// every representative picks — below the gap, at it, and above
+        /// it, for representative lists with repeated join keys and
+        /// arbitrary length gaps.
+        #[test]
+        fn keyed_join_matches_the_creation_order_scan(
+            reps in proptest::collection::vec(features_strategy(), 0..40),
+            candidates in proptest::collection::vec(features_strategy(), 1..16),
+            epsilon in 0.0f64..0.7,
+        ) {
+            let mut index = RepIndex::default();
+            for (i, f) in reps.iter().enumerate() {
+                index.push((0, 0, i as u32, f.scope_len), *f);
+            }
+            for c in &candidates {
+                prop_assert_eq!(
+                    index.join(c, epsilon),
+                    join_by_scan(&index.reps, c, epsilon),
+                    "candidate {:?} at epsilon {}", c, epsilon
+                );
+            }
+        }
     }
 
     proptest::proptest! {
@@ -551,13 +734,12 @@ mod tests {
             seed in any::<u64>(),
             warm in any::<bool>(),
         ) {
-            // Dedup scopes (prepare_sweep never repeats a scope within
-            // a unit) and split them across two units.
-            let mut seen = std::collections::BTreeSet::new();
-            let slots: Vec<_> = slots
-                .into_iter()
-                .filter(|(s, _, _)| seen.insert(*s))
-                .collect();
+            // Sort and dedup scopes (prepare_sweep feeds each unit its
+            // scopes strictly ascending) and split them across two
+            // units.
+            let mut slots = slots;
+            slots.sort_by_key(|(s, _, _)| *s);
+            slots.dedup_by_key(|(s, _, _)| *s);
             let bound = vec![
                 BoundVantage { vp: 0, pop: 0 },
                 BoundVantage { vp: 1, pop: 1 },
@@ -571,7 +753,7 @@ mod tests {
             for (i, (scope, rec, tag)) in slots.iter().enumerate() {
                 let bi = i % 2;
                 units[bi].scopes.push(*scope);
-                let key = crate::probe::record_key(bi, 0, *scope);
+                let key = record_key(bi, 0, *scope);
                 if let Some((attempts, with_hit)) = rec {
                     let mut r = ScopeRecord { attempts: *attempts, ..ScopeRecord::default() };
                     if *with_hit && *attempts > 0 {
@@ -595,21 +777,9 @@ mod tests {
                 units.into_iter().filter(|u| !u.scopes.is_empty()).collect();
             let prior_opt = warm.then_some(&prior);
             let c = cfg(epsilon, escalate_below);
-            let plan = ClusteredPlan::build(
-                world(), &c, seed, 2, &units, prior_opt, &bound,
-            );
-            let stats = plan.cluster_stats().unwrap();
+            let (stats, out) = plan(&c, seed, 2, &units, prior_opt, &bound);
             prop_assert!(stats.conserved(), "not conserved: {stats:?}");
-            let out = plan_units(&plan, units.clone(), prior_opt, &bound);
-            let live: std::collections::BTreeSet<RecordKey> = out
-                .live_units
-                .iter()
-                .flat_map(|u| {
-                    u.scopes
-                        .iter()
-                        .map(move |s| crate::probe::record_key(u.bound_idx, u.domain, *s))
-                })
-                .collect();
+            let live = live_keys(&out);
             // Partition: live + replayed + extrapolated covers every
             // slot exactly once.
             let total: usize = units.iter().map(|u| u.scopes.len()).sum();
@@ -629,13 +799,10 @@ mod tests {
             if epsilon == 0.0 {
                 prop_assert_eq!(stats.extrapolated, 0);
             }
-            // Determinism: rebuilding the plan yields identical stats
-            // and identical planning output.
-            let again = ClusteredPlan::build(
-                world(), &c, seed, 2, &units, prior_opt, &bound,
-            );
-            prop_assert_eq!(again.cluster_stats().unwrap(), stats);
-            let out2 = plan_units(&again, units, prior_opt, &bound);
+            // Determinism: replanning yields identical stats and
+            // identical planning output.
+            let (again, out2) = plan(&c, seed, 2, &units, prior_opt, &bound);
+            prop_assert_eq!(again, stats);
             prop_assert_eq!(out2.live_units, out.live_units);
             prop_assert_eq!(out2.extrapolated, out.extrapolated);
         }

@@ -49,7 +49,7 @@ mod config;
 pub use cluster::{feature_distance, verdict_rank, ClusterFeatures, ClusterStats, ClusteredPlan};
 pub use config::ProbeConfig;
 pub use plan::{
-    plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanDecision, PlanOutcome, PlanSlot, ProbePlan,
+    plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanDecision, PlanOutcome, ProbePlan,
     WarmStartPlan,
 };
 pub use probe::{

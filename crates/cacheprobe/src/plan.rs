@@ -7,15 +7,21 @@
 //! coupled the planner to the runner and left no seam for the
 //! cluster-based predictive planner on the roadmap. Now every planner
 //! is a [`ProbePlan`]: [`plan_units`] walks the assigned unit list
-//! once, asks the plan about each slot, and splits the work into live
-//! probe units and replayable skips, tallying [`PlannerStats`] as it
-//! goes. Plans are pure functions of the slot and the sweep's identity
-//! (seed, epoch, budget), so any plan is byte-deterministic at any
-//! thread count by construction.
+//! once, in record-key order, hands the plan one unit at a time with
+//! what the prior sweep stored for each of its slots, and splits the
+//! work into live probe units and replayable skips, tallying
+//! [`PlannerStats`] as it goes. Plans are pure functions of the unit
+//! and the sweep's identity (seed, epoch, budget), so any plan is
+//! byte-deterministic at any thread count by construction.
+
+use std::collections::btree_map;
+use std::collections::BTreeMap;
+use std::iter::Peekable;
 
 use clientmap_net::Prefix;
 use clientmap_store::{
-    classify, PlanReason, PlannerStats, PriorScope, RecordKey, ScopeRecord, SweepSnapshot,
+    classify, ConfidenceRecord, PlanReason, PlannerStats, PriorScope, RecordKey, ScopeRecord,
+    SweepSnapshot,
 };
 
 use crate::cluster::{verdict_rank, ClusterStats};
@@ -23,30 +29,13 @@ use crate::probe::{record_key, ProbeUnit};
 use crate::sweep::expiry_hash;
 use crate::vantage::BoundVantage;
 
-/// One planning decision's input: an assigned ⟨vantage, domain, scope⟩
-/// slot and what the prior sweep knew about it.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanSlot<'a> {
-    /// Index into the sweep's bound-vantage list.
-    pub bound_idx: usize,
-    /// Index into the sweep's selected-domain list.
-    pub domain: usize,
-    /// The query scope.
-    pub scope: Prefix,
-    /// The prior sweep's record for this slot, if any.
-    pub prior: Option<&'a ScopeRecord>,
-    /// Whether the slot's PoP was quarantined last sweep (its prior
-    /// data is suspect regardless of the record).
-    pub dirty: bool,
-}
-
 /// What a plan wants done with one slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlanDecision {
     /// Probe the slot live.
     Probe(PlanReason),
-    /// Replay the slot's prior record (the caller guarantees
-    /// `slot.prior` is `Some` before honouring a replay).
+    /// Replay the slot's prior record (the caller guarantees the slot
+    /// has a prior record before honouring a replay).
     Replay,
     /// Skip probing and copy the cluster representative's fresh record
     /// onto this slot after the probing window, tagged with the
@@ -59,16 +48,29 @@ pub enum PlanDecision {
     },
 }
 
-/// A sweep planner: decides, slot by slot, what to probe live.
+/// A sweep planner: decides, one ⟨vantage, domain⟩ unit at a time,
+/// what to probe live.
 ///
-/// Implementations must be pure functions of the slot and their own
-/// configuration — never of execution order — so plans stay
-/// byte-identical at any thread count and across driver/worker
-/// processes (the fleet handshake depends on both sides planning
-/// identically).
+/// Implementations must be pure functions of the unit, its prior
+/// state and their own configuration — never of execution order — so
+/// plans stay byte-identical at any thread count and across
+/// driver/worker processes (the fleet handshake depends on both sides
+/// planning identically).
 pub trait ProbePlan {
-    /// What to do with `slot`.
-    fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision;
+    /// Pushes one decision per slot of `unit`, in scope order, onto
+    /// `decisions` (empty on entry). `priors[i]` and `tags[i]` are the
+    /// record and confidence tag the prior sweep stored for
+    /// `unit.scopes[i]`; `dirty` is whether the unit's PoP was
+    /// quarantined last sweep (its prior data is suspect regardless of
+    /// the record).
+    fn decide_unit(
+        &mut self,
+        unit: &ProbeUnit,
+        priors: &[Option<&ScopeRecord>],
+        tags: &[Option<&ConfidenceRecord>],
+        dirty: bool,
+        decisions: &mut Vec<PlanDecision>,
+    );
 
     /// Whether this plan's [`PlannerStats`] belong in the run's
     /// telemetry. Cold exhaustive sweeps return `false` so their
@@ -91,8 +93,15 @@ pub trait ProbePlan {
 pub struct ExhaustivePlan;
 
 impl ProbePlan for ExhaustivePlan {
-    fn decide(&self, _slot: &PlanSlot<'_>) -> PlanDecision {
-        PlanDecision::Probe(PlanReason::New)
+    fn decide_unit(
+        &mut self,
+        unit: &ProbeUnit,
+        _priors: &[Option<&ScopeRecord>],
+        _tags: &[Option<&ConfidenceRecord>],
+        _dirty: bool,
+        decisions: &mut Vec<PlanDecision>,
+    ) {
+        decisions.resize(unit.scopes.len(), PlanDecision::Probe(PlanReason::New));
     }
 
     fn records_stats(&self) -> bool {
@@ -113,25 +122,51 @@ pub struct WarmStartPlan {
     pub expiry_budget: f64,
 }
 
-impl ProbePlan for WarmStartPlan {
-    fn decide(&self, slot: &PlanSlot<'_>) -> PlanDecision {
+impl WarmStartPlan {
+    /// The per-slot rule: what to do with `scope` of `domain` given
+    /// its prior record and whether its PoP is quarantine-dirty.
+    pub fn decide(
+        &self,
+        domain: usize,
+        scope: Prefix,
+        prior: Option<&ScopeRecord>,
+        dirty: bool,
+    ) -> PlanDecision {
         match classify(
-            slot.prior.map(|r| {
+            prior.map(|r| {
                 (
                     PriorScope {
                         attempts: r.attempts,
                         drops: r.drops,
                     },
-                    slot.dirty,
+                    dirty,
                 )
             }),
             self.expiry_budget,
             self.epoch,
-            expiry_hash(self.world_seed, slot.domain, slot.scope),
+            expiry_hash(self.world_seed, domain, scope),
         ) {
             Some(reason) => PlanDecision::Probe(reason),
             None => PlanDecision::Replay,
         }
+    }
+}
+
+impl ProbePlan for WarmStartPlan {
+    fn decide_unit(
+        &mut self,
+        unit: &ProbeUnit,
+        priors: &[Option<&ScopeRecord>],
+        _tags: &[Option<&ConfidenceRecord>],
+        dirty: bool,
+        decisions: &mut Vec<PlanDecision>,
+    ) {
+        decisions.extend(
+            unit.scopes
+                .iter()
+                .zip(priors)
+                .map(|(&scope, &prior)| self.decide(unit.domain, scope, prior, dirty)),
+        );
     }
 }
 
@@ -162,7 +197,7 @@ pub struct PlanOutcome {
     /// Units (with only their live scopes) the sweep must probe.
     pub live_units: Vec<ProbeUnit>,
     /// `(bound_idx, domain, scope, prior record)` for every slot the
-    /// plan replays instead of probing.
+    /// plan replays instead of probing, in slot order.
     pub skipped: Vec<(usize, usize, Prefix, ScopeRecord)>,
     /// Slots the plan extrapolates from a cluster representative after
     /// the probing window, in slot order.
@@ -174,33 +209,89 @@ pub struct PlanOutcome {
     pub stats: PlannerStats,
 }
 
+/// A forward cursor over a key-ordered table: answers `get` for
+/// ascending keys by stepping the map's iterator, never by a fresh
+/// descent from the root.
+pub(crate) struct Cursor<'a, V> {
+    iter: Peekable<btree_map::Iter<'a, RecordKey, V>>,
+}
+
+impl<'a, V> Cursor<'a, V> {
+    /// A cursor at the start of `map`.
+    pub(crate) fn new(map: &'a BTreeMap<RecordKey, V>) -> Cursor<'a, V> {
+        Cursor {
+            iter: map.iter().peekable(),
+        }
+    }
+
+    /// The value at `key`. Keys must be sought in ascending order:
+    /// everything below `key` is stepped past for good.
+    pub(crate) fn seek(&mut self, key: RecordKey) -> Option<&'a V> {
+        while let Some((&k, v)) = self.iter.next_if(|(k, _)| **k <= key) {
+            if k == key {
+                return Some(v);
+            }
+        }
+        None
+    }
+}
+
 /// Runs `plan` over every slot of `units`, splitting the work into
 /// live probe units and replayable skips. Unit and scope order are
 /// preserved, so the same plan over the same units yields the same
 /// shardable work list everywhere.
+///
+/// The walk is one ordered pass: each slot's prior record and
+/// confidence tag come from forward cursors over the prior's tables,
+/// so `units` must be ascending in [`RecordKey`] order — units by
+/// `(bound_idx, domain)`, each unit's scopes strictly ascending — as
+/// `prepare_sweep` builds them.
+///
+/// # Panics
+///
+/// On a unit list out of key order: the cursors would silently pair
+/// slots with the wrong prior records and corrupt a warm sweep.
 pub fn plan_units(
-    plan: &dyn ProbePlan,
+    plan: &mut dyn ProbePlan,
     units: Vec<ProbeUnit>,
     prior: Option<&SweepSnapshot>,
     bound: &[BoundVantage],
 ) -> PlanOutcome {
     let mut outcome = PlanOutcome::default();
+    let mut last: Option<RecordKey> = None;
+    let mut priors = Vec::new();
+    let mut tags = Vec::new();
+    let mut decisions = Vec::new();
+    let mut cursors = prior.map(|p| (Cursor::new(&p.records), Cursor::new(&p.confidence)));
     for u in units {
+        priors.clear();
+        tags.clear();
+        for &scope in &u.scopes {
+            let key = record_key(u.bound_idx, u.domain, scope);
+            assert!(
+                last < Some(key),
+                "plan_units: slot {key:?} after {last:?} — units must be ascending in record-key order"
+            );
+            last = Some(key);
+            let (rec, tag) = cursors
+                .as_mut()
+                .map_or((None, None), |(r, c)| (r.seek(key), c.seek(key)));
+            priors.push(rec);
+            tags.push(tag);
+        }
         let dirty = prior.is_some_and(|p| {
             p.quarantined_pops()
                 .contains(&(bound[u.bound_idx].pop as u64))
         });
+        decisions.clear();
+        plan.decide_unit(&u, &priors, &tags, dirty, &mut decisions);
+        assert_eq!(
+            decisions.len(),
+            u.scopes.len(),
+            "a plan decides every slot of its unit"
+        );
         let mut live_scopes = Vec::new();
-        for scope in u.scopes {
-            let prior_rec =
-                prior.and_then(|p| p.records.get(&record_key(u.bound_idx, u.domain, scope)));
-            let decision = plan.decide(&PlanSlot {
-                bound_idx: u.bound_idx,
-                domain: u.domain,
-                scope,
-                prior: prior_rec,
-                dirty,
-            });
+        for ((&scope, &decision), &prior_rec) in u.scopes.iter().zip(&decisions).zip(&priors) {
             match decision {
                 PlanDecision::Probe(reason) => {
                     outcome.stats.count(Some(reason));
@@ -259,7 +350,7 @@ mod tests {
             unit(0, 0, &["10.0.0.0/24", "10.0.1.0/24"]),
             unit(0, 1, &["10.0.2.0/24"]),
         ];
-        let out = plan_units(&ExhaustivePlan, units.clone(), None, &[]);
+        let out = plan_units(&mut ExhaustivePlan, units.clone(), None, &[]);
         assert_eq!(out.live_units, units);
         assert!(out.skipped.is_empty());
         assert_eq!(out.stats.universe, 3);
@@ -281,13 +372,13 @@ mod tests {
             },
         );
         let bound = vec![BoundVantage { vp: 0, pop: 0 }];
-        let plan = WarmStartPlan {
+        let mut plan = WarmStartPlan {
             world_seed: 7,
             epoch: 2,
             expiry_budget: 0.0,
         };
         let out = plan_units(
-            &plan,
+            &mut plan,
             vec![unit(0, 0, &["10.0.0.0/24", "10.0.1.0/24"])],
             Some(&prior),
             &bound,
@@ -303,5 +394,76 @@ mod tests {
         assert_eq!(out.stats.new, 1);
         assert!(out.stats.conserved());
         assert!(plan.records_stats());
+    }
+
+    #[test]
+    fn cursors_pair_every_slot_with_its_own_prior_record() {
+        // Prior records interleave with the slots, sit in units the
+        // list does not plan, and one slot has none: every replayed
+        // record must be the one stored under the slot's own key.
+        let mut prior = SweepSnapshot::new(7, 1);
+        let stored = [
+            (0, 0, "10.0.0.0/24", 1),
+            (0, 0, "10.0.0.128/25", 2),
+            (0, 0, "10.0.2.0/24", 3),
+            (0, 1, "10.0.0.0/24", 4),
+            (1, 0, "10.0.5.0/24", 5),
+            (1, 1, "10.0.1.0/24", 6),
+        ];
+        for (bi, d, s, attempts) in stored {
+            prior.records.insert(
+                record_key(bi, d, s.parse().unwrap()),
+                ScopeRecord {
+                    attempts,
+                    ..ScopeRecord::default()
+                },
+            );
+        }
+        let bound = vec![
+            BoundVantage { vp: 0, pop: 0 },
+            BoundVantage { vp: 1, pop: 1 },
+        ];
+        let mut plan = WarmStartPlan {
+            world_seed: 7,
+            epoch: 2,
+            expiry_budget: 0.0,
+        };
+        let out = plan_units(
+            &mut plan,
+            vec![
+                unit(0, 0, &["10.0.0.0/24", "10.0.1.0/24", "10.0.2.0/24"]),
+                unit(1, 1, &["10.0.1.0/24"]),
+            ],
+            Some(&prior),
+            &bound,
+        );
+        let replayed: Vec<(usize, usize, String, u64)> = out
+            .skipped
+            .iter()
+            .map(|(bi, d, s, rec)| (*bi, *d, s.to_string(), rec.attempts))
+            .collect();
+        assert_eq!(
+            replayed,
+            vec![
+                (0, 0, "10.0.0.0/24".to_string(), 1),
+                (0, 0, "10.0.2.0/24".to_string(), 3),
+                (1, 1, "10.0.1.0/24".to_string(), 6),
+            ]
+        );
+        assert_eq!(out.live_units, vec![unit(0, 0, &["10.0.1.0/24"])]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending in record-key order")]
+    fn an_out_of_order_unit_list_is_refused() {
+        let units = vec![unit(0, 1, &["10.0.0.0/24"]), unit(0, 0, &["10.0.1.0/24"])];
+        plan_units(&mut ExhaustivePlan, units, None, &[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "ascending in record-key order")]
+    fn a_repeated_scope_is_refused() {
+        let units = vec![unit(0, 0, &["10.0.0.0/24", "10.0.0.0/24"])];
+        plan_units(&mut ExhaustivePlan, units, None, &[]);
     }
 }

@@ -33,7 +33,7 @@ use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
 use crate::calibrate::{calibrate, sample_prefixes, ServiceRadii};
 use crate::cluster::{synthesize_member_record, ClusteredPlan};
 use crate::plan::{
-    plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, WarmStartPlan,
+    plan_units, Cursor, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, WarmStartPlan,
 };
 use crate::resilience::{
     attempt_id, observe_response, resilient_attempt, FaultCounters, WireObservation,
@@ -473,65 +473,85 @@ fn replay_record(
     }
 }
 
-/// Books the records this sweep's table holds without having probed
-/// them — warm-skipped carries and extrapolated members (read back from
-/// `table`) — on the client probe counters as if their probes had run,
-/// so this run's telemetry still describes the whole sweep.
-fn book_unprobed(
-    pop_metrics: &[ProbeMetrics],
-    skipped: &[(usize, usize, Prefix, ScopeRecord)],
-    extrapolated: &[ExtrapolatedSlot],
-    table: &BTreeMap<RecordKey, ScopeRecord>,
-    redundancy: u32,
-) {
-    let carried = skipped.iter().map(|(bi, _, _, rec)| (*bi, rec));
-    let members = extrapolated.iter().map(|e| {
-        let key = record_key(e.bound_idx, e.domain, e.scope);
-        (e.bound_idx, &table[&key])
-    });
-    for (bi, rec) in carried.chain(members) {
-        let m = &pop_metrics[bi];
-        m.attempts.add(rec.attempts);
-        m.pop_attempts.add(rec.attempts);
-        m.probes_sent.add(rec.attempts * u64::from(redundancy));
-        m.hit.add(rec.hits());
-        m.pop_hits.add(rec.hits());
-        for e in &rec.hit_events {
-            m.hit_ttl_secs.record(u64::from(e.remaining_ttl));
-        }
-        m.scope0.add(rec.scope0);
-        m.miss.add(rec.misses());
-        m.dropped.add(rec.drops);
+/// Books one record this sweep's table holds without having probed it
+/// — a warm-skipped carry or an extrapolated member — on its vantage's
+/// client probe counters as if its probes had run, so this run's
+/// telemetry still describes the whole sweep.
+fn book_unprobed(m: &ProbeMetrics, rec: &ScopeRecord, redundancy: u32) {
+    m.attempts.add(rec.attempts);
+    m.pop_attempts.add(rec.attempts);
+    m.probes_sent.add(rec.attempts * u64::from(redundancy));
+    m.hit.add(rec.hits());
+    m.pop_hits.add(rec.hits());
+    for e in &rec.hit_events {
+        m.hit_ttl_secs.record(u64::from(e.remaining_ttl));
     }
+    m.scope0.add(rec.scope0);
+    m.miss.add(rec.misses());
+    m.dropped.add(rec.drops);
 }
 
-/// Folds a clustered plan's extrapolated slots into the record table:
-/// each member inherits a synthesized copy of its representative's
-/// fresh record plus a [`ConfidenceRecord`] in the snapshot's
-/// provenance column. Runs after the ordered reduction, so visiting
-/// `extrapolated` in plan order keeps the fold byte-identical at any
-/// thread or shard count. A representative whose stream never produced
-/// a probe event copies as an empty record — the next planner's
-/// escalation signal, exactly like a breaker-aborted live slot.
-fn fold_extrapolated(
-    fresh: &mut BTreeMap<RecordKey, ScopeRecord>,
-    confidence: &mut BTreeMap<RecordKey, ConfidenceRecord>,
+/// A clustered plan's extrapolated members, built after the ordered
+/// reduction: each member's record is synthesized from a borrow of its
+/// representative's live record and booked as it is built
+/// ([`book_unprobed`]), and its [`ConfidenceRecord`] goes to the
+/// snapshot's provenance column. `extrapolated` is in key order (plan
+/// order), so both outputs are too, and the fold is byte-identical at
+/// any thread or shard count. A representative whose stream never
+/// produced a probe event copies as an empty record — the next
+/// planner's escalation signal, exactly like a breaker-aborted live
+/// slot.
+fn synthesize_members(
+    live: &BTreeMap<RecordKey, ScopeRecord>,
     extrapolated: &[ExtrapolatedSlot],
+    pop_metrics: &[ProbeMetrics],
+    redundancy: u32,
+) -> (
+    Vec<(RecordKey, ScopeRecord)>,
+    BTreeMap<RecordKey, ConfidenceRecord>,
 ) {
-    for e in extrapolated {
-        let rep_rec = fresh.get(&e.rep).cloned().unwrap_or_default();
-        let synth = synthesize_member_record(&rep_rec, e.scope);
-        let key = record_key(e.bound_idx, e.domain, e.scope);
-        confidence.insert(
-            key,
-            ConfidenceRecord {
+    let empty = ScopeRecord::default();
+    let members: Vec<(RecordKey, ScopeRecord)> = extrapolated
+        .iter()
+        .map(|e| {
+            let synth = synthesize_member_record(live.get(&e.rep).unwrap_or(&empty), e.scope);
+            book_unprobed(&pop_metrics[e.bound_idx], &synth, redundancy);
+            (record_key(e.bound_idx, e.domain, e.scope), synth)
+        })
+        .collect();
+    let tags = extrapolated
+        .iter()
+        .map(|e| {
+            let tag = ConfidenceRecord {
                 rep: e.rep,
                 confidence: e.confidence,
                 prior_verdict: e.prior_verdict,
-            },
-        );
-        fresh.insert(key, synth);
-    }
+            };
+            (record_key(e.bound_idx, e.domain, e.scope), tag)
+        })
+        .collect();
+    (members, tags)
+}
+
+/// Merges two key-ordered runs of records into one key-ordered run;
+/// where both hold a key, `first`'s record wins.
+fn merge_ordered(
+    first: impl Iterator<Item = (RecordKey, ScopeRecord)>,
+    second: impl Iterator<Item = (RecordKey, ScopeRecord)>,
+) -> impl Iterator<Item = (RecordKey, ScopeRecord)> {
+    let (mut a, mut b) = (first.peekable(), second.peekable());
+    std::iter::from_fn(move || match (a.peek(), b.peek()) {
+        (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
+            std::cmp::Ordering::Less => a.next(),
+            std::cmp::Ordering::Greater => b.next(),
+            std::cmp::Ordering::Equal => {
+                b.next();
+                a.next()
+            }
+        },
+        (Some(_), None) => a.next(),
+        (None, _) => b.next(),
+    })
 }
 
 /// One whole in-process sweep for this crate's tests:
@@ -830,18 +850,18 @@ pub fn prepare_sweep(
         snapshot.calibration = records;
         snapshot.calibration_metrics = metrics;
     }
-    let warm_plan = WarmStartPlan {
+    let mut warm_plan = WarmStartPlan {
         world_seed: seed,
         epoch,
         expiry_budget: cfg.expiry_budget,
     };
-    let clustered = cfg
+    let mut clustered = cfg
         .clustered_probing
-        .then(|| ClusteredPlan::build(sim.world(), cfg, seed, epoch, &units, prior, &bound));
-    let plan: &dyn ProbePlan = match &clustered {
+        .then(|| ClusteredPlan::new(sim.world(), cfg, seed, prior.is_some().then_some(warm_plan)));
+    let plan: &mut dyn ProbePlan = match &mut clustered {
         Some(c) => c,
-        None if prior.is_some() => &warm_plan,
-        None => &ExhaustivePlan,
+        None if prior.is_some() => &mut warm_plan,
+        None => &mut ExhaustivePlan,
     };
     let PlanOutcome {
         live_units: units,
@@ -1503,6 +1523,9 @@ fn merge_inner(
         timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
     } else {
         let staged = Staged::stage(&ctx, deltas)?;
+        // The live units are in key order, so one cursor walks the
+        // staged table once.
+        let mut cursor = Cursor::new(&staged.records);
         let missing = units
             .iter()
             .flat_map(|u| {
@@ -1510,28 +1533,38 @@ fn merge_inner(
                     .iter()
                     .map(move |s| record_key(u.bound_idx, u.domain, *s))
             })
-            .filter(|k| !staged.records.contains_key(k))
+            .filter(|&k| cursor.seek(k).is_none())
             .count() as u64;
         if missing > 0 {
             return Err(ShardMergeError::MissingScopes { missing });
         }
 
         // The record table: the live records, the extrapolated members
-        // synthesized from them, then the warm-skipped carries (so the
-        // next planner still sees them as measured) wherever neither
-        // claimed the slot.
-        let mut table = staged.commit(sim);
-        fold_extrapolated(&mut table, &mut snapshot.confidence, &extrapolated);
-        book_unprobed(
-            &ctx.pop_metrics,
-            &skipped,
-            &extrapolated,
-            &table,
-            cfg.redundancy,
-        );
-        for (bi, d, scope, rec) in skipped {
-            table.entry(record_key(bi, d, scope)).or_insert(rec);
-        }
+        // synthesized from them, and the warm-skipped carries (so the
+        // next planner still sees them as measured) — three disjoint
+        // key-ordered runs, merged once and bulk-built. A member wins a
+        // slot over a live record, and either over a carry. A sweep
+        // with nothing planned around its probes (cold, or a warm one
+        // that re-probes everything) keeps its live table as is.
+        let live = staged.commit(sim);
+        let mut table = if skipped.is_empty() && extrapolated.is_empty() {
+            live
+        } else {
+            let (members, tags) =
+                synthesize_members(&live, &extrapolated, &ctx.pop_metrics, cfg.redundancy);
+            snapshot.confidence = tags;
+            for (bi, _, _, rec) in &skipped {
+                book_unprobed(&ctx.pop_metrics[*bi], rec, cfg.redundancy);
+            }
+            let carries = skipped
+                .into_iter()
+                .map(|(bi, d, scope, rec)| (record_key(bi, d, scope), rec));
+            merge_ordered(
+                merge_ordered(members.into_iter(), live.into_iter()),
+                carries,
+            )
+            .collect()
+        };
         timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
 
         // PoP quarantine + rescue sweep (fault injection only): PoPs
@@ -1956,6 +1989,57 @@ mod tests {
             .map(|(&(_, d, addr, len), _)| (d as usize, Prefix::new(addr, len).unwrap()))
             .collect();
         assert_eq!(result.probe_counts.len(), measured.len());
+    }
+
+    /// `plan_units`' cursors and the merge's one ordered table assembly
+    /// rely on it: a prep's live units, carries and extrapolated
+    /// members each run strictly ascending in record-key order.
+    #[test]
+    fn prepared_work_lists_are_strictly_ascending_in_record_key_order() {
+        fn ascending(name: &str, keys: &[RecordKey]) {
+            assert!(
+                keys.windows(2).all(|w| w[0] < w[1]),
+                "{name} out of record-key order"
+            );
+        }
+        let (_, _, cold_snap) = run_tiny_full(103, None);
+        let world = World::generate(WorldConfig::tiny(103));
+        let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
+        let mut sim = Sim::new(world);
+        let mut cfg = ProbeConfig::test_scale();
+        cfg.duration_hours = 2.0;
+        cfg.calibration_sample = 250;
+        let mut timings = Vec::new();
+        let cold = prepare_sweep(&mut sim, &cfg, &universe, &mut timings, None);
+        cfg.clustered_probing = true;
+        cfg.expiry_budget = 0.5;
+        let warm = prepare_sweep(&mut sim, &cfg, &universe, &mut timings, Some(&cold_snap));
+        for (name, prep) in [("cold", &cold), ("clustered warm", &warm)] {
+            let keys: Vec<RecordKey> = prep
+                .units
+                .iter()
+                .flat_map(|u| {
+                    u.scopes
+                        .iter()
+                        .map(|&s| record_key(u.bound_idx, u.domain, s))
+                })
+                .collect();
+            assert!(!keys.is_empty(), "{name}: no live slots");
+            ascending(&format!("{name} live units"), &keys);
+        }
+        assert!(!warm.skipped.is_empty() && !warm.extrapolated.is_empty());
+        let carries: Vec<RecordKey> = warm
+            .skipped
+            .iter()
+            .map(|&(bi, d, s, _)| record_key(bi, d, s))
+            .collect();
+        ascending("carries", &carries);
+        let members: Vec<RecordKey> = warm
+            .extrapolated
+            .iter()
+            .map(|e| record_key(e.bound_idx, e.domain, e.scope))
+            .collect();
+        ascending("extrapolated members", &members);
     }
 
     // ---- fault-injected runs -------------------------------------

@@ -9,10 +9,10 @@
 # OUTDIR is a deterministic product artifact (stderr, ports and paths
 # stay out of it).
 #
-# Sections (default: all): repro scalar lossy run fleet fleetchaos serve
-# degraded.
-# `scalar` compares against `repro`'s artifacts, `fleet` and `serve`
-# against `run`'s; each writes what it needs if it is missing.
+# Sections (default: all): repro scalar lossy run cluster fleet
+# fleetchaos serve degraded.
+# `scalar` compares against `repro`'s artifacts, `cluster`, `fleet` and
+# `serve` against `run`'s; each writes what it needs if it is missing.
 # Builds `clientmap` from the checkout this script lives in, into
 # ${CARGO_TARGET_DIR:-target}.
 set -euo pipefail
@@ -21,10 +21,10 @@ set -euo pipefail
 mkdir -p "$1"
 OUT=$(cd "$1" && pwd)
 shift
-[ $# -gt 0 ] || set -- repro scalar lossy run fleet fleetchaos serve degraded
+[ $# -gt 0 ] || set -- repro scalar lossy run cluster fleet fleetchaos serve degraded
 for section in "$@"; do
   case $section in
-    repro | scalar | lossy | run | fleet | fleetchaos | serve | degraded) ;;
+    repro | scalar | lossy | run | cluster | fleet | fleetchaos | serve | degraded) ;;
     *) echo "identity.sh: unknown section $section" >&2; exit 2 ;;
   esac
 done
@@ -110,6 +110,41 @@ section_run() {
   for step in cold warm expiry; do
     for ext in txt json snap; do same "$d/t1.$step.$ext" "$d/t4.$step.$ext"; done
   done
+}
+
+# `clientmap run --clustered-probing`: cold, a full-expiry re-sweep from
+# the exhaustive cold snapshot, a second re-sweep chained from that one
+# (its escalation reads stored confidence tags), and re-sweeps at
+# epsilon 0.02 and 0.6 — the planner's keyed join and its full scan.
+# Then a 2-worker fleet re-sweep lands the one-process bytes.
+section_cluster() {
+  local d=$OUT/cluster r=$OUT/run t step ext
+  [ -f "$r/t4.cold.snap" ] || section_run
+  mkdir -p "$d"
+  for t in 1 4; do
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.cold" --seed 2021 --clustered-probing
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.resweep" --seed 2021 --clustered-probing \
+      --snapshot-in "$r/t$t.cold.snap" --expiry-budget 1
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.chain" --seed 2021 --clustered-probing \
+      --snapshot-in "$d/t$t.resweep.snap" --expiry-budget 1
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.eps002" --seed 2021 --clustered-probing \
+      --snapshot-in "$r/t$t.cold.snap" --expiry-budget 1 --cluster-epsilon 0.02
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.eps06" --seed 2021 --clustered-probing \
+      --snapshot-in "$r/t$t.cold.snap" --expiry-budget 1 --cluster-epsilon 0.6
+  done
+  for step in cold resweep chain eps002 eps06; do
+    has 'Cluster ablation' "$d/t1.$step.txt"
+    for ext in txt json snap; do same "$d/t1.$step.$ext" "$d/t4.$step.$ext"; done
+  done
+  has 'live-probe ratio' "$d/t1.cold.txt"
+  # The ablation section is gated on the planner's counters.
+  if grep -q 'Cluster ablation' "$r/t1.cold.txt"; then
+    echo "identity.sh: the exhaustive cold run prints the cluster section" >&2
+    exit 1
+  fi
+  fleet "$d/fleet" "$d/t4.resweep" -- --seed 2021 --clustered-probing \
+    --snapshot-in "$r/t4.cold.snap" --expiry-budget 1
+  has 'Cluster ablation' "$d/fleet.txt"
 }
 
 # A 2-worker `driver` must land the bytes of the one-process `run`.

@@ -133,7 +133,7 @@ fn clustered_resweep_beats_the_precision_recall_floor_at_small_scale() {
 fn epsilon_sweep_conserves_the_planned_universe() {
     let seed = 2021;
     let cold = cold_run(seed);
-    for eps in [0.1, 0.25, 0.6] {
+    for eps in [0.02, 0.1, 0.25, 0.6] {
         let a = warm_run(seed, &cold, true, Some(eps));
         let universe = cluster_counter(&a, "planned_universe");
         let parts = cluster_counter(&a, "representatives")
