@@ -16,7 +16,6 @@
 
 use std::collections::BTreeSet;
 
-use clientmap_cacheprobe::verdict_rank;
 use clientmap_store::{SweepSnapshot, Verdict, VerdictTable};
 
 /// Binary precision/recall tallies over a target verdict.
@@ -90,7 +89,7 @@ pub fn extrapolation_agreement(snapshot: &SweepSnapshot) -> PrecisionRecall {
         if tag.prior_verdict == 0 {
             continue;
         }
-        let extrapolated = snapshot.records.get(key).map_or(0, verdict_rank);
+        let extrapolated = snapshot.records.get(key).map_or(0, |r| r.verdict() as u8);
         pr.tally(
             extrapolated == Verdict::Hit as u8,
             tag.prior_verdict == Verdict::Hit as u8,

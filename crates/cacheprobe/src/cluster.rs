@@ -37,23 +37,6 @@ use crate::plan::{PlanDecision, ProbePlan, WarmStartPlan};
 use crate::probe::{record_key, ProbeUnit};
 use crate::ProbeConfig;
 
-/// Verdict rank of a stored record, mirroring the derivation
-/// `CacheProbeResult::verdict_table` applies to probe counts:
-/// `Hit(4) > HitScopeZero(3) > Miss(2) > Dropped(1) > Unmeasured(0)`.
-pub fn verdict_rank(rec: &ScopeRecord) -> u8 {
-    if rec.hits() > 0 {
-        4
-    } else if rec.scope0 > 0 {
-        3
-    } else if rec.attempts > rec.drops {
-        2
-    } else if rec.attempts > 0 {
-        1
-    } else {
-        0
-    }
-}
-
 /// The cheap per-slot feature vector the clustering distance compares.
 /// Everything here is public-data derived (RIB origin, ASdb category,
 /// geolocation metro) or planner state (scope length, prior verdict) —
@@ -87,7 +70,7 @@ impl ClusterFeatures {
             category,
             metro,
             scope_len: scope.len(),
-            prior_verdict: prior.map_or(0, verdict_rank),
+            prior_verdict: prior.map_or(0, |r| r.verdict() as u8),
         }
     }
 
@@ -256,7 +239,7 @@ impl ProbePlan for ClusteredPlan<'_> {
             // slot last held.
             if let Some(tag) = tag {
                 let flipped = tag.prior_verdict != 0
-                    && prior_rec.map_or(0, verdict_rank) != tag.prior_verdict;
+                    && prior_rec.map_or(0, |r| r.verdict() as u8) != tag.prior_verdict;
                 if flipped || self.weak(tag.confidence) {
                     decisions.push(PlanDecision::Probe(PlanReason::Dirty));
                     self.stats.planned_universe += 1;

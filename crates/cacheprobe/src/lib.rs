@@ -46,7 +46,7 @@ pub mod vantage;
 
 mod config;
 
-pub use cluster::{feature_distance, verdict_rank, ClusterFeatures, ClusterStats, ClusteredPlan};
+pub use cluster::{feature_distance, ClusterFeatures, ClusterStats, ClusteredPlan};
 pub use config::ProbeConfig;
 pub use plan::{
     plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanDecision, PlanOutcome, ProbePlan,

@@ -24,7 +24,7 @@ use clientmap_store::{
     SweepSnapshot,
 };
 
-use crate::cluster::{verdict_rank, ClusterStats};
+use crate::cluster::ClusterStats;
 use crate::probe::{record_key, ProbeUnit};
 use crate::sweep::expiry_hash;
 use crate::vantage::BoundVantage;
@@ -196,9 +196,9 @@ pub struct ExtrapolatedSlot {
 pub struct PlanOutcome {
     /// Units (with only their live scopes) the sweep must probe.
     pub live_units: Vec<ProbeUnit>,
-    /// `(bound_idx, domain, scope, prior record)` for every slot the
-    /// plan replays instead of probing, in slot order.
-    pub skipped: Vec<(usize, usize, Prefix, ScopeRecord)>,
+    /// The slot key and prior record of every slot the plan replays
+    /// instead of probing, in slot (so key) order.
+    pub skipped: Vec<(RecordKey, ScopeRecord)>,
     /// Slots the plan extrapolates from a cluster representative after
     /// the probing window, in slot order.
     pub extrapolated: Vec<ExtrapolatedSlot>,
@@ -300,9 +300,7 @@ pub fn plan_units(
                 PlanDecision::Replay => {
                     outcome.stats.count(None);
                     outcome.skipped.push((
-                        u.bound_idx,
-                        u.domain,
-                        scope,
+                        record_key(u.bound_idx, u.domain, scope),
                         prior_rec
                             .expect("a replay decision implies a prior record")
                             .clone(),
@@ -316,7 +314,7 @@ pub fn plan_units(
                         scope,
                         rep,
                         confidence,
-                        prior_verdict: prior_rec.map_or(0, verdict_rank),
+                        prior_verdict: prior_rec.map_or(0, |r| r.verdict() as u8),
                     });
                 }
             }
@@ -437,17 +435,18 @@ mod tests {
             Some(&prior),
             &bound,
         );
-        let replayed: Vec<(usize, usize, String, u64)> = out
+        let replayed: Vec<(RecordKey, u64)> = out
             .skipped
             .iter()
-            .map(|(bi, d, s, rec)| (*bi, *d, s.to_string(), rec.attempts))
+            .map(|(key, rec)| (*key, rec.attempts))
             .collect();
+        let key = |bi, d, s: &str| record_key(bi, d, s.parse().unwrap());
         assert_eq!(
             replayed,
             vec![
-                (0, 0, "10.0.0.0/24".to_string(), 1),
-                (0, 0, "10.0.2.0/24".to_string(), 3),
-                (1, 1, "10.0.1.0/24".to_string(), 6),
+                (key(0, 0, "10.0.0.0/24"), 1),
+                (key(0, 0, "10.0.2.0/24"), 3),
+                (key(1, 1, "10.0.1.0/24"), 6),
             ]
         );
         assert_eq!(out.live_units, vec![unit(0, 0, &["10.0.1.0/24"])]);

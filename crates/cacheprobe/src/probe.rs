@@ -5,9 +5,10 @@
 //! is an independent connection with its own session state — so the
 //! runner fans the streams out as work units over
 //! [`clientmap_par::par_map`], sharing the immutable simulation core.
-//! Unit tallies reduce in work-unit order (bound-PoP order × domain
-//! order) into the sweep's record table, and the result is one fold of
-//! the finished table. That ordered reduction makes the output —
+//! Each unit tallies into one record per slot; the units' records
+//! reduce in work-unit order (bound-PoP order × domain order) into the
+//! sweep's record table, and the result is one fold of the finished
+//! table. That ordered reduction makes the output —
 //! reports and telemetry snapshots alike — byte-identical at any thread
 //! count.
 //!
@@ -17,7 +18,7 @@
 //! resolved once per unit, so steady-state probing never touches the
 //! allocator or the registry lock.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -214,84 +215,62 @@ pub struct ProbeUnit {
     pub bound_idx: usize,
     /// Index into the selected-domain list.
     pub domain: usize,
-    /// Assigned query scopes, in assignment order.
+    /// Assigned query scopes, strictly ascending ([`plan_units`]
+    /// asserts it), so a unit's slots run in [`RecordKey`] order.
     pub scopes: Vec<Prefix>,
 }
 
-/// What one unit's worker produced.
-struct UnitTally {
-    /// (query scope, response scope, remaining TTL) per hit.
-    hits: Vec<(Prefix, Prefix, u32)>,
-    /// query scope → (attempts, scope0, drops) — the sweep store's
-    /// per-scope record fields (hits live in `hits`).
-    counts: HashMap<Prefix, (u64, u64, u64)>,
-    attempts: u64,
-    probes_sent: u64,
-    scope0: u64,
-    drops: u64,
-    /// The unit's circuit breaker tripped: [`BREAKER_THRESHOLD`]
-    /// consecutive probes were lost and the rest of the stream was
-    /// abandoned (fault injection only).
-    tripped: bool,
+/// What one unit's stream produced: one record per slot, aligned with
+/// the unit's scopes, and whether its circuit breaker tripped —
+/// [`BREAKER_THRESHOLD`] consecutive probes lost and the rest of the
+/// stream abandoned (fault injection only).
+type UnitRecords = (Vec<ScopeRecord>, bool);
+
+/// Books one probe event's outcome on its slot's record — the per-slot
+/// accounting both lanes share. Hits land in slot order.
+fn tally(rec: &mut ScopeRecord, outcome: &ProbeOutcome) {
+    rec.attempts += 1;
+    match *outcome {
+        ProbeOutcome::Hit {
+            scope,
+            remaining_ttl,
+        } => rec.hit_events.push(HitEvent {
+            resp_addr: scope.addr(),
+            resp_len: scope.len(),
+            remaining_ttl,
+        }),
+        ProbeOutcome::HitScopeZero => rec.scope0 += 1,
+        ProbeOutcome::Miss => {}
+        ProbeOutcome::Dropped => rec.drops += 1,
+    }
 }
 
-impl UnitTally {
-    fn new() -> UnitTally {
-        UnitTally {
-            hits: Vec::new(),
-            counts: HashMap::new(),
-            attempts: 0,
-            probes_sent: 0,
-            scope0: 0,
-            drops: 0,
-            tripped: false,
+/// Lands slot records on their vantage's probe counters, one `add` per
+/// counter per call: a live unit's records as its stream ends, and the
+/// records a sweep holds without probing them — warm-skipped carries
+/// and extrapolated members — as if their probes had run, so this
+/// run's telemetry describes the whole sweep. The counters are
+/// commutative atomics, so the registry is byte-identical whichever
+/// lane, thread interleaving or grouping of records booked them.
+fn book<'a>(m: &ProbeMetrics, records: impl IntoIterator<Item = &'a ScopeRecord>, redundancy: u32) {
+    let (mut attempts, mut hits, mut scope0, mut drops) = (0, 0, 0, 0);
+    for rec in records {
+        attempts += rec.attempts;
+        hits += rec.hits();
+        scope0 += rec.scope0;
+        drops += rec.drops;
+        for e in &rec.hit_events {
+            m.hit_ttl_secs.record(u64::from(e.remaining_ttl));
         }
     }
-
-    /// Books one probe event's outcome against its query scope — the
-    /// per-slot accounting both lanes share.
-    fn record(&mut self, scope: Prefix, outcome: &ProbeOutcome, redundancy: u32) {
-        self.attempts += 1;
-        self.probes_sent += u64::from(redundancy);
-        let count = self.counts.entry(scope).or_insert((0, 0, 0));
-        count.0 += 1;
-        match *outcome {
-            ProbeOutcome::Hit {
-                scope: resp_scope,
-                remaining_ttl,
-            } => self.hits.push((scope, resp_scope, remaining_ttl)),
-            ProbeOutcome::HitScopeZero => {
-                self.scope0 += 1;
-                count.1 += 1;
-            }
-            ProbeOutcome::Miss => {}
-            ProbeOutcome::Dropped => {
-                self.drops += 1;
-                count.2 += 1;
-            }
-        }
-    }
-
-    /// Lands the tally on the shared probe counters: one `add(n)` for
-    /// every `inc()` a per-probe flush would perform. The counters are
-    /// commutative atomics, so the registry is byte-identical whichever
-    /// lane — and whichever thread interleaving — produced the tally.
-    fn flush_metrics(&self, metrics: &ProbeMetrics) {
-        let hits = self.hits.len() as u64;
-        metrics.attempts.add(self.attempts);
-        metrics.pop_attempts.add(self.attempts);
-        metrics.probes_sent.add(self.probes_sent);
-        metrics.hit.add(hits);
-        metrics.pop_hits.add(hits);
-        for &(_, _, remaining) in &self.hits {
-            metrics.hit_ttl_secs.record(u64::from(remaining));
-        }
-        metrics.scope0.add(self.scope0);
-        metrics
-            .miss
-            .add(self.attempts - hits - self.scope0 - self.drops);
-        metrics.dropped.add(self.drops);
-    }
+    m.attempts.add(attempts);
+    m.pop_attempts.add(attempts);
+    m.probes_sent.add(attempts * u64::from(redundancy));
+    m.hit.add(hits);
+    m.pop_hits.add(hits);
+    m.scope0.add(scope0);
+    m.miss.add(attempts - hits - scope0 - drops);
+    m.dropped.add(drops);
 }
 
 /// Queries per second per domain per PoP (paper: 50).
@@ -338,8 +317,9 @@ fn probe_unit(
     t0: SimTime,
     metrics: &ProbeMetrics,
     fc: Option<&FaultCounters>,
-) -> UnitTally {
-    let mut tally = UnitTally::new();
+) -> UnitRecords {
+    let mut records = vec![ScopeRecord::default(); scopes.len()];
+    let mut tripped = false;
     let mut session = GpdnsSession::new();
     let mut bufs = ProbeBufs::default();
     let mut consecutive_drops = 0u32;
@@ -355,7 +335,7 @@ fn probe_unit(
             fc,
             &mut bufs,
         );
-        tally.record(scopes[li], &outcome, cfg.redundancy);
+        tally(&mut records[li], &outcome);
         // Circuit breaker: a PoP that eats everything we send — even
         // after retries — is almost certainly dark; abandon the stream
         // rather than burn the window into it.
@@ -363,7 +343,7 @@ fn probe_unit(
             if matches!(outcome, ProbeOutcome::Dropped) {
                 consecutive_drops += 1;
                 if consecutive_drops >= BREAKER_THRESHOLD {
-                    tally.tripped = true;
+                    tripped = true;
                     break;
                 }
             } else {
@@ -371,8 +351,8 @@ fn probe_unit(
             }
         }
     }
-    tally.flush_metrics(metrics);
-    tally
+    book(metrics, &records, cfg.redundancy);
+    (records, tripped)
 }
 
 /// Batched sibling of [`probe_unit`]: the same ⟨PoP, domain⟩ stream,
@@ -391,8 +371,7 @@ fn probe_unit_batched(
     cfg: &ProbeConfig,
     t0: SimTime,
     metrics: &ProbeMetrics,
-) -> UnitTally {
-    let mut tally = UnitTally::new();
+) -> UnitRecords {
     let mut session = GpdnsSession::new();
     let mut conn = view
         .gpdns
@@ -431,14 +410,14 @@ fn probe_unit_batched(
         &mut outcomes,
     );
     assert!(ok, "a batch rendered from its own lanes always validates");
-    // Booked exactly as the scalar loop does (per-slot attempts,
-    // per-scope tuple bumps, hits in slot order).
+    // Tallied exactly as the scalar loop does, in slot order.
+    let mut records = vec![ScopeRecord::default(); scopes.len()];
     for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
-        tally.record(scopes[lane as usize], outcome, cfg.redundancy);
+        tally(&mut records[lane as usize], outcome);
     }
     view.gpdns.close_batch(conn, &mut session);
-    tally.flush_metrics(metrics);
-    tally
+    book(metrics, &records, cfg.redundancy);
+    (records, false)
 }
 
 /// The snapshot key of one ⟨vantage, domain, scope⟩ stream slot.
@@ -468,33 +447,15 @@ fn replay_record(
     c.drops += rec.drops;
     for e in &rec.hit_events {
         let resp = Prefix::new(e.resp_addr, e.resp_len)
-            .expect("hit scopes are at most /32: probed as prefixes, refused past /32 on decode");
+            .expect("hit scopes are prefixes: probed as such, and refused otherwise on decode");
         result.record_hit(domain, pop, scope, resp, e.remaining_ttl);
     }
-}
-
-/// Books one record this sweep's table holds without having probed it
-/// — a warm-skipped carry or an extrapolated member — on its vantage's
-/// client probe counters as if its probes had run, so this run's
-/// telemetry still describes the whole sweep.
-fn book_unprobed(m: &ProbeMetrics, rec: &ScopeRecord, redundancy: u32) {
-    m.attempts.add(rec.attempts);
-    m.pop_attempts.add(rec.attempts);
-    m.probes_sent.add(rec.attempts * u64::from(redundancy));
-    m.hit.add(rec.hits());
-    m.pop_hits.add(rec.hits());
-    for e in &rec.hit_events {
-        m.hit_ttl_secs.record(u64::from(e.remaining_ttl));
-    }
-    m.scope0.add(rec.scope0);
-    m.miss.add(rec.misses());
-    m.dropped.add(rec.drops);
 }
 
 /// A clustered plan's extrapolated members, built after the ordered
 /// reduction: each member's record is synthesized from a borrow of its
 /// representative's live record and booked as it is built
-/// ([`book_unprobed`]), and its [`ConfidenceRecord`] goes to the
+/// ([`book`]), and its [`ConfidenceRecord`] goes to the
 /// snapshot's provenance column. `extrapolated` is in key order (plan
 /// order), so both outputs are too, and the fold is byte-identical at
 /// any thread or shard count. A representative whose stream never
@@ -515,7 +476,7 @@ fn synthesize_members(
         .iter()
         .map(|e| {
             let synth = synthesize_member_record(live.get(&e.rep).unwrap_or(&empty), e.scope);
-            book_unprobed(&pop_metrics[e.bound_idx], &synth, redundancy);
+            book(&pop_metrics[e.bound_idx], [&synth], redundancy);
             (record_key(e.bound_idx, e.domain, e.scope), synth)
         })
         .collect();
@@ -619,9 +580,11 @@ struct ProbeCtx {
 /// is that same seam with one local shard.
 pub struct SweepPrep {
     ctx: ProbeCtx,
-    assigned: HashMap<PopId, Vec<(usize, Prefix)>>,
+    /// `(domain, scope)` pairs assigned to each bound vantage, indexed
+    /// like `ctx.bound`.
+    assigned: Vec<Vec<(usize, Prefix)>>,
     units: Vec<ProbeUnit>,
-    skipped: Vec<(usize, usize, Prefix, ScopeRecord)>,
+    skipped: Vec<(RecordKey, ScopeRecord)>,
     extrapolated: Vec<ExtrapolatedSlot>,
     /// The prior snapshot, kept whole when the planner emitted zero
     /// probe work — the full-skip finish carries it forward wholesale.
@@ -713,6 +676,12 @@ pub fn prepare_sweep(
     if let Some(cap) = cfg.max_pops {
         bound.truncate(cap);
     }
+    // One vantage per PoP, in PoP order: calibration replay, assignment
+    // and quarantine all index PoPs by bound position.
+    assert!(
+        bound.windows(2).all(|w| w[0].pop < w[1].pop),
+        "bound vantages must be strictly ascending by PoP"
+    );
     timings.push(("vantage_discovery".into(), stage.elapsed().as_secs_f64()));
 
     // 2. Domain selection + authoritative scope pre-scan.
@@ -730,14 +699,11 @@ pub fn prepare_sweep(
     //    live.
     let stage = Instant::now();
     let cal_window = Window::open(sim);
-    let mut bound_pops: Vec<u64> = bound.iter().map(|b| b.pop as u64).collect();
-    bound_pops.sort_unstable();
-    bound_pops.dedup();
     let replay = prior.filter(|_| fc.is_none()).filter(|p| {
         p.calibration
             .iter()
             .map(|r| r.pop)
-            .eq(bound_pops.iter().copied())
+            .eq(bound.iter().map(|b| b.pop as u64))
     });
     let radii = match replay {
         Some(prior) => {
@@ -761,32 +727,27 @@ pub fn prepare_sweep(
     //    a pair whose latitude gap alone puts it more than 1 km beyond
     //    reach skips it (the gap never exceeds the distance).
     let pops = clientmap_sim::pop_catalog();
-    let reach: Vec<(PopId, GeoCoord, f64)> = bound
+    let reach: Vec<(GeoCoord, f64)> = bound
         .iter()
-        .map(|b| (b.pop, pops[b.pop].coord, radii.radius(b.pop)))
+        .map(|b| (pops[b.pop].coord, radii.radius(b.pop)))
         .collect();
-    let mut per_pop: Vec<Vec<(usize, Prefix)>> = vec![Vec::new(); pops.len()];
+    let mut assigned: Vec<Vec<(usize, Prefix)>> = vec![Vec::new(); bound.len()];
     let geodb = &sim.world().geodb;
     for (d, plan) in scan_result.domains.iter().enumerate() {
         for scope in &plan.scopes {
             let Some(geo) = geodb.locate(*scope) else {
                 continue;
             };
-            for &(pop, pop_coord, radius) in &reach {
+            for (list, &(pop_coord, radius)) in assigned.iter_mut().zip(&reach) {
                 let reach_km = radius + geo.error_radius_km;
                 if geo.coord.meridian_gap_km(&pop_coord) <= reach_km + 1.0
                     && geo.coord.distance_km(&pop_coord) <= reach_km
                 {
-                    per_pop[pop].push((d, *scope));
+                    list.push((d, *scope));
                 }
             }
         }
     }
-    let assigned: HashMap<PopId, Vec<(usize, Prefix)>> = per_pop
-        .into_iter()
-        .enumerate()
-        .filter(|(_, list)| !list.is_empty())
-        .collect();
 
     // 5. The probing loops: one work unit per ⟨PoP, domain⟩ stream,
     //    fanned out over the deterministic executor.
@@ -812,11 +773,10 @@ pub fn prepare_sweep(
     let templates: Vec<wire::ProbeQueryTemplate> =
         domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let mut units: Vec<ProbeUnit> = Vec::new();
-    for (bi, b) in bound.iter().enumerate() {
-        let list = assigned.get(&b.pop).cloned().unwrap_or_default();
+    for (bi, (b, list)) in bound.iter().zip(&assigned).enumerate() {
         let mut per_domain: Vec<Vec<Prefix>> = vec![Vec::new(); domains.len()];
-        for (d, scope) in &list {
-            per_domain[*d].push(*scope);
+        for &(d, scope) in list {
+            per_domain[d].push(scope);
         }
         shell.assigned_per_pop.insert(b.pop, list.len());
         assignment_sizes.record(list.len() as u64);
@@ -999,7 +959,7 @@ pub fn execute_sweep(
 /// result shell in record-key order, and takes its fault accounting.
 /// Every route ends here, so the result is a function of the snapshot.
 /// Probe counters are not bumped: they landed live, ride a shard
-/// delta's metrics block, or were booked by [`book_unprobed`].
+/// delta's metrics block, or were booked by [`book`].
 fn replay_table(
     mut result: CacheProbeResult,
     bound: &[BoundVantage],
@@ -1007,9 +967,10 @@ fn replay_table(
     redundancy: u32,
 ) -> CacheProbeResult {
     for (&(bi, d, addr, len), rec) in &snapshot.records {
-        let (Some(b), Ok(scope)) = (bound.get(bi as usize), Prefix::new(addr, len)) else {
+        let Some(b) = bound.get(bi as usize) else {
             continue;
         };
+        let scope = key_scope(addr, len);
         replay_record(&mut result, b.pop, d as usize, scope, rec, redundancy);
     }
     result.fault = snapshot.fault.clone();
@@ -1030,6 +991,12 @@ fn finish_full_skip(sim: &Sim, snapshot: &mut SweepSnapshot, prior: SweepSnapsho
     snapshot.confidence = prior.confidence;
 }
 
+/// The scope of a record key: keys are built from probed prefixes, and
+/// the decoder refuses any key that is not one.
+fn key_scope(addr: u32, len: u8) -> Prefix {
+    Prefix::new(addr, len).expect("record keys hold prefixes")
+}
+
 /// The ⟨domain, scope⟩ pairs a record table measured: those with a
 /// record that saw at least one probe event, at any vantage.
 fn measured_pairs(
@@ -1038,49 +1005,48 @@ fn measured_pairs(
     records
         .iter()
         .filter(|(_, rec)| rec.attempts > 0)
-        .filter_map(|(&(_, d, addr, len), _)| Some((d as usize, Prefix::new(addr, len).ok()?)))
+        .map(|(&(_, d, addr, len), _)| (d as usize, key_scope(addr, len)))
 }
 
 /// The deterministic quarantine rule over the sweep's canonical fault
 /// book ([`merge_fault_books`]): a PoP is quarantined when any stream
 /// through it tripped the circuit breaker, or when it lost most of a
-/// meaningful probe volume. Evaluated in `bound` order so duplicate
-/// vantages quarantine identically everywhere.
-fn quarantined_pops(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<PopId> {
-    bound
-        .iter()
-        .map(|b| b.pop)
-        .filter(|&pop| {
+/// meaningful probe volume. Returns the quarantined bound positions,
+/// ascending — so in PoP order, as `bound` is.
+fn quarantine(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<usize> {
+    (0..bound.len())
+        .filter(|&bi| {
             book.iter().any(|h| {
-                h.pop == pop && (h.tripped || (h.attempts >= 20 && h.drops * 2 > h.attempts))
+                h.pop == bound[bi].pop
+                    && (h.tripped || (h.attempts >= 20 && h.drops * 2 > h.attempts))
             })
         })
         .collect()
 }
 
-/// Plans the rescue phase for a quarantine set: scopes assigned to a
-/// quarantined PoP and never measured anywhere are re-probed once at
-/// the nearest healthy bound PoP whose doubled service radius (plus
-/// the scope's geolocation error) still covers them. A pure function
-/// of the record table's measured set and the quarantine set, so the
-/// driver and a single-process sweep plan byte-identical rescues.
+/// Plans the rescue phase for a quarantine set (bound positions):
+/// scopes assigned to a quarantined PoP and never measured anywhere are
+/// re-probed once at the nearest healthy bound PoP whose doubled
+/// service radius (plus the scope's geolocation error) still covers
+/// them. A pure function of the record table's measured set and the
+/// quarantine set, so the driver and a single-process sweep plan
+/// byte-identical rescues.
 fn plan_rescue_units(
     sim: &Sim,
     bound: &[BoundVantage],
-    assigned: &HashMap<PopId, Vec<(usize, Prefix)>>,
+    assigned: &[Vec<(usize, Prefix)>],
     radii: &ServiceRadii,
     measured: &HashSet<(usize, Prefix)>,
-    quarantined: &[PopId],
+    quarantined: &[usize],
 ) -> Vec<ProbeUnit> {
     let pops = clientmap_sim::pop_catalog();
-    let q_set: HashSet<PopId> = quarantined.iter().copied().collect();
 
     // Scopes needing rescue: assigned to at least one quarantined
     // PoP and never measured anywhere.
     let mut need: Vec<(usize, Prefix)> = Vec::new();
     let mut seen = HashSet::new();
-    for pop in quarantined {
-        for key in assigned.get(pop).into_iter().flatten() {
+    for &bi in quarantined {
+        for key in &assigned[bi] {
             if !measured.contains(key) && seen.insert(*key) {
                 need.push(*key);
             }
@@ -1099,7 +1065,7 @@ fn plan_rescue_units(
         let Some((coord, err_km)) = geo else { continue };
         let mut fallback: Option<(f64, usize)> = None;
         for (bi, b) in bound.iter().enumerate() {
-            if q_set.contains(&b.pop) {
+            if quarantined.contains(&bi) {
                 continue;
             }
             let dist = coord.distance_km(&pops[b.pop].coord);
@@ -1163,45 +1129,40 @@ pub fn merge_fault_books(books: &[PopHealth]) -> Vec<PopHealth> {
         .collect()
 }
 
-/// The ordered reduction: folds unit tallies, in unit order — a pure
-/// function of the work list, never of the thread interleaving — into
-/// per-scope sweep records. Per-PoP health (attempts, lost events,
-/// breaker trips) accumulates alongside as the shard's canonical fault
-/// book.
+/// The ordered reduction: each unit's scopes zipped with its slot
+/// records, in unit order — a pure function of the work list, never of
+/// the thread interleaving — keeping the records `keep` accepts. Units
+/// partition the key space and each runs in key order, so the table
+/// bulk-builds from one ascending run. Per-PoP health (attempts, lost
+/// events, breaker trips) is summed from each unit's records as the
+/// shard's canonical fault book.
 fn fold_tallies(
-    ctx: &ProbeCtx,
+    bound: &[BoundVantage],
     units: &[ProbeUnit],
-    tallies: Vec<UnitTally>,
+    tallies: Vec<UnitRecords>,
+    keep: impl Fn(&ScopeRecord) -> bool,
 ) -> (BTreeMap<RecordKey, ScopeRecord>, Vec<PopHealth>) {
-    let mut records: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
-    let mut book = Vec::with_capacity(units.len());
-    for (u, tally) in units.iter().zip(tallies) {
-        book.push(PopHealth {
-            pop: ctx.bound[u.bound_idx].pop,
-            attempts: tally.attempts,
-            drops: tally.drops,
-            tripped: tally.tripped,
-        });
-        for (query_scope, resp_scope, remaining) in tally.hits {
-            records
-                .entry(record_key(u.bound_idx, u.domain, query_scope))
-                .or_default()
-                .hit_events
-                .push(HitEvent {
-                    resp_addr: resp_scope.addr(),
-                    resp_len: resp_scope.len(),
-                    remaining_ttl: remaining,
-                });
-        }
-        for (scope, (attempts, scope0, drops)) in tally.counts {
-            let rec = records
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-            rec.attempts += attempts;
-            rec.scope0 += scope0;
-            rec.drops += drops;
-        }
-    }
+    let book: Vec<PopHealth> = units
+        .iter()
+        .zip(&tallies)
+        .map(|(u, (records, tripped))| PopHealth {
+            pop: bound[u.bound_idx].pop,
+            attempts: records.iter().map(|r| r.attempts).sum(),
+            drops: records.iter().map(|r| r.drops).sum(),
+            tripped: *tripped,
+        })
+        .collect();
+    let records = units
+        .iter()
+        .zip(tallies)
+        .flat_map(|(u, (records, _))| {
+            u.scopes
+                .iter()
+                .zip(records)
+                .map(move |(&scope, rec)| (record_key(u.bound_idx, u.domain, scope), rec))
+        })
+        .filter(|(_, rec)| keep(rec))
+        .collect();
     (records, merge_fault_books(&book))
 }
 
@@ -1220,11 +1181,11 @@ fn shard_delta(
 }
 
 /// Probes main-window units and reduces them to a delta plus the
-/// shard's fault book (empty when fault-free). Planned scopes with no
-/// probe event — a breaker-aborted stream — still get explicit empty
-/// records: the merge's completeness check (and the next warm planner,
-/// for which they are the rescue signal) must see them as
-/// measured-but-empty, not missing.
+/// shard's fault book (empty when fault-free). Every planned scope
+/// keeps its slot record, so one with no probe event — a
+/// breaker-aborted stream — is an explicit empty record: the merge's
+/// completeness check (and the next warm planner, for which it is the
+/// rescue signal) must see it as measured-but-empty, not missing.
 fn main_delta(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -1233,7 +1194,7 @@ fn main_delta(
     shard_id: u32,
 ) -> (SweepSnapshot, Vec<PopHealth>) {
     let view = sim.view();
-    let tallies: Vec<UnitTally> = par_map(units, |_, u| {
+    let tallies: Vec<UnitRecords> = par_map(units, |_, u| {
         // Fault-free streams ride the batch kernel when enabled;
         // faulted ones take the resilient scalar lane, which keeps fault
         // accounting untouched by construction.
@@ -1246,14 +1207,7 @@ fn main_delta(
             probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
         }
     });
-    let (mut records, book) = fold_tallies(ctx, units, tallies);
-    for u in units {
-        for &scope in &u.scopes {
-            records
-                .entry(record_key(u.bound_idx, u.domain, scope))
-                .or_default();
-        }
-    }
+    let (records, book) = fold_tallies(&ctx.bound, units, tallies, |_| true);
     let book = if ctx.fc.is_some() { book } else { Vec::new() };
     (shard_delta(ctx, shard_id, records), book)
 }
@@ -1262,7 +1216,7 @@ fn main_delta(
 /// a delta. Each unit gets a one-pass window — its slot budget covers
 /// the scope list exactly once — starting one minute after the main
 /// probing window closes. Unlike the main phase, unprobed rescue scopes
-/// get no empty fill: a rescue record means "this scope was re-probed",
+/// keep no record: a rescue record means "this scope was re-probed",
 /// and the merge counts them.
 fn rescue_delta(
     sim: &mut Sim,
@@ -1278,7 +1232,7 @@ fn rescue_delta(
     let t_rescue =
         ctx.t0 + SimTime::from_secs_f64(cfg.duration_hours * 3600.0) + SimTime::from_secs(60);
     let view = sim.view();
-    let tallies: Vec<UnitTally> = par_map(units, |_, u| {
+    let tallies: Vec<UnitRecords> = par_map(units, |_, u| {
         let mut one_pass = cfg.clone();
         one_pass.duration_hours = (u.scopes.len() as f64 / RATE_PER_DOMAIN) / 3600.0;
         probe_unit(
@@ -1292,7 +1246,8 @@ fn rescue_delta(
             Some(fc),
         )
     });
-    shard_delta(ctx, shard_id, fold_tallies(ctx, units, tallies).0)
+    let records = fold_tallies(&ctx.bound, units, tallies, |rec| rec.attempts > 0).0;
+    shard_delta(ctx, shard_id, records)
 }
 
 /// Probes one contiguous shard of a prepared sweep's unit list and
@@ -1553,15 +1508,14 @@ fn merge_inner(
             let (members, tags) =
                 synthesize_members(&live, &extrapolated, &ctx.pop_metrics, cfg.redundancy);
             snapshot.confidence = tags;
-            for (bi, _, _, rec) in &skipped {
-                book_unprobed(&ctx.pop_metrics[*bi], rec, cfg.redundancy);
+            // Carries are in key order, so each vantage's are one run.
+            for run in skipped.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+                let m = &ctx.pop_metrics[usize::from(run[0].0 .0)];
+                book(m, run.iter().map(|(_, rec)| rec), cfg.redundancy);
             }
-            let carries = skipped
-                .into_iter()
-                .map(|(bi, d, scope, rec)| (record_key(bi, d, scope), rec));
             merge_ordered(
                 merge_ordered(members.into_iter(), live.into_iter()),
-                carries,
+                skipped.into_iter(),
             )
             .collect()
         };
@@ -1577,7 +1531,7 @@ fn merge_inner(
         // afterwards is reported as lost coverage, not silently absent.
         if let Some(fc) = &ctx.fc {
             let stage = Instant::now();
-            let quarantined = quarantined_pops(&ctx.bound, &merge_fault_books(&books));
+            let quarantined = quarantine(&ctx.bound, &merge_fault_books(&books));
             fc.quarantined_pops.add(quarantined.len() as u64);
             let mut measured: HashSet<(usize, Prefix)> = measured_pairs(&table).collect();
             let rescue_units = plan_rescue_units(
@@ -1604,7 +1558,7 @@ fn merge_inner(
             // Partial-result accounting: assigned pairs that never
             // produced a probe event are coverage the faults cost us.
             let all_assigned: HashSet<(usize, Prefix)> =
-                assigned.values().flatten().copied().collect();
+                assigned.iter().flatten().copied().collect();
             let unmeasured = all_assigned.difference(&measured).count() as u64;
             snapshot.fault = Some(FaultSummary {
                 profile: sim.fault_plan().profile().as_str().to_string(),
@@ -1613,7 +1567,10 @@ fn merge_inner(
                 recovered: fc.recovered.get(),
                 degraded: fc.degraded.get(),
                 lost: fc.lost.get(),
-                quarantined_pops: quarantined.iter().map(|&pop| pop as u64).collect(),
+                quarantined_pops: quarantined
+                    .iter()
+                    .map(|&bi| ctx.bound[bi].pop as u64)
+                    .collect(),
                 rescued_scopes,
                 unmeasured_scopes: unmeasured,
                 assigned_scopes: all_assigned.len() as u64,
@@ -1892,6 +1849,163 @@ mod tests {
         }
     }
 
+    /// A unit's scope list: distinct and ascending.
+    fn scopes_strategy() -> impl proptest::strategy::Strategy<Value = Vec<Prefix>> {
+        use proptest::prelude::*;
+        proptest::collection::vec((0u32..=u32::MAX, 8u8..=24), 1..8).prop_map(|raw| {
+            let mut scopes: Vec<Prefix> = raw
+                .into_iter()
+                .map(|(addr, len)| Prefix::new(addr, len).unwrap())
+                .collect();
+            scopes.sort();
+            scopes.dedup();
+            scopes
+        })
+    }
+
+    /// The reference for slot records: each probe event bumps the
+    /// probe counters one `inc()` at a time and lands on its slot
+    /// through a per-event `entry()` into a key-ordered table. Returns
+    /// the table and each unit's fault-book entry.
+    fn per_event_oracle(
+        m: &ProbeMetrics,
+        bound: &[BoundVantage],
+        streams: &[(ProbeUnit, Vec<(usize, ProbeOutcome)>)],
+        redundancy: u32,
+    ) -> (BTreeMap<RecordKey, ScopeRecord>, Vec<PopHealth>) {
+        let mut table: BTreeMap<RecordKey, ScopeRecord> = BTreeMap::new();
+        let mut health = Vec::new();
+        for (u, events) in streams {
+            let (mut attempts, mut drops) = (0, 0);
+            for (li, outcome) in events {
+                m.attempts.inc();
+                m.pop_attempts.inc();
+                m.probes_sent.add(u64::from(redundancy));
+                attempts += 1;
+                let rec = table
+                    .entry(record_key(u.bound_idx, u.domain, u.scopes[*li]))
+                    .or_default();
+                rec.attempts += 1;
+                match *outcome {
+                    ProbeOutcome::Hit {
+                        scope,
+                        remaining_ttl,
+                    } => {
+                        m.hit.inc();
+                        m.pop_hits.inc();
+                        m.hit_ttl_secs.record(u64::from(remaining_ttl));
+                        rec.hit_events.push(HitEvent {
+                            resp_addr: scope.addr(),
+                            resp_len: scope.len(),
+                            remaining_ttl,
+                        });
+                    }
+                    ProbeOutcome::HitScopeZero => {
+                        m.scope0.inc();
+                        rec.scope0 += 1;
+                    }
+                    ProbeOutcome::Miss => m.miss.inc(),
+                    ProbeOutcome::Dropped => {
+                        m.dropped.inc();
+                        rec.drops += 1;
+                        drops += 1;
+                    }
+                }
+            }
+            health.push(PopHealth {
+                pop: bound[u.bound_idx].pop,
+                attempts,
+                drops,
+                tripped: false,
+            });
+        }
+        (table, health)
+    }
+
+    proptest::proptest! {
+        /// Slot records are the per-event rule, restated. Streams over
+        /// random ascending scope lists draw random outcomes in
+        /// `window_slots` order — fewer outcomes than slots is a stream
+        /// cut short, leaving scopes it never reached. Tallying into
+        /// slot records and booking them lands exactly the per-event
+        /// counters and TTL histogram; the zip-fold equals the
+        /// per-event `entry()` table, plus an empty record per unprobed
+        /// scope in the main phase and without them in a rescue phase;
+        /// and the fault book is the per-event one.
+        #[test]
+        fn slot_records_book_and_fold_as_the_per_event_oracle(
+            streams in proptest::collection::vec(
+                (
+                    scopes_strategy(),
+                    1u32..40,
+                    proptest::collection::vec(outcome_strategy(), 0..60),
+                ),
+                1..5,
+            ),
+            redundancy in 1u32..6,
+        ) {
+            use proptest::prelude::*;
+            let bound = [BoundVantage { vp: 0, pop: 3 }, BoundVantage { vp: 1, pop: 7 }];
+            let streams: Vec<(ProbeUnit, Vec<(usize, ProbeOutcome)>)> = streams
+                .into_iter()
+                .enumerate()
+                .map(|(i, (scopes, slots, outcomes))| {
+                    let mut cfg = ProbeConfig::test_scale();
+                    cfg.duration_hours = f64::from(slots) / RATE_PER_DOMAIN / 3600.0;
+                    let events = window_slots(&cfg, scopes.len(), SimTime::ZERO)
+                        .map(|(li, _)| li)
+                        .zip(outcomes)
+                        .collect();
+                    let unit = ProbeUnit {
+                        bound_idx: i / 2,
+                        domain: i % 2,
+                        scopes,
+                    };
+                    (unit, events)
+                })
+                .collect();
+            let units: Vec<ProbeUnit> = streams.iter().map(|(u, _)| u.clone()).collect();
+
+            let booked = MetricsRegistry::new();
+            let m = ProbeMetrics::resolve(&booked, "zz");
+            let tallies: Vec<UnitRecords> = streams
+                .iter()
+                .map(|(u, events)| {
+                    let mut records = vec![ScopeRecord::default(); u.scopes.len()];
+                    for (li, outcome) in events {
+                        tally(&mut records[*li], outcome);
+                    }
+                    book(&m, &records, redundancy);
+                    (records, false)
+                })
+                .collect();
+
+            let per_event = MetricsRegistry::new();
+            let oracle_m = ProbeMetrics::resolve(&per_event, "zz");
+            let (table, health) = per_event_oracle(&oracle_m, &bound, &streams, redundancy);
+            let snap = booked.snapshot();
+            let events: usize = streams.iter().map(|(_, e)| e.len()).sum();
+            prop_assert_eq!(snap.counter("cacheprobe.attempts"), events as u64);
+            prop_assert_eq!(
+                snap.counter("cacheprobe.probes_sent"),
+                u64::from(redundancy) * events as u64
+            );
+            prop_assert_eq!(snap.to_json(), per_event.snapshot().to_json());
+
+            let (rescued, _) = fold_tallies(&bound, &units, tallies.clone(), |r| r.attempts > 0);
+            prop_assert_eq!(&rescued, &table);
+            let mut filled = table;
+            for u in &units {
+                for &scope in &u.scopes {
+                    filled.entry(record_key(u.bound_idx, u.domain, scope)).or_default();
+                }
+            }
+            let (main, fault_book) = fold_tallies(&bound, &units, tallies, |_| true);
+            prop_assert_eq!(main, filled);
+            prop_assert_eq!(fault_book, merge_fault_books(&health));
+        }
+    }
+
     // ---- warm starts ---------------------------------------------
 
     fn run_tiny_full(
@@ -2028,11 +2142,7 @@ mod tests {
             ascending(&format!("{name} live units"), &keys);
         }
         assert!(!warm.skipped.is_empty() && !warm.extrapolated.is_empty());
-        let carries: Vec<RecordKey> = warm
-            .skipped
-            .iter()
-            .map(|&(bi, d, s, _)| record_key(bi, d, s))
-            .collect();
+        let carries: Vec<RecordKey> = warm.skipped.iter().map(|(key, _)| *key).collect();
         ascending("carries", &carries);
         let members: Vec<RecordKey> = warm
             .extrapolated

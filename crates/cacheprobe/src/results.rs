@@ -46,6 +46,11 @@ impl ProbeCount {
             self.hits as f64 / self.attempts as f64
         }
     }
+
+    /// The scope's verdict ([`Verdict::from_counts`]).
+    pub fn verdict(&self) -> Verdict {
+        Verdict::from_counts(self.attempts, self.hits, self.scope0, self.drops)
+    }
 }
 
 /// Per-AS active-space bounds (Figure 4).
@@ -223,18 +228,10 @@ impl CacheProbeResult {
             }
         };
         for ((_, scope), c) in &self.probe_counts {
-            let verdict = if c.hits > 0 {
-                Verdict::Hit
-            } else if c.scope0 > 0 {
-                Verdict::HitScopeZero
-            } else if c.attempts > c.drops {
-                Verdict::Miss
-            } else if c.attempts > 0 {
-                Verdict::Dropped
-            } else {
-                continue;
-            };
-            spread(scope, verdict);
+            match c.verdict() {
+                Verdict::Unmeasured => {}
+                verdict => spread(scope, verdict),
+            }
         }
         // Response scopes can be wider than the query scope; they are
         // hit evidence for every /24 they cover.

@@ -168,21 +168,39 @@ mod tests {
     use clientmap_sim::{pop_catalog, PopStatus};
     use clientmap_world::{World, WorldConfig};
 
+    /// Fault-free and under the lossy profile (retried discovery), the
+    /// bound vantages are probeable PoPs, one per PoP, strictly
+    /// ascending by PoP — what `prepare_sweep` asserts.
     #[test]
     fn discovery_covers_many_probeable_pops() {
+        use clientmap_faults::{FaultConfig, FaultProfile};
+        use clientmap_telemetry::MetricsRegistry;
+        use std::sync::Arc;
+
         let mut sim = Sim::new(World::generate(WorldConfig::tiny(71)));
-        let bound = discover(&mut sim, SimTime::ZERO);
-        assert!(
-            bound.len() >= 10,
-            "only {} PoPs discovered from {} VPs",
-            bound.len(),
-            VANTAGE_POINTS.len()
+        let clean = discover(&mut sim, SimTime::ZERO);
+        let mut lossy = Sim::with_faults(
+            World::generate(WorldConfig::tiny(71)),
+            Arc::new(MetricsRegistry::new()),
+            &FaultConfig::profile(FaultProfile::Lossy, 5),
         );
-        // Each bound PoP is probeable and unique.
-        let mut seen = std::collections::HashSet::new();
-        for b in &bound {
-            assert_eq!(pop_catalog()[b.pop].status, PopStatus::ProbedVerified);
-            assert!(seen.insert(b.pop), "duplicate PoP {}", b.pop);
+        let fc = FaultCounters::resolve(lossy.metrics());
+        let retried = discover_with(&mut lossy, SimTime::ZERO, Some(&fc));
+        assert!(fc.retries.get() > 0, "lossy discovery must retry something");
+        for bound in [clean, retried] {
+            assert!(
+                bound.len() >= 10,
+                "only {} PoPs discovered from {} VPs",
+                bound.len(),
+                VANTAGE_POINTS.len()
+            );
+            for b in &bound {
+                assert_eq!(pop_catalog()[b.pop].status, PopStatus::ProbedVerified);
+            }
+            assert!(
+                bound.windows(2).all(|w| w[0].pop < w[1].pop),
+                "bound vantages not strictly ascending by PoP"
+            );
         }
     }
 

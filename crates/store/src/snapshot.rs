@@ -14,6 +14,7 @@ use clientmap_telemetry::{HistogramDelta, MetricsDelta};
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::confidence::ConfidenceRecord;
+use crate::verdict::Verdict;
 
 /// File magic: "CMSS" — ClientMap Sweep Snapshot.
 pub const SNAPSHOT_MAGIC: [u8; 4] = *b"CMSS";
@@ -82,6 +83,11 @@ impl ScopeRecord {
     /// Events that were answered but found nothing cached.
     pub fn misses(&self) -> u64 {
         self.attempts - self.hits() - self.scope0 - self.drops
+    }
+
+    /// The slot's verdict ([`Verdict::from_counts`]).
+    pub fn verdict(&self) -> Verdict {
+        Verdict::from_counts(self.attempts, self.hits(), self.scope0, self.drops)
     }
 }
 
@@ -328,16 +334,14 @@ impl SweepSnapshot {
                 scope0: r.u64()?,
                 drops: r.u64()?,
                 hit_events: r.seq(|r| {
+                    let resp = r.prefix("hit response length")?;
                     Ok(HitEvent {
-                        resp_addr: r.u32()?,
-                        resp_len: r.u8()?,
+                        resp_addr: resp.addr(),
+                        resp_len: resp.len(),
                         remaining_ttl: r.u32()?,
                     })
                 })?,
             };
-            if rec.hit_events.iter().any(|e| e.resp_len > 32) {
-                return Err(CodecError::Malformed("hit response length"));
-            }
             if rec.hits() + rec.scope0 + rec.drops > rec.attempts {
                 return Err(CodecError::Malformed("record outcome counts"));
             }
@@ -468,14 +472,12 @@ fn write_key(w: &mut ByteWriter, (bound, domain, addr, len): RecordKey) {
     w.u8(len);
 }
 
-/// Reads one [`RecordKey`]; a scope length past /32 is
-/// `Malformed(what)`.
+/// Reads one [`RecordKey`]; a scope past /32 or with host bits set is
+/// `Malformed(what)` ([`ByteReader::prefix`]).
 fn read_key(r: &mut ByteReader<'_>, what: &'static str) -> Result<RecordKey, CodecError> {
-    let key = (r.u16()?, r.u16()?, r.u32()?, r.u8()?);
-    if key.3 > 32 {
-        return Err(CodecError::Malformed(what));
-    }
-    Ok(key)
+    let (bound, domain) = (r.u16()?, r.u16()?);
+    let scope = r.prefix(what)?;
+    Ok((bound, domain, scope.addr(), scope.len()))
 }
 
 /// Reads one calibration distance: a finite, non-negative `f64`, or
@@ -533,7 +535,7 @@ mod tests {
             },
         );
         s.records
-            .insert((2, 0, 0xC0000200, 20), ScopeRecord::default());
+            .insert((2, 0, 0xC0000200, 23), ScopeRecord::default());
         s.confidence.insert(
             (0, 1, 0x0A000100, 24),
             ConfidenceRecord {
@@ -545,7 +547,7 @@ mod tests {
         s.confidence.insert(
             (2, 0, 0xC0000300, 24),
             ConfidenceRecord {
-                rep: (2, 0, 0xC0000200, 20),
+                rep: (2, 0, 0xC0000200, 23),
                 confidence: 12,
                 prior_verdict: 0,
             },
@@ -702,6 +704,70 @@ mod tests {
         }
     }
 
+    /// A scope with host bits set is not a prefix: `10.0.0.1/24` would
+    /// replay as `10.0.0.0/24`, so beside a genuine `10.0.0.0/24` key it
+    /// counted that slot twice, and as a hit scope it re-encoded to other
+    /// bytes than the ones accepted. Keys, confidence keys and hit scopes
+    /// all refuse it, naming their field.
+    #[test]
+    fn scopes_with_host_bits_are_refused() {
+        let hit = |addr| HitEvent {
+            resp_addr: addr,
+            resp_len: 24,
+            remaining_ttl: 5,
+        };
+        let record = |addr| ScopeRecord {
+            attempts: 1,
+            hit_events: vec![hit(addr)],
+            ..ScopeRecord::default()
+        };
+        let mut two_keys = SweepSnapshot::new(7, 9);
+        two_keys
+            .records
+            .insert((0, 0, 0x0A000000, 24), record(0x0A000000));
+        two_keys
+            .records
+            .insert((0, 0, 0x0A000001, 24), record(0x0A000001));
+        assert_eq!(
+            SweepSnapshot::decode(&two_keys.encode()).err(),
+            Some(CodecError::Malformed("scope length"))
+        );
+        let mut one_key = SweepSnapshot::new(7, 9);
+        one_key
+            .records
+            .insert((0, 0, 0x0A000000, 24), record(0x0A000001));
+        assert_eq!(
+            SweepSnapshot::decode(&one_key.encode()).err(),
+            Some(CodecError::Malformed("hit response length"))
+        );
+        let mut tagged = SweepSnapshot::new(7, 9);
+        let tag = |rep| ConfidenceRecord {
+            rep,
+            confidence: 9,
+            prior_verdict: 0,
+        };
+        tagged
+            .confidence
+            .insert((0, 0, 0x0A000180, 24), tag((0, 0, 0x0A000000, 24)));
+        assert_eq!(
+            SweepSnapshot::decode(&tagged.encode()).err(),
+            Some(CodecError::Malformed("confidence member scope length"))
+        );
+        tagged.confidence.clear();
+        tagged
+            .confidence
+            .insert((0, 0, 0x0A000100, 24), tag((0, 0, 0x0A000080, 24)));
+        assert_eq!(
+            SweepSnapshot::decode(&tagged.encode()).err(),
+            Some(CodecError::Malformed("confidence rep scope length"))
+        );
+        // Cleared, every scope decodes.
+        one_key
+            .records
+            .insert((0, 0, 0x0A000000, 24), record(0x0A000000));
+        assert!(SweepSnapshot::decode(&one_key.encode()).is_ok());
+    }
+
     /// Re-seals `bytes` after an in-place edit, so only the field checks
     /// can object.
     fn reseal(bytes: &mut [u8]) {
@@ -732,7 +798,7 @@ mod tests {
     #[test]
     fn scope_records_must_come_in_strict_key_order() {
         let bytes = sample().encode();
-        let (first, second) = ((0, 1, 0x0A000000, 24), (2, 0, 0xC0000200, 20));
+        let (first, second) = ((0, 1, 0x0A000000, 24), (2, 0, 0xC0000200, 23));
         // The second record's key repeats the first's: decoding must not
         // collapse the two into one record.
         let repeated = rewritten(bytes.clone(), &key_bytes(second), &key_bytes(first));

