@@ -189,7 +189,6 @@ mod tests {
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         probe.record_hit(0, 0, p("10.1.0.0/22"), p("10.1.0.0/22"), 1);
         probe.record_hit(0, 0, p("10.1.4.0/24"), p("10.1.4.0/24"), 1);

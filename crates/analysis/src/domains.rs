@@ -116,7 +116,6 @@ mod tests {
             ],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         // Google: fine scopes in 10/8 and 11/8.
         r.record_hit(0, 0, p("10.1.0.0/24"), p("10.1.0.0/24"), 1);

@@ -130,7 +130,6 @@ mod tests {
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         r.record_hit(0, 0, p("10.1.0.0/20"), p("10.1.0.0/20"), 1);
         r.record_hit(0, 0, p("10.1.16.0/20"), p("10.1.16.0/20"), 1);

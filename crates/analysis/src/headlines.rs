@@ -164,7 +164,6 @@ mod tests {
             ],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         r.record_hit(1, 0, p("10.1.0.0/23"), p("10.1.0.0/23"), 1);
         r.record_hit(0, 0, p("10.9.0.0/24"), p("10.9.0.0/24"), 1);
@@ -186,7 +185,6 @@ mod tests {
         let other = clientmap_cacheprobe::CacheProbeResult::new(
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
-            Default::default(),
             Default::default(),
         );
         assert_eq!(groundtruth_recall(&other, &ecs), 0.0);

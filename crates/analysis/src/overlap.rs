@@ -161,7 +161,6 @@ mod tests {
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         probe.record_hit(
             0,

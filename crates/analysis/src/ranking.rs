@@ -183,7 +183,6 @@ mod tests {
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         let quiet: Prefix = "10.1.0.0/20".parse().unwrap();
         let busy: Prefix = "10.2.0.0/20".parse().unwrap();

@@ -121,7 +121,6 @@ proptest! {
             vec!["www.google.com".parse().unwrap()],
             Vec::new(),
             Default::default(),
-            Default::default(),
         );
         for p in &hits {
             probe.record_hit(0, 0, *p, *p, 1);

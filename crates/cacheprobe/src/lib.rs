@@ -37,6 +37,7 @@ pub mod cluster;
 pub mod diurnal;
 pub mod openresolver;
 pub mod plan;
+mod preamble;
 pub mod probe;
 pub mod resilience;
 pub mod results;
@@ -52,8 +53,9 @@ pub use plan::{
     plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanDecision, PlanOutcome, ProbePlan,
     WarmStartPlan,
 };
+pub use preamble::Preamble;
 pub use probe::{
-    execute_sweep, merge_fault_books, merge_shards, prepare_sweep, probe_rescue_shard, probe_shard,
-    PopHealth, ProbeUnit, ShardMergeError, SweepPrep,
+    execute_sweep, merge_fault_books, merge_shards, prepare_sweep, prepare_sweep_in,
+    probe_rescue_shard, probe_shard, PopHealth, ProbeUnit, ShardMergeError, SweepPrep,
 };
 pub use results::{CacheProbeResult, FaultSummary, ProbeCount};

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use clientmap_dns::{wire, DomainName};
-use clientmap_net::{GeoCoord, Prefix};
+use clientmap_net::Prefix;
 use clientmap_par::par_map;
 use clientmap_sim::{
     GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport,
@@ -36,12 +36,12 @@ use crate::cluster::{synthesize_member_record, ClusteredPlan};
 use crate::plan::{
     plan_units, Cursor, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, WarmStartPlan,
 };
+use crate::preamble::{pairs, Assignment, Preamble};
 use crate::resilience::{
     attempt_id, observe_response, resilient_attempt, FaultCounters, WireObservation,
     BREAKER_THRESHOLD,
 };
 use crate::results::{CacheProbeResult, FaultSummary};
-use crate::scopescan::scan;
 use crate::sweep;
 use crate::vantage::{discover_with, BoundVantage};
 use crate::ProbeConfig;
@@ -580,17 +580,17 @@ struct ProbeCtx {
 /// is that same seam with one local shard.
 pub struct SweepPrep {
     ctx: ProbeCtx,
-    /// `(domain, scope)` pairs assigned to each bound vantage, indexed
-    /// like `ctx.bound`.
-    assigned: Vec<Vec<(usize, Prefix)>>,
+    /// Scopes assigned to each bound vantage, per domain, indexed like
+    /// `ctx.bound` — the [`Preamble`]'s kept lists, borrowed.
+    assigned: Assignment,
     units: Vec<ProbeUnit>,
     skipped: Vec<(RecordKey, ScopeRecord)>,
     extrapolated: Vec<ExtrapolatedSlot>,
     /// The prior snapshot, kept whole when the planner emitted zero
     /// probe work — the full-skip finish carries it forward wholesale.
     full_skip_prior: Option<SweepSnapshot>,
-    /// Domains, bound vantages, radii, scope scan and assignment sizes;
-    /// every aggregate is left for [`replay_table`].
+    /// Domains, bound vantages, radii and assignment sizes; every
+    /// aggregate is left for [`replay_table`].
     shell: CacheProbeResult,
     snapshot: SweepSnapshot,
     /// When the probing window opened: the `probing` stage's start.
@@ -644,8 +644,15 @@ impl SweepPrep {
 /// Runs discovery, domain selection, the scope pre-scan, calibration,
 /// PoP assignment, unit building, and warm planning — everything up to
 /// (but not including) the probing window — and returns the paused
-/// [`SweepPrep`]. A whole in-process sweep is [`prepare_sweep`] +
-/// [`execute_sweep`] (`clientmap_core::LocalSweep`).
+/// [`SweepPrep`]. A whole in-process sweep is [`prepare_sweep_in`] +
+/// [`execute_sweep`] (`clientmap_core::LocalSweep`). This one lends a
+/// fresh [`Preamble`], so it scans and assigns as a session of one
+/// sweep would: one-shot runs and fleet worker jobs.
+///
+/// Each step pushes its wall time onto `timings`: `vantage_discovery`,
+/// `scope_scan`, `calibration`, `assignment` and `planning`.
+/// [`execute_sweep`] (or [`merge_shards`]) then pushes `probing`,
+/// `rescue` under faults, and `fold`, so the stages tile the sweep.
 ///
 /// With a `prior`, the planner probes only what is new, dirty, in need
 /// of rescue or expired, and the rest is replayed from the snapshot.
@@ -656,6 +663,24 @@ pub fn prepare_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
     universe: &[Prefix],
+    timings: &mut Vec<(String, f64)>,
+    prior: Option<&SweepSnapshot>,
+) -> SweepPrep {
+    prepare_sweep_in(sim, cfg, universe, &mut Preamble::default(), timings, prior)
+}
+
+/// [`prepare_sweep`] with a [`Preamble`] lent by the caller: the scope
+/// scan and the PoP assignment are taken from it when its keys match
+/// this sweep's, and kept in it otherwise. Everything else — and all
+/// per-sweep bookkeeping of the assignment (the result shell's
+/// `assigned_per_pop`, the `assignment_size` histogram, the per-PoP
+/// `assigned` counters, the unit lists) — runs every sweep, so a kept
+/// preamble moves no byte.
+pub fn prepare_sweep_in(
+    sim: &mut Sim,
+    cfg: &ProbeConfig,
+    universe: &[Prefix],
+    preamble: &mut Preamble,
     timings: &mut Vec<(String, f64)>,
     prior: Option<&SweepSnapshot>,
 ) -> SweepPrep {
@@ -687,7 +712,7 @@ pub fn prepare_sweep(
     // 2. Domain selection + authoritative scope pre-scan.
     let stage = Instant::now();
     let domains = select_domains(sim, cfg);
-    let scan_result = scan(sim, &domains, universe, SimTime::ZERO);
+    preamble.scan_for(sim, &domains, universe);
     timings.push(("scope_scan".into(), stage.elapsed().as_secs_f64()));
 
     // 3. Service-radius calibration (start a few hours in, so caches
@@ -722,35 +747,15 @@ pub fn prepare_sweep(
         .then(|| (radii.records(), cal_window.close(sim)));
     timings.push(("calibration".into(), stage.elapsed().as_secs_f64()));
 
-    // 4. Scope → PoP assignment by service radius (MaxMind location +
-    //    error radius possibly within the radius). The haversine decides;
-    //    a pair whose latitude gap alone puts it more than 1 km beyond
-    //    reach skips it (the gap never exceeds the distance).
-    let pops = clientmap_sim::pop_catalog();
-    let reach: Vec<(GeoCoord, f64)> = bound
-        .iter()
-        .map(|b| (pops[b.pop].coord, radii.radius(b.pop)))
-        .collect();
-    let mut assigned: Vec<Vec<(usize, Prefix)>> = vec![Vec::new(); bound.len()];
-    let geodb = &sim.world().geodb;
-    for (d, plan) in scan_result.domains.iter().enumerate() {
-        for scope in &plan.scopes {
-            let Some(geo) = geodb.locate(*scope) else {
-                continue;
-            };
-            for (list, &(pop_coord, radius)) in assigned.iter_mut().zip(&reach) {
-                let reach_km = radius + geo.error_radius_km;
-                if geo.coord.meridian_gap_km(&pop_coord) <= reach_km + 1.0
-                    && geo.coord.distance_km(&pop_coord) <= reach_km
-                {
-                    list.push((d, *scope));
-                }
-            }
-        }
-    }
+    // 4. Scope → PoP assignment by service radius.
+    let stage = Instant::now();
+    let assigned = preamble.assignment(sim, &bound, &radii);
+    timings.push(("assignment".into(), stage.elapsed().as_secs_f64()));
 
     // 5. The probing loops: one work unit per ⟨PoP, domain⟩ stream,
-    //    fanned out over the deterministic executor.
+    //    fanned out over the deterministic executor, built and planned
+    //    here from the assignment.
+    let stage = Instant::now();
     let t0 = SimTime::from_hours(8);
     let metrics = Arc::clone(sim.metrics());
     metrics.counter("cacheprobe.runs").inc();
@@ -761,11 +766,12 @@ pub fn prepare_sweep(
         .counter("cacheprobe.domains_selected")
         .add(domains.len() as u64);
     let assignment_sizes = metrics.histogram("cacheprobe.assignment_size");
-    let mut shell = CacheProbeResult::new(domains.clone(), bound.clone(), radii, scan_result);
+    let mut shell = CacheProbeResult::new(domains.clone(), bound.clone(), radii);
 
     // Telemetry handles (one table per bound PoP) and query templates
     // (one per domain), resolved/rendered once — nothing in the fan-out
     // formats a metric name or encodes a domain name again.
+    let pops = clientmap_sim::pop_catalog();
     let pop_metrics: Vec<ProbeMetrics> = bound
         .iter()
         .map(|b| ProbeMetrics::resolve(&metrics, pops[b.pop].code))
@@ -773,20 +779,17 @@ pub fn prepare_sweep(
     let templates: Vec<wire::ProbeQueryTemplate> =
         domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let mut units: Vec<ProbeUnit> = Vec::new();
-    for (bi, (b, list)) in bound.iter().zip(&assigned).enumerate() {
-        let mut per_domain: Vec<Vec<Prefix>> = vec![Vec::new(); domains.len()];
-        for &(d, scope) in list {
-            per_domain[d].push(scope);
-        }
-        shell.assigned_per_pop.insert(b.pop, list.len());
-        assignment_sizes.record(list.len() as u64);
-        pop_metrics[bi].assigned.add(list.len() as u64);
-        for (d, scopes) in per_domain.into_iter().enumerate() {
+    for (bi, (b, per_domain)) in bound.iter().zip(assigned.iter()).enumerate() {
+        let size = per_domain.iter().map(Vec::len).sum::<usize>();
+        shell.assigned_per_pop.insert(b.pop, size);
+        assignment_sizes.record(size as u64);
+        pop_metrics[bi].assigned.add(size as u64);
+        for (d, scopes) in per_domain.iter().enumerate() {
             if !scopes.is_empty() {
                 units.push(ProbeUnit {
                     bound_idx: bi,
                     domain: d,
-                    scopes,
+                    scopes: scopes.clone(),
                 });
             }
         }
@@ -886,6 +889,7 @@ pub fn prepare_sweep(
 
     let full_skip_prior =
         warm_full_skip.then(|| prior.expect("full skip implies a prior snapshot").clone());
+    timings.push(("planning".into(), stage.elapsed().as_secs_f64()));
 
     // The probing-window telemetry delta starts here. The preamble
     // (discovery through assignment) and the planner counters sit
@@ -894,7 +898,7 @@ pub fn prepare_sweep(
     // sweep all land inside it, so absorbing a snapshot's delta
     // reproduces exactly the window a full skip elides. The `probing`
     // wall-clock stage starts with it, so no planner time is counted
-    // there as well as in the preamble.
+    // there as well as in `planning`.
     let stage = Instant::now();
     let window = Window::open(sim);
 
@@ -1034,7 +1038,7 @@ fn quarantine(bound: &[BoundVantage], book: &[PopHealth]) -> Vec<usize> {
 fn plan_rescue_units(
     sim: &Sim,
     bound: &[BoundVantage],
-    assigned: &[Vec<(usize, Prefix)>],
+    assigned: &[Vec<Vec<Prefix>>],
     radii: &ServiceRadii,
     measured: &HashSet<(usize, Prefix)>,
     quarantined: &[usize],
@@ -1046,9 +1050,9 @@ fn plan_rescue_units(
     let mut need: Vec<(usize, Prefix)> = Vec::new();
     let mut seen = HashSet::new();
     for &bi in quarantined {
-        for key in &assigned[bi] {
-            if !measured.contains(key) && seen.insert(*key) {
-                need.push(*key);
+        for key in pairs(&assigned[bi]) {
+            if !measured.contains(&key) && seen.insert(key) {
+                need.push(key);
             }
         }
     }
@@ -1558,7 +1562,7 @@ fn merge_inner(
             // Partial-result accounting: assigned pairs that never
             // produced a probe event are coverage the faults cost us.
             let all_assigned: HashSet<(usize, Prefix)> =
-                assigned.iter().flatten().copied().collect();
+                assigned.iter().flat_map(|lists| pairs(lists)).collect();
             let unmeasured = all_assigned.difference(&measured).count() as u64;
             snapshot.fault = Some(FaultSummary {
                 profile: sim.fault_plan().profile().as_str().to_string(),
@@ -1592,7 +1596,9 @@ fn merge_inner(
         snapshot.metrics = window.close(sim);
     }
 
+    let stage = Instant::now();
     let result = replay_table(shell, &ctx.bound, &snapshot, cfg.redundancy);
+    timings.push(("fold".into(), stage.elapsed().as_secs_f64()));
     Ok((result, snapshot))
 }
 

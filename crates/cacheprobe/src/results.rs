@@ -8,7 +8,6 @@ use clientmap_sim::PopId;
 use clientmap_store::{Verdict, VerdictTable};
 
 use crate::calibrate::ServiceRadii;
-use crate::scopescan::ScopeScan;
 use crate::vantage::BoundVantage;
 
 /// Aggregated statistics for one ⟨domain, response-scope⟩ hit family.
@@ -86,8 +85,6 @@ pub struct CacheProbeResult {
     pub bound_vantages: Vec<BoundVantage>,
     /// Calibrated service radii.
     pub service_radii: ServiceRadii,
-    /// The authoritative scope pre-scan used for the query plan.
-    pub scope_scan: ScopeScan,
     /// Hits: ⟨domain index, response scope⟩ → stats.
     pub hits: HashMap<(usize, Prefix), HitStats>,
     /// Active prefixes per PoP (Figure 1's density map).
@@ -112,13 +109,11 @@ impl CacheProbeResult {
         domains: Vec<DomainName>,
         bound_vantages: Vec<BoundVantage>,
         service_radii: ServiceRadii,
-        scope_scan: ScopeScan,
     ) -> Self {
         CacheProbeResult {
             domains,
             bound_vantages,
             service_radii,
-            scope_scan,
             hits: HashMap::new(),
             pop_hit_prefixes: HashMap::new(),
             scope_pairs: HashMap::new(),
@@ -284,7 +279,6 @@ mod tests {
             ],
             Vec::new(),
             ServiceRadii::default(),
-            ScopeScan::default(),
         )
     }
 

@@ -3,7 +3,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use clientmap_cacheprobe::{execute_sweep, prepare_sweep, sweep, CacheProbeResult, ProbeConfig};
+use clientmap_cacheprobe::{
+    execute_sweep, prepare_sweep_in, sweep, CacheProbeResult, Preamble, ProbeConfig,
+};
 use clientmap_chromium::{crawl_with_metrics, ChromiumClassifier, DnsLogsResult};
 use clientmap_datasets::{ApnicConfig, ApnicDataset, DatasetBundle};
 use clientmap_faults::FaultConfig;
@@ -223,18 +225,21 @@ impl std::error::Error for PipelineError {}
 /// the local one would.
 pub trait SweepExecutor {
     /// Runs the sweep stage: the cache-probing technique, cold when
-    /// `prior` is `None`, otherwise warm-started from it.
+    /// `prior` is `None`, otherwise warm-started from it. `preamble` is
+    /// the session's kept scope scan and PoP assignment, lent to
+    /// [`prepare_sweep_in`].
     fn run_sweep(
         &mut self,
         sim: &mut Sim,
         cfg: &ProbeConfig,
         universe: &[Prefix],
+        preamble: &mut Preamble,
         timings: &mut Vec<(String, f64)>,
         prior: Option<&SweepSnapshot>,
     ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError>;
 }
 
-/// The in-process executor: [`prepare_sweep`] + [`execute_sweep`].
+/// The in-process executor: [`prepare_sweep_in`] + [`execute_sweep`].
 #[derive(Debug, Default)]
 pub struct LocalSweep;
 
@@ -244,10 +249,11 @@ impl SweepExecutor for LocalSweep {
         sim: &mut Sim,
         cfg: &ProbeConfig,
         universe: &[Prefix],
+        preamble: &mut Preamble,
         timings: &mut Vec<(String, f64)>,
         prior: Option<&SweepSnapshot>,
     ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError> {
-        let prep = prepare_sweep(sim, cfg, universe, timings, prior);
+        let prep = prepare_sweep_in(sim, cfg, universe, preamble, timings, prior);
         Ok(execute_sweep(sim, cfg, prep, timings))
     }
 }
@@ -275,7 +281,8 @@ impl Pipeline {
     /// [`SweepSession::sweep`]), additionally appending `(stage, wall
     /// seconds)` pairs to `timings`: `world_gen`, the cache-probe
     /// substages (`vantage_discovery`, `scope_scan`, `calibration`,
-    /// `probing`, and `rescue` under faults), `crawl`, and `analysis`.
+    /// `assignment`, `planning`, `probing`, `rescue` under faults, and
+    /// `fold`, which tile the probing stage), `crawl`, and `analysis`.
     /// Wall clocks stay in this side channel — the telemetry registry
     /// only ever sees sim-time spans, so metrics snapshots remain
     /// byte-reproducible.
@@ -363,7 +370,10 @@ impl<T: Clone> Recorded<T> {
 /// one-shot run always has — and replayed, value and telemetry, into
 /// every later one: the warm-start config digest, the DITL capture's
 /// crawl result, the CDN logs and the APNIC estimates. The
-/// `RootTraceSet` itself is never retained. **Per sweep:** a cold
+/// `RootTraceSet` itself is never retained. Kept in the session's
+/// [`Preamble`] and lent to each sweep's executor: the scope scan, and
+/// the PoP assignment, recomputed only when the bound PoPs or their
+/// radii differ from the kept one's. **Per sweep:** a cold
 /// [`Sim`] over the substrate (its metrics registry, resolver counters,
 /// fault plan and session — Google's caches start cold every time), the
 /// probing window, the dataset bundle and the invariant check.
@@ -371,14 +381,18 @@ impl<T: Clone> Recorded<T> {
 /// The chain is deterministic and equals, byte for byte at every step
 /// (snapshot, report, metrics JSON), a chain of one-sweep sessions, each
 /// warm-started from the one before, at any thread count. A sweep that
-/// fails leaves the session as it was: the next sweep equals the one
-/// an unfailed chain would have run.
+/// fails leaves the session as it was, up to preamble entries that are
+/// pure functions of their keys: the next sweep equals the one an
+/// unfailed chain would have run.
 #[derive(Debug)]
 pub struct SweepSession {
     config: PipelineConfig,
     /// The world and everything derived from it, built by the first
     /// [`Self::open`].
     substrate: Option<Arc<Substrate>>,
+    /// The scope scan and PoP assignment of the substrate's world, each
+    /// kept with the key it was computed from.
+    preamble: Preamble,
     /// [`sweep::config_digest`] of `(config, universe)`, once a sweep
     /// has had a prior to check it against.
     digest: Option<u64>,
@@ -392,6 +406,7 @@ impl SweepSession {
         SweepSession {
             config,
             substrate: None,
+            preamble: Preamble::default(),
             digest: None,
             dns_logs: None,
             validation: None,
@@ -496,7 +511,11 @@ impl SweepSession {
         let metrics = Arc::clone(sim.metrics());
         metrics.counter("pipeline.runs").inc();
         timings.push(("world_gen".into(), stage.elapsed().as_secs_f64()));
-        let (config, universe) = (&self.config, self.universe());
+        let config = &self.config;
+        let universe = self
+            .substrate
+            .as_deref()
+            .map_or(&[][..], Substrate::universe);
 
         // Technique 1: cache probing (discovery at t=0, calibration at
         // t=6 h, the probing window starting at t=8 h).
@@ -504,8 +523,14 @@ impl SweepSession {
             metrics.histogram("pipeline.stage_ms.cache_probe"),
             SimTime::ZERO.as_millis(),
         );
-        let (cache_probe, sweep) =
-            executor.run_sweep(&mut sim, &config.probe, universe, timings, prior)?;
+        let (cache_probe, sweep) = executor.run_sweep(
+            &mut sim,
+            &config.probe,
+            universe,
+            &mut self.preamble,
+            timings,
+            prior,
+        )?;
         probe_span.stop(
             (SimTime::from_hours(8) + SimTime::from_secs_f64(config.probe.duration_hours * 3600.0))
                 .as_millis(),
@@ -865,6 +890,73 @@ mod tests {
     }
 
     #[test]
+    fn later_session_sweeps_keep_the_scope_scan() {
+        let mut session = SweepSession::new(PipelineConfig::tiny(7));
+        let first = session.sweep(None).expect("sweep 1");
+
+        // Drop one domain's scopes from the kept scan: a sweep that
+        // scanned again would bring them back.
+        let scan = session
+            .preamble
+            .kept_scan_mut()
+            .expect("sweep 1 kept its scan");
+        assert!(!scan.domains[0].scopes.is_empty());
+        scan.domains[0].scopes.clear();
+
+        let second = session.sweep(None).expect("sweep 2");
+        let of_domain_0 = |out: &PipelineOutput| {
+            out.sweep
+                .records
+                .keys()
+                .filter(|&&(_, d, _, _)| d == 0)
+                .count()
+        };
+        assert!(of_domain_0(&first) > 0);
+        assert_eq!(of_domain_0(&second), 0);
+        assert!(second.sweep.records.len() < first.sweep.records.len());
+        let assigned =
+            |out: &PipelineOutput| -> usize { out.cache_probe.assigned_per_pop.values().sum() };
+        assert!(assigned(&second) < assigned(&first));
+    }
+
+    #[test]
+    fn a_kept_assignment_follows_the_radii() {
+        // The config digest does not cover the stored radii, so `open`
+        // accepts a prior whose radii were edited, and a warm sweep
+        // replays the edit.
+        let scaled = |factor: f64| {
+            let mut prior = output().sweep.clone();
+            for cal in &mut prior.calibration {
+                cal.radius_km = cal.radius_km.map(|r| r * factor);
+            }
+            prior
+        };
+        let (wide, narrow) = (scaled(2.0), scaled(0.5));
+        let config = PipelineConfig::tiny(7);
+        let oracle = SweepSession::new(config.clone())
+            .sweep(Some(&narrow))
+            .expect("one-shot sweep from the narrowed prior");
+
+        // Sweep 1 assigns under doubled radii. Each later sweep has
+        // other radii, so a keep that ignored them would hand it sweep
+        // 1's lists.
+        let mut session = SweepSession::new(config);
+        let first = session.sweep(Some(&wide)).expect("sweep 1");
+        let assigned = |out: &PipelineOutput| out.cache_probe.assigned_per_pop.clone();
+        assert_ne!(assigned(&first), assigned(output()));
+        assert_ne!(assigned(&first), assigned(&oracle));
+        assert_ne!(assigned(&oracle), assigned(output()));
+
+        let second = session.sweep(Some(&narrow)).expect("sweep 2");
+        assert!(artifacts(&second) == artifacts(&oracle), "narrowed radii");
+
+        // A cold sweep calibrates live, back to the one-shot cold run's
+        // radii.
+        let third = session.sweep(None).expect("sweep 3");
+        assert!(artifacts(&third) == artifacts(output()), "live radii");
+    }
+
+    #[test]
     fn a_session_builds_its_world_once() {
         let mut session = SweepSession::new(PipelineConfig::tiny(7));
         let a = session.sweep(None).expect("sweep 1");
@@ -911,6 +1003,7 @@ mod tests {
             sim: &mut Sim,
             cfg: &ProbeConfig,
             universe: &[Prefix],
+            preamble: &mut Preamble,
             timings: &mut Vec<(String, f64)>,
             prior: Option<&SweepSnapshot>,
         ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError> {
@@ -921,7 +1014,7 @@ mod tests {
                     message: format!("sweep {} failed", self.calls),
                 });
             }
-            LocalSweep.run_sweep(sim, cfg, universe, timings, prior)
+            LocalSweep.run_sweep(sim, cfg, universe, preamble, timings, prior)
         }
     }
 

@@ -192,7 +192,6 @@ mod tests {
                 vec!["www.google.com".parse().unwrap()],
                 Vec::new(),
                 Default::default(),
-                Default::default(),
             );
             r.record_hit(
                 0,

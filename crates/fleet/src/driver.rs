@@ -26,7 +26,7 @@ use std::time::{Duration, Instant};
 
 use clientmap_cacheprobe::resilience::backoff_delay_ms;
 use clientmap_cacheprobe::{
-    merge_shards, prepare_sweep, CacheProbeResult, PopHealth, ProbeConfig, ProbeUnit,
+    merge_shards, prepare_sweep_in, CacheProbeResult, PopHealth, Preamble, ProbeConfig, ProbeUnit,
     ShardMergeError,
 };
 use clientmap_core::{PipelineError, SweepExecutor};
@@ -104,6 +104,7 @@ impl SweepExecutor for FleetSweep {
         sim: &mut Sim,
         cfg: &ProbeConfig,
         universe: &[Prefix],
+        preamble: &mut Preamble,
         timings: &mut Vec<(String, f64)>,
         prior: Option<&SweepSnapshot>,
     ) -> Result<(CacheProbeResult, SweepSnapshot), PipelineError> {
@@ -114,7 +115,7 @@ impl SweepExecutor for FleetSweep {
             });
         }
 
-        let prep = prepare_sweep(sim, cfg, universe, timings, prior);
+        let prep = prepare_sweep_in(sim, cfg, universe, preamble, timings, prior);
         let n = prep.num_units();
         if prep.warm_full_skip() || n == 0 {
             // Nothing to probe anywhere: the merge finishes from the

@@ -212,15 +212,26 @@ service() { # service DIR TRACE FLAGS...
 section_serve() {
   local d=$OUT/serve r=$OUT/run t f
   [ -f "$r/t4.warm.snap" ] || section_run
+  mkdir -p "$d"
+  printf 'gen 3\ninfo\nstop\n' > "$d/chain.trace"
   for t in 1 4; do
     CLIENTMAP_THREADS=$t service "$d/t$t" "$ROOT/tests/golden/serve_trace_tiny_2021.txt" \
       --sweeps 2 --snapshot-out run.snap
     same "$d/t$t/replies.txt" "$ROOT/tests/golden/serve_replies_tiny_2021.txt"
     # Session vs one-shot oracle: two resident sweeps end where two
-    # chained `run` processes do.
+    # chained `run` processes do …
     same "$d/t$t/run.snap" "$r/t$t.warm.snap"
+    # … and three, whose later sweeps assign from what the session
+    # kept, where three do.
+    CLIENTMAP_THREADS=$t run_to "$d/t$t.third" --seed 2021 --snapshot-in "$r/t$t.warm.snap"
+    CLIENTMAP_THREADS=$t service "$d/t$t.chain" "$d/chain.trace" --sweeps 3 --snapshot-out run.snap
+    same "$d/t$t.chain/run.snap" "$d/t$t.third.snap"
   done
-  for f in replies.txt run.cmel run.snap summary.txt; do same "$d/t1/$f" "$d/t4/$f"; done
+  for f in replies.txt run.cmel run.snap summary.txt; do
+    same "$d/t1/$f" "$d/t4/$f"
+    same "$d/t1.chain/$f" "$d/t4.chain/$f"
+  done
+  for ext in txt json snap; do same "$d/t1.third.$ext" "$d/t4.third.$ext"; done
 }
 
 # Sweep 2 of 3 dies by injection: generation 1 keeps answering with the
