@@ -171,6 +171,7 @@ pub fn calibrate(
     let mut per_pop: Vec<(PopId, Vec<f64>)> = clientmap_par::par_map(bound, |_, b| {
         let mut session = GpdnsSession::new();
         let mut bufs = ProbeBufs::default();
+        let route = b.route(view.catchments);
         let mut batch_lane = batched.then(|| {
             let conn = view
                 .gpdns
@@ -218,7 +219,7 @@ pub fn calibrate(
                     None => probe_scope(
                         &view,
                         &mut session,
-                        b,
+                        &route,
                         template,
                         prefix,
                         cfg,

@@ -96,6 +96,7 @@ pub fn probe_diurnal(
     let view = sim.view();
     let template = wire::ProbeQueryTemplate::new(domain);
     let mut bufs = ProbeBufs::default();
+    let route = bound.route(view.catchments);
     let mut profile = DiurnalProfile {
         scope,
         attempts: [0; 24],
@@ -112,7 +113,7 @@ pub fn probe_diurnal(
                 let idx = (hour % 24) as usize;
                 profile.attempts[idx] += 1;
                 let outcome = probe_scope(
-                    &view, session, bound, &template, scope, cfg, t, None, &mut bufs,
+                    &view, session, &route, &template, scope, cfg, t, None, &mut bufs,
                 );
                 if matches!(outcome, ProbeOutcome::Hit { .. }) {
                     profile.hits[idx] += 1;

@@ -26,7 +26,7 @@ use clientmap_dns::{wire, DomainName};
 use clientmap_net::Prefix;
 use clientmap_par::par_map;
 use clientmap_sim::{
-    GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport,
+    GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport, VantageRoute,
 };
 use clientmap_store::{ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot};
 use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
@@ -97,12 +97,14 @@ impl Default for ProbeBufs {
 /// a TC-truncated UDP response upgrades the retry to TCP. Without it
 /// each query is a single exchange, and anything unverifiable —
 /// including error rcodes, which the plain lane does not retry —
-/// counts as [`ProbeOutcome::Dropped`].
+/// counts as [`ProbeOutcome::Dropped`]. `route` is the vantage's
+/// anycast route, resolved once per stream
+/// ([`BoundVantage::route`]), so a query only decides whether it flaps.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_scope(
     view: &SimView<'_>,
     session: &mut GpdnsSession,
-    bound: &BoundVantage,
+    route: &VantageRoute,
     template: &wire::ProbeQueryTemplate,
     scope: Prefix,
     cfg: &ProbeConfig,
@@ -116,10 +118,9 @@ pub fn probe_scope(
         let mut send = |retry: u32, at: SimTime, transport: Transport| {
             let id = attempt_id(t, scope, r, retry);
             template.render(id, scope, &mut bufs.query);
-            let got = view.gpdns_query_into(
+            let got = view.gpdns_query_routed_into(
                 session,
-                bound.prober_key(),
-                bound.coord(),
+                route,
                 &bufs.query,
                 transport,
                 at,
@@ -128,7 +129,7 @@ pub fn probe_scope(
             observe_response(&bufs.query, id, got.then_some(bufs.resp.as_slice()))
         };
         let outcome = match fc {
-            Some(fc) => resilient_attempt(bound.prober_key(), rt, cfg.transport, fc, send),
+            Some(fc) => resilient_attempt(route.prober, rt, cfg.transport, fc, send),
             None => match send(0, rt, cfg.transport) {
                 WireObservation::Ok(outcome) => outcome,
                 _ => ProbeOutcome::Dropped,
@@ -322,12 +323,13 @@ fn probe_unit(
     let mut tripped = false;
     let mut session = GpdnsSession::new();
     let mut bufs = ProbeBufs::default();
+    let route = bound.route(view.catchments);
     let mut consecutive_drops = 0u32;
     for (li, t) in window_slots(cfg, scopes.len(), t0) {
         let outcome = probe_scope(
             view,
             &mut session,
-            bound,
+            &route,
             template,
             scopes[li],
             cfg,

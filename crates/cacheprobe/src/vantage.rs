@@ -6,7 +6,7 @@
 //! via Vultr, for 22 of Google's 45.
 
 use clientmap_net::GeoCoord;
-use clientmap_sim::{PopId, Sim, SimTime};
+use clientmap_sim::{Catchments, PopId, Sim, SimTime, VantageRoute};
 
 use crate::resilience::{
     backoff_delay_ms, FaultCounters, BACKOFF_BASE_MS, DEADLINE_MS, MAX_RETRIES,
@@ -100,6 +100,11 @@ impl BoundVantage {
     /// The vantage point's coordinates.
     pub fn coord(&self) -> GeoCoord {
         VANTAGE_POINTS[self.vp].coord
+    }
+
+    /// The VM's anycast route, resolved once for a probe stream.
+    pub fn route(&self, catchments: &Catchments) -> VantageRoute {
+        catchments.vantage_route(self.prober_key(), self.coord())
     }
 }
 

@@ -69,6 +69,26 @@ fn route(
         .expect("candidate set is never empty")
 }
 
+/// A cloud vantage's resolved anycast route: the PoP its traffic
+/// reaches, and where it lands while a flap withdraws that PoP. Both
+/// are pure functions of ⟨catchment seed, prober key, coordinate⟩, so a
+/// probe stream resolves its route once
+/// ([`Catchments::vantage_route`]) and every query only decides whether
+/// it flaps ([`crate::GooglePublicDns::route`]) — as a prober learns
+/// its VM's PoP once with the `o-o.myaddr` dance and then sends its
+/// whole stream from that VM.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VantageRoute {
+    /// The prober key: flap decisions and rate limiting are keyed by it.
+    pub prober: u64,
+    /// The home catchment ([`Catchments::of_vantage`]).
+    pub home: PopId,
+    /// The flapped route: the best-scoring other cloud-reachable PoP
+    /// ([`Catchments::of_vantage_excluding`] `home`), or `home` when
+    /// there is no other.
+    pub alternate: PopId,
+}
+
 /// Routing-inflation spread for clients (0.9 ⇒ up to ~90% detour).
 const CLIENT_SPREAD: f64 = 0.9;
 /// Cloud VMs have cleaner routing toward Google.
@@ -121,6 +141,17 @@ impl Catchments {
             return exclude;
         }
         route(self.seed, key, coord, candidates, VM_SPREAD)
+    }
+
+    /// The route of the cloud VM keyed `key` at `coord`: its home
+    /// catchment and, resolved eagerly, its flap alternate.
+    pub fn vantage_route(&self, key: u64, coord: GeoCoord) -> VantageRoute {
+        let home = self.of_vantage(key, coord);
+        VantageRoute {
+            prober: key,
+            home,
+            alternate: self.of_vantage_excluding(key, coord, home),
+        }
     }
 
     /// Number of /24 entries.

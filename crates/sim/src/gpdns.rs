@@ -35,7 +35,7 @@ use clientmap_store::Slash24Bitset;
 use clientmap_telemetry::{Counter, MetricsRegistry};
 use clientmap_world::World;
 
-use crate::anycast::Catchments;
+use crate::anycast::{Catchments, VantageRoute};
 use crate::authoritative::{Authoritatives, DomainScopeKey};
 use crate::pops::{pop_catalog, PopId};
 use crate::SimTime;
@@ -852,7 +852,8 @@ impl GooglePublicDns {
     }
 
     /// [`GooglePublicDns::handle_query`] writing into a caller-reused
-    /// buffer (the zero-allocation prober call).
+    /// buffer: resolves the vantage's route for this one query (see
+    /// [`GooglePublicDns::handle_query_routed_into`] for a stream).
     #[allow(clippy::too_many_arguments)]
     pub fn handle_query_into(
         &self,
@@ -867,32 +868,48 @@ impl GooglePublicDns {
         t: SimTime,
         out: &mut Vec<u8>,
     ) -> bool {
-        let pop = self.route_vantage(catchments, prober, vp_coord, t);
+        let route = catchments.vantage_route(prober, vp_coord);
+        self.handle_query_routed_into(session, world, auth, &route, packet, transport, t, out)
+    }
+
+    /// Handles one query from a vantage whose route is already
+    /// resolved, writing the response into a caller-reused buffer —
+    /// the zero-allocation prober call. Only the flap decision
+    /// ([`GooglePublicDns::route`]) is made per query.
+    #[allow(clippy::too_many_arguments)]
+    pub fn handle_query_routed_into(
+        &self,
+        session: &mut GpdnsSession,
+        world: &World,
+        auth: &Authoritatives,
+        route: &VantageRoute,
+        packet: &[u8],
+        transport: Transport,
+        t: SimTime,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        let pop = self.route(route, t);
+        let prober = route.prober;
         self.handle_query_at_pop_into(session, world, auth, prober, pop, packet, transport, t, out)
     }
 
-    /// Anycast routing for a vantage point, including seeded catchment
-    /// flaps: during a flap window the vantage's traffic lands at its
-    /// second-choice PoP instead of its home catchment.
-    fn route_vantage(
-        &self,
-        catchments: &Catchments,
-        prober: u64,
-        coord: clientmap_net::GeoCoord,
-        t: SimTime,
-    ) -> PopId {
-        let home = catchments.of_vantage(prober, coord);
-        if self.faults.flap(prober, t.as_millis()) {
+    /// The PoP a vantage's query sent at `t` lands on — the one flap
+    /// rule. During a seeded flap window (keyed by ⟨prober, window⟩)
+    /// the home catchment is withdrawn and the query lands on the
+    /// route's alternate; every flapped query counts once on
+    /// `faults.flaps`.
+    pub fn route(&self, route: &VantageRoute, t: SimTime) -> PopId {
+        if self.faults.flap(route.prober, t.as_millis()) {
             if let Some(fm) = &self.fault_metrics {
                 fm.flaps.inc();
             }
-            return catchments.of_vantage_excluding(prober, coord, home);
+            return route.alternate;
         }
-        home
+        route.home
     }
 
     /// Convenience wrapper: routes by vantage-point anycast, then
-    /// handles the query. This is the call a prober makes.
+    /// handles the query.
     #[allow(clippy::too_many_arguments)]
     pub fn handle_query(
         &self,
@@ -906,7 +923,7 @@ impl GooglePublicDns {
         transport: Transport,
         t: SimTime,
     ) -> Option<Vec<u8>> {
-        let pop = self.route_vantage(catchments, prober, vp_coord, t);
+        let pop = self.route(&catchments.vantage_route(prober, vp_coord), t);
         self.handle_query_at_pop(session, world, auth, prober, pop, packet, transport, t)
     }
 

@@ -48,7 +48,7 @@ mod pops;
 mod sim;
 mod time;
 
-pub use anycast::Catchments;
+pub use anycast::{Catchments, VantageRoute};
 pub use authoritative::Authoritatives;
 pub use events::{EventQueue, Scheduled};
 pub use gpdns::{

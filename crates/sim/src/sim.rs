@@ -8,7 +8,7 @@ use clientmap_net::{GeoCoord, Prefix};
 use clientmap_telemetry::MetricsRegistry;
 use clientmap_world::World;
 
-use crate::anycast::Catchments;
+use crate::anycast::{Catchments, VantageRoute};
 use crate::authoritative::Authoritatives;
 use crate::cdn::{collect_logs, CdnLogs};
 use crate::gpdns::{
@@ -100,10 +100,12 @@ pub struct SimView<'a> {
 }
 
 impl<'a> SimView<'a> {
-    /// Sends one wire-format query through a caller-owned session,
-    /// writing the response into a caller-reused buffer — the
-    /// zero-allocation probe call. Returns whether a response was
-    /// produced (`false` = dropped).
+    /// Sends one wire-format query from the vantage `prober` at `coord`
+    /// through a caller-owned session, writing the response into a
+    /// caller-reused buffer. Returns whether a response was produced
+    /// (`false` = dropped). Resolves the vantage's route for this one
+    /// query; a probe stream resolves it once and calls
+    /// [`SimView::gpdns_query_routed_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn gpdns_query_into(
         &self,
@@ -126,6 +128,23 @@ impl<'a> SimView<'a> {
             transport,
             t,
             out,
+        )
+    }
+
+    /// [`SimView::gpdns_query_into`] over a route resolved once per
+    /// stream ([`Catchments::vantage_route`]) — the zero-allocation
+    /// probe call.
+    pub fn gpdns_query_routed_into(
+        &self,
+        session: &mut GpdnsSession,
+        route: &VantageRoute,
+        packet: &[u8],
+        transport: Transport,
+        t: SimTime,
+        out: &mut Vec<u8>,
+    ) -> bool {
+        self.gpdns.handle_query_routed_into(
+            session, self.world, self.auth, route, packet, transport, t, out,
         )
     }
 }

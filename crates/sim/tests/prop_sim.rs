@@ -1,7 +1,12 @@
 //! Cross-module properties of the simulator (DESIGN.md §6).
 
-use clientmap_net::Prefix;
-use clientmap_sim::{Sim, SimTime};
+use std::sync::Arc;
+
+use clientmap_dns::wire;
+use clientmap_faults::{FaultConfig, FaultProfile};
+use clientmap_net::{GeoCoord, Prefix};
+use clientmap_sim::{GpdnsSession, Sim, SimTime, Substrate, Transport};
+use clientmap_telemetry::MetricsRegistry;
 use clientmap_world::{World, WorldConfig};
 use proptest::prelude::*;
 
@@ -58,6 +63,100 @@ fn gpdns_wire_path_deterministic() {
         let r1 = sim1.gpdns_query(5, coord, &pkt, clientmap_sim::Transport::Tcp, t);
         let r2 = sim2.gpdns_query(5, coord, &pkt, clientmap_sim::Transport::Tcp, t);
         assert_eq!(r1, r2, "query {i} diverged");
+    }
+}
+
+/// One tiny world's substrate, shared by every routed-lane case below.
+fn substrate() -> Arc<Substrate> {
+    static SUB: std::sync::OnceLock<Arc<Substrate>> = std::sync::OnceLock::new();
+    Arc::clone(
+        SUB.get_or_init(|| Arc::new(Substrate::build(World::generate(WorldConfig::tiny(305))))),
+    )
+}
+
+/// A vantage's query sequence sent three times, each on a fresh session
+/// and registry over the same substrate and fault plan:
+/// - through one route resolved up front
+///   ([`SimView::gpdns_query_routed_into`]);
+/// - through the per-call door, which resolves the route on every
+///   query ([`SimView::gpdns_query_into`]);
+/// - through the per-query election spelled out here: the home
+///   catchment, or — while the plan flaps the vantage — the best other
+///   cloud-reachable PoP, each flap counted on `faults.flaps`.
+///
+/// Every query's outcome and bytes must agree — which also pins the
+/// session's buckets and pool sequence — and so must the registries,
+/// `faults.flaps` and `gpdns.*` included.
+fn routed_matches_per_call(
+    faults: &FaultConfig,
+    prober: u64,
+    coord: GeoCoord,
+    queries: &[(u32, u8, u64, bool)],
+) -> Result<(), TestCaseError> {
+    let fresh = || Sim::over(substrate(), Arc::new(MetricsRegistry::new()), faults);
+    let (routed, per_call, elected) = (fresh(), fresh(), fresh());
+    let (rv, pv, ev) = (routed.view(), per_call.view(), elected.view());
+    let route = rv.catchments.vantage_route(prober, coord);
+    let template = wire::ProbeQueryTemplate::new(&"www.google.com".parse().unwrap());
+    let mut sessions = [(); 3].map(|_| GpdnsSession::new());
+    let mut outs = [(); 3].map(|_| Vec::new());
+    let mut packet = Vec::new();
+    let mut t = SimTime::from_hours(6);
+    for (i, &(addr, len, gap_ms, udp)) in queries.iter().enumerate() {
+        t = t + SimTime::from_millis(gap_ms);
+        let scope = Prefix::new(addr, len).unwrap();
+        template.render(i as u16, scope, &mut packet);
+        let transport = if udp { Transport::Udp } else { Transport::Tcp };
+        let [rs, ps, es] = &mut sessions;
+        let [ro, po, eo] = &mut outs;
+        let r = rv.gpdns_query_routed_into(rs, &route, &packet, transport, t, ro);
+        let p = pv.gpdns_query_into(ps, prober, coord, &packet, transport, t, po);
+        let home = ev.catchments.of_vantage(prober, coord);
+        let pop = if elected.fault_plan().flap(prober, t.as_millis()) {
+            elected.metrics().counter("faults.flaps").inc();
+            ev.catchments.of_vantage_excluding(prober, coord, home)
+        } else {
+            home
+        };
+        let e = ev.gpdns.handle_query_at_pop_into(
+            es, ev.world, ev.auth, prober, pop, &packet, transport, t, eo,
+        );
+        prop_assert_eq!((r, p), (e, e), "query {} served differently", i);
+        if e {
+            prop_assert_eq!(
+                (&*ro, &*po),
+                (&*eo, &*eo),
+                "query {} answered differently",
+                i
+            );
+        }
+    }
+    let snapshot = elected.metrics().snapshot();
+    prop_assert_eq!(&routed.metrics().snapshot(), &snapshot);
+    prop_assert_eq!(&per_call.metrics().snapshot(), &snapshot);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// A stream's route resolved once serves every query exactly as the
+    /// per-query election does, with and without catchment flaps.
+    #[test]
+    fn routed_lane_equals_per_call_election(
+        prober in 1u64..10_000,
+        lat in -60.0f64..70.0,
+        lon in -180.0f64..180.0,
+        queries in prop::collection::vec(
+            (any::<u32>(), 16u8..=24, 0u64..1_800_000, any::<bool>()),
+            1..48,
+        ),
+    ) {
+        let coord = GeoCoord::new(lat, lon).unwrap();
+        for profile in [FaultProfile::PopChurn, FaultProfile::Off] {
+            let faults = FaultConfig::profile(profile, prober);
+            routed_matches_per_call(&faults, prober, coord, &queries)?;
+        }
     }
 }
 

@@ -538,11 +538,12 @@ fn ablations_section(out: &PipelineOutput) -> String {
     let template = clientmap_dns::wire::ProbeQueryTemplate::new(&domain);
     let mut session = clientmap_sim::GpdnsSession::new();
     let mut bufs = probe::ProbeBufs::default();
+    let route = b0.route(view.catchments);
     let mut probe_at = |sc: Prefix, cfg: &ProbeConfig, t: SimTime| {
         probe::probe_scope(
             &view,
             &mut session,
-            &b0,
+            &route,
             &template,
             sc,
             cfg,

@@ -81,6 +81,8 @@ fn scalar_probe_is_allocation_free_after_warmup() {
     // possible probe response, so buffer growth cannot masquerade as a
     // hot-path allocation that warm-up merely happened to hide.
     let mut bufs = ProbeBufs::default();
+    // The stream's route, resolved once before any probe is sent.
+    let route = bound.route(view.catchments);
 
     // Warm-up: creates the session's (prober, PoP, transport) token
     // bucket and touches every lookup table once.
@@ -88,7 +90,7 @@ fn scalar_probe_is_allocation_free_after_warmup() {
         probe_scope(
             &view,
             &mut session,
-            &bound,
+            &route,
             &template,
             scope,
             &cfg,
@@ -106,7 +108,7 @@ fn scalar_probe_is_allocation_free_after_warmup() {
             probe_scope(
                 &view,
                 &mut session,
-                &bound,
+                &route,
                 &template,
                 scope,
                 &cfg,
