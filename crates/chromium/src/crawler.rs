@@ -2,8 +2,9 @@
 
 use std::collections::HashMap;
 
+use clientmap_dns::DomainName;
 use clientmap_net::{Asn, Rib};
-use clientmap_sim::roots::RootTraceSet;
+use clientmap_sim::roots::{RootTrace, RootTraceSet};
 use clientmap_telemetry::MetricsRegistry;
 
 use crate::ChromiumClassifier;
@@ -66,13 +67,25 @@ impl DnsLogsResult {
 /// attribute the surviving shape-matching queries to their source
 /// resolvers, scaled by the capture's sampling rate.
 ///
-/// Both passes fan each root's trace out as one work unit on
-/// [`clientmap_par::par_map`] and merge the per-trace partials in trace
-/// order — the ordered reduction keeps the floating-point attribution
-/// sums (and therefore the resolver ranking) byte-identical at any
-/// thread count.
+/// Pass 1 is one sort of every shape-matching record by name, so each
+/// name's records across the public roots form one run. Pass 2 fans each
+/// root's trace out as one work unit on [`clientmap_par::par_map`] and
+/// merges the per-trace partials in trace order — the ordered reduction
+/// keeps the floating-point attribution sums (and therefore the resolver
+/// ranking) byte-identical at any thread count.
 pub fn crawl(traces: &RootTraceSet, classifier: &ChromiumClassifier) -> DnsLogsResult {
     crawl_with_metrics(traces, classifier, &MetricsRegistry::new())
+}
+
+/// What the crawl makes of one public trace record.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Verdict {
+    /// Not a single 7–15 letter label.
+    ShapeMismatch,
+    /// Shape-matching, and its name stays under the threshold.
+    Probe,
+    /// Shape-matching, but its name crosses the threshold on some day.
+    Noise,
 }
 
 /// [`crawl`], reporting its funnel under `dnslogs.` in `metrics`.
@@ -85,49 +98,54 @@ pub fn crawl_with_metrics(
     metrics: &MetricsRegistry,
 ) -> DnsLogsResult {
     let rate = traces.sample_rate.clamp(f64::MIN_POSITIVE, 1.0);
-    let threshold = classifier.effective_threshold(rate);
-    let public: Vec<&clientmap_sim::roots::RootTrace> = traces.public_traces().collect();
+    let threshold = u64::from(classifier.effective_threshold(rate));
+    let public: Vec<&RootTrace> = traces.public_traces().collect();
 
-    // Pass 1: global per-name daily counts (shape-matching names only),
-    // one partial map per root trace, merged in trace order.
-    let partials: Vec<HashMap<&clientmap_dns::DomainName, Vec<u64>>> =
-        clientmap_par::par_map(&public, |_, trace| {
-            let mut local: HashMap<&clientmap_dns::DomainName, Vec<u64>> = HashMap::new();
-            for record in &trace.records {
-                if !classifier.matches_shape(&record.qname) {
-                    continue;
+    // Shape flags, one task per public trace.
+    let mut verdicts: Vec<Vec<Verdict>> = clientmap_par::par_map(&public, |_, trace| {
+        trace
+            .records
+            .iter()
+            .map(|record| {
+                if classifier.matches_shape(&record.qname) {
+                    Verdict::Probe
+                } else {
+                    Verdict::ShapeMismatch
                 }
-                let days = local
-                    .entry(&record.qname)
-                    .or_insert_with(|| vec![0; traces.days as usize]);
-                for (d, c) in record.count_by_day.iter().enumerate() {
-                    if d < days.len() {
-                        days[d] += u64::from(*c);
-                    }
-                }
-            }
-            local
-        });
-    let mut global: HashMap<&clientmap_dns::DomainName, Vec<u64>> = HashMap::new();
-    for partial in partials {
-        for (name, days) in partial {
-            match global.entry(name) {
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    e.insert(days);
-                }
-                std::collections::hash_map::Entry::Occupied(mut e) => {
-                    for (acc, d) in e.get_mut().iter_mut().zip(days) {
-                        *acc += d;
-                    }
-                }
+            })
+            .collect()
+    });
+
+    // Pass 1: global per-name daily counts. One sort of the
+    // shape-matching (name, trace, record) triples puts each name's
+    // records from every public root into one run; a run that reaches
+    // the threshold on any day flags all its records as noise.
+    let mut named: Vec<(&DomainName, u32, u32)> = Vec::new();
+    for (t, (trace, flags)) in public.iter().zip(&verdicts).enumerate() {
+        for (r, (record, flag)) in trace.records.iter().zip(flags).enumerate() {
+            if *flag == Verdict::Probe {
+                named.push((&record.qname, t as u32, r as u32));
             }
         }
     }
-    let noisy: std::collections::HashSet<&clientmap_dns::DomainName> = global
-        .iter()
-        .filter(|(_, days)| days.iter().any(|c| *c >= u64::from(threshold)))
-        .map(|(name, _)| *name)
-        .collect();
+    named.sort_unstable_by(|a, b| a.0.cmp(b.0));
+    let mut noisy_names = 0u64;
+    for run in named.chunk_by(|a, b| a.0 == b.0) {
+        let day_total = |d: usize| -> u64 {
+            run.iter()
+                .map(|&(_, t, r)| {
+                    let counts = &public[t as usize].records[r as usize].count_by_day;
+                    counts.get(d).map_or(0, |&c| u64::from(c))
+                })
+                .sum()
+        };
+        if (0..traces.days as usize).any(|d| day_total(d) >= threshold) {
+            noisy_names += 1;
+            for &(_, t, r) in run {
+                verdicts[t as usize][r as usize] = Verdict::Noise;
+            }
+        }
+    }
 
     // Pass 2: per-resolver attribution of surviving probes. Partial
     // attribution sums are f64, so the trace-order merge below is what
@@ -136,44 +154,38 @@ pub fn crawl_with_metrics(
     struct TraceTally {
         per_resolver: HashMap<u32, f64>,
         rejected: usize,
-        examined: usize,
         shape_mismatch: u64,
         attributed: u64,
     }
-    let tallies: Vec<TraceTally> = clientmap_par::par_map(&public, |_, trace| {
+    let tallies: Vec<TraceTally> = clientmap_par::par_map(&public, |t, trace| {
         let mut tally = TraceTally {
             per_resolver: HashMap::new(),
             rejected: 0,
-            examined: 0,
             shape_mismatch: 0,
             attributed: 0,
         };
-        for record in &trace.records {
-            tally.examined += 1;
-            if !classifier.matches_shape(&record.qname) {
-                tally.shape_mismatch += 1;
-                continue;
+        for (record, verdict) in trace.records.iter().zip(&verdicts[t]) {
+            match verdict {
+                Verdict::ShapeMismatch => tally.shape_mismatch += 1,
+                Verdict::Noise => tally.rejected += 1,
+                Verdict::Probe => {
+                    tally.attributed += 1;
+                    *tally
+                        .per_resolver
+                        .entry(record.resolver_addr)
+                        .or_insert(0.0) += record.total() as f64 / rate;
+                }
             }
-            if noisy.contains(&record.qname) {
-                tally.rejected += 1;
-                continue;
-            }
-            tally.attributed += 1;
-            *tally
-                .per_resolver
-                .entry(record.resolver_addr)
-                .or_insert(0.0) += record.total() as f64 / rate;
         }
         tally
     });
+    let examined: usize = public.iter().map(|trace| trace.records.len()).sum();
     let mut per_resolver: HashMap<u32, f64> = HashMap::new();
     let mut rejected = 0usize;
-    let mut examined = 0usize;
     let mut shape_mismatch = 0u64;
     let mut attributed = 0u64;
     for tally in tallies {
         rejected += tally.rejected;
-        examined += tally.examined;
         shape_mismatch += tally.shape_mismatch;
         attributed += tally.attributed;
         for (addr, probes) in tally.per_resolver {
@@ -202,9 +214,7 @@ pub fn crawl_with_metrics(
         .counter("dnslogs.rejected_noise")
         .add(rejected as u64);
     metrics.counter("dnslogs.attributed").add(attributed);
-    metrics
-        .counter("dnslogs.noisy_names")
-        .add(noisy.len() as u64);
+    metrics.counter("dnslogs.noisy_names").add(noisy_names);
     metrics
         .counter("dnslogs.resolvers_detected")
         .add(resolvers.len() as u64);
@@ -220,6 +230,256 @@ mod tests {
     use super::*;
     use clientmap_sim::{Sim, SimTime};
     use clientmap_world::{World, WorldConfig};
+
+    /// The crawl as per-name hash maps: one `DomainName`-keyed map of
+    /// day vectors per trace, merged into a global map, and a hash set
+    /// of the noisy names that pass 2 looks every record up in. The
+    /// oracle [`crawl_with_metrics`] must equal bit for bit.
+    fn crawl_oracle(
+        traces: &RootTraceSet,
+        classifier: &ChromiumClassifier,
+        metrics: &MetricsRegistry,
+    ) -> DnsLogsResult {
+        use std::collections::HashSet;
+
+        let rate = traces.sample_rate.clamp(f64::MIN_POSITIVE, 1.0);
+        let threshold = classifier.effective_threshold(rate);
+        let public: Vec<&RootTrace> = traces.public_traces().collect();
+        let partials: Vec<HashMap<&DomainName, Vec<u64>>> =
+            clientmap_par::par_map(&public, |_, trace| {
+                let mut local: HashMap<&DomainName, Vec<u64>> = HashMap::new();
+                for record in &trace.records {
+                    if !classifier.matches_shape(&record.qname) {
+                        continue;
+                    }
+                    let days = local
+                        .entry(&record.qname)
+                        .or_insert_with(|| vec![0; traces.days as usize]);
+                    for (d, c) in record.count_by_day.iter().enumerate() {
+                        if d < days.len() {
+                            days[d] += u64::from(*c);
+                        }
+                    }
+                }
+                local
+            });
+        let mut global: HashMap<&DomainName, Vec<u64>> = HashMap::new();
+        for partial in partials {
+            for (name, days) in partial {
+                match global.entry(name) {
+                    std::collections::hash_map::Entry::Vacant(e) => {
+                        e.insert(days);
+                    }
+                    std::collections::hash_map::Entry::Occupied(mut e) => {
+                        for (acc, d) in e.get_mut().iter_mut().zip(days) {
+                            *acc += d;
+                        }
+                    }
+                }
+            }
+        }
+        let noisy: HashSet<&DomainName> = global
+            .iter()
+            .filter(|(_, days)| days.iter().any(|c| *c >= u64::from(threshold)))
+            .map(|(name, _)| *name)
+            .collect();
+        struct TraceTally {
+            per_resolver: HashMap<u32, f64>,
+            rejected: usize,
+            examined: usize,
+            shape_mismatch: u64,
+            attributed: u64,
+        }
+        let tallies: Vec<TraceTally> = clientmap_par::par_map(&public, |_, trace| {
+            let mut tally = TraceTally {
+                per_resolver: HashMap::new(),
+                rejected: 0,
+                examined: 0,
+                shape_mismatch: 0,
+                attributed: 0,
+            };
+            for record in &trace.records {
+                tally.examined += 1;
+                if !classifier.matches_shape(&record.qname) {
+                    tally.shape_mismatch += 1;
+                    continue;
+                }
+                if noisy.contains(&record.qname) {
+                    tally.rejected += 1;
+                    continue;
+                }
+                tally.attributed += 1;
+                *tally
+                    .per_resolver
+                    .entry(record.resolver_addr)
+                    .or_insert(0.0) += record.total() as f64 / rate;
+            }
+            tally
+        });
+        let mut per_resolver: HashMap<u32, f64> = HashMap::new();
+        let mut rejected = 0usize;
+        let mut examined = 0usize;
+        let mut shape_mismatch = 0u64;
+        let mut attributed = 0u64;
+        for tally in tallies {
+            rejected += tally.rejected;
+            examined += tally.examined;
+            shape_mismatch += tally.shape_mismatch;
+            attributed += tally.attributed;
+            for (addr, probes) in tally.per_resolver {
+                *per_resolver.entry(addr).or_insert(0.0) += probes;
+            }
+        }
+        let mut resolvers: Vec<ResolverActivity> = per_resolver
+            .into_iter()
+            .map(|(resolver_addr, probes)| ResolverActivity {
+                resolver_addr,
+                probes,
+            })
+            .collect();
+        resolvers.sort_by(|a, b| {
+            b.probes
+                .total_cmp(&a.probes)
+                .then(a.resolver_addr.cmp(&b.resolver_addr))
+        });
+        metrics
+            .counter("dnslogs.records_examined")
+            .add(examined as u64);
+        metrics
+            .counter("dnslogs.shape_mismatch")
+            .add(shape_mismatch);
+        metrics
+            .counter("dnslogs.rejected_noise")
+            .add(rejected as u64);
+        metrics.counter("dnslogs.attributed").add(attributed);
+        metrics
+            .counter("dnslogs.noisy_names")
+            .add(noisy.len() as u64);
+        metrics
+            .counter("dnslogs.resolvers_detected")
+            .add(resolvers.len() as u64);
+        DnsLogsResult {
+            resolvers,
+            rejected_noise_records: rejected,
+            records_examined: examined,
+        }
+    }
+
+    /// Crawls `traces` at 1 and 4 threads and checks both against the
+    /// oracle: every resolver, every `f64` bit, every `dnslogs.` counter.
+    /// Returns the crawl's counters.
+    fn assert_crawl_matches_oracle(traces: &RootTraceSet) -> clientmap_telemetry::MetricsSnapshot {
+        let classifier = ChromiumClassifier::default();
+        let want_metrics = MetricsRegistry::new();
+        let want = crawl_oracle(traces, &classifier, &want_metrics);
+        let bits = |r: &DnsLogsResult| -> Vec<(u32, u64)> {
+            r.resolvers
+                .iter()
+                .map(|a| (a.resolver_addr, a.probes.to_bits()))
+                .collect()
+        };
+        let mut snaps = Vec::new();
+        for threads in [1, 4] {
+            let metrics = MetricsRegistry::new();
+            let got = clientmap_par::with_threads(threads, || {
+                crawl_with_metrics(traces, &classifier, &metrics)
+            });
+            assert_eq!(bits(&got), bits(&want), "threads {threads}");
+            assert_eq!(got.rejected_noise_records, want.rejected_noise_records);
+            assert_eq!(got.records_examined, want.records_examined);
+            assert_eq!(
+                metrics.snapshot(),
+                want_metrics.snapshot(),
+                "threads {threads}"
+            );
+            snaps.push(metrics.snapshot());
+        }
+        snaps.pop().unwrap()
+    }
+
+    #[test]
+    fn crawl_equals_the_hash_map_oracle_on_captured_traces() {
+        for (seed, rate) in [(61, 0.01), (66, 0.05), (2021, 0.005)] {
+            let sim = Sim::new(World::generate(WorldConfig::tiny(seed)));
+            let traces = sim.capture_root_traces(SimTime::ZERO, 2, rate);
+            let snap = assert_crawl_matches_oracle(&traces);
+            assert!(snap.counter("dnslogs.noisy_names") > 0, "seed {seed}");
+        }
+    }
+
+    /// A hand-built capture over two days with every edge the crawl
+    /// has: `t` is the sample-adjusted threshold.
+    fn hand_built(sample_rate: f64) -> RootTraceSet {
+        use clientmap_sim::roots::{TraceRecord, ROOT_LETTERS};
+        let t = ChromiumClassifier::default().effective_threshold(sample_rate);
+        let rec = |resolver_addr: u32, name: &str, count_by_day: &[u32]| TraceRecord {
+            resolver_addr,
+            qname: name.parse().unwrap(),
+            count_by_day: count_by_day.to_vec(),
+        };
+        let records = |letter: char| -> Vec<TraceRecord> {
+            match letter {
+                // Public letters.
+                'J' => vec![
+                    rec(1, "www.example.com", &[50, 50]),   // multi-label
+                    rec(1, "abc", &[1, 0]),                 // too short
+                    rec(2, "ab3defgh", &[1, 0]),            // digit
+                    rec(2, "crosstwoletters", &[t - 1, 0]), // noisy only summed
+                    rec(3, "toolongforaprobe", &[1, 0]),    // 16 letters
+                    rec(3, "loudelsewhere", &[1, 1]),
+                    rec(4, "pastthewindow", &[0, 0, 10 * t]), // day 3 of 2
+                    rec(5, "quietprobe", &[1, 0]),
+                ],
+                'H' => vec![
+                    rec(2, "crosstwoletters", &[1, 0]),
+                    rec(5, "quietprobe", &[0, 1]),
+                    rec(6, "anotherprobe", &[2, 1]),
+                ],
+                'A' => vec![rec(7, "loudsingle", &[0, t])],
+                // Non-public: never read.
+                'B' => vec![rec(8, "loudelsewhere", &[10 * t, 10 * t])],
+                _ => Vec::new(),
+            }
+        };
+        RootTraceSet {
+            traces: ROOT_LETTERS
+                .iter()
+                .map(|&letter| RootTrace {
+                    letter,
+                    public: clientmap_sim::roots::PUBLIC_TRACE_LETTERS.contains(&letter),
+                    records: records(letter),
+                })
+                .collect(),
+            sample_rate,
+            days: 2,
+        }
+    }
+
+    #[test]
+    fn crawl_equals_the_hash_map_oracle_on_hand_built_traces() {
+        for rate in [1.0, 0.3] {
+            let traces = hand_built(rate);
+            let snap = assert_crawl_matches_oracle(&traces);
+            assert_eq!(snap.counter("dnslogs.records_examined"), 12);
+            assert_eq!(snap.counter("dnslogs.shape_mismatch"), 4);
+            // `crosstwoletters` (both records) and `loudsingle`.
+            assert_eq!(snap.counter("dnslogs.noisy_names"), 2);
+            assert_eq!(snap.counter("dnslogs.rejected_noise"), 3);
+            assert_eq!(snap.counter("dnslogs.attributed"), 5);
+            let result = crawl(&traces, &ChromiumClassifier::default());
+            assert_eq!(
+                result.probes_for(3),
+                2.0 / rate,
+                "loud only off the public roots"
+            );
+            assert_eq!(
+                result.probes_for(4),
+                10.0 * f64::from(ChromiumClassifier::default().effective_threshold(rate)) / rate
+            );
+            assert_eq!(result.probes_for(2), 0.0);
+            assert_eq!(result.probes_for(7), 0.0);
+        }
+    }
 
     fn run(seed: u64, sample_rate: f64) -> (Sim, DnsLogsResult) {
         let sim = Sim::new(World::generate(WorldConfig::tiny(seed)));

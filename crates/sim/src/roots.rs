@@ -22,11 +22,10 @@
 //! scale works on samples, and it keeps the reproduction laptop-sized.
 //! Counts in downstream analysis are scaled back by the rate.
 
-use std::collections::HashMap;
-
-use clientmap_dns::DomainName;
+use clientmap_dns::{DomainName, Label};
 use clientmap_net::SeedMixer;
-use clientmap_world::World;
+use clientmap_world::par::par_map;
+use clientmap_world::{Slash24Info, World};
 
 use crate::anycast::Catchments;
 use crate::cdn::poisson;
@@ -90,20 +89,6 @@ impl RootTraceSet {
     }
 }
 
-/// Generates a fresh random Chromium-style label of 7–15 lowercase
-/// letters from the hash state.
-fn random_probe_label(h: u64) -> String {
-    let mut state = h;
-    let mut next = || {
-        state = clientmap_net::splitmix64(state);
-        state
-    };
-    let len = 7 + (next() % 9) as usize; // 7..=15
-    (0..len)
-        .map(|_| (b'a' + (next() % 26) as u8) as char)
-        .collect()
-}
-
 /// Fixed misconfiguration names: single labels that *match* the
 /// Chromium shape (7–15 lowercase letters) but recur at high rates.
 const MISCONFIG_NAMES: &[&str] = &[
@@ -124,10 +109,98 @@ const TYPO_NAMES: &[&str] = &[
     "wwwbingcom",
 ];
 
+/// Letters in the longest label a [`NameKey`] holds (Chromium's 15).
+const KEY_LETTERS: u32 = 15;
+/// Bits per packed letter: `a` = 1 … `z` = 26, 0 past the label's end.
+const KEY_BITS: u32 = 5;
+
+/// A single label of 1–15 lowercase letters packed inline, 5 bits per
+/// letter, left-aligned and zero-padded.
+///
+/// Integer order is the labels' string order: at the first differing
+/// letter the larger code wins, and a prefix's zero padding sorts it
+/// before every extension (`abcdefg` < `abcdefgh`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct NameKey(u128);
+
+impl NameKey {
+    /// The bit offset of letter `i`; letter 0 is the most significant.
+    fn shift(i: u32) -> u32 {
+        KEY_BITS * (KEY_LETTERS - 1 - i)
+    }
+
+    /// The key with letter `code` (1–26) set at position `i`.
+    fn with(self, i: u32, code: u64) -> NameKey {
+        NameKey(self.0 | u128::from(code) << Self::shift(i))
+    }
+
+    /// Packs a fixed label. Panics unless it is 1–15 lowercase letters.
+    fn of(label: &str) -> NameKey {
+        assert!(
+            (1..=KEY_LETTERS as usize).contains(&label.len())
+                && label.bytes().all(|b| b.is_ascii_lowercase()),
+            "{label:?} does not fit a name key"
+        );
+        label.bytes().zip(0..).fold(NameKey(0), |key, (b, i)| {
+            key.with(i, u64::from(b - b'a' + 1))
+        })
+    }
+
+    /// A fresh random Chromium-style label of 7–15 lowercase letters,
+    /// drawn from the hash state.
+    fn random_probe(h: u64) -> NameKey {
+        let mut state = h;
+        let mut next = || {
+            state = clientmap_net::splitmix64(state);
+            state
+        };
+        let len = 7 + (next() % 9) as u32; // 7..=15
+        (0..len).fold(NameKey(0), |key, i| key.with(i, 1 + next() % 26))
+    }
+
+    /// The single-label name the key packs.
+    fn to_name(self) -> DomainName {
+        let mut buf = [0u8; KEY_LETTERS as usize];
+        let mut len = 0;
+        for (i, b) in (0..KEY_LETTERS).zip(&mut buf) {
+            let code = (self.0 >> Self::shift(i)) & 0x1f;
+            if code == 0 {
+                break;
+            }
+            *b = b'a' - 1 + code as u8;
+            len += 1;
+        }
+        let label = std::str::from_utf8(&buf[..len]).expect("packed letters are ASCII");
+        let label = Label::new(label).expect("packed letters form a valid label");
+        DomainName::from_labels(vec![label]).expect("one short label is a valid name")
+    }
+}
+
+/// Queries for one name from one resolver at one root on one day, on
+/// their way into a trace. Sorted, the runs of equal ⟨letter, resolver,
+/// name⟩ are the records, in record order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Hit {
+    letter: u8,
+    resolver: u32,
+    name: NameKey,
+    day: u32,
+    count: u32,
+}
+
+/// Routed /24s per generation task.
+const SLASH24_CHUNK: usize = 512;
+
 /// Captures `days` days of root traces.
 ///
 /// `sample_rate` keeps each probe with that probability; counts remain
 /// raw (downstream scales by `1/sample_rate`).
+///
+/// One sorted pass: the /24s generate their probes in parallel chunks
+/// (each /24 draws from a stream keyed by its prefix, so chunking moves
+/// no draw), the noise names follow on their one sequential chain, one
+/// sort groups every ⟨letter, resolver, name⟩, and each letter's run of
+/// the sorted hits becomes its trace on its own task.
 pub fn capture_traces(
     world: &World,
     catchments: &Catchments,
@@ -142,100 +215,117 @@ pub fn capture_traces(
     let act = world.activity();
     let nletters = ROOT_LETTERS.len() as u64;
 
-    // Aggregation key: (letter, resolver, name) → per-day counts.
-    let mut agg: HashMap<(usize, u32, String), Vec<u32>> = HashMap::new();
-    let mut bump = |letter: usize, resolver: u32, name: String, day: usize, n: u32, days: u32| {
-        let counts = agg
-            .entry((letter, resolver, name))
-            .or_insert_with(|| vec![0; days as usize]);
-        counts[day] += n;
-    };
+    let chunks: Vec<&[Slash24Info]> = world.slash24s.chunks(SLASH24_CHUNK).collect();
+    let parts: Vec<Vec<Hit>> = par_map(&chunks, |c, chunk| {
+        let mut hits = Vec::new();
+        for (k, s) in chunk.iter().enumerate() {
+            if s.users <= 0.0 {
+                continue;
+            }
+            let i = c * SLASH24_CHUNK + k;
+            let base = SeedMixer::new(seed).mix(u64::from(s.prefix.addr()));
+            // Resolver addresses for each share.
+            let isp_addr = world.ases[s.as_id]
+                .local_resolver
+                .map(|rid| world.resolvers[rid].addr);
+            let google_addr = gpdns.egress_addr(catchments.of_slash24(i));
+            let other_addr = world.resolvers[s.other_resolver].addr;
 
-    for (i, s) in world.slash24s.iter().enumerate() {
-        if s.users <= 0.0 {
-            continue;
-        }
-        let base = SeedMixer::new(seed).mix(u64::from(s.prefix.addr()));
-        // Resolver addresses for each share.
-        let isp_addr = world.ases[s.as_id]
-            .local_resolver
-            .map(|rid| world.resolvers[rid].addr);
-        let google_addr = gpdns.egress_addr(catchments.of_slash24(i));
-        let other_addr = world.resolvers[s.other_resolver].addr;
-
-        for day in 0..days {
-            let t0 = start.as_secs_f64() + f64::from(day) * 86_400.0;
-            let t1 = t0 + 86_400.0;
-            let mean_probes =
-                act.expected_events(|t| act.chromium_probe_rate(s, t), t0, t1) * sample_rate;
-            for (share, addr) in [
-                (s.resolver_mix.isp, isp_addr),
-                (s.resolver_mix.google, Some(google_addr)),
-                (s.resolver_mix.other, Some(other_addr)),
-            ] {
-                let Some(addr) = addr else { continue };
-                if share <= 0.0 {
-                    continue;
-                }
-                let h = base.mix(day as u64).mix(u64::from(addr)).finish();
-                let n = poisson(h, mean_probes * share);
-                // Each probe: a fresh random label, to a random root.
-                let mut state = h;
-                for k in 0..n {
-                    state = clientmap_net::splitmix64(state ^ k);
-                    let letter = (state % nletters) as usize;
-                    let label = random_probe_label(state);
-                    bump(letter, addr, label, day as usize, 1, days);
+            for day in 0..days {
+                let t0 = start.as_secs_f64() + f64::from(day) * 86_400.0;
+                let t1 = t0 + 86_400.0;
+                let mean_probes =
+                    act.expected_events(|t| act.chromium_probe_rate(s, t), t0, t1) * sample_rate;
+                for (share, addr) in [
+                    (s.resolver_mix.isp, isp_addr),
+                    (s.resolver_mix.google, Some(google_addr)),
+                    (s.resolver_mix.other, Some(other_addr)),
+                ] {
+                    let Some(addr) = addr else { continue };
+                    if share <= 0.0 {
+                        continue;
+                    }
+                    let h = base.mix(u64::from(day)).mix(u64::from(addr)).finish();
+                    let n = poisson(h, mean_probes * share);
+                    // Each probe: a fresh random label, to a random root.
+                    let mut state = h;
+                    for k in 0..n {
+                        state = clientmap_net::splitmix64(state ^ k);
+                        hits.push(Hit {
+                            letter: (state % nletters) as u8,
+                            resolver: addr,
+                            name: NameKey::random_probe(state),
+                            day,
+                            count: 1,
+                        });
+                    }
                 }
             }
         }
-    }
+        hits
+    });
+    let mut hits = parts.concat();
 
     // Misconfiguration + typo noise: emitted by a spread of resolvers at
     // rates far above the Chromium collision threshold.
     let mut noise_rng = SeedMixer::new(seed).mix_str("noise").finish();
     let resolver_pool: Vec<u32> = world.resolvers.iter().map(|r| r.addr).collect();
     for name in MISCONFIG_NAMES.iter().chain(TYPO_NAMES) {
-        for day in 0..days as usize {
+        let name = NameKey::of(name);
+        for day in 0..days {
             // 10–40 resolvers leak each junk name, dozens of times a day.
             noise_rng = clientmap_net::splitmix64(noise_rng);
             let spread = 10 + (noise_rng % 31) as usize;
             for j in 0..spread.min(resolver_pool.len()) {
                 noise_rng = clientmap_net::splitmix64(noise_rng);
                 let addr = resolver_pool[(noise_rng as usize) % resolver_pool.len()];
-                let letter = (noise_rng % nletters) as usize;
+                let letter = (noise_rng % nletters) as u8;
                 let count = 20 + (noise_rng % 100) as u32;
                 let sampled = poisson(
                     clientmap_net::splitmix64(noise_rng ^ j as u64),
                     f64::from(count) * sample_rate.max(1e-12),
                 );
                 if sampled > 0 {
-                    bump(letter, addr, name.to_string(), day, sampled as u32, days);
+                    hits.push(Hit {
+                        letter,
+                        resolver: addr,
+                        name,
+                        day,
+                        count: sampled as u32,
+                    });
                 }
             }
         }
     }
 
-    // Assemble per-letter traces.
-    let mut traces: Vec<RootTrace> = ROOT_LETTERS
-        .iter()
-        .map(|l| RootTrace {
-            letter: *l,
-            public: PUBLIC_TRACE_LETTERS.contains(l),
-            records: Vec::new(),
+    // One sort; then each letter's contiguous run is its trace.
+    hits.sort_unstable();
+    let mut rest = hits.as_slice();
+    let by_letter: Vec<&[Hit]> = (0..ROOT_LETTERS.len() as u8)
+        .map(|letter| {
+            let (run, tail) = rest.split_at(rest.partition_point(|h| h.letter == letter));
+            rest = tail;
+            run
         })
         .collect();
-    let mut entries: Vec<((usize, u32, String), Vec<u32>)> = agg.into_iter().collect();
-    entries.sort_by(|a, b| a.0.cmp(&b.0)); // deterministic order
-    for ((letter, resolver_addr, name), count_by_day) in entries {
-        if let Ok(qname) = name.parse::<DomainName>() {
-            traces[letter].records.push(TraceRecord {
-                resolver_addr,
-                qname,
-                count_by_day,
-            });
-        }
-    }
+    let traces = par_map(&by_letter, |l, run| RootTrace {
+        letter: ROOT_LETTERS[l],
+        public: PUBLIC_TRACE_LETTERS.contains(&ROOT_LETTERS[l]),
+        records: run
+            .chunk_by(|a, b| (a.resolver, a.name) == (b.resolver, b.name))
+            .map(|same| {
+                let mut count_by_day = vec![0; days as usize];
+                for h in same {
+                    count_by_day[h.day as usize] += h.count;
+                }
+                TraceRecord {
+                    resolver_addr: same[0].resolver,
+                    qname: same[0].name.to_name(),
+                    count_by_day,
+                }
+            })
+            .collect(),
+    });
     RootTraceSet {
         traces,
         sample_rate,
@@ -248,6 +338,235 @@ mod tests {
     use super::*;
     use crate::authoritative::Authoritatives;
     use clientmap_world::WorldConfig;
+
+    /// Generates a fresh random Chromium-style label of 7–15 lowercase
+    /// letters from the hash state, as a heap string.
+    fn random_probe_label(h: u64) -> String {
+        let mut state = h;
+        let mut next = || {
+            state = clientmap_net::splitmix64(state);
+            state
+        };
+        let len = 7 + (next() % 9) as usize; // 7..=15
+        (0..len)
+            .map(|_| (b'a' + (next() % 26) as u8) as char)
+            .collect()
+    }
+
+    /// The capture as a hash map of heap strings: every probe's label
+    /// is a `String` keyed with its letter and resolver, the map is
+    /// sorted by that key and each name parsed back. The oracle
+    /// [`capture_traces`] must equal record for record.
+    fn capture_oracle(
+        world: &World,
+        catchments: &Catchments,
+        gpdns: &GooglePublicDns,
+        start: SimTime,
+        days: u32,
+        sample_rate: f64,
+    ) -> RootTraceSet {
+        use std::collections::HashMap;
+
+        /// Aggregation key: letter, resolver, label.
+        type Key = (usize, u32, String);
+        let seed = SeedMixer::new(world.config.seed).mix_str("roots").finish();
+        let act = world.activity();
+        let nletters = ROOT_LETTERS.len() as u64;
+        let mut agg: HashMap<Key, Vec<u32>> = HashMap::new();
+        let mut bump = |letter: usize, resolver: u32, name: String, day: usize, n: u32| {
+            let counts = agg
+                .entry((letter, resolver, name))
+                .or_insert_with(|| vec![0; days as usize]);
+            counts[day] += n;
+        };
+        for (i, s) in world.slash24s.iter().enumerate() {
+            if s.users <= 0.0 {
+                continue;
+            }
+            let base = SeedMixer::new(seed).mix(u64::from(s.prefix.addr()));
+            let isp_addr = world.ases[s.as_id]
+                .local_resolver
+                .map(|rid| world.resolvers[rid].addr);
+            let google_addr = gpdns.egress_addr(catchments.of_slash24(i));
+            let other_addr = world.resolvers[s.other_resolver].addr;
+            for day in 0..days {
+                let t0 = start.as_secs_f64() + f64::from(day) * 86_400.0;
+                let t1 = t0 + 86_400.0;
+                let mean_probes =
+                    act.expected_events(|t| act.chromium_probe_rate(s, t), t0, t1) * sample_rate;
+                for (share, addr) in [
+                    (s.resolver_mix.isp, isp_addr),
+                    (s.resolver_mix.google, Some(google_addr)),
+                    (s.resolver_mix.other, Some(other_addr)),
+                ] {
+                    let Some(addr) = addr else { continue };
+                    if share <= 0.0 {
+                        continue;
+                    }
+                    let h = base.mix(day as u64).mix(u64::from(addr)).finish();
+                    let n = poisson(h, mean_probes * share);
+                    let mut state = h;
+                    for k in 0..n {
+                        state = clientmap_net::splitmix64(state ^ k);
+                        let letter = (state % nletters) as usize;
+                        bump(letter, addr, random_probe_label(state), day as usize, 1);
+                    }
+                }
+            }
+        }
+        let mut noise_rng = SeedMixer::new(seed).mix_str("noise").finish();
+        let resolver_pool: Vec<u32> = world.resolvers.iter().map(|r| r.addr).collect();
+        for name in MISCONFIG_NAMES.iter().chain(TYPO_NAMES) {
+            for day in 0..days as usize {
+                noise_rng = clientmap_net::splitmix64(noise_rng);
+                let spread = 10 + (noise_rng % 31) as usize;
+                for j in 0..spread.min(resolver_pool.len()) {
+                    noise_rng = clientmap_net::splitmix64(noise_rng);
+                    let addr = resolver_pool[(noise_rng as usize) % resolver_pool.len()];
+                    let letter = (noise_rng % nletters) as usize;
+                    let count = 20 + (noise_rng % 100) as u32;
+                    let sampled = poisson(
+                        clientmap_net::splitmix64(noise_rng ^ j as u64),
+                        f64::from(count) * sample_rate.max(1e-12),
+                    );
+                    if sampled > 0 {
+                        bump(letter, addr, name.to_string(), day, sampled as u32);
+                    }
+                }
+            }
+        }
+        let mut traces: Vec<RootTrace> = ROOT_LETTERS
+            .iter()
+            .map(|l| RootTrace {
+                letter: *l,
+                public: PUBLIC_TRACE_LETTERS.contains(l),
+                records: Vec::new(),
+            })
+            .collect();
+        let mut entries: Vec<(Key, Vec<u32>)> = agg.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        for ((letter, resolver_addr, name), count_by_day) in entries {
+            if let Ok(qname) = name.parse::<DomainName>() {
+                traces[letter].records.push(TraceRecord {
+                    resolver_addr,
+                    qname,
+                    count_by_day,
+                });
+            }
+        }
+        RootTraceSet {
+            traces,
+            sample_rate,
+            days,
+        }
+    }
+
+    fn assert_same_set(got: &RootTraceSet, want: &RootTraceSet, ctx: &str) {
+        assert_eq!(got.days, want.days, "{ctx}");
+        assert_eq!(
+            got.sample_rate.to_bits(),
+            want.sample_rate.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(got.traces.len(), want.traces.len(), "{ctx}");
+        for (g, w) in got.traces.iter().zip(&want.traces) {
+            assert_eq!((g.letter, g.public), (w.letter, w.public), "{ctx}");
+            assert_eq!(
+                g.records.len(),
+                w.records.len(),
+                "{ctx} letter {}",
+                g.letter
+            );
+            assert!(g.records == w.records, "{ctx} letter {}", g.letter);
+        }
+    }
+
+    #[test]
+    fn capture_equals_the_string_map_oracle() {
+        use clientmap_world::par::with_threads;
+
+        for seed in [5, 2021] {
+            // The tiny world's 4 000 /24s (more chunks than workers),
+            // with few enough users that an unsampled capture stays
+            // small.
+            let mut cfg = WorldConfig::tiny(seed);
+            cfg.total_users = 2.0e4;
+            let world = World::generate(cfg);
+            assert!(world.slash24s.len() > 4 * SLASH24_CHUNK);
+            let catchments = Catchments::compute(&world);
+            let auth = Authoritatives::new(world.config.seed, world.rib.clone());
+            let gpdns = GooglePublicDns::build(&world, &catchments, &auth);
+            for days in [1, 2, 3] {
+                for rate in [0.01, 0.2, 1.0] {
+                    let start = SimTime::from_hours(7);
+                    let want = capture_oracle(&world, &catchments, &gpdns, start, days, rate);
+                    assert!(want.traces.iter().any(|t| t.records.len() > 1));
+                    for threads in [1, 4] {
+                        let got = with_threads(threads, || {
+                            capture_traces(&world, &catchments, &gpdns, start, days, rate)
+                        });
+                        let ctx = format!("seed {seed} days {days} rate {rate} threads {threads}");
+                        assert_same_set(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn name_keys_order_like_strings() {
+        let mut state = 7u64;
+        let mut next = || {
+            state = clientmap_net::splitmix64(state);
+            state
+        };
+        let mut labels: Vec<String> = ["abcdefg", "abcdefgh", "a", "aa", "ab", "z", "za"]
+            .iter()
+            .map(|l| l.to_string())
+            .collect();
+        labels.push("z".repeat(15));
+        for _ in 0..400 {
+            let len = 1 + (next() % 15) as usize;
+            // A small alphabet makes shared prefixes common.
+            let alphabet = if next() % 2 == 0 { 3 } else { 26 };
+            labels.push(
+                (0..len)
+                    .map(|_| (b'a' + (next() % alphabet) as u8) as char)
+                    .collect(),
+            );
+        }
+        for a in &labels {
+            let key = NameKey::of(a);
+            assert_eq!(key.to_name().to_string(), *a);
+            for b in &labels {
+                assert_eq!(key.cmp(&NameKey::of(b)), a.cmp(b), "{a} vs {b}");
+            }
+        }
+        assert!(NameKey::of("abcdefg") < NameKey::of("abcdefgh"));
+    }
+
+    #[test]
+    fn random_probe_keys_pack_the_string_labels() {
+        for h in 0..2_000u64 {
+            let h = clientmap_net::splitmix64(h);
+            let label = random_probe_label(h);
+            assert_eq!(NameKey::random_probe(h), NameKey::of(&label));
+            assert_eq!(NameKey::random_probe(h).to_name().to_string(), label);
+        }
+    }
+
+    #[test]
+    fn noise_names_fit_the_key() {
+        for name in MISCONFIG_NAMES.iter().chain(TYPO_NAMES) {
+            assert_eq!(NameKey::of(name).to_name().to_string(), *name);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a name key")]
+    fn a_sixteen_letter_label_does_not_fit() {
+        NameKey::of("abcdefghijklmnop");
+    }
 
     fn capture(seed: u64, rate: f64) -> (World, RootTraceSet) {
         let world = World::generate(WorldConfig::tiny(seed));
