@@ -16,7 +16,7 @@ use clientmap_sim::{pop_catalog, GpdnsSession, PopId, ProbeOutcome, Sim, SimTime
 use clientmap_store::CalibrationRecord;
 
 use crate::probe::{probe_scope, ProbeBufs};
-use crate::resilience::{attempt_id, FaultCounters};
+use crate::resilience::FaultCounters;
 use crate::vantage::BoundVantage;
 use crate::ProbeConfig;
 
@@ -191,7 +191,7 @@ pub fn calibrate(
                         .expect("selected domains are probeable")
                 })
                 .collect();
-            (conn, doms, wire::ProbeBatch::new(), Vec::with_capacity(1))
+            (conn, doms)
         });
         let mut distances: Vec<f64> = Vec::new();
         for (i, &prefix) in sample.iter().enumerate() {
@@ -199,22 +199,10 @@ pub fn calibrate(
             let pt = t + SimTime::from_millis(i as u64 * 20);
             let hit = templates.iter().enumerate().any(|(d, template)| {
                 let outcome = match &mut batch_lane {
-                    Some((conn, doms, batch, out)) => {
+                    Some((conn, doms)) => {
                         let lane = view.gpdns.scope_lane(view.auth, &doms[d], prefix);
-                        batch.clear();
-                        batch.push(template, attempt_id(pt, prefix, 0, 0), prefix);
-                        let ok = view.gpdns.serve_batch(
-                            conn,
-                            &doms[d],
-                            view.auth,
-                            std::slice::from_ref(&lane),
-                            batch,
-                            &[(0, pt)],
-                            cfg.redundancy,
-                            out,
-                        );
-                        assert!(ok, "a batch rendered from its own lane always validates");
-                        out.pop().expect("one event, one outcome")
+                        view.gpdns
+                            .serve_event(conn, &doms[d], view.auth, &lane, pt, cfg.redundancy)
                     }
                     None => probe_scope(
                         &view,
@@ -236,7 +224,7 @@ pub fn calibrate(
                 }
             }
         }
-        if let Some((conn, ..)) = batch_lane {
+        if let Some((conn, _)) = batch_lane {
             view.gpdns.close_batch(conn, &mut session);
         }
         (b.pop, distances)

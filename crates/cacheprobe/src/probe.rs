@@ -358,10 +358,12 @@ fn probe_unit(
 }
 
 /// Batched sibling of [`probe_unit`]: the same ⟨PoP, domain⟩ stream,
-/// served through the simulator's batch kernel. Routing, admission
-/// state, and the per-scope cache lanes hoist out of the per-probe
-/// loop; the whole stream renders into one [`wire::ProbeBatch`] arena
-/// and is served at once; and outcomes fold in bulk.
+/// served through the simulator's batch door. Routing, admission
+/// state, the per-scope cache lanes and the constant heads of the hash
+/// chains hoist out of the per-probe loop; each slot is served by
+/// [`clientmap_sim::GooglePublicDns::serve_event`] and tallied straight
+/// into its record — no query is rendered, and the lanes and the
+/// records are the unit's only buffers.
 ///
 /// Fault-free cores only: the caller ([`main_delta`]) sends faulted
 /// streams down the scalar resilient lane.
@@ -394,28 +396,13 @@ fn probe_unit_batched(
         .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
         .collect();
 
-    let mut batch = wire::ProbeBatch::new();
-    let mut events: Vec<(u32, SimTime)> = Vec::new();
-    for (li, t) in window_slots(cfg, scopes.len(), t0) {
-        batch.push(template, attempt_id(t, scopes[li], 0, 0), scopes[li]);
-        events.push((li as u32, t));
-    }
-    let mut outcomes: Vec<ProbeOutcome> = Vec::new();
-    let ok = view.gpdns.serve_batch(
-        &mut conn,
-        &dom,
-        view.auth,
-        &lanes,
-        &batch,
-        &events,
-        cfg.redundancy,
-        &mut outcomes,
-    );
-    assert!(ok, "a batch rendered from its own lanes always validates");
     // Tallied exactly as the scalar loop does, in slot order.
     let mut records = vec![ScopeRecord::default(); scopes.len()];
-    for (&(lane, _), outcome) in events.iter().zip(&outcomes) {
-        tally(&mut records[lane as usize], outcome);
+    for (li, t) in window_slots(cfg, scopes.len(), t0) {
+        let outcome =
+            view.gpdns
+                .serve_event(&mut conn, &dom, view.auth, &lanes[li], t, cfg.redundancy);
+        tally(&mut records[li], &outcome);
     }
     view.gpdns.close_batch(conn, &mut session);
     book(metrics, &records, cfg.redundancy);

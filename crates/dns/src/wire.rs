@@ -898,13 +898,13 @@ impl ProbeQueryTemplate {
 }
 
 /// An arena of rendered probe queries: many [`ProbeQueryTemplate`]
-/// renders packed back-to-back in one reused buffer.
+/// renders packed back-to-back in one reused buffer. After the first
+/// few batches the arena reaches steady state and `clear` + `push`
+/// cycles allocate nothing.
 ///
-/// The batched probing lane renders a whole unit's worth of queries up
-/// front and hands the arena to the resolver in one call, so per-probe
-/// costs (buffer clears, bounds setup, dispatch) are paid once per
-/// batch. After the first few batches the arena reaches steady state
-/// and `clear` + `push` cycles allocate nothing.
+/// Kept for the frozen benchmark harness, which times rendering and
+/// the simulator's validating batch door; ROADMAP 2(d) deletes it. The
+/// product's batched lane renders nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ProbeBatch {
     /// All rendered packets, concatenated.

@@ -93,6 +93,26 @@ mod tests {
     }
 
     #[test]
+    fn a_stored_prefix_continues_to_the_full_chain() {
+        // `SeedMixer` is a `Copy` pure fold: a head kept at any point of
+        // a chain and continued with the rest lands on the full chain,
+        // however often it is reused.
+        for (a, b, c) in [(0, 0, 0), (3, 1, 7), (u64::MAX, 42, 1 << 40)] {
+            let full = SeedMixer::new(9)
+                .mix_str("live")
+                .mix(a)
+                .mix(b)
+                .mix(c)
+                .finish();
+            let tag = SeedMixer::new(9).mix_str("live");
+            let head = tag.mix(a).mix(b);
+            assert_eq!(tag.mix(a).mix(b).mix(c).finish(), full);
+            assert_eq!(head.mix(c).finish(), full);
+            assert_eq!(head.mix(c).finish(), full, "a reused head is unchanged");
+        }
+    }
+
+    #[test]
     fn splitmix_spreads_small_inputs() {
         // Consecutive inputs must not produce close outputs.
         let outs: Vec<u64> = (0..100).map(splitmix64).collect();

@@ -234,7 +234,14 @@ pub struct GooglePublicDns {
 /// world, its catchments and its authoritatives.
 #[derive(Debug)]
 pub(crate) struct GpdnsTables {
-    seed: u64,
+    /// The pool-draw hash chain, seeded and tagged. A [`SeedMixer`] is
+    /// a pure fold, so every draw continues this stored head with its
+    /// own coordinates instead of re-mixing it.
+    pool: SeedMixer,
+    /// The entry-liveness chain, seeded and tagged.
+    live: SeedMixer,
+    /// The remaining-TTL chain, seeded and tagged.
+    ttl: SeedMixer,
     /// ECS-capable domains (index = domain slot used in hashing).
     ecs_domains: Vec<DomainName>,
     /// Uncompressed QNAME wire bytes per slot — the fast lane matches
@@ -335,7 +342,9 @@ impl GpdnsTables {
         }
 
         GpdnsTables {
-            seed,
+            pool: SeedMixer::new(seed).mix_str("pool"),
+            live: SeedMixer::new(seed).mix_str("live"),
+            ttl: SeedMixer::new(seed).mix_str("ttl"),
             ecs_domains,
             domain_wires,
             scope_keys,
@@ -348,6 +357,52 @@ impl GpdnsTables {
                 .addr(),
         }
     }
+
+    /// The liveness chain through ⟨pop, pool, slot⟩ — constant for one
+    /// domain's stream at one PoP.
+    fn live_by_slot(&self, pop: PopId, pool: usize, slot: usize) -> SeedMixer {
+        self.live.mix(pop as u64).mix(pool as u64).mix(slot as u64)
+    }
+
+    /// The remaining-TTL chain through ⟨pop, pool⟩.
+    fn ttl_by_pool(&self, pop: PopId, pool: usize) -> SeedMixer {
+        self.ttl.mix(pop as u64).mix(pool as u64)
+    }
+}
+
+/// The pool a query lands in, continued from the pool chain already
+/// mixed with its prober: the query's own time and ECS source plus the
+/// caller's draw sequence, so it is deterministic per prober whatever
+/// other probers do in parallel.
+fn draw_pool(by_prober: SeedMixer, t: SimTime, source: Prefix, seq: u64) -> usize {
+    (pool_hash(by_prober, t, source, seq) % POOLS_PER_POP as u64) as usize
+}
+
+fn pool_hash(by_prober: SeedMixer, t: SimTime, source: Prefix, seq: u64) -> u64 {
+    by_prober
+        .mix(t.as_millis())
+        .mix(u64::from(source.addr()))
+        .mix(seq)
+        .finish()
+}
+
+/// The liveness coin of entry `scope` in TTL window `window`, continued
+/// from [`GpdnsTables::live_by_slot`].
+fn live_hash(by_slot: SeedMixer, scope: Prefix, window: u64) -> u64 {
+    by_slot
+        .mix(u64::from(scope.addr()))
+        .mix(u64::from(scope.len()))
+        .mix(window)
+        .finish()
+}
+
+/// The age coin of a hit on entry `scope` at `t`, continued from
+/// [`GpdnsTables::ttl_by_pool`].
+fn ttl_hash(by_pool: SeedMixer, scope: Prefix, t: SimTime, ttl: u32) -> u64 {
+    by_pool
+        .mix(u64::from(scope.addr()))
+        .mix(t.as_millis() / (u64::from(ttl) * 1000))
+        .finish()
 }
 
 impl GooglePublicDns {
@@ -484,12 +539,27 @@ impl GooglePublicDns {
         }
     }
 
-    /// Probability that the scoped entry `(pop, slot, scope)` is live in
-    /// `pool` at `t`, and the deterministic per-window coin for it.
+    /// Whether the scoped entry `(pop, slot, scope)` is live in `pool`
+    /// at `t`.
     fn entry_live(
         &self,
         pop: PopId,
         pool: usize,
+        slot: usize,
+        scope: Prefix,
+        load: &ScopeLoad,
+        t: SimTime,
+    ) -> bool {
+        let by_slot = self.tables.live_by_slot(pop, pool, slot);
+        self.entry_live_from(by_slot, slot, scope, load, t)
+    }
+
+    /// [`GooglePublicDns::entry_live`] from the liveness chain through
+    /// ⟨pop, pool, slot⟩: the probability that the entry is live at
+    /// `t`, and the deterministic per-window coin for it.
+    fn entry_live_from(
+        &self,
+        by_slot: SeedMixer,
         slot: usize,
         scope: Prefix,
         load: &ScopeLoad,
@@ -505,20 +575,13 @@ impl GooglePublicDns {
         let lambda_pool = load.rate * diurnal / POOLS_PER_POP as f64;
         let horizon = ttl.min(t.as_secs_f64().max(0.0));
         let p_live = 1.0 - (-lambda_pool * horizon).exp();
-        let h = SeedMixer::new(self.tables.seed)
-            .mix_str("live")
-            .mix(pop as u64)
-            .mix(pool as u64)
-            .mix(slot as u64)
-            .mix(u64::from(scope.addr()))
-            .mix(u64::from(scope.len()))
-            .mix(window)
-            .finish();
-        unit(h) < p_live
+        unit(live_hash(by_slot, scope, window)) < p_live
     }
 
-    /// Remaining TTL for a hit entry (age uniform within the window).
-    fn remaining_ttl(&self, slot: usize, h_entropy: u64, t: SimTime) -> u32 {
+    /// Remaining TTL for a hit on entry `scope` (age uniform within the
+    /// window), from the TTL chain through ⟨pop, pool⟩.
+    fn remaining_ttl(&self, by_pool: SeedMixer, slot: usize, scope: Prefix, t: SimTime) -> u32 {
+        let h_entropy = ttl_hash(by_pool, scope, t, self.tables.ttls[slot]);
         let ttl = f64::from(self.tables.ttls[slot]);
         let age = unit(SeedMixer::new(h_entropy).mix(99).finish()) * ttl.min(t.as_secs_f64());
         (ttl - age).max(1.0) as u32
@@ -620,19 +683,9 @@ impl GooglePublicDns {
         };
         let source = ecs_source.unwrap_or(Prefix::DEFAULT);
 
-        // Pick the pool this query lands in. The draw mixes the query's
-        // own identity plus a session-local sequence, so it is
-        // deterministic per prober regardless of what other probers do
-        // in parallel.
+        // Pick the pool this query lands in.
         session.seq += 1;
-        let pool_h = SeedMixer::new(self.tables.seed)
-            .mix_str("pool")
-            .mix(prober)
-            .mix(t.as_millis())
-            .mix(u64::from(source.addr()))
-            .mix(session.seq)
-            .finish();
-        let pool = (pool_h % POOLS_PER_POP as u64) as usize;
+        let pool = draw_pool(self.tables.pool.mix(prober), t, source, session.seq);
 
         // The cached entry that could answer: the scope the authoritative
         // assigns to this address region. A slot without a catalog entry
@@ -650,14 +703,8 @@ impl GooglePublicDns {
             if let Some(load) = self.tables.scoped[pop][slot].get(&scope).copied() {
                 if self.entry_live(pop, pool, slot, scope, &load, t) {
                     self.metrics.pool_hits[pool].inc();
-                    let h = SeedMixer::new(self.tables.seed)
-                        .mix_str("ttl")
-                        .mix(pop as u64)
-                        .mix(pool as u64)
-                        .mix(u64::from(scope.addr()))
-                        .mix(t.as_millis() / (u64::from(self.tables.ttls[slot]) * 1000))
-                        .finish();
-                    let remaining = self.remaining_ttl(slot, h, t);
+                    let remaining =
+                        self.remaining_ttl(self.tables.ttl_by_pool(pop, pool), slot, scope, t);
                     // The scope attached to the cached answer reflects the
                     // authoritative's (possibly churned) response scope.
                     let resp_scope = auth.response_scope(spec, source.addr(), t).unwrap_or(scope);
@@ -787,16 +834,9 @@ impl GooglePublicDns {
             });
         }
 
-        // Pool draw — same mix, same seq advance as the slow path.
+        // Pool draw — same draw, same seq advance as the slow path.
         session.seq += 1;
-        let pool_h = SeedMixer::new(self.tables.seed)
-            .mix_str("pool")
-            .mix(prober)
-            .mix(t.as_millis())
-            .mix(u64::from(source.addr()))
-            .mix(session.seq)
-            .finish();
-        let pool = (pool_h % POOLS_PER_POP as u64) as usize;
+        let pool = draw_pool(self.tables.pool.mix(prober), t, source, session.seq);
 
         let key = &self.tables.scope_keys[slot];
         let candidate = auth.base_scope_keyed(key, source.addr());
@@ -806,14 +846,8 @@ impl GooglePublicDns {
             if let Some(load) = self.tables.scoped[pop][slot].get(&scope).copied() {
                 if self.entry_live(pop, pool, slot, scope, &load, t) {
                     self.metrics.pool_hits[pool].inc();
-                    let h = SeedMixer::new(self.tables.seed)
-                        .mix_str("ttl")
-                        .mix(pop as u64)
-                        .mix(pool as u64)
-                        .mix(u64::from(scope.addr()))
-                        .mix(t.as_millis() / (u64::from(self.tables.ttls[slot]) * 1000))
-                        .finish();
-                    let remaining = self.remaining_ttl(slot, h, t);
+                    let remaining =
+                        self.remaining_ttl(self.tables.ttl_by_pool(pop, pool), slot, scope, t);
                     let resp_scope = auth
                         .response_scope_keyed(key, source.addr(), t)
                         .unwrap_or(scope);
@@ -1022,20 +1056,22 @@ struct BatchStats {
 }
 
 /// One batched probing connection: the per-(prober, PoP, transport)
-/// state a whole batch of probes shares.
+/// state a whole probe stream shares.
 ///
 /// Opened from a [`GpdnsSession`] (anycast route, token bucket, and
-/// pool sequence are read once), driven through
-/// [`GooglePublicDns::serve_batch`], and closed back into the session —
-/// at which point the session state and the shared telemetry are
-/// exactly what the scalar lane would have produced for the same probe
-/// stream. Between open and close, nothing touches the session's hash
-/// map, the registry atomics, or the allocator.
+/// pool sequence are read once), driven one probe event at a time
+/// through [`GooglePublicDns::serve_event`], and closed back into the
+/// session — at which point the session state and the shared telemetry
+/// are exactly what the scalar lane would have produced for the same
+/// probe stream. Between open and close, nothing touches the session's
+/// hash map, the registry atomics, or the allocator.
 #[derive(Debug)]
 pub struct BatchConn {
     prober: u64,
     pop: PopId,
     transport: Transport,
+    /// The pool-draw chain already mixed with `prober`.
+    pool_by_prober: SeedMixer,
     /// Local copy of the session's token bucket (created lazily at the
     /// first admission, exactly like the scalar `admit`).
     bucket: Option<Bucket>,
@@ -1073,11 +1109,12 @@ impl BatchConn {
     }
 }
 
-/// One probed domain's slice of the service, resolved once per batch:
-/// domain slot, pre-mixed scope-policy keys, cache-load tables, and a
-/// [`Slash24Bitset`] prefilter over the /24s that hold scoped entries
-/// at this PoP — so per-scope lane setup rejects cold scopes with a
-/// word-indexed bit probe instead of a hash-map lookup.
+/// One probed domain's slice of the service, resolved once per
+/// connection: domain slot, pre-mixed scope-policy keys, cache-load
+/// tables, the per-pool heads of the liveness and remaining-TTL hash
+/// chains, and a [`Slash24Bitset`] prefilter over the /24s that hold
+/// scoped entries at this PoP — so per-scope lane setup rejects cold
+/// scopes with a word-indexed bit probe instead of a hash-map lookup.
 #[derive(Debug)]
 pub struct BatchDomain<'a> {
     slot: usize,
@@ -1090,13 +1127,17 @@ pub struct BatchDomain<'a> {
     /// base /24 index is the probed /24's index with at most this many
     /// low bits cleared.
     anc_clear: u8,
+    /// Per pool, the liveness chain through ⟨pop, pool, slot⟩.
+    live_by_slot: [SeedMixer; POOLS_PER_POP],
+    /// Per pool, the remaining-TTL chain through ⟨pop, pool⟩.
+    ttl_by_pool: [SeedMixer; POOLS_PER_POP],
 }
 
 /// The time-independent part of serving one query scope, hoisted out
 /// of the per-attempt loop: the scope-policy candidate entry and its
 /// cached load. Scalar serving recomputes this (a RIB walk plus a
 /// hash-map probe) for every redundant attempt; the batched lane pays
-/// it once per scope per batch.
+/// it once per scope per stream.
 #[derive(Debug, Clone, Copy)]
 pub struct ScopeLane {
     /// The probed (ECS source) scope.
@@ -1138,6 +1179,7 @@ impl GooglePublicDns {
             prober,
             pop,
             transport,
+            pool_by_prober: self.tables.pool.mix(prober),
             bucket: session.buckets.get(&(prober, pop, transport)).copied(),
             seq: session.seq,
             stats: BatchStats::default(),
@@ -1167,6 +1209,10 @@ impl GooglePublicDns {
             global: self.tables.global[conn.pop][slot],
             prefilter,
             anc_clear: 24u8.saturating_sub(lo.min(24)),
+            live_by_slot: std::array::from_fn(|pool| {
+                self.tables.live_by_slot(conn.pop, pool, slot)
+            }),
+            ttl_by_pool: std::array::from_fn(|pool| self.tables.ttl_by_pool(conn.pop, pool)),
         })
     }
 
@@ -1204,10 +1250,10 @@ impl GooglePublicDns {
         ScopeLane { scope, hit_path }
     }
 
-    /// Serves a rendered probe batch in one pass: `redundancy` pool
-    /// draws per event with Hit-early-exit, folding each event to its
-    /// best outcome (`Hit > HitScopeZero > Miss > Dropped` — the
-    /// prober's merge order). Appends one outcome per event to `out`.
+    /// Serves a rendered probe batch: validates every packet, then
+    /// serves one [`GooglePublicDns::serve_event`] per event, appending
+    /// its outcome to `out`. Kept for the frozen benchmark harness;
+    /// ROADMAP 2(d) deletes it — the product serves events directly.
     ///
     /// `batch` holds one rendered query per event; `events` pairs each
     /// with `(lane index, event time)`. Every packet is validated
@@ -1248,22 +1294,26 @@ impl GooglePublicDns {
                 return false;
             }
         }
-        for &(lane_idx, t) in events {
-            let outcome =
-                self.serve_batch_event(conn, dom, auth, &lanes[lane_idx as usize], t, redundancy);
-            out.push(outcome);
+        for &(lane, t) in events {
+            out.push(self.serve_event(conn, dom, auth, &lanes[lane as usize], t, redundancy));
         }
         true
     }
 
-    /// One probe event on the batched lane: the exact scalar attempt
-    /// sequence (admission → pool draw → scoped entry → scope-0 → miss)
-    /// minus everything attempt-invariant, classified in place instead
-    /// of through response bytes. Fault-free only — `open_batch`
-    /// guarantees the plan is off, which is also why transaction IDs
-    /// play no part here (they only ever feed fault decisions and the
-    /// response echo).
-    fn serve_batch_event(
+    /// Serves one probe event on the batched lane — `redundancy` pool
+    /// draws with Hit-early-exit, folded to the best outcome (`Hit >
+    /// HitScopeZero > Miss > Dropped`, the prober's merge order). It is
+    /// the exact scalar attempt sequence (admission → pool draw →
+    /// scoped entry → scope-0 → miss) minus everything
+    /// attempt-invariant, classified in place: no query is rendered and
+    /// no response written. `lane` must come from
+    /// [`GooglePublicDns::scope_lane`] on `dom`, and `dom` from
+    /// [`GooglePublicDns::batch_domain`] on `conn`.
+    ///
+    /// Fault-free only — `open_batch` guarantees the plan is off, which
+    /// is also why transaction IDs play no part here (they only ever
+    /// feed fault decisions and the response echo).
+    pub fn serve_event(
         &self,
         conn: &mut BatchConn,
         dom: &BatchDomain<'_>,
@@ -1286,27 +1336,13 @@ impl GooglePublicDns {
                 continue; // Dropped: never upgrades `best`.
             }
             conn.seq += 1;
-            let pool_h = SeedMixer::new(self.tables.seed)
-                .mix_str("pool")
-                .mix(conn.prober)
-                .mix(rt.as_millis())
-                .mix(u64::from(lane.scope.addr()))
-                .mix(conn.seq)
-                .finish();
-            let pool = (pool_h % POOLS_PER_POP as u64) as usize;
+            let pool = draw_pool(conn.pool_by_prober, rt, lane.scope, conn.seq);
 
             // 1. Scoped entry.
             if let Some((cand, load)) = &lane.hit_path {
-                if self.entry_live(conn.pop, pool, dom.slot, *cand, load, rt) {
+                if self.entry_live_from(dom.live_by_slot[pool], dom.slot, *cand, load, rt) {
                     conn.stats.pool_hits[pool] += 1;
-                    let h = SeedMixer::new(self.tables.seed)
-                        .mix_str("ttl")
-                        .mix(conn.pop as u64)
-                        .mix(pool as u64)
-                        .mix(u64::from(cand.addr()))
-                        .mix(rt.as_millis() / (u64::from(self.tables.ttls[dom.slot]) * 1000))
-                        .finish();
-                    let remaining = self.remaining_ttl(dom.slot, h, rt);
+                    let remaining = self.remaining_ttl(dom.ttl_by_pool[pool], dom.slot, *cand, rt);
                     let resp_scope = auth
                         .response_scope_keyed(&dom.key, lane.scope.addr(), rt)
                         .unwrap_or(*cand);
@@ -1327,7 +1363,13 @@ impl GooglePublicDns {
 
             // 2. Scope-0 entry.
             if dom.global.rate > 0.0
-                && self.entry_live(conn.pop, pool, dom.slot, Prefix::DEFAULT, &dom.global, rt)
+                && self.entry_live_from(
+                    dom.live_by_slot[pool],
+                    dom.slot,
+                    Prefix::DEFAULT,
+                    &dom.global,
+                    rt,
+                )
             {
                 conn.stats.pool_scope0[pool] += 1;
                 best = best.max(RANK_SCOPE0);
@@ -1903,21 +1945,19 @@ mod tests {
                 .iter()
                 .map(|&s| gp_batch.scope_lane(&auth, &dom, s))
                 .collect();
-            let mut arena = wire::ProbeBatch::new();
-            for &(lane, _) in &events {
-                arena.push(&template, 0x5151, scopes[lane as usize]);
-            }
-            let mut batch_outcomes = Vec::new();
-            assert!(gp_batch.serve_batch(
-                &mut conn,
-                &dom,
-                &auth,
-                &lanes,
-                &arena,
-                &events,
-                redundancy,
-                &mut batch_outcomes,
-            ));
+            let batch_outcomes: Vec<ProbeOutcome> = events
+                .iter()
+                .map(|&(lane, t)| {
+                    gp_batch.serve_event(
+                        &mut conn,
+                        &dom,
+                        &auth,
+                        &lanes[lane as usize],
+                        t,
+                        redundancy,
+                    )
+                })
+                .collect();
             gp_batch.close_batch(conn, &mut batch_session);
 
             assert_eq!(
@@ -2004,6 +2044,23 @@ mod tests {
             reg.snapshot().to_json(),
             before,
             "rejected batch moved telemetry"
+        );
+
+        // A packet carrying the lane's scope validates and is served as
+        // the same event through `serve_event` would be.
+        let mut conn = gpdns
+            .open_batch(&catchments, &batch_session, 1, coord, Transport::Tcp)
+            .unwrap();
+        arena.clear();
+        arena.push(&template, 1, scope);
+        assert!(gpdns.serve_batch(&mut conn, &dom, &auth, &lanes, &arena, &events, 5, &mut out));
+        let mut twin = gpdns
+            .open_batch(&catchments, &batch_session, 1, coord, Transport::Tcp)
+            .unwrap();
+        let (_, t) = events[0];
+        assert_eq!(
+            out,
+            [gpdns.serve_event(&mut twin, &dom, &auth, &lanes[0], t, 5)]
         );
     }
 
@@ -2225,6 +2282,189 @@ mod tests {
             }
         }
         assert_eq!(s.registry.snapshot(), f.registry.snapshot());
+    }
+
+    // The full hash chains as they were before their constant heads
+    // were hoisted into the tables, the connection and the domain:
+    // oracles the hoisted forms must match bit for bit.
+
+    /// The service seed every chain starts from.
+    fn chain_seed(world: &World) -> u64 {
+        SeedMixer::new(world.config.seed).mix_str("gpdns").finish()
+    }
+
+    fn oracle_pool_hash(seed: u64, prober: u64, t: SimTime, source: Prefix, seq: u64) -> u64 {
+        SeedMixer::new(seed)
+            .mix_str("pool")
+            .mix(prober)
+            .mix(t.as_millis())
+            .mix(u64::from(source.addr()))
+            .mix(seq)
+            .finish()
+    }
+
+    /// The whole `entry_live`: its coin and its verdict.
+    #[allow(clippy::too_many_arguments)]
+    fn oracle_entry_live(
+        g: &GooglePublicDns,
+        seed: u64,
+        pop: PopId,
+        pool: usize,
+        slot: usize,
+        scope: Prefix,
+        load: &ScopeLoad,
+        t: SimTime,
+    ) -> (u64, bool) {
+        let ttl = f64::from(g.tables.ttls[slot]);
+        let window = (t.as_secs_f64() / ttl) as u64;
+        let diurnal = clientmap_world::activity::diurnal_multiplier(
+            t.as_secs_f64(),
+            load.lon(),
+            g.tables.diurnal_amplitude,
+        );
+        let lambda_pool = load.rate * diurnal / POOLS_PER_POP as f64;
+        let horizon = ttl.min(t.as_secs_f64().max(0.0));
+        let p_live = 1.0 - (-lambda_pool * horizon).exp();
+        let h = SeedMixer::new(seed)
+            .mix_str("live")
+            .mix(pop as u64)
+            .mix(pool as u64)
+            .mix(slot as u64)
+            .mix(u64::from(scope.addr()))
+            .mix(u64::from(scope.len()))
+            .mix(window)
+            .finish();
+        (h, unit(h) < p_live)
+    }
+
+    /// The whole remaining-TTL draw: its hash and the TTL it yields.
+    fn oracle_remaining_ttl(
+        g: &GooglePublicDns,
+        seed: u64,
+        pop: PopId,
+        pool: usize,
+        slot: usize,
+        scope: Prefix,
+        t: SimTime,
+    ) -> (u64, u32) {
+        let h = SeedMixer::new(seed)
+            .mix_str("ttl")
+            .mix(pop as u64)
+            .mix(pool as u64)
+            .mix(u64::from(scope.addr()))
+            .mix(t.as_millis() / (u64::from(g.tables.ttls[slot]) * 1000))
+            .finish();
+        let ttl = f64::from(g.tables.ttls[slot]);
+        let age = unit(SeedMixer::new(h).mix(99).finish()) * ttl.min(t.as_secs_f64());
+        (h, (ttl - age).max(1.0) as u32)
+    }
+
+    /// A seeded stream of random draws for the oracle comparisons.
+    fn draws(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = clientmap_net::splitmix64(state);
+            state
+        }
+    }
+
+    /// A random ⟨scope, t, load⟩: any prefix length, up to five days
+    /// in, and rates spanning near-certain misses to near-certain hits.
+    fn random_entry(next: &mut impl FnMut() -> u64) -> (Prefix, SimTime, ScopeLoad) {
+        let scope = Prefix::new(next() as u32, (next() % 33) as u8).unwrap();
+        let t = SimTime::from_millis(next() % (5 * 86_400_000));
+        let mut load = ScopeLoad::default();
+        load.add(unit(next()) * 0.05, unit(next()) * 360.0 - 180.0);
+        (scope, t, load)
+    }
+
+    #[test]
+    fn hoisted_chains_match_the_full_chains() {
+        let s = setup();
+        let (g, seed) = (&s.gpdns, chain_seed(&s.world));
+        let mut next = draws(0x5EED);
+        let mut verdicts = [0u32; 2];
+        for _ in 0..5_000 {
+            let pop = (next() % pop_catalog().len() as u64) as usize;
+            let pool = (next() % POOLS_PER_POP as u64) as usize;
+            let slot = (next() % g.tables.ttls.len() as u64) as usize;
+            let (prober, seq) = (next(), next() % 1_000_000);
+            let (scope, t, load) = random_entry(&mut next);
+
+            let pool_h = oracle_pool_hash(seed, prober, t, scope, seq);
+            let by_prober = g.tables.pool.mix(prober);
+            assert_eq!(pool_hash(by_prober, t, scope, seq), pool_h);
+            assert_eq!(
+                draw_pool(by_prober, t, scope, seq),
+                (pool_h % POOLS_PER_POP as u64) as usize
+            );
+
+            let (live_h, live) = oracle_entry_live(g, seed, pop, pool, slot, scope, &load, t);
+            let window = (t.as_secs_f64() / f64::from(g.tables.ttls[slot])) as u64;
+            let by_slot = g.tables.live_by_slot(pop, pool, slot);
+            assert_eq!(live_hash(by_slot, scope, window), live_h);
+            assert_eq!(g.entry_live(pop, pool, slot, scope, &load, t), live);
+            assert_eq!(g.entry_live_from(by_slot, slot, scope, &load, t), live);
+            verdicts[usize::from(live)] += 1;
+
+            let (ttl_h, remaining) = oracle_remaining_ttl(g, seed, pop, pool, slot, scope, t);
+            let by_pool = g.tables.ttl_by_pool(pop, pool);
+            assert_eq!(ttl_hash(by_pool, scope, t, g.tables.ttls[slot]), ttl_h);
+            assert_eq!(g.remaining_ttl(by_pool, slot, scope, t), remaining);
+        }
+        assert!(
+            verdicts.iter().all(|&n| n > 500),
+            "both verdicts exercised: {verdicts:?}"
+        );
+    }
+
+    #[test]
+    fn batch_chain_heads_match_the_full_chains() {
+        let s = setup();
+        let (g, seed) = (&s.gpdns, chain_seed(&s.world));
+        let mut next = draws(0xBA7C);
+        let mut pops = std::collections::BTreeSet::new();
+        for (prober, site) in pop_catalog().iter().enumerate() {
+            let conn = g
+                .open_batch(
+                    &s.catchments,
+                    &s.session,
+                    prober as u64,
+                    site.coord,
+                    Transport::Tcp,
+                )
+                .expect("fault-free core opens a batch");
+            pops.insert(conn.pop);
+            for wire in &g.tables.domain_wires {
+                let dom = g.batch_domain(&conn, wire).expect("an ECS-cached slot");
+                for _ in 0..40 {
+                    let pool = (next() % POOLS_PER_POP as u64) as usize;
+                    let seq = next() % 1_000_000;
+                    let (scope, t, load) = random_entry(&mut next);
+                    assert_eq!(
+                        pool_hash(conn.pool_by_prober, t, scope, seq),
+                        oracle_pool_hash(seed, conn.prober, t, scope, seq)
+                    );
+                    let (live_h, live) =
+                        oracle_entry_live(g, seed, conn.pop, pool, dom.slot, scope, &load, t);
+                    let window = (t.as_secs_f64() / f64::from(g.tables.ttls[dom.slot])) as u64;
+                    assert_eq!(live_hash(dom.live_by_slot[pool], scope, window), live_h);
+                    assert_eq!(
+                        g.entry_live_from(dom.live_by_slot[pool], dom.slot, scope, &load, t),
+                        live
+                    );
+                    let (ttl_h, remaining) =
+                        oracle_remaining_ttl(g, seed, conn.pop, pool, dom.slot, scope, t);
+                    let ttl = g.tables.ttls[dom.slot];
+                    assert_eq!(ttl_hash(dom.ttl_by_pool[pool], scope, t, ttl), ttl_h);
+                    assert_eq!(
+                        g.remaining_ttl(dom.ttl_by_pool[pool], dom.slot, scope, t),
+                        remaining
+                    );
+                }
+            }
+        }
+        assert!(pops.len() > 1, "connections cover several PoPs: {pops:?}");
     }
 
     #[test]
