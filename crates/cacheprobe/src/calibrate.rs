@@ -15,7 +15,7 @@ use clientmap_net::{Prefix, SeedMixer};
 use clientmap_sim::{pop_catalog, GpdnsSession, PopId, ProbeOutcome, Sim, SimTime};
 use clientmap_store::CalibrationRecord;
 
-use crate::probe::{probe_scope, ProbeBufs};
+use crate::probe::{probe_scope, serve_batched, ProbeBufs};
 use crate::resilience::FaultCounters;
 use crate::vantage::BoundVantage;
 use crate::ProbeConfig;
@@ -144,13 +144,14 @@ pub fn sample_prefixes(sim: &Sim, universe: &[Prefix], n: usize, seed: u64) -> V
 ///
 /// A PoP's probes go out one at a time — each sample prefix stops at
 /// the first domain that hits, so an outcome gates the next probe. The
-/// two lanes differ only in how one probe is served: fault-free runs
-/// with `batched_probing` on open one batch connection per PoP and
-/// hoist routing and the per-domain scope tables out of the loop;
-/// everything else goes through [`probe_scope`], resilient under
-/// faults — a lost calibration probe must be observed, retried and
-/// accounted like any other, or the radii skew dark. Both lanes land
-/// the same radii and the same resolver counters.
+/// two lanes differ only in how one probe is served: with
+/// `batched_probing` on, each PoP opens one batch connection and
+/// hoists routing and the per-domain scope tables out of the loop
+/// ([`serve_batched`]); with it off, probes go through the wire oracle
+/// [`probe_scope`]. Both are resilient under faults — a lost
+/// calibration probe must be observed, retried and accounted like any
+/// other, or the radii skew dark — and both land the same radii and
+/// the same resolver counters.
 pub fn calibrate(
     sim: &Sim,
     bound: &[BoundVantage],
@@ -164,7 +165,6 @@ pub fn calibrate(
         .fault_plan()
         .enabled()
         .then(|| FaultCounters::resolve(sim.metrics()));
-    let batched = cfg.batched_probing && fc.is_none();
     let templates: Vec<wire::ProbeQueryTemplate> =
         domains.iter().map(wire::ProbeQueryTemplate::new).collect();
     let view = sim.view();
@@ -172,17 +172,8 @@ pub fn calibrate(
         let mut session = GpdnsSession::new();
         let mut bufs = ProbeBufs::default();
         let route = b.route(view.catchments);
-        let mut batch_lane = batched.then(|| {
-            let conn = view
-                .gpdns
-                .open_batch(
-                    view.catchments,
-                    &session,
-                    b.prober_key(),
-                    b.coord(),
-                    cfg.transport,
-                )
-                .expect("fault-free cores always open batch connections");
+        let mut batch_lane = cfg.batched_probing.then(|| {
+            let conn = view.gpdns.open_conn(&route, &session, cfg.transport);
             let doms: Vec<_> = templates
                 .iter()
                 .map(|tm| {
@@ -201,8 +192,7 @@ pub fn calibrate(
                 let outcome = match &mut batch_lane {
                     Some((conn, doms)) => {
                         let lane = view.gpdns.scope_lane(view.auth, &doms[d], prefix);
-                        view.gpdns
-                            .serve_event(conn, &doms[d], view.auth, &lane, pt, cfg.redundancy)
+                        serve_batched(&view, conn, &doms[d], &lane, cfg, pt, fc.as_ref())
                     }
                     None => probe_scope(
                         &view,

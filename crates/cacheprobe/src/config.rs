@@ -28,12 +28,13 @@ pub struct ProbeConfig {
     /// re-sweeping the same world under a different freshness budget is
     /// the point of warm starts.
     pub expiry_budget: f64,
-    /// Probe fault-free streams on the batched serve lane (scope lanes
-    /// precomputed per unit, probes resolved batch-wise, telemetry
-    /// flushed in bulk). Proven byte-identical to the scalar lane by
+    /// Probe on the byte-free batched lane (one connection per stream,
+    /// scope lanes precomputed per unit, nothing rendered, telemetry
+    /// flushed in bulk) — main window, rescue and calibration, with or
+    /// without fault injection. `false` selects the scalar wire lane,
+    /// the oracle, for the whole sweep. Proven byte-identical to it by
     /// the differential test suite, so it is **excluded** from the
     /// sweep config digest — flipping it never invalidates a snapshot.
-    /// Faulted streams always take the scalar resilient lane.
     pub batched_probing: bool,
     /// Cluster-based predictive probing: greedily epsilon-cluster the
     /// planned slots on cheap features, probe one representative per

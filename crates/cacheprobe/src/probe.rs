@@ -26,7 +26,8 @@ use clientmap_dns::{wire, DomainName};
 use clientmap_net::Prefix;
 use clientmap_par::par_map;
 use clientmap_sim::{
-    GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView, Transport, VantageRoute,
+    BatchConn, BatchDomain, GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView,
+    Transport, VantageRoute,
 };
 use clientmap_store::{ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot};
 use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
@@ -38,7 +39,7 @@ use crate::plan::{
 };
 use crate::preamble::{pairs, Assignment, Preamble};
 use crate::resilience::{
-    attempt_id, observe_response, resilient_attempt, FaultCounters, WireObservation,
+    attempt_id, observe_reply, observe_response, resilient_attempt, FaultCounters, WireObservation,
     BREAKER_THRESHOLD,
 };
 use crate::results::{CacheProbeResult, FaultSummary};
@@ -88,17 +89,14 @@ impl Default for ProbeBufs {
 /// distinct transaction ID, and returns the best verified outcome.
 /// Hit > HitScopeZero > Miss > Dropped.
 ///
-/// This is the one scalar probe — the fault lane of the sweep and the
-/// reference the batched kernel is tested against. Queries render from
-/// a pre-built [`wire::ProbeQueryTemplate`] into caller-reused buffers,
-/// so the steady state performs no heap allocation. With `fc` set
-/// (fault injection on) each redundant query gets bounded retries with
-/// seeded exponential backoff under the per-probe deadline budget, and
-/// a TC-truncated UDP response upgrades the retry to TCP. Without it
-/// each query is a single exchange, and anything unverifiable —
-/// including error rcodes, which the plain lane does not retry —
-/// counts as [`ProbeOutcome::Dropped`]. `route` is the vantage's
-/// anycast route, resolved once per stream
+/// This is the scalar wire probe — the oracle the byte-free batched
+/// lane is tested against, and the whole sweep's lane when
+/// `batched_probing` is off. Queries render from a pre-built
+/// [`wire::ProbeQueryTemplate`] into caller-reused buffers, so the
+/// steady state performs no heap allocation, and every response is
+/// verified against its query ([`observe_response`]). The redundant
+/// queries, retries and backoff are [`probe_event`]'s. `route` is the
+/// vantage's anycast route, resolved once per stream
 /// ([`BoundVantage::route`]), so a query only decides whether it flaps.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_scope(
@@ -112,24 +110,46 @@ pub fn probe_scope(
     fc: Option<&FaultCounters>,
     bufs: &mut ProbeBufs,
 ) -> ProbeOutcome {
+    probe_event(route.prober, scope, cfg, t, fc, |id, at, transport| {
+        template.render(id, scope, &mut bufs.query);
+        let got = view.gpdns_query_routed_into(
+            session,
+            route,
+            &bufs.query,
+            transport,
+            at,
+            &mut bufs.resp,
+        );
+        observe_response(&bufs.query, id, got.then_some(bufs.resp.as_slice()))
+    })
+}
+
+/// One probe event of `scope` at `t`: `cfg.redundancy` redundant
+/// queries, each with its own transaction ID ([`attempt_id`]), merged
+/// best-first with a Hit early exit. `exchange` performs one query —
+/// transaction ID, send time, transport — and reports what came back.
+/// With `fc` set (fault injection on) each redundant query gets bounded
+/// retries with seeded exponential backoff under the per-probe deadline
+/// budget, and a TC-truncated UDP response upgrades the retry to TCP
+/// ([`resilient_attempt`]). Without it each query is a single exchange,
+/// and anything unverifiable — including error rcodes, which the plain
+/// lane does not retry — counts as [`ProbeOutcome::Dropped`].
+fn probe_event(
+    prober: u64,
+    scope: Prefix,
+    cfg: &ProbeConfig,
+    t: SimTime,
+    fc: Option<&FaultCounters>,
+    mut exchange: impl FnMut(u16, SimTime, Transport) -> WireObservation,
+) -> ProbeOutcome {
     let mut best = ProbeOutcome::Dropped;
     for r in 0..cfg.redundancy {
         let rt = t + SimTime::from_millis(u64::from(r));
         let mut send = |retry: u32, at: SimTime, transport: Transport| {
-            let id = attempt_id(t, scope, r, retry);
-            template.render(id, scope, &mut bufs.query);
-            let got = view.gpdns_query_routed_into(
-                session,
-                route,
-                &bufs.query,
-                transport,
-                at,
-                &mut bufs.resp,
-            );
-            observe_response(&bufs.query, id, got.then_some(bufs.resp.as_slice()))
+            exchange(attempt_id(t, scope, r, retry), at, transport)
         };
         let outcome = match fc {
-            Some(fc) => resilient_attempt(route.prober, rt, cfg.transport, fc, send),
+            Some(fc) => resilient_attempt(prober, rt, cfg.transport, fc, send),
             None => match send(0, rt, cfg.transport) {
                 WireObservation::Ok(outcome) => outcome,
                 _ => ProbeOutcome::Dropped,
@@ -141,6 +161,42 @@ pub fn probe_scope(
         }
     }
     best
+}
+
+/// One probe event on the byte-free batched lane: fault-free cores
+/// serve it whole ([`clientmap_sim::GooglePublicDns::serve_event`]);
+/// under fault injection each redundant query goes through the
+/// connection's per-query door
+/// ([`clientmap_sim::GooglePublicDns::serve_attempt`]) inside the same
+/// [`probe_event`] loop the wire probe runs — same transaction IDs,
+/// retries, backoff and transport upgrade, no bytes.
+pub fn serve_batched(
+    view: &SimView<'_>,
+    conn: &mut BatchConn,
+    dom: &BatchDomain<'_>,
+    lane: &ScopeLane,
+    cfg: &ProbeConfig,
+    t: SimTime,
+    fc: Option<&FaultCounters>,
+) -> ProbeOutcome {
+    let Some(fc) = fc else {
+        return view
+            .gpdns
+            .serve_event(conn, dom, view.auth, lane, t, cfg.redundancy);
+    };
+    probe_event(
+        conn.prober(),
+        lane.scope(),
+        cfg,
+        t,
+        Some(fc),
+        |id, at, transport| {
+            observe_reply(
+                view.gpdns
+                    .serve_attempt(conn, dom, view.auth, lane, transport, at, id),
+            )
+        },
+    )
 }
 
 /// Popular domains probed (paper: the top 4 ECS+TTL-qualified Alexa
@@ -304,10 +360,16 @@ fn window_slots(
         .map(move |(_, li, offset_secs)| (li, t0 + SimTime::from_secs_f64(offset_secs)))
 }
 
-/// Probes one ⟨PoP, domain⟩ stream for the whole window on the scalar
-/// lane ([`probe_scope`]). Each stream is its own connection with its
-/// own session, so units are fully independent — the executor may run
-/// them in any order.
+/// Probes one ⟨PoP, domain⟩ stream for the whole window on the lane
+/// `cfg.batched_probing` picks. Each stream is its own connection with
+/// its own session, so units are fully independent — the executor may
+/// run them in any order.
+///
+/// The batched lane hoists routing, admission state, the per-scope
+/// cache lanes and the constant heads of the hash chains out of the
+/// per-probe loop and renders nothing ([`serve_batched`]); the lanes and
+/// the records are the unit's only buffers. The wire lane
+/// ([`probe_scope`]) is its oracle.
 #[allow(clippy::too_many_arguments)]
 fn probe_unit(
     view: &SimView<'_>,
@@ -319,24 +381,57 @@ fn probe_unit(
     metrics: &ProbeMetrics,
     fc: Option<&FaultCounters>,
 ) -> UnitRecords {
-    let mut records = vec![ScopeRecord::default(); scopes.len()];
-    let mut tripped = false;
     let mut session = GpdnsSession::new();
-    let mut bufs = ProbeBufs::default();
     let route = bound.route(view.catchments);
+    if !cfg.batched_probing {
+        let mut bufs = ProbeBufs::default();
+        return probe_stream(cfg, scopes.len(), t0, metrics, fc, |li, t| {
+            probe_scope(
+                view,
+                &mut session,
+                &route,
+                template,
+                scopes[li],
+                cfg,
+                t,
+                fc,
+                &mut bufs,
+            )
+        });
+    }
+    let mut conn = view.gpdns.open_conn(&route, &session, cfg.transport);
+    let dom = view
+        .gpdns
+        .batch_domain(&conn, template.qname_wire())
+        .expect("selected domains are probeable");
+    let lanes: Vec<ScopeLane> = scopes
+        .iter()
+        .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
+        .collect();
+    let records = probe_stream(cfg, scopes.len(), t0, metrics, fc, |li, t| {
+        serve_batched(view, &mut conn, &dom, &lanes[li], cfg, t, fc)
+    });
+    view.gpdns.close_batch(conn, &mut session);
+    records
+}
+
+/// The stream loop, one for every lane: walks the window's slots, has
+/// `serve` probe each, tallies each outcome into its slot's record in
+/// slot order, runs the circuit breaker under fault injection, and
+/// books the records as the stream ends.
+fn probe_stream(
+    cfg: &ProbeConfig,
+    num_scopes: usize,
+    t0: SimTime,
+    metrics: &ProbeMetrics,
+    fc: Option<&FaultCounters>,
+    mut serve: impl FnMut(usize, SimTime) -> ProbeOutcome,
+) -> UnitRecords {
+    let mut records = vec![ScopeRecord::default(); num_scopes];
+    let mut tripped = false;
     let mut consecutive_drops = 0u32;
-    for (li, t) in window_slots(cfg, scopes.len(), t0) {
-        let outcome = probe_scope(
-            view,
-            &mut session,
-            &route,
-            template,
-            scopes[li],
-            cfg,
-            t,
-            fc,
-            &mut bufs,
-        );
+    for (li, t) in window_slots(cfg, num_scopes, t0) {
+        let outcome = serve(li, t);
         tally(&mut records[li], &outcome);
         // Circuit breaker: a PoP that eats everything we send — even
         // after retries — is almost certainly dark; abandon the stream
@@ -355,58 +450,6 @@ fn probe_unit(
     }
     book(metrics, &records, cfg.redundancy);
     (records, tripped)
-}
-
-/// Batched sibling of [`probe_unit`]: the same ⟨PoP, domain⟩ stream,
-/// served through the simulator's batch door. Routing, admission
-/// state, the per-scope cache lanes and the constant heads of the hash
-/// chains hoist out of the per-probe loop; each slot is served by
-/// [`clientmap_sim::GooglePublicDns::serve_event`] and tallied straight
-/// into its record — no query is rendered, and the lanes and the
-/// records are the unit's only buffers.
-///
-/// Fault-free cores only: the caller ([`main_delta`]) sends faulted
-/// streams down the scalar resilient lane.
-fn probe_unit_batched(
-    view: &SimView<'_>,
-    bound: &BoundVantage,
-    template: &wire::ProbeQueryTemplate,
-    scopes: &[Prefix],
-    cfg: &ProbeConfig,
-    t0: SimTime,
-    metrics: &ProbeMetrics,
-) -> UnitRecords {
-    let mut session = GpdnsSession::new();
-    let mut conn = view
-        .gpdns
-        .open_batch(
-            view.catchments,
-            &session,
-            bound.prober_key(),
-            bound.coord(),
-            cfg.transport,
-        )
-        .expect("fault-free cores always open batch connections");
-    let dom = view
-        .gpdns
-        .batch_domain(&conn, template.qname_wire())
-        .expect("selected domains are probeable");
-    let lanes: Vec<ScopeLane> = scopes
-        .iter()
-        .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
-        .collect();
-
-    // Tallied exactly as the scalar loop does, in slot order.
-    let mut records = vec![ScopeRecord::default(); scopes.len()];
-    for (li, t) in window_slots(cfg, scopes.len(), t0) {
-        let outcome =
-            view.gpdns
-                .serve_event(&mut conn, &dom, view.auth, &lanes[li], t, cfg.redundancy);
-        tally(&mut records[li], &outcome);
-    }
-    view.gpdns.close_batch(conn, &mut session);
-    book(metrics, &records, cfg.redundancy);
-    (records, false)
 }
 
 /// The snapshot key of one ⟨vantage, domain, scope⟩ stream slot.
@@ -1188,25 +1231,23 @@ fn main_delta(
 ) -> (SweepSnapshot, Vec<PopHealth>) {
     let view = sim.view();
     let tallies: Vec<UnitRecords> = par_map(units, |_, u| {
-        // Fault-free streams ride the batch kernel when enabled;
-        // faulted ones take the resilient scalar lane, which keeps fault
-        // accounting untouched by construction.
-        let (bound, template) = (&ctx.bound[u.bound_idx], &ctx.templates[u.domain]);
-        let metrics = &ctx.pop_metrics[u.bound_idx];
-        let fc = ctx.fc.as_ref();
-        if cfg.batched_probing && fc.is_none() {
-            probe_unit_batched(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics)
-        } else {
-            probe_unit(&view, bound, template, &u.scopes, cfg, ctx.t0, metrics, fc)
-        }
+        probe_unit(
+            &view,
+            &ctx.bound[u.bound_idx],
+            &ctx.templates[u.domain],
+            &u.scopes,
+            cfg,
+            ctx.t0,
+            &ctx.pop_metrics[u.bound_idx],
+            ctx.fc.as_ref(),
+        )
     });
     let (records, book) = fold_tallies(&ctx.bound, units, tallies, |_| true);
     let book = if ctx.fc.is_some() { book } else { Vec::new() };
     (shard_delta(ctx, shard_id, records), book)
 }
 
-/// Probes rescue units on the resilient scalar lane and reduces them to
-/// a delta. Each unit gets a one-pass window — its slot budget covers
+/// Probes rescue units, resilient, and reduces them to a delta. Each unit gets a one-pass window — its slot budget covers
 /// the scope list exactly once — starting one minute after the main
 /// probing window closes. Unlike the main phase, unprobed rescue scopes
 /// keep no record: a rescue record means "this scope was re-probed",

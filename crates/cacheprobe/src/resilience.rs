@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use clientmap_dns::wire;
 use clientmap_net::{Prefix, SeedMixer};
-use clientmap_sim::{GooglePublicDns, ProbeOutcome, SimTime, Transport};
+use clientmap_sim::{AttemptReply, GooglePublicDns, ProbeOutcome, SimTime, Transport};
 use clientmap_telemetry::{Counter, MetricsRegistry};
 
 /// Retries per probe query beyond the first send.
@@ -83,6 +83,26 @@ pub fn observe_response(query: &[u8], id: u16, resp: Option<&[u8]>) -> WireObser
     }
 }
 
+/// [`observe_response`] for the batched lane's byte-free reply: the
+/// same classification, read off the typed stand-in instead of a parsed
+/// response. There is no ID or question echo to verify — nothing was
+/// rendered that could cross wires — so it never observes
+/// [`WireObservation::Mismatch`].
+pub(crate) fn observe_reply(reply: AttemptReply) -> WireObservation {
+    match reply {
+        AttemptReply::Dropped => WireObservation::Dropped,
+        AttemptReply::Error { tc: true, .. } => WireObservation::Truncated,
+        // An answerless rcode-0 response reads as a verified miss.
+        AttemptReply::Error { rcode: 0, .. } => WireObservation::Ok(ProbeOutcome::Miss),
+        AttemptReply::Error { rcode: 5, .. } => WireObservation::Refused,
+        AttemptReply::Error { .. } => WireObservation::ServFail,
+        AttemptReply::Answer(outcome) => WireObservation::Ok(outcome),
+    }
+}
+
+/// The head of every [`attempt_id`] chain, mixed once at compile time.
+const ATTEMPT_ID_HEAD: SeedMixer = SeedMixer::new(0x1D5).mix_str("attempt-id");
+
 /// The DNS transaction ID for one probe attempt.
 ///
 /// The base is a stable hash of the probe's slot time and query scope;
@@ -92,8 +112,7 @@ pub fn observe_response(query: &[u8], id: u16, resp: Option<&[u8]>) -> WireObser
 /// queries of a probe event — any stale answer verified against any
 /// attempt.)
 pub fn attempt_id(t: SimTime, scope: Prefix, redundancy: u32, retry: u32) -> u16 {
-    let h = SeedMixer::new(0x1D5)
-        .mix_str("attempt-id")
+    let h = ATTEMPT_ID_HEAD
         .mix(t.as_millis())
         .mix(u64::from(scope.addr()))
         .mix(u64::from(scope.len()))
@@ -349,6 +368,66 @@ mod tests {
         }
         // And stable.
         assert_eq!(attempt_id(t, scope, 3, 2), attempt_id(t, scope, 3, 2));
+    }
+
+    /// `attempt_id` as it was before its head became a constant.
+    fn oracle_attempt_id(t: SimTime, scope: Prefix, redundancy: u32, retry: u32) -> u16 {
+        let h = SeedMixer::new(0x1D5)
+            .mix_str("attempt-id")
+            .mix(t.as_millis())
+            .mix(u64::from(scope.addr()))
+            .mix(u64::from(scope.len()))
+            .finish();
+        (h as u16) ^ (((redundancy << 4) | (retry & 0xF)) as u16)
+    }
+
+    #[test]
+    fn constant_head_attempt_ids_match_the_full_chain() {
+        let mut state = 0xA77E_u64;
+        for _ in 0..20_000 {
+            state = clientmap_net::splitmix64(state);
+            let t = SimTime::from_millis(state % (200 * 3_600_000));
+            let scope = Prefix::new((state >> 17) as u32, (state % 33) as u8).unwrap();
+            let (r, retry) = ((state >> 40) as u32 % 8, (state >> 50) as u32 % 5);
+            assert_eq!(
+                attempt_id(t, scope, r, retry),
+                oracle_attempt_id(t, scope, r, retry)
+            );
+        }
+    }
+
+    #[test]
+    fn byte_free_replies_observe_as_their_responses_do() {
+        let query = probe_query(0x1234);
+        let qw = question_wire(&query).to_vec();
+        let mut resp = Vec::new();
+        for (rcode, tc) in [
+            (0u8, false),
+            (0, true),
+            (2, false),
+            (5, false),
+            (5, true),
+            (3, false),
+        ] {
+            wire::write_probe_error_response(&mut resp, 0x1234, &qw, rcode, tc);
+            assert_eq!(
+                observe_reply(AttemptReply::Error { rcode, tc }),
+                observe_response(&query, 0x1234, Some(&resp)),
+                "rcode {rcode} tc {tc}"
+            );
+        }
+        assert_eq!(
+            observe_reply(AttemptReply::Dropped),
+            observe_response(&query, 0x1234, None)
+        );
+        let hit = ProbeOutcome::Hit {
+            scope: "10.1.0.0/16".parse().unwrap(),
+            remaining_ttl: 30,
+        };
+        assert_eq!(
+            observe_reply(AttemptReply::Answer(hit.clone())),
+            WireObservation::Ok(hit)
+        );
     }
 
     #[test]

@@ -141,6 +141,17 @@ pub enum QueryFault {
 }
 
 impl QueryFault {
+    /// Every class, in declaration order — `ALL[f as usize] == f`.
+    pub const ALL: [QueryFault; 7] = [
+        QueryFault::Loss,
+        QueryFault::ServFail,
+        QueryFault::Refused,
+        QueryFault::Truncate,
+        QueryFault::Latency,
+        QueryFault::TcpReset,
+        QueryFault::Outage,
+    ];
+
     /// Stable telemetry suffix (`faults.injected.<label>`).
     pub fn label(self) -> &'static str {
         match self {
@@ -249,6 +260,73 @@ pub struct FaultPlan {
     fault_seed: u64,
     profile: FaultProfile,
     rates: Rates,
+    /// The per-query chain, seeded and tagged. A [`SeedMixer`] is a
+    /// pure fold, so every decision continues a stored head instead of
+    /// re-mixing it.
+    query: SeedMixer,
+    /// The catchment-flap chain, seeded and tagged.
+    flap: SeedMixer,
+}
+
+/// One prober's slice of a [`FaultPlan`] at one PoP: the PoP's
+/// maintenance window, taken once, and the per-query chain already
+/// mixed through ⟨prober, PoP⟩. Every query decision goes through one
+/// of these — [`FaultPlan::query_fault`] builds one per call, a probe
+/// connection keeps one per PoP it can land on.
+#[derive(Debug, Clone, Copy)]
+pub struct PopFaults {
+    rates: Rates,
+    outage: Option<(u64, u64)>,
+    /// The query chain through ⟨prober, PoP⟩.
+    head: SeedMixer,
+}
+
+impl PopFaults {
+    /// The fault (if any) suffered by one wire query from this prober
+    /// to this PoP, sent over UDP (`udp`) at `t_millis` with DNS query
+    /// ID `id`. Outage windows dominate — during one, *every* query to
+    /// the PoP is lost.
+    pub fn query_fault(&self, udp: bool, t_millis: u64, id: u16) -> Option<QueryFault> {
+        if self
+            .outage
+            .is_some_and(|(start, end)| (start..end).contains(&t_millis))
+        {
+            return Some(QueryFault::Outage);
+        }
+        let r = &self.rates;
+        let u = unit(
+            self.head
+                .mix(t_millis)
+                .mix(u64::from(id))
+                .mix(u64::from(udp))
+                .finish(),
+        );
+        let mut edge = r.loss;
+        if u < edge {
+            return Some(QueryFault::Loss);
+        }
+        edge += r.servfail;
+        if u < edge {
+            return Some(QueryFault::ServFail);
+        }
+        edge += r.refused;
+        if u < edge {
+            return Some(QueryFault::Refused);
+        }
+        edge += r.latency;
+        if u < edge {
+            return Some(QueryFault::Latency);
+        }
+        edge += if udp { r.truncate } else { r.tcp_reset };
+        if u < edge {
+            return Some(if udp {
+                QueryFault::Truncate
+            } else {
+                QueryFault::TcpReset
+            });
+        }
+        None
+    }
 }
 
 impl FaultPlan {
@@ -263,6 +341,8 @@ impl FaultPlan {
             fault_seed: config.fault_seed,
             profile: config.profile,
             rates: config.profile.rates(),
+            query: SeedMixer::new(seed).mix_str("query"),
+            flap: SeedMixer::new(seed).mix_str("flap"),
         }
     }
 
@@ -309,9 +389,8 @@ impl FaultPlan {
 
     /// The fault (if any) suffered by one wire query, identified by
     /// its stable coordinates: prober key, serving PoP, transport
-    /// (`udp`), send time in sim-milliseconds, and DNS query ID.
-    /// Outage windows dominate — during one, *every* query to the PoP
-    /// is lost.
+    /// (`udp`), send time in sim-milliseconds, and DNS query ID — the
+    /// per-call form of [`PopFaults::query_fault`].
     pub fn query_fault(
         &self,
         prober: u64,
@@ -323,61 +402,24 @@ impl FaultPlan {
         if self.is_off() {
             return None;
         }
-        if self.pop_in_outage(pop, t_millis) {
-            return Some(QueryFault::Outage);
+        self.at(prober, pop).query_fault(udp, t_millis, id)
+    }
+
+    /// This plan as seen by `prober` at `pop`: the outage window and
+    /// the query chain head, resolved once.
+    pub fn at(&self, prober: u64, pop: usize) -> PopFaults {
+        PopFaults {
+            rates: self.rates,
+            outage: self.outage_window(pop),
+            head: self.query.mix(prober).mix(pop as u64),
         }
-        let r = &self.rates;
-        let u = unit(
-            SeedMixer::new(self.seed)
-                .mix_str("query")
-                .mix(prober)
-                .mix(pop as u64)
-                .mix(t_millis)
-                .mix(u64::from(id))
-                .mix(u64::from(udp))
-                .finish(),
-        );
-        let mut edge = r.loss;
-        if u < edge {
-            return Some(QueryFault::Loss);
-        }
-        edge += r.servfail;
-        if u < edge {
-            return Some(QueryFault::ServFail);
-        }
-        edge += r.refused;
-        if u < edge {
-            return Some(QueryFault::Refused);
-        }
-        edge += r.latency;
-        if u < edge {
-            return Some(QueryFault::Latency);
-        }
-        edge += if udp { r.truncate } else { r.tcp_reset };
-        if u < edge {
-            return Some(if udp {
-                QueryFault::Truncate
-            } else {
-                QueryFault::TcpReset
-            });
-        }
-        None
     }
 
     /// Whether `pop` sits inside its seeded maintenance window at
     /// `t_millis`. A PoP either has one window per run or none.
     pub fn pop_in_outage(&self, pop: usize, t_millis: u64) -> bool {
-        if self.rates.outage_prob == 0.0 {
-            return false;
-        }
-        let h = SeedMixer::new(self.seed).mix_str("outage").mix(pop as u64);
-        if unit(h.finish()) >= self.rates.outage_prob {
-            return false;
-        }
-        let start = OUTAGE_EARLIEST_MS
-            + (unit(h.mix_str("start").finish()) * OUTAGE_SPREAD_MS as f64) as u64;
-        let dur = OUTAGE_MIN_MS + (unit(h.mix_str("dur").finish()) * OUTAGE_VAR_MS as f64) as u64;
-        (start..start + dur).contains(&t_millis)
+        self.outage_window(pop)
+            .is_some_and(|(start, end)| (start..end).contains(&t_millis))
     }
 
     /// The maintenance window for `pop`, if the plan gives it one —
@@ -403,14 +445,7 @@ impl FaultPlan {
             return false;
         }
         let window = t_millis / FLAP_WINDOW_MS;
-        let u = unit(
-            SeedMixer::new(self.seed)
-                .mix_str("flap")
-                .mix(key)
-                .mix(window)
-                .finish(),
-        );
-        u < self.rates.flap
+        unit(self.flap.mix(key).mix(window).finish()) < self.rates.flap
     }
 }
 
@@ -449,14 +484,20 @@ impl FaultMetrics {
 
     /// Bumps the counter for one injected fault.
     pub fn count_injected(&self, fault: QueryFault) {
+        self.add_injected(fault, 1);
+    }
+
+    /// Adds `n` injections of one class — a connection's tally, flushed
+    /// when it closes.
+    pub fn add_injected(&self, fault: QueryFault, n: u64) {
         match fault {
-            QueryFault::Loss => self.loss.inc(),
-            QueryFault::ServFail => self.servfail.inc(),
-            QueryFault::Refused => self.refused.inc(),
-            QueryFault::Truncate => self.truncate.inc(),
-            QueryFault::Latency => self.latency.inc(),
-            QueryFault::TcpReset => self.tcp_reset.inc(),
-            QueryFault::Outage => self.outage.inc(),
+            QueryFault::Loss => self.loss.add(n),
+            QueryFault::ServFail => self.servfail.add(n),
+            QueryFault::Refused => self.refused.add(n),
+            QueryFault::Truncate => self.truncate.add(n),
+            QueryFault::Latency => self.latency.add(n),
+            QueryFault::TcpReset => self.tcp_reset.add(n),
+            QueryFault::Outage => self.outage.add(n),
         }
     }
 }
@@ -584,6 +625,126 @@ mod tests {
         }
         let rate = flapped as f64 / 2_000.0;
         assert!((0.04..0.13).contains(&rate), "flap rate {rate}");
+    }
+
+    /// The full per-query chains as they were before the plan and its
+    /// [`PopFaults`] handles stored their heads: the oracle the hoisted
+    /// forms must match decision for decision.
+    fn oracle_query_fault(
+        plan: &FaultPlan,
+        prober: u64,
+        pop: usize,
+        udp: bool,
+        t_millis: u64,
+        id: u16,
+    ) -> Option<QueryFault> {
+        if plan.is_off() {
+            return None;
+        }
+        if oracle_pop_in_outage(plan, pop, t_millis) {
+            return Some(QueryFault::Outage);
+        }
+        let r = &plan.rates;
+        let u = unit(
+            SeedMixer::new(plan.seed)
+                .mix_str("query")
+                .mix(prober)
+                .mix(pop as u64)
+                .mix(t_millis)
+                .mix(u64::from(id))
+                .mix(u64::from(udp))
+                .finish(),
+        );
+        let edges = [
+            (r.loss, QueryFault::Loss),
+            (r.servfail, QueryFault::ServFail),
+            (r.refused, QueryFault::Refused),
+            (r.latency, QueryFault::Latency),
+        ];
+        let mut edge = 0.0;
+        for (rate, fault) in edges {
+            edge += rate;
+            if u < edge {
+                return Some(fault);
+            }
+        }
+        edge += if udp { r.truncate } else { r.tcp_reset };
+        (u < edge).then_some(if udp {
+            QueryFault::Truncate
+        } else {
+            QueryFault::TcpReset
+        })
+    }
+
+    fn oracle_pop_in_outage(plan: &FaultPlan, pop: usize, t_millis: u64) -> bool {
+        if plan.rates.outage_prob == 0.0 {
+            return false;
+        }
+        let h = SeedMixer::new(plan.seed).mix_str("outage").mix(pop as u64);
+        if unit(h.finish()) >= plan.rates.outage_prob {
+            return false;
+        }
+        let start = OUTAGE_EARLIEST_MS
+            + (unit(h.mix_str("start").finish()) * OUTAGE_SPREAD_MS as f64) as u64;
+        let dur = OUTAGE_MIN_MS + (unit(h.mix_str("dur").finish()) * OUTAGE_VAR_MS as f64) as u64;
+        (start..start + dur).contains(&t_millis)
+    }
+
+    fn oracle_flap(plan: &FaultPlan, key: u64, t_millis: u64) -> bool {
+        if plan.rates.flap == 0.0 {
+            return false;
+        }
+        let u = unit(
+            SeedMixer::new(plan.seed)
+                .mix_str("flap")
+                .mix(key)
+                .mix(t_millis / FLAP_WINDOW_MS)
+                .finish(),
+        );
+        u < plan.rates.flap
+    }
+
+    #[test]
+    fn hoisted_heads_match_the_full_chains_for_every_profile() {
+        let mut state = 0xFA17_u64;
+        let mut next = move || {
+            state = clientmap_net::splitmix64(state);
+            state
+        };
+        for profile in FaultProfile::ALL {
+            let plan = FaultPlan::new(next(), &FaultConfig::profile(profile, next() % 16));
+            let mut classes = std::collections::HashSet::new();
+            for _ in 0..20_000 {
+                let (prober, pop) = (next() % 64, (next() % 45) as usize);
+                // Inside the span outage windows can cover, and past it.
+                let t = next() % (20 * 3_600_000);
+                let (id, udp) = (next() as u16, next() % 2 == 0);
+                let want = oracle_query_fault(&plan, prober, pop, udp, t, id);
+                assert_eq!(plan.query_fault(prober, pop, udp, t, id), want);
+                assert_eq!(plan.at(prober, pop).query_fault(udp, t, id), want);
+                assert_eq!(
+                    plan.pop_in_outage(pop, t),
+                    oracle_pop_in_outage(&plan, pop, t)
+                );
+                assert_eq!(plan.flap(prober, t), oracle_flap(&plan, prober, t));
+                classes.insert(want);
+            }
+            // Every class the profile can inject shows up, so each
+            // branch of the decision was compared.
+            let expected = match profile {
+                FaultProfile::Off => 1,
+                FaultProfile::Light => 7,
+                FaultProfile::Lossy | FaultProfile::PopChurn => 8,
+            };
+            assert_eq!(classes.len(), expected, "{profile:?}: {classes:?}");
+        }
+    }
+
+    #[test]
+    fn query_fault_classes_index_their_table() {
+        for (i, f) in QueryFault::ALL.into_iter().enumerate() {
+            assert_eq!(f as usize, i);
+        }
     }
 
     #[test]

@@ -40,11 +40,22 @@ impl GeoCoord {
     /// assert!((d - 5570.0).abs() < 20.0, "got {d}");
     /// ```
     pub fn distance_km(&self, other: &GeoCoord) -> f64 {
-        let lat1 = self.lat.to_radians();
-        let lat2 = other.lat.to_radians();
+        self.distance_km_cos(self.cos_lat(), other, other.cos_lat())
+    }
+
+    /// The cosine of the latitude — the per-point factor of
+    /// [`GeoCoord::distance_km`], for callers that keep it.
+    pub fn cos_lat(&self) -> f64 {
+        self.lat.to_radians().cos()
+    }
+
+    /// [`GeoCoord::distance_km`] with both points' [`GeoCoord::cos_lat`]
+    /// supplied, for a caller measuring one point against many: the
+    /// same expression in the same order, so the same bits.
+    pub fn distance_km_cos(&self, cos_lat: f64, other: &GeoCoord, other_cos_lat: f64) -> f64 {
         let dlat = (other.lat - self.lat).to_radians();
         let dlon = (other.lon - self.lon).to_radians();
-        let a = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        let a = (dlat / 2.0).sin().powi(2) + cos_lat * other_cos_lat * (dlon / 2.0).sin().powi(2);
         2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
     }
 
@@ -97,6 +108,39 @@ impl fmt::Display for GeoCoord {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The haversine as it was written before its cosines could be
+    /// supplied.
+    fn oracle_distance_km(a: &GeoCoord, b: &GeoCoord) -> f64 {
+        let lat1 = a.lat.to_radians();
+        let lat2 = b.lat.to_radians();
+        let dlat = (b.lat - a.lat).to_radians();
+        let dlon = (b.lon - a.lon).to_radians();
+        let h = (dlat / 2.0).sin().powi(2) + lat1.cos() * lat2.cos() * (dlon / 2.0).sin().powi(2);
+        2.0 * EARTH_RADIUS_KM * h.sqrt().asin()
+    }
+
+    #[test]
+    fn supplied_cosines_give_the_same_bits() {
+        let mut state = 0xD15_u64;
+        let mut coord = || {
+            state = crate::splitmix64(state);
+            GeoCoord::new(
+                (state >> 11) as f64 / (1u64 << 53) as f64 * 180.0 - 90.0,
+                (state & 0xFFFF_FFFF) as f64 / f64::from(u32::MAX) * 360.0 - 180.0,
+            )
+            .unwrap()
+        };
+        for _ in 0..10_000 {
+            let (a, b) = (coord(), coord());
+            let want = oracle_distance_km(&a, &b).to_bits();
+            assert_eq!(a.distance_km(&b).to_bits(), want);
+            assert_eq!(
+                a.distance_km_cos(a.cos_lat(), &b, b.cos_lat()).to_bits(),
+                want
+            );
+        }
+    }
 
     #[test]
     fn zero_distance() {

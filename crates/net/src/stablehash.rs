@@ -10,7 +10,7 @@
 
 /// One splitmix64 step (public-domain constants from Vigna's splitmix64).
 #[inline]
-pub fn splitmix64(state: u64) -> u64 {
+pub const fn splitmix64(state: u64) -> u64 {
     let mut z = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -32,30 +32,35 @@ pub struct SeedMixer(u64);
 
 impl SeedMixer {
     /// Starts from a root seed.
-    pub fn new(seed: u64) -> Self {
+    pub const fn new(seed: u64) -> Self {
         SeedMixer(splitmix64(seed))
     }
 
     /// Mixes in one 64-bit value.
     #[must_use]
-    pub fn mix(self, v: u64) -> Self {
+    pub const fn mix(self, v: u64) -> Self {
         SeedMixer(splitmix64(self.0 ^ v.wrapping_mul(0x9E37_79B9_7F4A_7C15)))
     }
 
-    /// Mixes in a string byte-by-byte (chunked for speed).
+    /// Mixes in a string byte-by-byte (chunked for speed). A `const
+    /// fn`, so a chain head built from constants is itself a constant.
     #[must_use]
-    pub fn mix_str(self, s: &str) -> Self {
+    pub const fn mix_str(self, s: &str) -> Self {
         let mut m = self.mix(s.len() as u64);
-        for chunk in s.as_bytes().chunks(8) {
+        let mut rest = s.as_bytes();
+        while !rest.is_empty() {
+            let n = if rest.len() < 8 { rest.len() } else { 8 };
+            let (chunk, tail) = rest.split_at(n);
             let mut v = [0u8; 8];
-            v[..chunk.len()].copy_from_slice(chunk);
+            v.split_at_mut(n).0.copy_from_slice(chunk);
             m = m.mix(u64::from_le_bytes(v));
+            rest = tail;
         }
         m
     }
 
     /// The derived seed.
-    pub fn finish(self) -> u64 {
+    pub const fn finish(self) -> u64 {
         splitmix64(self.0)
     }
 }
@@ -109,6 +114,35 @@ mod tests {
             assert_eq!(tag.mix(a).mix(b).mix(c).finish(), full);
             assert_eq!(head.mix(c).finish(), full);
             assert_eq!(head.mix(c).finish(), full, "a reused head is unchanged");
+        }
+    }
+
+    /// The chunked `mix_str` from before it became a `const fn`.
+    fn oracle_mix_str(m: SeedMixer, s: &str) -> SeedMixer {
+        let mut m = m.mix(s.len() as u64);
+        for chunk in s.as_bytes().chunks(8) {
+            let mut v = [0u8; 8];
+            v[..chunk.len()].copy_from_slice(chunk);
+            m = m.mix(u64::from_le_bytes(v));
+        }
+        m
+    }
+
+    #[test]
+    fn const_mix_str_matches_the_chunked_fold() {
+        const HEAD: SeedMixer = SeedMixer::new(0x1D5).mix_str("attempt-id");
+        assert_eq!(
+            HEAD.finish(),
+            oracle_mix_str(SeedMixer::new(0x1D5), "attempt-id").finish()
+        );
+        let text = "anycast-inflation·pop:LHR/ümlaut-and-some-more-bytes";
+        for end in (0..=text.len()).filter(|&i| text.is_char_boundary(i)) {
+            let s = &text[..end];
+            assert_eq!(
+                SeedMixer::new(7).mix_str(s).finish(),
+                oracle_mix_str(SeedMixer::new(7), s).finish(),
+                "{s:?}"
+            );
         }
     }
 

@@ -24,45 +24,64 @@ use crate::pops::{active_pops, pop_catalog, probeable_pops, PopId};
 pub struct Catchments {
     /// Index parallel to `world.slash24s`.
     by_slash24: Vec<PopId>,
-    seed: u64,
+    /// The routing-inflation chain, seeded and tagged.
+    inflation: SeedMixer,
+    /// The PoPs clients can reach (every active one).
+    client_pops: Vec<Candidate>,
+    /// The PoPs cloud VMs can reach (the probeable set).
+    vantage_pops: Vec<Candidate>,
 }
 
-/// Deterministic routing-inflation factor in `[1, 1+spread)` for an
-/// entity identified by `key`.
-fn inflation(seed: u64, key: u64, pop: PopId, spread: f64) -> f64 {
-    let h = SeedMixer::new(seed)
-        .mix_str("anycast-inflation")
-        .mix(key)
-        .mix(pop as u64)
-        .finish();
-    // Map to [0,1) then to [1, 1+spread).
-    1.0 + (h >> 11) as f64 / (1u64 << 53) as f64 * spread
-}
-
-/// Chooses the PoP with minimal inflated distance among `candidates`.
+/// One PoP as routing sees it, measured once per table: its id and
+/// coordinates, the cosine of its latitude, and its routing penalty.
 ///
 /// Active-but-cloud-unreachable PoPs (the paper's "unprobed and
-/// verified" five) carry a routing penalty: they announce the anycast
-/// prefix to fewer peers, so even nearby clients often route past them
-/// — which is why they carry only ~5% of Google's query volume
+/// verified" five) carry a penalty: they announce the anycast prefix
+/// to fewer peers, so even nearby clients often route past them —
+/// which is why they carry only ~5% of Google's query volume
 /// (Appendix A.1).
-fn route(
-    seed: u64,
-    key: u64,
+#[derive(Debug, Clone, Copy)]
+struct Candidate {
+    id: PopId,
+    coord: GeoCoord,
+    cos_lat: f64,
+    penalty: f64,
+}
+
+fn candidates(ids: impl Iterator<Item = PopId>) -> Vec<Candidate> {
+    let pops = pop_catalog();
+    ids.map(|id| Candidate {
+        id,
+        coord: pops[id].coord,
+        cos_lat: pops[id].coord.cos_lat(),
+        penalty: if pops[id].status == crate::pops::PopStatus::UnprobedVerified {
+            2.2
+        } else {
+            1.0
+        },
+    })
+    .collect()
+}
+
+/// Chooses the PoP with minimal inflated distance among `candidates`
+/// (the first such, in candidate order). `by_key` is the inflation
+/// chain already mixed with the routed entity's key; each candidate's
+/// deterministic inflation factor, in `[1, 1+spread)`, continues it with
+/// the PoP id.
+fn route<'c>(
+    by_key: SeedMixer,
     from: GeoCoord,
-    candidates: impl Iterator<Item = PopId>,
+    candidates: impl Iterator<Item = &'c Candidate>,
     spread: f64,
 ) -> PopId {
-    let pops = pop_catalog();
+    let cos_from = from.cos_lat();
     candidates
-        .map(|id| {
-            let d = from.distance_km(&pops[id].coord).max(1.0);
-            let penalty = if pops[id].status == crate::pops::PopStatus::UnprobedVerified {
-                2.2
-            } else {
-                1.0
-            };
-            (d * penalty * inflation(seed, key, id, spread), id)
+        .map(|c| {
+            let d = from.distance_km_cos(cos_from, &c.coord, c.cos_lat).max(1.0);
+            let h = by_key.mix(c.id as u64).finish();
+            // Map to [0,1) then to [1, 1+spread).
+            let inflation = 1.0 + (h >> 11) as f64 / (1u64 << 53) as f64 * spread;
+            (d * c.penalty * inflation, c.id)
         })
         .min_by(|a, b| a.0.total_cmp(&b.0))
         .map(|(_, id)| id)
@@ -100,18 +119,20 @@ impl Catchments {
         let seed = SeedMixer::new(world.config.seed)
             .mix_str("catchments")
             .finish();
+        let inflation = SeedMixer::new(seed).mix_str("anycast-inflation");
+        let client_pops = candidates(active_pops());
         // A pure per-/24 map; the ordered reduction keeps the table
         // identical at any thread count.
         let by_slash24 = par_map(&world.slash24s, |_, s| {
-            route(
-                seed,
-                u64::from(s.prefix.addr()),
-                s.coord,
-                active_pops(),
-                CLIENT_SPREAD,
-            )
+            let by_key = inflation.mix(u64::from(s.prefix.addr()));
+            route(by_key, s.coord, client_pops.iter(), CLIENT_SPREAD)
         });
-        Catchments { by_slash24, seed }
+        Catchments {
+            by_slash24,
+            inflation,
+            client_pops,
+            vantage_pops: candidates(probeable_pops()),
+        }
     }
 
     /// The PoP serving the world's `i`-th routed /24.
@@ -123,24 +144,38 @@ impl Catchments {
     /// (used for resolvers and for ad-hoc queries; keyed by a caller-
     /// chosen stable id so the same entity always routes the same way).
     pub fn of_client_coord(&self, key: u64, coord: GeoCoord) -> PopId {
-        route(self.seed, key, coord, active_pops(), CLIENT_SPREAD)
+        route(
+            self.inflation.mix(key),
+            coord,
+            self.client_pops.iter(),
+            CLIENT_SPREAD,
+        )
     }
 
     /// The PoP a cloud VM at `coord` reaches — restricted to the
     /// probeable set (the 5 active-unprobed PoPs attract no cloud route).
     pub fn of_vantage(&self, key: u64, coord: GeoCoord) -> PopId {
-        route(self.seed, key, coord, probeable_pops(), VM_SPREAD)
+        route(
+            self.inflation.mix(key),
+            coord,
+            self.vantage_pops.iter(),
+            VM_SPREAD,
+        )
     }
 
     /// [`Catchments::of_vantage`] with one PoP withdrawn — where a
     /// vantage's traffic lands while an anycast flap (fault injection)
     /// suppresses its home catchment for a routing window.
     pub fn of_vantage_excluding(&self, key: u64, coord: GeoCoord, exclude: PopId) -> PopId {
-        let mut candidates = probeable_pops().filter(|&p| p != exclude).peekable();
+        let mut candidates = self
+            .vantage_pops
+            .iter()
+            .filter(|c| c.id != exclude)
+            .peekable();
         if candidates.peek().is_none() {
             return exclude;
         }
-        route(self.seed, key, coord, candidates, VM_SPREAD)
+        route(self.inflation.mix(key), coord, candidates, VM_SPREAD)
     }
 
     /// The route of the cloud VM keyed `key` at `coord`: its home
@@ -204,6 +239,88 @@ mod tests {
         let four = with_threads(4, || Catchments::compute(&w));
         assert!(one.len() > 4, "enough /24s for four workers to share");
         assert_eq!(one.by_slash24, four.by_slash24);
+    }
+
+    // The routing loop as it was before the PoP table and the
+    // per-key inflation head: the oracle the table must match.
+
+    fn oracle_inflation(seed: u64, key: u64, pop: PopId, spread: f64) -> f64 {
+        let h = SeedMixer::new(seed)
+            .mix_str("anycast-inflation")
+            .mix(key)
+            .mix(pop as u64)
+            .finish();
+        1.0 + (h >> 11) as f64 / (1u64 << 53) as f64 * spread
+    }
+
+    fn oracle_route(
+        seed: u64,
+        key: u64,
+        from: GeoCoord,
+        candidates: impl Iterator<Item = PopId>,
+        spread: f64,
+    ) -> PopId {
+        let pops = pop_catalog();
+        candidates
+            .map(|id| {
+                let d = from.distance_km(&pops[id].coord).max(1.0);
+                let penalty = if pops[id].status == PopStatus::UnprobedVerified {
+                    2.2
+                } else {
+                    1.0
+                };
+                (d * penalty * oracle_inflation(seed, key, id, spread), id)
+            })
+            .min_by(|a, b| a.0.total_cmp(&b.0))
+            .map(|(_, id)| id)
+            .unwrap()
+    }
+
+    fn catchment_seed(w: &World) -> u64 {
+        SeedMixer::new(w.config.seed).mix_str("catchments").finish()
+    }
+
+    #[test]
+    fn catchment_table_matches_the_full_routing_loop() {
+        use clientmap_world::par::with_threads;
+        for w in [world(), World::generate(WorldConfig::small(11))] {
+            let seed = catchment_seed(&w);
+            let want: Vec<PopId> = w
+                .slash24s
+                .iter()
+                .map(|s| {
+                    let key = u64::from(s.prefix.addr());
+                    oracle_route(seed, key, s.coord, active_pops(), CLIENT_SPREAD)
+                })
+                .collect();
+            for threads in [1, 4] {
+                let c = with_threads(threads, || Catchments::compute(&w));
+                assert!(c.by_slash24 == want, "{threads} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn per_call_routes_match_the_full_routing_loop() {
+        let w = world();
+        let (c, seed) = (Catchments::compute(&w), catchment_seed(&w));
+        let mut state = 0xCA7C_u64;
+        for _ in 0..4_000 {
+            state = clientmap_net::splitmix64(state);
+            let key = state % 1_000;
+            let coord = GeoCoord::new(
+                (state >> 8) as f64 / (1u64 << 56) as f64 * 160.0 - 80.0,
+                (state >> 20) as f64 / (1u64 << 44) as f64 * 360.0 - 180.0,
+            )
+            .unwrap();
+            let client = oracle_route(seed, key, coord, active_pops(), CLIENT_SPREAD);
+            assert_eq!(c.of_client_coord(key, coord), client);
+            let home = oracle_route(seed, key, coord, probeable_pops(), VM_SPREAD);
+            assert_eq!(c.of_vantage(key, coord), home);
+            let others = probeable_pops().filter(|&p| p != home);
+            let alternate = oracle_route(seed, key, coord, others, VM_SPREAD);
+            assert_eq!(c.of_vantage_excluding(key, coord, home), alternate);
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use clientmap_dns::{wire, DomainName, Message, Rcode, Record, RrType};
-use clientmap_faults::{FaultMetrics, FaultPlan, QueryFault};
+use clientmap_faults::{FaultMetrics, FaultPlan, PopFaults, QueryFault};
 use clientmap_net::{Prefix, SeedMixer};
 use clientmap_store::Slash24Bitset;
 use clientmap_telemetry::{Counter, MetricsRegistry};
@@ -80,6 +80,27 @@ pub enum ProbeOutcome {
     Miss,
     /// The query was dropped (rate limit).
     Dropped,
+}
+
+/// What one query on the batched lane got back, without the bytes:
+/// what the prober would have read off the response — nothing, an
+/// answerless error response, or an answer. Returned by
+/// [`GooglePublicDns::serve_attempt`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum AttemptReply {
+    /// No response (a rate-limiter drop, or an injected loss, latency
+    /// blow-out, reset or outage).
+    Dropped,
+    /// An answerless response with an error rcode and/or the TC bit.
+    Error {
+        /// The response code.
+        rcode: u8,
+        /// Whether the TC (truncated) bit is set.
+        tc: bool,
+    },
+    /// A well-formed answer, classified ([`ProbeOutcome::Hit`],
+    /// [`ProbeOutcome::HitScopeZero`] or [`ProbeOutcome::Miss`]).
+    Answer(ProbeOutcome),
 }
 
 /// Aggregated client load for one cached scope at one PoP.
@@ -267,6 +288,26 @@ enum Injected {
     Drop,
     /// An answerless response with an error rcode and/or the TC bit.
     Error { rcode: u8, tc: bool },
+}
+
+impl Injected {
+    /// How `fault` shows on the wire.
+    fn of(fault: QueryFault) -> Injected {
+        match fault {
+            QueryFault::ServFail => Injected::Error {
+                rcode: Rcode::ServFail.to_u8(),
+                tc: false,
+            },
+            QueryFault::Refused => Injected::Error {
+                rcode: Rcode::Refused.to_u8(),
+                tc: false,
+            },
+            QueryFault::Truncate => Injected::Error { rcode: 0, tc: true },
+            QueryFault::Loss | QueryFault::Latency | QueryFault::TcpReset | QueryFault::Outage => {
+                Injected::Drop
+            }
+        }
+    }
 }
 
 /// Maps a hash to `[0, 1)`.
@@ -470,20 +511,7 @@ impl GooglePublicDns {
         if let Some(fm) = &self.fault_metrics {
             fm.count_injected(fault);
         }
-        Some(match fault {
-            QueryFault::ServFail => Injected::Error {
-                rcode: Rcode::ServFail.to_u8(),
-                tc: false,
-            },
-            QueryFault::Refused => Injected::Error {
-                rcode: Rcode::Refused.to_u8(),
-                tc: false,
-            },
-            QueryFault::Truncate => Injected::Error { rcode: 0, tc: true },
-            QueryFault::Loss | QueryFault::Latency | QueryFault::TcpReset | QueryFault::Outage => {
-                Injected::Drop
-            }
-        })
+        Some(Injected::of(fault))
     }
 
     /// The egress address authoritatives/roots see for queries issued
@@ -1043,57 +1071,95 @@ impl GooglePublicDns {
 /// into the registry at [`GooglePublicDns::close_batch`].
 #[derive(Debug, Clone, Copy, Default)]
 struct BatchStats {
-    /// Queries that reached the PoP (one per redundant attempt).
-    queries: u64,
-    /// Queries dropped by the rate limiter.
-    rate_limited: u64,
+    /// Queries that reached a PoP (one per attempt), per transport
+    /// (indexed like [`TRANSPORTS`]).
+    queries: [u64; 2],
+    /// Queries dropped by the rate limiter, per transport.
+    rate_limited: [u64; 2],
     /// Scoped cache hits, per pool.
     pool_hits: [u64; POOLS_PER_POP],
     /// Scope-0 cache hits, per pool.
     pool_scope0: [u64; POOLS_PER_POP],
     /// Cache misses, per pool.
     pool_misses: [u64; POOLS_PER_POP],
+    /// Injected faults, per class (indexed like [`QueryFault::ALL`]).
+    injected: [u64; QueryFault::ALL.len()],
+    /// Attempts a catchment flap sent to the alternate PoP.
+    flaps: u64,
 }
 
-/// One batched probing connection: the per-(prober, PoP, transport)
-/// state a whole probe stream shares.
+/// The two transports, in the order a connection indexes its buckets
+/// and counters by.
+const TRANSPORTS: [Transport; 2] = [Transport::Udp, Transport::Tcp];
+
+fn transport_idx(transport: Transport) -> usize {
+    match transport {
+        Transport::Udp => 0,
+        Transport::Tcp => 1,
+    }
+}
+
+/// One batched probing connection: the per-prober state a whole probe
+/// stream shares.
 ///
-/// Opened from a [`GpdnsSession`] (anycast route, token bucket, and
-/// pool sequence are read once), driven one probe event at a time
-/// through [`GooglePublicDns::serve_event`], and closed back into the
-/// session — at which point the session state and the shared telemetry
-/// are exactly what the scalar lane would have produced for the same
-/// probe stream. Between open and close, nothing touches the session's
-/// hash map, the registry atomics, or the allocator.
+/// Opened from a [`GpdnsSession`] over a resolved [`VantageRoute`]
+/// (token buckets and pool sequence are read once), driven one probe
+/// event ([`GooglePublicDns::serve_event`]) or one query
+/// ([`GooglePublicDns::serve_attempt`]) at a time, and closed back into
+/// the session — at which point the session state and the shared
+/// telemetry are exactly what the scalar lane would have produced for
+/// the same probe stream. Between open and close, nothing touches the
+/// session's hash map, the registry atomics, or the allocator.
 #[derive(Debug)]
 pub struct BatchConn {
     prober: u64,
+    /// The home catchment: where every unflapped query lands, and the
+    /// PoP [`GooglePublicDns::batch_domain`] resolves against.
     pop: PopId,
+    /// Where a query lands while a catchment flap withdraws `pop`.
+    alternate: PopId,
+    /// The stream's transport — every query of
+    /// [`GooglePublicDns::serve_event`] uses it.
     transport: Transport,
     /// The pool-draw chain already mixed with `prober`.
     pool_by_prober: SeedMixer,
-    /// Local copy of the session's token bucket (created lazily at the
-    /// first admission, exactly like the scalar `admit`).
-    bucket: Option<Bucket>,
+    /// Local copies of the session's token buckets, per
+    /// ⟨home | alternate PoP, transport⟩ (created lazily at the first
+    /// admission, exactly like the scalar `admit`).
+    buckets: [[Option<Bucket>; 2]; 2],
     /// Local copy of the session's pool-draw sequence.
     seq: u64,
+    /// The fault plan at the home and at the alternate PoP.
+    faults: [PopFaults; 2],
     stats: BatchStats,
 }
 
 impl BatchConn {
-    /// The PoP this connection's probes land at.
+    /// The PoP this connection's unflapped probes land at.
     pub fn pop(&self) -> PopId {
         self.pop
     }
 
+    /// The prober key the connection was opened for.
+    pub fn prober(&self) -> u64 {
+        self.prober
+    }
+
+    /// Which side of the route a query lands on: 0 for the home PoP, 1
+    /// for a flap to a distinct alternate. A route whose alternate is
+    /// its home has one side, as the scalar lane keys one bucket.
+    fn side(&self, flapped: bool) -> usize {
+        usize::from(flapped && self.alternate != self.pop)
+    }
+
     /// Token-bucket admission on the local bucket copy — the same
     /// arithmetic as the scalar `admit`, without the hash-map probe.
-    fn admit(&mut self, t: SimTime) -> bool {
-        let (rate, burst) = match self.transport {
+    fn admit(&mut self, side: usize, transport: Transport, t: SimTime) -> bool {
+        let (rate, burst) = match transport {
             Transport::Udp => (UDP_RATE, UDP_BURST),
             Transport::Tcp => (TCP_RATE, TCP_BURST),
         };
-        let b = self.bucket.get_or_insert(Bucket {
+        let b = self.buckets[side][transport_idx(transport)].get_or_insert(Bucket {
             tokens: burst,
             last: t,
         });
@@ -1155,13 +1221,47 @@ impl ScopeLane {
     }
 }
 
+/// The cache state one admitted query reads at the PoP it landed on,
+/// for the pool it drew: the candidate scoped entry and its load, the
+/// scope-0 load, and the pool's liveness and remaining-TTL chain heads.
+#[derive(Debug, Clone, Copy)]
+struct PoolEntry {
+    hit_path: Option<(Prefix, ScopeLoad)>,
+    global: ScopeLoad,
+    live: SeedMixer,
+    ttl: SeedMixer,
+}
+
 impl GooglePublicDns {
-    /// Opens a batched probing connection for `prober` over `transport`.
-    ///
-    /// Returns `None` when fault injection is active: faulted exchanges
-    /// need per-query injection decisions, retries, and fault
-    /// accounting, so probers must stay on the scalar resilient lane —
-    /// refusing here keeps fault behaviour identical by construction.
+    /// Opens a batched probing connection for the vantage whose route
+    /// is `route`, sending over `transport`, from `session`'s state.
+    /// Fault-free and faulted cores alike: the connection carries the
+    /// fault plan at both PoPs the route can land on.
+    pub fn open_conn(
+        &self,
+        route: &VantageRoute,
+        session: &GpdnsSession,
+        transport: Transport,
+    ) -> BatchConn {
+        let pops = [route.home, route.alternate];
+        BatchConn {
+            prober: route.prober,
+            pop: route.home,
+            alternate: route.alternate,
+            transport,
+            pool_by_prober: self.tables.pool.mix(route.prober),
+            buckets: pops.map(|pop| {
+                TRANSPORTS.map(|tr| session.buckets.get(&(route.prober, pop, tr)).copied())
+            }),
+            seq: session.seq,
+            faults: pops.map(|pop| self.faults.at(route.prober, pop)),
+            stats: BatchStats::default(),
+        }
+    }
+
+    /// [`GooglePublicDns::open_conn`] for `prober` at `coord`, resolving
+    /// its route here. Always `Some`: the `Option` is the shape the
+    /// benchmark harness calls; ROADMAP 2(d) moves it to `open_conn`.
     pub fn open_batch(
         &self,
         catchments: &Catchments,
@@ -1170,20 +1270,8 @@ impl GooglePublicDns {
         coord: clientmap_net::GeoCoord,
         transport: Transport,
     ) -> Option<BatchConn> {
-        if self.faults.enabled() {
-            return None;
-        }
-        // No flap faults possible: the home catchment is the route.
-        let pop = catchments.of_vantage(prober, coord);
-        Some(BatchConn {
-            prober,
-            pop,
-            transport,
-            pool_by_prober: self.tables.pool.mix(prober),
-            bucket: session.buckets.get(&(prober, pop, transport)).copied(),
-            seq: session.seq,
-            stats: BatchStats::default(),
-        })
+        let route = catchments.vantage_route(prober, coord);
+        Some(self.open_conn(&route, session, transport))
     }
 
     /// Resolves one probed domain (by uncompressed QNAME wire bytes)
@@ -1310,9 +1398,10 @@ impl GooglePublicDns {
     /// [`GooglePublicDns::scope_lane`] on `dom`, and `dom` from
     /// [`GooglePublicDns::batch_domain`] on `conn`.
     ///
-    /// Fault-free only — `open_batch` guarantees the plan is off, which
-    /// is also why transaction IDs play no part here (they only ever
-    /// feed fault decisions and the response echo).
+    /// Fault-free cores only: nothing here flaps, injects or retries,
+    /// which is also why transaction IDs play no part (they only ever
+    /// feed fault decisions and the response echo). A faulted stream
+    /// sends each query through [`GooglePublicDns::serve_attempt`].
     pub fn serve_event(
         &self,
         conn: &mut BatchConn,
@@ -1327,58 +1416,28 @@ impl GooglePublicDns {
         const RANK_DROPPED: u8 = 0;
         const RANK_MISS: u8 = 1;
         const RANK_SCOPE0: u8 = 2;
+        let ti = transport_idx(conn.transport);
         let mut best = RANK_DROPPED;
         for r in 0..redundancy {
             let rt = t + SimTime::from_millis(u64::from(r));
-            conn.stats.queries += 1;
-            if !conn.admit(rt) {
-                conn.stats.rate_limited += 1;
+            conn.stats.queries[ti] += 1;
+            if !conn.admit(0, conn.transport, rt) {
+                conn.stats.rate_limited[ti] += 1;
                 continue; // Dropped: never upgrades `best`.
             }
             conn.seq += 1;
             let pool = draw_pool(conn.pool_by_prober, rt, lane.scope, conn.seq);
-
-            // 1. Scoped entry.
-            if let Some((cand, load)) = &lane.hit_path {
-                if self.entry_live_from(dom.live_by_slot[pool], dom.slot, *cand, load, rt) {
-                    conn.stats.pool_hits[pool] += 1;
-                    let remaining = self.remaining_ttl(dom.ttl_by_pool[pool], dom.slot, *cand, rt);
-                    let resp_scope = auth
-                        .response_scope_keyed(&dom.key, lane.scope.addr(), rt)
-                        .unwrap_or(*cand);
-                    if resp_scope.len() > 0 {
-                        return ProbeOutcome::Hit {
-                            // The classifier reads the scope off the
-                            // response ECS: source address masked to the
-                            // response scope length.
-                            scope: Prefix::new(lane.scope.addr(), resp_scope.len())
-                                .expect("scope length validated <= 32"),
-                            remaining_ttl: remaining,
-                        };
-                    }
-                    best = best.max(RANK_SCOPE0);
-                    continue;
-                }
+            let entry = PoolEntry {
+                hit_path: lane.hit_path,
+                global: dom.global,
+                live: dom.live_by_slot[pool],
+                ttl: dom.ttl_by_pool[pool],
+            };
+            match self.answer(&mut conn.stats, dom, auth, lane.scope, &entry, pool, rt) {
+                hit @ ProbeOutcome::Hit { .. } => return hit,
+                ProbeOutcome::HitScopeZero => best = best.max(RANK_SCOPE0),
+                _ => best = best.max(RANK_MISS),
             }
-
-            // 2. Scope-0 entry.
-            if dom.global.rate > 0.0
-                && self.entry_live_from(
-                    dom.live_by_slot[pool],
-                    dom.slot,
-                    Prefix::DEFAULT,
-                    &dom.global,
-                    rt,
-                )
-            {
-                conn.stats.pool_scope0[pool] += 1;
-                best = best.max(RANK_SCOPE0);
-                continue;
-            }
-
-            // 3. Miss.
-            conn.stats.pool_misses[pool] += 1;
-            best = best.max(RANK_MISS);
         }
         match best {
             RANK_SCOPE0 => ProbeOutcome::HitScopeZero,
@@ -1387,26 +1446,157 @@ impl GooglePublicDns {
         }
     }
 
-    /// Closes a batched connection: writes the bucket and sequence back
-    /// into the session and flushes the batch's resolver counters into
-    /// the registry in one atomic add per counter — the registry is the
-    /// only place a batch's telemetry lands.
+    /// Serves one query of a probe event on the batched lane, on
+    /// faulted cores too. It makes the scalar lane's decisions in the
+    /// scalar order — the flap rule ([`GooglePublicDns::route`]),
+    /// admission, the fault plan (after admission, before the pool
+    /// draw, so an injected fault never advances the pool sequence),
+    /// the pool draw, then scoped entry, scope 0 or miss — and returns
+    /// what the response would have said ([`AttemptReply`]) instead of
+    /// its bytes. `id` is the query's transaction ID, which only the
+    /// fault plan reads; retries, backoff and the TC → TCP upgrade stay
+    /// the prober's.
+    ///
+    /// `lane` and `dom` describe the home PoP. A flapped query lands on
+    /// the route's alternate and resolves that PoP's candidate entry
+    /// and chain heads itself — flaps are rare.
+    #[allow(clippy::too_many_arguments)]
+    pub fn serve_attempt(
+        &self,
+        conn: &mut BatchConn,
+        dom: &BatchDomain<'_>,
+        auth: &Authoritatives,
+        lane: &ScopeLane,
+        transport: Transport,
+        t: SimTime,
+        id: u16,
+    ) -> AttemptReply {
+        let flapped = self.faults.flap(conn.prober, t.as_millis());
+        conn.stats.flaps += u64::from(flapped);
+        let side = conn.side(flapped);
+        let ti = transport_idx(transport);
+        conn.stats.queries[ti] += 1;
+        if !conn.admit(side, transport, t) {
+            conn.stats.rate_limited[ti] += 1;
+            return AttemptReply::Dropped;
+        }
+        let udp = transport == Transport::Udp;
+        if let Some(fault) = conn.faults[side].query_fault(udp, t.as_millis(), id) {
+            conn.stats.injected[fault as usize] += 1;
+            return match Injected::of(fault) {
+                Injected::Drop => AttemptReply::Dropped,
+                Injected::Error { rcode, tc } => AttemptReply::Error { rcode, tc },
+            };
+        }
+        conn.seq += 1;
+        let pool = draw_pool(conn.pool_by_prober, t, lane.scope, conn.seq);
+        let entry = if side == 0 {
+            PoolEntry {
+                hit_path: lane.hit_path,
+                global: dom.global,
+                live: dom.live_by_slot[pool],
+                ttl: dom.ttl_by_pool[pool],
+            }
+        } else {
+            let pop = conn.alternate;
+            let scoped = &self.tables.scoped[pop][dom.slot];
+            PoolEntry {
+                hit_path: auth
+                    .base_scope_keyed(&dom.key, lane.scope.addr())
+                    .filter(|s| !s.is_default())
+                    .and_then(|cand| scoped.get(&cand).map(|load| (cand, *load))),
+                global: self.tables.global[pop][dom.slot],
+                live: self.tables.live_by_slot(pop, pool, dom.slot),
+                ttl: self.tables.ttl_by_pool(pop, pool),
+            }
+        };
+        AttemptReply::Answer(self.answer(&mut conn.stats, dom, auth, lane.scope, &entry, pool, t))
+    }
+
+    /// The cache's answer to one admitted, unfaulted query for `scope`
+    /// that drew `pool`: the scalar lane's scoped entry → scope 0 →
+    /// miss over `entry`, counted on `stats` and classified as the
+    /// prober reads the response.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn answer(
+        &self,
+        stats: &mut BatchStats,
+        dom: &BatchDomain<'_>,
+        auth: &Authoritatives,
+        scope: Prefix,
+        entry: &PoolEntry,
+        pool: usize,
+        t: SimTime,
+    ) -> ProbeOutcome {
+        // 1. Scoped entry.
+        if let Some((cand, load)) = &entry.hit_path {
+            if self.entry_live_from(entry.live, dom.slot, *cand, load, t) {
+                stats.pool_hits[pool] += 1;
+                let remaining = self.remaining_ttl(entry.ttl, dom.slot, *cand, t);
+                let resp_scope = auth
+                    .response_scope_keyed(&dom.key, scope.addr(), t)
+                    .unwrap_or(*cand);
+                if resp_scope.len() == 0 {
+                    return ProbeOutcome::HitScopeZero;
+                }
+                return ProbeOutcome::Hit {
+                    // The classifier reads the scope off the response
+                    // ECS: source address masked to the response scope
+                    // length.
+                    scope: Prefix::new(scope.addr(), resp_scope.len())
+                        .expect("scope length validated <= 32"),
+                    remaining_ttl: remaining,
+                };
+            }
+        }
+
+        // 2. Scope-0 entry.
+        if entry.global.rate > 0.0
+            && self.entry_live_from(entry.live, dom.slot, Prefix::DEFAULT, &entry.global, t)
+        {
+            stats.pool_scope0[pool] += 1;
+            return ProbeOutcome::HitScopeZero;
+        }
+
+        // 3. Miss.
+        stats.pool_misses[pool] += 1;
+        ProbeOutcome::Miss
+    }
+
+    /// Closes a batched connection: writes the buckets and sequence
+    /// back into the session and flushes the connection's resolver and
+    /// fault counters into the registry in one atomic add per counter —
+    /// the registry is the only place a connection's telemetry lands.
     pub fn close_batch(&self, conn: BatchConn, session: &mut GpdnsSession) {
         let s = conn.stats;
-        if let Some(b) = conn.bucket {
-            session
-                .buckets
-                .insert((conn.prober, conn.pop, conn.transport), b);
+        let sides = if conn.alternate == conn.pop { 1 } else { 2 };
+        for (side, pop) in [conn.pop, conn.alternate]
+            .into_iter()
+            .enumerate()
+            .take(sides)
+        {
+            for (ti, transport) in TRANSPORTS.into_iter().enumerate() {
+                if let Some(b) = conn.buckets[side][ti] {
+                    session.buckets.insert((conn.prober, pop, transport), b);
+                }
+            }
         }
         session.seq = conn.seq;
-        self.metrics.queries(conn.transport).add(s.queries);
-        self.metrics
-            .rate_limited(conn.transport)
-            .add(s.rate_limited);
+        for (ti, transport) in TRANSPORTS.into_iter().enumerate() {
+            self.metrics.queries(transport).add(s.queries[ti]);
+            self.metrics.rate_limited(transport).add(s.rate_limited[ti]);
+        }
         for p in 0..POOLS_PER_POP {
             self.metrics.pool_hits[p].add(s.pool_hits[p]);
             self.metrics.pool_scope0[p].add(s.pool_scope0[p]);
             self.metrics.pool_misses[p].add(s.pool_misses[p]);
+        }
+        if let Some(fm) = &self.fault_metrics {
+            for (fault, n) in QueryFault::ALL.into_iter().zip(s.injected) {
+                fm.add_injected(fault, n);
+            }
+            fm.flaps.add(s.flaps);
         }
     }
 }
@@ -1984,35 +2174,161 @@ mod tests {
         }
     }
 
+    /// What the prober reads off a response, as the batched door's
+    /// typed stand-in: nothing, an error rcode and/or TC, or an answer.
+    fn reply_of(resp: Option<&[u8]>) -> AttemptReply {
+        let Some(bytes) = resp else {
+            return AttemptReply::Dropped;
+        };
+        let view = wire::response_view(bytes).expect("the resolver writes parsable responses");
+        let rcode = (view.flags & wire::RCODE_MASK) as u8;
+        let tc = view.flags & wire::FLAG_TC != 0;
+        if rcode != 0 || tc {
+            AttemptReply::Error { rcode, tc }
+        } else {
+            AttemptReply::Answer(GooglePublicDns::classify_view(&view))
+        }
+    }
+
     #[test]
-    fn batch_open_refuses_faulted_cores_and_rejects_mismatched_packets() {
+    fn batch_opens_faulted_cores_and_rejects_mismatched_packets() {
         use clientmap_faults::{FaultConfig, FaultProfile};
 
         let world = World::generate(WorldConfig::tiny(21));
         let catchments = Catchments::compute(&world);
         let auth = Authoritatives::new(world.config.seed, world.rib.clone());
-        let m = MetricsRegistry::new();
-        let faulted = GooglePublicDns::build_with_metrics(
-            &world,
-            &catchments,
-            &auth,
-            GpdnsMetrics::register(&m),
-        )
-        .with_faults(
-            Arc::new(FaultPlan::new(
-                world.config.seed,
-                &FaultConfig::profile(FaultProfile::Lossy, 7),
-            )),
-            Some(FaultMetrics::register(&m)),
-        );
-        let session = GpdnsSession::new();
+        let template = wire::ProbeQueryTemplate::new(&"www.google.com".parse().unwrap());
         let coord = pop_catalog()[0].coord;
-        assert!(
-            faulted
-                .open_batch(&catchments, &session, 1, coord, Transport::Tcp)
-                .is_none(),
-            "faulted cores must force the scalar resilient lane"
-        );
+
+        // A faulted core opens a connection, and its per-query door
+        // agrees with the scalar lane query for query — every reply and
+        // the whole registry, flaps, outages and rate limits included.
+        for profile in [FaultProfile::Lossy, FaultProfile::PopChurn] {
+            let plan = Arc::new(FaultPlan::new(
+                world.config.seed,
+                &FaultConfig::profile(profile, 7),
+            ));
+            // A vantage whose home PoP takes a maintenance window, when
+            // the profile schedules any.
+            let (prober, coord) = pop_catalog()
+                .iter()
+                .enumerate()
+                .map(|(i, site)| (i as u64 + 1, site.coord))
+                .find(|&(p, c)| {
+                    plan.outage_window(catchments.vantage_route(p, c).home)
+                        .is_some()
+                })
+                .unwrap_or((3, coord));
+            let core = |m: &MetricsRegistry| {
+                GooglePublicDns::build_with_metrics(
+                    &world,
+                    &catchments,
+                    &auth,
+                    GpdnsMetrics::register(m),
+                )
+                .with_faults(Arc::clone(&plan), Some(FaultMetrics::register(m)))
+            };
+            let (m_scalar, m_batch) = (MetricsRegistry::new(), MetricsRegistry::new());
+            let (scalar, batch) = (core(&m_scalar), core(&m_batch));
+            let route = catchments.vantage_route(prober, coord);
+            assert_ne!(route.home, route.alternate, "the flap has somewhere to go");
+            // The busiest /24s homed at either PoP of the route (hit
+            // candidates whether or not the query flaps), plus a spread.
+            let mut scopes: Vec<Prefix> = world
+                .slash24s
+                .iter()
+                .enumerate()
+                .filter(|(i, p)| {
+                    p.users > 0.0
+                        && [route.home, route.alternate].contains(&catchments.of_slash24(*i))
+                })
+                .map(|(_, p)| p.prefix)
+                .take(24)
+                .collect();
+            scopes.extend(world.slash24s.iter().step_by(13).take(8).map(|p| p.prefix));
+
+            let mut scalar_session = GpdnsSession::new();
+            let mut batch_session = GpdnsSession::new();
+            let mut conn = batch
+                .open_batch(&catchments, &batch_session, prober, coord, Transport::Tcp)
+                .expect("faulted cores open batch connections");
+            let dom = batch.batch_domain(&conn, template.qname_wire()).unwrap();
+            let (mut packet, mut out) = (Vec::new(), Vec::new());
+            let mut kinds = std::collections::BTreeSet::new();
+            let mut t = SimTime::from_hours(6);
+            let mut burst_left = 0u32;
+            for q in 0..3_000u64 {
+                // Queries pace out 24 s apart over ~20 h, across outage
+                // and flap windows. Every five hundredth query, and the
+                // last one before each flap edge, opens an 80-query UDP
+                // burst 1 ms apart that runs a bucket dry. A burst across
+                // a flap edge drains the home and the alternate PoP's
+                // buckets in turn, which only agrees with the scalar
+                // lane if each keeps its own.
+                if burst_left == 0 {
+                    let next = t + SimTime::from_millis(24_000);
+                    if plan.flap(prober, t.as_millis()) != plan.flap(prober, next.as_millis()) {
+                        // The plan's flap windows are 10 minutes long.
+                        let edge = next.as_millis() / 600_000 * 600_000;
+                        t = SimTime::from_millis((edge - 40).max(t.as_millis()));
+                        burst_left = 80;
+                    } else if q % 500 == 0 {
+                        burst_left = 80;
+                    } else {
+                        t = next;
+                    }
+                }
+                let burst = burst_left > 0;
+                if burst {
+                    burst_left -= 1;
+                    t = t + SimTime::from_millis(1);
+                }
+                let transport = if burst || q % 3 == 0 {
+                    Transport::Udp
+                } else {
+                    Transport::Tcp
+                };
+                let scope = scopes[(q as usize * 7) % scopes.len()];
+                let id = (q as u16).wrapping_mul(0x9E37);
+                template.render(id, scope, &mut packet);
+                let got = scalar.handle_query_routed_into(
+                    &mut scalar_session,
+                    &world,
+                    &auth,
+                    &route,
+                    &packet,
+                    transport,
+                    t,
+                    &mut out,
+                );
+                let want = reply_of(got.then_some(out.as_slice()));
+                let lane = batch.scope_lane(&auth, &dom, scope);
+                let reply = batch.serve_attempt(&mut conn, &dom, &auth, &lane, transport, t, id);
+                assert_eq!(reply, want, "{profile:?}: query {q} at {t:?}");
+                kinds.insert(match want {
+                    AttemptReply::Dropped => "dropped",
+                    AttemptReply::Error { tc: true, .. } => "truncated",
+                    AttemptReply::Error { .. } => "error",
+                    AttemptReply::Answer(ProbeOutcome::Hit { .. }) => "hit",
+                    AttemptReply::Answer(_) => "scope0 or miss",
+                });
+            }
+            batch.close_batch(conn, &mut batch_session);
+            let ledger = m_scalar.snapshot();
+            assert_eq!(m_batch.snapshot(), ledger, "{profile:?} ledger drift");
+            assert_eq!(kinds.len(), 5, "{profile:?}: every reply kind: {kinds:?}");
+            assert!(
+                ledger.counter("faults.flaps") > 0,
+                "{profile:?} never flapped"
+            );
+            assert!(ledger.counter("gpdns.rate_limited.udp") > 0, "{profile:?}");
+            if profile == FaultProfile::PopChurn {
+                assert!(
+                    ledger.counter("faults.injected.outage") > 0,
+                    "no outage crossed"
+                );
+            }
+        }
 
         // A clean core rejects a batch whose packets do not carry the
         // lane's scope — with no state moved.

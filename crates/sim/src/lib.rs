@@ -52,8 +52,8 @@ pub use anycast::{Catchments, VantageRoute};
 pub use authoritative::Authoritatives;
 pub use events::{EventQueue, Scheduled};
 pub use gpdns::{
-    BatchConn, BatchDomain, GooglePublicDns, GpdnsMetrics, GpdnsSession, ProbeOutcome, ScopeLane,
-    Transport, POOLS_PER_POP,
+    AttemptReply, BatchConn, BatchDomain, GooglePublicDns, GpdnsMetrics, GpdnsSession,
+    ProbeOutcome, ScopeLane, Transport, POOLS_PER_POP,
 };
 pub use pops::{pop_catalog, PopId, PopSite, PopStatus};
 pub use sim::{Sim, SimView, Substrate};

@@ -5,7 +5,9 @@ use std::sync::Arc;
 use clientmap_dns::wire;
 use clientmap_faults::{FaultConfig, FaultProfile};
 use clientmap_net::{GeoCoord, Prefix};
-use clientmap_sim::{GpdnsSession, Sim, SimTime, Substrate, Transport};
+use clientmap_sim::{
+    AttemptReply, GooglePublicDns, GpdnsSession, Sim, SimTime, Substrate, Transport,
+};
 use clientmap_telemetry::MetricsRegistry;
 use clientmap_world::{World, WorldConfig};
 use proptest::prelude::*;
@@ -156,6 +158,122 @@ proptest! {
         for profile in [FaultProfile::PopChurn, FaultProfile::Off] {
             let faults = FaultConfig::profile(profile, prober);
             routed_matches_per_call(&faults, prober, coord, &queries)?;
+        }
+    }
+}
+
+/// What the prober reads off one response, as the batched door's
+/// typed stand-in: nothing, an error rcode and/or TC, or an answer —
+/// after checking the response echoes the query's transaction ID.
+fn read_reply(resp: Option<&[u8]>, id: u16) -> Result<AttemptReply, TestCaseError> {
+    let Some(bytes) = resp else {
+        return Ok(AttemptReply::Dropped);
+    };
+    let view = wire::response_view(bytes).map_err(|e| TestCaseError::fail(format!("{e:?}")))?;
+    prop_assert_eq!(view.id, id);
+    let rcode = (view.flags & wire::RCODE_MASK) as u8;
+    let tc = view.flags & wire::FLAG_TC != 0;
+    Ok(if rcode != 0 || tc {
+        AttemptReply::Error { rcode, tc }
+    } else {
+        AttemptReply::Answer(GooglePublicDns::classify_view(&view))
+    })
+}
+
+/// One vantage's queries sent twice, each on a fresh session and
+/// registry over the same substrate and fault plan: rendered and served
+/// through the routed wire door ([`SimView::gpdns_query_routed_into`])
+/// and read back, and served byte-free through one batched connection's
+/// per-query door ([`GooglePublicDns::serve_attempt`]). Each query
+/// carries the prober's coordinates — scope, send time (event time plus
+/// its redundancy index and retry backoff), transaction ID and
+/// transport. Every reply must agree, and so must the registries once
+/// the connection closes.
+fn batched_door_matches_wire(
+    faults: &FaultConfig,
+    prober: u64,
+    coord: GeoCoord,
+    queries: &[(u32, u8, u64, u32, u32, u8)],
+) -> Result<(), TestCaseError> {
+    let fresh = || Sim::over(substrate(), Arc::new(MetricsRegistry::new()), faults);
+    let (wired, batched) = (fresh(), fresh());
+    let (wv, bv) = (wired.view(), batched.view());
+    let route = wv.catchments.vantage_route(prober, coord);
+    let template = wire::ProbeQueryTemplate::new(&"www.google.com".parse().unwrap());
+    let mut wire_session = GpdnsSession::new();
+    let mut batch_session = GpdnsSession::new();
+    let mut conn = bv
+        .gpdns
+        .open_batch(bv.catchments, &batch_session, prober, coord, Transport::Tcp)
+        .expect("open_batch opens every core");
+    let dom = bv
+        .gpdns
+        .batch_domain(&conn, template.qname_wire())
+        .expect("www.google.com is ECS-cached");
+    // Client-active /24s either PoP of the route serves: the scopes
+    // that can hit, whether or not a query flaps.
+    let hot: Vec<Prefix> = (0..wv.world.slash24s.len())
+        .filter(|&i| {
+            wv.world.slash24s[i].is_active()
+                && [route.home, route.alternate].contains(&wv.catchments.of_slash24(i))
+        })
+        .map(|i| wv.world.slash24s[i].prefix)
+        .collect();
+    let (mut packet, mut out) = (Vec::new(), Vec::new());
+    let mut t = SimTime::from_hours(6);
+    for (i, &(addr, len, gap_ms, r, retry, proto)) in queries.iter().enumerate() {
+        // Most gaps are a millisecond or none, so runs of queries —
+        // three in four over UDP — drain a UDP bucket; one gap in 64
+        // spans flap and outage windows.
+        let gap = if gap_ms % 64 == 0 { gap_ms } else { gap_ms % 2 };
+        t = t + SimTime::from_millis(gap);
+        let at = t + SimTime::from_millis(u64::from(r) + 40 * u64::from(retry));
+        // Three scopes in four are hot, the rest anywhere.
+        let scope = match hot.len() {
+            n if n > 0 && addr % 4 != 0 => hot[(addr / 4) as usize % n],
+            _ => Prefix::new(addr, len).unwrap(),
+        };
+        let id = (addr as u16) ^ ((r << 4) | retry) as u16;
+        let transport = if proto % 4 != 0 {
+            Transport::Udp
+        } else {
+            Transport::Tcp
+        };
+        template.render(id, scope, &mut packet);
+        let got =
+            wv.gpdns_query_routed_into(&mut wire_session, &route, &packet, transport, at, &mut out);
+        let want = read_reply(got.then_some(out.as_slice()), id)?;
+        let lane = bv.gpdns.scope_lane(bv.auth, &dom, scope);
+        let reply = bv
+            .gpdns
+            .serve_attempt(&mut conn, &dom, bv.auth, &lane, transport, at, id);
+        prop_assert_eq!(reply, want, "query {} at {:?}", i, at);
+    }
+    bv.gpdns.close_batch(conn, &mut batch_session);
+    prop_assert_eq!(batched.metrics().snapshot(), wired.metrics().snapshot());
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// The batched connection's per-query door serves a faulted stream
+    /// exactly as the wire lane does — outages, flaps, injected errors
+    /// and rate limits included.
+    #[test]
+    fn faulted_batched_door_equals_the_wire_lane(
+        prober in 1u64..10_000,
+        lat in -60.0f64..70.0,
+        lon in -180.0f64..180.0,
+        queries in prop::collection::vec(
+            (any::<u32>(), 16u8..=24, 0u64..7_200_000, 0u32..5, 0u32..4, any::<u8>()),
+            1..400,
+        ),
+    ) {
+        let coord = GeoCoord::new(lat, lon).unwrap();
+        for profile in [FaultProfile::Lossy, FaultProfile::PopChurn] {
+            let faults = FaultConfig::profile(profile, prober);
+            batched_door_matches_wire(&faults, prober, coord, &queries)?;
         }
     }
 }

@@ -63,25 +63,41 @@ repro_lane() { # repro_lane LANE FLAGS...
   shift
   mkdir -p "$d"
   for t in 1 4; do
-    CLIENTMAP_THREADS=$t "$BIN/clientmap" repro --scale tiny --seed 2021 "$@" \
+    CLIENTMAP_THREADS=$t "$BIN/clientmap" repro --scale tiny "$@" \
       --metrics "$d/t$t.$lane.json" all > "$d/t$t.$lane.txt" 2> "$LOGS/repro.t$t.$lane"
   done
   same "$d/t1.$lane.txt" "$d/t4.$lane.txt"
   same "$d/t1.$lane.json" "$d/t4.$lane.json"
 }
-section_repro() { repro_lane default; }
+# Two lanes, one set of bytes: `lanes_agree LANE FLAGS...` writes LANE
+# on the batched lane and LANE-scalar on its wire oracle.
+lanes_agree() {
+  local lane=$1 d=$OUT/repro
+  shift
+  repro_lane "$lane" "$@"
+  repro_lane "$lane-scalar" "$@" --scalar-probing
+  same "$d/t1.$lane.txt" "$d/t1.$lane-scalar.txt"
+  same "$d/t1.$lane.json" "$d/t1.$lane-scalar.json"
+}
+section_repro() { repro_lane default --seed 2021; }
 # The batched lane and its scalar oracle print the same bytes.
 section_scalar() {
   local d=$OUT/repro
   [ -f "$d/t4.default.json" ] || section_repro
-  repro_lane scalar --scalar-probing
+  repro_lane scalar --seed 2021 --scalar-probing
   same "$d/t1.default.txt" "$d/t1.scalar.txt"
   same "$d/t1.default.json" "$d/t1.scalar.json"
 }
+# Under faults too: every faulted, rescue and calibration probe rides
+# the batched lane byte-free, and the wire oracle lands the same bytes.
+# Seed 7 under pop-churn adds outages, flaps, breaker trips and the
+# rescue phase.
 section_lossy() {
-  repro_lane lossy --faults lossy --fault-seed 5
+  lanes_agree lossy --seed 2021 --faults lossy --fault-seed 5
   has 'Robustness' "$OUT/repro/t1.lossy.txt"
   has 'unmeasured' "$OUT/repro/t1.lossy.txt"
+  lanes_agree churn --seed 7 --faults pop-churn --fault-seed 3
+  has '^scopes rescued at fallback PoPs +[1-9]' "$OUT/repro/t1.churn.txt"
 }
 
 # `clientmap run`: cold, warm replay, and a 10 % expiry re-sweep.

@@ -1,13 +1,16 @@
-//! Scalar-vs-batch differential suite: the batched probe kernels
-//! (`ProbeBatch` arenas + `serve_batch` + bulk outcome folding) are a
-//! pure execution strategy. Every observable — reports, probe counts,
-//! telemetry snapshots, sweep records, fault books — must land byte-
-//! identical to the scalar oracle (`batched_probing = false`), across
-//! seeds, thread counts, and fault profiles. This suite is what lets
-//! the lane switch stay out of the sweep config digest.
+//! Batched-vs-wire differential suite. The byte-free batched probe
+//! lane (`open_conn` + `serve_event`; under faults, `serve_attempt`
+//! inside the prober's retry loop) and the scalar wire oracle
+//! (`batched_probing = false`: render, serve, parse, verify) are two
+//! different lanes. Every observable — reports, probe counts, telemetry
+//! snapshots, sweep records, fault books — must land byte-identical on
+//! both, across seeds, thread counts, transports and fault profiles.
+//! This suite is what lets the lane switch stay out of the sweep config
+//! digest.
 
 use clientmap::core::{Pipeline, PipelineConfig, PipelineOutput, SweepSession};
 use clientmap::faults::{FaultConfig, FaultProfile};
+use clientmap::sim::Transport;
 
 /// A tiny pipeline config with the probe lane chosen explicitly.
 fn config(seed: u64, batched: bool) -> PipelineConfig {
@@ -108,27 +111,74 @@ fn equivalence_holds_at_one_and_four_threads() {
     }
 }
 
+/// [`config`] under `profile` faults (fault seed 5).
+fn faulted(seed: u64, profile: FaultProfile, batched: bool) -> PipelineConfig {
+    let mut c = config(seed, batched);
+    c.faults = FaultConfig::profile(profile, 5);
+    c
+}
+
 #[test]
-fn faulted_runs_take_the_scalar_lane_with_identical_accounting() {
-    for profile in [FaultProfile::Light, FaultProfile::Lossy] {
-        let mut on = config(2021, true);
-        on.faults = FaultConfig::profile(profile, 5);
-        let mut off = config(2021, false);
-        off.faults = FaultConfig::profile(profile, 5);
-        let a = run(on);
-        let b = run(off);
-        let ctx = format!("{profile:?} faults");
+fn faulted_runs_agree_across_the_batched_lane_and_the_wire_oracle() {
+    // Under faults the lanes really differ: the batched lane serves
+    // every query — main window, rescue and calibration — through its
+    // connection's byte-free door, the oracle renders, serves, parses
+    // and verifies it. Both must land the same bytes, fault books
+    // included, at any thread count.
+    for profile in [
+        FaultProfile::Light,
+        FaultProfile::Lossy,
+        FaultProfile::PopChurn,
+    ] {
+        let mut one_thread: Option<PipelineOutput> = None;
+        for threads in [1usize, 4] {
+            let a = clientmap::par::with_threads(threads, || run(faulted(2021, profile, true)));
+            let b = clientmap::par::with_threads(threads, || run(faulted(2021, profile, false)));
+            let ctx = format!("{profile:?} faults, {threads} threads");
+            assert_outputs_match(&a, &b, &ctx);
+            let fa = a.cache_probe.fault.as_ref().expect("fault summary");
+            assert!(fa.observed > 0, "{ctx}: no faults observed");
+            // Neither lane captured calibration: a faulted pass must not
+            // seed the next warm sweep's radii.
+            for sweep in [&a.sweep, &b.sweep] {
+                assert!(
+                    sweep.calibration.is_empty() && sweep.calibration_metrics.is_empty(),
+                    "{ctx}: faulted run captured calibration"
+                );
+            }
+            match &one_thread {
+                Some(reference) => assert_outputs_match(&a, reference, &format!("{ctx} vs 1")),
+                None => one_thread = Some(a),
+            }
+        }
+    }
+}
+
+#[test]
+fn udp_probing_agrees_across_the_lanes_with_and_without_faults() {
+    // The default TCP transport never truncates and never runs a bucket
+    // dry. Over UDP the rate limiter bites, and under faults a truncated
+    // answer upgrades its retry to TCP, so each connection fills its UDP
+    // and its TCP bucket.
+    for profile in [FaultProfile::Off, FaultProfile::Lossy] {
+        let udp = |batched: bool| {
+            let mut c = faulted(2021, profile, batched);
+            c.probe.transport = Transport::Udp;
+            run(c)
+        };
+        let (a, b) = (udp(true), udp(false));
+        let ctx = format!("UDP, {profile:?} faults");
         assert_outputs_match(&a, &b, &ctx);
-        // Both rode the resilient scalar lane: same fault books, and
-        // neither captured calibration (a faulted pass must not seed
-        // the next warm sweep's radii).
-        let fa = a.cache_probe.fault.as_ref().expect("fault summary");
-        assert!(fa.observed > 0, "{ctx}: no faults observed");
-        for sweep in [&a.sweep, &b.sweep] {
-            assert!(
-                sweep.calibration.is_empty() && sweep.calibration_metrics.is_empty(),
-                "{ctx}: faulted run captured calibration"
-            );
+        let snap = a.metrics_snapshot();
+        assert!(
+            snap.counter("gpdns.rate_limited.udp") > 0,
+            "{ctx}: the UDP limit never bit"
+        );
+        if profile != FaultProfile::Off {
+            let f = a.cache_probe.fault.as_ref().expect("fault summary");
+            assert!(f.degraded > 0, "{ctx}: no TC → TCP upgrade recovered");
+            assert!(snap.counter("gpdns.queries.tcp") > 0, "{ctx}");
+            assert!(snap.counter("faults.injected.truncate") > 0, "{ctx}");
         }
     }
 }

@@ -260,12 +260,15 @@ fn lossy_warm_restart_replans_only_the_stale_slice() {
 }
 
 #[test]
-fn batching_never_touches_the_fault_books() {
-    // The batch kernel refuses faulted cores, so a faulted run with
-    // batching enabled rides the scalar resilient lane end to end:
-    // identical fault conservation, identical bytes. Pop-churn is the
-    // nastiest profile — outages, flaps, breaker trips, rescues.
+fn the_batched_fault_lane_keeps_the_wire_oracles_books() {
+    // Two different lanes under faults: the batched lane serves each
+    // query byte-free through its connection's door, the wire oracle
+    // (`batched_probing = false`) renders, parses and verifies it. Fault
+    // conservation and every byte must agree, at 1 and 4 threads, and
+    // down a lossy warm-restart chain. Pop-churn is the nastiest
+    // profile — outages, flaps, breaker trips, rescues.
     for (profile, fault_seed, world_seed) in [
+        (FaultProfile::Light, 1, 2021),
         (FaultProfile::Lossy, 5, 2021),
         (FaultProfile::PopChurn, 3, 7),
     ] {
@@ -274,30 +277,61 @@ fn batching_never_touches_the_fault_books() {
         batched.probe.batched_probing = true;
         let mut scalar = batched.clone();
         scalar.probe.batched_probing = false;
-        let a = Pipeline::run(batched).expect("faulted batched run completes");
-        let b = Pipeline::run(scalar).expect("faulted scalar run completes");
-        let fa = a.cache_probe.fault.as_ref().expect("fault summary");
-        let fb = b.cache_probe.fault.as_ref().expect("fault summary");
-        assert_eq!(
-            fa, fb,
-            "{profile:?}: fault accounting diverged under batching"
-        );
-        // The conservation laws hold on the batched-config run…
-        assert!(fa.observed > 0, "{profile:?} injected nothing");
-        assert_eq!(fa.observed, fa.recovered + fa.degraded + fa.lost);
-        assert_eq!(
-            a.cache_probe.probe_counts.len() as u64 + fa.unmeasured_scopes,
-            fa.assigned_scopes,
-            "{profile:?}: coverage books do not reconcile under batching"
-        );
-        // …and everything else is byte-identical to the scalar run.
-        assert_eq!(a.report().render_all(), b.report().render_all());
-        assert_eq!(
-            a.metrics_snapshot().to_json(),
-            b.metrics_snapshot().to_json()
-        );
-        assert_eq!(a.sweep.encode(), b.sweep.encode());
+        for threads in [1usize, 4] {
+            let ctx = format!("{profile:?}, {threads} threads");
+            let lanes = [&batched, &scalar].map(|c| {
+                clientmap::par::with_threads(threads, || Pipeline::run(c.clone()))
+                    .unwrap_or_else(|e| panic!("{ctx}: faulted run failed: {e}"))
+            });
+            assert_fault_books_match(&lanes[0], &lanes[1], &ctx);
+            if profile == FaultProfile::PopChurn {
+                let f = lanes[0].cache_probe.fault.as_ref().unwrap();
+                assert!(f.rescued_scopes > 0, "{ctx}: the rescue phase never ran");
+            }
+            if profile != FaultProfile::Lossy {
+                continue;
+            }
+            // The chain: each lane re-sweeps twice from its own last
+            // snapshot, under the same faults.
+            let mut priors = lanes.map(|o| o.sweep);
+            for step in 1..=2 {
+                let [a, b] = [(&batched, &priors[0]), (&scalar, &priors[1])].map(|(c, prior)| {
+                    clientmap::par::with_threads(threads, || {
+                        SweepSession::new(c.clone()).sweep(Some(prior))
+                    })
+                    .unwrap_or_else(|e| panic!("{ctx}: warm step {step} failed: {e}"))
+                });
+                assert_fault_books_match(&a, &b, &format!("{ctx}, warm step {step}"));
+                priors = [a.sweep, b.sweep];
+            }
+        }
     }
+}
+
+/// The fault books, their conservation laws and every byte of two runs
+/// of one faulted config on the two lanes.
+fn assert_fault_books_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
+    let fa = a.cache_probe.fault.as_ref().expect("fault summary");
+    let fb = b.cache_probe.fault.as_ref().expect("fault summary");
+    assert_eq!(fa, fb, "{ctx}: fault accounting diverged across the lanes");
+    // The conservation laws hold on the batched lane…
+    assert_eq!(fa.observed, fa.recovered + fa.degraded + fa.lost, "{ctx}");
+    assert_eq!(
+        a.cache_probe.probe_counts.len() as u64 + fa.unmeasured_scopes,
+        fa.assigned_scopes,
+        "{ctx}: coverage books do not reconcile on the batched lane"
+    );
+    // …and everything else is byte-identical to the wire oracle.
+    assert_eq!(a.report().render_all(), b.report().render_all(), "{ctx}");
+    assert_eq!(
+        a.metrics_snapshot().to_json(),
+        b.metrics_snapshot().to_json(),
+        "{ctx}"
+    );
+    assert!(
+        a.sweep.encode() == b.sweep.encode(),
+        "{ctx}: snapshot bytes"
+    );
 }
 
 #[test]

@@ -4,17 +4,24 @@
 //! the reusable buffers and creates the session's token bucket), must
 //! allocate nothing across a measured pass of several hundred probes;
 //! the batched lane, once its connection, domain tables and lanes are
-//! set up, must allocate nothing across a whole stream of events.
+//! set up, must allocate nothing across a whole stream of events —
+//! fault-free, and under fault injection, where each event's redundant
+//! queries retry through the connection's per-query door.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use clientmap_cacheprobe::probe::{probe_scope, select_domains, ProbeBufs};
+use std::sync::Arc;
+
+use clientmap_cacheprobe::probe::{probe_scope, select_domains, serve_batched, ProbeBufs};
+use clientmap_cacheprobe::resilience::FaultCounters;
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
 use clientmap_dns::wire;
+use clientmap_faults::{FaultConfig, FaultProfile};
 use clientmap_net::Prefix;
 use clientmap_sim::{GpdnsSession, ProbeOutcome, ScopeLane, Sim, SimTime};
+use clientmap_telemetry::MetricsRegistry;
 use clientmap_world::{World, WorldConfig};
 
 thread_local! {
@@ -195,5 +202,73 @@ fn batched_lane_is_allocation_free_after_warmup() {
     assert_eq!(
         allocated, 0,
         "batched lane allocated {allocated} time(s) across {events} events ({hits} hits)"
+    );
+}
+
+#[test]
+fn faulted_batched_stream_is_allocation_free_after_warmup() {
+    let world = World::generate(WorldConfig::tiny(17));
+    let faults = FaultConfig::profile(FaultProfile::Lossy, 5);
+    let mut sim = Sim::with_faults(world, Arc::new(MetricsRegistry::new()), &faults);
+    let fc = FaultCounters::resolve(sim.metrics());
+    let bound = discover(&mut sim, SimTime::ZERO)[0];
+    let cfg = ProbeConfig::test_scale();
+    let domain = select_domains(&sim, &cfg)
+        .into_iter()
+        .next()
+        .expect("catalog has probeable domains");
+    let template = wire::ProbeQueryTemplate::new(&domain);
+    let scopes: Vec<Prefix> = sim
+        .world()
+        .blocks
+        .iter()
+        .map(|b| b.prefix)
+        .take(32)
+        .collect();
+    assert!(!scopes.is_empty(), "tiny world has routed blocks");
+    let view = sim.view();
+    let t0 = SimTime::from_hours(8);
+
+    // Lane setup: route, connection, domain tables, lanes.
+    let mut session = GpdnsSession::new();
+    let route = bound.route(view.catchments);
+    let mut conn = view.gpdns.open_conn(&route, &session, cfg.transport);
+    let dom = view
+        .gpdns
+        .batch_domain(&conn, template.qname_wire())
+        .expect("selected domain is probeable");
+    let lanes: Vec<ScopeLane> = scopes
+        .iter()
+        .map(|&s| view.gpdns.scope_lane(view.auth, &dom, s))
+        .collect();
+    let mut serve = |pass: u64| {
+        for (i, lane) in lanes.iter().enumerate() {
+            // Passes half an hour apart cross flap and outage windows.
+            let t = t0 + SimTime::from_millis(pass * 1_800_000 + i as u64 * 20);
+            serve_batched(&view, &mut conn, &dom, lane, &cfg, t, Some(&fc));
+        }
+    };
+
+    // Warm-up: one pass.
+    serve(0);
+    let before = allocations();
+    let observed_before = fc.observed_total();
+    for pass in 1..=9u64 {
+        serve(pass);
+    }
+    let allocated = allocations() - before;
+    let events = 9 * lanes.len() as u64;
+    let observed = fc.observed_total() - observed_before;
+    view.gpdns.close_batch(conn, &mut session);
+
+    assert!(events >= 256, "measured pass actually probed");
+    assert!(
+        observed > 0,
+        "the lossy plan injected nothing into the stream"
+    );
+    assert_eq!(
+        allocated, 0,
+        "faulted batched lane allocated {allocated} time(s) across {events} events \
+         ({observed} failed exchanges)"
     );
 }
