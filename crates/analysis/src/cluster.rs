@@ -134,7 +134,7 @@ pub fn confidence_summary(snapshot: &SweepSnapshot) -> ConfidenceSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clientmap_store::{ConfidenceRecord, HitEvent, ScopeRecord};
+    use clientmap_store::{ConfidenceRecord, HitEvent, RecordTable, ScopeRecord};
 
     #[test]
     fn precision_recall_over_verdict_tables() {
@@ -181,8 +181,12 @@ mod tests {
             attempts: 3,
             ..ScopeRecord::default()
         };
+        snap.records = RecordTable::from_ascending([
+            ((0, 0, 0x0A000000, 24), hit_rec.clone()),
+            ((0, 0, 0x0A000200, 24), hit_rec),
+            ((0, 0, 0x0A000300, 24), miss_rec),
+        ]);
         // TP: copied Hit onto a slot that was Hit last sweep.
-        snap.records.insert((0, 0, 0x0A000000, 24), hit_rec.clone());
         snap.confidence.insert(
             (0, 0, 0x0A000000, 24),
             ConfidenceRecord {
@@ -192,7 +196,6 @@ mod tests {
             },
         );
         // FP: copied Hit onto a slot that was Miss last sweep.
-        snap.records.insert((0, 0, 0x0A000200, 24), hit_rec);
         snap.confidence.insert(
             (0, 0, 0x0A000200, 24),
             ConfidenceRecord {
@@ -202,7 +205,6 @@ mod tests {
             },
         );
         // FN: copied Miss onto a slot that was Hit last sweep.
-        snap.records.insert((0, 0, 0x0A000300, 24), miss_rec);
         snap.confidence.insert(
             (0, 0, 0x0A000300, 24),
             ConfidenceRecord {

@@ -190,8 +190,10 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        probe.record_hit(0, 0, p("10.1.0.0/22"), p("10.1.0.0/22"), 1);
-        probe.record_hit(0, 0, p("10.1.4.0/24"), p("10.1.4.0/24"), 1);
+        probe.record_hits([
+            (0, p("10.1.0.0/22"), p("10.1.0.0/22"), 1),
+            (0, p("10.1.4.0/24"), p("10.1.4.0/24"), 1),
+        ]);
 
         let dns = DnsLogsResult {
             resolvers: vec![

@@ -28,6 +28,7 @@ pub struct PopDensity {
 /// Figure 1: active-prefix density per probed PoP.
 pub fn pop_density(result: &CacheProbeResult) -> Vec<PopDensity> {
     let pops = clientmap_sim::pop_catalog();
+    let pop_hits = result.pop_hit_prefixes();
     let mut out: Vec<PopDensity> = result
         .bound_vantages
         .iter()
@@ -35,11 +36,7 @@ pub fn pop_density(result: &CacheProbeResult) -> Vec<PopDensity> {
             pop: b.pop,
             code: pops[b.pop].code,
             location: pops[b.pop].location,
-            active_slash24s: result
-                .pop_hit_prefixes
-                .get(&b.pop)
-                .map(|s| s.num_slash24s())
-                .unwrap_or(0),
+            active_slash24s: pop_hits.get(&b.pop).map(|s| s.num_slash24s()).unwrap_or(0),
             assigned_scopes: result.assigned_per_pop.get(&b.pop).copied().unwrap_or(0),
         })
         .collect();
@@ -131,9 +128,11 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        r.record_hit(0, 0, p("10.1.0.0/20"), p("10.1.0.0/20"), 1);
-        r.record_hit(0, 0, p("10.1.16.0/20"), p("10.1.16.0/20"), 1);
-        r.record_hit(0, 0, p("10.2.0.0/24"), p("10.2.0.0/24"), 1);
+        r.record_hits([
+            (0, p("10.1.0.0/20"), p("10.1.0.0/20"), 1),
+            (0, p("10.1.16.0/20"), p("10.1.16.0/20"), 1),
+            (0, p("10.2.0.0/24"), p("10.2.0.0/24"), 1),
+        ]);
         let (points, lower, upper) = fraction_active_cdf(&r, &rib);
         assert_eq!(points.len(), 2);
         for pt in &points {

@@ -165,8 +165,10 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        r.record_hit(1, 0, p("10.1.0.0/23"), p("10.1.0.0/23"), 1);
-        r.record_hit(0, 0, p("10.9.0.0/24"), p("10.9.0.0/24"), 1);
+        r.record_hits([
+            (1, p("10.1.0.0/23"), p("10.1.0.0/23"), 1),
+            (0, p("10.9.0.0/24"), p("10.9.0.0/24"), 1),
+        ]);
         r
     }
 
@@ -202,7 +204,7 @@ mod tests {
     #[test]
     fn stability_table_has_overall_row() {
         let mut r = probe_with_ms_hits();
-        r.record_hit(0, 0, p("10.8.0.0/20"), p("10.8.0.0/22"), 1);
+        r.record_hits([(0, p("10.8.0.0/20"), p("10.8.0.0/22"), 1)]);
         let rows = scope_stability_table(&r);
         assert_eq!(rows.len(), 3);
         let overall = rows.last().unwrap();

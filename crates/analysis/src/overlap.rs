@@ -162,20 +162,11 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        probe.record_hit(
-            0,
-            0,
+        let (a, b) = (
             "10.1.0.0/22".parse().unwrap(),
-            "10.1.0.0/22".parse().unwrap(),
-            1,
-        );
-        probe.record_hit(
-            0,
-            0,
             "10.2.0.0/24".parse().unwrap(),
-            "10.2.0.0/24".parse().unwrap(),
-            1,
         );
+        probe.record_hits([(0, a, a, 1), (0, b, b, 1)]);
         let dns = clientmap_chromium::DnsLogsResult {
             resolvers: vec![clientmap_chromium::ResolverActivity {
                 resolver_addr: 0x0A030035,

@@ -56,7 +56,7 @@ pub fn activity_estimates(
     ttl_secs: u32,
 ) -> Vec<ActivityEstimate> {
     let mut out: Vec<ActivityEstimate> = result
-        .probe_counts
+        .probe_counts()
         .iter()
         .filter(|((d, _), _)| *d == domain)
         .map(|((_, scope), c)| ActivityEstimate {
@@ -131,6 +131,7 @@ pub fn rank_agreement(estimates: &[ActivityEstimate], truth: &HashMap<Prefix, f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clientmap_store::{HitEvent, RecordTable, ScopeRecord};
 
     #[test]
     fn inversion_monotone_and_zero_at_zero() {
@@ -184,24 +185,23 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
+        // Ten probe events on `scope`, `hits` of them hits.
+        let probed = |scope: Prefix, hits: usize| {
+            let hit = HitEvent {
+                resp_addr: scope.addr(),
+                resp_len: scope.len(),
+                remaining_ttl: 60,
+            };
+            let rec = ScopeRecord {
+                attempts: 10,
+                hit_events: vec![hit; hits],
+                ..ScopeRecord::default()
+            };
+            ((0, 0, scope.addr(), scope.len()), rec)
+        };
         let quiet: Prefix = "10.1.0.0/20".parse().unwrap();
         let busy: Prefix = "10.2.0.0/20".parse().unwrap();
-        result.probe_counts.insert(
-            (0, quiet),
-            clientmap_cacheprobe::ProbeCount {
-                attempts: 10,
-                hits: 1,
-                ..Default::default()
-            },
-        );
-        result.probe_counts.insert(
-            (0, busy),
-            clientmap_cacheprobe::ProbeCount {
-                attempts: 10,
-                hits: 9,
-                ..Default::default()
-            },
-        );
+        result.records = RecordTable::from_ascending([probed(quiet, 1), probed(busy, 9)]);
         let est = activity_estimates(&result, 0, 4, 5, 300);
         assert_eq!(est.len(), 2);
         assert_eq!(est[0].scope, busy);
@@ -210,14 +210,8 @@ mod tests {
         let truth: HashMap<Prefix, f64> = [(quiet, 0.001), (busy, 0.1)].into_iter().collect();
         // Only 2 points → Spearman undefined; add a third.
         let mid: Prefix = "10.3.0.0/20".parse().unwrap();
-        result.probe_counts.insert(
-            (0, mid),
-            clientmap_cacheprobe::ProbeCount {
-                attempts: 10,
-                hits: 5,
-                ..Default::default()
-            },
-        );
+        result.records =
+            RecordTable::from_ascending([probed(quiet, 1), probed(busy, 9), probed(mid, 5)]);
         let est = activity_estimates(&result, 0, 4, 5, 300);
         let mut truth = truth;
         truth.insert(mid, 0.01);

@@ -122,9 +122,7 @@ proptest! {
             Vec::new(),
             Default::default(),
         );
-        for p in &hits {
-            probe.record_hit(0, 0, *p, *p, 1);
-        }
+        probe.record_hits(hits.iter().map(|p| (0, *p, *p, 1)));
         let dns = clientmap_chromium::DnsLogsResult {
             resolvers: vec![clientmap_chromium::ResolverActivity {
                 resolver_addr: 0x0A030035,

@@ -29,7 +29,7 @@ use std::collections::HashMap;
 
 use clientmap_net::{Prefix, SeedMixer};
 use clientmap_store::{
-    ConfidenceRecord, HitEvent, PlanReason, RecordKey, ScopeRecord, CONFIDENCE_MAX,
+    ConfidenceRecord, HitEvent, PlanReason, RecordKey, RecordView, ScopeRecord, CONFIDENCE_MAX,
 };
 use clientmap_world::World;
 
@@ -57,7 +57,7 @@ pub struct ClusterFeatures {
 
 impl ClusterFeatures {
     /// Features of one scope under a prior record.
-    pub fn of(world: &World, scope: Prefix, prior: Option<&ScopeRecord>) -> ClusterFeatures {
+    pub fn of(world: &World, scope: Prefix, prior: Option<RecordView<'_>>) -> ClusterFeatures {
         let as_id = world
             .as_of_prefix(scope)
             .or_else(|| world.as_of_addr(scope.addr()));
@@ -219,7 +219,7 @@ impl ProbePlan for ClusteredPlan<'_> {
     fn decide_unit(
         &mut self,
         unit: &ProbeUnit,
-        priors: &[Option<&ScopeRecord>],
+        priors: &[Option<RecordView<'_>>],
         tags: &[Option<&ConfidenceRecord>],
         dirty: bool,
         decisions: &mut Vec<PlanDecision>,
@@ -366,7 +366,7 @@ impl RepIndex {
 /// member's own scope (a copied hit is evidence about the *member's*
 /// address space, and downstream response-scope accounting must not
 /// credit the representative's /24 twice).
-pub fn synthesize_member_record(rep: &ScopeRecord, member: Prefix) -> ScopeRecord {
+pub fn synthesize_member_record(rep: RecordView<'_>, member: Prefix) -> ScopeRecord {
     ScopeRecord {
         attempts: rep.attempts,
         scope0: rep.scope0,
@@ -389,7 +389,7 @@ mod tests {
     use crate::plan::{plan_units, ExhaustivePlan, PlanOutcome};
     use crate::probe::ProbeUnit;
     use crate::vantage::BoundVantage;
-    use clientmap_store::SweepSnapshot;
+    use clientmap_store::{RecordTable, SweepSnapshot};
     use clientmap_world::WorldConfig;
     use proptest::prelude::*;
     use std::sync::OnceLock;
@@ -508,16 +508,13 @@ mod tests {
         let scopes = units[0].scopes.clone();
         let mut prior = SweepSnapshot::new(7, 1);
         prior.epoch = 1;
-        for &s in &scopes {
-            let key = record_key(0, 0, s);
-            prior.records.insert(
-                key,
-                ScopeRecord {
-                    attempts: 4,
-                    ..ScopeRecord::default()
-                },
-            );
-        }
+        prior.records = RecordTable::from_ascending(scopes.iter().map(|&s| {
+            let rec = ScopeRecord {
+                attempts: 4,
+                ..ScopeRecord::default()
+            };
+            (record_key(0, 0, s), rec)
+        }));
         let keys: Vec<RecordKey> = scopes.iter().map(|&s| record_key(0, 0, s)).collect();
         // keys[0]: verdict flip — tagged as Hit(4) last sweep, but the
         // stored record now ranks Miss(2). keys[1]: weak confidence.
@@ -580,7 +577,7 @@ mod tests {
             }],
         };
         let member: Prefix = "10.0.0.0/20".parse().unwrap();
-        let synth = synthesize_member_record(&rep, member);
+        let synth = synthesize_member_record(rep.view(), member);
         assert_eq!(synth.attempts, 6);
         assert_eq!(synth.scope0, 1);
         assert_eq!(synth.drops, 2);
@@ -733,6 +730,7 @@ mod tests {
             ];
             let mut prior = SweepSnapshot::new(seed, 1);
             prior.epoch = 1;
+            let mut records = std::collections::BTreeMap::new();
             for (i, (scope, rec, tag)) in slots.iter().enumerate() {
                 let bi = i % 2;
                 units[bi].scopes.push(*scope);
@@ -746,7 +744,7 @@ mod tests {
                             remaining_ttl: 30,
                         });
                     }
-                    prior.records.insert(key, r);
+                    records.insert(key, r);
                 }
                 if let Some((confidence, prior_verdict)) = tag {
                     prior.confidence.insert(key, ConfidenceRecord {
@@ -756,6 +754,7 @@ mod tests {
                     });
                 }
             }
+            prior.records = RecordTable::from_ascending(records);
             let units: Vec<ProbeUnit> =
                 units.into_iter().filter(|u| !u.scopes.is_empty()).collect();
             let prior_opt = warm.then_some(&prior);

@@ -36,6 +36,8 @@ pub mod calibrate;
 pub mod cluster;
 pub mod diurnal;
 pub mod openresolver;
+#[cfg(test)]
+mod oracle;
 pub mod plan;
 mod preamble;
 pub mod probe;
@@ -58,4 +60,4 @@ pub use probe::{
     execute_sweep, merge_fault_books, merge_shards, prepare_sweep, prepare_sweep_in,
     probe_rescue_shard, probe_shard, PopHealth, ProbeUnit, ShardMergeError, SweepPrep,
 };
-pub use results::{CacheProbeResult, FaultSummary, ProbeCount};
+pub use results::{CacheProbeResult, FaultSummary, HitStats, ProbeCount};

@@ -20,8 +20,8 @@ use std::iter::Peekable;
 
 use clientmap_net::Prefix;
 use clientmap_store::{
-    classify, ConfidenceRecord, PlanReason, PlannerStats, PriorScope, RecordKey, ScopeRecord,
-    SweepSnapshot,
+    classify, ConfidenceRecord, PlanReason, PlannerStats, PriorScope, RecordKey, RecordTable,
+    RecordView, SweepSnapshot,
 };
 
 use crate::cluster::ClusterStats;
@@ -66,7 +66,7 @@ pub trait ProbePlan {
     fn decide_unit(
         &mut self,
         unit: &ProbeUnit,
-        priors: &[Option<&ScopeRecord>],
+        priors: &[Option<RecordView<'_>>],
         tags: &[Option<&ConfidenceRecord>],
         dirty: bool,
         decisions: &mut Vec<PlanDecision>,
@@ -96,7 +96,7 @@ impl ProbePlan for ExhaustivePlan {
     fn decide_unit(
         &mut self,
         unit: &ProbeUnit,
-        _priors: &[Option<&ScopeRecord>],
+        _priors: &[Option<RecordView<'_>>],
         _tags: &[Option<&ConfidenceRecord>],
         _dirty: bool,
         decisions: &mut Vec<PlanDecision>,
@@ -129,7 +129,7 @@ impl WarmStartPlan {
         &self,
         domain: usize,
         scope: Prefix,
-        prior: Option<&ScopeRecord>,
+        prior: Option<RecordView<'_>>,
         dirty: bool,
     ) -> PlanDecision {
         match classify(
@@ -156,7 +156,7 @@ impl ProbePlan for WarmStartPlan {
     fn decide_unit(
         &mut self,
         unit: &ProbeUnit,
-        priors: &[Option<&ScopeRecord>],
+        priors: &[Option<RecordView<'_>>],
         _tags: &[Option<&ConfidenceRecord>],
         dirty: bool,
         decisions: &mut Vec<PlanDecision>,
@@ -196,9 +196,10 @@ pub struct ExtrapolatedSlot {
 pub struct PlanOutcome {
     /// Units (with only their live scopes) the sweep must probe.
     pub live_units: Vec<ProbeUnit>,
-    /// The slot key and prior record of every slot the plan replays
-    /// instead of probing, in slot (so key) order.
-    pub skipped: Vec<(RecordKey, ScopeRecord)>,
+    /// Every slot the plan replays instead of probing, as the index of
+    /// its record in the prior's [`RecordTable`], ascending (slot order
+    /// is key order).
+    pub skipped: Vec<usize>,
     /// Slots the plan extrapolates from a cluster representative after
     /// the probing window, in slot order.
     pub extrapolated: Vec<ExtrapolatedSlot>,
@@ -209,7 +210,34 @@ pub struct PlanOutcome {
     pub stats: PlannerStats,
 }
 
-/// A forward cursor over a key-ordered table: answers `get` for
+/// A forward cursor over a [`RecordTable`]: answers lookups for
+/// ascending keys by stepping along the key column, never by a fresh
+/// search.
+pub(crate) struct TableCursor<'a> {
+    keys: &'a [RecordKey],
+    pos: usize,
+}
+
+impl<'a> TableCursor<'a> {
+    /// A cursor at the start of `table`.
+    pub(crate) fn new(table: &'a RecordTable) -> TableCursor<'a> {
+        TableCursor {
+            keys: table.keys(),
+            pos: 0,
+        }
+    }
+
+    /// The index of `key`'s record. Keys must be sought in ascending
+    /// order: everything below `key` is stepped past for good.
+    pub(crate) fn seek(&mut self, key: RecordKey) -> Option<usize> {
+        while self.keys.get(self.pos).is_some_and(|k| *k < key) {
+            self.pos += 1;
+        }
+        (self.keys.get(self.pos) == Some(&key)).then_some(self.pos)
+    }
+}
+
+/// A forward cursor over a key-ordered map: answers `get` for
 /// ascending keys by stepping the map's iterator, never by a fresh
 /// descent from the root.
 pub(crate) struct Cursor<'a, V> {
@@ -262,10 +290,12 @@ pub fn plan_units(
     let mut priors = Vec::new();
     let mut tags = Vec::new();
     let mut decisions = Vec::new();
-    let mut cursors = prior.map(|p| (Cursor::new(&p.records), Cursor::new(&p.confidence)));
+    let mut cursors = prior.map(|p| (TableCursor::new(&p.records), Cursor::new(&p.confidence)));
+    let mut slots = Vec::new();
     for u in units {
         priors.clear();
         tags.clear();
+        slots.clear();
         for &scope in &u.scopes {
             let key = record_key(u.bound_idx, u.domain, scope);
             assert!(
@@ -273,10 +303,11 @@ pub fn plan_units(
                 "plan_units: slot {key:?} after {last:?} — units must be ascending in record-key order"
             );
             last = Some(key);
-            let (rec, tag) = cursors
+            let (slot, tag) = cursors
                 .as_mut()
                 .map_or((None, None), |(r, c)| (r.seek(key), c.seek(key)));
-            priors.push(rec);
+            priors.push(slot.zip(prior).map(|(i, p)| p.records.record(i)));
+            slots.push(slot);
             tags.push(tag);
         }
         let dirty = prior.is_some_and(|p| {
@@ -291,7 +322,9 @@ pub fn plan_units(
             "a plan decides every slot of its unit"
         );
         let mut live_scopes = Vec::new();
-        for ((&scope, &decision), &prior_rec) in u.scopes.iter().zip(&decisions).zip(&priors) {
+        for (((&scope, &decision), &prior_rec), &slot) in
+            u.scopes.iter().zip(&decisions).zip(&priors).zip(&slots)
+        {
             match decision {
                 PlanDecision::Probe(reason) => {
                     outcome.stats.count(Some(reason));
@@ -299,12 +332,9 @@ pub fn plan_units(
                 }
                 PlanDecision::Replay => {
                     outcome.stats.count(None);
-                    outcome.skipped.push((
-                        record_key(u.bound_idx, u.domain, scope),
-                        prior_rec
-                            .expect("a replay decision implies a prior record")
-                            .clone(),
-                    ));
+                    outcome
+                        .skipped
+                        .push(slot.expect("a replay decision implies a prior record"));
                 }
                 PlanDecision::Extrapolate { rep, confidence } => {
                     outcome.stats.count(None);
@@ -333,6 +363,7 @@ pub fn plan_units(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clientmap_store::ScopeRecord;
 
     fn unit(bound_idx: usize, domain: usize, scopes: &[&str]) -> ProbeUnit {
         ProbeUnit {
@@ -362,13 +393,13 @@ mod tests {
         // A prior snapshot covering one of two scopes: the covered one
         // replays, the uncovered one is planned as New.
         let mut prior = SweepSnapshot::new(7, 1);
-        prior.records.insert(
+        prior.records = RecordTable::from_ascending([(
             record_key(0, 0, "10.0.0.0/24".parse().unwrap()),
             ScopeRecord {
                 attempts: 5,
                 ..ScopeRecord::default()
             },
-        );
+        )]);
         let bound = vec![BoundVantage { vp: 0, pop: 0 }];
         let mut plan = WarmStartPlan {
             world_seed: 7,
@@ -408,15 +439,15 @@ mod tests {
             (1, 0, "10.0.5.0/24", 5),
             (1, 1, "10.0.1.0/24", 6),
         ];
-        for (bi, d, s, attempts) in stored {
-            prior.records.insert(
+        prior.records = RecordTable::from_ascending(stored.map(|(bi, d, s, attempts)| {
+            (
                 record_key(bi, d, s.parse().unwrap()),
                 ScopeRecord {
                     attempts,
                     ..ScopeRecord::default()
                 },
-            );
-        }
+            )
+        }));
         let bound = vec![
             BoundVantage { vp: 0, pop: 0 },
             BoundVantage { vp: 1, pop: 1 },
@@ -438,7 +469,7 @@ mod tests {
         let replayed: Vec<(RecordKey, u64)> = out
             .skipped
             .iter()
-            .map(|(key, rec)| (*key, rec.attempts))
+            .map(|&i| (prior.records.keys()[i], prior.records.record(i).attempts))
             .collect();
         let key = |bi, d, s: &str| record_key(bi, d, s.parse().unwrap());
         assert_eq!(

@@ -7,8 +7,8 @@
 //! [`clientmap_par::par_map`], sharing the immutable simulation core.
 //! Each unit tallies into one record per slot; the units' records
 //! reduce in work-unit order (bound-PoP order × domain order) into the
-//! sweep's record table, and the result is one fold of the finished
-//! table. That ordered reduction makes the output —
+//! sweep's record table, and the result is that table, shared with the
+//! snapshot, with its views. That ordered reduction makes the output —
 //! reports and telemetry snapshots alike — byte-identical at any thread
 //! count.
 //!
@@ -29,13 +29,17 @@ use clientmap_sim::{
     BatchConn, BatchDomain, GpdnsSession, PopId, ProbeOutcome, ScopeLane, Sim, SimTime, SimView,
     Transport, VantageRoute,
 };
-use clientmap_store::{ConfidenceRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot};
+use clientmap_store::{
+    ConfidenceRecord, HitEvent, RecordKey, RecordTable, RecordTableBuilder, RecordView,
+    ScopeRecord, SweepSnapshot,
+};
 use clientmap_telemetry::{Counter, Histogram, MetricsDelta, MetricsRegistry};
 
 use crate::calibrate::{calibrate, sample_prefixes, ServiceRadii};
 use crate::cluster::{synthesize_member_record, ClusteredPlan};
 use crate::plan::{
-    plan_units, Cursor, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, WarmStartPlan,
+    plan_units, ExhaustivePlan, ExtrapolatedSlot, PlanOutcome, ProbePlan, TableCursor,
+    WarmStartPlan,
 };
 use crate::preamble::{pairs, Assignment, Preamble};
 use crate::resilience::{
@@ -309,14 +313,14 @@ fn tally(rec: &mut ScopeRecord, outcome: &ProbeOutcome) {
 /// run's telemetry describes the whole sweep. The counters are
 /// commutative atomics, so the registry is byte-identical whichever
 /// lane, thread interleaving or grouping of records booked them.
-fn book<'a>(m: &ProbeMetrics, records: impl IntoIterator<Item = &'a ScopeRecord>, redundancy: u32) {
+fn book<'a>(m: &ProbeMetrics, records: impl IntoIterator<Item = RecordView<'a>>, redundancy: u32) {
     let (mut attempts, mut hits, mut scope0, mut drops) = (0, 0, 0, 0);
     for rec in records {
         attempts += rec.attempts;
         hits += rec.hits();
         scope0 += rec.scope0;
         drops += rec.drops;
-        for e in &rec.hit_events {
+        for e in rec.hit_events {
             m.hit_ttl_secs.record(u64::from(e.remaining_ttl));
         }
     }
@@ -448,7 +452,11 @@ fn probe_stream(
             }
         }
     }
-    book(metrics, &records, cfg.redundancy);
+    book(
+        metrics,
+        records.iter().map(ScopeRecord::view),
+        cfg.redundancy,
+    );
     (records, tripped)
 }
 
@@ -457,45 +465,19 @@ pub(crate) fn record_key(bound_idx: usize, domain: usize, scope: Prefix) -> Reco
     (bound_idx as u16, domain as u16, scope.addr(), scope.len())
 }
 
-/// Replays one stored [`ScopeRecord`] into the result (probe counts,
-/// hit families, headline totals) — the step of [`replay_table`]'s fold.
-fn replay_record(
-    result: &mut CacheProbeResult,
-    pop: PopId,
-    domain: usize,
-    scope: Prefix,
-    rec: &ScopeRecord,
-    redundancy: u32,
-) {
-    if rec.attempts == 0 {
-        // Assigned but never reached — nothing measured.
-        return;
-    }
-    result.probes_sent += rec.attempts * u64::from(redundancy);
-    let c = result.probe_counts.entry((domain, scope)).or_default();
-    c.attempts += rec.attempts;
-    c.hits += rec.hits();
-    c.scope0 += rec.scope0;
-    c.drops += rec.drops;
-    for e in &rec.hit_events {
-        let resp = Prefix::new(e.resp_addr, e.resp_len)
-            .expect("hit scopes are prefixes: probed as such, and refused otherwise on decode");
-        result.record_hit(domain, pop, scope, resp, e.remaining_ttl);
-    }
-}
-
 /// A clustered plan's extrapolated members, built after the ordered
 /// reduction: each member's record is synthesized from a borrow of its
 /// representative's live record and booked as it is built
 /// ([`book`]), and its [`ConfidenceRecord`] goes to the
 /// snapshot's provenance column. `extrapolated` is in key order (plan
 /// order), so both outputs are too, and the fold is byte-identical at
-/// any thread or shard count. A representative whose stream never
-/// produced a probe event copies as an empty record — the next
+/// any thread or shard count. Representatives are found by binary
+/// search over the live table's keys. A representative whose stream
+/// never produced a probe event copies as an empty record — the next
 /// planner's escalation signal, exactly like a breaker-aborted live
 /// slot.
 fn synthesize_members(
-    live: &BTreeMap<RecordKey, ScopeRecord>,
+    live: &RecordTable,
     extrapolated: &[ExtrapolatedSlot],
     pop_metrics: &[ProbeMetrics],
     redundancy: u32,
@@ -507,8 +489,9 @@ fn synthesize_members(
     let members: Vec<(RecordKey, ScopeRecord)> = extrapolated
         .iter()
         .map(|e| {
-            let synth = synthesize_member_record(live.get(&e.rep).unwrap_or(&empty), e.scope);
-            book(&pop_metrics[e.bound_idx], [&synth], redundancy);
+            let rep = live.get(&e.rep).unwrap_or(empty.view());
+            let synth = synthesize_member_record(rep, e.scope);
+            book(&pop_metrics[e.bound_idx], [synth.view()], redundancy);
             (record_key(e.bound_idx, e.domain, e.scope), synth)
         })
         .collect();
@@ -528,10 +511,10 @@ fn synthesize_members(
 
 /// Merges two key-ordered runs of records into one key-ordered run;
 /// where both hold a key, `first`'s record wins.
-fn merge_ordered(
-    first: impl Iterator<Item = (RecordKey, ScopeRecord)>,
-    second: impl Iterator<Item = (RecordKey, ScopeRecord)>,
-) -> impl Iterator<Item = (RecordKey, ScopeRecord)> {
+fn merge_ordered<'a>(
+    first: impl Iterator<Item = (RecordKey, RecordView<'a>)>,
+    second: impl Iterator<Item = (RecordKey, RecordView<'a>)>,
+) -> impl Iterator<Item = (RecordKey, RecordView<'a>)> {
     let (mut a, mut b) = (first.peekable(), second.peekable());
     std::iter::from_fn(move || match (a.peek(), b.peek()) {
         (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
@@ -601,7 +584,7 @@ struct ProbeCtx {
 /// The sweep's preamble, paused at the start of the probing window:
 /// bound vantages, calibration, scope→PoP assignment, the (warm)
 /// planner's live unit list, the skipped records it carries forward,
-/// and the result shell the finished record table folds onto.
+/// and the result shell the finished record table completes.
 ///
 /// Everything in here is a pure function of ⟨world seed, probing
 /// config, universe, prior snapshot⟩, so two processes that prepare the
@@ -616,13 +599,17 @@ pub struct SweepPrep {
     /// `ctx.bound` — the [`Preamble`]'s kept lists, borrowed.
     assigned: Assignment,
     units: Vec<ProbeUnit>,
-    skipped: Vec<(RecordKey, ScopeRecord)>,
+    /// The prior's record table (shared; empty without a prior), and
+    /// the ascending indexes of the records the plan carries from it.
+    prior_records: RecordTable,
+    skipped: Vec<usize>,
     extrapolated: Vec<ExtrapolatedSlot>,
-    /// The prior snapshot, kept whole when the planner emitted zero
-    /// probe work — the full-skip finish carries it forward wholesale.
-    full_skip_prior: Option<SweepSnapshot>,
-    /// Domains, bound vantages, radii and assignment sizes; every
-    /// aggregate is left for [`replay_table`].
+    /// The planner emitted zero probe work: `snapshot` already holds
+    /// the prior's records, fault accounting, window delta and
+    /// confidence tags, and the merge only replays the delta.
+    full_skip: bool,
+    /// Domains, bound vantages, radii and assignment sizes; the record
+    /// table and its totals are the merge's.
     shell: CacheProbeResult,
     snapshot: SweepSnapshot,
     /// When the probing window opened: the `probing` stage's start.
@@ -640,7 +627,7 @@ impl SweepPrep {
 
     /// True when a warm plan skipped everything — nothing to shard.
     pub fn warm_full_skip(&self) -> bool {
-        self.full_skip_prior.is_some()
+        self.full_skip
     }
 
     /// Seed of the world this sweep measures.
@@ -919,8 +906,20 @@ pub fn prepare_sweep_in(
             .add(cs.clusters);
     }
 
-    let full_skip_prior =
-        warm_full_skip.then(|| prior.expect("full skip implies a prior snapshot").clone());
+    // A full skip carries the prior forward under the new epoch: its
+    // record table shared, not copied, with the views its own sweep
+    // built; its fault accounting, window delta and confidence tags
+    // (the provenance of a copied verdict, and its escalation trigger,
+    // must survive however many all-replay epochs sit between clustered
+    // sweeps).
+    let prior_records = prior.map(|p| p.records.clone()).unwrap_or_default();
+    if warm_full_skip {
+        let prior = prior.expect("full skip implies a prior snapshot");
+        snapshot.records = prior_records.clone();
+        snapshot.fault = prior.fault.clone();
+        snapshot.metrics = prior.metrics.clone();
+        snapshot.confidence = prior.confidence.clone();
+    }
     timings.push(("planning".into(), stage.elapsed().as_secs_f64()));
 
     // The probing-window telemetry delta starts here. The preamble
@@ -946,9 +945,10 @@ pub fn prepare_sweep_in(
         },
         assigned,
         units,
+        prior_records,
         skipped,
         extrapolated,
-        full_skip_prior,
+        full_skip: warm_full_skip,
         shell,
         snapshot,
         stage,
@@ -969,7 +969,7 @@ pub fn prepare_sweep_in(
 /// public, shipping [`probe_shard`]/[`probe_rescue_shard`] open a
 /// [`Window`]). The merge's absorb step is then a no-op for it instead
 /// of a double count, and everything else — staging, quarantine,
-/// rescue, table assembly, the fold — is the one code path.
+/// rescue, table assembly, the views — is the one code path.
 pub fn execute_sweep(
     sim: &mut Sim,
     cfg: &ProbeConfig,
@@ -991,42 +991,6 @@ pub fn execute_sweep(
     .expect("one local shard over the prep's own unit list is a complete, disjoint cover")
 }
 
-/// The one fold: replays the finished snapshot's record table into the
-/// result shell in record-key order, and takes its fault accounting.
-/// Every route ends here, so the result is a function of the snapshot.
-/// Probe counters are not bumped: they landed live, ride a shard
-/// delta's metrics block, or were booked by [`book`].
-fn replay_table(
-    mut result: CacheProbeResult,
-    bound: &[BoundVantage],
-    snapshot: &SweepSnapshot,
-    redundancy: u32,
-) -> CacheProbeResult {
-    for (&(bi, d, addr, len), rec) in &snapshot.records {
-        let Some(b) = bound.get(bi as usize) else {
-            continue;
-        };
-        let scope = key_scope(addr, len);
-        replay_record(&mut result, b.pop, d as usize, scope, rec, redundancy);
-    }
-    result.fault = snapshot.fault.clone();
-    result
-}
-
-/// Nothing to probe: carry the prior sweep forward wholesale under the
-/// new epoch — its records, fault accounting and confidence tags into
-/// the snapshot, its stored metrics delta into the registry.
-fn finish_full_skip(sim: &Sim, snapshot: &mut SweepSnapshot, prior: SweepSnapshot) {
-    sim.metrics().absorb_delta(&prior.metrics);
-    snapshot.fault = prior.fault;
-    snapshot.metrics = prior.metrics;
-    snapshot.records = prior.records;
-    // Confidence tags ride through full skips too: the provenance of a
-    // copied verdict (and its escalation trigger) must survive however
-    // many all-replay epochs sit between clustered sweeps.
-    snapshot.confidence = prior.confidence;
-}
-
 /// The scope of a record key: keys are built from probed prefixes, and
 /// the decoder refuses any key that is not one.
 fn key_scope(addr: u32, len: u8) -> Prefix {
@@ -1035,13 +999,11 @@ fn key_scope(addr: u32, len: u8) -> Prefix {
 
 /// The ⟨domain, scope⟩ pairs a record table measured: those with a
 /// record that saw at least one probe event, at any vantage.
-fn measured_pairs(
-    records: &BTreeMap<RecordKey, ScopeRecord>,
-) -> impl Iterator<Item = (usize, Prefix)> + '_ {
+fn measured_pairs(records: &RecordTable) -> impl Iterator<Item = (usize, Prefix)> + '_ {
     records
         .iter()
         .filter(|(_, rec)| rec.attempts > 0)
-        .map(|(&(_, d, addr, len), _)| (d as usize, key_scope(addr, len)))
+        .map(|((_, d, addr, len), _)| (d as usize, key_scope(addr, len)))
 }
 
 /// The deterministic quarantine rule over the sweep's canonical fault
@@ -1169,7 +1131,7 @@ pub fn merge_fault_books(books: &[PopHealth]) -> Vec<PopHealth> {
 /// records, in unit order — a pure function of the work list, never of
 /// the thread interleaving — keeping the records `keep` accepts. Units
 /// partition the key space and each runs in key order, so the table
-/// bulk-builds from one ascending run. Per-PoP health (attempts, lost
+/// builds from one ascending run. Per-PoP health (attempts, lost
 /// events, breaker trips) is summed from each unit's records as the
 /// shard's canonical fault book.
 fn fold_tallies(
@@ -1177,7 +1139,7 @@ fn fold_tallies(
     units: &[ProbeUnit],
     tallies: Vec<UnitRecords>,
     keep: impl Fn(&ScopeRecord) -> bool,
-) -> (BTreeMap<RecordKey, ScopeRecord>, Vec<PopHealth>) {
+) -> (RecordTable, Vec<PopHealth>) {
     let book: Vec<PopHealth> = units
         .iter()
         .zip(&tallies)
@@ -1188,28 +1150,25 @@ fn fold_tallies(
             tripped: *tripped,
         })
         .collect();
-    let records = units
-        .iter()
-        .zip(tallies)
-        .flat_map(|(u, (records, _))| {
-            u.scopes
-                .iter()
-                .zip(records)
-                .map(move |(&scope, rec)| (record_key(u.bound_idx, u.domain, scope), rec))
-        })
-        .filter(|(_, rec)| keep(rec))
-        .collect();
-    (records, merge_fault_books(&book))
+    let slots = || tallies.iter().flat_map(|(records, _)| records);
+    let mut table = RecordTableBuilder::with_capacity(
+        slots().count(),
+        slots().map(|r| r.hit_events.len()).sum(),
+    );
+    for (u, (records, _)) in units.iter().zip(&tallies) {
+        for (&scope, rec) in u.scopes.iter().zip(records) {
+            if keep(rec) {
+                table.push(record_key(u.bound_idx, u.domain, scope), rec.view());
+            }
+        }
+    }
+    (table.finish(), merge_fault_books(&book))
 }
 
 /// A shard delta carrying `records`, shard id in `epoch`, with an
 /// empty `metrics` block — a [`Window`] fills it for deltas that leave
 /// the process.
-fn shard_delta(
-    ctx: &ProbeCtx,
-    shard_id: u32,
-    records: BTreeMap<RecordKey, ScopeRecord>,
-) -> SweepSnapshot {
+fn shard_delta(ctx: &ProbeCtx, shard_id: u32, records: RecordTable) -> SweepSnapshot {
     let mut delta = SweepSnapshot::new(ctx.world_seed, ctx.config_digest);
     delta.epoch = shard_id;
     delta.records = records;
@@ -1388,12 +1347,12 @@ impl std::fmt::Display for ShardMergeError {
 
 impl std::error::Error for ShardMergeError {}
 
-/// One phase's shard deltas, staged: records moved into one table, each
-/// delta's telemetry block set aside. Staging touches neither the sim
-/// nor the snapshot, so an `Err` anywhere before [`Staged::commit`]
+/// One phase's shard deltas, staged: records gathered into one table,
+/// each delta's telemetry block set aside. Staging touches neither the
+/// sim nor the snapshot, so an `Err` anywhere before [`Staged::commit`]
 /// leaves no partial-merge corruption behind.
 struct Staged {
-    records: BTreeMap<RecordKey, ScopeRecord>,
+    records: RecordTable,
     effects: Vec<MetricsDelta>,
 }
 
@@ -1401,46 +1360,135 @@ impl Staged {
     /// Stages and validates (provenance, disjointness) a phase's
     /// deltas. Shard order is canonical: sort by shard id so the merge
     /// is a pure function of the delta *set*, not the arrival order
-    /// over the wire. Records move out of the deltas — the merge owns
-    /// them, and a local sweep must not pay for a second record table.
+    /// over the wire. The first delta, in shard order, that is foreign
+    /// or claims a slot an earlier one holds is the error. A lone
+    /// non-empty delta's table is taken whole — a local sweep must not
+    /// pay for a second record table.
     fn stage(ctx: &ProbeCtx, mut deltas: Vec<SweepSnapshot>) -> Result<Staged, ShardMergeError> {
         deltas.sort_by_key(|d| d.epoch);
-        let mut staged = Staged {
-            records: BTreeMap::new(),
-            effects: Vec::with_capacity(deltas.len()),
-        };
-        for delta in deltas {
-            if delta.world_seed != ctx.world_seed || delta.config_digest != ctx.config_digest {
-                return Err(ShardMergeError::ForeignDelta {
-                    shard: delta.epoch,
-                    world_seed: delta.world_seed,
-                    config_digest: delta.config_digest,
-                });
-            }
-            if staged.records.is_empty() {
-                // First table in: nothing to overlap with, take it whole.
-                staged.records = delta.records;
-            } else {
-                for (key, rec) in delta.records {
-                    if staged.records.insert(key, rec).is_some() {
-                        return Err(ShardMergeError::OverlappingShards { shard: delta.epoch });
-                    }
+        let foreign = deltas
+            .iter()
+            .position(|d| d.world_seed != ctx.world_seed || d.config_digest != ctx.config_digest);
+        let records = Staged::gather(&deltas);
+        let overlap = records.as_ref().err().copied();
+        if let Some(d) = foreign
+            .filter(|&f| overlap.is_none_or(|o| f <= o))
+            .map(|f| &deltas[f])
+        {
+            return Err(ShardMergeError::ForeignDelta {
+                shard: d.epoch,
+                world_seed: d.world_seed,
+                config_digest: d.config_digest,
+            });
+        }
+        let records = records.map_err(|o| ShardMergeError::OverlappingShards {
+            shard: deltas[o].epoch,
+        })?;
+        Ok(Staged {
+            records,
+            effects: deltas.into_iter().map(|d| d.metrics).collect(),
+        })
+    }
+
+    /// The union of the deltas' tables, or as `Err` the position of the
+    /// first delta holding a key an earlier one holds. Shards of a unit
+    /// list are key-ascending in shard order, so the union is usually
+    /// their concatenation; any other order takes one sort of every key.
+    fn gather(deltas: &[SweepSnapshot]) -> Result<RecordTable, usize> {
+        let tables: Vec<&RecordTable> = deltas
+            .iter()
+            .map(|d| &d.records)
+            .filter(|t| !t.is_empty())
+            .collect();
+        if let [one] = tables[..] {
+            return Ok(one.clone());
+        }
+        let total = tables.iter().map(|t| t.len()).sum();
+        let hits = tables.iter().map(|t| t.num_hit_events()).sum();
+        let mut table = RecordTableBuilder::with_capacity(total, hits);
+        let ascending = tables
+            .windows(2)
+            .all(|w| w[0].keys().last() < w[1].keys().first());
+        if ascending {
+            for t in tables {
+                for (key, rec) in t.iter() {
+                    table.push(key, rec);
                 }
             }
-            staged.effects.push(delta.metrics);
+            return Ok(table.finish());
         }
-        Ok(staged)
+        // (key, delta position, record index), stable-sorted by key so
+        // equal keys stay in shard order.
+        let mut all: Vec<(RecordKey, usize, usize)> = Vec::with_capacity(total);
+        for (pos, d) in deltas.iter().enumerate() {
+            all.extend(
+                d.records
+                    .keys()
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &k)| (k, pos, i)),
+            );
+        }
+        all.sort_by_key(|&(k, ..)| k);
+        let overlap = all
+            .windows(2)
+            .filter(|w| w[0].0 == w[1].0)
+            .map(|w| w[1].1)
+            .min();
+        if let Some(pos) = overlap {
+            return Err(pos);
+        }
+        for (key, pos, i) in all {
+            table.push(key, deltas[pos].records.record(i));
+        }
+        Ok(table.finish())
     }
 
     /// Commits the phase: telemetry blocks absorb additively into the
     /// registry (an empty block — a local shard's — absorbs as
     /// nothing). Returns the record table.
-    fn commit(self, sim: &Sim) -> BTreeMap<RecordKey, ScopeRecord> {
+    fn commit(self, sim: &Sim) -> RecordTable {
         for delta in &self.effects {
             sim.metrics().absorb_delta(delta);
         }
         self.records
     }
+}
+
+/// `table` with `rescued` merged in additively: where both hold a key,
+/// the counts add and the rescue hits follow the table's.
+fn merge_additive(table: &RecordTable, rescued: &RecordTable) -> RecordTable {
+    let mut out = RecordTableBuilder::with_capacity(
+        table.len() + rescued.len(),
+        table.num_hit_events() + rescued.num_hit_events(),
+    );
+    let (mut a, mut b) = (table.iter().peekable(), rescued.iter().peekable());
+    loop {
+        let next = match (a.peek(), b.peek()) {
+            (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
+                std::cmp::Ordering::Less => a.next(),
+                std::cmp::Ordering::Greater => b.next(),
+                std::cmp::Ordering::Equal => {
+                    let ((key, x), (_, y)) = (a.next().unwrap(), b.next().unwrap());
+                    for &e in x.hit_events.iter().chain(y.hit_events) {
+                        out.push_hit(e);
+                    }
+                    out.close(
+                        key,
+                        x.attempts + y.attempts,
+                        x.scope0 + y.scope0,
+                        x.drops + y.drops,
+                    );
+                    continue;
+                }
+            },
+            (Some(_), None) => a.next(),
+            (None, _) => b.next(),
+        };
+        let Some((key, rec)) = next else { break };
+        out.push(key, rec);
+    }
+    out.finish()
 }
 
 /// Driver-side merge: folds checksummed per-shard deltas into the
@@ -1450,8 +1498,8 @@ impl Staged {
 ///
 /// Deltas are staged and fully validated (provenance, disjointness,
 /// completeness) before anything commits. The merge then assembles the
-/// sweep's record table and folds the result from it once
-/// ([`replay_table`]).
+/// sweep's record table, and the result is that table, shared with the
+/// snapshot, with its views built once in the `fold` stage.
 ///
 /// Under fault injection the workers' fault books fold into a global
 /// book ([`merge_fault_books`]), the driver takes the quarantine
@@ -1498,23 +1546,27 @@ fn merge_inner(
         ctx,
         assigned,
         units,
+        prior_records,
         skipped,
         extrapolated,
-        full_skip_prior,
+        full_skip,
         shell,
         mut snapshot,
         stage,
         window,
     } = prep;
 
-    if let Some(prior) = full_skip_prior {
-        finish_full_skip(sim, &mut snapshot, prior);
+    if full_skip {
+        // Nothing to probe: the snapshot already carries the prior
+        // forward, and its stored window delta replays into the
+        // registry.
+        sim.metrics().absorb_delta(&snapshot.metrics);
         timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
     } else {
         let staged = Staged::stage(&ctx, deltas)?;
         // The live units are in key order, so one cursor walks the
         // staged table once.
-        let mut cursor = Cursor::new(&staged.records);
+        let mut cursor = TableCursor::new(&staged.records);
         let missing = units
             .iter()
             .flat_map(|u| {
@@ -1531,10 +1583,11 @@ fn merge_inner(
         // The record table: the live records, the extrapolated members
         // synthesized from them, and the warm-skipped carries (so the
         // next planner still sees them as measured) — three disjoint
-        // key-ordered runs, merged once and bulk-built. A member wins a
-        // slot over a live record, and either over a carry. A sweep
-        // with nothing planned around its probes (cold, or a warm one
-        // that re-probes everything) keeps its live table as is.
+        // key-ordered runs, merged once into one ascending build. A
+        // member wins a slot over a live record, and either over a
+        // carry. A sweep with nothing planned around its probes (cold,
+        // or a warm one that re-probes everything) keeps its live table
+        // as is.
         let live = staged.commit(sim);
         let mut table = if skipped.is_empty() && extrapolated.is_empty() {
             live
@@ -1542,16 +1595,29 @@ fn merge_inner(
             let (members, tags) =
                 synthesize_members(&live, &extrapolated, &ctx.pop_metrics, cfg.redundancy);
             snapshot.confidence = tags;
+            let carry = |i: usize| (prior_records.keys()[i], prior_records.record(i));
             // Carries are in key order, so each vantage's are one run.
-            for run in skipped.chunk_by(|a, b| a.0 .0 == b.0 .0) {
-                let m = &ctx.pop_metrics[usize::from(run[0].0 .0)];
-                book(m, run.iter().map(|(_, rec)| rec), cfg.redundancy);
+            for run in skipped.chunk_by(|&a, &b| carry(a).0 .0 == carry(b).0 .0) {
+                let m = &ctx.pop_metrics[usize::from(carry(run[0]).0 .0)];
+                book(m, run.iter().map(|&i| carry(i).1), cfg.redundancy);
             }
-            merge_ordered(
-                merge_ordered(members.into_iter(), live.into_iter()),
-                skipped.into_iter(),
-            )
-            .collect()
+            let runs = merge_ordered(
+                merge_ordered(
+                    members.iter().map(|(key, rec)| (*key, rec.view())),
+                    live.iter(),
+                ),
+                skipped.iter().map(|&i| carry(i)),
+            );
+            let member_hits: usize = members.iter().map(|(_, r)| r.hit_events.len()).sum();
+            let carry_hits: usize = skipped.iter().map(|&i| carry(i).1.hit_events.len()).sum();
+            let mut table = RecordTableBuilder::with_capacity(
+                members.len() + live.len() + skipped.len(),
+                member_hits + live.num_hit_events() + carry_hits,
+            );
+            for (key, rec) in runs {
+                table.push(key, rec);
+            }
+            table.finish()
         };
         timings.push(("probing".into(), stage.elapsed().as_secs_f64()));
 
@@ -1613,12 +1679,8 @@ fn merge_inner(
             // Rescue records merge additively: rescue keys only ever
             // collide with all-zero records (a rescued scope was measured
             // nowhere, so any record at its fallback vantage is empty).
-            for (key, rec) in rescued {
-                let slot = table.entry(key).or_default();
-                slot.attempts += rec.attempts;
-                slot.scope0 += rec.scope0;
-                slot.drops += rec.drops;
-                slot.hit_events.extend(rec.hit_events);
+            if !rescued.is_empty() {
+                table = merge_additive(&table, &rescued);
             }
             timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
         }
@@ -1626,8 +1688,16 @@ fn merge_inner(
         snapshot.metrics = window.close(sim);
     }
 
+    // The result is the snapshot's table itself, with its views: built
+    // here for a table this sweep made (or decoded), already built for
+    // one a full skip shares with its own sweep's prior.
     let stage = Instant::now();
-    let result = replay_table(shell, &ctx.bound, &snapshot, cfg.redundancy);
+    let result = CacheProbeResult {
+        records: snapshot.records.clone(),
+        probes_sent: snapshot.records.attempts_total() * u64::from(cfg.redundancy),
+        fault: snapshot.fault.clone(),
+        ..shell
+    };
     timings.push(("fold".into(), stage.elapsed().as_secs_f64()));
     Ok((result, snapshot))
 }
@@ -1635,6 +1705,7 @@ fn merge_inner(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::oracle;
     use clientmap_world::{World, WorldConfig};
 
     fn run_tiny(seed: u64) -> (Sim, CacheProbeResult) {
@@ -1692,11 +1763,11 @@ mod tests {
     #[test]
     fn hits_record_scope_pairs_for_table2() {
         let (_, result) = shared_run();
-        let total: u64 = result.scope_pairs.values().sum();
+        let total: u64 = result.scope_pairs().values().sum();
         assert!(total > 0, "no scope pairs recorded");
         // Most response scopes equal the query scope (Table 2: ~90%).
         let exact: u64 = result
-            .scope_pairs
+            .scope_pairs()
             .iter()
             .filter(|((_, q, r), _)| q == r)
             .map(|(_, c)| *c)
@@ -1709,7 +1780,7 @@ mod tests {
     fn per_pop_density_populated() {
         let (_, result) = shared_run();
         let with_hits = result
-            .pop_hit_prefixes
+            .pop_hit_prefixes()
             .values()
             .filter(|s| s.num_slash24s() > 0)
             .count();
@@ -1722,7 +1793,7 @@ mod tests {
         let (sim_b, b) = run_tiny(105);
         assert_eq!(a.probes_sent, b.probes_sent);
         assert_eq!(a.active_set().num_slash24s(), b.active_set().num_slash24s());
-        assert_eq!(a.hits.len(), b.hits.len());
+        assert_eq!(a.hits().len(), b.hits().len());
         // The telemetry snapshot — every counter and histogram in the
         // registry, gpdns and probe side alike — must also agree
         // byte-for-byte: all updates are commutative atomics, so thread
@@ -1743,9 +1814,9 @@ mod tests {
         for threads in [2usize, 8] {
             let (sim_n, r_n) = clientmap_par::with_threads(threads, || run_tiny(107));
             assert_eq!(r_1.probes_sent, r_n.probes_sent, "{threads} threads");
-            assert_eq!(r_1.hits, r_n.hits, "{threads} threads");
-            assert_eq!(r_1.probe_counts, r_n.probe_counts, "{threads} threads");
-            assert_eq!(r_1.scope_pairs, r_n.scope_pairs, "{threads} threads");
+            assert_eq!(r_1.hits(), r_n.hits(), "{threads} threads");
+            assert_eq!(r_1.probe_counts(), r_n.probe_counts(), "{threads} threads");
+            assert_eq!(r_1.scope_pairs(), r_n.scope_pairs(), "{threads} threads");
             assert_eq!(
                 r_1.active_set().num_slash24s(),
                 r_n.active_set().num_slash24s(),
@@ -1778,7 +1849,7 @@ mod tests {
             attempts
         );
         // The fold's per-scope counts sum back to the outcome counters.
-        let counts = result.probe_counts.values();
+        let counts = result.probe_counts().iter().map(|(_, c)| c);
         assert_eq!(
             snap.counter("cacheprobe.outcome.scope0"),
             counts.clone().map(|c| c.scope0).sum::<u64>()
@@ -1787,9 +1858,9 @@ mod tests {
             snap.counter("cacheprobe.outcome.dropped"),
             counts.map(|c| c.drops).sum::<u64>()
         );
-        // `result.hits` aggregates by (domain, scope); sum the per-key
+        // `result.hits()` aggregates by (domain, scope); sum the per-key
         // event counts to compare against the per-event counter.
-        let hit_events: u64 = result.hits.values().map(|h| h.hits).sum();
+        let hit_events: u64 = result.hits().iter().map(|(_, h)| h).map(|h| h.hits).sum();
         assert_eq!(snap.counter("cacheprobe.outcome.hit"), hit_events);
         // Per-PoP families sum back to the global counters.
         let pops = clientmap_sim::pop_catalog();
@@ -2011,7 +2082,7 @@ mod tests {
                     for (li, outcome) in events {
                         tally(&mut records[*li], outcome);
                     }
-                    book(&m, &records, redundancy);
+                    book(&m, records.iter().map(ScopeRecord::view), redundancy);
                     (records, false)
                 })
                 .collect();
@@ -2029,7 +2100,7 @@ mod tests {
             prop_assert_eq!(snap.to_json(), per_event.snapshot().to_json());
 
             let (rescued, _) = fold_tallies(&bound, &units, tallies.clone(), |r| r.attempts > 0);
-            prop_assert_eq!(&rescued, &table);
+            prop_assert_eq!(&rescued, &RecordTable::from_ascending(table.clone()));
             let mut filled = table;
             for u in &units {
                 for &scope in &u.scopes {
@@ -2037,7 +2108,7 @@ mod tests {
                 }
             }
             let (main, fault_book) = fold_tallies(&bound, &units, tallies, |_| true);
-            prop_assert_eq!(main, filled);
+            prop_assert_eq!(main, RecordTable::from_ascending(filled));
             prop_assert_eq!(fault_book, merge_fault_books(&health));
         }
     }
@@ -2086,10 +2157,10 @@ mod tests {
 
         // The replayed result is identical to the cold one.
         assert_eq!(warm.probes_sent, cold.probes_sent);
-        assert_eq!(warm.hits, cold.hits);
-        assert_eq!(warm.probe_counts, cold.probe_counts);
-        assert_eq!(warm.scope_pairs, cold.scope_pairs);
-        assert_eq!(warm.pop_hit_prefixes.len(), cold.pop_hit_prefixes.len());
+        assert_eq!(warm.hits(), cold.hits());
+        assert_eq!(warm.probe_counts(), cold.probe_counts());
+        assert_eq!(warm.scope_pairs(), cold.scope_pairs());
+        assert_eq!(warm.pop_hit_prefixes().len(), cold.pop_hit_prefixes().len());
 
         // So is the telemetry — the resolver's `gpdns.*` ledger
         // included — modulo the warm-only planner family.
@@ -2136,9 +2207,9 @@ mod tests {
             .records
             .iter()
             .filter(|(_, r)| r.attempts > 0)
-            .map(|(&(_, d, addr, len), _)| (d as usize, Prefix::new(addr, len).unwrap()))
+            .map(|((_, d, addr, len), _)| (d as usize, Prefix::new(addr, len).unwrap()))
             .collect();
-        assert_eq!(result.probe_counts.len(), measured.len());
+        assert_eq!(result.probe_counts().len(), measured.len());
     }
 
     /// `plan_units`' cursors and the merge's one ordered table assembly
@@ -2178,7 +2249,11 @@ mod tests {
             ascending(&format!("{name} live units"), &keys);
         }
         assert!(!warm.skipped.is_empty() && !warm.extrapolated.is_empty());
-        let carries: Vec<RecordKey> = warm.skipped.iter().map(|(key, _)| *key).collect();
+        let carries: Vec<RecordKey> = warm
+            .skipped
+            .iter()
+            .map(|&i| warm.prior_records.keys()[i])
+            .collect();
         ascending("carries", &carries);
         let members: Vec<RecordKey> = warm
             .extrapolated
@@ -2268,8 +2343,8 @@ mod tests {
         let (sim_4, r_4) =
             clientmap_par::with_threads(4, || run_tiny_faulted(107, FaultProfile::Lossy, 9));
         assert_eq!(r_1.probes_sent, r_4.probes_sent);
-        assert_eq!(r_1.hits, r_4.hits);
-        assert_eq!(r_1.probe_counts, r_4.probe_counts);
+        assert_eq!(r_1.hits(), r_4.hits());
+        assert_eq!(r_1.probe_counts(), r_4.probe_counts());
         assert_eq!(r_1.fault, r_4.fault, "fault summaries must agree");
         assert_eq!(
             snap_1,
@@ -2304,7 +2379,7 @@ mod tests {
         // either measured (has a probe count) or reported unmeasured.
         assert!(summary.assigned_scopes > 0);
         assert_eq!(
-            result.probe_counts.len() as u64 + summary.unmeasured_scopes,
+            result.probe_counts().len() as u64 + summary.unmeasured_scopes,
             summary.assigned_scopes
         );
     }
@@ -2394,7 +2469,9 @@ mod tests {
     /// stored snapshot, and the registry (resolver ledger included).
     /// The registry comparison is the double-count guard: a local shard
     /// whose delta reached the merge with its `metrics` block filled
-    /// would land every probe counter twice.
+    /// would land every probe counter twice. Both results' views must
+    /// equal the record-by-record fold of their snapshot, and a full
+    /// skip must share its prior's table rather than copy it.
     fn check_seam(case: &SeamCase) {
         let name = case.name;
         let fresh_sim = || {
@@ -2493,11 +2570,11 @@ mod tests {
             assert_eq!(f.observed, f.recovered + f.degraded + f.lost, "{name}");
         }
         assert_eq!(res.probes_sent, res_ref.probes_sent, "{name}");
-        assert_eq!(res.hits, res_ref.hits, "{name}");
-        assert_eq!(res.probe_counts, res_ref.probe_counts, "{name}");
-        assert_eq!(res.scope_pairs, res_ref.scope_pairs, "{name}");
+        assert_eq!(res.hits(), res_ref.hits(), "{name}");
+        assert_eq!(res.probe_counts(), res_ref.probe_counts(), "{name}");
+        assert_eq!(res.scope_pairs(), res_ref.scope_pairs(), "{name}");
         let pop_sets = |r: &CacheProbeResult| -> BTreeMap<PopId, Vec<Prefix>> {
-            r.pop_hit_prefixes
+            r.pop_hit_prefixes()
                 .iter()
                 .map(|(pop, set)| (*pop, set.prefixes()))
                 .collect()
@@ -2508,11 +2585,24 @@ mod tests {
             sim_ref.metrics().snapshot().to_json(),
             "{name}: registry diverged — a double-counted local delta?"
         );
+        oracle::assert_views_match(&res_ref, &snap_ref, cfg.redundancy, name);
+        oracle::assert_views_match(&res, &snap, cfg.redundancy, name);
+        if let Some(prior) = prior.filter(|_| case.warm_expiry == Some(0.0)) {
+            assert!(snap_ref.records.shares(&prior.records), "{name}: copied");
+            assert!(snap.records.shares(&prior.records), "{name}: copied");
+        }
+    }
+
+    /// Every seam case, at one and at four threads.
+    fn check_seams(cases: &[SeamCase]) {
+        for threads in [1, 4] {
+            clientmap_par::with_threads(threads, || cases.iter().for_each(check_seam));
+        }
     }
 
     #[test]
     fn sharded_sweep_matches_single_process() {
-        FAULT_FREE_CASES.iter().for_each(check_seam);
+        check_seams(&FAULT_FREE_CASES);
     }
 
     /// A duplicated shard delta or a hole in the cover must be rejected
@@ -2566,6 +2656,44 @@ mod tests {
             "incomplete cover accepted: {err:?}"
         );
 
+        // Shards delivered in reverse merge as delivered in order; a
+        // shard delivered twice is refused whatever the arrival order,
+        // under a new id or under one that sorts before the original.
+        let (a, b) = (n / 3, 2 * n / 3);
+        let shards = [
+            shard_delta(0..a, 0),
+            shard_delta(a..b, 2),
+            shard_delta(b..n, 4),
+        ];
+        let merge = |deltas: Vec<SweepSnapshot>| {
+            let (mut driver, _) = fleet_sim(77);
+            let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), None);
+            merge_shards(
+                &mut driver,
+                &cfg,
+                prep,
+                deltas,
+                Vec::new(),
+                no_rescue,
+                &mut Vec::new(),
+            )
+        };
+        let in_order = merge(shards.to_vec()).expect("in-order cover merges").1;
+        let reversed =
+            merge(shards.iter().rev().cloned().collect()).expect("reversed cover merges");
+        assert_eq!(reversed.1, in_order);
+        for (dup_of, dup_id, shard) in [(1, 5, 5), (2, 1, 4), (0, 3, 3)] {
+            let mut deltas: Vec<SweepSnapshot> = shards.iter().rev().cloned().collect();
+            let mut dup = shards[dup_of].clone();
+            dup.epoch = dup_id;
+            deltas.push(dup);
+            assert_eq!(
+                merge(deltas).err(),
+                Some(ShardMergeError::OverlappingShards { shard }),
+                "shard {dup_of} again as {dup_id}"
+            );
+        }
+
         let (mut driver, _) = fleet_sim(77);
         let prep = prepare_sweep(&mut driver, &cfg, &universe, &mut Vec::new(), None);
         let mut foreign = d0;
@@ -2587,7 +2715,7 @@ mod tests {
 
     #[test]
     fn faulted_sharded_sweep_matches_single_process() {
-        FAULTED_CASES.iter().for_each(check_seam);
+        check_seams(&FAULTED_CASES);
     }
 
     /// Fault-book folding is associative and order-invariant: any

@@ -1,56 +1,17 @@
 //! Results of a cache-probing run and derived views.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use clientmap_dns::DomainName;
 use clientmap_net::{Asn, Prefix, PrefixSet, Rib};
 use clientmap_sim::PopId;
-use clientmap_store::{Verdict, VerdictTable};
+use clientmap_store::{HitEvent, RecordKey, RecordTable, ScopeRecord, Verdict, VerdictTable};
 
 use crate::calibrate::ServiceRadii;
 use crate::vantage::BoundVantage;
 
-/// Aggregated statistics for one ⟨domain, response-scope⟩ hit family.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HitStats {
-    /// Number of probe events that hit.
-    pub hits: u64,
-    /// Smallest remaining TTL observed.
-    pub min_remaining_ttl: u32,
-}
-
-/// Per-⟨domain, query-scope⟩ probe accounting: how often the scope was
-/// probed and how often it hit. The hit *rate* is the paper's §6
-/// future-work signal for relative activity levels ("we are developing
-/// techniques to estimate a prefix's cache hit rates over time and
-/// across domains, as a step towards a relative ranking").
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ProbeCount {
-    /// Probe events sent for this scope (each = `redundancy` queries).
-    pub attempts: u64,
-    /// Probe events that produced a scoped cache hit.
-    pub hits: u64,
-    /// Probe events answered only with a /0 scope.
-    pub scope0: u64,
-    /// Probe events lost entirely.
-    pub drops: u64,
-}
-
-impl ProbeCount {
-    /// The observed hit rate, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        if self.attempts == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.attempts as f64
-        }
-    }
-
-    /// The scope's verdict ([`Verdict::from_counts`]).
-    pub fn verdict(&self) -> Verdict {
-        Verdict::from_counts(self.attempts, self.hits, self.scope0, self.drops)
-    }
-}
+/// The sorted views' row types — one type with the record table's own.
+pub use clientmap_store::{HitStats, ProbeCount};
 
 /// Per-AS active-space bounds (Figure 4).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -71,12 +32,19 @@ pub use clientmap_store::FaultRecord as FaultSummary;
 
 /// The full output of a cache-probing sweep ([`crate::execute_sweep`]).
 ///
-/// Its aggregates — `hits`, `pop_hit_prefixes`, `scope_pairs`,
-/// `probe_counts`, `probes_sent` — are one fold of the sweep snapshot's
-/// `records`, and `fault` is the snapshot's own. Counters live in the
-/// telemetry registry (`cacheprobe.outcome.*` and the rest), the one
-/// counter ledger; `probes_sent` is the single copy kept as a field,
-/// because the benchmark harness (`benchmark/`) reads it.
+/// The result is the sweep's record table: `records` is the very
+/// [`RecordTable`] the sweep snapshot holds (one `Arc`), and every
+/// aggregate is a view of it. [`CacheProbeResult::probe_counts`] and
+/// [`CacheProbeResult::hits`] are sorted by ⟨domain, scope⟩, built once
+/// per table and cached on it — so a warm full skip, which shares its
+/// prior's table, shares them too and folds nothing.
+/// [`CacheProbeResult::pop_hit_prefixes`] and
+/// [`CacheProbeResult::scope_pairs`], which only Figure 1 and Table 2
+/// read, are computed on demand. `fault` is the snapshot's own.
+/// Counters live in the telemetry registry (`cacheprobe.outcome.*` and
+/// the rest), the one counter ledger; `probes_sent` is the single copy
+/// kept as a field, because the benchmark harness (`benchmark/`) reads
+/// it.
 #[derive(Debug)]
 pub struct CacheProbeResult {
     /// Probing domains, index-aligned with hit records.
@@ -85,15 +53,8 @@ pub struct CacheProbeResult {
     pub bound_vantages: Vec<BoundVantage>,
     /// Calibrated service radii.
     pub service_radii: ServiceRadii,
-    /// Hits: ⟨domain index, response scope⟩ → stats.
-    pub hits: HashMap<(usize, Prefix), HitStats>,
-    /// Active prefixes per PoP (Figure 1's density map).
-    pub pop_hit_prefixes: HashMap<PopId, PrefixSet>,
-    /// ⟨domain index, query scope len, response scope len⟩ → hit count
-    /// (Table 2's stability data).
-    pub scope_pairs: HashMap<(usize, u8, u8), u64>,
-    /// ⟨domain index, query scope⟩ → attempts/hits (activity ranking).
-    pub probe_counts: HashMap<(usize, Prefix), ProbeCount>,
+    /// The sweep's record table, shared with its snapshot.
+    pub records: RecordTable,
     /// Scopes assigned per PoP after the service-radius cut.
     pub assigned_per_pop: HashMap<PopId, usize>,
     /// Probe queries sent (including redundancy).
@@ -104,7 +65,7 @@ pub struct CacheProbeResult {
 }
 
 impl CacheProbeResult {
-    /// Creates an empty result shell.
+    /// A result shell over an empty record table.
     pub fn new(
         domains: Vec<DomainName>,
         bound_vantages: Vec<BoundVantage>,
@@ -114,56 +75,109 @@ impl CacheProbeResult {
             domains,
             bound_vantages,
             service_radii,
-            hits: HashMap::new(),
-            pop_hit_prefixes: HashMap::new(),
-            scope_pairs: HashMap::new(),
-            probe_counts: HashMap::new(),
+            records: RecordTable::default(),
             assigned_per_pop: HashMap::new(),
             probes_sent: 0,
             fault: None,
         }
     }
 
-    /// Records one cache hit.
-    pub fn record_hit(
-        &mut self,
-        domain: usize,
-        pop: PopId,
-        query_scope: Prefix,
-        response_scope: Prefix,
-        remaining_ttl: u32,
-    ) {
-        let stats = self.hits.entry((domain, response_scope)).or_default();
-        stats.hits += 1;
-        stats.min_remaining_ttl = if stats.hits == 1 {
-            remaining_ttl
-        } else {
-            stats.min_remaining_ttl.min(remaining_ttl)
-        };
-        self.pop_hit_prefixes
-            .entry(pop)
-            .or_default()
-            .insert(response_scope);
-        *self
-            .scope_pairs
-            .entry((domain, query_scope.len(), response_scope.len()))
-            .or_insert(0) += 1;
+    /// Adds one probe event per hit in `hits` — ⟨domain, query scope,
+    /// response scope, remaining TTL⟩ — at bound vantage 0, rebuilding
+    /// the record table. For hand-made results (tests, examples); a
+    /// sweep's table comes from its probe records.
+    pub fn record_hits(&mut self, hits: impl IntoIterator<Item = (usize, Prefix, Prefix, u32)>) {
+        let mut slots: Vec<(RecordKey, ScopeRecord)> = self
+            .records
+            .iter()
+            .map(|(key, rec)| (key, rec.to_record()))
+            .collect();
+        for (domain, query, resp, remaining_ttl) in hits {
+            let rec = ScopeRecord {
+                attempts: 1,
+                hit_events: vec![HitEvent {
+                    resp_addr: resp.addr(),
+                    resp_len: resp.len(),
+                    remaining_ttl,
+                }],
+                ..ScopeRecord::default()
+            };
+            slots.push(((0, domain as u16, query.addr(), query.len()), rec));
+        }
+        slots.sort_by_key(|(key, _)| *key);
+        let mut merged: Vec<(RecordKey, ScopeRecord)> = Vec::with_capacity(slots.len());
+        for (key, rec) in slots {
+            match merged.last_mut() {
+                Some((last, sum)) if *last == key => {
+                    sum.attempts += rec.attempts;
+                    sum.scope0 += rec.scope0;
+                    sum.drops += rec.drops;
+                    sum.hit_events.extend(rec.hit_events);
+                }
+                _ => merged.push((key, rec)),
+            }
+        }
+        self.records = RecordTable::from_ascending(merged);
+    }
+
+    /// Hits: ⟨domain index, response scope⟩ → stats, ascending.
+    pub fn hits(&self) -> &[((usize, Prefix), HitStats)] {
+        self.records.hit_families()
+    }
+
+    /// ⟨domain index, query scope⟩ → attempts/hits (activity ranking),
+    /// summed over vantages, ascending. Scopes no probe event reached
+    /// are absent.
+    pub fn probe_counts(&self) -> &[((usize, Prefix), ProbeCount)] {
+        self.records.probe_counts()
+    }
+
+    /// Active prefixes per PoP (Figure 1's density map): every response
+    /// scope that hit through the PoP's vantage.
+    pub fn pop_hit_prefixes(&self) -> BTreeMap<PopId, PrefixSet> {
+        let mut out: BTreeMap<PopId, PrefixSet> = BTreeMap::new();
+        for ((bi, ..), rec) in self.records.iter() {
+            let Some(b) = self.bound_vantages.get(usize::from(bi)) else {
+                continue;
+            };
+            if rec.attempts == 0 || rec.hit_events.is_empty() {
+                continue;
+            }
+            let set = out.entry(b.pop).or_default();
+            for e in rec.hit_events {
+                set.insert(hit_scope(e.resp_addr, e.resp_len));
+            }
+        }
+        out
+    }
+
+    /// ⟨domain index, query scope len, response scope len⟩ → hit count
+    /// (Table 2's stability data).
+    pub fn scope_pairs(&self) -> BTreeMap<(usize, u8, u8), u64> {
+        let mut out = BTreeMap::new();
+        for ((_, d, _, len), rec) in self.records.iter() {
+            if rec.attempts == 0 {
+                continue;
+            }
+            for e in rec.hit_events {
+                *out.entry((usize::from(d), len, e.resp_len)).or_insert(0) += 1;
+            }
+        }
+        out
     }
 
     /// The combined active-prefix set: every /24 inside any hit scope
     /// (the paper's upper-bound interpretation used for Table 1).
     pub fn active_set(&self) -> PrefixSet {
-        PrefixSet::from_prefixes(self.hits.keys().map(|(_, p)| *p))
+        PrefixSet::from_prefixes(self.hits().iter().map(|((_, p), _)| *p))
     }
 
     /// The active set detected via one domain only (Table 5).
     pub fn active_set_for_domain(&self, domain: usize) -> PrefixSet {
-        PrefixSet::from_prefixes(
-            self.hits
-                .keys()
-                .filter(|(d, _)| *d == domain)
-                .map(|(_, p)| *p),
-        )
+        let hits = self.hits();
+        let lo = hits.partition_point(|((d, _), _)| *d < domain);
+        let hi = hits.partition_point(|((d, _), _)| *d <= domain);
+        PrefixSet::from_prefixes(hits[lo..hi].iter().map(|((_, p), _)| *p))
     }
 
     /// The distinct hit scopes (disjoint after set-normalisation) —
@@ -215,25 +229,10 @@ impl CacheProbeResult {
     /// merged by max rank — the store-backed view the set algebra and
     /// warm-start layers consume.
     pub fn verdict_table(&self) -> VerdictTable {
-        let mut table = VerdictTable::new();
-        let mut spread = |scope: &Prefix, v: Verdict| {
-            let first = scope.first_addr() >> 8;
-            for idx in first..first + scope.num_slash24s() as u32 {
-                table.record(idx, v);
-            }
-        };
-        for ((_, scope), c) in &self.probe_counts {
-            match c.verdict() {
-                Verdict::Unmeasured => {}
-                verdict => spread(scope, verdict),
-            }
-        }
-        // Response scopes can be wider than the query scope; they are
-        // hit evidence for every /24 they cover.
-        for (_, scope) in self.hits.keys() {
-            spread(scope, Verdict::Hit);
-        }
-        table
+        verdict_table_of(
+            self.probe_counts().iter().map(|(k, c)| (k, c)),
+            self.hits().iter().map(|(k, _)| k),
+        )
     }
 
     /// Table 2 rows: per domain, hits with |query − response| scope
@@ -243,11 +242,11 @@ impl CacheProbeResult {
         let mut within2 = 0;
         let mut within4 = 0;
         let mut total = 0;
-        for ((d, q, r), c) in &self.scope_pairs {
-            if *d != domain {
+        for ((d, q, r), c) in self.scope_pairs() {
+            if d != domain {
                 continue;
             }
-            let diff = (i16::from(*q) - i16::from(*r)).unsigned_abs();
+            let diff = (i16::from(q) - i16::from(r)).unsigned_abs();
             total += c;
             if diff == 0 {
                 exact += c;
@@ -263,6 +262,41 @@ impl CacheProbeResult {
     }
 }
 
+/// A hit's response scope: probed as a prefix, and refused otherwise on
+/// decode.
+pub(crate) fn hit_scope(addr: u32, len: u8) -> Prefix {
+    Prefix::new(addr, len)
+        .expect("hit scopes are prefixes: probed as such, and refused otherwise on decode")
+}
+
+/// The verdict projection over ⟨domain, query scope⟩ counts and the
+/// hit families' response scopes, in any order (the merge is by max
+/// rank).
+pub(crate) fn verdict_table_of<'a>(
+    counts: impl Iterator<Item = (&'a (usize, Prefix), &'a ProbeCount)>,
+    hit_scopes: impl Iterator<Item = &'a (usize, Prefix)>,
+) -> VerdictTable {
+    let mut table = VerdictTable::new();
+    let mut spread = |scope: &Prefix, v: Verdict| {
+        let first = scope.first_addr() >> 8;
+        for idx in first..first + scope.num_slash24s() as u32 {
+            table.record(idx, v);
+        }
+    };
+    for ((_, scope), c) in counts {
+        match c.verdict() {
+            Verdict::Unmeasured => {}
+            verdict => spread(scope, verdict),
+        }
+    }
+    // Response scopes can be wider than the query scope; they are
+    // hit evidence for every /24 they cover.
+    for (_, scope) in hit_scopes {
+        spread(scope, Verdict::Hit);
+    }
+    table
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -271,42 +305,114 @@ mod tests {
         s.parse().unwrap()
     }
 
-    fn shell() -> CacheProbeResult {
-        CacheProbeResult::new(
+    /// A result whose records are `slots`: ⟨bound index, domain, query
+    /// scope, record⟩, in any order.
+    fn result(slots: Vec<(u16, u16, &str, ScopeRecord)>) -> CacheProbeResult {
+        let mut r = CacheProbeResult::new(
             vec![
                 "www.google.com".parse().unwrap(),
                 "facebook.com".parse().unwrap(),
             ],
             Vec::new(),
             ServiceRadii::default(),
-        )
+        );
+        let table: BTreeMap<RecordKey, ScopeRecord> = slots
+            .into_iter()
+            .map(|(b, d, scope, rec)| ((b, d, p(scope).addr(), p(scope).len()), rec))
+            .collect();
+        r.records = RecordTable::from_ascending(table);
+        r
+    }
+
+    /// A record of one probe event per hit, each answered from `resps`.
+    fn hits(resps: &[(&str, u32)]) -> ScopeRecord {
+        ScopeRecord {
+            attempts: resps.len() as u64,
+            hit_events: resps
+                .iter()
+                .map(|(scope, ttl)| HitEvent {
+                    resp_addr: p(scope).addr(),
+                    resp_len: p(scope).len(),
+                    remaining_ttl: *ttl,
+                })
+                .collect(),
+            ..ScopeRecord::default()
+        }
+    }
+
+    /// A record with these outcome counts; its hits answer with `scope`.
+    fn counts(scope: &str, attempts: u64, hits: u64, scope0: u64, drops: u64) -> ScopeRecord {
+        let hit = HitEvent {
+            resp_addr: p(scope).addr(),
+            resp_len: p(scope).len(),
+            remaining_ttl: 1,
+        };
+        ScopeRecord {
+            attempts,
+            scope0,
+            drops,
+            hit_events: vec![hit; hits as usize],
+        }
+    }
+
+    fn stats(r: &CacheProbeResult, domain: usize, scope: &str) -> HitStats {
+        r.hits()
+            .iter()
+            .find(|(k, _)| *k == (domain, p(scope)))
+            .expect("hit family present")
+            .1
     }
 
     #[test]
     fn record_and_sets() {
-        let mut r = shell();
-        r.record_hit(0, 3, p("10.1.0.0/20"), p("10.1.0.0/20"), 100);
-        r.record_hit(0, 3, p("10.1.0.0/20"), p("10.1.0.0/20"), 50);
-        r.record_hit(1, 4, p("10.2.0.0/24"), p("10.2.0.0/22"), 10);
-        assert_eq!(r.hits.len(), 2);
-        assert_eq!(r.hits[&(0, p("10.1.0.0/20"))].hits, 2);
-        assert_eq!(r.hits[&(0, p("10.1.0.0/20"))].min_remaining_ttl, 50);
+        let r = result(vec![
+            (
+                0,
+                0,
+                "10.1.0.0/20",
+                hits(&[("10.1.0.0/20", 100), ("10.1.0.0/20", 50)]),
+            ),
+            (1, 1, "10.2.0.0/24", hits(&[("10.2.0.0/22", 10)])),
+        ]);
+        assert_eq!(r.hits().len(), 2);
+        assert_eq!(stats(&r, 0, "10.1.0.0/20").hits, 2);
+        assert_eq!(stats(&r, 0, "10.1.0.0/20").min_remaining_ttl, 50);
         assert_eq!(r.active_set().num_slash24s(), 16 + 4);
         assert_eq!(r.active_set_for_domain(0).num_slash24s(), 16);
         assert_eq!(r.active_set_for_domain(1).num_slash24s(), 4);
-        assert_eq!(r.pop_hit_prefixes[&3].num_slash24s(), 16);
+        assert_eq!(r.probe_counts().len(), 2);
+    }
+
+    #[test]
+    fn pop_hit_prefixes_follow_the_bound_vantage() {
+        let mut r = result(vec![
+            (0, 0, "10.1.0.0/20", hits(&[("10.1.0.0/20", 1)])),
+            (1, 0, "10.2.0.0/24", hits(&[("10.2.0.0/22", 1)])),
+            (1, 1, "10.3.0.0/24", counts("10.3.0.0/24", 2, 0, 1, 0)),
+        ]);
+        r.bound_vantages = [3, 7]
+            .into_iter()
+            .map(|pop| BoundVantage { vp: 0, pop })
+            .collect();
+        let pops = r.pop_hit_prefixes();
+        assert_eq!(pops.keys().copied().collect::<Vec<_>>(), vec![3, 7]);
+        assert_eq!(pops[&3].num_slash24s(), 16);
+        assert_eq!(pops[&7].num_slash24s(), 4);
     }
 
     #[test]
     fn scope_stability_buckets() {
-        let mut r = shell();
-        r.record_hit(0, 0, p("10.0.0.0/20"), p("10.0.0.0/20"), 1); // diff 0
-        r.record_hit(0, 0, p("10.1.0.0/20"), p("10.1.0.0/22"), 1); // diff 2
-        r.record_hit(0, 0, p("10.2.0.0/20"), p("10.2.0.0/24"), 1); // diff 4
-        r.record_hit(0, 0, p("10.3.0.0/20"), p("10.3.0.0/14"), 1); // diff 6
+        let r = result(vec![
+            (0, 0, "10.0.0.0/20", hits(&[("10.0.0.0/20", 1)])), // diff 0
+            (0, 0, "10.1.0.0/20", hits(&[("10.1.0.0/22", 1)])), // diff 2
+            (0, 0, "10.2.0.0/20", hits(&[("10.2.0.0/24", 1)])), // diff 4
+            (0, 0, "10.3.0.0/20", hits(&[("10.0.0.0/14", 1)])), // diff 6
+        ]);
         let (exact, w2, w4, total) = r.scope_stability(0);
         assert_eq!((exact, w2, w4, total), (1, 2, 3, 4));
         assert_eq!(r.scope_stability(1), (0, 0, 0, 0));
+        assert_eq!(r.scope_pairs().values().sum::<u64>(), 4);
+        assert_eq!(r.scope_pairs()[&(0, 20, 14)], 1);
     }
 
     #[test]
@@ -314,10 +420,11 @@ mod tests {
         let mut rib = Rib::new();
         rib.announce(p("10.1.0.0/16"), Asn(100));
         rib.announce(p("10.2.0.0/24"), Asn(200));
-        let mut r = shell();
-        r.record_hit(0, 0, p("10.1.0.0/20"), p("10.1.0.0/20"), 1);
-        r.record_hit(0, 0, p("10.1.16.0/20"), p("10.1.16.0/20"), 1);
-        r.record_hit(0, 0, p("10.2.0.0/24"), p("10.2.0.0/24"), 1);
+        let r = result(vec![
+            (0, 0, "10.1.0.0/20", hits(&[("10.1.0.0/20", 1)])),
+            (0, 0, "10.1.16.0/20", hits(&[("10.1.16.0/20", 1)])),
+            (0, 0, "10.2.0.0/24", hits(&[("10.2.0.0/24", 1)])),
+        ]);
         let bounds = r.as_bounds(&rib);
         let b100 = bounds[&Asn(100)];
         assert_eq!(b100.lower_active_24s, 2);
@@ -332,44 +439,15 @@ mod tests {
 
     #[test]
     fn verdict_table_ranks_probe_evidence() {
-        let mut r = shell();
-        r.probe_counts.insert(
-            (0, p("10.0.0.0/24")),
-            ProbeCount {
-                attempts: 4,
-                hits: 1,
-                scope0: 1,
-                drops: 1,
-            },
-        );
-        r.probe_counts.insert(
-            (0, p("10.0.1.0/24")),
-            ProbeCount {
-                attempts: 3,
-                hits: 0,
-                scope0: 2,
-                drops: 0,
-            },
-        );
-        r.probe_counts.insert(
-            (0, p("10.0.2.0/23")),
-            ProbeCount {
-                attempts: 3,
-                hits: 0,
-                scope0: 0,
-                drops: 1,
-            },
-        );
-        r.probe_counts.insert(
-            (0, p("10.0.4.0/24")),
-            ProbeCount {
-                attempts: 2,
-                hits: 0,
-                scope0: 0,
-                drops: 2,
-            },
-        );
-        let t = r.verdict_table();
+        let slots = || {
+            vec![
+                (0, 0, "10.0.0.0/24", counts("10.0.0.0/24", 4, 1, 1, 1)),
+                (0, 0, "10.0.1.0/24", counts("10.0.1.0/24", 3, 0, 2, 0)),
+                (0, 0, "10.0.2.0/23", counts("10.0.2.0/23", 3, 0, 0, 1)),
+                (0, 0, "10.0.4.0/24", counts("10.0.4.0/24", 2, 0, 0, 2)),
+            ]
+        };
+        let t = result(slots()).verdict_table();
         assert_eq!(t.get(0x0A0000), Verdict::Hit);
         assert_eq!(t.get(0x0A0001), Verdict::HitScopeZero);
         assert_eq!(t.get(0x0A0002), Verdict::Miss);
@@ -378,8 +456,9 @@ mod tests {
         assert_eq!(t.get(0x0A0005), Verdict::Unmeasured);
         assert_eq!(t.count_measured(), 5);
         // A wide response scope upgrades everything it covers to Hit.
-        r.record_hit(0, 3, p("10.0.4.0/24"), p("10.0.4.0/23"), 60);
-        let t = r.verdict_table();
+        let mut wide = slots();
+        wide.push((1, 0, "10.0.4.0/24", hits(&[("10.0.4.0/23", 60)])));
+        let t = result(wide).verdict_table();
         assert_eq!(t.get(0x0A0004), Verdict::Hit);
         assert_eq!(t.get(0x0A0005), Verdict::Hit);
     }
@@ -388,10 +467,9 @@ mod tests {
     fn upper_bound_capped_by_announced_space() {
         let mut rib = Rib::new();
         rib.announce(p("10.1.0.0/24"), Asn(300));
-        let mut r = shell();
         // A /16 hit scope overlapping a tiny AS must not claim 256 /24s
         // for it.
-        r.record_hit(0, 0, p("10.1.0.0/16"), p("10.1.0.0/16"), 1);
+        let r = result(vec![(0, 0, "10.1.0.0/16", hits(&[("10.1.0.0/16", 1)]))]);
         let bounds = r.as_bounds(&rib);
         assert_eq!(bounds[&Asn(300)].upper_active_24s, 1);
     }

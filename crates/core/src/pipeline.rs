@@ -750,6 +750,28 @@ mod tests {
         );
     }
 
+    /// A zero-plan sweep carries its prior's record table forward shared,
+    /// not copied: the new snapshot's table and the result's are the
+    /// prior's own, with the views the prior's sweep built.
+    #[test]
+    fn a_zero_plan_sweep_shares_its_priors_record_table() {
+        let cold = output();
+        let warm = SweepSession::new(PipelineConfig::tiny(7))
+            .sweep(Some(&cold.sweep))
+            .expect("warm run is healthy");
+        assert_eq!(
+            warm.metrics_snapshot()
+                .counter("cacheprobe.planner.planned"),
+            0
+        );
+        assert!(warm.sweep.records.shares(&cold.sweep.records));
+        assert!(warm.cache_probe.records.shares(&cold.sweep.records));
+        assert!(std::ptr::eq(
+            warm.cache_probe.hits(),
+            cold.cache_probe.hits()
+        ));
+    }
+
     #[test]
     fn session_chains_warm_sweeps_in_order() {
         let cold = output();
@@ -908,6 +930,7 @@ mod tests {
             out.sweep
                 .records
                 .keys()
+                .iter()
                 .filter(|&&(_, d, _, _)| d == 0)
                 .count()
         };

@@ -193,13 +193,8 @@ mod tests {
                 Vec::new(),
                 Default::default(),
             );
-            r.record_hit(
-                0,
-                0,
-                "10.1.0.0/20".parse().unwrap(),
-                "10.1.0.0/20".parse().unwrap(),
-                9,
-            );
+            let scope = "10.1.0.0/20".parse().unwrap();
+            r.record_hits([(0, scope, scope, 9)]);
             r
         };
         let dns_logs = clientmap_chromium::DnsLogsResult {

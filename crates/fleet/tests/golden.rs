@@ -18,7 +18,7 @@ use clientmap_fleet::{
     JobSpec,
 };
 use clientmap_net::Prefix;
-use clientmap_store::{HitEvent, ScopeRecord, SweepSnapshot};
+use clientmap_store::{HitEvent, RecordTable, ScopeRecord, SweepSnapshot};
 
 /// The bytes of `tests/golden/<name>.hex` (whitespace ignored).
 fn golden(name: &str) -> Vec<u8> {
@@ -68,7 +68,7 @@ fn job(prior: Option<Vec<u8>>) -> JobSpec {
 fn delta() -> SweepSnapshot {
     let mut delta = SweepSnapshot::new(42, 0xFEED);
     delta.epoch = 7;
-    delta.records.insert(
+    delta.records = RecordTable::from_ascending([(
         (1, 0, 0x0A00_0000, 24),
         ScopeRecord {
             attempts: 3,
@@ -80,7 +80,7 @@ fn delta() -> SweepSnapshot {
                 remaining_ttl: 99,
             }],
         },
-    );
+    )]);
     delta
 }
 

@@ -275,6 +275,25 @@ impl<'a> ByteReader<'a> {
         Ok(n)
     }
 
+    /// A [`ByteReader::count`] of elements that each encode to at least
+    /// `min_bytes` bytes: a count whose elements could not all fit in
+    /// the unread payload is refused as [`CodecError::Truncated`]
+    /// before anything is reserved for it.
+    pub fn count_sized(&mut self, min_bytes: usize) -> Result<usize, CodecError> {
+        let n = self.count()?;
+        if n.saturating_mul(min_bytes) > self.unread() {
+            return Err(CodecError::Truncated);
+        }
+        Ok(n)
+    }
+
+    /// How many `T`s a decoder may reserve for `n` counted elements:
+    /// `n`, but never more than the unread bytes could hold — the rule
+    /// [`ByteReader::seq`] reserves by.
+    pub fn reservable<T>(&self, n: usize) -> usize {
+        n.min(self.unread() / std::mem::size_of::<T>().max(1))
+    }
+
     /// Reads a counted sequence: a [`ByteReader::count`], then that
     /// many elements through `elem`. The `Vec` is reserved up front
     /// for the whole count, but never for more memory than the bytes
@@ -284,8 +303,7 @@ impl<'a> ByteReader<'a> {
         mut elem: impl FnMut(&mut Self) -> Result<T, CodecError>,
     ) -> Result<Vec<T>, CodecError> {
         let n = self.count()?;
-        let fits_in_unread = self.unread() / std::mem::size_of::<T>().max(1);
-        let mut out = Vec::with_capacity(n.min(fits_in_unread));
+        let mut out = Vec::with_capacity(self.reservable::<T>(n));
         for _ in 0..n {
             out.push(elem(self)?);
         }

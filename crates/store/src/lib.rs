@@ -18,7 +18,8 @@
 //!
 //! * **[`SweepSnapshot`]** — a versioned, checksummed, byte-stable
 //!   serialization of everything one probing sweep learned: per-scope
-//!   probe records, the telemetry delta of the probing window, the
+//!   probe records (a shared, sorted [`RecordTable`] that also carries
+//!   the report's ⟨domain, scope⟩ views), the telemetry delta of the probing window, the
 //!   per-PoP service radii with the calibration stage's own delta,
 //!   fault accounting, and the config digest that scopes its validity. A
 //!   later run loads the snapshot to **warm-start**: the
@@ -33,13 +34,13 @@
 //! byte-identical at any thread count.
 //!
 //! ```
-//! use clientmap_store::{ScopeRecord, SweepSnapshot};
+//! use clientmap_store::{RecordTable, ScopeRecord, SweepSnapshot};
 //!
 //! let mut snap = SweepSnapshot::new(2021, 0xD16E57);
-//! snap.records.insert(
+//! snap.records = RecordTable::from_ascending([(
 //!     (0, 0, 0x0A000000, 24),
 //!     ScopeRecord { attempts: 9, ..ScopeRecord::default() },
-//! );
+//! )]);
 //! let bytes = snap.encode();
 //! let back = SweepSnapshot::decode(&bytes).unwrap();
 //! assert_eq!(back, snap);
@@ -57,6 +58,7 @@ mod confidence;
 pub mod eventlog;
 mod generation;
 pub mod planner;
+mod records;
 mod snapshot;
 mod table;
 mod verdict;
@@ -73,6 +75,7 @@ pub use eventlog::{
 };
 pub use generation::GenerationCell;
 pub use planner::{classify, PlanReason, PlannerStats, PriorScope};
+pub use records::{HitStats, ProbeCount, RecordTable, RecordTableBuilder, RecordView};
 pub use snapshot::{
     CalibrationRecord, FaultRecord, HitEvent, RecordKey, ScopeRecord, SweepSnapshot,
     SNAPSHOT_MAGIC, SNAPSHOT_VERSION,

@@ -14,6 +14,7 @@ use clientmap_telemetry::{HistogramDelta, MetricsDelta};
 
 use crate::codec::{ByteReader, ByteWriter, CodecError};
 use crate::confidence::ConfidenceRecord;
+use crate::records::{RecordTable, RecordTableBuilder, RecordView};
 use crate::verdict::Verdict;
 
 /// File magic: "CMSS" — ClientMap Sweep Snapshot.
@@ -59,9 +60,10 @@ pub struct HitEvent {
 }
 
 /// What probing one ⟨vantage, domain, scope⟩ stream slot produced over
-/// the whole sweep. `attempts == 0` marks a scope that was assigned
-/// but never reached (breaker-aborted stream) — the planner's rescue
-/// signal.
+/// the whole sweep — the owned record a probe stream tallies into,
+/// before it lands in a [`RecordTable`]. `attempts == 0` marks a scope
+/// that was assigned but never reached (breaker-aborted stream) — the
+/// planner's rescue signal.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ScopeRecord {
     /// Probe events sent (each `redundancy` wire queries).
@@ -75,9 +77,19 @@ pub struct ScopeRecord {
 }
 
 impl ScopeRecord {
+    /// The record, borrowed as a table row reads.
+    pub fn view(&self) -> RecordView<'_> {
+        RecordView {
+            attempts: self.attempts,
+            scope0: self.scope0,
+            drops: self.drops,
+            hit_events: &self.hit_events,
+        }
+    }
+
     /// Events that hit the cache with a usable scope.
     pub fn hits(&self) -> u64 {
-        self.hit_events.len() as u64
+        self.view().hits()
     }
 
     /// Events that were answered but found nothing cached.
@@ -87,7 +99,7 @@ impl ScopeRecord {
 
     /// The slot's verdict ([`Verdict::from_counts`]).
     pub fn verdict(&self) -> Verdict {
-        Verdict::from_counts(self.attempts, self.hits(), self.scope0, self.drops)
+        self.view().verdict()
     }
 }
 
@@ -196,8 +208,9 @@ pub struct SweepSnapshot {
     /// Telemetry recorded inside the probing window (probing + rescue
     /// stages), as a replayable delta.
     pub metrics: MetricsDelta,
-    /// Per-scope probe records, ordered by key.
-    pub records: BTreeMap<RecordKey, ScopeRecord>,
+    /// Per-scope probe records, ordered by key, shared: a warm sweep
+    /// that carries them forward whole shares the prior's table.
+    pub records: RecordTable,
     /// Per-PoP calibration results, one per bound PoP, ordered by PoP
     /// id. Empty when the recorded sweep ran under fault injection.
     pub calibration: Vec<CalibrationRecord>,
@@ -257,13 +270,13 @@ impl SweepSnapshot {
         }
         write_metrics(&mut w, &self.metrics);
         w.u32(self.records.len() as u32);
-        for (key, rec) in &self.records {
-            write_key(&mut w, *key);
+        for (key, rec) in self.records.iter() {
+            write_key(&mut w, key);
             w.u64(rec.attempts);
             w.u64(rec.scope0);
             w.u64(rec.drops);
             w.u32(rec.hit_events.len() as u32);
-            for e in &rec.hit_events {
+            for e in rec.hit_events {
                 w.u32(e.resp_addr);
                 w.u8(e.resp_len);
                 w.u32(e.remaining_ttl);
@@ -326,27 +339,7 @@ impl SweepSnapshot {
             None
         };
         let metrics = read_metrics(&mut r)?;
-        let mut records = BTreeMap::new();
-        for _ in 0..r.count()? {
-            let key = read_key(&mut r, "scope length")?;
-            let rec = ScopeRecord {
-                attempts: r.u64()?,
-                scope0: r.u64()?,
-                drops: r.u64()?,
-                hit_events: r.seq(|r| {
-                    let resp = r.prefix("hit response length")?;
-                    Ok(HitEvent {
-                        resp_addr: resp.addr(),
-                        resp_len: resp.len(),
-                        remaining_ttl: r.u32()?,
-                    })
-                })?,
-            };
-            if rec.hits() + rec.scope0 + rec.drops > rec.attempts {
-                return Err(CodecError::Malformed("record outcome counts"));
-            }
-            insert_ascending(&mut records, key, rec, "record key order")?;
-        }
+        let records = read_records(&mut r)?;
         let mut last_pop = None;
         let calibration = r.seq(|r| {
             let pop = r.u64()?;
@@ -399,6 +392,47 @@ impl SweepSnapshot {
             confidence,
         })
     }
+}
+
+/// Bytes one encoded scope record takes at least: its key (`u16`,
+/// `u16`, `u32`, `u8`), three `u64` counts and its `u32` hit count.
+const RECORD_MIN_BYTES: usize = 9 + 3 * 8 + 4;
+
+/// Bytes one encoded hit event takes: its response scope (`u32` + `u8`)
+/// and its `u32` TTL.
+const HIT_BYTES: usize = 4 + 1 + 4;
+
+/// Reads the scope-record section straight into the table's columns.
+/// Each column is reserved by [`ByteReader::seq`]'s rule, and a record
+/// or hit count whose elements could not fit in the unread bytes is
+/// refused before anything is reserved for it.
+fn read_records(r: &mut ByteReader<'_>) -> Result<RecordTable, CodecError> {
+    let n = r.count_sized(RECORD_MIN_BYTES)?;
+    let mut table = RecordTableBuilder::default();
+    table.reserve(r.reservable::<RecordKey>(n));
+    for _ in 0..n {
+        let key = read_key(r, "scope length")?;
+        let (attempts, scope0, drops) = (r.u64()?, r.u64()?, r.u64()?);
+        let hits = r.count_sized(HIT_BYTES)?;
+        table.reserve_hits(r.reservable::<HitEvent>(hits));
+        for _ in 0..hits {
+            let resp = r.prefix("hit response length")?;
+            table.push_hit(HitEvent {
+                resp_addr: resp.addr(),
+                resp_len: resp.len(),
+                remaining_ttl: r.u32()?,
+            });
+        }
+        let outcomes = (hits as u64).saturating_add(scope0).saturating_add(drops);
+        if outcomes > attempts {
+            return Err(CodecError::Malformed("record outcome counts"));
+        }
+        if table.last_key().is_some_and(|last| last >= key) {
+            return Err(CodecError::Malformed("record key order"));
+        }
+        table.close(key, attempts, scope0, drops);
+    }
+    Ok(table.finish())
 }
 
 /// Writes a [`MetricsDelta`]: `u32`-counted counters (name, increment),
@@ -521,21 +555,22 @@ mod tests {
                 buckets: vec![(31, 1), (127, 1)],
             },
         );
-        s.records.insert(
-            (0, 1, 0x0A000000, 24),
-            ScopeRecord {
-                attempts: 9,
-                scope0: 1,
-                drops: 2,
-                hit_events: vec![HitEvent {
-                    resp_addr: 0x0A000000,
-                    resp_len: 24,
-                    remaining_ttl: 99,
-                }],
-            },
-        );
-        s.records
-            .insert((2, 0, 0xC0000200, 23), ScopeRecord::default());
+        s.records = RecordTable::from_ascending([
+            (
+                (0, 1, 0x0A000000, 24),
+                ScopeRecord {
+                    attempts: 9,
+                    scope0: 1,
+                    drops: 2,
+                    hit_events: vec![HitEvent {
+                        resp_addr: 0x0A000000,
+                        resp_len: 24,
+                        remaining_ttl: 99,
+                    }],
+                },
+            ),
+            ((2, 0, 0xC0000200, 23), ScopeRecord::default()),
+        ]);
         s.confidence.insert(
             (0, 1, 0x0A000100, 24),
             ConfidenceRecord {
@@ -694,8 +729,10 @@ mod tests {
     fn hit_response_lengths_past_32_are_refused() {
         for len in [33, 64, 255] {
             let mut s = sample();
-            let rec = s.records.values_mut().next().unwrap();
-            rec.hit_events[0].resp_len = len;
+            let mut records: Vec<(RecordKey, ScopeRecord)> =
+                s.records.iter().map(|(k, r)| (k, r.to_record())).collect();
+            records[0].1.hit_events[0].resp_len = len;
+            s.records = RecordTable::from_ascending(records);
             assert_eq!(
                 SweepSnapshot::decode(&s.encode()).err(),
                 Some(CodecError::Malformed("hit response length")),
@@ -722,20 +759,17 @@ mod tests {
             ..ScopeRecord::default()
         };
         let mut two_keys = SweepSnapshot::new(7, 9);
-        two_keys
-            .records
-            .insert((0, 0, 0x0A000000, 24), record(0x0A000000));
-        two_keys
-            .records
-            .insert((0, 0, 0x0A000001, 24), record(0x0A000001));
+        two_keys.records = RecordTable::from_ascending([
+            ((0, 0, 0x0A000000, 24), record(0x0A000000)),
+            ((0, 0, 0x0A000001, 24), record(0x0A000001)),
+        ]);
         assert_eq!(
             SweepSnapshot::decode(&two_keys.encode()).err(),
             Some(CodecError::Malformed("scope length"))
         );
         let mut one_key = SweepSnapshot::new(7, 9);
-        one_key
-            .records
-            .insert((0, 0, 0x0A000000, 24), record(0x0A000001));
+        one_key.records =
+            RecordTable::from_ascending([((0, 0, 0x0A000000, 24), record(0x0A000001))]);
         assert_eq!(
             SweepSnapshot::decode(&one_key.encode()).err(),
             Some(CodecError::Malformed("hit response length"))
@@ -762,9 +796,8 @@ mod tests {
             Some(CodecError::Malformed("confidence rep scope length"))
         );
         // Cleared, every scope decodes.
-        one_key
-            .records
-            .insert((0, 0, 0x0A000000, 24), record(0x0A000000));
+        one_key.records =
+            RecordTable::from_ascending([((0, 0, 0x0A000000, 24), record(0x0A000000))]);
         assert!(SweepSnapshot::decode(&one_key.encode()).is_ok());
     }
 
@@ -842,6 +875,55 @@ mod tests {
         assert_eq!(
             SweepSnapshot::decode(&repeated).err(),
             Some(CodecError::Malformed("metrics name order"))
+        );
+    }
+
+    /// Outcomes a record claims beyond its attempts are refused — also
+    /// when the claimed counts would overflow a `u64` sum.
+    #[test]
+    fn outcome_counts_beyond_the_attempts_are_refused() {
+        let hit = HitEvent {
+            resp_addr: 0x0A000000,
+            resp_len: 24,
+            remaining_ttl: 5,
+        };
+        let forged = |attempts, scope0, drops| {
+            let mut s = SweepSnapshot::new(7, 9);
+            let rec = ScopeRecord {
+                attempts,
+                scope0,
+                drops,
+                hit_events: vec![hit],
+            };
+            s.records = RecordTable::from_ascending([((0, 0, 0x0A000000, 24), rec)]);
+            SweepSnapshot::decode(&s.encode()).err()
+        };
+        let refused = Some(CodecError::Malformed("record outcome counts"));
+        assert_eq!(forged(2, 1, 1), refused);
+        assert_eq!(forged(3, u64::MAX, 0), refused);
+        assert_eq!(forged(3, 1, u64::MAX), refused);
+        assert_eq!(forged(3, 1, 1), None);
+    }
+
+    /// The size floor the record count is checked against is exact: a
+    /// table of hitless records, the smallest a record encodes to, with
+    /// nothing after it but the four empty trailing counts, decodes.
+    #[test]
+    fn hitless_records_at_the_size_floor_decode() {
+        let mut s = SweepSnapshot::new(7, 9);
+        s.records = RecordTable::from_ascending(
+            (0..64).map(|i| ((0, 0, i << 8, 24), ScopeRecord::default())),
+        );
+        let bytes = s.encode();
+        assert_eq!(SweepSnapshot::decode(&bytes).unwrap(), s);
+        // One record fewer than the count claims is refused up front.
+        let mut short = bytes[..bytes.len() - 8 - 16 - RECORD_MIN_BYTES].to_vec();
+        short.extend_from_slice(&[0; 16]);
+        let mut w = ByteWriter::new();
+        w.bytes(&short);
+        assert_eq!(
+            SweepSnapshot::decode(&w.finish()).err(),
+            Some(CodecError::Truncated)
         );
     }
 

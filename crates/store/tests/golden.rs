@@ -14,8 +14,8 @@ use std::path::{Path, PathBuf};
 
 use clientmap_store::{
     checksum, CalibrationRecord, CodecError, ConfidenceRecord, EventLog, EventRecord, FailureEvent,
-    FaultRecord, HitEvent, Recovery, ScopeRecord, SweepEvent, SweepSnapshot, Verdict,
-    VerdictChange,
+    FaultRecord, HitEvent, RecordKey, RecordTable, Recovery, ScopeRecord, SweepEvent,
+    SweepSnapshot, Verdict, VerdictChange,
 };
 use clientmap_telemetry::HistogramDelta;
 
@@ -64,39 +64,41 @@ fn snapshot() -> SweepSnapshot {
             buckets: vec![(31, 1), (127, 1)],
         },
     );
-    s.records.insert(
-        (0, 1, 0x0A00_0000, 24),
-        ScopeRecord {
-            attempts: 9,
-            scope0: 1,
-            drops: 2,
-            hit_events: vec![HitEvent {
-                resp_addr: 0x0A00_0000,
-                resp_len: 24,
-                remaining_ttl: 99,
-            }],
-        },
-    );
-    s.records.insert(
-        (2, 0, 0xC000_0200, 20),
-        ScopeRecord {
-            attempts: 4,
-            scope0: 0,
-            drops: 0,
-            hit_events: vec![
-                HitEvent {
-                    resp_addr: 0xC000_0200,
-                    resp_len: 22,
-                    remaining_ttl: 30,
-                },
-                HitEvent {
-                    resp_addr: 0xC000_0300,
+    s.records = RecordTable::from_ascending([
+        (
+            (0, 1, 0x0A00_0000, 24),
+            ScopeRecord {
+                attempts: 9,
+                scope0: 1,
+                drops: 2,
+                hit_events: vec![HitEvent {
+                    resp_addr: 0x0A00_0000,
                     resp_len: 24,
-                    remaining_ttl: 7,
-                },
-            ],
-        },
-    );
+                    remaining_ttl: 99,
+                }],
+            },
+        ),
+        (
+            (2, 0, 0xC000_0200, 20),
+            ScopeRecord {
+                attempts: 4,
+                scope0: 0,
+                drops: 0,
+                hit_events: vec![
+                    HitEvent {
+                        resp_addr: 0xC000_0200,
+                        resp_len: 22,
+                        remaining_ttl: 30,
+                    },
+                    HitEvent {
+                        resp_addr: 0xC000_0300,
+                        resp_len: 24,
+                        remaining_ttl: 7,
+                    },
+                ],
+            },
+        ),
+    ]);
     s.calibration = vec![
         CalibrationRecord {
             pop: 2,
@@ -159,12 +161,16 @@ fn snapshot_bytes_are_pinned() {
     let sum = checksum(&genuine[..body]);
     genuine[body..].copy_from_slice(&sum.to_le_bytes());
     let mut masked = value;
-    let mut rec = masked
+    let mut records: Vec<(RecordKey, ScopeRecord)> = masked
         .records
-        .remove(&(2, 0, 0xC000_0200, 20))
-        .expect("fixture key");
+        .iter()
+        .map(|(key, rec)| (key, rec.to_record()))
+        .collect();
+    let (key, rec) = &mut records[1];
+    assert_eq!(*key, (2, 0, 0xC000_0200, 20), "fixture key");
+    *key = (2, 0, 0xC000_0000, 20);
     rec.hit_events[0].resp_addr = 0xC000_0000;
-    masked.records.insert((2, 0, 0xC000_0000, 20), rec);
+    masked.records = RecordTable::from_ascending(records);
     assert_eq!(
         SweepSnapshot::decode(&genuine).expect("cleared golden decodes"),
         masked

@@ -9,8 +9,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use clientmap_net::Prefix;
 use clientmap_store::{
-    checksum, FaultRecord, HitEvent, ScopeRecord, Slash24Bitset, SweepSnapshot, Verdict,
-    VerdictTable,
+    checksum, ByteWriter, FaultRecord, HitEvent, HitStats, ProbeCount, RecordKey, RecordTable,
+    ScopeRecord, Slash24Bitset, SweepSnapshot, Verdict, VerdictTable, SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
 };
 use clientmap_telemetry::HistogramDelta;
 use proptest::prelude::*;
@@ -149,10 +150,14 @@ fn snapshot_strategy() -> impl Strategy<Value = SweepSnapshot> {
                 unmeasured_scopes: 2,
                 assigned_scopes: observed + 5,
             });
-            for (bound, domain, scope, record) in records {
-                snap.records
-                    .insert((bound, domain, scope.addr(), scope.len()), record);
-            }
+            snap.records = RecordTable::from_ascending(
+                records
+                    .into_iter()
+                    .map(|(bound, domain, scope, record)| {
+                        ((bound, domain, scope.addr(), scope.len()), record)
+                    })
+                    .collect::<BTreeMap<RecordKey, ScopeRecord>>(),
+            );
             for (i, (sum, count)) in counters.iter().enumerate() {
                 snap.metrics
                     .counters
@@ -232,5 +237,104 @@ proptest! {
                 value
             );
         }
+    }
+}
+
+/// The bytes of an otherwise empty snapshot whose record section is
+/// `records`, written field by field from the reference map.
+fn encode_records_by_hand(records: &BTreeMap<RecordKey, ScopeRecord>) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.bytes(&SNAPSHOT_MAGIC);
+    w.u16(SNAPSHOT_VERSION);
+    w.u32(0); // epoch
+    w.u64(7); // world seed
+    w.u64(9); // config digest
+    w.u8(0); // no fault record
+    w.u32(0); // no metric counters
+    w.u32(0); // no histograms
+    w.u32(records.len() as u32);
+    for (&(bound, domain, addr, len), rec) in records {
+        w.u16(bound);
+        w.u16(domain);
+        w.u32(addr);
+        w.u8(len);
+        w.u64(rec.attempts);
+        w.u64(rec.scope0);
+        w.u64(rec.drops);
+        w.u32(rec.hit_events.len() as u32);
+        for e in &rec.hit_events {
+            w.u32(e.resp_addr);
+            w.u8(e.resp_len);
+            w.u32(e.remaining_ttl);
+        }
+    }
+    w.u32(0); // no calibration records
+    w.u32(0); // no calibration counters
+    w.u32(0); // no calibration histograms
+    w.u32(0); // no confidence records
+    w.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `RecordTable` vs `BTreeMap<RecordKey, ScopeRecord>`: the same
+    /// iteration, the same `get` (present and absent keys), the same
+    /// encoded bytes, and views equal to a per-record fold into
+    /// ordered maps.
+    #[test]
+    fn record_table_matches_reference_model(
+        slots in proptest::collection::vec(
+            (0u16..4, 0u16..3, prefix_strategy(), record_strategy()),
+            0..40,
+        ),
+        probes in proptest::collection::vec((0u16..4, 0u16..3, prefix_strategy()), 0..8),
+    ) {
+        let reference: BTreeMap<RecordKey, ScopeRecord> = slots
+            .into_iter()
+            .map(|(b, d, scope, rec)| ((b, d, scope.addr(), scope.len()), rec))
+            .collect();
+        let table = RecordTable::from_ascending(reference.clone());
+        prop_assert_eq!(table.len(), reference.len());
+        prop_assert_eq!(
+            table.iter().map(|(k, r)| (k, r.to_record())).collect::<Vec<_>>(),
+            reference.iter().map(|(k, r)| (*k, r.clone())).collect::<Vec<_>>()
+        );
+        for (b, d, scope) in probes {
+            let key = (b, d, scope.addr(), scope.len());
+            prop_assert_eq!(table.get(&key).map(|r| r.to_record()), reference.get(&key).cloned());
+        }
+        for (key, rec) in &reference {
+            prop_assert_eq!(table.get(key), Some(rec.view()));
+        }
+        let mut snap = SweepSnapshot::new(7, 9);
+        snap.records = table.clone();
+        let bytes = snap.encode();
+        prop_assert_eq!(&bytes, &encode_records_by_hand(&reference));
+        prop_assert_eq!(SweepSnapshot::decode(&bytes).expect("decodes").records, table.clone());
+
+        let mut counts: BTreeMap<(usize, Prefix), ProbeCount> = BTreeMap::new();
+        let mut families: BTreeMap<(usize, Prefix), HitStats> = BTreeMap::new();
+        let mut attempts = 0;
+        for (&(_, d, addr, len), rec) in reference.iter().filter(|(_, r)| r.attempts > 0) {
+            attempts += rec.attempts;
+            let c = counts.entry((d as usize, Prefix::new(addr, len).unwrap())).or_default();
+            c.attempts += rec.attempts;
+            c.hits += rec.hits();
+            c.scope0 += rec.scope0;
+            c.drops += rec.drops;
+            for e in &rec.hit_events {
+                let scope = Prefix::new(e.resp_addr, e.resp_len).unwrap();
+                let s = families.entry((d as usize, scope)).or_insert(HitStats {
+                    hits: 0,
+                    min_remaining_ttl: e.remaining_ttl,
+                });
+                s.hits += 1;
+                s.min_remaining_ttl = s.min_remaining_ttl.min(e.remaining_ttl);
+            }
+        }
+        prop_assert_eq!(table.probe_counts(), &counts.into_iter().collect::<Vec<_>>()[..]);
+        prop_assert_eq!(table.hit_families(), &families.into_iter().collect::<Vec<_>>()[..]);
+        prop_assert_eq!(table.attempts_total(), attempts);
     }
 }

@@ -325,7 +325,7 @@ fn diurnal_section(out: &PipelineOutput) -> String {
     // one per PoP.
     let mut marginal: Vec<Prefix> = out
         .cache_probe
-        .probe_counts
+        .probe_counts()
         .iter()
         .filter(|((d, _), c)| *d == 0 && c.attempts >= 2)
         .filter(|(_, c)| {
@@ -336,11 +336,12 @@ fn diurnal_section(out: &PipelineOutput) -> String {
         .collect();
     marginal.sort();
     let mut targets: Vec<(clientmap_cacheprobe::vantage::BoundVantage, Prefix)> = Vec::new();
+    let pop_hits = out.cache_probe.pop_hit_prefixes();
     for b in &bound {
         if targets.len() >= 6 {
             break;
         }
-        if let Some(set) = out.cache_probe.pop_hit_prefixes.get(&b.pop) {
+        if let Some(set) = pop_hits.get(&b.pop) {
             if let Some(scope) = marginal.iter().find(|sc| {
                 set.contains_slash24(sc.supernet(24.min(sc.len())).unwrap_or(**sc))
                     || set.intersects(**sc)
@@ -513,7 +514,7 @@ fn ablations_section(out: &PipelineOutput) -> String {
     // strictly between 0 and 1.
     let mut scopes: Vec<Prefix> = out
         .cache_probe
-        .probe_counts
+        .probe_counts()
         .iter()
         .filter(|((d, _), c)| *d == 0 && c.hits > 0 && c.hits < c.attempts)
         .map(|((_, s), _)| *s)

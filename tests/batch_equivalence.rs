@@ -31,7 +31,8 @@ fn assert_outputs_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
         "{ctx}: probe volume diverged"
     );
     assert_eq!(
-        a.cache_probe.probe_counts, b.cache_probe.probe_counts,
+        a.cache_probe.probe_counts(),
+        b.cache_probe.probe_counts(),
         "{ctx}: per-scope probe counts diverged"
     );
     assert_eq!(

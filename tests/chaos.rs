@@ -126,7 +126,7 @@ fn pop_churn_run_quarantines_and_reconciles_coverage() {
     // notice and the unmeasured accounting must close the books:
     // probed + unmeasured == assigned.
     assert_eq!(
-        o.cache_probe.probe_counts.len() as u64 + f.unmeasured_scopes,
+        o.cache_probe.probe_counts().len() as u64 + f.unmeasured_scopes,
         f.assigned_scopes,
         "coverage accounting does not reconcile"
     );
@@ -317,7 +317,7 @@ fn assert_fault_books_match(a: &PipelineOutput, b: &PipelineOutput, ctx: &str) {
     // The conservation laws hold on the batched lane…
     assert_eq!(fa.observed, fa.recovered + fa.degraded + fa.lost, "{ctx}");
     assert_eq!(
-        a.cache_probe.probe_counts.len() as u64 + fa.unmeasured_scopes,
+        a.cache_probe.probe_counts().len() as u64 + fa.unmeasured_scopes,
         fa.assigned_scopes,
         "{ctx}: coverage books do not reconcile on the batched lane"
     );

@@ -207,7 +207,7 @@ fn telemetry_invariants_reconcile() {
         o.cache_probe.probes_sent
     );
     // `hits` aggregates by (domain, scope); the counter sees every event.
-    let hit_events: u64 = o.cache_probe.hits.values().map(|h| h.hits).sum();
+    let hit_events: u64 = o.cache_probe.hits().iter().map(|(_, h)| h.hits).sum();
     assert_eq!(snap.counter("cacheprobe.outcome.hit"), hit_events);
     assert_eq!(
         snap.counter("dnslogs.records_examined"),

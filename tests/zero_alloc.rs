@@ -6,7 +6,9 @@
 //! the batched lane, once its connection, domain tables and lanes are
 //! set up, must allocate nothing across a whole stream of events —
 //! fault-free, and under fault injection, where each event's redundant
-//! queries retry through the connection's per-query door.
+//! queries retry through the connection's per-query door. A warm sweep
+//! whose plan skips everything allocates a fixed amount, however many
+//! records it carries forward.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,6 +19,7 @@ use clientmap_cacheprobe::probe::{probe_scope, select_domains, serve_batched, Pr
 use clientmap_cacheprobe::resilience::FaultCounters;
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
+use clientmap_cacheprobe::{execute_sweep, prepare_sweep};
 use clientmap_dns::wire;
 use clientmap_faults::{FaultConfig, FaultProfile};
 use clientmap_net::Prefix;
@@ -270,5 +273,50 @@ fn faulted_batched_stream_is_allocation_free_after_warmup() {
         allocated, 0,
         "faulted batched lane allocated {allocated} time(s) across {events} events \
          ({observed} failed exchanges)"
+    );
+}
+
+/// The allocations a full-skip `execute_sweep` makes on `world`, warm
+/// from a cold sweep of it, and the number of records it carries.
+fn full_skip_allocations(world: WorldConfig) -> (u64, usize) {
+    let world = World::generate(world);
+    let universe: Vec<Prefix> = world.blocks.iter().map(|b| b.prefix).collect();
+    let mut cfg = ProbeConfig::test_scale();
+    cfg.duration_hours = 2.0;
+    cfg.calibration_sample = 250;
+    let mut sim = Sim::new(world);
+    let prep = prepare_sweep(&mut sim, &cfg, &universe, &mut Vec::new(), None);
+    let (_, cold) = execute_sweep(&mut sim, &cfg, prep, &mut Vec::new());
+
+    let mut warm = sim.fresh();
+    let prep = prepare_sweep(&mut warm, &cfg, &universe, &mut Vec::new(), Some(&cold));
+    assert!(prep.warm_full_skip(), "an unchanged world re-plans nothing");
+    let mut timings = Vec::with_capacity(8);
+    let before = allocations();
+    let out = execute_sweep(&mut warm, &cfg, prep, &mut timings);
+    let allocated = allocations() - before;
+    assert!(out.1.records.shares(&cold.records));
+    (allocated, cold.records.len())
+}
+
+#[test]
+fn a_full_skip_allocates_nothing_per_record() {
+    let large = WorldConfig::tiny(17);
+    let small = WorldConfig {
+        num_ases: large.num_ases / 6,
+        total_users: large.total_users / 6.0,
+        target_routed_slash24s: large.target_routed_slash24s / 6,
+        ..large.clone()
+    };
+    let (small_allocs, small_records) = full_skip_allocations(small);
+    let (large_allocs, large_records) = full_skip_allocations(large);
+    assert!(
+        large_records >= 4 * small_records,
+        "worlds too alike: {small_records} vs {large_records} records"
+    );
+    assert_eq!(
+        small_allocs, large_allocs,
+        "a full skip over {small_records} records allocated {small_allocs} times, \
+         over {large_records} records {large_allocs} times"
     );
 }
