@@ -190,9 +190,9 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        probe.record_hits([
-            (0, p("10.1.0.0/22"), p("10.1.0.0/22"), 1),
-            (0, p("10.1.4.0/24"), p("10.1.4.0/24"), 1),
+        probe.records = crate::hit_table(&[
+            (0, p("10.1.0.0/22"), p("10.1.0.0/22")),
+            (0, p("10.1.4.0/24"), p("10.1.4.0/24")),
         ]);
 
         let dns = DnsLogsResult {

@@ -117,13 +117,13 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        // Google: fine scopes in 10/8 and 11/8.
-        r.record_hits([
-            (0, p("10.1.0.0/24"), p("10.1.0.0/24"), 1),
-            (0, p("11.1.0.0/24"), p("11.1.0.0/24"), 1),
+        r.records = crate::hit_table(&[
+            // Google: fine scopes in 10/8 and 11/8.
+            (0, p("10.1.0.0/24"), p("10.1.0.0/24")),
+            (0, p("11.1.0.0/24"), p("11.1.0.0/24")),
+            // Wikipedia: one coarse scope containing google's first hit.
+            (1, p("10.1.0.0/16"), p("10.1.0.0/16")),
         ]);
-        // Wikipedia: one coarse scope containing google's first hit.
-        r.record_hits([(1, p("10.1.0.0/16"), p("10.1.0.0/16"), 1)]);
 
         let t5 = domain_overlap(&r, &rib);
         assert_eq!(t5.total_prefixes, vec![2, 256]);

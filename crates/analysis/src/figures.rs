@@ -128,10 +128,10 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        r.record_hits([
-            (0, p("10.1.0.0/20"), p("10.1.0.0/20"), 1),
-            (0, p("10.1.16.0/20"), p("10.1.16.0/20"), 1),
-            (0, p("10.2.0.0/24"), p("10.2.0.0/24"), 1),
+        r.records = crate::hit_table(&[
+            (0, p("10.1.0.0/20"), p("10.1.0.0/20")),
+            (0, p("10.1.16.0/20"), p("10.1.16.0/20")),
+            (0, p("10.2.0.0/24"), p("10.2.0.0/24")),
         ]);
         let (points, lower, upper) = fraction_active_cdf(&r, &rib);
         assert_eq!(points.len(), 2);

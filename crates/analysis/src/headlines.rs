@@ -95,17 +95,16 @@ pub fn scope_stability_table(result: &CacheProbeResult) -> Vec<ScopeStabilityRow
     let mut rows: Vec<ScopeStabilityRow> = result
         .domains
         .iter()
-        .enumerate()
-        .map(|(d, name)| {
-            let (exact, within2, within4, total) = result.scope_stability(d);
-            ScopeStabilityRow {
+        .zip(result.scope_stability())
+        .map(
+            |(name, (exact, within2, within4, total))| ScopeStabilityRow {
                 domain: name.to_string(),
                 exact,
                 within2,
                 within4,
                 total,
-            }
-        })
+            },
+        )
         .collect();
     let overall = ScopeStabilityRow {
         domain: "Overall".to_string(),
@@ -156,7 +155,13 @@ mod tests {
         }
     }
 
-    fn probe_with_ms_hits() -> CacheProbeResult {
+    /// Hits at 10.9.0.0/24 (domain 0) and 10.1.0.0/23 (the MS domain).
+    const MS_HITS: [(u16, &str, &str); 2] = [
+        (0, "10.9.0.0/24", "10.9.0.0/24"),
+        (1, "10.1.0.0/23", "10.1.0.0/23"),
+    ];
+
+    fn probe_with_hits(hits: &[(u16, &str, &str)]) -> CacheProbeResult {
         let mut r = clientmap_cacheprobe::CacheProbeResult::new(
             vec![
                 "www.google.com".parse().unwrap(),
@@ -165,11 +170,13 @@ mod tests {
             Vec::new(),
             Default::default(),
         );
-        r.record_hits([
-            (1, p("10.1.0.0/23"), p("10.1.0.0/23"), 1),
-            (0, p("10.9.0.0/24"), p("10.9.0.0/24"), 1),
-        ]);
+        let hits: Vec<_> = hits.iter().map(|&(d, q, r)| (d, p(q), p(r))).collect();
+        r.records = crate::hit_table(&hits);
         r
+    }
+
+    fn probe_with_ms_hits() -> CacheProbeResult {
+        probe_with_hits(&MS_HITS)
     }
 
     #[test]
@@ -203,8 +210,7 @@ mod tests {
 
     #[test]
     fn stability_table_has_overall_row() {
-        let mut r = probe_with_ms_hits();
-        r.record_hits([(0, p("10.8.0.0/20"), p("10.8.0.0/22"), 1)]);
+        let r = probe_with_hits(&[(0, "10.8.0.0/20", "10.8.0.0/22"), MS_HITS[0], MS_HITS[1]]);
         let rows = scope_stability_table(&r);
         assert_eq!(rows.len(), 3);
         let overall = rows.last().unwrap();

@@ -52,3 +52,26 @@ pub use headlines::{
     dns_http_proxy, groundtruth_recall, scope_precision, scope_stability_table, DnsHttpProxy,
     ScopeStabilityRow,
 };
+
+/// A record table of one probe event per hit ⟨domain, query scope,
+/// response scope⟩ at vantage 0, for hand-made results; `hits` come in
+/// key order (by domain, then query scope).
+#[cfg(test)]
+fn hit_table(
+    hits: &[(u16, clientmap_net::Prefix, clientmap_net::Prefix)],
+) -> clientmap_store::RecordTable {
+    use clientmap_store::{HitEvent, RecordTable, ScopeRecord};
+    RecordTable::from_ascending(hits.iter().map(|&(domain, query, resp)| {
+        let hit = HitEvent {
+            resp_addr: resp.addr(),
+            resp_len: resp.len(),
+            remaining_ttl: 1,
+        };
+        let rec = ScopeRecord {
+            attempts: 1,
+            hit_events: vec![hit],
+            ..ScopeRecord::default()
+        };
+        ((0, domain, query.addr(), query.len()), rec)
+    }))
+}

@@ -166,7 +166,7 @@ mod tests {
             "10.1.0.0/22".parse().unwrap(),
             "10.2.0.0/24".parse().unwrap(),
         );
-        probe.record_hits([(0, a, a, 1), (0, b, b, 1)]);
+        probe.records = crate::hit_table(&[(0, a, a), (0, b, b)]);
         let dns = clientmap_chromium::DnsLogsResult {
             resolvers: vec![clientmap_chromium::ResolverActivity {
                 resolver_addr: 0x0A030035,

@@ -5,11 +5,14 @@
 //! bundles. The shim proptest runner derives its RNG seed from each
 //! test's name, so every run replays the same cases.
 
+use std::collections::BTreeSet;
+
 use clientmap_analysis::overlap::{as_matrix, prefix_matrix, volume_matrix};
 use clientmap_analysis::stats::{pct, Ecdf};
 use clientmap_datasets::{ApnicDataset, DatasetBundle, DatasetId};
 use clientmap_net::{Asn, Prefix, Rib};
 use clientmap_sim::cdn::CdnLogs;
+use clientmap_store::{HitEvent, RecordTable, ScopeRecord};
 use proptest::prelude::*;
 
 fn sample_strategy() -> impl Strategy<Value = f64> {
@@ -122,7 +125,21 @@ proptest! {
             Vec::new(),
             Default::default(),
         );
-        probe.record_hits(hits.iter().map(|p| (0, *p, *p, 1)));
+        // One hit per distinct /24, answered at its own scope.
+        let scopes: BTreeSet<Prefix> = hits.iter().copied().collect();
+        probe.records = RecordTable::from_ascending(scopes.into_iter().map(|p| {
+            let hit = HitEvent {
+                resp_addr: p.addr(),
+                resp_len: p.len(),
+                remaining_ttl: 1,
+            };
+            let rec = ScopeRecord {
+                attempts: 1,
+                hit_events: vec![hit],
+                ..ScopeRecord::default()
+            };
+            ((0, 0, p.addr(), p.len()), rec)
+        }));
         let dns = clientmap_chromium::DnsLogsResult {
             resolvers: vec![clientmap_chromium::ResolverActivity {
                 resolver_addr: 0x0A030035,

@@ -509,24 +509,28 @@ fn synthesize_members(
     (members, tags)
 }
 
-/// Merges two key-ordered runs of records into one key-ordered run;
-/// where both hold a key, `first`'s record wins.
+/// Merges two key-ordered runs of records into one key-ordered run.
+/// Where both hold a key, `first`'s record comes with `second`'s
+/// beside it, for the caller's equal-key rule.
 fn merge_ordered<'a>(
     first: impl Iterator<Item = (RecordKey, RecordView<'a>)>,
     second: impl Iterator<Item = (RecordKey, RecordView<'a>)>,
-) -> impl Iterator<Item = (RecordKey, RecordView<'a>)> {
+) -> impl Iterator<Item = (RecordKey, RecordView<'a>, Option<RecordView<'a>>)> {
     let (mut a, mut b) = (first.peekable(), second.peekable());
-    std::iter::from_fn(move || match (a.peek(), b.peek()) {
-        (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
-            std::cmp::Ordering::Less => a.next(),
-            std::cmp::Ordering::Greater => b.next(),
-            std::cmp::Ordering::Equal => {
-                b.next();
-                a.next()
-            }
-        },
-        (Some(_), None) => a.next(),
-        (None, _) => b.next(),
+    std::iter::from_fn(move || {
+        let (key, rec) = match (a.peek(), b.peek()) {
+            (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
+                std::cmp::Ordering::Less => a.next()?,
+                std::cmp::Ordering::Greater => b.next()?,
+                std::cmp::Ordering::Equal => {
+                    let (key, rec) = a.next()?;
+                    return Some((key, rec, b.next().map(|(_, other)| other)));
+                }
+            },
+            (Some(_), None) => a.next()?,
+            (None, _) => b.next()?,
+        };
+        Some((key, rec, None))
     })
 }
 
@@ -1391,9 +1395,8 @@ impl Staged {
     }
 
     /// The union of the deltas' tables, or as `Err` the position of the
-    /// first delta holding a key an earlier one holds. Shards of a unit
-    /// list are key-ascending in shard order, so the union is usually
-    /// their concatenation; any other order takes one sort of every key.
+    /// first delta holding a key an earlier one holds: one stable sort
+    /// of every key, in whatever order the shards' key ranges come.
     fn gather(deltas: &[SweepSnapshot]) -> Result<RecordTable, usize> {
         let tables: Vec<&RecordTable> = deltas
             .iter()
@@ -1405,18 +1408,6 @@ impl Staged {
         }
         let total = tables.iter().map(|t| t.len()).sum();
         let hits = tables.iter().map(|t| t.num_hit_events()).sum();
-        let mut table = RecordTableBuilder::with_capacity(total, hits);
-        let ascending = tables
-            .windows(2)
-            .all(|w| w[0].keys().last() < w[1].keys().first());
-        if ascending {
-            for t in tables {
-                for (key, rec) in t.iter() {
-                    table.push(key, rec);
-                }
-            }
-            return Ok(table.finish());
-        }
         // (key, delta position, record index), stable-sorted by key so
         // equal keys stay in shard order.
         let mut all: Vec<(RecordKey, usize, usize)> = Vec::with_capacity(total);
@@ -1438,6 +1429,7 @@ impl Staged {
         if let Some(pos) = overlap {
             return Err(pos);
         }
+        let mut table = RecordTableBuilder::with_capacity(total, hits);
         for (key, pos, i) in all {
             table.push(key, deltas[pos].records.record(i));
         }
@@ -1453,42 +1445,6 @@ impl Staged {
         }
         self.records
     }
-}
-
-/// `table` with `rescued` merged in additively: where both hold a key,
-/// the counts add and the rescue hits follow the table's.
-fn merge_additive(table: &RecordTable, rescued: &RecordTable) -> RecordTable {
-    let mut out = RecordTableBuilder::with_capacity(
-        table.len() + rescued.len(),
-        table.num_hit_events() + rescued.num_hit_events(),
-    );
-    let (mut a, mut b) = (table.iter().peekable(), rescued.iter().peekable());
-    loop {
-        let next = match (a.peek(), b.peek()) {
-            (Some((ka, _)), Some((kb, _))) => match ka.cmp(kb) {
-                std::cmp::Ordering::Less => a.next(),
-                std::cmp::Ordering::Greater => b.next(),
-                std::cmp::Ordering::Equal => {
-                    let ((key, x), (_, y)) = (a.next().unwrap(), b.next().unwrap());
-                    for &e in x.hit_events.iter().chain(y.hit_events) {
-                        out.push_hit(e);
-                    }
-                    out.close(
-                        key,
-                        x.attempts + y.attempts,
-                        x.scope0 + y.scope0,
-                        x.drops + y.drops,
-                    );
-                    continue;
-                }
-            },
-            (Some(_), None) => a.next(),
-            (None, _) => b.next(),
-        };
-        let Some((key, rec)) = next else { break };
-        out.push(key, rec);
-    }
-    out.finish()
 }
 
 /// Driver-side merge: folds checksummed per-shard deltas into the
@@ -1605,7 +1561,8 @@ fn merge_inner(
                 merge_ordered(
                     members.iter().map(|(key, rec)| (*key, rec.view())),
                     live.iter(),
-                ),
+                )
+                .map(|(key, rec, _)| (key, rec)),
                 skipped.iter().map(|&i| carry(i)),
             );
             let member_hits: usize = members.iter().map(|(_, r)| r.hit_events.len()).sum();
@@ -1614,7 +1571,7 @@ fn merge_inner(
                 members.len() + live.len() + skipped.len(),
                 member_hits + live.num_hit_events() + carry_hits,
             );
-            for (key, rec) in runs {
+            for (key, rec, _) in runs {
                 table.push(key, rec);
             }
             table.finish()
@@ -1680,7 +1637,22 @@ fn merge_inner(
             // collide with all-zero records (a rescued scope was measured
             // nowhere, so any record at its fallback vantage is empty).
             if !rescued.is_empty() {
-                table = merge_additive(&table, &rescued);
+                let mut out = RecordTableBuilder::with_capacity(
+                    table.len() + rescued.len(),
+                    table.num_hit_events() + rescued.num_hit_events(),
+                );
+                for (key, x, y) in merge_ordered(table.iter(), rescued.iter()) {
+                    let Some(y) = y else {
+                        out.push(key, x);
+                        continue;
+                    };
+                    for &e in x.hit_events.iter().chain(y.hit_events) {
+                        out.push_hit(e);
+                    }
+                    let (attempts, scope0) = (x.attempts + y.attempts, x.scope0 + y.scope0);
+                    out.close(key, attempts, scope0, x.drops + y.drops);
+                }
+                table = out.finish();
             }
             timings.push(("rescue".into(), stage.elapsed().as_secs_f64()));
         }
@@ -2603,6 +2575,29 @@ mod tests {
     #[test]
     fn sharded_sweep_matches_single_process() {
         check_seams(&FAULT_FREE_CASES);
+    }
+
+    /// Two key-ordered runs merge into one; a key both hold comes once,
+    /// with the second run's record beside the first's.
+    #[test]
+    fn merge_ordered_pairs_the_records_of_an_equal_key() {
+        let rec = |attempts| ScopeRecord {
+            attempts,
+            ..ScopeRecord::default()
+        };
+        let first = RecordTable::from_ascending([((0, 0, 1, 24), rec(1)), ((0, 0, 3, 24), rec(3))]);
+        let second = RecordTable::from_ascending([
+            ((0, 0, 2, 24), rec(20)),
+            ((0, 0, 3, 24), rec(30)),
+            ((0, 0, 4, 24), rec(40)),
+        ]);
+        let merged: Vec<_> = merge_ordered(first.iter(), second.iter())
+            .map(|(key, rec, other)| (key.2, rec.attempts, other.map(|o| o.attempts)))
+            .collect();
+        assert_eq!(
+            merged,
+            vec![(1, 1, None), (2, 20, None), (3, 3, Some(30)), (4, 40, None)]
+        );
     }
 
     /// A duplicated shard delta or a hole in the cover must be rejected

@@ -5,7 +5,7 @@ use std::collections::{BTreeMap, HashMap};
 use clientmap_dns::DomainName;
 use clientmap_net::{Asn, Prefix, PrefixSet, Rib};
 use clientmap_sim::PopId;
-use clientmap_store::{HitEvent, RecordKey, RecordTable, ScopeRecord, Verdict, VerdictTable};
+use clientmap_store::{RecordTable, Verdict, VerdictTable};
 
 use crate::calibrate::ServiceRadii;
 use crate::vantage::BoundVantage;
@@ -80,44 +80,6 @@ impl CacheProbeResult {
             probes_sent: 0,
             fault: None,
         }
-    }
-
-    /// Adds one probe event per hit in `hits` — ⟨domain, query scope,
-    /// response scope, remaining TTL⟩ — at bound vantage 0, rebuilding
-    /// the record table. For hand-made results (tests, examples); a
-    /// sweep's table comes from its probe records.
-    pub fn record_hits(&mut self, hits: impl IntoIterator<Item = (usize, Prefix, Prefix, u32)>) {
-        let mut slots: Vec<(RecordKey, ScopeRecord)> = self
-            .records
-            .iter()
-            .map(|(key, rec)| (key, rec.to_record()))
-            .collect();
-        for (domain, query, resp, remaining_ttl) in hits {
-            let rec = ScopeRecord {
-                attempts: 1,
-                hit_events: vec![HitEvent {
-                    resp_addr: resp.addr(),
-                    resp_len: resp.len(),
-                    remaining_ttl,
-                }],
-                ..ScopeRecord::default()
-            };
-            slots.push(((0, domain as u16, query.addr(), query.len()), rec));
-        }
-        slots.sort_by_key(|(key, _)| *key);
-        let mut merged: Vec<(RecordKey, ScopeRecord)> = Vec::with_capacity(slots.len());
-        for (key, rec) in slots {
-            match merged.last_mut() {
-                Some((last, sum)) if *last == key => {
-                    sum.attempts += rec.attempts;
-                    sum.scope0 += rec.scope0;
-                    sum.drops += rec.drops;
-                    sum.hit_events.extend(rec.hit_events);
-                }
-                _ => merged.push((key, rec)),
-            }
-        }
-        self.records = RecordTable::from_ascending(merged);
     }
 
     /// Hits: ⟨domain index, response scope⟩ → stats, ascending.
@@ -235,30 +197,28 @@ impl CacheProbeResult {
         )
     }
 
-    /// Table 2 rows: per domain, hits with |query − response| scope
-    /// difference of exactly 0, ≤ 2, ≤ 4, and the total.
-    pub fn scope_stability(&self, domain: usize) -> (u64, u64, u64, u64) {
-        let mut exact = 0;
-        let mut within2 = 0;
-        let mut within4 = 0;
-        let mut total = 0;
+    /// Table 2 rows, index-aligned with `domains`: per domain, hits
+    /// with |query − response| scope difference of exactly 0, ≤ 2, ≤ 4,
+    /// and the total. One pass over [`CacheProbeResult::scope_pairs`].
+    pub fn scope_stability(&self) -> Vec<(u64, u64, u64, u64)> {
+        let mut rows = vec![(0, 0, 0, 0); self.domains.len()];
         for ((d, q, r), c) in self.scope_pairs() {
-            if d != domain {
+            let Some((exact, within2, within4, total)) = rows.get_mut(d) else {
                 continue;
-            }
+            };
             let diff = (i16::from(q) - i16::from(r)).unsigned_abs();
-            total += c;
+            *total += c;
             if diff == 0 {
-                exact += c;
+                *exact += c;
             }
             if diff <= 2 {
-                within2 += c;
+                *within2 += c;
             }
             if diff <= 4 {
-                within4 += c;
+                *within4 += c;
             }
         }
-        (exact, within2, within4, total)
+        rows
     }
 }
 
@@ -300,6 +260,7 @@ pub(crate) fn verdict_table_of<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clientmap_store::{HitEvent, RecordKey, ScopeRecord};
 
     fn p(s: &str) -> Prefix {
         s.parse().unwrap()
@@ -408,9 +369,7 @@ mod tests {
             (0, 0, "10.2.0.0/20", hits(&[("10.2.0.0/24", 1)])), // diff 4
             (0, 0, "10.3.0.0/20", hits(&[("10.0.0.0/14", 1)])), // diff 6
         ]);
-        let (exact, w2, w4, total) = r.scope_stability(0);
-        assert_eq!((exact, w2, w4, total), (1, 2, 3, 4));
-        assert_eq!(r.scope_stability(1), (0, 0, 0, 0));
+        assert_eq!(r.scope_stability(), vec![(1, 2, 3, 4), (0, 0, 0, 0)]);
         assert_eq!(r.scope_pairs().values().sum::<u64>(), 4);
         assert_eq!(r.scope_pairs()[&(0, 20, 14)], 1);
     }

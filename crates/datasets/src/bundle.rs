@@ -179,6 +179,7 @@ impl DatasetBundle {
 mod tests {
     use super::*;
     use clientmap_net::Asn;
+    use clientmap_store::{HitEvent, RecordTable, ScopeRecord};
 
     /// A hand-built bundle (end-to-end construction is covered by the
     /// integration tests; here we check the wiring logic).
@@ -193,8 +194,19 @@ mod tests {
                 Vec::new(),
                 Default::default(),
             );
-            let scope = "10.1.0.0/20".parse().unwrap();
-            r.record_hits([(0, scope, scope, 9)]);
+            // One hit, answered at its own scope.
+            let scope: Prefix = "10.1.0.0/20".parse().unwrap();
+            let hit = HitEvent {
+                resp_addr: scope.addr(),
+                resp_len: scope.len(),
+                remaining_ttl: 9,
+            };
+            let rec = ScopeRecord {
+                attempts: 1,
+                hit_events: vec![hit],
+                ..ScopeRecord::default()
+            };
+            r.records = RecordTable::from_ascending([((0, 0, scope.addr(), scope.len()), rec)]);
             r
         };
         let dns_logs = clientmap_chromium::DnsLogsResult {
