@@ -12,11 +12,11 @@
 //! reports and telemetry snapshots alike — byte-identical at any thread
 //! count.
 //!
-//! The per-probe inner loop runs on the zero-allocation fast lane:
-//! queries render from a pre-built [`wire::ProbeQueryTemplate`] into a
-//! reused buffer, responses land in another, and telemetry handles are
-//! resolved once per unit, so steady-state probing never touches the
-//! allocator or the registry lock.
+//! The product's inner loop is the byte-free batched lane: each probe
+//! event is served through one connection per unit
+//! ([`serve_batched`]), and telemetry handles are resolved once per
+//! unit, so steady-state probing never touches the allocator or the
+//! registry lock. The wire lane ([`probe_scope`]) is its oracle.
 
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
@@ -71,21 +71,11 @@ pub fn merge_outcome(best: ProbeOutcome, next: ProbeOutcome) -> ProbeOutcome {
 }
 
 /// Caller-reused wire buffers for [`probe_scope`]: the rendered query
-/// and the response it drew. Pre-sized past the largest probe exchange,
-/// so steady-state probing never grows them.
-#[derive(Debug)]
+/// and the response it drew.
+#[derive(Debug, Default)]
 pub struct ProbeBufs {
     query: Vec<u8>,
     resp: Vec<u8>,
-}
-
-impl Default for ProbeBufs {
-    fn default() -> Self {
-        ProbeBufs {
-            query: Vec::with_capacity(128),
-            resp: Vec::with_capacity(512),
-        }
-    }
 }
 
 /// Sends `cfg.redundancy` non-recursive ECS queries for
@@ -96,8 +86,7 @@ impl Default for ProbeBufs {
 /// This is the scalar wire probe — the oracle the byte-free batched
 /// lane is tested against, and the whole sweep's lane when
 /// `batched_probing` is off. Queries render from a pre-built
-/// [`wire::ProbeQueryTemplate`] into caller-reused buffers, so the
-/// steady state performs no heap allocation, and every response is
+/// [`wire::ProbeQueryTemplate`], and every response is decoded and
 /// verified against its query ([`observe_response`]). The redundant
 /// queries, retries and backoff are [`probe_event`]'s. `route` is the
 /// vantage's anycast route, resolved once per stream

@@ -20,7 +20,7 @@
 
 use std::sync::Arc;
 
-use clientmap_dns::wire;
+use clientmap_dns::{wire, Rcode};
 use clientmap_net::{Prefix, SeedMixer};
 use clientmap_sim::{AttemptReply, GooglePublicDns, ProbeOutcome, SimTime, Transport};
 use clientmap_telemetry::{Counter, MetricsRegistry};
@@ -60,25 +60,26 @@ pub enum WireObservation {
 /// Classifies a raw response against the query that elicited it.
 ///
 /// Unlike the pre-resilience path — which trusted any bytes that came
-/// back — this verifies the transaction ID and the echoed question
-/// before believing the rcode, so a late or cross-wired answer can
-/// never masquerade as a cache signal.
+/// back — this decodes the response and verifies that it is one (the
+/// QR bit), its transaction ID and its echoed question before believing
+/// the rcode, so a late, cross-wired or reflected packet can never
+/// masquerade as a cache signal.
 pub fn observe_response(query: &[u8], id: u16, resp: Option<&[u8]>) -> WireObservation {
     let Some(resp) = resp else {
         return WireObservation::Dropped;
     };
-    let Ok(view) = wire::response_view(resp) else {
+    let Ok(msg) = wire::decode(resp) else {
         return WireObservation::Mismatch;
     };
-    if view.id != id || !wire::question_echo_matches(query, resp) {
+    if !msg.is_response || msg.id != id || !wire::question_echo_matches(query, resp) {
         return WireObservation::Mismatch;
     }
-    if view.flags & wire::FLAG_TC != 0 {
+    if msg.truncated {
         return WireObservation::Truncated;
     }
-    match (view.flags & wire::RCODE_MASK) as u8 {
-        0 => WireObservation::Ok(GooglePublicDns::classify_view(&view)),
-        5 => WireObservation::Refused,
+    match msg.rcode {
+        Rcode::NoError => WireObservation::Ok(GooglePublicDns::classify(&msg)),
+        Rcode::Refused => WireObservation::Refused,
         _ => WireObservation::ServFail,
     }
 }
@@ -274,76 +275,72 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use clientmap_dns::{Message, Question, RrClass, RrType};
+    use clientmap_dns::{Message, Question, Record, RrClass, RrType};
+    use proptest::prelude::*;
 
-    fn probe_query(id: u16) -> Vec<u8> {
-        let name: clientmap_dns::DomainName = "www.example.com".parse().unwrap();
+    fn probe_message(name: &str, id: u16) -> Message {
         let scope: Prefix = "10.1.2.0/24".parse().unwrap();
-        let q = Message::query(
+        Message::query(
             id,
             Question {
-                name,
+                name: name.parse().unwrap(),
                 rtype: RrType::A,
                 class: RrClass::In,
             },
         )
         .with_recursion_desired(false)
-        .with_ecs(scope);
-        wire::encode(&q).unwrap()
+        .with_ecs(scope)
     }
 
-    fn question_wire(query: &[u8]) -> &[u8] {
-        // QNAME starts at 12; walk labels, then QTYPE + QCLASS.
-        let mut pos = 12usize;
-        while query[pos] != 0 {
-            pos += 1 + query[pos] as usize;
-        }
-        &query[12..pos + 5]
+    /// An answerless reply to `query` with `rcode` and the TC bit, as
+    /// the resolver forges an injected error.
+    fn error_reply(query: &Message, rcode: u8, tc: bool) -> Vec<u8> {
+        let mut resp = Message::response_for(query).with_rcode(Rcode::from_u8(rcode));
+        resp.truncated = tc;
+        resp.recursion_desired = false;
+        wire::encode(&resp).unwrap()
     }
 
     #[test]
     fn observations_classify_the_full_matrix() {
-        let query = probe_query(0x1234);
-        let qw = question_wire(&query).to_vec();
+        let asked = probe_message("www.example.com", 0x1234);
+        let query = wire::encode(&asked).unwrap();
         assert_eq!(
             observe_response(&query, 0x1234, None),
             WireObservation::Dropped
         );
-        let mut resp = Vec::new();
-        wire::write_probe_error_response(&mut resp, 0x1234, &qw, 2, false);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&asked, 2, false))),
             WireObservation::ServFail
         );
-        wire::write_probe_error_response(&mut resp, 0x1234, &qw, 5, false);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&asked, 5, false))),
             WireObservation::Refused
         );
-        wire::write_probe_error_response(&mut resp, 0x1234, &qw, 0, true);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&asked, 0, true))),
             WireObservation::Truncated
         );
         // rcode 0, no TC, no answers: a verified miss.
-        wire::write_probe_error_response(&mut resp, 0x1234, &qw, 0, false);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&asked, 0, false))),
             WireObservation::Ok(ProbeOutcome::Miss)
         );
         // Wrong transaction ID.
-        wire::write_probe_error_response(&mut resp, 0x9999, &qw, 0, false);
+        let stale = probe_message("www.example.com", 0x9999);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&stale, 0, false))),
             WireObservation::Mismatch
         );
-        // Question echo for a different name.
-        let other = probe_query(0x1234);
-        let mut other_q = other.clone();
-        other_q[13] ^= 0x01; // corrupt a label byte
-        wire::write_probe_error_response(&mut resp, 0x1234, question_wire(&other_q), 0, false);
+        // Question echo for a different name (one label byte off).
+        let other = probe_message("vww.example.com", 0x1234);
         assert_eq!(
-            observe_response(&query, 0x1234, Some(&resp)),
+            observe_response(&query, 0x1234, Some(&error_reply(&other, 0, false))),
+            WireObservation::Mismatch
+        );
+        // The query reflected back: right ID and question, but no QR bit.
+        assert_eq!(
+            observe_response(&query, 0x1234, Some(&query)),
             WireObservation::Mismatch
         );
         // Garbage bytes.
@@ -351,6 +348,31 @@ mod tests {
             observe_response(&query, 0x1234, Some(&[0u8; 3])),
             WireObservation::Mismatch
         );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Whatever bytes arrive, the prober classifies them without
+        /// panicking — raw garbage, and garbage behind a verified
+        /// header and question, which reaches the record parser and
+        /// the classifier.
+        #[test]
+        fn observe_response_is_total(
+            bytes in prop::collection::vec(any::<u8>(), 0..120),
+            keep in 0usize..80,
+        ) {
+            let asked = probe_message("www.example.com", 0x1234);
+            let query = wire::encode(&asked).unwrap();
+            let _ = observe_response(&query, 0x1234, Some(&bytes));
+            let hit = Message::response_for(&asked)
+                .with_answers(vec![Record::a(asked.question.clone().unwrap().name, 60, 1)])
+                .with_response_ecs("10.1.2.0/24".parse().unwrap(), 24);
+            let mut spliced = wire::encode(&hit).unwrap();
+            spliced.truncate(keep);
+            spliced.extend_from_slice(&bytes);
+            let _ = observe_response(&query, 0x1234, Some(&spliced));
+        }
     }
 
     #[test]
@@ -398,9 +420,8 @@ mod tests {
 
     #[test]
     fn byte_free_replies_observe_as_their_responses_do() {
-        let query = probe_query(0x1234);
-        let qw = question_wire(&query).to_vec();
-        let mut resp = Vec::new();
+        let asked = probe_message("www.example.com", 0x1234);
+        let query = wire::encode(&asked).unwrap();
         for (rcode, tc) in [
             (0u8, false),
             (0, true),
@@ -409,10 +430,9 @@ mod tests {
             (5, true),
             (3, false),
         ] {
-            wire::write_probe_error_response(&mut resp, 0x1234, &qw, rcode, tc);
             assert_eq!(
                 observe_reply(AttemptReply::Error { rcode, tc }),
-                observe_response(&query, 0x1234, Some(&resp)),
+                observe_response(&query, 0x1234, Some(&error_reply(&asked, rcode, tc))),
                 "rcode {rcode} tc {tc}"
             );
         }

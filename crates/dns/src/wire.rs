@@ -1,5 +1,5 @@
 //! RFC 1035 wire-format codec with name compression, plus a
-//! zero-allocation fast lane for the probe hot path.
+//! zero-allocation fast lane for rendering probe queries.
 //!
 //! [`encode`] produces a compact packet (names compressed against every
 //! previously written name suffix). [`decode`] is fully bounds-checked:
@@ -11,14 +11,15 @@
 //! The codec exists so the simulated query path exercises exactly what a
 //! real prober would put on the wire — including the EDNS0 OPT record
 //! and the RFC 7871 ECS option the whole cache-probing technique relies
-//! on — and so the test suite can fuzz the parser with garbage.
+//! on — and so the test suite can fuzz the parser with garbage. Both
+//! ends of the wire probe lane use it whole: the resolver decodes each
+//! query and encodes its reply, and the prober decodes the reply.
 //!
 //! ## The fast lane
 //!
-//! The cache-probing sweep encodes and decodes millions of nearly
-//! identical packets. Three primitives let that path run without
-//! touching the allocator after warm-up, while staying byte-compatible
-//! with the [`Message`] codec (asserted in tests):
+//! Two primitives write packets without touching the allocator after
+//! warm-up, while staying byte-compatible with the [`Message`] codec
+//! (asserted in tests):
 //!
 //! - [`encode_into`] — [`encode`] writing into a caller-reused buffer;
 //!   the compression table is a thread-local `Vec<u16>` of buffer
@@ -27,10 +28,6 @@
 //! - [`ProbeQueryTemplate`] / [`ProbeQueryTemplate::render`] — a
 //!   pre-rendered non-recursive `A` query per probe domain; per probe
 //!   only the transaction ID and the ECS option are patched in.
-//! - [`query_view`] / [`response_view`] / [`write_probe_response`] —
-//!   borrowing parsers for the probe-shaped packets and a direct
-//!   response writer, so the serve path neither builds a [`Message`]
-//!   nor clones a [`DomainName`].
 
 use std::cell::RefCell;
 
@@ -959,10 +956,12 @@ impl ProbeBatch {
 ///
 /// "Simple" means: exactly one question with an uncompressed QNAME, no
 /// answer/authority records, and at most one additional record which
-/// must be a root-owned OPT. Anything else returns `None`, signalling
-/// the caller to fall back to the full [`decode`] path — so the fast
-/// lane never changes observable behaviour, only the cost of the
-/// common case.
+/// must be a root-owned OPT. Anything else returns `None`.
+///
+/// Kept only as the packet validator of the simulator's frozen batch
+/// door (`serve_batch`), which the benchmark harness times; ROADMAP
+/// 2(d) deletes it with that door. The wire lane reads queries through
+/// [`decode`].
 #[derive(Debug, Clone, Copy)]
 pub struct QueryView<'a> {
     /// Transaction ID.
@@ -1064,192 +1063,11 @@ pub fn query_view(data: &[u8]) -> Option<QueryView<'_>> {
     })
 }
 
-/// The fields probe-outcome classification needs, parsed without
-/// building a [`Message`] (no names are materialised, record bodies are
-/// skipped). Rejects the same malformed packets [`decode`] would, as far
-/// as the skipped fields allow.
-#[derive(Debug, Clone, Copy)]
-pub struct ResponseView {
-    /// Transaction ID.
-    pub id: u16,
-    /// Raw header flags word.
-    pub flags: u16,
-    /// ANCOUNT from the header.
-    pub answer_count: u16,
-    /// TTL of the first answer record; 0 when there are no answers.
-    pub first_answer_ttl: u32,
-    /// First ECS option in the OPT record, if any.
-    pub ecs: Option<EcsOption>,
-}
-
-/// Advances past one (possibly pointer-terminated) encoded name.
-fn skip_name(data: &[u8], mut pos: usize) -> Result<usize, WireError> {
-    loop {
-        let len = *data.get(pos).ok_or(WireError::Truncated)?;
-        match len & 0xC0 {
-            0x00 => {
-                if len == 0 {
-                    return Ok(pos + 1);
-                }
-                pos += 1 + len as usize;
-            }
-            0xC0 => {
-                if pos + 2 > data.len() {
-                    return Err(WireError::Truncated);
-                }
-                return Ok(pos + 2);
-            }
-            other => return Err(WireError::BadLabelType(other)),
-        }
-    }
-}
-
-/// Parses a response for classification without allocating. See
-/// [`ResponseView`].
-pub fn response_view(data: &[u8]) -> Result<ResponseView, WireError> {
-    if data.len() < 12 {
-        return Err(WireError::Truncated);
-    }
-    let be16 = |i: usize| ((data[i] as u16) << 8) | data[i + 1] as u16;
-    let (qdcount, ancount, nscount, arcount) = (be16(4), be16(6), be16(8), be16(10));
-    let mut pos = 12usize;
-    for _ in 0..qdcount {
-        pos = skip_name(data, pos)?;
-        pos += 4; // QTYPE + QCLASS
-        if pos > data.len() {
-            return Err(WireError::Truncated);
-        }
-    }
-    let mut first_answer_ttl = 0u32;
-    let mut ecs = None;
-    for section in 0..3u8 {
-        let count = [ancount, nscount, arcount][section as usize];
-        for i in 0..count {
-            pos = skip_name(data, pos)?;
-            if pos + 10 > data.len() {
-                return Err(WireError::Truncated);
-            }
-            let rtype = be16(pos);
-            let ttl = ((be16(pos + 4) as u32) << 16) | be16(pos + 6) as u32;
-            let rdlen = be16(pos + 8) as usize;
-            pos += 10;
-            let rdata = data.get(pos..pos + rdlen).ok_or(WireError::Truncated)?;
-            if section == 0 && i == 0 {
-                first_answer_ttl = ttl;
-            }
-            if section == 2 && rtype == RrType::Opt.to_u16() {
-                let mut opt = 0usize;
-                while opt < rdata.len() {
-                    if rdata.len() < opt + 4 {
-                        return Err(WireError::Truncated);
-                    }
-                    let code = ((rdata[opt] as u16) << 8) | rdata[opt + 1] as u16;
-                    let len = (((rdata[opt + 2] as u16) << 8) | rdata[opt + 3] as u16) as usize;
-                    let body = rdata
-                        .get(opt + 4..opt + 4 + len)
-                        .ok_or(WireError::Truncated)?;
-                    if code == OPTION_CODE_ECS && ecs.is_none() {
-                        ecs = Some(decode_ecs(body)?);
-                    }
-                    opt += 4 + len;
-                }
-            }
-            pos += rdlen;
-        }
-    }
-    Ok(ResponseView {
-        id: be16(0),
-        flags: be16(2),
-        answer_count: ancount,
-        first_answer_ttl,
-        ecs,
-    })
-}
-
-/// Writes the probe response the Google Public DNS frontend sends for a
-/// non-recursive ECS probe, byte-identical to encoding the equivalent
-/// `Message::response_for(query).with_answers(..).with_response_ecs(..)`
-/// (asserted in tests).
-///
-/// `question_wire` is the query's QNAME + QTYPE + QCLASS, echoed
-/// verbatim — callers must only pass canonical (lowercase) question
-/// bytes, which holds because the fast-lane eligibility check byte-
-/// compares the QNAME against our own encoder's output. The answer name
-/// compresses to a pointer at offset 12, exactly as the [`Message`]
-/// encoder would emit. Flags are fixed at QR|RA with RD clear: the fast
-/// lane only serves non-recursive probe queries.
-pub fn write_probe_response(
-    out: &mut Vec<u8>,
-    id: u16,
-    question_wire: &[u8],
-    answer: Option<(u32, u32)>, // (ttl, A address)
-    ecs_source: Prefix,
-    ecs_scope_len: u8,
-) {
-    out.clear();
-    put_u16(out, id);
-    put_u16(out, 0x8080); // QR | RA, opcode 0, rd 0, rcode NoError
-    put_u16(out, 1); // qdcount
-    put_u16(out, answer.is_some() as u16);
-    put_u16(out, 0); // nscount
-    put_u16(out, 1); // arcount (the OPT)
-    out.extend_from_slice(question_wire);
-    if let Some((ttl, addr)) = answer {
-        put_u16(out, 0xC000 | 12); // name: pointer to the question at 12
-        put_u16(out, RrType::A.to_u16());
-        put_u16(out, RrClass::In.to_u16());
-        put_u32(out, ttl);
-        put_u16(out, 4); // RDLEN
-        put_u32(out, addr);
-    }
-    let edns = Edns::default();
-    put_u8(out, 0); // root owner name
-    put_u16(out, RrType::Opt.to_u16());
-    put_u16(out, edns.udp_payload_size);
-    let opt_ttl: u32 =
-        ((edns.ext_rcode as u32) << 24) | ((edns.version as u32) << 16) | edns.flags as u32;
-    put_u32(out, opt_ttl);
-    let addr_bytes = ecs_source.len().div_ceil(8) as u16;
-    put_u16(out, 4 + (4 + addr_bytes)); // RDLEN
-    write_ecs_option(out, ecs_source, ecs_scope_len.min(32));
-}
-
-/// The TC (truncation) bit in the DNS header flags word.
-pub const FLAG_TC: u16 = 0x0200;
-
-/// Mask extracting the RCODE from the header flags word.
-pub const RCODE_MASK: u16 = 0x000F;
-
-/// Writes an injected-fault error response: the question echoed
-/// verbatim, no answers, no OPT, `rcode` in the low flag bits and
-/// optionally the TC bit set. Both gpdns lanes build injected
-/// SERVFAIL / REFUSED / truncated responses through this one helper,
-/// so they are byte-identical whichever lane served the query.
-pub fn write_probe_error_response(
-    out: &mut Vec<u8>,
-    id: u16,
-    question_wire: &[u8],
-    rcode: u8,
-    truncated: bool,
-) {
-    out.clear();
-    put_u16(out, id);
-    let mut flags = 0x8080 | (u16::from(rcode) & RCODE_MASK); // QR | RA
-    if truncated {
-        flags |= FLAG_TC;
-    }
-    put_u16(out, flags);
-    put_u16(out, 1); // qdcount
-    put_u16(out, 0); // ancount
-    put_u16(out, 0); // nscount
-    put_u16(out, 0); // arcount — error responses carry no OPT
-    out.extend_from_slice(question_wire);
-}
-
 /// Whether `response` echoes `query`'s question verbatim — byte-compares
 /// the QNAME + QTYPE + QCLASS region starting at offset 12 of each
 /// packet. Used by the resilient prober to reject responses whose
-/// question does not match what was asked (counted as `Dropped`).
+/// question does not match what was asked: the exchange observes as a
+/// `Mismatch`, counted on `cacheprobe.fault.observed.mismatch`.
 pub fn question_echo_matches(query: &[u8], response: &[u8]) -> bool {
     let Some(end) = question_end(query) else {
         return false;
@@ -1389,52 +1207,22 @@ mod fast_lane_tests {
     }
 
     #[test]
-    fn error_response_parses_and_flags_read_back() {
-        let tmpl = ProbeQueryTemplate::new(&"www.google.com".parse().unwrap());
-        let mut query = Vec::new();
-        tmpl.render(0xBEEF, p("198.51.100.0/24"), &mut query);
-        let question_wire = &query[12..12 + tmpl.qname_wire().len() + 4];
-
-        let mut resp = Vec::new();
-        write_probe_error_response(&mut resp, 0xBEEF, question_wire, 2, false);
-        let view = response_view(&resp).unwrap();
-        assert_eq!(view.id, 0xBEEF);
-        assert_eq!(view.flags & RCODE_MASK, 2); // SERVFAIL
-        assert_eq!(view.flags & FLAG_TC, 0);
-        assert_eq!(view.answer_count, 0);
-        assert!(view.ecs.is_none());
-        // Decodes through the full parser too.
-        let msg = decode(&resp).unwrap();
-        assert!(msg.is_response);
-        assert_eq!(msg.answers.len(), 0);
-
-        write_probe_error_response(&mut resp, 0xBEEF, question_wire, 0, true);
-        let view = response_view(&resp).unwrap();
-        assert_eq!(view.flags & FLAG_TC, FLAG_TC);
-        assert_eq!(view.flags & RCODE_MASK, 0);
-    }
-
-    #[test]
     fn question_echo_matching() {
-        let tmpl = ProbeQueryTemplate::new(&"www.google.com".parse().unwrap());
-        let mut query = Vec::new();
-        tmpl.render(7, p("203.0.113.0/24"), &mut query);
-        let question_wire = &query[12..12 + tmpl.qname_wire().len() + 4].to_vec();
+        let q = probe_query("www.google.com", 7, p("203.0.113.0/24"));
+        let query = encode(&q).unwrap();
 
         // A real probe response echoes the question.
-        let mut resp = Vec::new();
-        write_probe_response(&mut resp, 7, question_wire, None, p("203.0.113.0/24"), 0);
+        let miss = Message::response_for(&q).with_response_ecs(p("203.0.113.0/24"), 0);
+        let resp = encode(&miss).unwrap();
         assert!(question_echo_matches(&query, &resp));
         // So does an injected error response.
-        write_probe_error_response(&mut resp, 7, question_wire, 5, false);
-        assert!(question_echo_matches(&query, &resp));
+        let refused = Message::response_for(&q).with_rcode(Rcode::Refused);
+        assert!(question_echo_matches(&query, &encode(&refused).unwrap()));
 
         // A response to a different name does not.
-        let other = ProbeQueryTemplate::new(&"facebook.com".parse().unwrap());
-        let mut other_q = Vec::new();
-        other.render(7, p("203.0.113.0/24"), &mut other_q);
-        let other_question = other_q[12..12 + other.qname_wire().len() + 4].to_vec();
-        write_probe_response(&mut resp, 7, &other_question, None, p("203.0.113.0/24"), 0);
+        let other = probe_query("facebook.com", 7, p("203.0.113.0/24"));
+        let other_miss = Message::response_for(&other).with_response_ecs(p("203.0.113.0/24"), 0);
+        let resp = encode(&other_miss).unwrap();
         assert!(!question_echo_matches(&query, &resp));
         // Truncated garbage never panics.
         assert!(!question_echo_matches(&query, &resp[..8]));
@@ -1454,103 +1242,6 @@ mod fast_lane_tests {
         for cut in 0..bytes.len() {
             let _ = query_view(&bytes[..cut]);
         }
-    }
-
-    #[test]
-    fn response_view_agrees_with_decode() {
-        let q = probe_query("www.youtube.com", 77, p("203.0.113.0/24"));
-        let hit = Message::response_for(&q)
-            .with_answers(vec![Record::a(
-                "www.youtube.com".parse().unwrap(),
-                299,
-                0x60F0_0001,
-            )])
-            .with_response_ecs(p("203.0.113.0/24"), 22);
-        let scope0 = Message::response_for(&q)
-            .with_answers(vec![Record::a(
-                "www.youtube.com".parse().unwrap(),
-                1,
-                0x60F0_0001,
-            )])
-            .with_response_ecs(p("203.0.113.0/24"), 0);
-        let miss = Message::response_for(&q).with_response_ecs(p("203.0.113.0/24"), 0);
-        for msg in [&hit, &scope0, &miss] {
-            let bytes = encode(msg).unwrap();
-            let view = response_view(&bytes).unwrap();
-            let full = decode(&bytes).unwrap();
-            assert_eq!(view.id, full.id);
-            assert_eq!(view.answer_count as usize, full.answers.len());
-            if let Some(first) = full.answers.first() {
-                assert_eq!(view.first_answer_ttl, first.ttl);
-            }
-            assert_eq!(view.ecs, full.ecs().copied());
-        }
-    }
-
-    #[test]
-    fn response_view_rejects_truncation() {
-        let q = probe_query("www.google.com", 5, p("10.0.0.0/24"));
-        let resp = Message::response_for(&q)
-            .with_answers(vec![Record::a("www.google.com".parse().unwrap(), 60, 9)])
-            .with_response_ecs(p("10.0.0.0/24"), 24);
-        let bytes = encode(&resp).unwrap();
-        for cut in 0..bytes.len() {
-            assert!(
-                response_view(&bytes[..cut]).is_err(),
-                "accepted {cut}-byte truncation"
-            );
-        }
-    }
-
-    #[test]
-    fn write_probe_response_matches_message_encoder() {
-        let source = p("198.51.100.0/24");
-        let q = probe_query("facebook.com", 0x5150, source);
-        let qbytes = encode(&q).unwrap();
-        let view = query_view(&qbytes).unwrap();
-        let question_wire = &qbytes[12..12 + view.qname_wire.len() + 4];
-
-        let mut fast = Vec::new();
-        // Hit with a nonzero scope.
-        write_probe_response(
-            &mut fast,
-            q.id,
-            question_wire,
-            Some((299, 0x60F0_0002)),
-            source,
-            22,
-        );
-        let slow = Message::response_for(&q)
-            .with_answers(vec![Record::a(
-                "facebook.com".parse().unwrap(),
-                299,
-                0x60F0_0002,
-            )])
-            .with_response_ecs(source, 22);
-        assert_eq!(fast, encode(&slow).unwrap());
-
-        // Scope-zero hit.
-        write_probe_response(
-            &mut fast,
-            q.id,
-            question_wire,
-            Some((1, 0x60F0_0002)),
-            source,
-            0,
-        );
-        let slow = Message::response_for(&q)
-            .with_answers(vec![Record::a(
-                "facebook.com".parse().unwrap(),
-                1,
-                0x60F0_0002,
-            )])
-            .with_response_ecs(source, 0);
-        assert_eq!(fast, encode(&slow).unwrap());
-
-        // Miss: no answers, scope-zero ECS.
-        write_probe_response(&mut fast, q.id, question_wire, None, source, 0);
-        let slow = Message::response_for(&q).with_response_ecs(source, 0);
-        assert_eq!(fast, encode(&slow).unwrap());
     }
 
     #[test]

@@ -265,10 +265,10 @@ pub(crate) struct GpdnsTables {
     ttl: SeedMixer,
     /// ECS-capable domains (index = domain slot used in hashing).
     ecs_domains: Vec<DomainName>,
-    /// Uncompressed QNAME wire bytes per slot — the fast lane matches
-    /// and echoes raw question bytes instead of decoding names.
+    /// Uncompressed QNAME wire bytes per slot — a batched connection
+    /// finds its domain by raw QNAME bytes instead of decoding names.
     domain_wires: Vec<Vec<u8>>,
-    /// Pre-mixed scope-policy hash states per slot, so the fast lane
+    /// Pre-mixed scope-policy hash states per slot, so the batched lane
     /// never stringifies a domain name.
     scope_keys: Vec<DomainScopeKey>,
     ttls: Vec<u32>,
@@ -615,8 +615,10 @@ impl GooglePublicDns {
         (ttl - age).max(1.0) as u32
     }
 
-    /// Handles one wire-format query arriving at `pop`. Returns the
-    /// wire-format response, or `None` if the query was dropped.
+    /// Handles one wire-format query arriving at `pop`: decodes it,
+    /// answers it once (`respond`) and encodes the reply.
+    /// Returns the wire-format response, or `None` if the query was
+    /// dropped.
     ///
     /// `prober` identifies the source for rate limiting; `auth` and
     /// `world` provide the authoritative layer for recursive queries.
@@ -644,10 +646,27 @@ impl GooglePublicDns {
             self.metrics.decode_errors.inc();
             return None; // garbage in, silence out (like a drop)
         };
-        let Some(q) = query.question.clone() else {
+        let resp = self.respond(session, world, auth, prober, pop, &query, transport, t)?;
+        wire::encode(&resp).ok()
+    }
+
+    /// The reply to one admitted, decoded query, or `None` when an
+    /// injected fault drops it.
+    #[allow(clippy::too_many_arguments)]
+    fn respond(
+        &self,
+        session: &mut GpdnsSession,
+        world: &World,
+        auth: &Authoritatives,
+        prober: u64,
+        pop: PopId,
+        query: &Message,
+        transport: Transport,
+        t: SimTime,
+    ) -> Option<Message> {
+        let Some(q) = &query.question else {
             self.metrics.formerr.inc();
-            let resp = Message::response_for(&query).with_rcode(Rcode::FormErr);
-            return wire::encode(&resp).ok();
+            return Some(Message::response_for(query).with_rcode(Rcode::FormErr));
         };
 
         // Fault-injection point: the query is admitted and parsed; the
@@ -657,12 +676,12 @@ impl GooglePublicDns {
             return match injected {
                 Injected::Drop => None,
                 Injected::Error { rcode, tc } => {
-                    let mut question_wire = qname_wire(&q.name);
-                    question_wire.extend_from_slice(&q.rtype.to_u16().to_be_bytes());
-                    question_wire.extend_from_slice(&q.class.to_u16().to_be_bytes());
-                    let mut out = Vec::new();
-                    wire::write_probe_error_response(&mut out, query.id, &question_wire, rcode, tc);
-                    Some(out)
+                    // Answerless and without OPT; RD is clear whatever
+                    // the query asked.
+                    let mut resp = Message::response_for(query).with_rcode(Rcode::from_u8(rcode));
+                    resp.truncated = tc;
+                    resp.recursion_desired = false;
+                    Some(resp)
                 }
             };
         }
@@ -671,12 +690,11 @@ impl GooglePublicDns {
         if q.rtype == RrType::Txt && q.name.to_string() == MYADDR_NAME {
             self.metrics.myaddr.inc();
             let pops = pop_catalog();
-            let resp = Message::response_for(&query).with_answers(vec![Record::txt(
+            return Some(Message::response_for(query).with_answers(vec![Record::txt(
                 q.name.clone(),
                 60,
                 format!("pop={}", pops[pop].code),
-            )]);
-            return wire::encode(&resp).ok();
+            )]));
         }
 
         let ecs_source = query.ecs().map(|e| e.source);
@@ -686,19 +704,16 @@ impl GooglePublicDns {
             self.metrics.recursive.inc();
             // Google forwards the client's /24 as ECS (or the supplied one).
             let fwd_ecs = ecs_source.or(Some(Prefix::DEFAULT));
-            return match auth.answer(&world.domains, &q.name, fwd_ecs, t) {
+            return Some(match auth.answer(&world.domains, &q.name, fwd_ecs, t) {
                 Some(ans) => {
-                    let mut resp = Message::response_for(&query).with_answers(ans.records);
+                    let mut resp = Message::response_for(query).with_answers(ans.records);
                     if let (Some(scope), Some(src)) = (ans.scope, ecs_source) {
                         resp = resp.with_response_ecs(src, scope.len());
                     }
-                    wire::encode(&resp).ok()
+                    resp
                 }
-                None => {
-                    let resp = Message::response_for(&query).with_rcode(Rcode::NxDomain);
-                    wire::encode(&resp).ok()
-                }
-            };
+                None => Message::response_for(query).with_rcode(Rcode::NxDomain),
+            });
         }
 
         // Non-recursive path: pure cache lookup; never resolves upstream.
@@ -706,8 +721,7 @@ impl GooglePublicDns {
             // Not an ECS-cached domain: we model no global non-ECS cache
             // visibility (probing such domains is not meaningful).
             self.metrics.miss_non_ecs.inc();
-            let resp = Message::response_for(&query);
-            return wire::encode(&resp).ok();
+            return Some(Message::response_for(query));
         };
         let source = ecs_source.unwrap_or(Prefix::DEFAULT);
 
@@ -721,8 +735,7 @@ impl GooglePublicDns {
         // rather than panicking inside the library.
         let Some(spec) = world.domains.get(&q.name) else {
             self.metrics.miss_non_ecs.inc();
-            let resp = Message::response_for(&query);
-            return wire::encode(&resp).ok();
+            return Some(Message::response_for(query));
         };
         let candidate = auth.base_scope(spec, source.addr());
 
@@ -736,14 +749,15 @@ impl GooglePublicDns {
                     // The scope attached to the cached answer reflects the
                     // authoritative's (possibly churned) response scope.
                     let resp_scope = auth.response_scope(spec, source.addr(), t).unwrap_or(scope);
-                    let resp = Message::response_for(&query)
-                        .with_answers(vec![Record::a(
-                            q.name.clone(),
-                            remaining,
-                            0x60F0_0000 | slot as u32,
-                        )])
-                        .with_response_ecs(source, resp_scope.len());
-                    return wire::encode(&resp).ok();
+                    return Some(
+                        Message::response_for(query)
+                            .with_answers(vec![Record::a(
+                                q.name.clone(),
+                                remaining,
+                                0x60F0_0000 | slot as u32,
+                            )])
+                            .with_response_ecs(source, resp_scope.len()),
+                    );
                 }
             }
         }
@@ -752,207 +766,20 @@ impl GooglePublicDns {
         let gload = self.tables.global[pop][slot];
         if gload.rate > 0.0 && self.entry_live(pop, pool, slot, Prefix::DEFAULT, &gload, t) {
             self.metrics.pool_scope0[pool].inc();
-            let resp = Message::response_for(&query)
-                .with_answers(vec![Record::a(
-                    q.name.clone(),
-                    self.tables.ttls[slot].max(1),
-                    0x60F0_0000 | slot as u32,
-                )])
-                .with_response_ecs(source, 0);
-            return wire::encode(&resp).ok();
-        }
-
-        // 3. Miss.
-        self.metrics.pool_misses[pool].inc();
-        let resp = Message::response_for(&query).with_response_ecs(source, 0);
-        wire::encode(&resp).ok()
-    }
-
-    /// [`GooglePublicDns::handle_query_at_pop`] writing the response
-    /// into a caller-reused buffer. Returns whether a response was
-    /// produced (`false` = dropped).
-    ///
-    /// Probe-shaped queries (non-recursive `A`-in-`IN` for an
-    /// ECS-cached domain) take a zero-allocation lane: the question is
-    /// matched and echoed as raw wire bytes, scope policy runs off
-    /// pre-mixed hash keys, and the response is written directly —
-    /// byte-identical to the [`Message`]-building path, with identical
-    /// session state and telemetry (asserted in tests). Everything else
-    /// falls back to the full decode path.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_query_at_pop_into(
-        &self,
-        session: &mut GpdnsSession,
-        world: &World,
-        auth: &Authoritatives,
-        prober: u64,
-        pop: PopId,
-        packet: &[u8],
-        transport: Transport,
-        t: SimTime,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        if let Some(served) = self.serve_fast(session, auth, prober, pop, packet, transport, t, out)
-        {
-            return served;
-        }
-        match self.handle_query_at_pop(session, world, auth, prober, pop, packet, transport, t) {
-            Some(resp) => {
-                out.clear();
-                out.extend_from_slice(&resp);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// The zero-allocation serve lane. `None` means the packet is not
-    /// fast-eligible and nothing was counted — the caller must fall back
-    /// to [`GooglePublicDns::handle_query_at_pop`]. `Some(served)` means
-    /// the query was fully handled (counted, admitted, answered or
-    /// dropped) with `out` holding the response when `served`.
-    #[allow(clippy::too_many_arguments)]
-    fn serve_fast(
-        &self,
-        session: &mut GpdnsSession,
-        auth: &Authoritatives,
-        prober: u64,
-        pop: PopId,
-        packet: &[u8],
-        transport: Transport,
-        t: SimTime,
-        out: &mut Vec<u8>,
-    ) -> Option<bool> {
-        // Eligibility checks are pure: no counter moves until we commit
-        // to this lane, so the fallback path never double-counts.
-        let view = wire::query_view(packet)?;
-        if view.is_response()
-            || view.opcode() != 0
-            || view.recursion_desired()
-            || view.rtype != RrType::A.to_u16()
-            || view.qclass != clientmap_dns::RrClass::In.to_u16()
-        {
-            return None;
-        }
-        let slot = self
-            .tables
-            .domain_wires
-            .iter()
-            .position(|w| w[..] == *view.qname_wire)?;
-        let question_wire = &packet[12..12 + view.qname_wire.len() + 4];
-
-        self.metrics.queries(transport).inc();
-        if !self.admit(session, prober, pop, transport, t) {
-            self.metrics.rate_limited(transport).inc();
-            return Some(false);
-        }
-        let source = view.ecs.map_or(Prefix::DEFAULT, |e| e.source);
-
-        // Fault-injection point — identical decision and position
-        // (post-admission, pre-pool-draw) to the slow path, and the
-        // error bytes come from the same wire helper, so the lanes stay
-        // byte-identical under faults too.
-        if let Some(injected) = self.fault_for(prober, pop, transport, t, view.id) {
-            return Some(match injected {
-                Injected::Drop => false,
-                Injected::Error { rcode, tc } => {
-                    wire::write_probe_error_response(out, view.id, question_wire, rcode, tc);
-                    true
-                }
-            });
-        }
-
-        // Pool draw — same draw, same seq advance as the slow path.
-        session.seq += 1;
-        let pool = draw_pool(self.tables.pool.mix(prober), t, source, session.seq);
-
-        let key = &self.tables.scope_keys[slot];
-        let candidate = auth.base_scope_keyed(key, source.addr());
-
-        // 1. Scoped entry.
-        if let Some(scope) = candidate.filter(|s| !s.is_default()) {
-            if let Some(load) = self.tables.scoped[pop][slot].get(&scope).copied() {
-                if self.entry_live(pop, pool, slot, scope, &load, t) {
-                    self.metrics.pool_hits[pool].inc();
-                    let remaining =
-                        self.remaining_ttl(self.tables.ttl_by_pool(pop, pool), slot, scope, t);
-                    let resp_scope = auth
-                        .response_scope_keyed(key, source.addr(), t)
-                        .unwrap_or(scope);
-                    wire::write_probe_response(
-                        out,
-                        view.id,
-                        question_wire,
-                        Some((remaining, 0x60F0_0000 | slot as u32)),
-                        source,
-                        resp_scope.len(),
-                    );
-                    return Some(true);
-                }
-            }
-        }
-
-        // 2. Scope-0 entry.
-        let gload = self.tables.global[pop][slot];
-        if gload.rate > 0.0 && self.entry_live(pop, pool, slot, Prefix::DEFAULT, &gload, t) {
-            self.metrics.pool_scope0[pool].inc();
-            wire::write_probe_response(
-                out,
-                view.id,
-                question_wire,
-                Some((self.tables.ttls[slot].max(1), 0x60F0_0000 | slot as u32)),
-                source,
-                0,
+            return Some(
+                Message::response_for(query)
+                    .with_answers(vec![Record::a(
+                        q.name.clone(),
+                        self.tables.ttls[slot].max(1),
+                        0x60F0_0000 | slot as u32,
+                    )])
+                    .with_response_ecs(source, 0),
             );
-            return Some(true);
         }
 
         // 3. Miss.
         self.metrics.pool_misses[pool].inc();
-        wire::write_probe_response(out, view.id, question_wire, None, source, 0);
-        Some(true)
-    }
-
-    /// [`GooglePublicDns::handle_query`] writing into a caller-reused
-    /// buffer: resolves the vantage's route for this one query (see
-    /// [`GooglePublicDns::handle_query_routed_into`] for a stream).
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_query_into(
-        &self,
-        session: &mut GpdnsSession,
-        world: &World,
-        catchments: &Catchments,
-        auth: &Authoritatives,
-        prober: u64,
-        vp_coord: clientmap_net::GeoCoord,
-        packet: &[u8],
-        transport: Transport,
-        t: SimTime,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let route = catchments.vantage_route(prober, vp_coord);
-        self.handle_query_routed_into(session, world, auth, &route, packet, transport, t, out)
-    }
-
-    /// Handles one query from a vantage whose route is already
-    /// resolved, writing the response into a caller-reused buffer —
-    /// the zero-allocation prober call. Only the flap decision
-    /// ([`GooglePublicDns::route`]) is made per query.
-    #[allow(clippy::too_many_arguments)]
-    pub fn handle_query_routed_into(
-        &self,
-        session: &mut GpdnsSession,
-        world: &World,
-        auth: &Authoritatives,
-        route: &VantageRoute,
-        packet: &[u8],
-        transport: Transport,
-        t: SimTime,
-        out: &mut Vec<u8>,
-    ) -> bool {
-        let pop = self.route(route, t);
-        let prober = route.prober;
-        self.handle_query_at_pop_into(session, world, auth, prober, pop, packet, transport, t, out)
+        Some(Message::response_for(query).with_response_ecs(source, 0))
     }
 
     /// The PoP a vantage's query sent at `t` lands on — the one flap
@@ -989,33 +816,18 @@ impl GooglePublicDns {
         self.handle_query_at_pop(session, world, auth, prober, pop, packet, transport, t)
     }
 
-    /// Interprets a probe response into a [`ProbeOutcome`].
-    ///
-    /// Uses the zero-allocation [`wire::response_view`] parser — the
-    /// classification needs only the answer count, the first answer's
-    /// TTL and the ECS scope, none of which require materialising a
-    /// [`Message`].
-    pub fn classify_response(resp: Option<&[u8]>) -> ProbeOutcome {
-        let Some(bytes) = resp else {
-            return ProbeOutcome::Dropped;
-        };
-        let Ok(view) = wire::response_view(bytes) else {
-            return ProbeOutcome::Dropped;
-        };
-        Self::classify_view(&view)
-    }
-
-    /// [`GooglePublicDns::classify_response`] for an already-parsed
-    /// view — the resilient prober parses once to verify the response
-    /// ID and flags, then classifies from the same view.
-    pub fn classify_view(view: &wire::ResponseView) -> ProbeOutcome {
-        if view.answer_count == 0 {
+    /// Reads a probe's outcome off a decoded response: no answer is a
+    /// miss; an answer is a hit, scoped when the response's ECS scope is
+    /// non-zero, with the first answer's TTL as the entry's remaining
+    /// life.
+    pub fn classify(resp: &Message) -> ProbeOutcome {
+        let Some(answer) = resp.answers.first() else {
             return ProbeOutcome::Miss;
-        }
-        match view.ecs {
+        };
+        match resp.ecs() {
             Some(e) if e.scope_len > 0 => ProbeOutcome::Hit {
                 scope: e.scope_prefix(),
-                remaining_ttl: view.first_answer_ttl,
+                remaining_ttl: answer.ttl,
             },
             _ => ProbeOutcome::HitScopeZero,
         }
@@ -1613,8 +1425,7 @@ mod tests {
         auth: Authoritatives,
         gpdns: GooglePublicDns,
         session: GpdnsSession,
-        /// The registry holding this core's `gpdns.*` ledger. Tests that
-        /// compare two lanes give each lane its own `Setup`.
+        /// The registry holding this core's `gpdns.*` ledger.
         registry: MetricsRegistry,
     }
 
@@ -1637,6 +1448,16 @@ mod tests {
             session: GpdnsSession::new(),
             registry,
         }
+    }
+
+    /// What the prober reads off a response, decoded: a dropped query
+    /// reads as dropped.
+    fn outcome_of(resp: Option<&[u8]>) -> ProbeOutcome {
+        resp.map_or(ProbeOutcome::Dropped, |bytes| {
+            GooglePublicDns::classify(
+                &wire::decode(bytes).expect("the resolver writes parsable responses"),
+            )
+        })
     }
 
     fn probe_packet(domain: &str, ecs: Prefix, id: u16) -> Vec<u8> {
@@ -1682,10 +1503,7 @@ mod tests {
                     t,
                 );
                 attempts += 1;
-                if matches!(
-                    GooglePublicDns::classify_response(resp.as_deref()),
-                    ProbeOutcome::Hit { .. }
-                ) {
+                if matches!(outcome_of(resp.as_deref()), ProbeOutcome::Hit { .. }) {
                     hits += 1;
                 }
             }
@@ -1721,7 +1539,7 @@ mod tests {
                 Transport::Tcp,
                 t,
             );
-            let outcome = GooglePublicDns::classify_response(resp.as_deref());
+            let outcome = outcome_of(resp.as_deref());
             assert!(
                 matches!(outcome, ProbeOutcome::Miss | ProbeOutcome::HitScopeZero),
                 "dark prefix produced {outcome:?}"
@@ -1756,10 +1574,7 @@ mod tests {
                 Transport::Tcp,
                 t,
             );
-            if matches!(
-                GooglePublicDns::classify_response(resp.as_deref()),
-                ProbeOutcome::Hit { .. }
-            ) {
+            if matches!(outcome_of(resp.as_deref()), ProbeOutcome::Hit { .. }) {
                 scoped_hits += 1;
             }
         }
@@ -1914,10 +1729,7 @@ mod tests {
                 let pkt = probe_packet("www.google.com", prefix, i);
                 let resp =
                     g.handle_query_at_pop(session, world, auth, 20, pop, &pkt, Transport::Tcp, t);
-                if matches!(
-                    GooglePublicDns::classify_response(resp.as_deref()),
-                    ProbeOutcome::Hit { .. }
-                ) {
+                if matches!(outcome_of(resp.as_deref()), ProbeOutcome::Hit { .. }) {
                     hits += 1;
                 }
             }
@@ -1928,69 +1740,6 @@ mod tests {
         // Same window ⇒ same per-pool liveness ⇒ similar hit counts
         // (pool draws differ, so allow sampling noise).
         assert!((h1 - h2).abs() <= 12, "inconsistent liveness: {h1} vs {h2}");
-    }
-
-    #[test]
-    fn fast_lane_matches_slow_path_bytes_and_stats() {
-        // One core per lane, so each lane's ledger can be read alone.
-        let (s, f) = (setup(), setup());
-        let (_, busy, pop) = busy_prefix(&s);
-        let dark = s
-            .world
-            .slash24s
-            .iter()
-            .find(|p| !p.is_active())
-            .map(|p| p.prefix)
-            .expect("dark prefix exists");
-        let mut slow_session = GpdnsSession::new();
-        let mut fast_session = GpdnsSession::new();
-        let mut out = Vec::new();
-        let mut id = 0u16;
-        // Sweep windows, domains and scopes so hits, scope-0 hits and
-        // misses all occur; both sessions see the identical sequence, so
-        // pool draws line up and every byte must match.
-        for w in 0..40u64 {
-            let t = SimTime::from_secs(3600 * 6 + w * 450);
-            for domain in ["www.google.com", "www.youtube.com"] {
-                for scope in [busy, dark] {
-                    id += 1;
-                    let pkt = probe_packet(domain, scope, id);
-                    let slow = s.gpdns.handle_query_at_pop(
-                        &mut slow_session,
-                        &s.world,
-                        &s.auth,
-                        42,
-                        pop,
-                        &pkt,
-                        Transport::Tcp,
-                        t,
-                    );
-                    let fast = f.gpdns.handle_query_at_pop_into(
-                        &mut fast_session,
-                        &f.world,
-                        &f.auth,
-                        42,
-                        pop,
-                        &pkt,
-                        Transport::Tcp,
-                        t,
-                        &mut out,
-                    );
-                    assert_eq!(fast, slow.is_some(), "drop disagreement at id {id}");
-                    if let Some(slow_bytes) = slow {
-                        assert_eq!(out, slow_bytes, "byte mismatch at id {id}");
-                    }
-                }
-            }
-        }
-        let ledger = s.registry.snapshot();
-        assert_eq!(ledger, f.registry.snapshot());
-        assert!(
-            ledger.sum_counters("gpdns.cache.hit.") > 0
-                && ledger.sum_counters("gpdns.cache.miss.") > 0,
-            "test did not exercise both hit and miss paths: {}",
-            ledger.to_json()
-        );
     }
 
     /// Replays one probe event (redundant attempts, Hit-early-exit,
@@ -2011,7 +1760,6 @@ mod tests {
         t: SimTime,
         redundancy: u32,
         query_buf: &mut Vec<u8>,
-        resp_buf: &mut Vec<u8>,
     ) -> ProbeOutcome {
         fn rank(o: &ProbeOutcome) -> u8 {
             match o {
@@ -2025,10 +1773,10 @@ mod tests {
         for r in 0..redundancy {
             let rt = t + SimTime::from_millis(u64::from(r));
             template.render(0x5151, scope, query_buf);
-            let got = gpdns.handle_query_into(
-                session, world, catchments, auth, prober, coord, query_buf, transport, rt, resp_buf,
+            let resp = gpdns.handle_query(
+                session, world, catchments, auth, prober, coord, query_buf, transport, rt,
             );
-            let outcome = GooglePublicDns::classify_response(got.then_some(resp_buf.as_slice()));
+            let outcome = outcome_of(resp.as_deref());
             if rank(&outcome) > rank(&best) {
                 best = outcome;
             }
@@ -2102,7 +1850,7 @@ mod tests {
             };
             let mut scalar_session = GpdnsSession::new();
             let mut batch_session = GpdnsSession::new();
-            let (mut query_buf, mut resp_buf) = (Vec::new(), Vec::new());
+            let mut query_buf = Vec::new();
             let scalar_outcomes: Vec<ProbeOutcome> = events
                 .iter()
                 .map(|&(lane, t)| {
@@ -2120,7 +1868,6 @@ mod tests {
                         t,
                         redundancy,
                         &mut query_buf,
-                        &mut resp_buf,
                     )
                 })
                 .collect();
@@ -2180,13 +1927,12 @@ mod tests {
         let Some(bytes) = resp else {
             return AttemptReply::Dropped;
         };
-        let view = wire::response_view(bytes).expect("the resolver writes parsable responses");
-        let rcode = (view.flags & wire::RCODE_MASK) as u8;
-        let tc = view.flags & wire::FLAG_TC != 0;
+        let resp = wire::decode(bytes).expect("the resolver writes parsable responses");
+        let (rcode, tc) = (resp.rcode.to_u8(), resp.truncated);
         if rcode != 0 || tc {
             AttemptReply::Error { rcode, tc }
         } else {
-            AttemptReply::Answer(GooglePublicDns::classify_view(&view))
+            AttemptReply::Answer(GooglePublicDns::classify(&resp))
         }
     }
 
@@ -2253,7 +1999,7 @@ mod tests {
                 .open_batch(&catchments, &batch_session, prober, coord, Transport::Tcp)
                 .expect("faulted cores open batch connections");
             let dom = batch.batch_domain(&conn, template.qname_wire()).unwrap();
-            let (mut packet, mut out) = (Vec::new(), Vec::new());
+            let mut packet = Vec::new();
             let mut kinds = std::collections::BTreeSet::new();
             let mut t = SimTime::from_hours(6);
             let mut burst_left = 0u32;
@@ -2291,17 +2037,17 @@ mod tests {
                 let scope = scopes[(q as usize * 7) % scopes.len()];
                 let id = (q as u16).wrapping_mul(0x9E37);
                 template.render(id, scope, &mut packet);
-                let got = scalar.handle_query_routed_into(
+                let resp = scalar.handle_query_at_pop(
                     &mut scalar_session,
                     &world,
                     &auth,
-                    &route,
+                    route.prober,
+                    scalar.route(&route, t),
                     &packet,
                     transport,
                     t,
-                    &mut out,
                 );
-                let want = reply_of(got.then_some(out.as_slice()));
+                let want = reply_of(resp.as_deref());
                 let lane = batch.scope_lane(&auth, &dom, scope);
                 let reply = batch.serve_attempt(&mut conn, &dom, &auth, &lane, transport, t, id);
                 assert_eq!(reply, want, "{profile:?}: query {q} at {t:?}");
@@ -2381,7 +2127,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_injection_is_lane_identical_and_counted() {
+    fn injected_faults_show_on_the_wire_and_are_counted() {
         use clientmap_faults::{FaultConfig, FaultProfile};
 
         let world = World::generate(WorldConfig::tiny(21));
@@ -2391,19 +2137,14 @@ mod tests {
             world.config.seed,
             &FaultConfig::profile(FaultProfile::Lossy, 7),
         ));
-        // One faulted core per lane, each on its own registry, so the
-        // lanes' ledgers can be compared.
-        let core = |m: &MetricsRegistry| {
-            GooglePublicDns::build_with_metrics(
-                &world,
-                &catchments,
-                &auth,
-                GpdnsMetrics::register(m),
-            )
-            .with_faults(Arc::clone(&plan), Some(FaultMetrics::register(m)))
-        };
-        let (m, m_fast) = (MetricsRegistry::new(), MetricsRegistry::new());
-        let (gpdns, gpdns_fast) = (core(&m), core(&m_fast));
+        let m = MetricsRegistry::new();
+        let gpdns = GooglePublicDns::build_with_metrics(
+            &world,
+            &catchments,
+            &auth,
+            GpdnsMetrics::register(&m),
+        )
+        .with_faults(Arc::clone(&plan), Some(FaultMetrics::register(&m)));
         assert!(gpdns.fault_plan().enabled());
 
         let busy = world
@@ -2412,9 +2153,7 @@ mod tests {
             .find(|p| p.is_active())
             .map(|p| p.prefix)
             .expect("active prefix exists");
-        let mut slow_session = GpdnsSession::new();
-        let mut fast_session = GpdnsSession::new();
-        let mut out = Vec::new();
+        let mut session = GpdnsSession::new();
         let (mut dropped, mut errored, mut truncated_udp, mut tc_on_tcp) = (0u64, 0u64, 0u64, 0u64);
         // One query per second per transport keeps even UDP inside its
         // token budget, so every lost response is an injected fault.
@@ -2426,50 +2165,27 @@ mod tests {
                 Transport::Tcp
             };
             let pkt = probe_packet("www.google.com", busy, q as u16);
-            let slow = gpdns.handle_query_at_pop(
-                &mut slow_session,
-                &world,
-                &auth,
-                42,
-                1,
-                &pkt,
-                transport,
-                t,
-            );
-            let fast = gpdns_fast.handle_query_at_pop_into(
-                &mut fast_session,
-                &world,
-                &auth,
-                42,
-                1,
-                &pkt,
-                transport,
-                t,
-                &mut out,
-            );
-            assert_eq!(fast, slow.is_some(), "drop disagreement at query {q}");
-            match &slow {
-                None => dropped += 1,
-                Some(bytes) => {
-                    assert_eq!(out, *bytes, "byte mismatch at query {q}");
-                    let view = wire::response_view(bytes).unwrap();
-                    assert_eq!(view.id, q as u16);
-                    if view.flags & wire::RCODE_MASK != 0 {
-                        errored += 1;
-                    }
-                    if view.flags & wire::FLAG_TC != 0 {
-                        match transport {
-                            Transport::Udp => truncated_udp += 1,
-                            Transport::Tcp => tc_on_tcp += 1,
-                        }
-                    }
+            let resp =
+                gpdns.handle_query_at_pop(&mut session, &world, &auth, 42, 1, &pkt, transport, t);
+            let Some(bytes) = resp else {
+                dropped += 1;
+                continue;
+            };
+            let resp = wire::decode(&bytes).unwrap();
+            assert_eq!(resp.id, q as u16);
+            if resp.rcode != Rcode::NoError {
+                errored += 1;
+            }
+            if resp.truncated {
+                match transport {
+                    Transport::Udp => truncated_udp += 1,
+                    Transport::Tcp => tc_on_tcp += 1,
                 }
             }
         }
         let snap = m.snapshot();
-        assert_eq!(snap, m_fast.snapshot());
         assert_eq!(snap.sum_counters("gpdns.rate_limited."), 0);
-        // Each lane counted every injection it put on the wire.
+        // The core counted every injection it put on the wire.
         assert_eq!(
             snap.sum_counters("faults.injected."),
             dropped + errored + truncated_udp + tc_on_tcp
@@ -2549,55 +2265,6 @@ mod tests {
                     .query_fault(7, pop, false, start - 10_000, 999)
                     .is_some()
         );
-    }
-
-    #[test]
-    fn fast_lane_falls_back_for_non_probe_shapes() {
-        // One core per lane, so each lane's ledger can be read alone.
-        let (s, f) = (setup(), setup());
-        let mut slow_session = GpdnsSession::new();
-        let mut fast_session = GpdnsSession::new();
-        let mut out = Vec::new();
-        let myaddr = wire::encode(&Message::query(1, Question::txt(MYADDR_NAME).unwrap())).unwrap();
-        let recursive = wire::encode(
-            &Message::query(2, Question::a("www.google.com").unwrap())
-                .with_ecs("10.1.2.0/24".parse().unwrap()),
-        )
-        .unwrap();
-        let unknown = wire::encode(
-            &Message::query(3, Question::a("www.amazon.com").unwrap())
-                .with_recursion_desired(false),
-        )
-        .unwrap();
-        for pkt in [&myaddr, &recursive, &unknown] {
-            let t = SimTime::from_secs(100);
-            let slow = s.gpdns.handle_query_at_pop(
-                &mut slow_session,
-                &s.world,
-                &s.auth,
-                7,
-                2,
-                pkt,
-                Transport::Tcp,
-                t,
-            );
-            let fast = f.gpdns.handle_query_at_pop_into(
-                &mut fast_session,
-                &f.world,
-                &f.auth,
-                7,
-                2,
-                pkt,
-                Transport::Tcp,
-                t,
-                &mut out,
-            );
-            assert_eq!(fast, slow.is_some());
-            if let Some(slow_bytes) = slow {
-                assert_eq!(out, slow_bytes);
-            }
-        }
-        assert_eq!(s.registry.snapshot(), f.registry.snapshot());
     }
 
     // The full hash chains as they were before their constant heads

@@ -101,11 +101,10 @@ pub struct SimView<'a> {
 
 impl<'a> SimView<'a> {
     /// Sends one wire-format query from the vantage `prober` at `coord`
-    /// through a caller-owned session, writing the response into a
-    /// caller-reused buffer. Returns whether a response was produced
-    /// (`false` = dropped). Resolves the vantage's route for this one
-    /// query; a probe stream resolves it once and calls
-    /// [`SimView::gpdns_query_routed_into`].
+    /// through a caller-owned session, writing the response into `out`.
+    /// Returns whether a response was produced (`false` = dropped).
+    /// Resolves the vantage's route for this one query; a probe stream
+    /// resolves it once and calls [`SimView::gpdns_query_routed_into`].
     #[allow(clippy::too_many_arguments)]
     pub fn gpdns_query_into(
         &self,
@@ -117,23 +116,14 @@ impl<'a> SimView<'a> {
         t: SimTime,
         out: &mut Vec<u8>,
     ) -> bool {
-        self.gpdns.handle_query_into(
-            session,
-            self.world,
-            self.catchments,
-            self.auth,
-            prober,
-            coord,
-            packet,
-            transport,
-            t,
-            out,
-        )
+        let route = self.catchments.vantage_route(prober, coord);
+        self.gpdns_query_routed_into(session, &route, packet, transport, t, out)
     }
 
     /// [`SimView::gpdns_query_into`] over a route resolved once per
-    /// stream ([`Catchments::vantage_route`]) — the zero-allocation
-    /// probe call.
+    /// stream ([`Catchments::vantage_route`]): the flap rule
+    /// ([`GooglePublicDns::route`]) picks the PoP, and
+    /// [`GooglePublicDns::handle_query_at_pop`] answers there.
     pub fn gpdns_query_routed_into(
         &self,
         session: &mut GpdnsSession,
@@ -143,9 +133,24 @@ impl<'a> SimView<'a> {
         t: SimTime,
         out: &mut Vec<u8>,
     ) -> bool {
-        self.gpdns.handle_query_routed_into(
-            session, self.world, self.auth, route, packet, transport, t, out,
-        )
+        let pop = self.gpdns.route(route, t);
+        let resp = self.gpdns.handle_query_at_pop(
+            session,
+            self.world,
+            self.auth,
+            route.prober,
+            pop,
+            packet,
+            transport,
+            t,
+        );
+        match resp {
+            Some(resp) => {
+                *out = resp;
+                true
+            }
+            None => false,
+        }
     }
 }
 

@@ -1,21 +1,19 @@
-//! Proves both probe lanes perform **zero heap allocations** in steady
-//! state: a counting global allocator tracks every allocation on the
-//! test thread. The scalar lane, after one warm-up pass (which sizes
-//! the reusable buffers and creates the session's token bucket), must
-//! allocate nothing across a measured pass of several hundred probes;
-//! the batched lane, once its connection, domain tables and lanes are
-//! set up, must allocate nothing across a whole stream of events —
-//! fault-free, and under fault injection, where each event's redundant
-//! queries retry through the connection's per-query door. A warm sweep
-//! whose plan skips everything allocates a fixed amount, however many
-//! records it carries forward.
+//! Proves the product's batched probe lane performs **zero heap
+//! allocations** in steady state: a counting global allocator tracks
+//! every allocation on the test thread. Once its connection, domain
+//! tables and lanes are set up, the batched lane must allocate nothing
+//! across a whole stream of events — fault-free, and under fault
+//! injection, where each event's redundant queries retry through the
+//! connection's per-query door. A warm sweep whose plan skips
+//! everything allocates a fixed amount, however many records it
+//! carries forward.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use std::sync::Arc;
 
-use clientmap_cacheprobe::probe::{probe_scope, select_domains, serve_batched, ProbeBufs};
+use clientmap_cacheprobe::probe::{select_domains, serve_batched};
 use clientmap_cacheprobe::resilience::FaultCounters;
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
@@ -64,80 +62,6 @@ static ALLOC: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
-}
-
-#[test]
-fn scalar_probe_is_allocation_free_after_warmup() {
-    let mut sim = Sim::new(World::generate(WorldConfig::tiny(17)));
-    let bound = discover(&mut sim, SimTime::ZERO)[0];
-    let cfg = ProbeConfig::test_scale();
-    let domain = select_domains(&sim, &cfg)
-        .into_iter()
-        .next()
-        .expect("catalog has probeable domains");
-    let template = wire::ProbeQueryTemplate::new(&domain);
-    let scopes: Vec<Prefix> = sim
-        .world()
-        .blocks
-        .iter()
-        .map(|b| b.prefix)
-        .take(32)
-        .collect();
-    assert!(!scopes.is_empty(), "tiny world has routed blocks");
-    let view = sim.view();
-    let t0 = SimTime::from_hours(8);
-
-    let mut session = GpdnsSession::new();
-    // Response sizes vary by outcome (a hit carries an answer record,
-    // a miss does not); `ProbeBufs` pre-reserves past the largest
-    // possible probe response, so buffer growth cannot masquerade as a
-    // hot-path allocation that warm-up merely happened to hide.
-    let mut bufs = ProbeBufs::default();
-    // The stream's route, resolved once before any probe is sent.
-    let route = bound.route(view.catchments);
-
-    // Warm-up: creates the session's (prober, PoP, transport) token
-    // bucket and touches every lookup table once.
-    for (i, &scope) in scopes.iter().enumerate() {
-        probe_scope(
-            &view,
-            &mut session,
-            &route,
-            &template,
-            scope,
-            &cfg,
-            t0 + SimTime::from_millis(i as u64 * 10),
-            None,
-            &mut bufs,
-        );
-    }
-
-    let before = allocations();
-    let mut outcomes = 0u64;
-    for round in 1..=8u64 {
-        for (i, &scope) in scopes.iter().enumerate() {
-            let t = t0 + SimTime::from_millis(round * 60_000 + i as u64 * 10);
-            probe_scope(
-                &view,
-                &mut session,
-                &route,
-                &template,
-                scope,
-                &cfg,
-                t,
-                None,
-                &mut bufs,
-            );
-            outcomes += 1;
-        }
-    }
-    let allocated = allocations() - before;
-
-    assert!(outcomes >= 256, "measured pass actually probed");
-    assert_eq!(
-        allocated, 0,
-        "scalar probe allocated {allocated} time(s) across {outcomes} probes after warm-up"
-    );
 }
 
 #[test]
