@@ -1,17 +1,16 @@
 //! The two-part Chromium probe signature.
 
-use clientmap_dns::DomainName;
-use clientmap_sim::roots::TraceRecord;
-
 /// Classifies root-trace queries as Chromium interception probes.
 ///
 /// ```
 /// use clientmap_chromium::ChromiumClassifier;
+/// use clientmap_dns::DomainName;
 /// let c = ChromiumClassifier::default();
-/// assert!(c.matches_shape(&"sdhfjssf".parse().unwrap()));
-/// assert!(!c.matches_shape(&"columbia.edu".parse().unwrap())); // has a TLD
-/// assert!(!c.matches_shape(&"abc".parse().unwrap())); // too short
-/// assert!(!c.matches_shape(&"ab3defgh".parse().unwrap())); // digit
+/// let name = |s: &str| s.parse::<DomainName>().unwrap().to_string();
+/// assert!(c.matches_shape(&name("sdhfjssf")));
+/// assert!(!c.matches_shape(&name("columbia.edu"))); // has a TLD
+/// assert!(!c.matches_shape(&name("abc"))); // too short
+/// assert!(!c.matches_shape(&name("ab3defgh"))); // digit
 /// ```
 #[derive(Debug, Clone, Copy)]
 pub struct ChromiumClassifier {
@@ -35,14 +34,13 @@ impl Default for ChromiumClassifier {
 }
 
 impl ChromiumClassifier {
-    /// Whether a name has the Chromium probe *shape*: one label of
-    /// `min_len..=max_len` lowercase ASCII letters.
-    pub fn matches_shape(&self, name: &DomainName) -> bool {
-        if !name.is_single_label() {
-            return false;
-        }
-        let label = name.first_label().expect("single label");
-        (self.min_len..=self.max_len).contains(&label.len()) && label.is_all_lowercase_alpha()
+    /// Whether a name, in presentation form (lowercase, as a parsed
+    /// `DomainName` prints), has the Chromium probe *shape*: one label
+    /// of `min_len..=max_len` lowercase ASCII letters. A dot is not a
+    /// letter, so a name of two labels never matches.
+    pub fn matches_shape(&self, name: &str) -> bool {
+        (self.min_len..=self.max_len).contains(&name.len())
+            && name.bytes().all(|b| b.is_ascii_lowercase())
     }
 
     /// The rarity threshold applied to **raw** counts of a capture
@@ -63,60 +61,38 @@ impl ChromiumClassifier {
             ((f64::from(self.daily_collision_threshold) * rate).ceil() as u32).max(2)
         }
     }
-
-    /// Whether a record's own counts stay below the (sample-adjusted)
-    /// threshold every day. Note the full technique applies the
-    /// threshold to **global** per-name counts across all roots (see
-    /// [`crate::crawl`]); this per-record check is a building block.
-    pub fn below_collision_threshold(&self, record: &TraceRecord, sample_rate: f64) -> bool {
-        let threshold = self.effective_threshold(sample_rate);
-        record.count_by_day.iter().all(|c| *c < threshold)
-    }
-
-    /// Full classification of one aggregated record in isolation.
-    pub fn is_chromium_probe(&self, record: &TraceRecord, sample_rate: f64) -> bool {
-        self.matches_shape(&record.qname) && self.below_collision_threshold(record, sample_rate)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clientmap_dns::DomainName;
 
-    fn record(name: &str, counts: &[u32]) -> TraceRecord {
-        TraceRecord {
-            resolver_addr: 0x01020304,
-            qname: name.parse().unwrap(),
-            count_by_day: counts.to_vec(),
-        }
+    /// `s` parsed and printed back, as the trace tables store names.
+    fn name(s: &str) -> String {
+        s.parse::<DomainName>().unwrap().to_string()
     }
 
     #[test]
     fn shape_boundaries() {
         let c = ChromiumClassifier::default();
-        assert!(c.matches_shape(&"abcdefg".parse().unwrap())); // 7
-        assert!(c.matches_shape(&"abcdefghijklmno".parse().unwrap())); // 15
-        assert!(!c.matches_shape(&"abcdef".parse().unwrap())); // 6
-        assert!(!c.matches_shape(&"abcdefghijklmnop".parse().unwrap())); // 16
-        assert!(!c.matches_shape(&"abc-defg".parse().unwrap())); // hyphen
+        assert!(c.matches_shape(&name("abcdefg"))); // 7
+        assert!(c.matches_shape(&name("abcdefghijklmno"))); // 15
+        assert!(!c.matches_shape(&name("abcdef"))); // 6
+        assert!(!c.matches_shape(&name("abcdefghijklmnop"))); // 16
+        assert!(!c.matches_shape(&name("abc-defg"))); // hyphen
+        assert!(!c.matches_shape(&name("abcd.efgh"))); // two labels
+        assert!(!c.matches_shape(&name("."))); // the root
     }
 
     #[test]
     fn uppercase_is_normalised_by_dns_semantics() {
-        // The previous assertion in shape_boundaries is subtle: spell it out.
+        // Parsing lowercases, so the printed name matches.
         let c = ChromiumClassifier::default();
-        let n: DomainName = "QWERTYU".parse().unwrap();
-        assert!(c.matches_shape(&n), "names are compared case-insensitively");
-    }
-
-    #[test]
-    fn collision_threshold_per_day_not_total() {
-        let c = ChromiumClassifier::default();
-        // 6+6 over two days: fine (each day below 7).
-        assert!(c.below_collision_threshold(&record("abcdefgh", &[6, 6]), 1.0));
-        // 7 on one day: rejected.
-        assert!(!c.below_collision_threshold(&record("abcdefgh", &[7, 0]), 1.0));
-        assert!(!c.below_collision_threshold(&record("abcdefgh", &[0, 7]), 1.0));
+        assert!(
+            c.matches_shape(&name("QWERTYU")),
+            "names are compared case-insensitively"
+        );
     }
 
     #[test]
@@ -124,22 +100,10 @@ mod tests {
         let c = ChromiumClassifier::default();
         assert_eq!(c.effective_threshold(1.0), 7);
         // Heavily sampled captures floor at 2: one occurrence stays a
-        // probe, repeats are noise.
+        // probe, repeats are noise (the crawl's hand-built
+        // `threshold_boundaries` case checks the records side).
         assert_eq!(c.effective_threshold(0.01), 2);
-        assert!(c.below_collision_threshold(&record("abcdefgh", &[1]), 0.01));
-        assert!(!c.below_collision_threshold(&record("abcdefgh", &[2]), 0.01));
         // Mild sampling scales proportionally: 7 × 0.5 → 4.
         assert_eq!(c.effective_threshold(0.5), 4);
-    }
-
-    #[test]
-    fn full_classification() {
-        let c = ChromiumClassifier::default();
-        assert!(c.is_chromium_probe(&record("qwertyuasdf", &[1, 0]), 1.0));
-        // Junk names that match the shape but repeat heavily.
-        assert!(!c.is_chromium_probe(&record("localdomain", &[500, 480]), 1.0));
-        assert!(!c.is_chromium_probe(&record("wwwgooglecom", &[120, 130]), 1.0));
-        // Wrong shape entirely.
-        assert!(!c.is_chromium_probe(&record("a.root-servers.example", &[1]), 1.0));
     }
 }

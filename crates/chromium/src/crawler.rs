@@ -2,9 +2,8 @@
 
 use std::collections::HashMap;
 
-use clientmap_dns::DomainName;
 use clientmap_net::{Asn, Rib};
-use clientmap_sim::roots::{RootTrace, RootTraceSet};
+use clientmap_sim::roots::{RootTraceSet, TraceTable};
 use clientmap_telemetry::MetricsRegistry;
 
 use crate::ChromiumClassifier;
@@ -67,12 +66,13 @@ impl DnsLogsResult {
 /// attribute the surviving shape-matching queries to their source
 /// resolvers, scaled by the capture's sampling rate.
 ///
-/// Pass 1 is one sort of every shape-matching record by name, so each
-/// name's records across the public roots form one run. Pass 2 fans each
-/// root's trace out as one work unit on [`clientmap_par::par_map`] and
-/// merges the per-trace partials in trace order — the ordered reduction
-/// keeps the floating-point attribution sums (and therefore the resolver
-/// ranking) byte-identical at any thread count.
+/// The crawl reads the traces' columns in place. Pass 1 is one sort of
+/// every shape-matching record by its name bytes, so each name's records
+/// across the public roots form one run. Pass 2 fans each root's trace
+/// out as one work unit on [`clientmap_par::par_map`], summing in record
+/// order, and merges the per-trace partials in trace order — the ordered
+/// reduction keeps the floating-point attribution sums (and therefore the
+/// resolver ranking) byte-identical at any thread count.
 pub fn crawl(traces: &RootTraceSet, classifier: &ChromiumClassifier) -> DnsLogsResult {
     crawl_with_metrics(traces, classifier, &MetricsRegistry::new())
 }
@@ -99,15 +99,13 @@ pub fn crawl_with_metrics(
 ) -> DnsLogsResult {
     let rate = traces.sample_rate.clamp(f64::MIN_POSITIVE, 1.0);
     let threshold = u64::from(classifier.effective_threshold(rate));
-    let public: Vec<&RootTrace> = traces.public_traces().collect();
+    let public: Vec<&TraceTable> = traces.public_traces().map(|t| &t.records).collect();
 
     // Shape flags, one task per public trace.
-    let mut verdicts: Vec<Vec<Verdict>> = clientmap_par::par_map(&public, |_, trace| {
-        trace
-            .records
-            .iter()
-            .map(|record| {
-                if classifier.matches_shape(&record.qname) {
+    let mut verdicts: Vec<Vec<Verdict>> = clientmap_par::par_map(&public, |_, table| {
+        (0..table.len())
+            .map(|r| {
+                if classifier.matches_shape(table.name(r)) {
                     Verdict::Probe
                 } else {
                     Verdict::ShapeMismatch
@@ -119,12 +117,15 @@ pub fn crawl_with_metrics(
     // Pass 1: global per-name daily counts. One sort of the
     // shape-matching (name, trace, record) triples puts each name's
     // records from every public root into one run; a run that reaches
-    // the threshold on any day flags all its records as noise.
-    let mut named: Vec<(&DomainName, u32, u32)> = Vec::new();
-    for (t, (trace, flags)) in public.iter().zip(&verdicts).enumerate() {
-        for (r, (record, flag)) in trace.records.iter().zip(flags).enumerate() {
+    // the threshold on any day flags all its records as noise. Only
+    // single labels reach the sort, and their byte order is the
+    // names' order.
+    let shaped = verdicts.iter().flatten().filter(|v| **v == Verdict::Probe);
+    let mut named: Vec<(&[u8], u32, u32)> = Vec::with_capacity(shaped.count());
+    for (t, (table, flags)) in public.iter().zip(&verdicts).enumerate() {
+        for (r, flag) in flags.iter().enumerate() {
             if *flag == Verdict::Probe {
-                named.push((&record.qname, t as u32, r as u32));
+                named.push((table.name(r).as_bytes(), t as u32, r as u32));
             }
         }
     }
@@ -134,7 +135,7 @@ pub fn crawl_with_metrics(
         let day_total = |d: usize| -> u64 {
             run.iter()
                 .map(|&(_, t, r)| {
-                    let counts = &public[t as usize].records[r as usize].count_by_day;
+                    let counts = public[t as usize].counts(r as usize);
                     counts.get(d).map_or(0, |&c| u64::from(c))
                 })
                 .sum()
@@ -157,29 +158,27 @@ pub fn crawl_with_metrics(
         shape_mismatch: u64,
         attributed: u64,
     }
-    let tallies: Vec<TraceTally> = clientmap_par::par_map(&public, |t, trace| {
+    let tallies: Vec<TraceTally> = clientmap_par::par_map(&public, |t, table| {
         let mut tally = TraceTally {
             per_resolver: HashMap::new(),
             rejected: 0,
             shape_mismatch: 0,
             attributed: 0,
         };
-        for (record, verdict) in trace.records.iter().zip(&verdicts[t]) {
+        for (r, verdict) in verdicts[t].iter().enumerate() {
             match verdict {
                 Verdict::ShapeMismatch => tally.shape_mismatch += 1,
                 Verdict::Noise => tally.rejected += 1,
                 Verdict::Probe => {
                     tally.attributed += 1;
-                    *tally
-                        .per_resolver
-                        .entry(record.resolver_addr)
-                        .or_insert(0.0) += record.total() as f64 / rate;
+                    *tally.per_resolver.entry(table.resolver(r)).or_insert(0.0) +=
+                        table.total(r) as f64 / rate;
                 }
             }
         }
         tally
     });
-    let examined: usize = public.iter().map(|trace| trace.records.len()).sum();
+    let examined: usize = public.iter().map(|table| table.len()).sum();
     let mut per_resolver: HashMap<u32, f64> = HashMap::new();
     let mut rejected = 0usize;
     let mut shape_mismatch = 0u64;
@@ -228,13 +227,17 @@ pub fn crawl_with_metrics(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clientmap_dns::DomainName;
+    use clientmap_sim::roots::RootTrace;
     use clientmap_sim::{Sim, SimTime};
     use clientmap_world::{World, WorldConfig};
 
-    /// The crawl as per-name hash maps: one `DomainName`-keyed map of
-    /// day vectors per trace, merged into a global map, and a hash set
-    /// of the noisy names that pass 2 looks every record up in. The
-    /// oracle [`crawl_with_metrics`] must equal bit for bit.
+    /// The crawl as per-name hash maps: every record's name parsed back
+    /// into a `DomainName` and shape-tested on its labels, one
+    /// `DomainName`-keyed map of day vectors per trace, merged into a
+    /// global map, and a hash set of the noisy names that pass 2 looks
+    /// every record up in. The oracle [`crawl_with_metrics`] must equal
+    /// bit for bit.
     fn crawl_oracle(
         traces: &RootTraceSet,
         classifier: &ChromiumClassifier,
@@ -242,14 +245,47 @@ mod tests {
     ) -> DnsLogsResult {
         use std::collections::HashSet;
 
+        /// One record, owned: resolver, name, counts per day.
+        struct Record {
+            resolver_addr: u32,
+            qname: DomainName,
+            count_by_day: Vec<u32>,
+        }
+        impl Record {
+            fn total(&self) -> u64 {
+                self.count_by_day.iter().map(|c| u64::from(*c)).sum()
+            }
+        }
+        /// The Chromium shape on the name's labels.
+        fn shaped(c: &ChromiumClassifier, name: &DomainName) -> bool {
+            name.is_single_label()
+                && name.first_label().is_some_and(|label| {
+                    (c.min_len..=c.max_len).contains(&label.len()) && label.is_all_lowercase_alpha()
+                })
+        }
+
         let rate = traces.sample_rate.clamp(f64::MIN_POSITIVE, 1.0);
         let threshold = classifier.effective_threshold(rate);
-        let public: Vec<&RootTrace> = traces.public_traces().collect();
+        let owned: Vec<Vec<Record>> = traces
+            .public_traces()
+            .map(|trace| {
+                trace
+                    .records
+                    .iter()
+                    .map(|(resolver_addr, name, counts)| Record {
+                        resolver_addr,
+                        qname: name.parse().expect("a trace name parses"),
+                        count_by_day: counts.to_vec(),
+                    })
+                    .collect()
+            })
+            .collect();
+        let public: Vec<&[Record]> = owned.iter().map(Vec::as_slice).collect();
         let partials: Vec<HashMap<&DomainName, Vec<u64>>> =
             clientmap_par::par_map(&public, |_, trace| {
                 let mut local: HashMap<&DomainName, Vec<u64>> = HashMap::new();
-                for record in &trace.records {
-                    if !classifier.matches_shape(&record.qname) {
+                for record in *trace {
+                    if !shaped(classifier, &record.qname) {
                         continue;
                     }
                     let days = local
@@ -298,9 +334,9 @@ mod tests {
                 shape_mismatch: 0,
                 attributed: 0,
             };
-            for record in &trace.records {
+            for record in *trace {
                 tally.examined += 1;
-                if !classifier.matches_shape(&record.qname) {
+                if !shaped(classifier, &record.qname) {
                     tally.shape_mismatch += 1;
                     continue;
                 }
@@ -407,52 +443,58 @@ mod tests {
         }
     }
 
-    /// A hand-built capture over two days with every edge the crawl
-    /// has: `t` is the sample-adjusted threshold.
-    fn hand_built(sample_rate: f64) -> RootTraceSet {
-        use clientmap_sim::roots::{TraceRecord, ROOT_LETTERS};
-        let t = ChromiumClassifier::default().effective_threshold(sample_rate);
-        let rec = |resolver_addr: u32, name: &str, count_by_day: &[u32]| TraceRecord {
-            resolver_addr,
-            qname: name.parse().unwrap(),
-            count_by_day: count_by_day.to_vec(),
-        };
-        let records = |letter: char| -> Vec<TraceRecord> {
-            match letter {
-                // Public letters.
-                'J' => vec![
-                    rec(1, "www.example.com", &[50, 50]),   // multi-label
-                    rec(1, "abc", &[1, 0]),                 // too short
-                    rec(2, "ab3defgh", &[1, 0]),            // digit
-                    rec(2, "crosstwoletters", &[t - 1, 0]), // noisy only summed
-                    rec(3, "toolongforaprobe", &[1, 0]),    // 16 letters
-                    rec(3, "loudelsewhere", &[1, 1]),
-                    rec(4, "pastthewindow", &[0, 0, 10 * t]), // day 3 of 2
-                    rec(5, "quietprobe", &[1, 0]),
-                ],
-                'H' => vec![
-                    rec(2, "crosstwoletters", &[1, 0]),
-                    rec(5, "quietprobe", &[0, 1]),
-                    rec(6, "anotherprobe", &[2, 1]),
-                ],
-                'A' => vec![rec(7, "loudsingle", &[0, t])],
-                // Non-public: never read.
-                'B' => vec![rec(8, "loudelsewhere", &[10 * t, 10 * t])],
-                _ => Vec::new(),
+    /// One hand-built record: root letter, resolver, name, counts per
+    /// day.
+    type Rec<'a> = (char, u32, &'a str, &'a [u32]);
+
+    /// A trace set over `days` days holding `records`, each pushed onto
+    /// its letter's table through its parsed name.
+    fn trace_set(sample_rate: f64, days: u32, records: &[Rec]) -> RootTraceSet {
+        use clientmap_sim::roots::{PUBLIC_TRACE_LETTERS, ROOT_LETTERS};
+        let trace = |letter: char| {
+            let mut table = TraceTable::default();
+            for &(_, resolver, name, counts) in records.iter().filter(|r| r.0 == letter) {
+                let name: DomainName = name.parse().unwrap();
+                table.push(resolver, &name, counts);
+            }
+            RootTrace {
+                letter,
+                public: PUBLIC_TRACE_LETTERS.contains(&letter),
+                records: table,
             }
         };
         RootTraceSet {
-            traces: ROOT_LETTERS
-                .iter()
-                .map(|&letter| RootTrace {
-                    letter,
-                    public: clientmap_sim::roots::PUBLIC_TRACE_LETTERS.contains(&letter),
-                    records: records(letter),
-                })
-                .collect(),
+            traces: ROOT_LETTERS.iter().map(|&letter| trace(letter)).collect(),
             sample_rate,
-            days: 2,
+            days,
         }
+    }
+
+    /// A hand-built capture over two days with every edge the crawl
+    /// has: `t` is the sample-adjusted threshold.
+    fn hand_built(sample_rate: f64) -> RootTraceSet {
+        let t = ChromiumClassifier::default().effective_threshold(sample_rate);
+        trace_set(
+            sample_rate,
+            2,
+            &[
+                // Public letters.
+                ('J', 1, "www.example.com", &[50, 50]), // multi-label
+                ('J', 1, "abc", &[1, 0]),               // too short
+                ('J', 2, "ab3defgh", &[1, 0]),          // digit
+                ('J', 2, "crosstwoletters", &[t - 1, 0]), // noisy only summed
+                ('J', 3, "toolongforaprobe", &[1, 0]),  // 16 letters
+                ('J', 3, "loudelsewhere", &[1, 1]),
+                ('J', 4, "pastthewindow", &[0, 0, 10 * t]), // day 3 of 2
+                ('J', 5, "quietprobe", &[1, 0]),
+                ('H', 2, "crosstwoletters", &[1, 0]),
+                ('H', 5, "quietprobe", &[0, 1]),
+                ('H', 6, "anotherprobe", &[2, 1]),
+                ('A', 7, "loudsingle", &[0, t]),
+                // Non-public: never read.
+                ('B', 8, "loudelsewhere", &[10 * t, 10 * t]),
+            ],
+        )
     }
 
     #[test]
@@ -478,6 +520,48 @@ mod tests {
             );
             assert_eq!(result.probes_for(2), 0.0);
             assert_eq!(result.probes_for(7), 0.0);
+        }
+    }
+
+    /// The per-day threshold at its boundaries, one record per name on
+    /// one public letter: at rate 1, `[6, 6]` is a probe while `[7, 0]`
+    /// and `[0, 7]` are noise; at rate 0.01 (threshold 2) over one day,
+    /// `[1]` is a probe and `[2]` noise.
+    #[test]
+    fn threshold_boundaries_on_hand_built_records() {
+        let per_day: [(f64, u32, &[Rec]); 2] = [
+            (
+                1.0,
+                2,
+                &[
+                    ('J', 1, "abcdefgh", &[6, 6]),
+                    ('J', 2, "bcdefghi", &[7, 0]),
+                    ('J', 3, "cdefghij", &[0, 7]),
+                ],
+            ),
+            // Threshold 2.
+            (
+                0.01,
+                1,
+                &[('J', 1, "abcdefgh", &[1]), ('J', 2, "bcdefghi", &[2])],
+            ),
+        ];
+        for (rate, days, records) in per_day {
+            let traces = trace_set(rate, days, records);
+            let snap = assert_crawl_matches_oracle(&traces);
+            let result = crawl(&traces, &ChromiumClassifier::default());
+            // The first record alone stays under the threshold every day.
+            let total: u32 = records[0].3.iter().sum();
+            assert_eq!(result.probes_for(1), f64::from(total) / rate, "rate {rate}");
+            for &(_, resolver, name, _) in &records[1..] {
+                assert_eq!(result.probes_for(resolver), 0.0, "{name} at rate {rate}");
+            }
+            assert_eq!(snap.counter("dnslogs.attributed"), 1, "rate {rate}");
+            assert_eq!(
+                snap.counter("dnslogs.rejected_noise"),
+                records.len() as u64 - 1,
+                "rate {rate}"
+            );
         }
     }
 

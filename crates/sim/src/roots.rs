@@ -22,7 +22,6 @@
 //! scale works on samples, and it keeps the reproduction laptop-sized.
 //! Counts in downstream analysis are scaled back by the rate.
 
-use clientmap_dns::{DomainName, Label};
 use clientmap_net::SeedMixer;
 use clientmap_world::par::par_map;
 use clientmap_world::{Slash24Info, World};
@@ -32,6 +31,10 @@ use crate::cdn::poisson;
 use crate::gpdns::GooglePublicDns;
 use crate::SimTime;
 
+mod table;
+
+pub use table::TraceTable;
+
 /// The 13 root letters.
 pub const ROOT_LETTERS: [char; 13] = [
     'A', 'B', 'C', 'D', 'E', 'F', 'G', 'H', 'I', 'J', 'K', 'L', 'M',
@@ -39,25 +42,6 @@ pub const ROOT_LETTERS: [char; 13] = [
 
 /// The letters with public, complete, un-anonymised DITL traces (2020).
 pub const PUBLIC_TRACE_LETTERS: [char; 6] = ['J', 'H', 'M', 'A', 'K', 'D'];
-
-/// One aggregated trace record: a (resolver, name) pair with per-day
-/// query counts over the capture window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TraceRecord {
-    /// Source address (the recursive resolver).
-    pub resolver_addr: u32,
-    /// The queried name.
-    pub qname: DomainName,
-    /// Queries observed per capture day.
-    pub count_by_day: Vec<u32>,
-}
-
-impl TraceRecord {
-    /// Total queries across the window.
-    pub fn total(&self) -> u64 {
-        self.count_by_day.iter().map(|c| u64::from(*c)).sum()
-    }
-}
 
 /// The trace of one root letter.
 #[derive(Debug)]
@@ -67,8 +51,9 @@ pub struct RootTrace {
     /// Whether a complete public trace exists (else it is unusable, as
     /// for the non-DITL letters in the paper).
     pub public: bool,
-    /// Records (aggregated by (resolver, name)).
-    pub records: Vec<TraceRecord>,
+    /// Records, aggregated by (resolver, name); a capture writes them
+    /// in (resolver, name) order.
+    pub records: TraceTable,
 }
 
 /// A full DITL-style capture.
@@ -158,30 +143,26 @@ impl NameKey {
         (0..len).fold(NameKey(0), |key, i| key.with(i, 1 + next() % 26))
     }
 
-    /// The single-label name the key packs.
-    fn to_name(self) -> DomainName {
-        let mut buf = [0u8; KEY_LETTERS as usize];
-        let mut len = 0;
-        for (i, b) in (0..KEY_LETTERS).zip(&mut buf) {
+    /// Letters in the label; the last letter's code is the lowest set
+    /// bit's, so the zero letters past it are the trailing zeros.
+    fn len(self) -> usize {
+        (KEY_LETTERS - self.0.trailing_zeros() / KEY_BITS) as usize
+    }
+
+    /// Appends the label the key packs.
+    fn write_to(self, arena: &mut String) {
+        for i in 0..self.len() as u32 {
             let code = (self.0 >> Self::shift(i)) & 0x1f;
-            if code == 0 {
-                break;
-            }
-            *b = b'a' - 1 + code as u8;
-            len += 1;
+            arena.push(char::from(b'a' - 1 + code as u8));
         }
-        let label = std::str::from_utf8(&buf[..len]).expect("packed letters are ASCII");
-        let label = Label::new(label).expect("packed letters form a valid label");
-        DomainName::from_labels(vec![label]).expect("one short label is a valid name")
     }
 }
 
 /// Queries for one name from one resolver at one root on one day, on
-/// their way into a trace. Sorted, the runs of equal ⟨letter, resolver,
-/// name⟩ are the records, in record order.
+/// their way into that root's trace. Sorted, the runs of equal
+/// ⟨resolver, name⟩ are the trace's records, in record order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Hit {
-    letter: u8,
     resolver: u32,
     name: NameKey,
     day: u32,
@@ -191,16 +172,21 @@ struct Hit {
 /// Routed /24s per generation task.
 const SLASH24_CHUNK: usize = 512;
 
+/// One generation task's hits, a bucket per root letter.
+type LetterBuckets = [Vec<Hit>; ROOT_LETTERS.len()];
+
 /// Captures `days` days of root traces.
 ///
 /// `sample_rate` keeps each probe with that probability; counts remain
 /// raw (downstream scales by `1/sample_rate`).
 ///
-/// One sorted pass: the /24s generate their probes in parallel chunks
-/// (each /24 draws from a stream keyed by its prefix, so chunking moves
-/// no draw), the noise names follow on their one sequential chain, one
-/// sort groups every ⟨letter, resolver, name⟩, and each letter's run of
-/// the sorted hits becomes its trace on its own task.
+/// One sorted pass per letter: the /24s generate their probes in
+/// parallel chunks (each /24 draws from a stream keyed by its prefix, so
+/// chunking moves no draw), each into its root letter's bucket, and the
+/// noise names follow on their one sequential chain. Then each letter,
+/// on its own task, gathers its buckets, sorts them so each
+/// ⟨resolver, name⟩ is one run, and folds the runs into an exactly
+/// sized [`TraceTable`] — no record gets a heap allocation of its own.
 pub fn capture_traces(
     world: &World,
     catchments: &Catchments,
@@ -216,8 +202,8 @@ pub fn capture_traces(
     let nletters = ROOT_LETTERS.len() as u64;
 
     let chunks: Vec<&[Slash24Info]> = world.slash24s.chunks(SLASH24_CHUNK).collect();
-    let parts: Vec<Vec<Hit>> = par_map(&chunks, |c, chunk| {
-        let mut hits = Vec::new();
+    let parts: Vec<LetterBuckets> = par_map(&chunks, |c, chunk| {
+        let mut buckets = LetterBuckets::default();
         for (k, s) in chunk.iter().enumerate() {
             if s.users <= 0.0 {
                 continue;
@@ -251,8 +237,7 @@ pub fn capture_traces(
                     let mut state = h;
                     for k in 0..n {
                         state = clientmap_net::splitmix64(state ^ k);
-                        hits.push(Hit {
-                            letter: (state % nletters) as u8,
+                        buckets[(state % nletters) as usize].push(Hit {
                             resolver: addr,
                             name: NameKey::random_probe(state),
                             day,
@@ -262,12 +247,12 @@ pub fn capture_traces(
                 }
             }
         }
-        hits
+        buckets
     });
-    let mut hits = parts.concat();
 
     // Misconfiguration + typo noise: emitted by a spread of resolvers at
     // rates far above the Chromium collision threshold.
+    let mut noise = LetterBuckets::default();
     let mut noise_rng = SeedMixer::new(seed).mix_str("noise").finish();
     let resolver_pool: Vec<u32> = world.resolvers.iter().map(|r| r.addr).collect();
     for name in MISCONFIG_NAMES.iter().chain(TYPO_NAMES) {
@@ -279,15 +264,14 @@ pub fn capture_traces(
             for j in 0..spread.min(resolver_pool.len()) {
                 noise_rng = clientmap_net::splitmix64(noise_rng);
                 let addr = resolver_pool[(noise_rng as usize) % resolver_pool.len()];
-                let letter = (noise_rng % nletters) as u8;
+                let letter = (noise_rng % nletters) as usize;
                 let count = 20 + (noise_rng % 100) as u32;
                 let sampled = poisson(
                     clientmap_net::splitmix64(noise_rng ^ j as u64),
                     f64::from(count) * sample_rate.max(1e-12),
                 );
                 if sampled > 0 {
-                    hits.push(Hit {
-                        letter,
+                    noise[letter].push(Hit {
                         resolver: addr,
                         name,
                         day,
@@ -298,39 +282,46 @@ pub fn capture_traces(
         }
     }
 
-    // One sort; then each letter's contiguous run is its trace.
-    hits.sort_unstable();
-    let mut rest = hits.as_slice();
-    let by_letter: Vec<&[Hit]> = (0..ROOT_LETTERS.len() as u8)
-        .map(|letter| {
-            let (run, tail) = rest.split_at(rest.partition_point(|h| h.letter == letter));
-            rest = tail;
-            run
-        })
-        .collect();
-    let traces = par_map(&by_letter, |l, run| RootTrace {
-        letter: ROOT_LETTERS[l],
-        public: PUBLIC_TRACE_LETTERS.contains(&ROOT_LETTERS[l]),
-        records: run
-            .chunk_by(|a, b| (a.resolver, a.name) == (b.resolver, b.name))
-            .map(|same| {
-                let mut count_by_day = vec![0; days as usize];
-                for h in same {
-                    count_by_day[h.day as usize] += h.count;
-                }
-                TraceRecord {
-                    resolver_addr: same[0].resolver,
-                    qname: same[0].name.to_name(),
-                    count_by_day,
-                }
-            })
-            .collect(),
+    let traces = par_map(&ROOT_LETTERS, |l, &letter| {
+        let buckets = || parts.iter().chain([&noise]).map(|part| &part[l]);
+        let mut hits = Vec::with_capacity(buckets().map(Vec::len).sum());
+        for bucket in buckets() {
+            hits.extend_from_slice(bucket);
+        }
+        hits.sort_unstable();
+        RootTrace {
+            letter,
+            public: PUBLIC_TRACE_LETTERS.contains(&letter),
+            records: fold_records(&hits, days),
+        }
     });
     RootTraceSet {
         traces,
         sample_rate,
         days,
     }
+}
+
+/// The trace table of one letter's sorted hits: one record per run of
+/// equal ⟨resolver, name⟩, its counts summed per day.
+fn fold_records(hits: &[Hit], days: u32) -> TraceTable {
+    let runs = || hits.chunk_by(|a, b| (a.resolver, a.name) == (b.resolver, b.name));
+    let (records, name_bytes) =
+        runs().fold((0, 0), |(n, bytes), run| (n + 1, bytes + run[0].name.len()));
+    let mut table = TraceTable::with_capacity(records, name_bytes, records * days as usize);
+    let mut count_by_day = vec![0; days as usize];
+    for run in runs() {
+        count_by_day.fill(0);
+        for h in run {
+            count_by_day[h.day as usize] += h.count;
+        }
+        table.push_with(
+            run[0].resolver,
+            |arena| run[0].name.write_to(arena),
+            &count_by_day,
+        );
+    }
+    table
 }
 
 #[cfg(test)]
@@ -353,10 +344,13 @@ mod tests {
             .collect()
     }
 
+    /// One oracle record: resolver, name, counts per day.
+    type Row = (u32, String, Vec<u32>);
+
     /// The capture as a hash map of heap strings: every probe's label
-    /// is a `String` keyed with its letter and resolver, the map is
-    /// sorted by that key and each name parsed back. The oracle
-    /// [`capture_traces`] must equal record for record.
+    /// is a `String` keyed with its letter and resolver, and the map,
+    /// sorted by that key, is each letter's rows. [`capture_traces`]'
+    /// tables must equal it row for row.
     fn capture_oracle(
         world: &World,
         catchments: &Catchments,
@@ -364,7 +358,7 @@ mod tests {
         start: SimTime,
         days: u32,
         sample_rate: f64,
-    ) -> RootTraceSet {
+    ) -> Vec<Vec<Row>> {
         use std::collections::HashMap;
 
         /// Aggregation key: letter, resolver, label.
@@ -435,56 +429,69 @@ mod tests {
                 }
             }
         }
-        let mut traces: Vec<RootTrace> = ROOT_LETTERS
-            .iter()
-            .map(|l| RootTrace {
-                letter: *l,
-                public: PUBLIC_TRACE_LETTERS.contains(l),
-                records: Vec::new(),
-            })
-            .collect();
+        let mut rows: Vec<Vec<Row>> = vec![Vec::new(); ROOT_LETTERS.len()];
         let mut entries: Vec<(Key, Vec<u32>)> = agg.into_iter().collect();
         entries.sort_by(|a, b| a.0.cmp(&b.0));
-        for ((letter, resolver_addr, name), count_by_day) in entries {
-            if let Ok(qname) = name.parse::<DomainName>() {
-                traces[letter].records.push(TraceRecord {
-                    resolver_addr,
-                    qname,
-                    count_by_day,
-                });
-            }
+        for ((letter, resolver, name), counts) in entries {
+            rows[letter].push((resolver, name, counts));
         }
-        RootTraceSet {
-            traces,
-            sample_rate,
-            days,
+        rows
+    }
+
+    /// Checks `got` against the oracle's rows, letter by letter and row
+    /// by row: resolver, name bytes, counts.
+    fn assert_matches_oracle(
+        got: &RootTraceSet,
+        want: &[Vec<Row>],
+        days: u32,
+        rate: f64,
+        ctx: &str,
+    ) {
+        assert_eq!(got.days, days, "{ctx}");
+        assert_eq!(got.sample_rate.to_bits(), rate.to_bits(), "{ctx}");
+        assert_eq!(got.traces.len(), want.len(), "{ctx}");
+        for ((trace, rows), &letter) in got.traces.iter().zip(want).zip(&ROOT_LETTERS) {
+            let ctx = format!("{ctx} letter {letter}");
+            assert_eq!(trace.letter, letter, "{ctx}");
+            assert_eq!(
+                trace.public,
+                PUBLIC_TRACE_LETTERS.contains(&letter),
+                "{ctx}"
+            );
+            assert_eq!(trace.records.len(), rows.len(), "{ctx}");
+            for (i, (resolver, name, counts)) in rows.iter().enumerate() {
+                assert_eq!(trace.records.resolver(i), *resolver, "{ctx} row {i}");
+                assert_eq!(
+                    trace.records.name(i).as_bytes(),
+                    name.as_bytes(),
+                    "{ctx} row {i}"
+                );
+                assert_eq!(trace.records.counts(i), counts.as_slice(), "{ctx} row {i}");
+            }
         }
     }
 
-    fn assert_same_set(got: &RootTraceSet, want: &RootTraceSet, ctx: &str) {
-        assert_eq!(got.days, want.days, "{ctx}");
-        assert_eq!(
-            got.sample_rate.to_bits(),
-            want.sample_rate.to_bits(),
-            "{ctx}"
-        );
-        assert_eq!(got.traces.len(), want.traces.len(), "{ctx}");
-        for (g, w) in got.traces.iter().zip(&want.traces) {
-            assert_eq!((g.letter, g.public), (w.letter, w.public), "{ctx}");
-            assert_eq!(
-                g.records.len(),
-                w.records.len(),
-                "{ctx} letter {}",
-                g.letter
-            );
-            assert!(g.records == w.records, "{ctx} letter {}", g.letter);
+    /// The capture of `world` over `days` days at `rate`, at 1 and 4
+    /// threads, against the oracle.
+    fn assert_capture_matches_oracle(world: &World, days: u32, rate: f64, ctx: &str) {
+        use clientmap_world::par::with_threads;
+
+        let catchments = Catchments::compute(world);
+        let auth = Authoritatives::new(world.config.seed, world.rib.clone());
+        let gpdns = GooglePublicDns::build(world, &catchments, &auth);
+        let start = SimTime::from_hours(7);
+        let want = capture_oracle(world, &catchments, &gpdns, start, days, rate);
+        assert!(want.iter().any(|rows| rows.len() > 1), "{ctx}");
+        for threads in [1, 4] {
+            let got = with_threads(threads, || {
+                capture_traces(world, &catchments, &gpdns, start, days, rate)
+            });
+            assert_matches_oracle(&got, &want, days, rate, &format!("{ctx} threads {threads}"));
         }
     }
 
     #[test]
     fn capture_equals_the_string_map_oracle() {
-        use clientmap_world::par::with_threads;
-
         for seed in [5, 2021] {
             // The tiny world's 4 000 /24s (more chunks than workers),
             // with few enough users that an unsampled capture stays
@@ -493,24 +500,30 @@ mod tests {
             cfg.total_users = 2.0e4;
             let world = World::generate(cfg);
             assert!(world.slash24s.len() > 4 * SLASH24_CHUNK);
-            let catchments = Catchments::compute(&world);
-            let auth = Authoritatives::new(world.config.seed, world.rib.clone());
-            let gpdns = GooglePublicDns::build(&world, &catchments, &auth);
             for days in [1, 2, 3] {
                 for rate in [0.01, 0.2, 1.0] {
-                    let start = SimTime::from_hours(7);
-                    let want = capture_oracle(&world, &catchments, &gpdns, start, days, rate);
-                    assert!(want.traces.iter().any(|t| t.records.len() > 1));
-                    for threads in [1, 4] {
-                        let got = with_threads(threads, || {
-                            capture_traces(&world, &catchments, &gpdns, start, days, rate)
-                        });
-                        let ctx = format!("seed {seed} days {days} rate {rate} threads {threads}");
-                        assert_same_set(&got, &want, &ctx);
-                    }
+                    let ctx = format!("seed {seed} days {days} rate {rate}");
+                    assert_capture_matches_oracle(&world, days, rate, &ctx);
                 }
             }
         }
+    }
+
+    #[test]
+    fn capture_equals_the_string_map_oracle_on_tiny_worlds() {
+        // The seeds and rates the crawl's oracle test captures.
+        for (seed, rate) in [(61, 0.01), (66, 0.05), (2021, 0.005)] {
+            let world = World::generate(WorldConfig::tiny(seed));
+            assert_capture_matches_oracle(&world, 2, rate, &format!("tiny {seed} rate {rate}"));
+        }
+    }
+
+    /// The label `key` writes.
+    fn label_of(key: NameKey) -> String {
+        let mut arena = String::new();
+        key.write_to(&mut arena);
+        assert_eq!(arena.len(), key.len());
+        arena
     }
 
     #[test]
@@ -537,7 +550,7 @@ mod tests {
         }
         for a in &labels {
             let key = NameKey::of(a);
-            assert_eq!(key.to_name().to_string(), *a);
+            assert_eq!(label_of(key), *a);
             for b in &labels {
                 assert_eq!(key.cmp(&NameKey::of(b)), a.cmp(b), "{a} vs {b}");
             }
@@ -551,14 +564,14 @@ mod tests {
             let h = clientmap_net::splitmix64(h);
             let label = random_probe_label(h);
             assert_eq!(NameKey::random_probe(h), NameKey::of(&label));
-            assert_eq!(NameKey::random_probe(h).to_name().to_string(), label);
+            assert_eq!(label_of(NameKey::random_probe(h)), label);
         }
     }
 
     #[test]
     fn noise_names_fit_the_key() {
         for name in MISCONFIG_NAMES.iter().chain(TYPO_NAMES) {
-            assert_eq!(NameKey::of(name).to_name().to_string(), *name);
+            assert_eq!(label_of(NameKey::of(name)), *name);
         }
     }
 
@@ -590,14 +603,14 @@ mod tests {
         let (_, set) = capture(42, 0.002);
         let mut checked = 0;
         for trace in &set.traces {
-            for r in &trace.records {
-                assert!(r.qname.is_single_label(), "{} has dots", r.qname);
-                let label = r.qname.first_label().unwrap();
+            for (_, name, _) in trace.records.iter() {
+                assert!(!name.contains('.'), "{name} has dots");
                 assert!(
-                    (7..=15).contains(&label.len()),
+                    (7..=15).contains(&name.len()),
                     "label length {}",
-                    label.len()
+                    name.len()
                 );
+                assert!(name.bytes().all(|b| b.is_ascii_lowercase()), "{name}");
                 checked += 1;
             }
         }
@@ -610,13 +623,14 @@ mod tests {
         let mut max_random_count = 0u64;
         let mut noise_seen = false;
         for trace in &set.traces {
-            for r in &trace.records {
-                let name = r.qname.to_string();
-                if MISCONFIG_NAMES.contains(&name.as_str()) || TYPO_NAMES.contains(&name.as_str()) {
+            let table = &trace.records;
+            for i in 0..table.len() {
+                let name = table.name(i);
+                if MISCONFIG_NAMES.contains(&name) || TYPO_NAMES.contains(&name) {
                     noise_seen = true;
-                    assert!(r.total() >= 1);
+                    assert!(table.total(i) >= 1);
                 } else {
-                    max_random_count = max_random_count.max(r.total());
+                    max_random_count = max_random_count.max(table.total(i));
                 }
             }
         }
@@ -637,12 +651,10 @@ mod tests {
         let known: std::collections::HashSet<u32> =
             world.resolvers.iter().map(|r| r.addr).collect();
         for trace in &set.traces {
-            for r in &trace.records {
+            for (resolver, _, _) in trace.records.iter() {
                 assert!(
-                    known.contains(&r.resolver_addr)
-                        || gpdns.pop_of_egress(r.resolver_addr).is_some(),
-                    "unknown resolver {:#x}",
-                    r.resolver_addr
+                    known.contains(&resolver) || gpdns.pop_of_egress(resolver).is_some(),
+                    "unknown resolver {resolver:#x}"
                 );
             }
         }
@@ -652,18 +664,13 @@ mod tests {
     fn sampling_scales_volume() {
         let (_, lo) = capture(45, 0.001);
         let (_, hi) = capture(45, 0.01);
-        let lo_total: u64 = lo
-            .traces
-            .iter()
-            .flat_map(|t| &t.records)
-            .map(|r| r.total())
-            .sum();
-        let hi_total: u64 = hi
-            .traces
-            .iter()
-            .flat_map(|t| &t.records)
-            .map(|r| r.total())
-            .sum();
+        let total = |set: &RootTraceSet| -> u64 {
+            set.traces
+                .iter()
+                .flat_map(|t| (0..t.records.len()).map(|i| t.records.total(i)))
+                .sum()
+        };
+        let (lo_total, hi_total) = (total(&lo), total(&hi));
         assert!(
             hi_total > 4 * lo_total,
             "sampling did not scale: {lo_total} vs {hi_total}"

@@ -68,8 +68,10 @@ fn driver_requeues_shards_from_a_crashed_worker() {
     let reference = reference_run(&dir, &[]);
 
     // One healthy worker plus one that serves a single shard and then
-    // dies mid-protocol; with four shards the driver must re-queue the
-    // crashed worker's in-flight shard onto the survivor.
+    // dies mid-protocol; the driver must re-queue the crashed worker's
+    // in-flight shard onto the survivor. With eight shards the crashing
+    // worker reaches its second request unless the survivor pulls seven
+    // of them first.
     let good = Worker::spawn(2, &[]);
     let mut bad = Worker::spawn(2, &["--fail-after", "1"]);
     let addrs = format!("{},{}", good.addr, bad.addr);
@@ -85,7 +87,7 @@ fn driver_requeues_shards_from_a_crashed_worker() {
             "--workers",
             &addrs,
             "--shards",
-            "4",
+            "8",
             "--snapshot-out",
             snap.to_str().unwrap(),
             "--metrics",
@@ -149,7 +151,8 @@ fn lossy_fleet_matches_single_process_lossy_run() {
 /// The chaos-fleet combo: deterministic fault injection in the
 /// technique *and* a worker crashing mid-protocol in the same run.
 /// The surviving worker absorbs the re-queued shard and the output is
-/// still byte-identical to the single-process lossy reference.
+/// still byte-identical to the single-process lossy reference. Eight
+/// shards, as in `driver_requeues_shards_from_a_crashed_worker`.
 #[test]
 fn lossy_fleet_survives_a_worker_crash_mid_sweep() {
     let dir = scratch("lossy-chaos");
@@ -175,7 +178,7 @@ fn lossy_fleet_survives_a_worker_crash_mid_sweep() {
             "--workers",
             &addrs,
             "--shards",
-            "4",
+            "8",
             "--snapshot-out",
             snap.to_str().unwrap(),
             "--metrics",

@@ -6,7 +6,8 @@
 //! injection, where each event's redundant queries retry through the
 //! connection's per-query door. A warm sweep whose plan skips
 //! everything allocates a fixed amount, however many records it
-//! carries forward.
+//! carries forward, and the DNS-logs stage (root-trace capture and
+//! crawl) allocates nothing per trace record.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,6 +19,7 @@ use clientmap_cacheprobe::resilience::FaultCounters;
 use clientmap_cacheprobe::vantage::discover;
 use clientmap_cacheprobe::ProbeConfig;
 use clientmap_cacheprobe::{execute_sweep, prepare_sweep};
+use clientmap_chromium::{crawl, ChromiumClassifier};
 use clientmap_dns::wire;
 use clientmap_faults::{FaultConfig, FaultProfile};
 use clientmap_net::Prefix;
@@ -242,5 +244,39 @@ fn a_full_skip_allocates_nothing_per_record() {
         small_allocs, large_allocs,
         "a full skip over {small_records} records allocated {small_allocs} times, \
          over {large_records} records {large_allocs} times"
+    );
+}
+
+/// The allocations one capture-and-crawl of `sim`'s world makes at
+/// `rate` on one thread, and the records the capture holds.
+fn dns_logs_allocations(sim: &Sim, rate: f64) -> (u64, usize) {
+    clientmap_par::with_threads(1, || {
+        let before = allocations();
+        let traces = sim.capture_root_traces(SimTime::ZERO, 2, rate);
+        let result = crawl(&traces, &ChromiumClassifier::default());
+        let allocated = allocations() - before;
+        assert!(!result.resolvers.is_empty(), "rate {rate} detected nothing");
+        let records = traces.traces.iter().map(|t| t.records.len()).sum();
+        (allocated, records)
+    })
+}
+
+#[test]
+fn the_dns_logs_stage_allocates_nothing_per_record() {
+    let sim = Sim::new(World::generate(WorldConfig::tiny(17)));
+    let (small_allocs, small_records) = dns_logs_allocations(&sim, 0.005);
+    let (large_allocs, large_records) = dns_logs_allocations(&sim, 0.05);
+    assert!(
+        large_records >= 8 * small_records,
+        "rates too alike: {small_records} vs {large_records} records"
+    );
+    // What may grow: each generation chunk's per-letter buckets double
+    // a few more times, and the crawl's per-resolver maps with the
+    // resolvers seen — never a heap object per record.
+    let added = (large_records - small_records) as u64;
+    assert!(
+        large_allocs.saturating_sub(small_allocs) * 100 < added,
+        "{small_records} records took {small_allocs} allocations, \
+         {large_records} records {large_allocs}"
     );
 }
